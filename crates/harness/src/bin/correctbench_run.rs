@@ -51,17 +51,17 @@
 //! Every job runs inside a fault barrier: a panic (or a structured
 //! abort from an exhausted budget) becomes a `status: "aborted"`
 //! outcome line with a stable `failure` taxonomy instead of killing the
-//! run. `--sim-budget N` caps every simulation's event budget;
-//! `--job-deadline-ms N` bounds each job's wall time. With `--out` the
-//! outcome stream is journaled — appended and flushed per line as jobs
-//! complete — and a `plan.json` manifest is written up front, so a run
-//! killed at any instant can be finished with `--resume DIR` (replays
-//! the journal, skips completed jobs, appends the rest; the final file
-//! is byte-identical to an uninterrupted run). The manifest records the
-//! plan's config fingerprint; `--resume` recomputes it and refuses a
-//! directory whose problems or configuration drifted since the
-//! interrupted run. `--faults` injects test-only failures (see the
-//! fault module docs for the grammar).
+//! run. `--sim-budget N` caps the instructions any one simulation
+//! retires; `--job-deadline-ms N` bounds each job's wall time. With
+//! `--out` the outcome stream is journaled — appended and flushed per
+//! line as jobs complete — and a `plan.json` manifest is written up
+//! front, so a run killed at any instant can be finished with
+//! `--resume DIR` (replays the journal, skips completed jobs, appends
+//! the rest; the final file is byte-identical to an uninterrupted run).
+//! The manifest records the plan's config fingerprint; `--resume`
+//! recomputes it and refuses a directory whose problems or
+//! configuration drifted since the interrupted run. `--faults` injects
+//! test-only failures (see the fault module docs for the grammar).
 //!
 //! Exit codes: 0 all jobs ok; 1 infrastructure/IO failure; 2 usage
 //! error; 3 run completed but at least one job aborted.

@@ -75,12 +75,12 @@ pub struct RunPlan {
     pub base_seed: u64,
     /// Pipeline configuration shared by all jobs.
     pub config: Config,
-    /// Per-simulation event-budget cap (`--sim-budget`): clamps the step
-    /// limit of every simulation a job runs. When the cap binds (it is
-    /// lower than the natural limit) and a simulation exhausts it, the
-    /// job aborts with `sim_budget_exhausted` — deterministically, since
-    /// the budget is a pure function of the plan. `None` = natural
-    /// limits only.
+    /// Per-simulation instruction cap (`--sim-budget`): clamps the step
+    /// limit (instructions retired) of every simulation a job runs.
+    /// When the cap binds (it is lower than the natural limit) and a
+    /// simulation exhausts it, the job aborts with
+    /// `sim_budget_exhausted` — deterministically, since the budget is a
+    /// pure function of the plan. `None` = natural limits only.
     pub sim_budget: Option<u64>,
     /// Per-job wall-clock deadline in milliseconds
     /// (`--job-deadline-ms`): a job still simulating past its deadline

@@ -107,6 +107,8 @@ fn timings_lines_pin_field_set_and_order() {
                 "sim_events",
                 "sim_instrs",
                 "nba_commits",
+                "sim_budget_trips",
+                "sim_trip_instrs",
                 "judge_commits",
                 "sim_cache_hits",
                 "sim_cache_misses",
@@ -253,4 +255,43 @@ fn summary_contains_latency_percentile_table() {
             "summary missing `{needle}`:\n{summary}"
         );
     }
+}
+
+#[test]
+fn report_reads_sidecars_from_before_the_wasted_work_counters() {
+    // Counters are read by name, so a sidecar written before
+    // `sim_budget_trips`/`sim_trip_instrs` existed still reports, with
+    // the missing counters at zero.
+    let dir = std::env::temp_dir().join(format!("correctbench_old_sidecar_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("timings.jsonl");
+    std::fs::write(
+        &path,
+        "{\"run_wall_ms\":5,\"threads\":1,\"jobs\":1}\n\
+         {\"job\":0,\"problem\":\"and_8\",\"method\":\"Baseline\",\"rep\":0,\"seed\":1,\"wall_ms\":1,\"wall_us\":1500,\
+         \"phases\":{\"parse\":1,\"elab\":1,\"compile\":1,\"simulate\":7,\"judge\":1,\"llm\":1,\"validate\":0,\"autoeval\":1,\"lint\":0},\
+         \"counters\":{\"sim_events\":12,\"sim_instrs\":345,\"nba_commits\":6,\"judge_commits\":3}}\n",
+    )
+    .expect("write sidecar");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_correctbench-report"))
+        .arg(&path)
+        .output()
+        .expect("run correctbench-report");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        out.status.success(),
+        "report refused an old sidecar: {out:?}"
+    );
+    let text = String::from_utf8(out.stdout).expect("UTF-8 report");
+    let counter = |name: &str| {
+        text.lines()
+            .find_map(|l| {
+                let mut words = l.split_whitespace();
+                (words.next() == Some(name)).then(|| words.next().map(str::to_string))
+            })
+            .flatten()
+    };
+    assert_eq!(counter("sim_instrs").as_deref(), Some("345"), "{text}");
+    assert_eq!(counter("sim_budget_trips").as_deref(), Some("0"), "{text}");
+    assert_eq!(counter("sim_trip_instrs").as_deref(), Some("0"), "{text}");
 }

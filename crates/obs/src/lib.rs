@@ -11,8 +11,9 @@
 //!   pauses the parent, so a job's per-phase nanoseconds sum to the
 //!   wall time actually covered by spans — never double-counted.
 //! * [`add`] bumps a [`Counter`] (simulation events, retired bytecode
-//!   instructions, NBA commits, judge slot commits, per-layer cache
-//!   hits and misses) for the job that incurred it.
+//!   instructions, NBA commits, budget-exhausted runs and their
+//!   instructions, judge slot commits, per-layer cache hits and misses)
+//!   for the job that incurred it.
 //!
 //! [`take_job`] drains the collector into a [`JobObs`] snapshot and
 //! rearms it for the next job. With no collector installed — or one
@@ -96,6 +97,10 @@ pub enum Counter {
     SimInstrs,
     /// Non-blocking assignment commits applied.
     NbaCommits,
+    /// Simulations that ended in `EventBudgetExhausted`.
+    SimBudgetTrips,
+    /// Bytecode instructions retired by those simulations.
+    SimTripInstrs,
     /// Compiled-judge register slot commits.
     JudgeCommits,
     /// Simulation-cache hits.
@@ -128,13 +133,15 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array-index domain).
-    pub const COUNT: usize = 17;
+    pub const COUNT: usize = 19;
 
     /// Every counter, in canonical (artifact) order.
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::SimEvents,
         Counter::SimInstrs,
         Counter::NbaCommits,
+        Counter::SimBudgetTrips,
+        Counter::SimTripInstrs,
         Counter::JudgeCommits,
         Counter::SimCacheHits,
         Counter::SimCacheMisses,
@@ -157,6 +164,8 @@ impl Counter {
             Counter::SimEvents => "sim_events",
             Counter::SimInstrs => "sim_instrs",
             Counter::NbaCommits => "nba_commits",
+            Counter::SimBudgetTrips => "sim_budget_trips",
+            Counter::SimTripInstrs => "sim_trip_instrs",
             Counter::JudgeCommits => "judge_commits",
             Counter::SimCacheHits => "sim_cache_hits",
             Counter::SimCacheMisses => "sim_cache_misses",

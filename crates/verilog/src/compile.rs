@@ -147,6 +147,14 @@ pub(crate) enum CInstr {
     JumpIfFalse { cond: ExprId, target: usize },
     /// Unconditional jump.
     Jump(usize),
+    /// Backward jump closing a zero-time loop: no `Delay` or `WaitEvent`
+    /// lies between `head` and this instruction. The simulator's runaway
+    /// detector runs here; `guard` is set when the loop has the counted
+    /// shape (see [`CountedGuard`]).
+    LoopBack {
+        head: usize,
+        guard: Option<CountedGuard>,
+    },
     /// Multi-way branch for `case`/`casez`/`casex`.
     CaseJump {
         sel: ExprId,
@@ -172,10 +180,37 @@ pub(crate) struct CAssign {
     pub(crate) rhs: ExprId,
 }
 
+/// A counted zero-time loop, as laid out by the elaborator's `for`/`while`
+/// lowering:
+///
+/// ```text
+/// H:    if !(v REL k) goto B+1     REL ∈ {<, <=, >, >=}, either operand order
+///       …body…                     no suspension, no $finish/$stop, no write
+///                                  to v, every jump lands inside the body
+/// B-1:  v = v ± c  (or c + v)      c a literal
+/// B:    goto H                     the LoopBack carrying this guard
+/// ```
+///
+/// where `k` reads no signal the loop writes. Within one activation `v`
+/// then walks `v, v + step, v + 2·step, …` (mod 2^width) and `k` is
+/// constant, which is what lets the simulator prove the loop outlives its
+/// step budget without running it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct CountedGuard {
+    /// The loop variable.
+    pub(crate) var: SignalId,
+    /// What one execution of the step adds to `var`, modulo 2^width.
+    pub(crate) step: u64,
+}
+
 /// A compiled process body.
 #[derive(Clone, Debug)]
 pub(crate) struct CProcess {
     pub(crate) code: Vec<CInstr>,
+    /// Signals the process writes with blocking assignments: together
+    /// with the pc, the state of an activation that the runaway detector
+    /// compares. Left empty for processes without a [`CInstr::LoopBack`].
+    pub(crate) written: Box<[SignalId]>,
 }
 
 /// An elaborated design together with its compile-once execution form:
@@ -221,9 +256,7 @@ impl CompiledDesign {
         let processes = design
             .processes
             .iter()
-            .map(|p| CProcess {
-                code: p.code.iter().map(|i| c.compile_instr(i)).collect(),
-            })
+            .map(|p| c.compile_process(&p.code))
             .collect();
         let Compiler {
             exprs,
@@ -331,6 +364,35 @@ impl<'d> Compiler<'d> {
             RLValue::Concat(parts) => {
                 CLValue::Concat(parts.iter().map(|p| self.compile_lvalue(p)).collect())
             }
+        }
+    }
+
+    /// Compiles a process body, turning the back-edge of every zero-time
+    /// loop into a [`CInstr::LoopBack`]. Processes without one skip the
+    /// loop analysis and carry no written-signal set.
+    fn compile_process(&mut self, code: &[Instr]) -> CProcess {
+        let mut out: Vec<CInstr> = code.iter().map(|i| self.compile_instr(i)).collect();
+        let mut looped = false;
+        for (back, head) in zero_time_back_edges(code) {
+            out[back] = CInstr::LoopBack {
+                head,
+                guard: counted_guard(self.design, code, head, back),
+            };
+            looped = true;
+        }
+        let mut written = Vec::new();
+        if looped {
+            for instr in code {
+                if let Instr::Assign(lhs, _) = instr {
+                    lhs.collect_sigs(&mut written);
+                }
+            }
+            written.sort();
+            written.dedup();
+        }
+        CProcess {
+            code: out,
+            written: written.into_boxed_slice(),
         }
     }
 
@@ -645,6 +707,131 @@ fn result_width(e: &RExpr, ctx: usize) -> usize {
         },
         RExprKind::Ternary(_, t, f) => result_width(t, ctx).max(result_width(f, ctx)).max(ctx),
         _ => ctx,
+    }
+}
+
+// ---- loop analysis ----
+
+/// `(back, head)` of every backward jump whose loop cannot suspend: no
+/// `Delay` or `WaitEvent` in `code[head..=back]`. The jump of an `always`
+/// block back to its event control is not one of them.
+fn zero_time_back_edges(code: &[Instr]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    code.iter()
+        .enumerate()
+        .filter_map(|(back, instr)| match instr {
+            Instr::Jump(head)
+                if *head <= back
+                    && !code[*head..=back]
+                        .iter()
+                        .any(|i| matches!(i, Instr::Delay(_) | Instr::WaitEvent(_))) =>
+            {
+                Some((back, *head))
+            }
+            _ => None,
+        })
+}
+
+/// The [`CountedGuard`] of the zero-time loop `code[head..=back]`, when
+/// the loop has the counted shape.
+fn counted_guard(
+    design: &Design,
+    code: &[Instr],
+    head: usize,
+    back: usize,
+) -> Option<CountedGuard> {
+    if back < head + 2 {
+        return None;
+    }
+    let (Instr::JumpIfFalse(cond, exit), Instr::Assign(RLValue::Sig(var), step)) =
+        (&code[head], &code[back - 1])
+    else {
+        return None;
+    };
+    let var = *var;
+    let is_var = |e: &RExpr| matches!(e.kind, RExprKind::Sig(s) if s == var);
+    let RExprKind::Binary(BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge, a, b) =
+        &cond.kind
+    else {
+        return None;
+    };
+    let bound = match (is_var(a), is_var(b)) {
+        (true, false) => b,
+        (false, true) => a,
+        _ => return None,
+    };
+    if *exit != back + 1 {
+        return None;
+    }
+    let step = affine_step(design, var, step)?;
+    let in_body = |t: usize| head < t && t < back;
+    let mut writes = Vec::new();
+    for instr in &code[head + 1..back - 1] {
+        let stays = match instr {
+            Instr::Assign(lhs, _) => {
+                lhs.collect_sigs(&mut writes);
+                true
+            }
+            Instr::NbAssign(..) => true,
+            Instr::Jump(t) | Instr::JumpIfFalse(_, t) => in_body(*t),
+            Instr::CaseJump { arms, default, .. } => {
+                in_body(*default) && arms.iter().all(|(_, t)| in_body(*t))
+            }
+            Instr::SysCall { name, .. } => !matches!(name.as_str(), "$finish" | "$stop"),
+            Instr::Delay(_) | Instr::WaitEvent(_) | Instr::Halt => false,
+        };
+        if !stays {
+            return None;
+        }
+    }
+    if writes.contains(&var) {
+        return None;
+    }
+    writes.push(var);
+    let mut reads = Vec::new();
+    bound.collect_sigs(&mut reads);
+    if reads.iter().any(|s| writes.contains(s)) {
+        return None;
+    }
+    Some(CountedGuard { var, step })
+}
+
+/// What the step `var = rhs` adds to `var`, modulo 2^width, when `rhs` is
+/// `var + c`, `c + var` or `var - c` for a known literal `c` and `var` is
+/// at most 64 bits wide. The low `width` bits of a sum or difference
+/// depend only on the low `width` bits of its operands, so the step maps
+/// every known `var` to `var + step`, where `step` is what the
+/// assignment stores for `var = 0`.
+fn affine_step(design: &Design, var: SignalId, rhs: &RExpr) -> Option<u64> {
+    let RExprKind::Binary(op, a, b) = &rhs.kind else {
+        return None;
+    };
+    let is_var = |e: &RExpr| matches!(e.kind, RExprKind::Sig(s) if s == var);
+    let is_lit = |e: &RExpr| matches!(e.kind, RExprKind::Lit(_));
+    let affine = match op {
+        BinaryOp::Add => (is_var(a) && is_lit(b)) || (is_lit(a) && is_var(b)),
+        BinaryOp::Sub => is_var(a) && is_lit(b),
+        _ => false,
+    };
+    let width = design.signal(var).width;
+    if !affine || !(1..=64).contains(&width) {
+        return None;
+    }
+    let zero = OneSignal(LogicVec::zeros(width));
+    eval(rhs, width.max(rhs.width), &zero)
+        .resize(width, rhs.signed)
+        .to_u64()
+}
+
+/// A store answering every read with one value: enough for an
+/// expression that reads a single signal.
+struct OneSignal(LogicVec);
+
+impl SigRead for OneSignal {
+    fn read(&self, _: SignalId) -> &LogicVec {
+        &self.0
+    }
+    fn now(&self) -> u64 {
+        0
     }
 }
 

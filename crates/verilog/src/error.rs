@@ -79,7 +79,8 @@ pub enum SimError {
         /// Simulation time at which the loop was detected.
         time: u64,
     },
-    /// The global event budget was exhausted before `$finish`.
+    /// The instruction budget (`SimLimits::max_steps`) ran out before
+    /// `$finish`, or a runaway loop provably would exhaust it.
     EventBudgetExhausted,
     /// The wall-clock deadline in [`SimLimits`](crate::sim::SimLimits)
     /// passed before the run completed.

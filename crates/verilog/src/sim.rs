@@ -6,7 +6,7 @@
 //! assignments commit as one batch (possibly waking more active events —
 //! a delta cycle), and only when both are empty does time advance to the
 //! next scheduled delay. Combinational oscillation is caught by a
-//! delta-cycle limit; runaway testbenches by a global event budget.
+//! delta-cycle limit; runaway testbenches by a global instruction budget.
 //!
 //! # Execution modes
 //!
@@ -26,8 +26,37 @@
 //! construction of the bytecode and verified by the differential
 //! proptests in [`crate::compile`] and the whole-design differential
 //! suite `crates/tbgen/tests/exec_diff.rs`.
+//!
+//! # Runaway loops
+//!
+//! A mutated `for` loop (`i = i - 1`, `i = i | 1`, …) never ends, and
+//! would retire the whole step budget before failing. The bytecode mode
+//! fails such a run with the same [`SimError::EventBudgetExhausted`] as
+//! soon as it is proven, at the loop's back-edge ([`CInstr::LoopBack`]).
+//! Within one process activation nothing else runs — continuous assigns,
+//! wake-ups and NBAs are only queued, `$time` stands still — so the
+//! activation is a deterministic function of the pc and the values of the
+//! signals the process writes with blocking assignments. Two checks run
+//! at back-edges once an activation has taken [`LOOP_WATCH_GRACE`] of
+//! them:
+//!
+//! 1. **State cycle.** Brent's cycle detection over the pairs (pc,
+//!    written values) seen at back-edges: a repeated pair means the
+//!    activation can never end.
+//! 2. **Counted loop.** For a loop with a [`CountedGuard`], the loop test
+//!    is shown to hold for the next ⌊(max_steps − steps)/3⌋ + 1 head tests
+//!    (each iteration retires at least three instructions), evaluating it
+//!    at both ends of every stretch in which the loop variable stays in
+//!    one half of its range, where the compared value is monotone.
+//!
+//! Either check fires only in an activation that would exhaust the budget
+//! anyway, so the error and every artifact are unchanged; only the
+//! instructions retired before it fall. The tree-walk mode runs such
+//! loops to the budget and is the detector's reference.
 
-use crate::compile::{exec_unit, CInstr, CLValue, CSysArg, CompiledDesign, ExprId, ValueStore};
+use crate::compile::{
+    exec_unit, CInstr, CLValue, CSysArg, CompiledDesign, CountedGuard, ExprId, ValueStore,
+};
 use crate::design::*;
 use crate::error::SimError;
 use crate::logic::{Bit, LogicVec};
@@ -98,6 +127,26 @@ enum ProcStatus {
 struct ProcState {
     pc: usize,
     status: ProcStatus,
+}
+
+/// Back-edge visits one activation makes before the runaway checks start:
+/// honest loops end well before this and pay only a counter.
+const LOOP_WATCH_GRACE: u64 = 64;
+
+/// Stretches (runs of head tests within one half of the loop variable's
+/// range) the counted-loop check evaluates before giving up.
+const MAX_STRETCHES: usize = 16;
+
+/// One activation's runaway-detector state (the saved pair itself lives
+/// in [`SimState`], so activations reuse its allocation).
+struct LoopWatch {
+    /// Back-edge visits in this activation.
+    visits: u64,
+    /// Brent's cycle detection: the pair is re-saved after `power` more
+    /// checked visits, and `power` doubles each time.
+    power: u64,
+    /// Checked visits since the last save.
+    lam: u64,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -278,7 +327,8 @@ impl<'d> Simulator<'d> {
     ///
     /// [`SimError::DeltaOverflow`] on combinational loops,
     /// [`SimError::EventBudgetExhausted`] when the instruction budget runs
-    /// out (runaway zero-delay loops).
+    /// out (runaway zero-delay loops), or as soon as a loop provably
+    /// would exhaust it (see the module docs).
     pub fn run(&mut self) -> Result<SimOutput, SimError> {
         let _span = correctbench_obs::span(correctbench_obs::Phase::Simulate);
         let Simulator {
@@ -292,10 +342,13 @@ impl<'d> Simulator<'d> {
         // when none is armed). The accumulators are pure measurement
         // fields, zeroed after flush so a session's next run reports its
         // own delta.
-        correctbench_obs::add(
-            correctbench_obs::Counter::SimInstrs,
-            state.steps - steps_before,
-        );
+        let instrs = state.steps - steps_before;
+        correctbench_obs::add(correctbench_obs::Counter::SimInstrs, instrs);
+        if matches!(out, Err(SimError::EventBudgetExhausted)) {
+            // Wasted work: the run buys no output, early trip or not.
+            correctbench_obs::add(correctbench_obs::Counter::SimBudgetTrips, 1);
+            correctbench_obs::add(correctbench_obs::Counter::SimTripInstrs, instrs);
+        }
         correctbench_obs::add(
             correctbench_obs::Counter::SimEvents,
             std::mem::take(&mut state.events),
@@ -353,6 +406,11 @@ struct SimState {
     /// NBA commits applied since the last observability flush
     /// (measurement only).
     nba_commits: u64,
+    /// The runaway detector's saved back-edge pair: the pc and the values
+    /// of the running process's blocking-written signals. Only read
+    /// within the activation that saved it.
+    saved_pc: usize,
+    saved_values: Vec<LogicVec>,
 }
 
 impl SimState {
@@ -394,6 +452,8 @@ impl SimState {
             steps: 0,
             events: 0,
             nba_commits: 0,
+            saved_pc: 0,
+            saved_values: Vec::new(),
         }
     }
 
@@ -573,6 +633,11 @@ impl SimState {
     }
 
     fn run_process(&mut self, cd: &CompiledDesign, i: usize) -> Result<(), SimError> {
+        let mut watch = LoopWatch {
+            visits: 0,
+            power: 1,
+            lam: 0,
+        };
         loop {
             self.steps += 1;
             if self.steps > self.limits.max_steps {
@@ -609,6 +674,15 @@ impl SimState {
                 }
                 CInstr::Jump(target) => {
                     self.procs[i].pc = *target;
+                }
+                CInstr::LoopBack { head, guard } => {
+                    self.procs[i].pc = *head;
+                    watch.visits += 1;
+                    if watch.visits > LOOP_WATCH_GRACE
+                        && self.loop_runs_away(cd, i, pc, *head, guard.as_ref(), &mut watch)
+                    {
+                        return Err(SimError::EventBudgetExhausted);
+                    }
                 }
                 CInstr::CaseJump {
                     sel,
@@ -672,6 +746,127 @@ impl SimState {
                 }
             }
         }
+    }
+
+    // ---- runaway detection (see the module docs) ----
+
+    /// Runs the runaway checks at the back-edge `pc` of process `i`, just
+    /// after it jumped to `head`: `true` when the activation provably
+    /// exhausts the step budget.
+    fn loop_runs_away(
+        &mut self,
+        cd: &CompiledDesign,
+        i: usize,
+        pc: usize,
+        head: usize,
+        guard: Option<&CountedGuard>,
+        watch: &mut LoopWatch,
+    ) -> bool {
+        let written = &cd.processes[i].written;
+        // Nothing is saved before the first save doubles `power`.
+        if watch.power > 1
+            && self.saved_pc == pc
+            && written
+                .iter()
+                .zip(&self.saved_values)
+                .all(|(s, v)| self.values[s.0 as usize] == *v)
+        {
+            return true;
+        }
+        watch.lam += 1;
+        if watch.lam < watch.power {
+            return false;
+        }
+        self.saved_pc = pc;
+        self.saved_values.clear();
+        self.saved_values
+            .extend(written.iter().map(|s| self.values[s.0 as usize].clone()));
+        watch.power *= 2;
+        watch.lam = 0;
+        // The counted check rides on the saves, at geometrically spaced
+        // visits: the remaining budget shrinks, so a later try can succeed.
+        let (Some(g), CInstr::JumpIfFalse { cond, .. }) = (guard, &cd.processes[i].code[head])
+        else {
+            return false;
+        };
+        self.counted_loop_outlives_budget(cd, *cond, g)
+    }
+
+    /// Whether the loop test `cond` of a counted loop holds for the next
+    /// ⌊(max_steps − steps)/3⌋ + 1 head tests. Each iteration retires at
+    /// least three instructions (head test, step, back-edge), so the loop
+    /// cannot exit before the budget runs out.
+    ///
+    /// The loop variable visits `v, v + step, …` modulo 2^width. While it
+    /// stays within one half of its range, its value read at any width
+    /// and signedness is monotone, so the test (a relation against a
+    /// loop-invariant bound) holds throughout a stretch when it holds at
+    /// both ends. The orbit repeats after 2^width / gcd(step, 2^width)
+    /// tests, which bounds the tests worth checking.
+    fn counted_loop_outlives_budget(
+        &mut self,
+        cd: &CompiledDesign,
+        cond: ExprId,
+        g: &CountedGuard,
+    ) -> bool {
+        let slot = g.var.0 as usize;
+        let Some(mut v) = self.values[slot].to_u64() else {
+            return false;
+        };
+        let width = self.values[slot].width() as u32;
+        let mut left = (self.limits.max_steps.saturating_sub(self.steps) / 3).saturating_add(1);
+        let period_log2 = width - g.step.trailing_zeros().min(width);
+        if period_log2 < 64 {
+            left = left.min(1 << period_log2);
+        }
+        let mask = u64::MAX >> (64 - width);
+        let low = mask >> 1;
+        let up = g.step <= low;
+        let delta = if up {
+            g.step
+        } else {
+            g.step.wrapping_neg() & mask
+        };
+        for _ in 0..MAX_STRETCHES {
+            let room = if up { (v | low) - v } else { v & low };
+            let n = room.checked_div(delta).map_or(left, |q| (q + 1).min(left));
+            let last = if up {
+                v + (n - 1) * delta
+            } else {
+                v - (n - 1) * delta
+            };
+            if !self.cond_holds_at(cd, cond, g.var, v) || !self.cond_holds_at(cd, cond, g.var, last)
+            {
+                return false;
+            }
+            left -= n;
+            if left == 0 {
+                return true;
+            }
+            v = if up {
+                last.wrapping_add(delta)
+            } else {
+                last.wrapping_sub(delta)
+            } & mask;
+        }
+        false
+    }
+
+    /// Evaluates the loop test `cond` with `var` read as `value`, leaving
+    /// the signal as it was.
+    fn cond_holds_at(
+        &mut self,
+        cd: &CompiledDesign,
+        cond: ExprId,
+        var: SignalId,
+        value: u64,
+    ) -> bool {
+        let slot = var.0 as usize;
+        let probe = LogicVec::from_u64(self.values[slot].width(), value);
+        let actual = std::mem::replace(&mut self.values[slot], probe);
+        let out = self.exec(cd, cond);
+        self.values[slot] = actual;
+        self.scratch[out].truthy() == Bit::One
     }
 
     fn render(&mut self, cd: &CompiledDesign, args: &[CSysArg], skip: usize) -> String {
@@ -1305,6 +1500,224 @@ mod tests {
                 .with_mode(mode)
                 .run();
             assert!(matches!(r, Err(SimError::EventBudgetExhausted)), "{mode:?}");
+        }
+    }
+
+    /// How a runaway-detector case must end in both modes.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Ends {
+        /// Budget exhausted, the bytecode retiring a small fraction of it.
+        EarlyTrip,
+        /// Budget exhausted with the whole budget retired in both modes.
+        FullBudget,
+        /// `$finish` within the budget.
+        Finishes,
+    }
+
+    fn compile_src(src: &str) -> CompiledDesign {
+        let file = crate::parser::parse(src).expect("parse");
+        CompiledDesign::new(crate::elaborate::elaborate(&file, "tb").expect("elab"))
+    }
+
+    /// Runs `compiled` to completion; returns the result and the
+    /// instructions it retired.
+    fn run_counted(
+        compiled: &CompiledDesign,
+        mode: ExecMode,
+        max_steps: u64,
+    ) -> (Result<SimOutput, SimError>, u64) {
+        let limits = SimLimits {
+            max_steps,
+            ..SimLimits::default()
+        };
+        let mut sim = Simulator::from_compiled_with_limits(compiled, limits).with_mode(mode);
+        let out = sim.run();
+        (out, sim.state.steps)
+    }
+
+    /// Per zero-time back-edge of the design, whether it carries a
+    /// counted-loop guard.
+    fn loop_guards(compiled: &CompiledDesign) -> Vec<bool> {
+        compiled
+            .processes
+            .iter()
+            .flat_map(|p| &p.code)
+            .filter_map(|i| match i {
+                CInstr::LoopBack { guard, .. } => Some(guard.is_some()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn runaway_loop_boundaries_in_both_modes() {
+        use Ends::*;
+        const BUDGET: u64 = 250_000;
+        let tb = |decls: &str, body: &str| {
+            format!(
+                "module tb;\n{decls}\ninitial begin\n{body}\n$display(\"done\");\n$finish;\nend\nendmodule"
+            )
+        };
+        // (name, source, guard per zero-time back-edge, expected end)
+        let cases: Vec<(&str, String, Vec<bool>, Ends)> = vec![
+            (
+                "or step settles into a state cycle",
+                tb("integer i;", "for (i = 0; i < 8; i = i | 1) ;"),
+                vec![false],
+                EarlyTrip,
+            ),
+            (
+                "integer count-down proven by the counted check",
+                tb("integer i;", "for (i = 0; i < 8; i = i - 1) ;"),
+                vec![true],
+                EarlyTrip,
+            ),
+            (
+                "4-bit counter wraps below its bound",
+                tb("reg [3:0] i;", "for (i = 0; i < 16; i = i + 1) ;"),
+                vec![true],
+                EarlyTrip,
+            ),
+            (
+                "unsigned count-down crosses into the upper half",
+                tb("reg [31:0] u;", "for (u = 7; u >= 0; u = u - 1) ;"),
+                vec![true],
+                EarlyTrip,
+            ),
+            (
+                "signed counter leaves its bound at the sign flip",
+                tb(
+                    "reg signed [7:0] s;",
+                    "for (s = 0; s > -8'sd5; s = s + 8'sd1) ;",
+                ),
+                vec![true],
+                Finishes,
+            ),
+            (
+                "inner loop of a nest runs away",
+                tb(
+                    "integer i, j;\nreg [31:0] n;",
+                    "n = 0;\nfor (i = 0; i < 4; i = i + 1)\nfor (j = 0; j < 4; j = j - 1) n = n + 1;",
+                ),
+                vec![true, true],
+                EarlyTrip,
+            ),
+            (
+                "outer loop of a nest runs away",
+                tb(
+                    "integer i, j;\nreg [31:0] n;",
+                    "n = 0;\nfor (i = 0; i < 8; i = i - 1)\nfor (j = 0; j < 4; j = j + 1) n = n + 1;",
+                ),
+                vec![true, true],
+                EarlyTrip,
+            ),
+            (
+                "a delay in the body makes the loop timed",
+                tb("integer i;", "for (i = 0; i < 8; i = i - 1) #1;"),
+                vec![],
+                FullBudget,
+            ),
+            (
+                "$finish in the body ends the run",
+                tb(
+                    "integer i;",
+                    "for (i = 0; i < 8; i = i - 1) if (i == -300) $finish;",
+                ),
+                vec![false],
+                Finishes,
+            ),
+            (
+                "a bound the body writes is not loop-invariant",
+                tb(
+                    "integer i, n;",
+                    "n = 100000;\nfor (i = 0; i < n; i = i + 1) n = n - 1;",
+                ),
+                vec![false],
+                Finishes,
+            ),
+            (
+                "a bound the body writes keeps growing",
+                tb("integer i, n;", "n = 8;\nfor (i = 0; i < n; i = i + 1) n = n + 1;"),
+                vec![false],
+                FullBudget,
+            ),
+        ];
+        for (name, src, guards, ends) in cases {
+            let compiled = compile_src(&src);
+            assert_eq!(loop_guards(&compiled), guards, "{name}: classification");
+            let (byte, byte_steps) = run_counted(&compiled, ExecMode::Bytecode, BUDGET);
+            let (tree, tree_steps) = run_counted(&compiled, ExecMode::TreeWalk, BUDGET);
+            match (&byte, &tree) {
+                (Ok(b), Ok(t)) => {
+                    assert_eq!(b.lines, t.lines, "{name}: lines");
+                    assert_eq!((b.end_time, b.finished), (t.end_time, t.finished), "{name}");
+                }
+                (Err(b), Err(t)) => assert_eq!(b, t, "{name}: errors"),
+                _ => panic!("{name}: modes disagree: {byte:?} vs {tree:?}"),
+            }
+            match ends {
+                EarlyTrip => {
+                    assert!(
+                        matches!(tree, Err(SimError::EventBudgetExhausted)),
+                        "{name}"
+                    );
+                    assert_eq!(
+                        tree_steps,
+                        BUDGET + 1,
+                        "{name}: reference retires the budget"
+                    );
+                    assert!(
+                        byte_steps < BUDGET / 50,
+                        "{name}: tripped after {byte_steps}"
+                    );
+                }
+                FullBudget => {
+                    assert!(
+                        matches!(tree, Err(SimError::EventBudgetExhausted)),
+                        "{name}"
+                    );
+                    assert_eq!((byte_steps, tree_steps), (BUDGET + 1, BUDGET + 1), "{name}");
+                }
+                Finishes => {
+                    let out = byte.expect("finishes");
+                    assert!(out.finished, "{name}");
+                    assert_eq!(byte_steps, tree_steps, "{name}: same work");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counted_loop_at_the_exact_budget() {
+        // Three instructions per iteration, the counted check's tightest
+        // case. With exactly the instructions the run needs it completes;
+        // with one or two fewer it trips after the loop (at `$finish` or
+        // at the failing head test), so the loop must run out in full;
+        // with three fewer the last back-edge trips, inside the loop, and
+        // the bytecode proves it early.
+        let compiled = compile_src(
+            "module tb;\ninteger i;\ninitial begin\nfor (i = 0; i < 1000; i = i + 1) ;\n$finish;\nend\nendmodule",
+        );
+        assert_eq!(loop_guards(&compiled), vec![true]);
+        let (out, needed) = run_counted(&compiled, ExecMode::TreeWalk, 1_000_000);
+        assert!(out.expect("finite loop").finished);
+        for mode in [ExecMode::Bytecode, ExecMode::TreeWalk] {
+            let (out, steps) = run_counted(&compiled, mode, needed);
+            assert!(out.expect("exact budget completes").finished, "{mode:?}");
+            assert_eq!(steps, needed, "{mode:?}");
+            for short in 1..=3 {
+                let budget = needed - short;
+                let (out, steps) = run_counted(&compiled, mode, budget);
+                assert!(
+                    matches!(out, Err(SimError::EventBudgetExhausted)),
+                    "{mode:?} {budget}: {out:?}"
+                );
+                if mode == ExecMode::Bytecode && short == 3 {
+                    assert!(steps < budget / 10, "{mode:?} {budget}: tripped at {steps}");
+                } else {
+                    assert_eq!(steps, budget + 1, "{mode:?} {budget}: ran to the budget");
+                }
+            }
         }
     }
 
