@@ -18,7 +18,7 @@ use correctbench_checker::compile_module;
 use correctbench_dataset::Problem;
 use correctbench_llm::CheckerArtifact;
 use correctbench_tbgen::{
-    abort_job, acquire_session, generate_driver, generate_scenarios, AbortKind, GoldenArtifacts,
+    abort_job, generate_driver, generate_scenarios, AbortKind, EvalSession, GoldenArtifacts,
     GoldenKey, ScenarioResult, TbError, TbRun,
 };
 use correctbench_verilog::mutate::mutate_module;
@@ -165,18 +165,27 @@ pub fn golden_testbench(problem: &Problem, seed: u64) -> EvalTb {
 
 /// Derives the full golden fixture bundle for one `(problem, eval
 /// seed)` pair from scratch: parses the golden RTL, generates and
-/// parses the golden testbench ([`golden_testbench`]), and generates
-/// and parses the Eval2 mutant set ([`eval2_mutants`]). Pure in its
-/// inputs — the cached and uncached evaluation paths produce identical
-/// fixtures by construction.
+/// parses the golden testbench ([`golden_testbench`]), generates and
+/// parses the Eval2 mutant set ([`eval2_mutants`]) and runs the static
+/// pre-screen over it. Pure in its inputs — the cached and uncached
+/// evaluation paths produce identical fixtures by construction.
+///
+/// The pre-screen drops every mutant whose
+/// [`LintReport`](correctbench_verilog::LintReport) signature differs
+/// from the golden DUT's: any lint-gated pipeline rejects such a mutant
+/// identically for every testbench, so the generated and golden
+/// testbenches agree on it by construction and Eval2 need not simulate
+/// it. It depends only on the golden DUT and the mutant set, so it runs
+/// here, once per bundle, not once per evaluated testbench.
 pub fn derive_golden_artifacts(problem: &Problem, seed: u64) -> GoldenArtifacts {
     let tb = golden_testbench(problem, seed);
     let dut = parse_trusted(&problem.golden_rtl, "golden RTL");
     let driver = parse_trusted(&tb.driver, "golden driver");
-    let mutants = eval2_mutants(problem, seed)
+    let golden_signature = lint_signature(&dut);
+    let (mutants, distinguished): (Vec<_>, Vec<_>) = eval2_mutants(problem, seed)
         .iter()
         .filter_map(|m| correctbench_verilog::parse(m).ok())
-        .collect();
+        .partition(|m| lint_signature(m) == golden_signature);
     GoldenArtifacts {
         dut,
         scenarios: tb.scenarios,
@@ -184,6 +193,7 @@ pub fn derive_golden_artifacts(problem: &Problem, seed: u64) -> GoldenArtifacts 
         driver,
         checker: tb.checker.program,
         mutants,
+        statically_distinguished: distinguished.len(),
     }
 }
 
@@ -209,18 +219,10 @@ pub fn golden_artifacts(problem: &Problem, seed: u64) -> Arc<GoldenArtifacts> {
     derived
 }
 
-/// True when static analysis alone tells `mutant` apart from `dut`:
-/// their [`LintReport`](correctbench_verilog::LintReport) signatures
-/// differ. Such a mutant needs no simulation in the Eval2 sweep — any
-/// lint-gated pipeline rejects it identically for every testbench, so
-/// the generated and golden testbenches agree on it by construction.
-/// Reports come through the worker's lint cache when one is installed.
-pub fn statically_distinguished(
-    dut: &correctbench_verilog::ast::SourceFile,
-    mutant: &correctbench_verilog::ast::SourceFile,
-) -> bool {
-    correctbench_tbgen::lint_cached(dut).signature()
-        != correctbench_tbgen::lint_cached(mutant).signature()
+/// The static pre-screen's comparison key (see
+/// [`derive_golden_artifacts`]): the file's lint-report signature.
+fn lint_signature(file: &correctbench_verilog::ast::SourceFile) -> u64 {
+    correctbench_verilog::lint_file(file).signature()
 }
 
 /// Evaluates `tb` for `problem`, returning the highest level reached.
@@ -240,12 +242,10 @@ pub fn evaluate(problem: &Problem, tb: &EvalTb, seed: u64) -> EvalLevel {
         return EvalLevel::Failed;
     }
 
-    // One session per testbench, leased through the worker's session
-    // pool when the harness installed one: checker compiled and record
-    // bindings resolved once per (problem, checker) fingerprint pair —
-    // across jobs, not merely across the Eval1 report and the Eval2
-    // mutant runs of this call.
-    let Ok(mut session) = acquire_session(problem, &tb.checker.program) else {
+    // One session per testbench: checker compiled and record bindings
+    // resolved once for the Eval1 report and every Eval2 mutant run of
+    // this call.
+    let Ok(mut session) = EvalSession::new(problem, &tb.checker.program) else {
         return EvalLevel::Failed; // checker program the judge cannot run
     };
 
@@ -278,31 +278,22 @@ pub fn evaluate(problem: &Problem, tb: &EvalTb, seed: u64) -> EvalLevel {
         Some(golden) => golden,
         None => Arc::new(derive_golden_artifacts(problem, seed)),
     };
-    if golden.mutants.is_empty() {
+    // Mutants the static pre-screen told apart count as agreements
+    // without simulation and are absent from *both* sweeps.
+    let static_agree = golden.statically_distinguished;
+    if golden.mutants.is_empty() && static_agree == 0 {
         return EvalLevel::Eval2; // no usable mutants: vacuous agreement
     }
-    // Static pre-screen: mutants whose lint signature differs from the
-    // golden DUT's count as agreements without simulation (see
-    // [`statically_distinguished`]) and drop out of *both* sweeps.
-    let dynamic: Vec<&correctbench_verilog::ast::SourceFile> = golden
-        .mutants
-        .iter()
-        .filter(|m| !statically_distinguished(&golden.dut, m))
-        .collect();
-    let static_agree = golden.mutants.len() - dynamic.len();
-    let mine = session.sweep_mutants(dynamic.iter().copied(), &driver, &tb.scenarios);
-    let golden_reports: Vec<Option<bool>> = match acquire_session(problem, &golden.checker) {
-        // The golden checker is identical for every (method, rep)
-        // job of a problem, so under a harness context this lease is
-        // the pool's steadiest customer.
+    let mine = session.sweep_mutants(&golden.mutants, &driver, &tb.scenarios);
+    let golden_reports: Vec<Option<bool>> = match EvalSession::new(problem, &golden.checker) {
         Ok(mut golden_session) => golden_session
-            .sweep_mutants(dynamic.iter().copied(), &golden.driver, &golden.scenarios)
+            .sweep_mutants(&golden.mutants, &golden.driver, &golden.scenarios)
             .into_iter()
             .map(tb_report)
             .collect(),
         // Unreachable for compiler-derived golden checkers; degrade
         // to per-run "no report" like the interpreter would.
-        Err(_) => vec![None; dynamic.len()],
+        Err(_) => vec![None; golden.mutants.len()],
     };
     let mut agree = static_agree;
     let mut counted = static_agree;
@@ -451,7 +442,14 @@ mod tests {
         assert_eq!(first.dut, derived.dut);
         assert_eq!(first.driver, derived.driver);
         assert_eq!(first.mutants, derived.mutants);
-        assert_eq!(first.mutants.len(), EVAL2_MUTANTS);
+        assert_eq!(
+            first.statically_distinguished,
+            derived.statically_distinguished
+        );
+        assert_eq!(
+            first.mutants.len() + first.statically_distinguished,
+            EVAL2_MUTANTS
+        );
     }
 
     #[test]
@@ -468,10 +466,10 @@ mod tests {
                 always.body = correctbench_verilog::ast::Stmt::Block(Vec::new());
             }
         }
-        assert!(statically_distinguished(&dut, &mutant));
+        assert_ne!(lint_signature(&dut), lint_signature(&mutant));
         // Identical sources carry identical signatures: the pre-screen
         // must never fabricate agreement for an unchanged DUT.
-        assert!(!statically_distinguished(&dut, &dut.clone()));
+        assert_eq!(lint_signature(&dut), lint_signature(&dut.clone()));
     }
 
     #[test]

@@ -55,7 +55,7 @@ fn bench_exec_modes(c: &mut Criterion) {
                 )
             })
         });
-        // What the elaboration cache saves on every hit.
+        // What an `EvalSession` design-memo hit saves.
         c.bench_function(&format!("elaborate_compile_{}", p.name), |b| {
             b.iter(|| black_box(compile_pair(&p.dut, &p.driver).expect("elaborate")))
         });

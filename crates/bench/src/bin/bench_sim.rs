@@ -11,10 +11,10 @@
 //!   additionally deep-cloned each executed instruction, so the
 //!   historical baseline was strictly slower than this arm).
 //! * `bytecode_ns` — re-elaborate *and recompile* every run, execute
-//!   bytecode: the elaboration-cache miss path.
+//!   bytecode: the path every freshly generated design takes.
 //! * `bytecode_cached_ns` — execute bytecode against the pre-compiled
-//!   design: the steady-state path `run_testbench_parsed` takes on an
-//!   elaboration-cache hit.
+//!   design: the steady state an `EvalSession` reaches when its design
+//!   memo holds the pair (repeated runs of one DUT + driver).
 //!
 //! Two further interleaved comparisons capture the session API:
 //!
@@ -31,10 +31,6 @@
 //!   (pretty-print / `Debug` FNV) and with the `StructuralHash` visitor
 //!   fingerprints (computed fresh, i.e. the `OnceLock` miss cost; a
 //!   steady-state probe on a cached `SourceFile` is two u64 reads).
-//! * `session_fresh_ns` vs `session_pooled_ns` — acquiring an
-//!   evaluation session by constructing it (checker compile + binding
-//!   resolution, the per-job cost the validator and AutoEval used to
-//!   pay) and by leasing it from an installed `EvalContext` pool.
 //! * `bytecode_cached_ns` vs `hot_path_obs_ns` — the same steady-state
 //!   hot path with no observability collector armed (spans and counter
 //!   probes short-circuit on the thread-local check) and with a live
@@ -46,21 +42,16 @@
 //!   scratch (the per-cell cost AutoEval paid before the golden cache)
 //!   and by fetching it from an installed `GoldenCache` (steady state:
 //!   every cell of a problem after the first).
-//! * `lint_cold_ns` vs `lint_cached_ns` — running the static-analysis
-//!   pass on the combined (DUT + driver) source from scratch
-//!   (`lint_file`, the lint-cache miss cost) and fetching the memoized
-//!   report from an installed `LintCache` (steady state: a fingerprint
-//!   probe plus an `Arc` clone).
 //! * `store_cold_job_ns` vs `store_warm_hit_ns` — one full evaluation
 //!   job of the problem (CorrectBench method, rep 0) executed from
 //!   scratch and replayed from a primed persistent outcome store
 //!   (probe + cell decode): the cost a warm `correctbench-run --store`
 //!   restart pays per content-identical cell instead of re-executing it.
 //! * `lint_warn_ns` — the absolute per-job cost `--lint=warn` adds on
-//!   top of a job (combine the sources, parse, fetch the memoized
-//!   report — the parse dominates). Its *relative* overhead only means
-//!   something against a full job, which this micro-benchmark does not
-//!   run, so the end-to-end number is measured on the harness itself
+//!   top of a job (combine the sources, parse, run `lint_file`). Its
+//!   *relative* overhead only means something against a full job,
+//!   which this micro-benchmark does not run, so the end-to-end number
+//!   is measured on the harness itself
 //!   (the `lint` phase's share of total phase-attributed time in a real
 //!   sweep's `metrics.json`) and recorded via `--lint-warn-overhead`.
 //!
@@ -91,9 +82,8 @@ use correctbench_harness::{
 use correctbench_llm::SimulatedClientFactory;
 use correctbench_obs::ObsStack;
 use correctbench_tbgen::{
-    acquire_session, compile_pair, force_one_shot, generate_driver, generate_scenarios,
-    judge_records, limits_for, lint_cached, module_interface_fingerprint, run_testbench_parsed,
-    EvalContext, EvalSession, GoldenCache, LintCache, ScenarioSet,
+    compile_pair, force_one_shot, generate_driver, generate_scenarios, judge_records, limits_for,
+    module_interface_fingerprint, run_testbench_parsed, EvalSession, GoldenCache, ScenarioSet,
 };
 use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::hash::{debug_hash, structural_hash, StructuralHash};
@@ -202,12 +192,8 @@ struct Row {
     judge_session_ns: u64,
     key_debug_hash_ns: u64,
     key_fingerprint_ns: u64,
-    session_fresh_ns: u64,
-    session_pooled_ns: u64,
     golden_derive_ns: u64,
     golden_cached_ns: u64,
-    lint_cold_ns: u64,
-    lint_cached_ns: u64,
     lint_warn_ns: u64,
     store_cold_job_ns: u64,
     store_warm_hit_ns: u64,
@@ -237,19 +223,9 @@ impl Row {
         self.key_debug_hash_ns as f64 / self.key_fingerprint_ns.max(1) as f64
     }
 
-    /// Pooled session lease vs. constructing the session per acquisition.
-    fn speedup_pool(&self) -> f64 {
-        self.session_fresh_ns as f64 / self.session_pooled_ns.max(1) as f64
-    }
-
     /// Cached golden-bundle fetch vs. deriving the bundle from scratch.
     fn speedup_golden(&self) -> f64 {
         self.golden_derive_ns as f64 / self.golden_cached_ns.max(1) as f64
-    }
-
-    /// Memoized lint-report fetch vs. running the analysis cold.
-    fn speedup_lint(&self) -> f64 {
-        self.lint_cold_ns as f64 / self.lint_cached_ns.max(1) as f64
     }
 
     /// Persistent-store cell replay vs. executing the job from scratch.
@@ -337,24 +313,14 @@ fn main() {
             EvalSession::new(&case.problem, &case.checker).expect("checker compiles");
         let mut judge_session =
             EvalSession::new(&case.problem, &case.checker).expect("checker compiles");
-        let pool = EvalContext::new();
-        let _pool_guard = pool.install();
         let golden_cache = GoldenCache::new();
         let _golden_guard = golden_cache.install();
         // Prime the golden shard so the cached arm measures steady-state
         // hits, not the first derivation.
         std::hint::black_box(golden_artifacts(&case.problem, GOLDEN_SEED));
-        // The combined (DUT + driver) source the worker's lint pass
-        // analyzes: pre-parsed for the cold/cached pair; the warn-mode
-        // arm rebuilds it from the texts, as the worker does per job.
+        // The driver text the worker's lint pass combines with the
+        // golden DUT, as it does per job.
         let driver_text = generate_driver(&case.problem, &case.scenarios);
-        let combined_lint = parse(&format!("{}\n{}", case.problem.golden_rtl, driver_text))
-            .expect("combined parses");
-        let lint_cache = LintCache::new();
-        let _lint_guard = lint_cache.install();
-        // Prime the lint shard so the cached arm measures steady-state
-        // fetches.
-        std::hint::black_box(lint_cached(&combined_lint));
         // The persistent-store pair: one full job of this problem
         // (CorrectBench, rep 0) executed cold vs replayed from a store
         // primed with its published cell.
@@ -374,7 +340,7 @@ fn main() {
         store
             .put(&store_key, &encode_cell(&primed))
             .expect("publish primed cell");
-        let [tree_walk_ns, bytecode_ns, bytecode_cached_ns, hot_path_obs_ns, one_shot_sweep_ns, session_sweep_ns, judge_interp_ns, judge_session_ns, key_debug_hash_ns, key_fingerprint_ns, session_fresh_ns, session_pooled_ns, golden_derive_ns, golden_cached_ns, lint_cold_ns, lint_cached_ns, lint_warn_ns, store_cold_job_ns, store_warm_hit_ns] =
+        let [tree_walk_ns, bytecode_ns, bytecode_cached_ns, hot_path_obs_ns, one_shot_sweep_ns, session_sweep_ns, judge_interp_ns, judge_session_ns, key_debug_hash_ns, key_fingerprint_ns, golden_derive_ns, golden_cached_ns, lint_warn_ns, store_cold_job_ns, store_warm_hit_ns] =
             medians_interleaved(
                 samples,
                 &mut [
@@ -398,9 +364,8 @@ fn main() {
                     &mut || {
                         // The legacy one-shot path, as a sweep caller pays it
                         // without a session: per-run front end, fresh
-                        // simulator, interpreted judge. (No sim/elab cache
-                        // is installed in this process, and the one-shot
-                        // guard bypasses the session pool.)
+                        // simulator, interpreted judge. (No sim cache is
+                        // installed in this process.)
                         let _guard = force_one_shot();
                         for _ in 0..SWEEP {
                             std::hint::black_box(
@@ -465,21 +430,6 @@ fn main() {
                         ));
                     },
                     &mut || {
-                        // The per-call session construction the validator
-                        // and AutoEval paid before the pool existed.
-                        std::hint::black_box(
-                            EvalSession::new(&case.problem, &case.checker)
-                                .expect("checker compiles"),
-                        );
-                    },
-                    &mut || {
-                        // Lease from the installed pool (steady state: a
-                        // hit after the first acquisition).
-                        std::hint::black_box(
-                            acquire_session(&case.problem, &case.checker).expect("lease"),
-                        );
-                    },
-                    &mut || {
                         // The per-cell golden cost AutoEval paid before
                         // the cache: full bundle derivation.
                         std::hint::black_box(derive_golden_artifacts(&case.problem, GOLDEN_SEED));
@@ -491,22 +441,11 @@ fn main() {
                         std::hint::black_box(golden_artifacts(&case.problem, GOLDEN_SEED));
                     },
                     &mut || {
-                        // The static-analysis pass from scratch: the
-                        // lint-cache miss cost.
-                        std::hint::black_box(lint_file(&combined_lint));
-                    },
-                    &mut || {
-                        // Fetch the primed report from the installed
-                        // lint cache (steady state: every cell of a
-                        // problem after the first).
-                        std::hint::black_box(lint_cached(&combined_lint));
-                    },
-                    &mut || {
                         // Exactly what `--lint=warn` adds per job:
-                        // combine, parse, fetch the memoized report.
+                        // combine, parse, lint.
                         let combined = format!("{}\n{}", case.problem.golden_rtl, driver_text);
                         let parsed = parse(&combined).expect("combined parses");
-                        std::hint::black_box(lint_cached(&parsed));
+                        std::hint::black_box(lint_file(&parsed));
                     },
                     &mut || {
                         // The cold side: the full job a warm restart
@@ -545,12 +484,8 @@ fn main() {
             judge_session_ns,
             key_debug_hash_ns,
             key_fingerprint_ns,
-            session_fresh_ns,
-            session_pooled_ns,
             golden_derive_ns,
             golden_cached_ns,
-            lint_cold_ns,
-            lint_cached_ns,
             lint_warn_ns,
             store_cold_job_ns,
             store_warm_hit_ns,
@@ -564,11 +499,11 @@ fn main() {
             .map(|s| format!(" | vs pre-PR {s:.2}x"))
             .unwrap_or_default();
         eprintln!(
-            "{:<12} tree-walk {:>9} ns | bytecode {:>9} ns | +elab-cache {:>9} ns | vs tree {:.2}x | session sweep {:.2}x | judge {:.2}x | key fp {:.2}x | pool {:.2}x | golden {:.2}x | lint {:.2}x | lint warn {:>7} ns | store warm {:.0}x | obs {:+.2}%{vs_pre_pr}",
+            "{:<12} tree-walk {:>9} ns | bytecode {:>9} ns | precompiled {:>9} ns | vs tree {:.2}x | session sweep {:.2}x | judge {:.2}x | key fp {:.2}x | golden {:.2}x | lint warn {:>7} ns | store warm {:.0}x | obs {:+.2}%{vs_pre_pr}",
             row.name, row.tree_walk_ns, row.bytecode_ns, row.bytecode_cached_ns,
             row.speedup_vs_tree_walk(), row.speedup_session(), row.speedup_judge(),
-            row.speedup_fingerprint(), row.speedup_pool(), row.speedup_golden(),
-            row.speedup_lint(), row.lint_warn_ns, row.speedup_store(), row.obs_overhead_pct(),
+            row.speedup_fingerprint(), row.speedup_golden(), row.lint_warn_ns,
+            row.speedup_store(), row.obs_overhead_pct(),
         );
         rows.push(row);
     }
@@ -579,9 +514,7 @@ fn main() {
     let median_judge = median_f64(rows.iter().map(Row::speedup_judge).collect()).expect("rows");
     let median_fingerprint =
         median_f64(rows.iter().map(Row::speedup_fingerprint).collect()).expect("rows");
-    let median_pool = median_f64(rows.iter().map(Row::speedup_pool).collect()).expect("rows");
     let median_golden = median_f64(rows.iter().map(Row::speedup_golden).collect()).expect("rows");
-    let median_lint = median_f64(rows.iter().map(Row::speedup_lint).collect()).expect("rows");
     let median_store = median_f64(rows.iter().map(Row::speedup_store).collect()).expect("rows");
     let median_obs = median_f64(rows.iter().map(Row::obs_overhead_pct).collect()).expect("rows");
     let median_vs_pre_pr = median_f64(rows.iter().filter_map(Row::speedup_vs_pre_pr).collect());
@@ -609,15 +542,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"median_speedup_session_pooled_vs_fresh\": {median_pool:.2},"
-    );
-    let _ = writeln!(
-        json,
         "  \"median_speedup_golden_cached_vs_derived\": {median_golden:.2},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"median_speedup_lint_cached_vs_cold\": {median_lint:.2},"
     );
     let _ = writeln!(
         json,
@@ -648,14 +573,12 @@ fn main() {
         };
         let _ = writeln!(
             json,
-            "    {{\"name\":\"{}\",\"kind\":\"{}\",\"tree_walk_ns\":{},\"bytecode_ns\":{},\"bytecode_cached_ns\":{},\"speedup_vs_tree_walk\":{:.2},\"one_shot_sweep_ns\":{},\"session_sweep_ns\":{},\"speedup_session_vs_one_shot\":{:.2},\"judge_interp_ns\":{},\"judge_session_ns\":{},\"speedup_judge_compiled_vs_interp\":{:.2},\"key_debug_hash_ns\":{},\"key_fingerprint_ns\":{},\"speedup_key_fingerprint\":{:.2},\"session_fresh_ns\":{},\"session_pooled_ns\":{},\"speedup_session_pooled\":{:.2},\"golden_derive_ns\":{},\"golden_cached_ns\":{},\"speedup_golden_cached\":{:.2},\"lint_cold_ns\":{},\"lint_cached_ns\":{},\"speedup_lint_cached\":{:.2},\"lint_warn_ns\":{},\"store_cold_job_ns\":{},\"store_warm_hit_ns\":{},\"speedup_store_warm_vs_cold\":{:.2},\"hot_path_obs_ns\":{},\"obs_overhead_pct\":{:.2}{pre}}}{comma}",
+            "    {{\"name\":\"{}\",\"kind\":\"{}\",\"tree_walk_ns\":{},\"bytecode_ns\":{},\"bytecode_cached_ns\":{},\"speedup_vs_tree_walk\":{:.2},\"one_shot_sweep_ns\":{},\"session_sweep_ns\":{},\"speedup_session_vs_one_shot\":{:.2},\"judge_interp_ns\":{},\"judge_session_ns\":{},\"speedup_judge_compiled_vs_interp\":{:.2},\"key_debug_hash_ns\":{},\"key_fingerprint_ns\":{},\"speedup_key_fingerprint\":{:.2},\"golden_derive_ns\":{},\"golden_cached_ns\":{},\"speedup_golden_cached\":{:.2},\"lint_warn_ns\":{},\"store_cold_job_ns\":{},\"store_warm_hit_ns\":{},\"speedup_store_warm_vs_cold\":{:.2},\"hot_path_obs_ns\":{},\"obs_overhead_pct\":{:.2}{pre}}}{comma}",
             r.name, r.kind, r.tree_walk_ns, r.bytecode_ns, r.bytecode_cached_ns,
             r.speedup_vs_tree_walk(), r.one_shot_sweep_ns, r.session_sweep_ns,
             r.speedup_session(), r.judge_interp_ns, r.judge_session_ns, r.speedup_judge(),
             r.key_debug_hash_ns, r.key_fingerprint_ns, r.speedup_fingerprint(),
-            r.session_fresh_ns, r.session_pooled_ns, r.speedup_pool(),
             r.golden_derive_ns, r.golden_cached_ns, r.speedup_golden(),
-            r.lint_cold_ns, r.lint_cached_ns, r.speedup_lint(),
             r.lint_warn_ns,
             r.store_cold_job_ns, r.store_warm_hit_ns, r.speedup_store(),
             r.hot_path_obs_ns, r.obs_overhead_pct(),
@@ -677,7 +600,7 @@ fn main() {
         None => String::new(),
     };
     eprintln!(
-        "median speedups: {median_vs_tree:.2}x vs tree-walk, session sweep {median_session:.2}x, compiled judge {median_judge:.2}x, fingerprint keys {median_fingerprint:.2}x, pooled sessions {median_pool:.2}x, cached golden {median_golden:.2}x, cached lint {median_lint:.2}x, warm store {median_store:.2}x, obs overhead {median_obs:+.2}%{lint_tail}{tail} -> {out_path}"
+        "median speedups: {median_vs_tree:.2}x vs tree-walk, session sweep {median_session:.2}x, compiled judge {median_judge:.2}x, fingerprint keys {median_fingerprint:.2}x, cached golden {median_golden:.2}x, warm store {median_store:.2}x, obs overhead {median_obs:+.2}%{lint_tail}{tail} -> {out_path}"
     );
 }
 

@@ -278,11 +278,8 @@ pub fn build_rs_matrix(problem: &Problem, tb: &HybridTb, rtls: &[String]) -> RsM
 /// [`build_rs_matrix`] over the already-parsed group the validator's
 /// syntax gate produced ([`generate_rtl_group_parsed`]). The driver is
 /// parsed once and the whole group runs through one
-/// [`correctbench_tbgen::EvalSession`], acquired via
-/// [`correctbench_tbgen::acquire_session`]: under a harness-installed
-/// [`correctbench_tbgen::CacheStack`] the checker compile and record
-/// bindings are paid once per `(problem, checker)` fingerprint pair
-/// *across jobs*, not once per matrix — and never once per row.
+/// [`correctbench_tbgen::EvalSession`]: the checker compile and record
+/// bindings are paid once per matrix, never once per row.
 pub fn build_rs_matrix_parsed(
     problem: &Problem,
     tb: &HybridTb,
@@ -295,7 +292,7 @@ pub fn build_rs_matrix_parsed(
     let Ok(driver) = correctbench_verilog::parse(&tb.driver) else {
         return unknown_matrix();
     };
-    let Ok(mut session) = correctbench_tbgen::acquire_session(problem, &tb.checker.program) else {
+    let Ok(mut session) = correctbench_tbgen::EvalSession::new(problem, &tb.checker.program) else {
         // A checker the judge cannot even compile fails every row, the
         // same verdict the per-row interpreter produced.
         return unknown_matrix();

@@ -335,6 +335,11 @@ fn cache_json(stats: Option<correctbench_tbgen::CacheStats>) -> String {
     }
 }
 
+/// Renders an optional count as a JSON number (`null` when absent).
+fn optional_json(value: Option<u64>) -> String {
+    value.map_or_else(|| "null".to_string(), |v| v.to_string())
+}
+
 /// Renders the persistent outcome store's counters as a JSON object
 /// (`null` when no store was attached to the run) for the timing
 /// sidecar's run line and `metrics.json`.
@@ -381,23 +386,22 @@ fn counters_json(obs: Option<&JobObs>) -> String {
 /// Renders the measured timing sidecar for one run (schema v2: job
 /// lines carry the `method`/`rep`/`seed` join keys and, with
 /// observability on, per-phase self-times and counters). Cache counters
-/// live here, not in `outcomes.jsonl`: totals depend on worker
-/// interleaving, so they are measurements, like wall times — the
-/// sidecar is where sweeps attribute their wall-time wins to the
-/// cache-stack layers and the pipeline phases.
+/// and the process's peak resident set live on the run line, not in
+/// `outcomes.jsonl`: they depend on worker interleaving, so they are
+/// measurements, like wall times — the sidecar is where sweeps
+/// attribute their wall-time and memory wins to the cache-stack layers
+/// and the pipeline phases.
 pub fn timings_jsonl(result: &RunResult) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "{{\"run_wall_ms\":{},\"threads\":{},\"jobs\":{},\"sim_cache\":{},\"elab_cache\":{},\"session_pool\":{},\"golden_cache\":{},\"lint_cache\":{},\"outcome_store\":{}}}",
+        "{{\"run_wall_ms\":{},\"threads\":{},\"jobs\":{},\"peak_rss_bytes\":{},\"sim_cache\":{},\"golden_cache\":{},\"outcome_store\":{}}}",
         result.wall.as_millis(),
         result.threads,
         result.outcomes.len(),
+        optional_json(result.peak_rss_bytes),
         cache_json(result.caches.sim),
-        cache_json(result.caches.elab),
-        cache_json(result.caches.sessions),
         cache_json(result.caches.golden),
-        cache_json(result.caches.lint),
         store_json(result.store),
     );
     for o in &result.outcomes {
@@ -434,11 +438,16 @@ pub fn metrics_json(result: &RunResult) -> String {
     }
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"correctbench-metrics-v1\",");
+    let _ = writeln!(s, "  \"schema\": \"correctbench-metrics-v2\",");
     let _ = writeln!(s, "  \"run_wall_ms\": {},", result.wall.as_millis());
     let _ = writeln!(s, "  \"threads\": {},", result.threads);
     let _ = writeln!(s, "  \"jobs\": {},", result.outcomes.len());
     let _ = writeln!(s, "  \"observed_jobs\": {observed},");
+    let _ = writeln!(
+        s,
+        "  \"peak_rss_bytes\": {},",
+        optional_json(result.peak_rss_bytes)
+    );
     let phase_fields: Vec<String> = totals
         .phases()
         .map(|(name, ns)| format!("\"{name}\":{}", ns / 1_000))
@@ -451,12 +460,9 @@ pub fn metrics_json(result: &RunResult) -> String {
     let _ = writeln!(s, "  \"counter_totals\": {{{}}},", counter_fields.join(","));
     let _ = writeln!(
         s,
-        "  \"caches\": {{\"sim_cache\":{},\"elab_cache\":{},\"session_pool\":{},\"golden_cache\":{},\"lint_cache\":{},\"outcome_store\":{}}},",
+        "  \"caches\": {{\"sim_cache\":{},\"golden_cache\":{},\"outcome_store\":{}}},",
         cache_json(result.caches.sim),
-        cache_json(result.caches.elab),
-        cache_json(result.caches.sessions),
         cache_json(result.caches.golden),
-        cache_json(result.caches.lint),
         store_json(result.store),
     );
     // Per-rule diagnostic totals over the deterministic lint findings,

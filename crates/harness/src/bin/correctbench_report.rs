@@ -9,7 +9,8 @@
 //! live run puts in `summary.txt`/`metrics.json`: per-`(problem,
 //! method)` job-latency percentiles (p50/p90/p99/max, from the same
 //! deterministic-structure log-bucketed histogram) plus phase and
-//! counter totals when the sidecar carries observability data. When a
+//! counter totals when the sidecar carries observability data, and the
+//! run's peak resident set when the run line records it. When a
 //! `diagnostics.jsonl` sits next to the timings file (as `--out` writes
 //! it), its static-analysis findings are re-aggregated per rule too.
 //! Works on any past run's artifact — no re-execution.
@@ -122,8 +123,16 @@ fn main() {
     }
 
     if let Some(run) = &run_line {
+        // Sidecars written before the run line carried `peak_rss_bytes`
+        // (and runs where the platform could not report it) print
+        // without it.
+        let peak = run
+            .get("peak_rss_bytes")
+            .and_then(Value::as_u64)
+            .map(|b| format!(", peak RSS {:.1} MiB", b as f64 / (1024.0 * 1024.0)))
+            .unwrap_or_default();
         println!(
-            "run: {} jobs on {} threads, wall {} ms",
+            "run: {} jobs on {} threads, wall {} ms{peak}",
             run.get("jobs").and_then(Value::as_u64).unwrap_or(0),
             run.get("threads").and_then(Value::as_u64).unwrap_or(0),
             run.get("run_wall_ms").and_then(Value::as_u64).unwrap_or(0),

@@ -7,22 +7,24 @@
 //!                  [--job-deadline-ms N] [--lint off|warn|gate]
 //!                  [--store DIR] [--no-store] [--store-readonly]
 //!                  [--faults SPEC] [--mutate-golden NAME] [--no-cache]
-//!                  [--no-sim-cache] [--no-elab-cache]
-//!                  [--no-session-pool] [--no-golden-cache]
-//!                  [--no-lint-cache] [--no-obs] [--progress] [--quiet]
+//!                  [--no-sim-cache] [--no-golden-cache] [--no-obs]
+//!                  [--progress] [--quiet]
 //! ```
 //!
 //! Expands (problems × methods × reps) into a job graph and runs it on a
 //! worker pool with one shared `CacheStack` (simulation cache,
-//! elaboration cache, session pool, golden-artifact cache, lint-report
-//! cache). Each layer has its own `--no-*-cache` switch; `--no-cache`
-//! is the alias that disables all five. Prints the aggregate summary,
+//! golden-artifact cache). Each layer has its own `--no-*-cache`
+//! switch; `--no-cache` is the alias that disables both. The retired
+//! layer switches `--no-elab-cache`, `--no-session-pool` and
+//! `--no-lint-cache` are still accepted and do nothing: their layers
+//! were deleted. Prints the aggregate summary,
 //! and (with `--out`) writes `outcomes.jsonl` (deterministic,
 //! thread-count and cache independent), `diagnostics.jsonl` (the
 //! equally deterministic static-analysis findings), `timings.jsonl`
-//! (measured: per-layer cache counters plus per-job phase self-times
-//! and work counters), `metrics.json` (aggregated phase/counter totals,
-//! per-rule lint counts and latency percentiles) and `summary.txt`.
+//! (measured: peak RSS and per-layer cache counters plus per-job phase
+//! self-times and work counters), `metrics.json` (aggregated
+//! phase/counter totals, peak RSS, per-rule lint counts and latency
+//! percentiles) and `summary.txt`.
 //! `--lint` selects the static-analysis mode: `warn` (default) records
 //! `verilog::lint` findings for every job, `gate` additionally aborts
 //! jobs with deny-level findings (`failure: "lint_rejected"`) before
@@ -82,8 +84,8 @@ use std::sync::Arc;
 const EXTRA_USAGE: &str = "[--methods cb,ab,base] [--model gpt-4o|claude-3.5-sonnet|gpt-4o-mini] \
      [--resume DIR] [--sim-budget N] [--job-deadline-ms N] [--lint off|warn|gate] \
      [--store DIR] [--no-store] [--store-readonly] [--faults SPEC] [--mutate-golden NAME] \
-     [--no-cache] [--no-sim-cache] [--no-elab-cache] [--no-session-pool] [--no-golden-cache] \
-     [--no-lint-cache] [--no-obs] [--progress] [--quiet]";
+     [--no-cache] [--no-sim-cache] [--no-golden-cache] [--no-obs] [--progress] [--quiet]\n\
+     retired no-ops (their layers were deleted): --no-elab-cache --no-session-pool --no-lint-cache";
 
 fn parse_methods(spec: &str) -> Vec<Method> {
     let methods: Vec<Method> = spec
@@ -117,36 +119,11 @@ fn infra(msg: &str) -> ! {
     std::process::exit(1)
 }
 
-/// Which cache-stack layers the run enables (all on by default).
-#[derive(Clone, Copy)]
-struct LayerFlags {
-    sim: bool,
-    elab: bool,
-    sessions: bool,
-    golden: bool,
-    lint: bool,
-}
-
-impl LayerFlags {
-    fn all_on() -> Self {
-        LayerFlags {
-            sim: true,
-            elab: true,
-            sessions: true,
-            golden: true,
-            lint: true,
-        }
-    }
-
-    fn any_on(self) -> bool {
-        self.sim || self.elab || self.sessions || self.golden || self.lint
-    }
-}
-
 fn main() {
     let mut methods = Method::ALL.to_vec();
     let mut model = ModelKind::Gpt4o;
-    let mut layers = LayerFlags::all_on();
+    let mut sim_cache = true;
+    let mut golden_cache = true;
     let mut obs = true;
     let mut progress = false;
     let mut quiet = false;
@@ -231,35 +208,21 @@ fn main() {
         }
         // The alias: disable every layer of the stack at once.
         "--no-cache" => {
-            layers = LayerFlags {
-                sim: false,
-                elab: false,
-                sessions: false,
-                golden: false,
-                lint: false,
-            };
+            sim_cache = false;
+            golden_cache = false;
             true
         }
         "--no-sim-cache" => {
-            layers.sim = false;
-            true
-        }
-        "--no-elab-cache" => {
-            layers.elab = false;
-            true
-        }
-        "--no-session-pool" => {
-            layers.sessions = false;
+            sim_cache = false;
             true
         }
         "--no-golden-cache" => {
-            layers.golden = false;
+            golden_cache = false;
             true
         }
-        "--no-lint-cache" => {
-            layers.lint = false;
-            true
-        }
+        // Retired: these layers were deleted. Still accepted so scripts
+        // that pass them keep working; the run is the same without them.
+        "--no-elab-cache" | "--no-session-pool" | "--no-lint-cache" => true,
         "--no-obs" => {
             obs = false;
             true
@@ -417,14 +380,11 @@ fn main() {
             args.threads,
             plan.model,
             plan.lint,
-            if layers.any_on() {
+            if sim_cache || golden_cache {
                 format!(
-                    "sim:{} elab:{} pool:{} golden:{} lint:{}",
-                    if layers.sim { "on" } else { "off" },
-                    if layers.elab { "on" } else { "off" },
-                    if layers.sessions { "on" } else { "off" },
-                    if layers.golden { "on" } else { "off" },
-                    if layers.lint { "on" } else { "off" },
+                    "sim:{} golden:{}",
+                    if sim_cache { "on" } else { "off" },
+                    if golden_cache { "on" } else { "off" },
                 )
             } else {
                 "off".to_string()
@@ -457,20 +417,11 @@ fn main() {
     if !obs {
         engine = engine.without_obs();
     }
-    if !layers.sim {
+    if !sim_cache {
         engine = engine.without_sim_cache();
     }
-    if !layers.elab {
-        engine = engine.without_elab_cache();
-    }
-    if !layers.sessions {
-        engine = engine.without_session_pool();
-    }
-    if !layers.golden {
+    if !golden_cache {
         engine = engine.without_golden_cache();
-    }
-    if !layers.lint {
-        engine = engine.without_lint_cache();
     }
     // The publish path: as each executed job completes, its cell is
     // appended to the store — crash-safe incremental warming. Aborted

@@ -11,8 +11,8 @@
 //!   regardless of thread count;
 //! * [`worker`] — single-job execution with per-job clients and RNGs;
 //! * [`cache`] — re-exports of the [`CacheStack`] reuse layers the
-//!   engine installs on every worker (simulation cache, elaboration
-//!   cache, session pool, golden-artifact cache, lint-report cache);
+//!   engine installs on every worker (simulation cache, golden-artifact
+//!   cache);
 //! * [`artifact`] — deterministic `outcomes.jsonl` and
 //!   `diagnostics.jsonl` plus the measured `timings.jsonl` sidecar and
 //!   the aggregated `metrics.json`;
@@ -68,13 +68,8 @@ pub mod worker;
 /// [`CacheStack`]).
 pub mod cache {
     pub use correctbench_tbgen::cache::{with_active, CacheKey, CacheStats, SimCache};
-    pub use correctbench_tbgen::context::{with_active as with_active_pool, EvalContext, PoolKey};
-    pub use correctbench_tbgen::elab::{with_active as with_active_elab, ElabCache, ElabKey};
     pub use correctbench_tbgen::golden::{
         with_active as with_active_golden, GoldenArtifacts, GoldenCache, GoldenKey,
-    };
-    pub use correctbench_tbgen::lintcache::{
-        lint_cached, with_active as with_active_lint, LintCache,
     };
     pub use correctbench_tbgen::{CacheStack, StackGuard, StackStats};
 }
@@ -85,9 +80,7 @@ pub use artifact::{
     plan_manifest_json, replay_journal, timings_jsonl, write_artifacts, write_atomic,
     write_sidecars, ArtifactPaths, OutcomeJournal,
 };
-pub use cache::{
-    CacheStack, CacheStats, ElabCache, EvalContext, GoldenCache, LintCache, SimCache, StackStats,
-};
+pub use cache::{CacheStack, CacheStats, GoldenCache, SimCache, StackStats};
 pub use cli::RunArgs;
 pub use correctbench_obs::{Histogram, JobObs, ObsStack};
 pub use correctbench_store::{CellKey, OutcomeStore, StoreStats};

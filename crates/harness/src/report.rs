@@ -8,6 +8,9 @@ use correctbench_autoeval::EvalLevel;
 use correctbench_obs::Histogram;
 use std::fmt::Write as _;
 
+/// Bytes per mebibyte, for the peak-RSS line.
+const MIB: f64 = 1024.0 * 1024.0;
+
 /// Aggregated statistics of one method across a run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MethodSummary {
@@ -158,6 +161,14 @@ pub fn render_summary(plan: &RunPlan, result: &RunResult) -> String {
         );
     }
     let _ = writeln!(s, "wall: {:?} on {} threads", result.wall, result.threads);
+    match result.peak_rss_bytes {
+        Some(bytes) => {
+            let _ = writeln!(s, "peak RSS: {:.1} MiB", bytes as f64 / MIB);
+        }
+        None => {
+            let _ = writeln!(s, "peak RSS: unavailable");
+        }
+    }
     // Static-analysis rollup: total findings plus per-rule counts in
     // taxonomy order (nonzero rules only — the full zero-filled table
     // lives in metrics.json).

@@ -13,9 +13,7 @@ use crate::plan::RunPlan;
 use crate::worker::{run_job_guarded, TaskOutcome};
 use correctbench_llm::ClientFactory;
 use correctbench_obs::{Counter, ObsStack};
-use correctbench_tbgen::{
-    CacheStack, ElabCache, EvalContext, GoldenCache, LintCache, SimCache, StackStats,
-};
+use correctbench_tbgen::{CacheStack, GoldenCache, SimCache, StackStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -25,13 +23,11 @@ use std::time::{Duration, Instant};
 pub type OutcomeHook = Box<dyn Fn(&TaskOutcome) + Send + Sync>;
 
 /// Executes [`RunPlan`]s over a worker pool with one shared
-/// [`CacheStack`]: the simulation cache (whole testbench runs), the
-/// elaboration cache (compiled DUT + driver designs), the session pool
-/// (compiled checkers + reset-reusable evaluation sessions, leased
-/// across jobs) and the golden-artifact cache (per-problem evaluation
-/// fixtures, derived once per eval seed). Each worker thread installs
-/// the stack once, under a single guard; layers can be disabled
-/// individually.
+/// [`CacheStack`]: the simulation cache (per-scenario verdicts of whole
+/// testbench runs) and the golden-artifact cache (per-problem
+/// evaluation fixtures, derived once per eval seed). Each worker thread
+/// installs the stack once, under a single guard; layers can be
+/// disabled individually.
 pub struct Engine {
     threads: usize,
     stack: CacheStack,
@@ -107,9 +103,8 @@ impl Engine {
         self
     }
 
-    /// Disables every reuse layer (simulation cache, elaboration cache,
-    /// session pool, golden cache, lint cache) — the harness
-    /// `--no-cache` behavior.
+    /// Disables every reuse layer (simulation cache, golden cache) — the
+    /// harness `--no-cache` behavior.
     pub fn without_cache(mut self) -> Self {
         self.stack = CacheStack::empty();
         self
@@ -121,28 +116,9 @@ impl Engine {
         self
     }
 
-    /// Disables only the elaboration cache.
-    pub fn without_elab_cache(mut self) -> Self {
-        self.stack = self.stack.without_elab_cache();
-        self
-    }
-
-    /// Disables only the session pool.
-    pub fn without_session_pool(mut self) -> Self {
-        self.stack = self.stack.without_session_pool();
-        self
-    }
-
     /// Disables only the golden-artifact cache.
     pub fn without_golden_cache(mut self) -> Self {
         self.stack = self.stack.without_golden_cache();
-        self
-    }
-
-    /// Disables only the lint-report cache (the pass still runs when the
-    /// plan asks for it — every job just pays the analysis itself).
-    pub fn without_lint_cache(mut self) -> Self {
-        self.stack = self.stack.without_lint_cache();
         self
     }
 
@@ -175,20 +151,6 @@ impl Engine {
     pub fn one_shot(mut self) -> Self {
         self.one_shot = true;
         self
-    }
-
-    /// The stack this run will actually install. The one-shot baseline
-    /// is documented as fresh-everything: leasing (and retaining)
-    /// compiled sessions it would never execute through would skew both
-    /// memory and the reported pool counters, so the pool is masked in
-    /// that mode. The data layers (sim, elab, golden) hold pure values
-    /// and stay on.
-    fn effective_stack(&self) -> CacheStack {
-        if self.one_shot {
-            self.stack.clone().without_session_pool()
-        } else {
-            self.stack.clone()
-        }
     }
 
     /// Runs every job of `plan`, returning outcomes in canonical job
@@ -245,8 +207,7 @@ impl Engine {
             .collect();
         let total = to_run.len();
         let done = AtomicUsize::new(0);
-        let stack = self.effective_stack();
-        let executed = parallel_map(self.threads, Some(&stack), &to_run, |_, job| {
+        let executed = parallel_map(self.threads, Some(&self.stack), &to_run, |_, job| {
             let job: &crate::plan::Job = job;
             let _one_shot_guard = self.one_shot.then(correctbench_tbgen::force_one_shot);
             // One collector per job (not per worker): the worker drains
@@ -301,12 +262,10 @@ impl Engine {
         RunResult {
             outcomes,
             threads: self.threads,
-            // Snapshot the stack that was installed: a one-shot run never
-            // used the pool, so it reports "disabled", not "on with
-            // zeros".
-            caches: stack.stats(),
+            caches: self.stack.stats(),
             store: None,
             wall: t0.elapsed(),
+            peak_rss_bytes: peak_rss_bytes(),
         }
     }
 
@@ -320,24 +279,9 @@ impl Engine {
         self.stack.sim_cache()
     }
 
-    /// The engine's shared elaboration cache, if enabled.
-    pub fn elab_cache(&self) -> Option<&Arc<ElabCache>> {
-        self.stack.elab_cache()
-    }
-
-    /// The engine's shared session pool, if enabled.
-    pub fn session_pool(&self) -> Option<&Arc<EvalContext>> {
-        self.stack.session_pool()
-    }
-
     /// The engine's shared golden-artifact cache, if enabled.
     pub fn golden_cache(&self) -> Option<&Arc<GoldenCache>> {
         self.stack.golden_cache()
-    }
-
-    /// The engine's shared lint-report cache, if enabled.
-    pub fn lint_cache(&self) -> Option<&Arc<LintCache>> {
-        self.stack.lint_cache()
     }
 }
 
@@ -358,6 +302,26 @@ pub struct RunResult {
     pub store: Option<correctbench_store::StoreStats>,
     /// Total wall time of the run.
     pub wall: Duration,
+    /// The process's peak resident set size in bytes when the run
+    /// ended (`VmHWM` from `/proc/self/status`; `None` where that file
+    /// does not exist). A high-water mark: it covers everything the
+    /// process did before the run too.
+    pub peak_rss_bytes: Option<u64>,
+}
+
+/// The process's peak resident set size (`VmHWM`) in bytes, read from
+/// `/proc/self/status`; `None` where the file or the field is absent.
+fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    // The line reads `VmHWM:    12345 kB`.
+    let kib: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()?;
+    Some(kib * 1024)
 }
 
 /// Order-preserving parallel map over `items` with work-stealing
@@ -437,7 +401,6 @@ mod tests {
             key,
             Ok(correctbench_tbgen::TbRun {
                 results: Vec::new(),
-                records: Vec::new(),
                 end_time: 0,
             }),
         );
@@ -452,11 +415,12 @@ mod tests {
 
     #[test]
     fn engine_layer_toggles_mask_the_stack() {
-        let e = Engine::new(2).without_sim_cache().without_golden_cache();
+        let e = Engine::new(2).without_sim_cache();
         assert!(e.cache().is_none());
+        assert!(e.golden_cache().is_some());
+        let e = Engine::new(2).without_golden_cache();
+        assert!(e.cache().is_some());
         assert!(e.golden_cache().is_none());
-        assert!(e.elab_cache().is_some());
-        assert!(e.session_pool().is_some());
         let all_off = Engine::new(2).without_cache();
         assert!(all_off
             .stack()

@@ -102,13 +102,6 @@ thread_local! {
     static LINT_STASH: RefCell<Vec<Diagnostic>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Lints the job's combined RTL (golden DUT + candidate driver) through
-/// the worker's lint cache, filtering findings the problem's allowlist
-/// marks intentional. Under [`LintMode::Gate`] deny-level findings
-/// abort the job with [`AbortKind::LintRejected`] *before* any
-/// simulation — stashing the findings first so the aborted outcome
-/// still reports them. A driver that does not parse is skipped here:
-/// syntax failures are AutoEval's `Failed` verdict, not lint subjects.
 /// The pre-generation half of the `--lint=gate` contract: deny-level
 /// findings in the golden DUT alone abort the job *before* it costs a
 /// single LLM token or reaches the generation path's dataset
@@ -123,15 +116,14 @@ fn lint_golden_gate(job: &Job, mode: LintMode) {
     let Ok(file) = correctbench_verilog::parse(&job.problem.golden_rtl) else {
         return;
     };
-    let report = correctbench_tbgen::lint_cached(&file);
+    let report = correctbench_verilog::lint_file(&file);
     let deny: Vec<Diagnostic> = report
         .diagnostics
-        .iter()
+        .into_iter()
         .filter(|d| {
             d.severity == correctbench_verilog::Severity::Error
                 && !job.problem.lint_allowed(d.rule.name(), &d.signal)
         })
-        .cloned()
         .collect();
     if !deny.is_empty() {
         correctbench_obs::add(Counter::LintDiags, deny.len() as u64);
@@ -140,6 +132,13 @@ fn lint_golden_gate(job: &Job, mode: LintMode) {
     }
 }
 
+/// Lints the job's combined RTL (golden DUT + candidate driver),
+/// filtering findings the problem's allowlist marks intentional. Under
+/// [`LintMode::Gate`] deny-level findings abort the job with
+/// [`AbortKind::LintRejected`] *before* any simulation — stashing the
+/// findings first so the aborted outcome still reports them. A driver
+/// that does not parse is skipped here: syntax failures are AutoEval's
+/// `Failed` verdict, not lint subjects.
 fn lint_pass(job: &Job, driver: &str, mode: LintMode) -> Vec<Diagnostic> {
     if !mode.is_enabled() {
         return Vec::new();
@@ -149,12 +148,11 @@ fn lint_pass(job: &Job, driver: &str, mode: LintMode) -> Vec<Diagnostic> {
     let Ok(file) = correctbench_verilog::parse(&combined) else {
         return Vec::new();
     };
-    let report = correctbench_tbgen::lint_cached(&file);
+    let report = correctbench_verilog::lint_file(&file);
     let diags: Vec<Diagnostic> = report
         .diagnostics
-        .iter()
+        .into_iter()
         .filter(|d| !job.problem.lint_allowed(d.rule.name(), &d.signal))
-        .cloned()
         .collect();
     correctbench_obs::add(Counter::LintDiags, diags.len() as u64);
     if mode == LintMode::Gate

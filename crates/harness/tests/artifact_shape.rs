@@ -68,14 +68,17 @@ fn timings_lines_pin_field_set_and_order() {
             "run_wall_ms",
             "threads",
             "jobs",
+            "peak_rss_bytes",
             "sim_cache",
-            "elab_cache",
-            "session_pool",
             "golden_cache",
-            "lint_cache",
             "outcome_store",
         ],
         "timings.jsonl run-line field drift"
+    );
+    assert_eq!(
+        run.get("peak_rss_bytes").and_then(Value::as_u64),
+        result.peak_rss_bytes,
+        "the run line carries the run's peak RSS"
     );
     let mut jobs = 0;
     for line in lines {
@@ -112,10 +115,6 @@ fn timings_lines_pin_field_set_and_order() {
                 "judge_commits",
                 "sim_cache_hits",
                 "sim_cache_misses",
-                "elab_cache_hits",
-                "elab_cache_misses",
-                "pool_hits",
-                "pool_misses",
                 "golden_hits",
                 "golden_misses",
                 "llm_retries",
@@ -160,6 +159,7 @@ fn metrics_json_pins_field_set_and_order() {
             "threads",
             "jobs",
             "observed_jobs",
+            "peak_rss_bytes",
             "phase_totals_us",
             "counter_totals",
             "caches",
@@ -170,18 +170,15 @@ fn metrics_json_pins_field_set_and_order() {
     );
     assert_eq!(
         v.get("schema").and_then(Value::as_str),
-        Some("correctbench-metrics-v1")
+        Some("correctbench-metrics-v2")
     );
     assert_eq!(
         v.get("caches").expect("caches").keys(),
-        vec![
-            "sim_cache",
-            "elab_cache",
-            "session_pool",
-            "golden_cache",
-            "lint_cache",
-            "outcome_store"
-        ]
+        vec!["sim_cache", "golden_cache", "outcome_store"]
+    );
+    assert_eq!(
+        v.get("peak_rss_bytes").and_then(Value::as_u64),
+        result.peak_rss_bytes
     );
     // The lint rollup is zero-filled over the whole rule taxonomy so
     // downstream joins never branch on key presence.
@@ -294,4 +291,48 @@ fn report_reads_sidecars_from_before_the_wasted_work_counters() {
     assert_eq!(counter("sim_instrs").as_deref(), Some("345"), "{text}");
     assert_eq!(counter("sim_budget_trips").as_deref(), Some("0"), "{text}");
     assert_eq!(counter("sim_trip_instrs").as_deref(), Some("0"), "{text}");
+    // The run line predates `peak_rss_bytes`: reported without it.
+    assert!(
+        text.starts_with("run: 1 jobs on 1 threads, wall 5 ms\n"),
+        "{text}"
+    );
+}
+
+#[test]
+fn run_reports_its_peak_rss() {
+    let result = smoke_result(Engine::new(2));
+    if std::path::Path::new("/proc/self/status").exists() {
+        assert!(
+            result.peak_rss_bytes.is_some_and(|b| b > 0),
+            "VmHWM is readable here, so the run must report it: {:?}",
+            result.peak_rss_bytes
+        );
+    }
+    let problems = ["and_8", "mux4_8"]
+        .iter()
+        .map(|n| correctbench_dataset::problem(n).expect("problem"))
+        .collect();
+    let summary = correctbench_harness::render_summary(&RunPlan::new("shape", problems), &result);
+    assert!(summary.contains("\npeak RSS: "), "{summary}");
+
+    // The offline report prints the run line's peak RSS when present.
+    let dir = std::env::temp_dir().join(format!("correctbench_rss_sidecar_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("timings.jsonl");
+    std::fs::write(
+        &path,
+        "{\"run_wall_ms\":5,\"threads\":1,\"jobs\":0,\"peak_rss_bytes\":20971520}\n",
+    )
+    .expect("write sidecar");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_correctbench-report"))
+        .arg(&path)
+        .output()
+        .expect("run correctbench-report");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).expect("UTF-8 report");
+    assert!(
+        text.starts_with("run: 0 jobs on 1 threads, wall 5 ms, peak RSS 20.0 MiB\n"),
+        "{text}"
+    );
 }

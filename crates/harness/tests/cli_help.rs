@@ -1,10 +1,11 @@
 //! `correctbench-run --help` documents every cache-layer flag.
 //!
-//! The per-layer switches (`--no-sim-cache`, `--no-elab-cache`,
-//! `--no-session-pool`, `--no-golden-cache`) and their `--no-cache`
-//! alias are part of the binary's contract — CI's cache-layer matrix
-//! and the README both lean on them — so the help text is pinned here
-//! by running the real binary.
+//! The per-layer switches (`--no-sim-cache`, `--no-golden-cache`), their
+//! `--no-cache` alias and the retired no-op switches of deleted layers
+//! (`--no-elab-cache`, `--no-session-pool`, `--no-lint-cache`) are part
+//! of the binary's contract — CI's cache-layer matrix, the benchmark's
+//! ablation arms and the README all lean on them — so the help text is
+//! pinned here by running the real binary.
 
 use std::process::Command;
 
@@ -24,17 +25,27 @@ fn help_output() -> String {
 #[test]
 fn help_lists_every_cache_layer_flag() {
     let help = help_output();
-    for flag in [
-        "--no-cache",
-        "--no-sim-cache",
-        "--no-elab-cache",
-        "--no-session-pool",
-        "--no-golden-cache",
-        "--no-lint-cache",
-    ] {
+    for flag in ["--no-cache", "--no-sim-cache", "--no-golden-cache"] {
         assert!(
             help.contains(flag),
             "--help output is missing `{flag}`:\n{help}"
+        );
+    }
+}
+
+#[test]
+fn help_lists_the_retired_layer_flags_as_no_ops() {
+    // The benchmark's ablation arms still pass these; the binary accepts
+    // them and says they do nothing.
+    let help = help_output();
+    let retired = help
+        .lines()
+        .find(|l| l.starts_with("retired no-ops"))
+        .unwrap_or_else(|| panic!("--help has no retired-flags line:\n{help}"));
+    for flag in ["--no-elab-cache", "--no-session-pool", "--no-lint-cache"] {
+        assert!(
+            retired.contains(flag),
+            "retired-flags line is missing `{flag}`:\n{help}"
         );
     }
 }

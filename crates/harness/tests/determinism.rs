@@ -1,9 +1,9 @@
 //! The harness's central contract: the JSONL artifact streams of a plan
 //! (`outcomes.jsonl` and `diagnostics.jsonl`) are **byte-identical**
 //! regardless of worker count, and independent of which [`CacheStack`]
-//! layers (simulation cache, elaboration cache, session pool,
-//! golden-artifact cache, lint-report cache) are enabled — caching is a
-//! pure memoization: it may change wall time, never results.
+//! layers (simulation cache, golden-artifact cache) are enabled —
+//! caching is a pure memoization: it may change wall time, never
+//! results.
 
 use correctbench_harness::{diagnostics_jsonl, outcomes_jsonl, Engine, LintMode, RunPlan};
 use correctbench_llm::{ModelKind, SimulatedClientFactory};
@@ -66,19 +66,6 @@ fn cache_is_semantically_transparent() {
 }
 
 #[test]
-fn elab_cache_is_semantically_transparent() {
-    // Isolate the elaboration layer: simulation cache on in both runs,
-    // elaboration cache toggled. A cached `CompiledDesign` must simulate
-    // byte-identically to a freshly recompiled one.
-    let with_elab = artifact_with(Engine::new(4));
-    let without_elab = artifact_with(Engine::new(4).without_elab_cache());
-    assert!(
-        with_elab == without_elab,
-        "elaboration cache changed outcomes:\n--- cached ---\n{with_elab}\n--- uncached ---\n{without_elab}"
-    );
-}
-
-#[test]
 fn session_and_one_shot_paths_produce_byte_identical_jsonl() {
     // The session API (reused simulator state, compiled checker judge)
     // is a pure execution strategy: batching a sweep must never change
@@ -99,28 +86,6 @@ fn session_and_one_shot_paths_produce_byte_identical_jsonl() {
         "session-batched execution changed uncached outcomes:\n--- session ---\n{session_nc}\n--- one-shot ---\n{one_shot_nc}"
     );
     assert!(session == session_nc, "cache setting changed outcomes");
-}
-
-#[test]
-fn session_pool_is_semantically_transparent() {
-    // Isolate the pool layer: both caches stay on, only the session
-    // pool is toggled. A pooled (warm) session — primed design memo,
-    // already-compiled checker — must evaluate byte-identically to a
-    // fresh one, whichever worker and job it lands on. Also pin the
-    // fully-stripped engine (`--no-cache` disables the pool too)
-    // against the pooled one, so no other layer papers over a
-    // divergence.
-    let pooled = artifact_with(Engine::new(4));
-    let unpooled = artifact_with(Engine::new(4).without_session_pool());
-    assert!(
-        pooled == unpooled,
-        "session pool changed outcomes:\n--- pooled ---\n{pooled}\n--- unpooled ---\n{unpooled}"
-    );
-    let stripped = artifact_with(Engine::new(4).without_cache());
-    assert!(
-        pooled == stripped,
-        "pooled engine diverged from the cache-free engine:\n--- pooled ---\n{pooled}\n--- stripped ---\n{stripped}"
-    );
 }
 
 #[test]
@@ -156,19 +121,14 @@ fn diagnostics_with(engine: Engine, lint: LintMode) -> String {
 #[test]
 fn diagnostics_stream_is_byte_identical_across_threads_and_caches() {
     // The lint pass is pure, so diagnostics.jsonl shares outcomes.jsonl's
-    // determinism contract: byte-identical across worker counts, with the
-    // lint cache on or off, and with the whole stack stripped.
+    // determinism contract: byte-identical across worker counts and with
+    // the whole stack stripped.
     let two = diagnostics_with(Engine::new(2), LintMode::Warn);
     let four = diagnostics_with(Engine::new(4), LintMode::Warn);
     let eight = diagnostics_with(Engine::new(8), LintMode::Warn);
     assert!(
         two == four && four == eight,
         "diagnostics stream depends on thread count:\n--- 2 ---\n{two}\n--- 4 ---\n{four}\n--- 8 ---\n{eight}"
-    );
-    let no_lint_cache = diagnostics_with(Engine::new(4).without_lint_cache(), LintMode::Warn);
-    assert!(
-        four == no_lint_cache,
-        "lint cache changed diagnostics:\n--- cached ---\n{four}\n--- uncached ---\n{no_lint_cache}"
     );
     let stripped = diagnostics_with(Engine::new(4).without_cache(), LintMode::Warn);
     assert!(
@@ -205,20 +165,6 @@ fn lint_mode_does_not_change_outcomes_on_clean_rtl() {
 }
 
 #[test]
-fn sweep_plan_shows_lint_cache_hits() {
-    // Every (method, rep) cell of a problem lints the same golden RTL +
-    // generated driver pair, so the fingerprint-keyed report cache must
-    // convert the repeats into hits.
-    let factory = SimulatedClientFactory::for_model(ModelKind::Gpt4o);
-    let result = Engine::new(1).execute(&plan(), &factory);
-    let stats = result.caches.lint.expect("lint cache enabled by default");
-    assert!(
-        stats.hits > 0,
-        "no lint-cache hits in a multi-rep sweep: {stats}"
-    );
-}
-
-#[test]
 fn sweep_plan_shows_golden_cache_hits() {
     // Every (method, rep) cell of a problem evaluates with the same
     // problem-keyed eval seed, so only the first cell may derive the
@@ -242,35 +188,6 @@ fn sweep_plan_shows_golden_cache_hits() {
 }
 
 #[test]
-fn sweep_plan_shows_session_pool_hits() {
-    // Every (method, rep) job of a problem leases the golden checker's
-    // session for its Eval2 agreement pass; with 3 methods x 2 reps the
-    // pool must convert most of those acquisitions into hits.
-    let factory = SimulatedClientFactory::for_model(ModelKind::Gpt4o);
-    let result = Engine::new(4).execute(&plan(), &factory);
-    let stats = result.caches.sessions.expect("pool enabled by default");
-    assert!(
-        stats.hits > 0,
-        "no session-pool hits in a multi-rep sweep: {stats}"
-    );
-}
-
-#[test]
-fn sweep_plan_shows_elab_cache_hits() {
-    // The RS matrix runs one driver against many RTLs and each pair
-    // simulates under several scenario replays; repeated (DUT, driver)
-    // pairs must hit the elaboration cache even when the simulation
-    // cache missed.
-    let factory = SimulatedClientFactory::for_model(ModelKind::Gpt4o);
-    let result = Engine::new(4).execute(&plan(), &factory);
-    let stats = result.caches.elab.expect("elab cache enabled by default");
-    assert!(
-        stats.hits > 0,
-        "no elaboration-cache hits in a multi-rep sweep: {stats}"
-    );
-}
-
-#[test]
 fn sweep_plan_shows_cache_hits() {
     // A Table-1-style sweep (multiple methods and reps per problem)
     // re-simulates identical (design, testbench) pairs constantly; the
@@ -287,4 +204,44 @@ fn sweep_plan_shows_cache_hits() {
         stats.entries < stats.hits + stats.misses,
         "every lookup missed: {stats}"
     );
+}
+
+/// Runs the real `correctbench-run` binary on a small plan into a fresh
+/// directory under the system temp dir, returning that directory.
+fn cli_run(tag: &str, extra: &[&str]) -> std::path::PathBuf {
+    let out = std::env::temp_dir().join(format!(
+        "correctbench_determinism_{tag}_{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&out);
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_correctbench-run"))
+        .args("--problems 4 --reps 2 --threads 2 --quiet".split(' '))
+        .args(extra)
+        .arg("--out")
+        .arg(&out)
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("run correctbench-run");
+    assert!(status.success(), "{tag}: correctbench-run failed: {status}");
+    out
+}
+
+#[test]
+fn retired_layer_flags_are_byte_identical_no_ops() {
+    // `--no-elab-cache`, `--no-session-pool` and `--no-lint-cache` name
+    // deleted layers; the binary still accepts them so existing scripts
+    // keep working, and a run with all three must write exactly the
+    // deterministic artifacts of a default run.
+    let default = cli_run("default", &[]);
+    let retired = cli_run(
+        "retired",
+        &["--no-elab-cache", "--no-session-pool", "--no-lint-cache"],
+    );
+    for file in ["outcomes.jsonl", "diagnostics.jsonl"] {
+        let a = std::fs::read(default.join(file)).expect("default artifact");
+        let b = std::fs::read(retired.join(file)).expect("retired-flag artifact");
+        assert!(a == b, "the retired layer flags changed {file}");
+    }
+    std::fs::remove_dir_all(&default).ok();
+    std::fs::remove_dir_all(&retired).ok();
 }

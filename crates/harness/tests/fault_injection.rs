@@ -138,11 +138,10 @@ fn expired_deadline_aborts_with_deadline_exceeded() {
 #[test]
 fn aborted_jobs_never_poison_the_shared_cache_stack() {
     // First pass: every job dies on a binding simulation budget, with
-    // every reuse layer (sim cache, elab cache, session pool, golden
-    // cache) installed and shared. Second pass: the *same* stack runs
-    // the plan cleanly. If any abort had published a poisoned entry —
-    // a partial simulation, a half-built golden bundle, a mid-run
-    // session checked back in — the reused stack would diverge from a
+    // every reuse layer (sim cache, golden cache) installed and shared.
+    // Second pass: the *same* stack runs the plan cleanly. If any abort
+    // had published a poisoned entry — a partial simulation, a
+    // half-built golden bundle — the reused stack would diverge from a
     // fresh one.
     let mut starved = plan();
     starved.sim_budget = Some(10);

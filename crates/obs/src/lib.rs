@@ -107,14 +107,6 @@ pub enum Counter {
     SimCacheHits,
     /// Simulation-cache misses.
     SimCacheMisses,
-    /// Elaboration-cache hits.
-    ElabCacheHits,
-    /// Elaboration-cache misses.
-    ElabCacheMisses,
-    /// Session-pool hits (warm lease).
-    PoolHits,
-    /// Session-pool misses (fresh session built).
-    PoolMisses,
     /// Golden-artifact-cache hits.
     GoldenHits,
     /// Golden-artifact-cache misses (bundle derived).
@@ -133,7 +125,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array-index domain).
-    pub const COUNT: usize = 19;
+    pub const COUNT: usize = 15;
 
     /// Every counter, in canonical (artifact) order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -145,10 +137,6 @@ impl Counter {
         Counter::JudgeCommits,
         Counter::SimCacheHits,
         Counter::SimCacheMisses,
-        Counter::ElabCacheHits,
-        Counter::ElabCacheMisses,
-        Counter::PoolHits,
-        Counter::PoolMisses,
         Counter::GoldenHits,
         Counter::GoldenMisses,
         Counter::LlmRetries,
@@ -169,10 +157,6 @@ impl Counter {
             Counter::JudgeCommits => "judge_commits",
             Counter::SimCacheHits => "sim_cache_hits",
             Counter::SimCacheMisses => "sim_cache_misses",
-            Counter::ElabCacheHits => "elab_cache_hits",
-            Counter::ElabCacheMisses => "elab_cache_misses",
-            Counter::PoolHits => "pool_hits",
-            Counter::PoolMisses => "pool_misses",
             Counter::GoldenHits => "golden_hits",
             Counter::GoldenMisses => "golden_misses",
             Counter::LlmRetries => "llm_retries",

@@ -10,12 +10,10 @@
 //! other payload classifies as [`AbortKind::Panic`].
 //!
 //! Unwinding (instead of threading `Result`s through every layer) is
-//! deliberate: an abort must cross cache lookups, session leases and
-//! pool check-ins without leaving half-built state behind — the cache
-//! layers only ever `put` *after* a successful computation, and
-//! [`SessionLease`](crate::SessionLease) discards (never checks in) a
-//! session dropped mid-panic, so an aborted job cannot poison any reuse
-//! layer.
+//! deliberate: an abort must cross cache lookups and sessions without
+//! leaving half-built state behind — the cache layers only ever `put`
+//! *after* a successful computation, and sessions are never shared
+//! across jobs, so an aborted job cannot poison any reuse layer.
 
 use std::fmt;
 

@@ -93,11 +93,11 @@ impl CacheKey {
     }
 }
 
-/// The module-interface component of a [`CacheKey`] and the session
-/// pool's problem key: a visitor fingerprint of the problem name plus
-/// its port list (names, widths, directions) — everything record
-/// judging consults beyond the artifacts. Takes the bare fields so
-/// sessions need not hold a whole [`Problem`].
+/// The module-interface component of a [`CacheKey`]: a visitor
+/// fingerprint of the problem name plus its port list (names, widths,
+/// directions) — everything record judging consults beyond the
+/// artifacts. Takes the bare fields so sessions need not hold a whole
+/// [`Problem`].
 pub fn module_interface_fingerprint(
     name: &str,
     ports: &[correctbench_dataset::PortSpec],
@@ -146,8 +146,8 @@ impl std::fmt::Display for CacheStats {
 
 /// Maximum entries one shard holds before cold entries are evicted.
 /// Most validator RS-matrix rows simulate a freshly-generated RTL whose
-/// key never recurs; the bound keeps those single-use entries (each
-/// holding a full record stream) from growing the cache for the whole
+/// key never recurs; the bound keeps those single-use entries (each a
+/// per-scenario verdict vector) from growing the cache for the whole
 /// run, while the hit-producing entries — golden-testbench / Eval2
 /// repeats — are revisited and therefore survive eviction.
 pub const MAX_ENTRIES_PER_SHARD: usize = 2048;
@@ -261,7 +261,6 @@ mod tests {
     fn dummy_run() -> Result<TbRun, TbError> {
         Ok(TbRun {
             results: vec![ScenarioResult::Pass],
-            records: Vec::new(),
             end_time: 10,
         })
     }
@@ -337,8 +336,7 @@ mod tests {
             (1, 1, 1),
             "repeat must hit"
         );
-        assert_eq!(first.results, second.results, "hit must replay the run");
-        assert_eq!(first.records, second.records);
+        assert_eq!(first, second, "hit must replay the run");
 
         // A different DUT misses: the key is content-addressed.
         let other = correctbench_dataset::problem("or_8")

@@ -4,11 +4,10 @@
 //! AutoEval judges every candidate testbench against fixtures that are a
 //! pure function of `(problem, eval seed)`: the parsed golden DUT, the
 //! generated-and-parsed golden testbench, and the parsed Eval2 mutant
-//! set. PRs 1–4 amortized hashing, elaboration, execution and session
-//! construction — but each `(method, rep)` cell of a problem still
-//! re-derived all of those fixtures from scratch, re-parsing the golden
-//! RTL and regenerating ten mutants that the previous cell had just
-//! thrown away.
+//! set with its static pre-screen already applied. Without a cache,
+//! each `(method, rep)` cell of a problem re-derives all of those
+//! fixtures from scratch, re-parsing the golden RTL and regenerating ten
+//! mutants that the previous cell had just thrown away.
 //!
 //! A [`GoldenCache`] memoizes the derived [`GoldenArtifacts`] bundle
 //! under a [`GoldenKey`]: the structural fingerprint of the problem's
@@ -100,9 +99,15 @@ pub struct GoldenArtifacts {
     pub driver: SourceFile,
     /// The golden checker program.
     pub checker: CheckerProgram,
-    /// The Eval2 mutant set, parsed (only the parseable mutants —
-    /// derivation already verifies each parses and elaborates).
+    /// The Eval2 mutants the static pre-screen cannot tell apart from
+    /// the golden DUT, parsed — the ones Eval2 simulates (only
+    /// parseable mutants; derivation already verifies each parses and
+    /// elaborates).
     pub mutants: Vec<SourceFile>,
+    /// How many parseable Eval2 mutants the static pre-screen tells
+    /// apart from the golden DUT (their lint signatures differ). Eval2
+    /// counts each as an agreement without simulating it.
+    pub statically_distinguished: usize,
 }
 
 struct Entry {
@@ -230,6 +235,7 @@ mod tests {
             scenarios,
             checker: compile_module(&p.golden_module()).expect("checker"),
             mutants: Vec::new(),
+            statically_distinguished: 0,
         })
     }
 

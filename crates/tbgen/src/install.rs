@@ -1,21 +1,18 @@
 //! Thread-local installation and the unified [`CacheStack`] handle.
 //!
-//! The per-worker reuse layers — the simulation cache, the elaboration
-//! cache, the session pool and the golden-artifact cache — all follow
-//! one pattern: a shared `Arc` is *installed* on the current thread so
-//! the layers between the harness and the runner stay oblivious,
-//! lookups consult the active instance transparently, and a guard
-//! restores the previous instance (usually none) on drop — so installs
-//! nest. This module owns **every** thread-local slot (the source-scan
-//! test `tests/key_path_scan.rs` forbids cache slots anywhere else) and
-//! the [`CacheStack`]: the explicit, shareable bundle of all four
-//! layers that a harness installs once per worker with a single guard.
+//! The per-worker reuse layers — the simulation cache and the
+//! golden-artifact cache — follow one pattern: a shared `Arc` is
+//! *installed* on the current thread so the layers between the harness
+//! and the runner stay oblivious, lookups consult the active instance
+//! transparently, and a guard restores the previous instance (usually
+//! none) on drop — so installs nest. This module owns **every**
+//! thread-local slot (the source-scan test `tests/key_path_scan.rs`
+//! forbids cache slots anywhere else) and the [`CacheStack`]: the
+//! explicit, shareable bundle of both layers that a harness installs
+//! once per worker with a single guard.
 
 use crate::cache::{CacheStats, SimCache};
-use crate::context::EvalContext;
-use crate::elab::ElabCache;
 use crate::golden::GoldenCache;
-use crate::lintcache::LintCache;
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::thread::LocalKey;
@@ -27,17 +24,9 @@ thread_local! {
     /// The active simulation cache (consulted by the runner and
     /// [`crate::EvalSession::run`]).
     pub(crate) static SIM: RefCell<Option<Arc<SimCache>>> = const { RefCell::new(None) };
-    /// The active elaboration cache (consulted by `compiled_for`).
-    pub(crate) static ELAB: RefCell<Option<Arc<ElabCache>>> = const { RefCell::new(None) };
-    /// The active session pool (consulted by
-    /// [`crate::acquire_session`]).
-    pub(crate) static POOL: RefCell<Option<Arc<EvalContext>>> = const { RefCell::new(None) };
     /// The active golden-artifact cache (consulted by
     /// `correctbench_autoeval::golden_artifacts`).
     pub(crate) static GOLDEN: RefCell<Option<Arc<GoldenCache>>> = const { RefCell::new(None) };
-    /// The active lint-report cache (consulted by
-    /// [`crate::lint_cached`]).
-    pub(crate) static LINT: RefCell<Option<Arc<LintCache>>> = const { RefCell::new(None) };
     /// The one-shot escape hatch (see [`crate::force_one_shot`]) — not a
     /// cache slot, but thread-local session state lives here with the
     /// rest of the install machinery.
@@ -147,11 +136,8 @@ impl<T> Drop for InstallGuard<T> {
 ///
 /// | layer | type | memoizes |
 /// |---|---|---|
-/// | simulation cache | [`SimCache`] | whole testbench runs |
-/// | elaboration cache | [`ElabCache`] | compiled (DUT, driver) designs |
-/// | session pool | [`EvalContext`] | leased evaluation sessions |
+/// | simulation cache | [`SimCache`] | per-scenario verdicts of whole testbench runs |
 /// | golden cache | [`GoldenCache`] | per-problem golden artifacts |
-/// | lint cache | [`LintCache`] | static-analysis reports per source |
 ///
 /// A `CacheStack` is the *handle* a harness holds and shares: build one
 /// ([`CacheStack::full`] or [`CacheStack::empty`] plus the `with_*` /
@@ -167,29 +153,22 @@ impl<T> Drop for InstallGuard<T> {
 ///
 /// let stack = CacheStack::full().without_golden_cache();
 /// let _guard = stack.install();
-/// // Runner calls on this thread now consult the sim/elab caches and
-/// // lease sessions from the pool; the guard restores the previous
-/// // (usually empty) layers on drop.
+/// // Runner calls on this thread now consult the simulation cache; the
+/// // guard restores the previous (usually empty) layers on drop.
 /// assert!(stack.stats().golden.is_none());
 /// ```
 #[derive(Clone, Default)]
 pub struct CacheStack {
     sim: Option<Arc<SimCache>>,
-    elab: Option<Arc<ElabCache>>,
-    sessions: Option<Arc<EvalContext>>,
     golden: Option<Arc<GoldenCache>>,
-    lint: Option<Arc<LintCache>>,
 }
 
 impl CacheStack {
-    /// A stack with all five layers enabled and fresh.
+    /// A stack with both layers enabled and fresh.
     pub fn full() -> CacheStack {
         CacheStack {
             sim: Some(SimCache::new()),
-            elab: Some(ElabCache::new()),
-            sessions: Some(EvalContext::new()),
             golden: Some(GoldenCache::new()),
-            lint: Some(LintCache::new()),
         }
     }
 
@@ -206,27 +185,9 @@ impl CacheStack {
         self
     }
 
-    /// Replaces the elaboration-cache layer.
-    pub fn with_elab_cache(mut self, cache: Arc<ElabCache>) -> Self {
-        self.elab = Some(cache);
-        self
-    }
-
-    /// Replaces the session-pool layer.
-    pub fn with_session_pool(mut self, pool: Arc<EvalContext>) -> Self {
-        self.sessions = Some(pool);
-        self
-    }
-
     /// Replaces the golden-artifact-cache layer.
     pub fn with_golden_cache(mut self, cache: Arc<GoldenCache>) -> Self {
         self.golden = Some(cache);
-        self
-    }
-
-    /// Replaces the lint-report-cache layer.
-    pub fn with_lint_cache(mut self, cache: Arc<LintCache>) -> Self {
-        self.lint = Some(cache);
         self
     }
 
@@ -236,27 +197,9 @@ impl CacheStack {
         self
     }
 
-    /// Disables the elaboration-cache layer.
-    pub fn without_elab_cache(mut self) -> Self {
-        self.elab = None;
-        self
-    }
-
-    /// Disables the session-pool layer.
-    pub fn without_session_pool(mut self) -> Self {
-        self.sessions = None;
-        self
-    }
-
     /// Disables the golden-artifact-cache layer.
     pub fn without_golden_cache(mut self) -> Self {
         self.golden = None;
-        self
-    }
-
-    /// Disables the lint-report-cache layer.
-    pub fn without_lint_cache(mut self) -> Self {
-        self.lint = None;
         self
     }
 
@@ -265,24 +208,9 @@ impl CacheStack {
         self.sim.as_ref()
     }
 
-    /// The elaboration-cache layer, if enabled.
-    pub fn elab_cache(&self) -> Option<&Arc<ElabCache>> {
-        self.elab.as_ref()
-    }
-
-    /// The session-pool layer, if enabled.
-    pub fn session_pool(&self) -> Option<&Arc<EvalContext>> {
-        self.sessions.as_ref()
-    }
-
     /// The golden-artifact-cache layer, if enabled.
     pub fn golden_cache(&self) -> Option<&Arc<GoldenCache>> {
         self.golden.as_ref()
-    }
-
-    /// The lint-report-cache layer, if enabled.
-    pub fn lint_cache(&self) -> Option<&Arc<LintCache>> {
-        self.lint.as_ref()
     }
 
     /// Makes every enabled layer the active instance of its slot on the
@@ -292,10 +220,7 @@ impl CacheStack {
     /// slots). One guard restores all of them, in reverse order.
     pub fn install(&self) -> StackGuard {
         StackGuard {
-            _lint: self.lint.as_ref().map(|c| install(&LINT, c)),
             _golden: self.golden.as_ref().map(|c| install(&GOLDEN, c)),
-            _sessions: self.sessions.as_ref().map(|c| install(&POOL, c)),
-            _elab: self.elab.as_ref().map(|c| install(&ELAB, c)),
             _sim: self.sim.as_ref().map(|c| install(&SIM, c)),
         }
     }
@@ -304,10 +229,8 @@ impl CacheStack {
     pub fn stats(&self) -> StackStats {
         StackStats {
             sim: self.sim.as_ref().map(|c| c.stats()),
-            elab: self.elab.as_ref().map(|c| c.stats()),
-            sessions: self.sessions.as_ref().map(|c| c.stats()),
             golden: self.golden.as_ref().map(|c| c.stats()),
-            lint: self.lint.as_ref().map(|c| c.stats()),
+            ..StackStats::default()
         }
     }
 }
@@ -316,41 +239,38 @@ impl CacheStack {
 /// [`CacheStack::install`] replaced (field drop order is declaration
 /// order, the reverse of installation).
 pub struct StackGuard {
-    _lint: Option<InstallGuard<LintCache>>,
     _golden: Option<InstallGuard<GoldenCache>>,
-    _sessions: Option<InstallGuard<EvalContext>>,
-    _elab: Option<InstallGuard<ElabCache>>,
     _sim: Option<InstallGuard<SimCache>>,
 }
 
 /// Aggregated per-layer counters of one [`CacheStack`] — `None` marks a
 /// disabled layer. This is the unified shape harnesses report: each
-/// layer keeps its own [`CacheStats`], the stack snapshots all five.
+/// layer keeps its own [`CacheStats`], the stack snapshots them all.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StackStats {
     /// Simulation-cache counters, when the layer is enabled.
     pub sim: Option<CacheStats>,
-    /// Elaboration-cache counters, when the layer is enabled.
-    pub elab: Option<CacheStats>,
-    /// Session-pool counters, when the layer is enabled.
-    pub sessions: Option<CacheStats>,
     /// Golden-artifact-cache counters, when the layer is enabled.
     pub golden: Option<CacheStats>,
-    /// Lint-report-cache counters, when the layer is enabled.
+    /// Retired: the elaboration cache was deleted. Always `None`; kept
+    /// only so existing readers of `RunResult::caches` still compile.
+    pub elab: Option<CacheStats>,
+    /// Retired: the session pool was deleted. Always `None`; kept only
+    /// so existing readers of `RunResult::caches` still compile.
+    pub sessions: Option<CacheStats>,
+    /// Retired: the lint-report cache was deleted. Always `None`; kept
+    /// only so existing readers of `RunResult::caches` still compile.
     pub lint: Option<CacheStats>,
 }
 
 impl StackStats {
-    /// The layers in canonical order with their display labels — the
-    /// single definition reports and artifacts iterate so layer naming
-    /// cannot drift between `summary.txt` and `timings.jsonl`.
-    pub fn layers(&self) -> [(&'static str, Option<CacheStats>); 5] {
+    /// The live layers in canonical order with their display labels —
+    /// the single definition reports and artifacts iterate so layer
+    /// naming cannot drift between `summary.txt` and `timings.jsonl`.
+    pub fn layers(&self) -> [(&'static str, Option<CacheStats>); 2] {
         [
             ("simulation cache", self.sim),
-            ("elaboration cache", self.elab),
-            ("session pool", self.sessions),
             ("golden cache", self.golden),
-            ("lint cache", self.lint),
         ]
     }
 }
@@ -383,16 +303,10 @@ mod tests {
         {
             let _guard = stack.install();
             assert!(crate::cache::with_active(|_| ()).is_some());
-            assert!(crate::elab::with_active(|_| ()).is_some());
-            assert!(crate::context::with_active(|_| ()).is_some());
             assert!(crate::golden::with_active(|_| ()).is_some());
-            assert!(crate::lintcache::with_active(|_| ()).is_some());
         }
         assert!(crate::cache::with_active(|_| ()).is_none());
-        assert!(crate::elab::with_active(|_| ()).is_none());
-        assert!(crate::context::with_active(|_| ()).is_none());
         assert!(crate::golden::with_active(|_| ()).is_none());
-        assert!(crate::lintcache::with_active(|_| ()).is_none());
     }
 
     #[test]
@@ -417,14 +331,12 @@ mod tests {
 
     #[test]
     fn stats_report_disabled_layers_as_none() {
-        let stack = CacheStack::full()
-            .without_session_pool()
-            .without_sim_cache();
+        let stack = CacheStack::full().without_sim_cache();
         let stats = stack.stats();
         assert!(stats.sim.is_none());
-        assert!(stats.sessions.is_none());
-        assert_eq!(stats.elab, Some(CacheStats::default()));
         assert_eq!(stats.golden, Some(CacheStats::default()));
+        // The retired layers never report.
+        assert!(stats.elab.is_none() && stats.sessions.is_none() && stats.lint.is_none());
         let rendered = stats.to_string();
         assert!(rendered.contains("simulation cache: disabled"));
         assert!(rendered.contains("golden cache: 0 hits"));

@@ -29,13 +29,10 @@
 
 pub mod abort;
 pub mod cache;
-pub mod context;
 pub mod coverage;
 pub mod driver;
-pub mod elab;
 pub mod golden;
 mod install;
-pub mod lintcache;
 pub mod record;
 pub mod runner;
 pub mod scenarios;
@@ -43,15 +40,12 @@ pub mod session;
 
 pub use abort::{abort_job, AbortKind, JobAbort};
 pub use cache::{module_interface_fingerprint, CacheKey, CacheStats, SimCache};
-pub use context::{acquire_session, EvalContext, PoolKey, SessionLease};
 pub use coverage::{CoverageReport, SignalCoverage};
 pub use driver::{generate_driver, record_format, TB_MODULE};
-pub use elab::{ElabCache, ElabKey};
 pub use golden::{problem_fingerprint, GoldenArtifacts, GoldenCache, GoldenKey};
 pub use install::{
     active_budget, install_budget, BudgetGuard, CacheStack, JobBudget, StackGuard, StackStats,
 };
-pub use lintcache::{lint_cached, LintCache};
 pub use record::{parse_record, parse_records, FieldValue, Record, RecordBinding};
 pub use runner::{
     compile_pair, judge_records, limits_for, run_testbench, run_testbench_parsed, simulate_records,

@@ -8,6 +8,7 @@
 
 use crate::record::{parse_records, FieldValue, Record};
 use crate::scenarios::ScenarioSet;
+use crate::session::EvalSession;
 use correctbench_checker::{step, CheckerProgram, CheckerRunError, CheckerState};
 use correctbench_dataset::Problem;
 use correctbench_verilog::{
@@ -15,7 +16,6 @@ use correctbench_verilog::{
 };
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Per-scenario outcome of a testbench run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -28,13 +28,14 @@ pub enum ScenarioResult {
     Missing,
 }
 
-/// Result of running a hybrid testbench against one DUT.
-#[derive(Clone, Debug)]
+/// Result of running a hybrid testbench against one DUT: the verdicts,
+/// not the record stream they were judged from (callers that need the
+/// records simulate through [`simulate_records_limited`]), so a
+/// [`crate::SimCache`] entry and every hit's clone stay small.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TbRun {
     /// Verdict per scenario (index 0 holds scenario 1).
     pub results: Vec<ScenarioResult>,
-    /// Records captured from the driver.
-    pub records: Vec<Record>,
     /// Simulation end time.
     pub end_time: u64,
 }
@@ -117,11 +118,7 @@ pub fn simulate_records_parsed(
 /// [`simulate_records_parsed`] with explicit simulator limits. Testbench
 /// runs bound `max_time` to the driver's stimulus schedule so a corrupted
 /// driver that lost its `$finish` cannot burn the full default horizon.
-///
-/// When an [`crate::ElabCache`] is installed on the current thread (see
-/// [`crate::ElabCache::install`]), the combine-elaborate-compile step is
-/// memoized under the structural hashes of the two sources; repeated
-/// pairs reuse the shared [`CompiledDesign`] and only simulate.
+/// Every call combines, elaborates and compiles the pair afresh.
 ///
 /// # Errors
 ///
@@ -131,7 +128,7 @@ pub fn simulate_records_limited(
     driver: &correctbench_verilog::ast::SourceFile,
     limits: SimLimits,
 ) -> Result<(Vec<Record>, u64), TbError> {
-    let compiled = compiled_for(dut, driver)?;
+    let compiled = compile_pair(dut, driver)?;
     let (limits, binding) = budgeted_limits(limits);
     let out = Simulator::from_compiled_with_limits(&compiled, limits)
         .run()
@@ -174,24 +171,6 @@ pub(crate) fn classify_sim_err(err: SimError, binding: bool) -> VerilogError {
         }
         e => VerilogError::Sim(e),
     }
-}
-
-/// The compiled form of the combined DUT + driver design, through the
-/// thread's elaboration cache when one is installed.
-pub(crate) fn compiled_for(
-    dut: &correctbench_verilog::ast::SourceFile,
-    driver: &correctbench_verilog::ast::SourceFile,
-) -> Result<Arc<CompiledDesign>, TbError> {
-    let key = crate::elab::with_active(|_| crate::elab::ElabKey::for_pair(dut, driver));
-    if let Some(key) = key {
-        if let Some(hit) = crate::elab::with_active(|c| c.get(&key)).flatten() {
-            return Ok(hit);
-        }
-        let compiled = Arc::new(compile_pair(dut, driver)?);
-        crate::elab::with_active(|c| c.put(key, Arc::clone(&compiled)));
-        return Ok(compiled);
-    }
-    Ok(Arc::new(compile_pair(dut, driver)?))
 }
 
 /// Combines a DUT with a driver, elaborates the pair under
@@ -277,7 +256,7 @@ pub fn run_testbench_parsed(
             return cached;
         }
         // The cache key already paid the checker/interface visitor
-        // walks; hand them to the session acquisition below.
+        // walks; hand them to the session constructor below.
         let fps = Some((key.problem, key.checker));
         let result = run_testbench_uncached(dut, driver, checker, problem, scenarios, fps);
         crate::cache::with_active(|c| c.put(key, result.clone()));
@@ -299,11 +278,7 @@ pub(crate) fn run_testbench_one_shot(
 ) -> Result<TbRun, TbError> {
     let (records, end_time) = simulate_records_limited(dut, driver, limits_for(scenarios))?;
     let results = judge_records(&records, checker, problem, scenarios.len())?;
-    Ok(TbRun {
-        results,
-        records,
-        end_time,
-    })
+    Ok(TbRun { results, end_time })
 }
 
 fn run_testbench_uncached(
@@ -320,13 +295,16 @@ fn run_testbench_uncached(
     if crate::session::one_shot_active() {
         return run_testbench_one_shot(dut, driver, checker, problem, scenarios);
     }
-    // A leased session: same execution engine as the batch paths, so
-    // one-shot callers and sweeps produce identical artifacts by
-    // construction. Under an installed `EvalContext` even these
-    // wrapper calls reuse a pooled compiled checker; without one the
-    // lease owns a throwaway session, exactly the old behavior.
-    crate::context::acquire_session_keyed(problem, checker, fingerprints)?
-        .run_once(dut, driver, scenarios)
+    // A throwaway session: same execution engine as the batch paths,
+    // so one-shot callers and sweeps produce identical artifacts by
+    // construction.
+    let mut session = match fingerprints {
+        Some((problem_fp, checker_fp)) => {
+            EvalSession::with_fingerprints(problem, checker, problem_fp, checker_fp)?
+        }
+        None => EvalSession::new(problem, checker)?,
+    };
+    session.run_once(dut, driver, scenarios)
 }
 
 /// The width a record prints `name` at: its port width, defaulting to 1

@@ -16,22 +16,21 @@
 //! * the **record bindings** — `(checker input → record field, port
 //!   width)` resolved to indices once, not string-searched per record;
 //! * the **simulator** — kept while consecutive runs execute the same
-//!   [`CompiledDesign`] (by `Arc` identity, which the
-//!   [`ElabCache`](crate::ElabCache) makes common) and rewound with
+//!   [`CompiledDesign`] (by `Arc` identity, which the session's design
+//!   memo makes common for repeated pairs) and rewound with
 //!   [`Simulator::reset`] instead of reconstructed;
 //! * the **judging buffers** (per-scenario flags, positional inputs).
 //!
-//! Both cache layers keep working: [`EvalSession::run`] consults the
-//! thread's [`SimCache`](crate::SimCache) under the same content key as
-//! the one-shot path and compiles through the thread's
-//! [`ElabCache`](crate::ElabCache). Results are byte-identical to the
-//! one-shot path (the harness determinism suite pins session vs one-shot
-//! artifact equality), so the free functions are now thin wrappers over
-//! a throwaway session.
+//! [`EvalSession::run`] consults the thread's
+//! [`SimCache`](crate::SimCache) under the same content key as the
+//! one-shot path. Results are byte-identical to the one-shot path (the
+//! harness determinism suite pins session vs one-shot artifact
+//! equality), so the free functions are now thin wrappers over a
+//! throwaway session.
 
 use crate::cache::{module_interface_fingerprint, CacheKey};
 use crate::record::{parse_records, Record, RecordBinding};
-use crate::runner::{compiled_for, limits_for, ScenarioResult, TbError, TbRun};
+use crate::runner::{compile_pair, limits_for, ScenarioResult, TbError, TbRun};
 use crate::scenarios::ScenarioSet;
 use correctbench_checker::{CheckerProgram, JudgeSession};
 use correctbench_dataset::Problem;
@@ -68,7 +67,7 @@ pub struct EvalSession {
     checker: CheckerProgram,
     /// [`CacheKey`] components fixed for the session, computed once in
     /// [`EvalSession::new`] — visitor fingerprints are cheap enough to
-    /// take eagerly, and the session pool needs them as its key anyway.
+    /// take eagerly.
     checker_fp: Fingerprint,
     problem_fp: Fingerprint,
     /// The one piece of the problem judging still reads per record —
@@ -93,12 +92,11 @@ pub struct EvalSession {
     sim: Option<Simulator<'static>>,
     /// The session's own level-0 design memo: fingerprints of the last
     /// (DUT, driver) pair and its compiled form. Repeated pairs — the
-    /// defining shape of a sweep — reuse the simulator even when no
-    /// thread-wide [`ElabCache`](crate::ElabCache) is installed. Keyed
-    /// on [`SourceFile::fingerprint`]: the caller's files cache their
-    /// own fingerprint, so a repeated probe is two u64 compares — the
-    /// AST-equality walk (and the source clones it required) existed
-    /// only to dodge the old Debug-render hashing cost.
+    /// defining shape of a sweep — reuse the simulator instead of
+    /// recompiling. Keyed on [`SourceFile::fingerprint`]: the caller's
+    /// files cache their own fingerprint, so a repeated probe is two u64
+    /// compares. Only the last pair is held, so a session's memory
+    /// stays bounded by one design.
     last_dut: Option<Fingerprint>,
     last_driver: Option<Fingerprint>,
     last_compiled: Option<Arc<CompiledDesign>>,
@@ -122,8 +120,8 @@ impl EvalSession {
     }
 
     /// [`EvalSession::new`] with the `(problem, checker)` fingerprints
-    /// already in hand — the pool computes them for its key and must not
-    /// pay the visitor walk twice on a miss.
+    /// already in hand — the runner's cached path computes them for its
+    /// [`CacheKey`] and must not pay the visitor walks twice on a miss.
     pub(crate) fn with_fingerprints(
         problem: &Problem,
         checker: &CheckerProgram,
@@ -161,11 +159,10 @@ impl EvalSession {
         })
     }
 
-    /// The compiled pair: session memo first, then the thread's
-    /// elaboration cache (via [`compiled_for`], which hashes only when a
-    /// cache is installed), then a fresh compile. Compilation is a pure
-    /// function of the two sources, so an equality hit is semantically
-    /// identical to recompiling.
+    /// The compiled pair: the session memo when the pair repeats, a fresh
+    /// [`compile_pair`] otherwise. Compilation is a pure function of the
+    /// two sources, so a memo hit is semantically identical to
+    /// recompiling.
     fn compiled(
         &mut self,
         dut: &SourceFile,
@@ -178,7 +175,7 @@ impl EvalSession {
                 return Ok(Arc::clone(cd));
             }
         }
-        let cd = compiled_for(dut, driver)?;
+        let cd = Arc::new(compile_pair(dut, driver)?);
         self.last_dut = Some(dut_fp);
         self.last_driver = Some(driver_fp);
         self.last_compiled = Some(Arc::clone(&cd));
@@ -264,11 +261,7 @@ impl EvalSession {
                 &self.ports,
                 scenarios.len(),
             )?;
-            return Ok(TbRun {
-                results,
-                records,
-                end_time,
-            });
+            return Ok(TbRun { results, end_time });
         }
         let compiled = self.compiled(dut, driver)?;
         let (limits, binding) = crate::runner::budgeted_limits(limits_for(scenarios));
@@ -287,7 +280,6 @@ impl EvalSession {
         let results = self.judge(&records, scenarios.len())?;
         Ok(TbRun {
             results,
-            records,
             end_time: out.end_time,
         })
     }
@@ -388,12 +380,50 @@ mod tests {
     use crate::runner::run_testbench_parsed;
     use crate::scenarios::generate_scenarios;
     use correctbench_checker::compile_module;
-    use correctbench_verilog::parse;
+    use correctbench_verilog::{parse, VerilogError};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn tb_run_eq(a: &TbRun, b: &TbRun) -> bool {
-        a.results == b.results && a.records == b.records && a.end_time == b.end_time
+    /// The problems both sweep tests below run: a combinational ALU, a
+    /// counter and a wide shift register.
+    const SWEEP_PROBLEMS: [&str; 3] = ["alu_8", "counter_8", "shift18"];
+
+    /// One problem's sweep inputs: the golden testbench (scenarios,
+    /// parsed driver, checker) and a DUT sequence of the golden DUT plus
+    /// three seeded two-site mutants, with the golden DUT repeated in
+    /// between so a sweep exercises reset-reuse *and* reconstruction.
+    /// Each entry carries its design's index (0 = golden).
+    struct SweepInputs {
+        problem: Problem,
+        scenarios: ScenarioSet,
+        driver: SourceFile,
+        checker: CheckerProgram,
+        duts: Vec<(usize, SourceFile)>,
+    }
+
+    fn sweep_inputs(name: &str) -> SweepInputs {
+        let problem = correctbench_dataset::problem(name).expect("problem");
+        let scenarios = generate_scenarios(&problem, 33);
+        let driver = parse(&generate_driver(&problem, &scenarios)).expect("driver");
+        let checker = compile_module(&problem.golden_module()).expect("checker");
+        let golden = parse(&problem.golden_rtl).expect("golden");
+        let mut duts = vec![(0, golden.clone()), (0, golden.clone())];
+        for seed in 0..3u64 {
+            let mut file = golden.clone();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
+            if let Some(m) = file.module_mut(&problem.name) {
+                correctbench_verilog::mutate::mutate_module(m, &mut rng, 2);
+            }
+            duts.push((seed as usize + 1, file));
+            duts.push((0, golden.clone()));
+        }
+        SweepInputs {
+            problem,
+            scenarios,
+            driver,
+            checker,
+            duts,
+        }
     }
 
     /// Session runs must match the one-shot free function exactly — on
@@ -401,41 +431,80 @@ mod tests {
     /// and interleavings that force simulator reconstruction.
     #[test]
     fn session_matches_one_shot_across_a_sweep() {
-        for name in ["alu_8", "counter_8", "shift18"] {
-            let p = correctbench_dataset::problem(name).expect("problem");
-            let scen = generate_scenarios(&p, 33);
-            let driver = parse(&generate_driver(&p, &scen)).expect("driver");
-            let checker = compile_module(&p.golden_module()).expect("checker");
-            let golden = parse(&p.golden_rtl).expect("golden");
-
-            // A few mutants, with the golden DUT repeated in between so
-            // the sweep exercises reset-reuse *and* reconstruction.
-            let mut duts = vec![golden.clone(), golden.clone()];
-            for seed in 0..3u64 {
-                let mut file = golden.clone();
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
-                if let Some(m) = file.module_mut(&p.name) {
-                    correctbench_verilog::mutate::mutate_module(m, &mut rng, 2);
-                }
-                duts.push(file);
-                duts.push(golden.clone());
-            }
-
+        for name in SWEEP_PROBLEMS {
+            let SweepInputs {
+                problem: p,
+                scenarios: scen,
+                driver,
+                checker,
+                duts,
+            } = sweep_inputs(name);
             let mut session = EvalSession::new(&p, &checker).expect("session");
-            let swept = session.sweep_mutants(duts.iter(), &driver, &scen);
-            for (dut, via_session) in duts.iter().zip(swept) {
+            let swept = session.sweep_mutants(duts.iter().map(|(_, f)| f), &driver, &scen);
+            for ((_, dut), via_session) in duts.iter().zip(swept) {
                 let one_shot = {
                     let _guard = force_one_shot();
                     run_testbench_parsed(dut, &driver, &checker, &p, &scen)
                 };
                 match (via_session, one_shot) {
-                    (Ok(a), Ok(b)) => {
-                        assert!(tb_run_eq(&a, &b), "{name}: session diverged from one-shot")
-                    }
+                    (Ok(a), Ok(b)) => assert_eq!(a, b, "{name}: session diverged from one-shot"),
                     (Err(_), Err(_)) => {}
                     (a, b) => panic!("{name}: one path errored: {a:?} vs {b:?}"),
                 }
             }
+        }
+    }
+
+    /// The record-level oracle for simulator reuse: a [`Simulator`] kept
+    /// per design and rewound with `reset()` between runs must capture
+    /// the same record stream and end time as a fresh
+    /// `simulate_records_limited` — run by run, over the same sweep
+    /// inputs as the test above, walked twice so every design (mutants
+    /// included) is replayed through a reset at least once. Verdicts
+    /// alone could hide a reset bug that happens not to flip a scenario.
+    #[test]
+    fn reset_reuse_captures_the_same_records_as_a_fresh_simulator() {
+        for name in SWEEP_PROBLEMS {
+            let inputs = sweep_inputs(name);
+            let limits = limits_for(&inputs.scenarios);
+            let mut sims: Vec<Option<Simulator<'static>>> = Vec::new();
+            for (round, (design, dut)) in inputs.duts.iter().chain(&inputs.duts).enumerate() {
+                let what = format!("{name}: run {round} (design {design})");
+                let fresh = crate::runner::simulate_records_limited(dut, &inputs.driver, limits);
+                let Ok(compiled) = compile_pair(dut, &inputs.driver) else {
+                    assert!(fresh.is_err(), "{what}: only the fresh path elaborated");
+                    continue;
+                };
+                if sims.len() <= *design {
+                    sims.resize_with(*design + 1, || None);
+                }
+                let sim = match &mut sims[*design] {
+                    Some(sim) => {
+                        sim.reset();
+                        sim
+                    }
+                    slot => slot.insert(Simulator::from_shared_with_limits(
+                        Arc::new(compiled),
+                        limits,
+                    )),
+                };
+                match (sim.run(), fresh) {
+                    (Ok(out), Ok((records, end_time))) => {
+                        assert_eq!(parse_records(&out.lines), records, "{what}: records differ");
+                        assert_eq!(out.end_time, end_time, "{what}: end time differs");
+                    }
+                    (Err(reused), Err(TbError::Verilog(VerilogError::Sim(fresh)))) => {
+                        assert_eq!(reused, fresh, "{what}: errors differ");
+                    }
+                    (reused, fresh) => {
+                        panic!("{what}: one path errored: {reused:?} vs {fresh:?}")
+                    }
+                }
+            }
+            assert!(
+                sims.iter().flatten().count() >= 2,
+                "{name}: the sweep reused fewer than two designs"
+            );
         }
     }
 
@@ -460,7 +529,7 @@ mod tests {
                 let _guard = force_one_shot();
                 run_testbench_parsed(&dut, driver, &checker, &p, scen).expect("one-shot")
             };
-            assert!(tb_run_eq(&run.expect("session run"), &reference));
+            assert_eq!(run.expect("session run"), reference);
         }
     }
 
@@ -476,12 +545,12 @@ mod tests {
         let mut session = EvalSession::new(&p, &checker).expect("session");
         let a = session.run(&dut, &driver, &scen).expect("first");
         let b = session.run(&dut, &driver, &scen).expect("second");
-        assert!(tb_run_eq(&a, &b));
+        assert_eq!(a, b);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // And the one-shot wrapper hits the very same entry.
         let c = crate::run_testbench_parsed(&dut, &driver, &checker, &p, &scen).expect("wrapper");
-        assert!(tb_run_eq(&a, &c));
+        assert_eq!(a, c);
         assert_eq!(cache.stats().hits, 2);
     }
 

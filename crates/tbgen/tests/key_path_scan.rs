@@ -7,16 +7,13 @@
 //! `structural_hash` (FNV over the pretty-print). Those functions
 //! survive as test-only oracles, so the type system cannot enforce the
 //! boundary; this scan does: the runtime halves of every file that
-//! builds cache, elaboration or pool keys must not mention them.
+//! builds cache keys must not mention them.
 
 const KEY_PATH_SOURCES: &[(&str, &str)] = &[
     ("cache.rs", include_str!("../src/cache.rs")),
-    ("elab.rs", include_str!("../src/elab.rs")),
     ("golden.rs", include_str!("../src/golden.rs")),
-    ("lintcache.rs", include_str!("../src/lintcache.rs")),
     ("session.rs", include_str!("../src/session.rs")),
     ("runner.rs", include_str!("../src/runner.rs")),
-    ("context.rs", include_str!("../src/context.rs")),
 ];
 
 /// Every tbgen source file except `install.rs` — the one module allowed
@@ -25,12 +22,9 @@ const NON_INSTALL_SOURCES: &[(&str, &str)] = &[
     ("lib.rs", include_str!("../src/lib.rs")),
     ("abort.rs", include_str!("../src/abort.rs")),
     ("cache.rs", include_str!("../src/cache.rs")),
-    ("context.rs", include_str!("../src/context.rs")),
     ("coverage.rs", include_str!("../src/coverage.rs")),
     ("driver.rs", include_str!("../src/driver.rs")),
-    ("elab.rs", include_str!("../src/elab.rs")),
     ("golden.rs", include_str!("../src/golden.rs")),
-    ("lintcache.rs", include_str!("../src/lintcache.rs")),
     ("record.rs", include_str!("../src/record.rs")),
     ("runner.rs", include_str!("../src/runner.rs")),
     ("scenarios.rs", include_str!("../src/scenarios.rs")),
