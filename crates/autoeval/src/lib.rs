@@ -16,28 +16,17 @@
 
 use correctbench_checker::compile_module;
 use correctbench_dataset::Problem;
-use correctbench_llm::CheckerArtifact;
+use correctbench_llm::{CheckerArtifact, HybridTb};
 use correctbench_tbgen::{
-    abort_job, generate_driver, generate_scenarios, AbortKind, EvalSession, GoldenArtifacts,
-    GoldenKey, ScenarioResult, TbError, TbRun,
+    abort_job, generate_driver, generate_scenarios, AbortKind, Driver, EvalSession,
+    GoldenArtifacts, GoldenKey, ScenarioResult, TbError, TbRun,
 };
+use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::mutate::mutate_module;
 use correctbench_verilog::pretty::print_file;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-
-/// A testbench as AutoEval sees it (mirrors `correctbench::HybridTb`
-/// without depending on the core crate, so evaluation stays a leaf).
-#[derive(Clone, Debug)]
-pub struct EvalTb {
-    /// The scenario list.
-    pub scenarios: correctbench_tbgen::ScenarioSet,
-    /// Driver source.
-    pub driver: String,
-    /// Checker artifact.
-    pub checker: CheckerArtifact,
-}
 
 /// The evaluation outcome, ordered `Failed < Eval0 < Eval1 < Eval2`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -106,7 +95,7 @@ fn tb_report(run: Result<TbRun, TbError>) -> Option<bool> {
 /// guarantees is well-formed. If the invariant is ever violated, the
 /// job aborts with a structured `parse_error` instead of panicking the
 /// worker — one bad fixture must not read as a harness crash.
-fn parse_trusted(src: &str, what: &str) -> correctbench_verilog::ast::SourceFile {
+fn parse_trusted(src: &str, what: &str) -> SourceFile {
     match correctbench_verilog::parse(src) {
         Ok(file) => file,
         Err(e) => {
@@ -116,10 +105,11 @@ fn parse_trusted(src: &str, what: &str) -> correctbench_verilog::ast::SourceFile
     }
 }
 
-/// Generates the `EVAL2_MUTANTS` mutant DUT sources for a problem,
-/// deterministic in `seed`. Every mutant parses and elaborates.
-pub fn eval2_mutants(problem: &Problem, seed: u64) -> Vec<String> {
-    let golden = parse_trusted(&problem.golden_rtl, "golden RTL");
+/// Generates the `EVAL2_MUTANTS` mutant DUTs of `problem`'s parsed
+/// golden RTL, deterministic in `seed`. Each mutant is printed and kept
+/// as the parse that verifies it (it must also elaborate), so it is
+/// never parsed again.
+pub fn eval2_mutants(problem: &Problem, golden: &SourceFile, seed: u64) -> Vec<SourceFile> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x000e_7a12);
     let mut mutants = Vec::with_capacity(EVAL2_MUTANTS);
     let mut guard = 0;
@@ -132,13 +122,11 @@ pub fn eval2_mutants(problem: &Problem, seed: u64) -> Vec<String> {
                 continue;
             }
         }
-        let src = print_file(&file);
-        let ok = correctbench_verilog::parse(&src)
+        let parsed = correctbench_verilog::parse(&print_file(&file))
             .ok()
-            .and_then(|f| correctbench_verilog::elaborate(&f, &problem.name).ok())
-            .is_some();
-        if ok {
-            mutants.push(src);
+            .filter(|f| correctbench_verilog::elaborate(f, &problem.name).is_ok());
+        if let Some(mutant) = parsed {
+            mutants.push(mutant);
         }
     }
     mutants
@@ -146,17 +134,31 @@ pub fn eval2_mutants(problem: &Problem, seed: u64) -> Vec<String> {
 
 /// The golden (trusted) testbench for a problem: canonical scenarios,
 /// generated driver, checker compiled from the golden RTL.
-pub fn golden_testbench(problem: &Problem, seed: u64) -> EvalTb {
+pub fn golden_testbench(problem: &Problem, seed: u64) -> HybridTb {
+    golden_testbench_of(
+        problem,
+        &parse_trusted(&problem.golden_rtl, "golden RTL"),
+        seed,
+    )
+}
+
+/// [`golden_testbench`] with the checker compiled from an
+/// already-parsed golden DUT.
+fn golden_testbench_of(problem: &Problem, golden: &SourceFile, seed: u64) -> HybridTb {
     let scenarios = generate_scenarios(problem, seed ^ 0x601d);
-    let driver = generate_driver(problem, &scenarios);
-    let checker = CheckerArtifact::clean(match compile_module(&problem.golden_module()) {
+    let driver = Driver::new(generate_driver(problem, &scenarios));
+    let Some(module) = golden.module(&problem.name) else {
+        eprintln!("golden RTL does not define `{}`", problem.name);
+        abort_job(AbortKind::ParseError)
+    };
+    let checker = CheckerArtifact::clean(match compile_module(module) {
         Ok(program) => program,
         Err(e) => {
             eprintln!("golden RTL failed to compile to checker IR: {e:?}");
             abort_job(AbortKind::ParseError)
         }
     });
-    EvalTb {
+    HybridTb {
         scenarios,
         driver,
         checker,
@@ -164,11 +166,11 @@ pub fn golden_testbench(problem: &Problem, seed: u64) -> EvalTb {
 }
 
 /// Derives the full golden fixture bundle for one `(problem, eval
-/// seed)` pair from scratch: parses the golden RTL, generates and
-/// parses the golden testbench ([`golden_testbench`]), generates and
-/// parses the Eval2 mutant set ([`eval2_mutants`]) and runs the static
-/// pre-screen over it. Pure in its inputs — the cached and uncached
-/// evaluation paths produce identical fixtures by construction.
+/// seed)` pair from scratch: parses the golden RTL once, derives the
+/// golden testbench ([`golden_testbench`]) and the parsed Eval2 mutant
+/// set ([`eval2_mutants`]) from that parse, and runs the static
+/// pre-screen over the mutants. Pure in its inputs — the cached and
+/// uncached evaluation paths produce identical fixtures by construction.
 ///
 /// The pre-screen drops every mutant whose
 /// [`LintReport`](correctbench_verilog::LintReport) signature differs
@@ -178,19 +180,20 @@ pub fn golden_testbench(problem: &Problem, seed: u64) -> EvalTb {
 /// it. It depends only on the golden DUT and the mutant set, so it runs
 /// here, once per bundle, not once per evaluated testbench.
 pub fn derive_golden_artifacts(problem: &Problem, seed: u64) -> GoldenArtifacts {
-    let tb = golden_testbench(problem, seed);
     let dut = parse_trusted(&problem.golden_rtl, "golden RTL");
-    let driver = parse_trusted(&tb.driver, "golden driver");
+    let tb = golden_testbench_of(problem, &dut, seed);
+    if tb.driver.parsed().is_none() {
+        eprintln!("trusted golden driver failed to parse");
+        abort_job(AbortKind::ParseError)
+    }
     let golden_signature = lint_signature(&dut);
-    let (mutants, distinguished): (Vec<_>, Vec<_>) = eval2_mutants(problem, seed)
-        .iter()
-        .filter_map(|m| correctbench_verilog::parse(m).ok())
+    let (mutants, distinguished): (Vec<_>, Vec<_>) = eval2_mutants(problem, &dut, seed)
+        .into_iter()
         .partition(|m| lint_signature(m) == golden_signature);
     GoldenArtifacts {
         dut,
         scenarios: tb.scenarios,
-        driver_src: tb.driver,
-        driver,
+        driver: tb.driver,
         checker: tb.checker.program,
         mutants,
         statically_distinguished: distinguished.len(),
@@ -221,17 +224,17 @@ pub fn golden_artifacts(problem: &Problem, seed: u64) -> Arc<GoldenArtifacts> {
 
 /// The static pre-screen's comparison key (see
 /// [`derive_golden_artifacts`]): the file's lint-report signature.
-fn lint_signature(file: &correctbench_verilog::ast::SourceFile) -> u64 {
+fn lint_signature(file: &SourceFile) -> u64 {
     correctbench_verilog::lint_file(file).signature()
 }
 
 /// Evaluates `tb` for `problem`, returning the highest level reached.
 /// `seed` fixes the Eval2 mutant set (use the same seed when comparing
-/// methods).
-pub fn evaluate(problem: &Problem, tb: &EvalTb, seed: u64) -> EvalLevel {
+/// methods). The driver is judged through the parse it carries.
+pub fn evaluate(problem: &Problem, tb: &HybridTb, seed: u64) -> EvalLevel {
     let _span = correctbench_obs::span(correctbench_obs::Phase::Autoeval);
     // Eval0: syntax.
-    let Some(driver) = correctbench_verilog::parse(&tb.driver).ok().filter(|f| {
+    let Some(driver) = tb.driver.parsed().filter(|f| {
         f.modules
             .iter()
             .any(|m| m.name == correctbench_tbgen::TB_MODULE)
@@ -265,7 +268,7 @@ pub fn evaluate(problem: &Problem, tb: &EvalTb, seed: u64) -> EvalLevel {
             &local_dut
         }
     };
-    match tb_report(session.run(golden_dut, &driver, &tb.scenarios)) {
+    match tb_report(session.run(golden_dut, driver, &tb.scenarios)) {
         Some(true) => {}
         Some(false) => return EvalLevel::Eval0,
         None => return EvalLevel::Failed, // driver does not even elaborate
@@ -284,16 +287,20 @@ pub fn evaluate(problem: &Problem, tb: &EvalTb, seed: u64) -> EvalLevel {
     if golden.mutants.is_empty() && static_agree == 0 {
         return EvalLevel::Eval2; // no usable mutants: vacuous agreement
     }
-    let mine = session.sweep_mutants(&golden.mutants, &driver, &tb.scenarios);
-    let golden_reports: Vec<Option<bool>> = match EvalSession::new(problem, &golden.checker) {
-        Ok(mut golden_session) => golden_session
-            .sweep_mutants(&golden.mutants, &golden.driver, &golden.scenarios)
+    let mine = session.sweep_mutants(&golden.mutants, driver, &tb.scenarios);
+    let golden_reports: Vec<Option<bool>> = match (
+        EvalSession::new(problem, &golden.checker),
+        golden.driver.parsed(),
+    ) {
+        (Ok(mut golden_session), Some(golden_driver)) => golden_session
+            .sweep_mutants(&golden.mutants, golden_driver, &golden.scenarios)
             .into_iter()
             .map(tb_report)
             .collect(),
-        // Unreachable for compiler-derived golden checkers; degrade
-        // to per-run "no report" like the interpreter would.
-        Err(_) => vec![None; golden.mutants.len()],
+        // Unreachable for derived bundles (the golden checker compiles
+        // and the golden driver parses); degrade to per-run "no
+        // report" like the interpreter would.
+        _ => vec![None; golden.mutants.len()],
     };
     let mut agree = static_agree;
     let mut counted = static_agree;
@@ -337,7 +344,7 @@ mod tests {
     fn broken_driver_fails() {
         let p = problem("and_8").expect("problem");
         let mut tb = golden_testbench(&p, 3);
-        tb.driver = tb.driver.replace("endmodule", "");
+        tb.driver = Driver::new(tb.driver.text().replace("endmodule", ""));
         assert_eq!(evaluate(&p, &tb, 3), EvalLevel::Failed);
     }
 
@@ -376,7 +383,7 @@ mod tests {
         for seed in 0..8u64 {
             let mut tb = golden_testbench(&p, seed);
             tb.scenarios.scenarios.truncate(1);
-            tb.driver = correctbench_tbgen::generate_driver(&p, &tb.scenarios);
+            tb.driver = Driver::new(generate_driver(&p, &tb.scenarios));
             let lvl = evaluate(&p, &tb, seed);
             assert!(lvl >= EvalLevel::Eval1, "thin TB must still pass Eval1");
             if lvl == EvalLevel::Eval1 {
@@ -392,12 +399,13 @@ mod tests {
     #[test]
     fn mutants_are_deterministic_and_valid() {
         let p = problem("counter_8").expect("problem");
-        let a = eval2_mutants(&p, 9);
-        let b = eval2_mutants(&p, 9);
+        let golden = parse_trusted(&p.golden_rtl, "golden RTL");
+        let a = eval2_mutants(&p, &golden, 9);
+        let b = eval2_mutants(&p, &golden, 9);
         assert_eq!(a, b);
         assert_eq!(a.len(), EVAL2_MUTANTS);
         for m in &a {
-            correctbench_verilog::parse(m).expect("mutant parses");
+            correctbench_verilog::elaborate(m, &p.name).expect("mutant elaborates");
         }
     }
 
@@ -437,10 +445,10 @@ mod tests {
         let first = golden_artifacts(&p, 9);
         let second = golden_artifacts(&p, 9);
         assert!(Arc::ptr_eq(&first, &second), "second call shares the entry");
-        assert_eq!(first.driver_src, derived.driver_src);
+        assert_eq!(first.driver.text(), derived.driver.text());
         assert_eq!(first.scenarios, derived.scenarios);
         assert_eq!(first.dut, derived.dut);
-        assert_eq!(first.driver, derived.driver);
+        assert_eq!(first.driver.parsed(), derived.driver.parsed());
         assert_eq!(first.mutants, derived.mutants);
         assert_eq!(
             first.statically_distinguished,

@@ -2,11 +2,10 @@
 //! simulation of one golden testbench run, checker-IR stepping, RS-matrix
 //! construction, and one full CorrectBench pipeline iteration.
 
-use correctbench::validator::generate_rtl_group;
-use correctbench::{build_rs_matrix, Config, HybridTb};
+use correctbench::{build_rs_matrix, generate_rtl_group, Config, HybridTb};
 use correctbench_checker::{compile_module, step, CheckerState};
 use correctbench_llm::{CheckerArtifact, ModelKind, ModelProfile, SimulatedLlm};
-use correctbench_tbgen::{generate_driver, generate_scenarios, run_testbench};
+use correctbench_tbgen::{generate_driver, generate_scenarios, run_testbench, Driver};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::HashMap;
 
@@ -60,7 +59,7 @@ fn bench_rs_matrix(c: &mut Criterion) {
     let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), 3);
     let rtls = generate_rtl_group(&problem, &mut llm, &cfg);
     let scenarios = generate_scenarios(&problem, 3);
-    let driver = generate_driver(&problem, &scenarios);
+    let driver = Driver::new(generate_driver(&problem, &scenarios));
     let tb = HybridTb {
         scenarios,
         driver,

@@ -48,7 +48,8 @@
 //!   (probe + cell decode): the cost a warm `correctbench-run --store`
 //!   restart pays per content-identical cell instead of re-executing it.
 //! * `lint_warn_ns` — the absolute per-job cost `--lint=warn` adds on
-//!   top of a job (combine the sources, parse, run `lint_file`). Its
+//!   top of a job (parse the golden DUT, run `lint_files` over it and
+//!   the driver's carried parse; the driver is not parsed again). Its
 //!   *relative* overhead only means something against a full job,
 //!   which this micro-benchmark does not run, so the end-to-end number
 //!   is measured on the harness itself
@@ -88,8 +89,10 @@ use correctbench_tbgen::{
 use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::hash::{debug_hash, structural_hash, StructuralHash};
 use correctbench_verilog::{
-    elaborate, lint_file, parse, CompiledDesign, ExecMode, SimLimits, Simulator,
+    elaborate, lint_files, parse, CompiledDesign, ExecMode, SimLimits, Simulator,
 };
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -102,6 +105,9 @@ const SWEEP: usize = 4;
 /// Eval seed of the golden-artifact arms (any fixed value: the bundle's
 /// cost, not its content, is what the arms measure).
 const GOLDEN_SEED: u64 = 2025;
+
+/// Seed of the per-sample arm-order shuffle.
+const ARM_ORDER_SEED: u64 = 0x5eed_0a12;
 
 struct Case {
     problem: Problem,
@@ -157,7 +163,10 @@ fn simulate_and_judge(case: &Case, compiled: &CompiledDesign, mode: ExecMode) {
 /// nanoseconds. Interleaving matters on shared machines: measuring the
 /// arms back-to-back lets a load spike land entirely on one arm and
 /// skew the ratio; round-robin sampling spreads drift across all of
-/// them.
+/// them. Each sample runs the arms in a fresh order, shuffled from a
+/// fixed seed: in a fixed order every arm would always inherit the
+/// cache and allocator state of the same predecessor, which biases the
+/// ratio of two arms that differ only in their position.
 fn medians_interleaved<const N: usize>(
     samples: usize,
     arms: &mut [&mut dyn FnMut(); N],
@@ -165,12 +174,17 @@ fn medians_interleaved<const N: usize>(
     for arm in arms.iter_mut() {
         arm(); // warm up
     }
+    let mut rng = StdRng::seed_from_u64(ARM_ORDER_SEED);
+    let mut order: [usize; N] = std::array::from_fn(|i| i);
     let mut times = vec![Vec::with_capacity(samples); N];
     for _ in 0..samples {
-        for (arm, t) in arms.iter_mut().zip(times.iter_mut()) {
+        for i in (1..N).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        for &i in &order {
             let t0 = Instant::now();
-            arm();
-            t.push(t0.elapsed().as_nanos() as u64);
+            arms[i]();
+            times[i].push(t0.elapsed().as_nanos() as u64);
         }
     }
     std::array::from_fn(|i| {
@@ -318,9 +332,6 @@ fn main() {
         // Prime the golden shard so the cached arm measures steady-state
         // hits, not the first derivation.
         std::hint::black_box(golden_artifacts(&case.problem, GOLDEN_SEED));
-        // The driver text the worker's lint pass combines with the
-        // golden DUT, as it does per job.
-        let driver_text = generate_driver(&case.problem, &case.scenarios);
         // The persistent-store pair: one full job of this problem
         // (CorrectBench, rep 0) executed cold vs replayed from a store
         // primed with its published cell.
@@ -441,11 +452,11 @@ fn main() {
                         std::hint::black_box(golden_artifacts(&case.problem, GOLDEN_SEED));
                     },
                     &mut || {
-                        // Exactly what `--lint=warn` adds per job:
-                        // combine, parse, lint.
-                        let combined = format!("{}\n{}", case.problem.golden_rtl, driver_text);
-                        let parsed = parse(&combined).expect("combined parses");
-                        std::hint::black_box(lint_file(&parsed));
+                        // Exactly what `--lint=warn` adds per job: parse
+                        // the golden DUT and lint it with the driver's
+                        // carried parse as one file.
+                        let golden = parse(&case.problem.golden_rtl).expect("golden parses");
+                        std::hint::black_box(lint_files(&[&golden, &case.driver]));
                     },
                     &mut || {
                         // The cold side: the full job a warm restart

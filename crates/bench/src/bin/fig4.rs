@@ -3,11 +3,10 @@
 //! showing the column signature that drives validation (`.` = green /
 //! correct, `#` = red / wrong, `?` = no verdict).
 
-use correctbench::validator::generate_rtl_group;
-use correctbench::{build_rs_matrix, judge, Config, HybridTb};
+use correctbench::{build_rs_matrix, generate_rtl_group, judge, Config, HybridTb};
 use correctbench_checker::compile_module;
 use correctbench_llm::{CheckerArtifact, LlmClient, ModelKind, ModelProfile, SimulatedLlm};
-use correctbench_tbgen::{generate_driver, generate_scenarios};
+use correctbench_tbgen::{generate_driver, generate_scenarios, Driver};
 use rand::SeedableRng;
 
 fn main() {
@@ -33,7 +32,7 @@ fn main() {
     ] {
         let problem = correctbench_dataset::problem(name).expect("known problem");
         let scenarios = generate_scenarios(&problem, seed);
-        let driver = generate_driver(&problem, &scenarios);
+        let driver = Driver::new(generate_driver(&problem, &scenarios));
         let mut checker = CheckerArtifact::clean(
             compile_module(&problem.golden_module()).expect("golden checker"),
         );

@@ -7,9 +7,10 @@
 //! wrong testbenches.
 
 use correctbench::{
-    build_rs_matrix, generate_autobench, judge, Config, HybridTb, RsMatrix, ValidationCriterion,
+    build_rs_matrix, generate_autobench, generate_rtl_group, judge, Config, HybridTb, RsMatrix,
+    ValidationCriterion,
 };
-use correctbench_autoeval::{evaluate, EvalLevel, EvalTb};
+use correctbench_autoeval::{evaluate, EvalLevel};
 use correctbench_dataset::Problem;
 use correctbench_harness::{parallel_map, CacheStack};
 use correctbench_llm::{ClientFactory, ModelKind, SimulatedClientFactory};
@@ -53,18 +54,14 @@ pub fn collect_corpus(
     let mut corpora = parallel_map(threads, Some(&stack), problems, |i, problem| {
         let seed = base_seed ^ (i as u64).wrapping_mul(0x9e37_79b9);
         let mut llm = factory.client(seed);
-        // One shared RTL group per task, as in the paper.
-        let rtls = correctbench::validator::generate_rtl_group(problem, &mut *llm, cfg);
+        // One shared RTL group per task, as in the paper, parsed once
+        // for every testbench of the task.
+        let rtls = generate_rtl_group(problem, &mut *llm, cfg);
         let mut tbs = Vec::with_capacity(per_task);
         for k in 0..per_task {
             let mut rng = StdRng::seed_from_u64(seed ^ (k as u64) << 32);
             let tb = generate_autobench(problem, &mut *llm, cfg, &mut rng);
-            let eval_tb = EvalTb {
-                scenarios: tb.scenarios.clone(),
-                driver: tb.driver.clone(),
-                checker: tb.checker.clone(),
-            };
-            let correct = evaluate(problem, &eval_tb, base_seed) >= EvalLevel::Eval2;
+            let correct = evaluate(problem, &tb, base_seed) >= EvalLevel::Eval2;
             let broken = !tb.is_syntactically_valid();
             let matrix = if broken {
                 RsMatrix::default()

@@ -6,11 +6,11 @@
 //! AutoBench the reference-model track is where functional testbench
 //! bugs live.
 
-use crate::testbench::HybridTb;
 use correctbench_dataset::Problem;
-use correctbench_llm::{BugReport, LlmClient, LlmRequest, LlmResponse};
+use correctbench_llm::{BugReport, HybridTb, LlmClient, LlmRequest, LlmResponse};
 
-/// Runs one correction round, returning the corrected testbench.
+/// Runs one correction round, returning the corrected testbench. The
+/// driver is carried over unchanged, parse included.
 pub fn correct(
     problem: &Problem,
     tb: &HybridTb,
@@ -50,14 +50,15 @@ mod tests {
     use super::*;
     use correctbench_checker::compile_module;
     use correctbench_llm::{CheckerArtifact, ModelKind, ModelProfile, SimulatedLlm};
-    use correctbench_tbgen::{generate_driver, generate_scenarios};
+    use correctbench_tbgen::{generate_driver, generate_scenarios, Driver};
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     #[test]
     fn correction_reduces_defects_on_average() {
         let p = correctbench_dataset::problem("alu_8").expect("problem");
         let scenarios = generate_scenarios(&p, 31);
-        let driver = generate_driver(&p, &scenarios);
+        let driver = Driver::new(generate_driver(&p, &scenarios));
         let golden = compile_module(&p.golden_module()).expect("checker");
 
         let mut before = 0usize;
@@ -97,5 +98,31 @@ mod tests {
             after * 3 < before * 2,
             "correction should clear a substantial defect fraction ({after} of {before} left)"
         );
+    }
+
+    #[test]
+    fn corrected_testbench_shares_the_driver_parse() {
+        // Only the checker is rewritten: the driver travels on with the
+        // parse it already carries, so later validation rounds never
+        // re-parse it.
+        let p = correctbench_dataset::problem("counter_8").expect("problem");
+        let scenarios = generate_scenarios(&p, 5);
+        let tb = HybridTb {
+            driver: Driver::new(generate_driver(&p, &scenarios)),
+            scenarios,
+            checker: CheckerArtifact::clean(compile_module(&p.golden_module()).expect("checker")),
+        };
+        let report = BugReport {
+            wrong: vec![1],
+            correct: vec![],
+            uncertain: vec![],
+        };
+        let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), 3);
+        let fixed = correct(&p, &tb, &report, &mut llm);
+        assert_eq!(fixed.driver.text(), tb.driver.text());
+        assert!(Arc::ptr_eq(
+            fixed.driver.parsed().expect("corrected driver parses"),
+            tb.driver.parsed().expect("driver parses"),
+        ));
     }
 }

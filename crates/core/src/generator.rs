@@ -13,12 +13,16 @@
 //! no enhancement — the paper's "directly asking LLM" comparator.
 
 use crate::config::Config;
-use crate::testbench::HybridTb;
 use correctbench_dataset::Problem;
-use correctbench_llm::{ArtifactKind, LlmClient, LlmRequest, LlmResponse};
+use correctbench_llm::{ArtifactKind, HybridTb, LlmClient, LlmRequest, LlmResponse};
+use correctbench_tbgen::Driver;
 use rand::Rng;
 
 /// Runs the AutoBench generation pipeline once.
+///
+/// Every driver text the model returns is parsed exactly once, into a
+/// [`Driver`]; the syntax checks here and every later consumer of the
+/// testbench read that parse.
 pub fn generate_autobench(
     problem: &Problem,
     llm: &mut dyn LlmClient,
@@ -33,7 +37,7 @@ pub fn generate_autobench(
         problem,
         scenarios: &scenarios,
     }) {
-        LlmResponse::Source(s) => s,
+        LlmResponse::Source(s) => Driver::new(s),
         other => unreachable!("driver request returned {other:?}"),
     };
     let mut checker = match llm.request(&LlmRequest::GenerateChecker { problem }) {
@@ -43,15 +47,15 @@ pub fn generate_autobench(
 
     // Self-enhancement 1: syntax auto-debug.
     for _ in 0..cfg.syntax_debug_rounds {
-        if correctbench_verilog::parse(&driver).is_ok() {
+        if driver.parsed().is_some() {
             break;
         }
         driver = match llm.request(&LlmRequest::FixSyntax {
             problem,
             kind: ArtifactKind::Driver,
-            broken_source: &driver,
+            broken_source: driver.text(),
         }) {
-            LlmResponse::Source(s) => s,
+            LlmResponse::Source(s) => Driver::new(s),
             other => unreachable!("fix request returned {other:?}"),
         };
     }
@@ -76,7 +80,7 @@ pub fn generate_autobench(
         driver,
         checker,
     };
-    if correctbench_verilog::parse(&tb.driver).is_ok() {
+    if tb.driver.parsed().is_some() {
         let covered = tb.driver_scenario_coverage();
         if covered.len() < tb.scenarios.len() && rng.gen_bool(cfg.scenario_check_recall) {
             if let LlmResponse::Source(s) = llm.request(&LlmRequest::GenerateDriver {
@@ -84,16 +88,11 @@ pub fn generate_autobench(
                 scenarios: &tb.scenarios,
             }) {
                 // Keep the regenerated driver only if it is no worse.
-                let old_cov = covered.len();
-                let candidate = HybridTb {
-                    scenarios: tb.scenarios.clone(),
-                    driver: s,
-                    checker: tb.checker.clone(),
-                };
-                if correctbench_verilog::parse(&candidate.driver).is_ok()
-                    && candidate.driver_scenario_coverage().len() >= old_cov
+                let old = std::mem::replace(&mut tb.driver, Driver::new(s));
+                if tb.driver.parsed().is_none()
+                    || tb.driver_scenario_coverage().len() < covered.len()
                 {
-                    tb.driver = candidate.driver;
+                    tb.driver = old;
                 }
             }
         }
@@ -114,7 +113,7 @@ pub fn generate_direct(problem: &Problem, llm: &mut dyn LlmClient) -> HybridTb {
             checker,
         } => HybridTb {
             scenarios,
-            driver,
+            driver: Driver::new(driver),
             checker,
         },
         other => unreachable!("direct request returned {other:?}"),

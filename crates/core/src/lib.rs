@@ -37,19 +37,17 @@ pub mod config;
 pub mod corrector;
 pub mod generator;
 pub mod pipeline;
-pub mod testbench;
 pub mod validator;
 
 pub use config::{Config, ValidationCriterion};
+pub use correctbench_llm::HybridTb;
 pub use corrector::correct;
 pub use generator::{generate_autobench, generate_direct};
 pub use pipeline::{
     run_autobench, run_baseline, run_correctbench, run_method, Action, Method, Outcome,
 };
-pub use testbench::HybridTb;
 pub use validator::{
-    build_rs_matrix, build_rs_matrix_parsed, generate_rtl_group, generate_rtl_group_parsed, judge,
-    validate, RsCell, RsMatrix, Validation, Verdict,
+    build_rs_matrix, generate_rtl_group, judge, validate, RsCell, RsMatrix, Validation, Verdict,
 };
 
 // Compile-time contract for the parallel harness: everything a worker

@@ -12,10 +12,9 @@
 use crate::config::Config;
 use crate::corrector::correct;
 use crate::generator::{generate_autobench, generate_direct};
-use crate::testbench::HybridTb;
 use crate::validator::{validate, Verdict};
 use correctbench_dataset::Problem;
-use correctbench_llm::{LlmClient, TokenUsage};
+use correctbench_llm::{HybridTb, LlmClient, TokenUsage};
 use rand::Rng;
 
 /// The agent's actions, recorded for tracing and attribution.

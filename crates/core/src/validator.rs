@@ -10,10 +10,10 @@
 //! because independent generations rarely share the same bug.
 
 use crate::config::Config;
-use crate::testbench::HybridTb;
 use correctbench_dataset::Problem;
-use correctbench_llm::{BugReport, LlmClient, LlmRequest, LlmResponse};
+use correctbench_llm::{BugReport, HybridTb, LlmClient, LlmRequest, LlmResponse};
 use correctbench_tbgen::ScenarioResult;
+use correctbench_verilog::ast::SourceFile;
 use std::fmt;
 
 /// One RS-matrix cell.
@@ -180,8 +180,8 @@ pub fn validate(
         };
     }
 
-    let rtls = generate_rtl_group_parsed(problem, llm, cfg);
-    let matrix = build_rs_matrix_parsed(problem, tb, &rtls);
+    let rtls = generate_rtl_group(problem, llm, cfg);
+    let matrix = build_rs_matrix(problem, tb, &rtls);
     let mut verdict = judge(&matrix, cfg);
 
     // Experimental coverage gate (paper future work): a clean RS matrix
@@ -206,23 +206,14 @@ pub fn validate(
 /// Generates the validator's RTL group: keep asking until NR designs are
 /// syntactically clean or the attempt budget (2·NR) runs out, mirroring
 /// the paper's "regenerate until at least half are free from syntax
-/// errors".
-pub fn generate_rtl_group(problem: &Problem, llm: &mut dyn LlmClient, cfg: &Config) -> Vec<String> {
-    generate_rtl_group_parsed(problem, llm, cfg)
-        .into_iter()
-        .map(|(src, _)| src)
-        .collect()
-}
-
-/// [`generate_rtl_group`], keeping the parse each candidate already paid
-/// at the syntax gate: every kept design carries its `(source, parsed
-/// file)` pair, so the RS-matrix sweep ([`build_rs_matrix_parsed`])
-/// never parses a freshly-generated RTL a second time.
-pub fn generate_rtl_group_parsed(
+/// errors". Each kept design is returned as the parse its syntax gate
+/// already paid for, so the RS-matrix sweep ([`build_rs_matrix`]) never
+/// parses a generated RTL a second time.
+pub fn generate_rtl_group(
     problem: &Problem,
     llm: &mut dyn LlmClient,
     cfg: &Config,
-) -> Vec<(String, correctbench_verilog::ast::SourceFile)> {
+) -> Vec<SourceFile> {
     let target = cfg.num_validation_rtls;
     let mut clean = Vec::with_capacity(target);
     let mut attempts = 0;
@@ -237,59 +228,23 @@ pub fn generate_rtl_group_parsed(
             .filter(|f| f.module(&problem.name).is_some())
             .filter(|f| correctbench_verilog::elaborate(f, &problem.name).is_ok());
         if let Some(file) = parsed {
-            clean.push((src, file));
+            clean.push(file);
         }
     }
     clean
 }
 
-/// Simulates every RTL under the testbench and assembles the RS matrix.
-/// The source-level entry point: each RTL is parsed here (an unparseable
-/// one yields an all-`Unknown` row, like any other failed run). The
-/// validator itself goes through [`build_rs_matrix_parsed`] with the
-/// parses its syntax gate already produced.
-pub fn build_rs_matrix(problem: &Problem, tb: &HybridTb, rtls: &[String]) -> RsMatrix {
-    let ns = tb.scenarios.len();
-    let parsed: Vec<Option<correctbench_verilog::ast::SourceFile>> = rtls
-        .iter()
-        .map(|rtl| correctbench_verilog::parse(rtl).ok())
-        .collect();
-    let group: Vec<(String, correctbench_verilog::ast::SourceFile)> = parsed
-        .iter()
-        .zip(rtls)
-        .filter_map(|(file, src)| file.clone().map(|f| (src.clone(), f)))
-        .collect();
-    let swept = build_rs_matrix_parsed(problem, tb, &group);
-    // Re-interleave unparseable sources as Unknown rows so row indices
-    // still line up with the caller's list.
-    let mut swept_rows = swept.rows.into_iter();
-    let rows = parsed
-        .iter()
-        .map(|file| match file {
-            Some(_) => swept_rows
-                .next()
-                .unwrap_or_else(|| vec![RsCell::Unknown; ns]),
-            None => vec![RsCell::Unknown; ns],
-        })
-        .collect();
-    RsMatrix { rows }
-}
-
-/// [`build_rs_matrix`] over the already-parsed group the validator's
-/// syntax gate produced ([`generate_rtl_group_parsed`]). The driver is
-/// parsed once and the whole group runs through one
+/// Simulates every RTL of the group ([`generate_rtl_group`]) under the
+/// testbench and assembles the RS matrix. The driver's carried parse is
+/// used as is, and the whole group runs through one
 /// [`correctbench_tbgen::EvalSession`]: the checker compile and record
 /// bindings are paid once per matrix, never once per row.
-pub fn build_rs_matrix_parsed(
-    problem: &Problem,
-    tb: &HybridTb,
-    rtls: &[(String, correctbench_verilog::ast::SourceFile)],
-) -> RsMatrix {
+pub fn build_rs_matrix(problem: &Problem, tb: &HybridTb, rtls: &[SourceFile]) -> RsMatrix {
     let ns = tb.scenarios.len();
     let unknown_matrix = || RsMatrix {
         rows: vec![vec![RsCell::Unknown; ns]; rtls.len()],
     };
-    let Ok(driver) = correctbench_verilog::parse(&tb.driver) else {
+    let Some(driver) = tb.driver.parsed() else {
         return unknown_matrix();
     };
     let Ok(mut session) = correctbench_tbgen::EvalSession::new(problem, &tb.checker.program) else {
@@ -298,9 +253,9 @@ pub fn build_rs_matrix_parsed(
         return unknown_matrix();
     };
     let mut rows = Vec::with_capacity(rtls.len());
-    for (_, dut) in rtls {
+    for dut in rtls {
         let row = session
-            .run(dut, &driver, &tb.scenarios)
+            .run(dut, driver, &tb.scenarios)
             .ok()
             .map(|run| {
                 run.results
@@ -368,12 +323,12 @@ mod tests {
     use crate::config::ValidationCriterion;
     use correctbench_checker::compile_module;
     use correctbench_llm::{CheckerArtifact, ModelKind, ModelProfile, SimulatedLlm};
-    use correctbench_tbgen::{generate_driver, generate_scenarios};
+    use correctbench_tbgen::{generate_driver, generate_scenarios, Driver};
 
     fn golden_tb(name: &str, seed: u64) -> (correctbench_dataset::Problem, HybridTb) {
         let p = correctbench_dataset::problem(name).expect("problem");
         let scenarios = generate_scenarios(&p, seed);
-        let driver = generate_driver(&p, &scenarios);
+        let driver = Driver::new(generate_driver(&p, &scenarios));
         let checker = CheckerArtifact::clean(compile_module(&p.golden_module()).expect("checker"));
         (
             p,
@@ -428,6 +383,27 @@ mod tests {
         assert!(!v.verdict.is_correct());
         assert_eq!(v.matrix.num_rtls(), 0);
         assert_eq!(llm.usage().requests, 0, "no RTL group for a broken TB");
+    }
+
+    #[test]
+    fn unparseable_driver_rejected_without_simulation() {
+        let (p, mut tb) = golden_tb("counter_8", 4);
+        tb.driver = Driver::new(tb.driver.text().replace("endmodule", ""));
+        assert!(tb.driver.parsed().is_none());
+        let cfg = Config::default();
+        let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), 5);
+        let v = validate(&p, &tb, &mut llm, &cfg);
+        let all: Vec<usize> = (1..=tb.scenarios.len()).collect();
+        assert_eq!(
+            v.verdict,
+            Verdict::Wrong(BugReport {
+                wrong: Vec::new(),
+                correct: Vec::new(),
+                uncertain: all,
+            })
+        );
+        assert_eq!(v.matrix.num_rtls(), 0);
+        assert_eq!(llm.usage().requests, 0, "no RTL group for a broken driver");
     }
 
     #[test]

@@ -35,7 +35,7 @@ use correctbench_verilog::{Fingerprint, FingerprintHasher, StructuralHash};
 /// Version tag of the cell payload encoding below. Folded into the
 /// config fingerprint, so bumping it orphans (never mis-reads) every
 /// cell written under the old encoding.
-pub const CELL_SCHEMA: &str = "correctbench-cell-v3";
+pub const CELL_SCHEMA: &str = "correctbench-cell-v4";
 
 /// Fingerprint of everything plan-wide that can change an outcome byte.
 pub fn config_fingerprint(plan: &RunPlan) -> Fingerprint {

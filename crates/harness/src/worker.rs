@@ -10,13 +10,14 @@ use crate::fault::{FaultKind, FAULT_EXIT_CODE};
 use crate::plan::{Job, LintMode};
 use correctbench::Method;
 use correctbench::{run_method, Action, Config};
-use correctbench_autoeval::{evaluate, EvalLevel, EvalTb};
+use correctbench_autoeval::{evaluate, EvalLevel};
 use correctbench_dataset::CircuitKind;
 use correctbench_llm::{
     ClientFactory, FaultyTransport, LlmClient, ModelKind, RetryPolicy, Retrying, TokenUsage,
 };
 use correctbench_obs::Counter;
-use correctbench_tbgen::{install_budget, AbortKind, JobAbort, JobBudget};
+use correctbench_tbgen::{install_budget, AbortKind, Driver, JobAbort, JobBudget};
+use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::Diagnostic;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -108,15 +109,15 @@ thread_local! {
 /// invariants (which assume well-formed golden RTL). Warn mode records
 /// golden findings through [`lint_pass`] instead, so this half is
 /// gate-only and leaves the diagnostics counter to the combined pass.
-fn lint_golden_gate(job: &Job, mode: LintMode) {
+fn lint_golden_gate(job: &Job, golden: Option<&SourceFile>, mode: LintMode) {
     if mode != LintMode::Gate {
         return;
     }
     let _span = correctbench_obs::span(correctbench_obs::Phase::Lint);
-    let Ok(file) = correctbench_verilog::parse(&job.problem.golden_rtl) else {
+    let Some(golden) = golden else {
         return;
     };
-    let report = correctbench_verilog::lint_file(&file);
+    let report = correctbench_verilog::lint_file(golden);
     let deny: Vec<Diagnostic> = report
         .diagnostics
         .into_iter()
@@ -132,23 +133,27 @@ fn lint_golden_gate(job: &Job, mode: LintMode) {
     }
 }
 
-/// Lints the job's combined RTL (golden DUT + candidate driver),
-/// filtering findings the problem's allowlist marks intentional. Under
-/// [`LintMode::Gate`] deny-level findings abort the job with
-/// [`AbortKind::LintRejected`] *before* any simulation — stashing the
-/// findings first so the aborted outcome still reports them. A driver
-/// that does not parse is skipped here: syntax failures are AutoEval's
-/// `Failed` verdict, not lint subjects.
-fn lint_pass(job: &Job, driver: &str, mode: LintMode) -> Vec<Diagnostic> {
+/// Lints the job's combined RTL — the golden DUT's parse plus the
+/// candidate driver's, as one file — filtering findings the problem's
+/// allowlist marks intentional. Under [`LintMode::Gate`] deny-level
+/// findings abort the job with [`AbortKind::LintRejected`] *before* any
+/// simulation — stashing the findings first so the aborted outcome
+/// still reports them. A driver that does not parse is skipped here:
+/// syntax failures are AutoEval's `Failed` verdict, not lint subjects.
+fn lint_pass(
+    job: &Job,
+    golden: Option<&SourceFile>,
+    driver: &Driver,
+    mode: LintMode,
+) -> Vec<Diagnostic> {
     if !mode.is_enabled() {
         return Vec::new();
     }
     let _span = correctbench_obs::span(correctbench_obs::Phase::Lint);
-    let combined = format!("{}\n{}", job.problem.golden_rtl, driver);
-    let Ok(file) = correctbench_verilog::parse(&combined) else {
+    let (Some(golden), Some(driver)) = (golden, driver.parsed()) else {
         return Vec::new();
     };
-    let report = correctbench_verilog::lint_file(&file);
+    let report = correctbench_verilog::lint_files(&[golden, driver]);
     let diags: Vec<Diagnostic> = report
         .diagnostics
         .into_iter()
@@ -195,20 +200,20 @@ fn run_job_inner(
     lint_mode: LintMode,
 ) -> TaskOutcome {
     let t0 = Instant::now();
-    lint_golden_gate(job, lint_mode);
+    // Both lint halves read one parse of the golden DUT.
+    let golden = lint_mode
+        .is_enabled()
+        .then(|| correctbench_verilog::parse(&job.problem.golden_rtl).ok())
+        .flatten();
+    lint_golden_gate(job, golden.as_ref(), lint_mode);
     let mut llm = build_client(factory, job.seed, fault);
     let mut rng = StdRng::seed_from_u64(job.seed ^ 0x777);
     let outcome = run_method(job.method, &job.problem, &mut *llm, cfg, &mut rng);
-    let tb = EvalTb {
-        scenarios: outcome.tb.scenarios.clone(),
-        driver: outcome.tb.driver.clone(),
-        checker: outcome.tb.checker.clone(),
-    };
     // The static-analysis gate sits between generation and evaluation:
     // under `--lint=gate` a deny-level finding unwinds here, before the
     // first simulation.
-    let lint = lint_pass(job, &tb.driver, lint_mode);
-    let level = evaluate(&job.problem, &tb, job.eval_seed);
+    let lint = lint_pass(job, golden.as_ref(), &outcome.tb.driver, lint_mode);
+    let level = evaluate(&job.problem, &outcome.tb, job.eval_seed);
     TaskOutcome {
         job_id: job.id,
         problem: job.problem.name.clone(),

@@ -10,7 +10,7 @@
 use crate::tokens::TokenUsage;
 use correctbench_checker::{CheckerProgram, IrMutation};
 use correctbench_dataset::Problem;
-use correctbench_tbgen::ScenarioSet;
+use correctbench_tbgen::{Driver, ScenarioSet};
 
 /// What kind of artifact a syntax-repair request concerns.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -61,6 +61,36 @@ impl CheckerArtifact {
             defects: Vec::new(),
             broken: false,
         }
+    }
+}
+
+/// A complete hybrid testbench — the artifact the pipeline produces,
+/// validates, corrects and AutoEval judges: the scenario list, the
+/// Verilog driver (with its parse, see [`Driver`]) and the checker
+/// (reference model).
+#[derive(Clone, Debug)]
+pub struct HybridTb {
+    /// The test scenarios the testbench claims to cover.
+    pub scenarios: ScenarioSet,
+    /// The Verilog driver (its text may be syntactically broken).
+    pub driver: Driver,
+    /// Checker artifact (may be flagged broken).
+    pub checker: CheckerArtifact,
+}
+
+impl HybridTb {
+    /// `true` when both tracks are syntactically sound (the Eval0
+    /// condition): the driver parses and the checker is not broken.
+    pub fn is_syntactically_valid(&self) -> bool {
+        !self.checker.broken && self.driver.parsed().is_some()
+    }
+
+    /// Scenario indexes (1-based) whose stimulus stanza is present in the
+    /// driver source — used by AutoBench's scenario-list checking.
+    pub fn driver_scenario_coverage(&self) -> Vec<usize> {
+        (1..=self.scenarios.len())
+            .filter(|i| self.driver.text().contains(&format!("// Scenario {i}:")))
+            .collect()
     }
 }
 
@@ -183,5 +213,46 @@ impl<C: LlmClient + ?Sized> LlmClient for Box<C> {
 
     fn usage(&self) -> TokenUsage {
         (**self).usage()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use correctbench_checker::compile_module;
+    use correctbench_tbgen::{generate_driver, generate_scenarios};
+
+    fn sample_tb() -> HybridTb {
+        let p = correctbench_dataset::problem("and_8").expect("problem");
+        let scenarios = generate_scenarios(&p, 4);
+        let driver = Driver::new(generate_driver(&p, &scenarios));
+        let checker =
+            CheckerArtifact::clean(compile_module(&p.golden_module()).expect("golden checker"));
+        HybridTb {
+            scenarios,
+            driver,
+            checker,
+        }
+    }
+
+    #[test]
+    fn golden_tb_is_valid() {
+        let tb = sample_tb();
+        assert!(tb.is_syntactically_valid());
+        assert_eq!(tb.driver_scenario_coverage().len(), tb.scenarios.len());
+    }
+
+    #[test]
+    fn broken_driver_invalid() {
+        let mut tb = sample_tb();
+        tb.driver = Driver::new(tb.driver.text().replace("endmodule", ""));
+        assert!(!tb.is_syntactically_valid());
+    }
+
+    #[test]
+    fn broken_checker_invalid() {
+        let mut tb = sample_tb();
+        tb.checker.broken = true;
+        assert!(!tb.is_syntactically_valid());
     }
 }

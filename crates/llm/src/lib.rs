@@ -32,7 +32,7 @@ pub mod sim;
 pub mod tokens;
 
 pub use client::{
-    ArtifactKind, BugReport, CheckerArtifact, Defect, LlmClient, LlmRequest, LlmResponse,
+    ArtifactKind, BugReport, CheckerArtifact, Defect, HybridTb, LlmClient, LlmRequest, LlmResponse,
 };
 pub use factory::{ClientFactory, SimulatedClientFactory};
 pub use profile::{ModelKind, ModelProfile};

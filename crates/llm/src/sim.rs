@@ -22,6 +22,7 @@ use crate::tokens::{estimate_tokens, TokenUsage};
 use correctbench_checker::{compile_module, mutate_ir_once};
 use correctbench_dataset::Problem;
 use correctbench_tbgen::{generate_driver, generate_scenarios, ScenarioSet};
+use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::corrupt::corrupt_source;
 use correctbench_verilog::mutate::mutate_module;
 use correctbench_verilog::pretty::print_file;
@@ -41,6 +42,11 @@ pub struct SimulatedLlm {
     repair_cache: HashMap<u64, String>,
     /// Per-task systematic-misunderstanding state, drawn once per task.
     confusion: HashMap<String, bool>,
+    /// The last golden RTL text served and its parse: every RTL and
+    /// checker request of a task starts from the same golden design, so
+    /// it is parsed once per task, not once per request. Keyed on the
+    /// text itself, so an edited golden is never served a stale parse.
+    golden: Option<(String, SourceFile)>,
 }
 
 fn hash_str(s: &str) -> u64 {
@@ -58,6 +64,7 @@ impl SimulatedLlm {
             usage: TokenUsage::new(),
             repair_cache: HashMap::new(),
             confusion: HashMap::new(),
+            golden: None,
         }
     }
 
@@ -94,9 +101,25 @@ impl SimulatedLlm {
         }
     }
 
+    /// The parse of `problem`'s golden RTL (see [`SimulatedLlm::golden`]).
+    fn golden(&mut self, problem: &Problem) -> &SourceFile {
+        if self
+            .golden
+            .as_ref()
+            .is_some_and(|(text, _)| *text != problem.golden_rtl)
+        {
+            self.golden = None;
+        }
+        let (_, file) = self.golden.get_or_insert_with(|| {
+            let file = correctbench_verilog::parse(&problem.golden_rtl)
+                .expect("golden RTL parses by dataset invariant");
+            (problem.golden_rtl.clone(), file)
+        });
+        file
+    }
+
     fn gen_rtl(&mut self, problem: &Problem, lambda: f64, syntax_rate: f64) -> String {
-        let mut file = correctbench_verilog::parse(&problem.golden_rtl)
-            .expect("golden RTL parses by dataset invariant");
+        let mut file = self.golden(problem).clone();
         let k = self.sample_defects(lambda);
         if let Some(m) = file.module_mut(&problem.name) {
             mutate_module(m, &mut self.rng, k);
@@ -118,8 +141,12 @@ impl SimulatedLlm {
     }
 
     fn gen_checker(&mut self, problem: &Problem, lambda: f64, syntax_rate: f64) -> CheckerArtifact {
-        let mut program = compile_module(&problem.golden_module())
-            .expect("golden RTL compiles to checker IR by dataset invariant");
+        let golden = self
+            .golden(problem)
+            .module(&problem.name)
+            .expect("golden RTL defines the problem's module by dataset invariant");
+        let mut program =
+            compile_module(golden).expect("golden RTL compiles to checker IR by dataset invariant");
         let k = self.sample_defects(lambda);
         let mut defects = Vec::new();
         if self.is_confused(problem) {
@@ -592,6 +619,34 @@ mod tests {
             })
             .count();
         assert!(clean >= 15, "only {clean}/30 clean for an easy task");
+    }
+
+    #[test]
+    fn golden_parse_follows_an_edited_golden() {
+        // The client keeps one golden parse, keyed on the golden text:
+        // a problem whose golden RTL changed between requests (as under
+        // `--mutate-golden`) is served from the new text.
+        let p = problem("and_8").expect("problem");
+        let mut edited = p.clone();
+        edited.golden_rtl = p.golden_rtl.replace('&', "|");
+        assert_ne!(edited.golden_rtl, p.golden_rtl);
+        let mut c = SimulatedLlm::new(
+            ModelProfile {
+                rtl_defect_lambda: 0.0,
+                rtl_syntax_error_rate: 0.0,
+                ..ModelProfile::for_model(ModelKind::Gpt4o)
+            },
+            11,
+        );
+        for golden in [&p, &edited, &p] {
+            let LlmResponse::Source(src) = c.request(&LlmRequest::GenerateRtl { problem: golden })
+            else {
+                panic!("wrong response kind");
+            };
+            let expected =
+                print_file(&correctbench_verilog::parse(&golden.golden_rtl).expect("parses"));
+            assert_eq!(src, expected);
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   wall time actually covered by spans — never double-counted.
 //! * [`add`] bumps a [`Counter`] (simulation events, retired bytecode
 //!   instructions, NBA commits, budget-exhausted runs and their
-//!   instructions, judge slot commits, per-layer cache hits and misses)
+//!   instructions, judge slot commits, bytes parsed, per-layer cache hits
+//!   and misses)
 //!   for the job that incurred it.
 //!
 //! [`take_job`] drains the collector into a [`JobObs`] snapshot and
@@ -103,6 +104,8 @@ pub enum Counter {
     SimTripInstrs,
     /// Compiled-judge register slot commits.
     JudgeCommits,
+    /// Source bytes handed to the Verilog parser.
+    ParseBytes,
     /// Simulation-cache hits.
     SimCacheHits,
     /// Simulation-cache misses.
@@ -125,7 +128,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array-index domain).
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 16;
 
     /// Every counter, in canonical (artifact) order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -135,6 +138,7 @@ impl Counter {
         Counter::SimBudgetTrips,
         Counter::SimTripInstrs,
         Counter::JudgeCommits,
+        Counter::ParseBytes,
         Counter::SimCacheHits,
         Counter::SimCacheMisses,
         Counter::GoldenHits,
@@ -155,6 +159,7 @@ impl Counter {
             Counter::SimBudgetTrips => "sim_budget_trips",
             Counter::SimTripInstrs => "sim_trip_instrs",
             Counter::JudgeCommits => "judge_commits",
+            Counter::ParseBytes => "parse_bytes",
             Counter::SimCacheHits => "sim_cache_hits",
             Counter::SimCacheMisses => "sim_cache_misses",
             Counter::GoldenHits => "golden_hits",
@@ -616,6 +621,7 @@ mod tests {
         assert_eq!(phases[Phase::Lint as usize], "lint");
         let counters: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(counters[0], "sim_events");
+        assert_eq!(counters[Counter::ParseBytes as usize], "parse_bytes");
         assert_eq!(counters[Counter::GoldenMisses as usize], "golden_misses");
         assert_eq!(counters[Counter::LintDiags as usize], "lint_diags");
         assert_eq!(counters[Counter::StoreHits as usize], "store_hits");

@@ -12,13 +12,46 @@
 //!
 //! The generated source is parsed and simulated by
 //! [`correctbench_verilog`]; nothing here is interpreted directly.
+//! A [`Driver`] carries a driver text together with its parse.
 
 use crate::scenarios::ScenarioSet;
 use correctbench_dataset::{PortDir, Problem};
+use correctbench_verilog::ast::SourceFile;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Name of the generated testbench module.
 pub const TB_MODULE: &str = "tb";
+
+/// A driver's source text and its parse, made once by [`Driver::new`].
+///
+/// The pipeline re-checks the same driver many times — the syntax gate,
+/// every validation round (the corrector rewrites only the checker), the
+/// lint pass and AutoEval — and each of them reads the carried parse.
+/// Clones share it.
+#[derive(Clone, Debug)]
+pub struct Driver {
+    text: String,
+    parsed: Option<Arc<SourceFile>>,
+}
+
+impl Driver {
+    /// Parses `text`. A text with syntax errors carries no parse.
+    pub fn new(text: String) -> Driver {
+        let parsed = correctbench_verilog::parse(&text).ok().map(Arc::new);
+        Driver { text, parsed }
+    }
+
+    /// The Verilog source.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// The parse of [`Driver::text`]; `None` when the text does not parse.
+    pub fn parsed(&self) -> Option<&Arc<SourceFile>> {
+        self.parsed.as_ref()
+    }
+}
 
 /// Generates Verilog driver source for `problem` applying `scenarios`.
 ///
@@ -160,6 +193,24 @@ mod tests {
         let full = format!("{}\n{}", p.golden_rtl, src);
         let out = correctbench_verilog::run_source(&full, TB_MODULE).expect("simulate");
         assert!(out.finished);
+    }
+
+    #[test]
+    fn driver_carries_its_parse_and_clones_share_it() {
+        let p = problem("adder_8").expect("problem");
+        let text = generate_driver(&p, &generate_scenarios(&p, 3));
+        let driver = Driver::new(text.clone());
+        assert_eq!(driver.text(), text);
+        let parsed = driver.parsed().expect("generated driver parses");
+        assert_eq!(
+            **parsed,
+            correctbench_verilog::parse(&text).expect("parses")
+        );
+        let copy = driver.clone();
+        assert!(Arc::ptr_eq(parsed, copy.parsed().expect("shared")));
+        assert!(Driver::new(text.replace("endmodule", ""))
+            .parsed()
+            .is_none());
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! through the [`CacheStack`](crate::CacheStack).
 
 use crate::cache::CacheStats;
+use crate::driver::Driver;
 use crate::install;
 use crate::scenarios::ScenarioSet;
 use correctbench_checker::CheckerProgram;
@@ -92,11 +93,8 @@ pub struct GoldenArtifacts {
     pub dut: SourceFile,
     /// The golden testbench's scenario set.
     pub scenarios: ScenarioSet,
-    /// The golden driver source (kept alongside its parse — harness
-    /// artifacts and Eval0 checks read the text).
-    pub driver_src: String,
-    /// The golden driver, parsed.
-    pub driver: SourceFile,
+    /// The golden driver and its parse (derivation verifies it parses).
+    pub driver: Driver,
     /// The golden checker program.
     pub checker: CheckerProgram,
     /// The Eval2 mutants the static pre-screen cannot tell apart from
@@ -227,11 +225,9 @@ mod tests {
     fn bundle(name: &str, seed: u64) -> Arc<GoldenArtifacts> {
         let p = correctbench_dataset::problem(name).expect("problem");
         let scenarios = generate_scenarios(&p, seed);
-        let driver_src = generate_driver(&p, &scenarios);
         Arc::new(GoldenArtifacts {
             dut: parse(&p.golden_rtl).expect("golden parses"),
-            driver: parse(&driver_src).expect("driver parses"),
-            driver_src,
+            driver: Driver::new(generate_driver(&p, &scenarios)),
             scenarios,
             checker: compile_module(&p.golden_module()).expect("checker"),
             mutants: Vec::new(),

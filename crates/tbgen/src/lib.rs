@@ -41,7 +41,7 @@ pub mod session;
 pub use abort::{abort_job, AbortKind, JobAbort};
 pub use cache::{module_interface_fingerprint, CacheKey, CacheStats, SimCache};
 pub use coverage::{CoverageReport, SignalCoverage};
-pub use driver::{generate_driver, record_format, TB_MODULE};
+pub use driver::{generate_driver, record_format, Driver, TB_MODULE};
 pub use golden::{problem_fingerprint, GoldenArtifacts, GoldenCache, GoldenKey};
 pub use install::{
     active_budget, install_budget, BudgetGuard, CacheStack, JobBudget, StackGuard, StackStats,

@@ -121,15 +121,14 @@ pub struct ModuleDataflow {
     pub width_deltas: Vec<(usize, String, usize, usize)>,
 }
 
-/// Analyzes every module of `file`, resolving instances against
-/// siblings. Modules are returned in file order.
-pub fn analyze(file: &SourceFile) -> Vec<ModuleDataflow> {
-    let siblings: BTreeMap<&str, &Module> =
-        file.modules.iter().map(|m| (m.name.as_str(), m)).collect();
-    file.modules
-        .iter()
-        .map(|m| analyze_module(m, &siblings))
-        .collect()
+/// Analyzes every module of `files` as one file, resolving instances
+/// against siblings from any of them (a later module shadows an
+/// earlier one of the same name, as in a file joining their texts).
+/// Modules are returned in file order.
+pub fn analyze(files: &[&SourceFile]) -> Vec<ModuleDataflow> {
+    let modules = || files.iter().flat_map(|f| &f.modules);
+    let siblings: BTreeMap<&str, &Module> = modules().map(|m| (m.name.as_str(), m)).collect();
+    modules().map(|m| analyze_module(m, &siblings)).collect()
 }
 
 /// Analyzes one module. `siblings` maps module names available for
@@ -889,7 +888,7 @@ mod tests {
 
     fn df(src: &str) -> ModuleDataflow {
         let file = parse(src).expect("parse");
-        analyze(&file).remove(0)
+        analyze(&[&file]).remove(0)
     }
 
     #[test]
@@ -969,7 +968,7 @@ mod tests {
         let src = "module leaf(input i, output o); assign o = i; endmodule\n\
                    module top(input x, output w); leaf u(.i(x), .o(w)); endmodule";
         let file = parse(src).expect("parse");
-        let d = &analyze(&file)[1];
+        let d = &analyze(&[&file])[1];
         assert!(d.signals["x"].read);
         assert_eq!(d.signals["w"].drivers[0].kind, DriverKind::Instance);
         assert!(!d.signals["w"].opaque);

@@ -68,7 +68,7 @@ pub use design::{Design, SignalId};
 pub use elaborate::elaborate;
 pub use error::{ElabError, ParseError, SimError, VerilogError};
 pub use hash::{fnv1a64, structural_hash, Fingerprint, FingerprintHasher, StructuralHash};
-pub use lint::{lint_file, Diagnostic, LintReport, Rule, Severity};
+pub use lint::{lint_file, lint_files, Diagnostic, LintReport, Rule, Severity};
 pub use logic::{Bit, LogicVec};
 pub use parser::parse;
 pub use sim::{run_source, ExecMode, SimLimits, SimOutput, Simulator};

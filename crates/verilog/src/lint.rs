@@ -217,8 +217,15 @@ impl LintReport {
 /// Lints every module of `file`. Pure and deterministic: same input,
 /// same bytes out.
 pub fn lint_file(file: &SourceFile) -> LintReport {
+    lint_files(&[file])
+}
+
+/// Lints the modules of `files` as one file. The AST carries no
+/// positions, so this is exactly [`lint_file`] over a parse of their
+/// texts joined in order — without parsing the joined text.
+pub fn lint_files(files: &[&SourceFile]) -> LintReport {
     let mut diagnostics = Vec::new();
-    for df in dataflow::analyze(file) {
+    for df in dataflow::analyze(files) {
         lint_module_dataflow(&df, &mut diagnostics);
     }
     diagnostics.sort_by(|a, b| {

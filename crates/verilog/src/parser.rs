@@ -34,6 +34,7 @@ use crate::lexer::{lex, Keyword, NumberLit, Punct, SpannedToken, Token};
 /// ```
 pub fn parse(src: &str) -> Result<SourceFile, ParseError> {
     let _span = correctbench_obs::span(correctbench_obs::Phase::Parse);
+    correctbench_obs::add(correctbench_obs::Counter::ParseBytes, src.len() as u64);
     let tokens = lex(src)?;
     let mut p = Parser { tokens, pos: 0 };
     let mut modules = Vec::new();

@@ -5,7 +5,7 @@
 //! cargo run --release --example compare_methods
 //! ```
 
-use correctbench_suite::autoeval::{evaluate, EvalTb};
+use correctbench_suite::autoeval::evaluate;
 use correctbench_suite::core::{run_method, Config, Method};
 use correctbench_suite::llm::{ModelKind, ModelProfile, SimulatedLlm};
 use rand::SeedableRng;
@@ -33,12 +33,7 @@ fn main() {
                 SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), 42 + i as u64);
             let mut rng = rand::rngs::StdRng::seed_from_u64(42 + i as u64);
             let outcome = run_method(*method, &problem, &mut llm, &cfg, &mut rng);
-            let tb = EvalTb {
-                scenarios: outcome.tb.scenarios.clone(),
-                driver: outcome.tb.driver.clone(),
-                checker: outcome.tb.checker.clone(),
-            };
-            cells.push(evaluate(&problem, &tb, 42).name().to_string());
+            cells.push(evaluate(&problem, &outcome.tb, 42).name().to_string());
         }
         println!(
             "{:<16} {:<14} {:<12} {:<10}",

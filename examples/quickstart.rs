@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart [problem-name]
 //! ```
 
-use correctbench_suite::autoeval::{evaluate, EvalTb};
+use correctbench_suite::autoeval::evaluate;
 use correctbench_suite::core::{run_correctbench, Config};
 use correctbench_suite::llm::{LlmClient, ModelKind, ModelProfile, SimulatedLlm};
 use rand::SeedableRng;
@@ -38,16 +38,11 @@ fn main() {
         outcome.tokens.input_tokens, outcome.tokens.output_tokens, outcome.tokens.requests
     );
 
-    let tb = EvalTb {
-        scenarios: outcome.tb.scenarios.clone(),
-        driver: outcome.tb.driver.clone(),
-        checker: outcome.tb.checker.clone(),
-    };
-    let level = evaluate(&problem, &tb, 2025);
+    let level = evaluate(&problem, &outcome.tb, 2025);
     println!("  AutoEval level     : {}", level.name());
 
     println!("\ngenerated driver (first 30 lines):");
-    for line in outcome.tb.driver.lines().take(30) {
+    for line in outcome.tb.driver.text().lines().take(30) {
         println!("  {line}");
     }
     let _ = llm.usage();

@@ -8,10 +8,11 @@
 //! ```
 
 use correctbench_suite::checker::compile_module;
-use correctbench_suite::core::validator::generate_rtl_group;
-use correctbench_suite::core::{build_rs_matrix, correct, judge, Config, HybridTb, Verdict};
+use correctbench_suite::core::{
+    build_rs_matrix, correct, generate_rtl_group, judge, Config, HybridTb, Verdict,
+};
 use correctbench_suite::llm::{CheckerArtifact, ModelKind, ModelProfile, SimulatedLlm};
-use correctbench_suite::tbgen::{generate_driver, generate_scenarios};
+use correctbench_suite::tbgen::{generate_driver, generate_scenarios, Driver};
 
 fn main() {
     let problem = correctbench_suite::dataset::problem("shift18").expect("shift18 in dataset");
@@ -20,7 +21,7 @@ fn main() {
     // A testbench whose checker carries injected defects — the stand-in
     // for the LLM's buggy Python checker in Fig. 5.
     let scenarios = generate_scenarios(&problem, 99);
-    let driver = generate_driver(&problem, &scenarios);
+    let driver = Driver::new(generate_driver(&problem, &scenarios));
     let mut checker =
         CheckerArtifact::clean(compile_module(&problem.golden_module()).expect("golden checker"));
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);

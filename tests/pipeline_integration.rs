@@ -3,7 +3,7 @@
 //! CorrectBench ≥ AutoBench ≥ Baseline on Eval2, and the attribution
 //! invariants behind Table III.
 
-use correctbench_suite::autoeval::{evaluate, EvalLevel, EvalTb};
+use correctbench_suite::autoeval::{evaluate, EvalLevel};
 use correctbench_suite::core::{run_method, Config, Method};
 use correctbench_suite::llm::{ModelKind, ModelProfile, SimulatedLlm};
 use rand::SeedableRng;
@@ -24,12 +24,7 @@ fn eval2_count(method: Method, seeds: std::ops::Range<u64>) -> usize {
             let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), seed);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xabc);
             let out = run_method(method, &problem, &mut llm, &cfg, &mut rng);
-            let tb = EvalTb {
-                scenarios: out.tb.scenarios.clone(),
-                driver: out.tb.driver.clone(),
-                checker: out.tb.checker.clone(),
-            };
-            if evaluate(&problem, &tb, 1) >= EvalLevel::Eval2 {
+            if evaluate(&problem, &out.tb, 1) >= EvalLevel::Eval2 {
                 passed += 1;
             }
         }
@@ -102,12 +97,7 @@ fn validated_testbenches_usually_pass_eval2() {
                 continue;
             }
             validated += 1;
-            let tb = EvalTb {
-                scenarios: out.tb.scenarios.clone(),
-                driver: out.tb.driver.clone(),
-                checker: out.tb.checker.clone(),
-            };
-            if evaluate(&problem, &tb, 1) >= EvalLevel::Eval2 {
+            if evaluate(&problem, &out.tb, 1) >= EvalLevel::Eval2 {
                 validated_and_passed += 1;
             }
         }
