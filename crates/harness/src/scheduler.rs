@@ -33,7 +33,6 @@ pub struct Engine {
     stack: CacheStack,
     obs: ObsStack,
     progress: bool,
-    one_shot: bool,
     faults: FaultPlan,
     /// Called once per *executed* (never replayed) outcome, from the
     /// worker that produced it — the persistent store's publish path.
@@ -53,7 +52,6 @@ impl Engine {
             stack: CacheStack::full(),
             obs: ObsStack::enabled(),
             progress: false,
-            one_shot: false,
             faults: FaultPlan::none(),
             outcome_hook: None,
             store_active: false,
@@ -93,13 +91,6 @@ impl Engine {
     /// sweep).
     pub fn with_stack(mut self, stack: CacheStack) -> Self {
         self.stack = stack;
-        self
-    }
-
-    /// Replaces the simulation cache, keeping the other layers — a
-    /// shim over [`Engine::with_stack`] kept for older callers.
-    pub fn with_cache(mut self, cache: Arc<SimCache>) -> Self {
-        self.stack = self.stack.with_sim_cache(cache);
         self
     }
 
@@ -144,19 +135,10 @@ impl Engine {
         self
     }
 
-    /// Forces the legacy one-shot evaluation path (fresh simulator per
-    /// run, interpreted judging) instead of session-batched execution.
-    /// The determinism suite runs plans both ways and pins artifact
-    /// equality; there is no reason to use this in production runs.
-    pub fn one_shot(mut self) -> Self {
-        self.one_shot = true;
-        self
-    }
-
     /// Runs every job of `plan`, returning outcomes in canonical job
     /// order plus run-level measurements.
     pub fn execute(&self, plan: &RunPlan, factory: &dyn ClientFactory) -> RunResult {
-        self.execute_streamed(plan, factory, None, 0)
+        self.execute_replayed(plan, factory, None, 0, Vec::new())
     }
 
     /// Like [`Engine::execute`], but skips the first `skip` jobs of the
@@ -164,20 +146,8 @@ impl Engine {
     /// replayed) and, when `journal` is given, streams every completed
     /// outcome line into it the moment its canonical predecessors are
     /// done — so an interrupted run leaves a usable prefix on disk
-    /// instead of nothing.
-    pub fn execute_streamed(
-        &self,
-        plan: &RunPlan,
-        factory: &dyn ClientFactory,
-        journal: Option<&OutcomeJournal>,
-        skip: usize,
-    ) -> RunResult {
-        self.execute_replayed(plan, factory, journal, skip, Vec::new())
-    }
-
-    /// Like [`Engine::execute_streamed`], but additionally takes
-    /// outcomes `replayed` from the persistent store (job ids within
-    /// the scheduled tail): their lines go straight to the journal —
+    /// instead of nothing. Outcomes `replayed` from the persistent store
+    /// (job ids within the scheduled tail) go straight to the journal —
     /// the reorder buffer interleaves them with executed lines in
     /// canonical order — and only the remaining jobs are scheduled. The
     /// returned outcome vector is the canonical merge of both, so every
@@ -209,7 +179,6 @@ impl Engine {
         let done = AtomicUsize::new(0);
         let executed = parallel_map(self.threads, Some(&self.stack), &to_run, |_, job| {
             let job: &crate::plan::Job = job;
-            let _one_shot_guard = self.one_shot.then(correctbench_tbgen::force_one_shot);
             // One collector per job (not per worker): the worker drains
             // it at job end, so measurements are attributed to the job
             // that incurred them no matter which worker ran it.

@@ -320,12 +320,11 @@ fn aborted_outcome(job: &Job, kind: AbortKind, wall: Duration) -> TaskOutcome {
 ///   becomes a deterministic `status: aborted` outcome instead of
 ///   taking down the worker.
 /// * `sim_budget` / `deadline_ms` are installed as the thread's
-///   [`JobBudget`] for the duration of the job; the tbgen runner clamps
-///   every simulation with them and aborts the job when a binding
+///   [`JobBudget`] for the duration of the job; tbgen clamps every
+///   simulation with them and aborts the job when a binding
 ///   budget is exhausted.
 /// * Cache hygiene is structural: every reuse layer inserts only after
-///   a simulation completes, and session leases discard their session
-///   when dropped mid-unwind — so an aborted job leaves no trace in the
+///   a simulation completes, so an aborted job leaves no trace in the
 ///   shared [`CacheStack`](correctbench_tbgen::CacheStack).
 pub fn run_job_guarded(
     job: &Job,

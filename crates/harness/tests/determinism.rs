@@ -66,29 +66,6 @@ fn cache_is_semantically_transparent() {
 }
 
 #[test]
-fn session_and_one_shot_paths_produce_byte_identical_jsonl() {
-    // The session API (reused simulator state, compiled checker judge)
-    // is a pure execution strategy: batching a sweep must never change
-    // what the sweep computes. Run the same plan session-batched and
-    // one-shot (fresh simulator per run, interpreted judging) and demand
-    // byte equality — with caches on and off, so no memo layer can paper
-    // over a divergence.
-    let session = artifact_with(Engine::new(4));
-    let one_shot = artifact_with(Engine::new(4).one_shot());
-    assert!(
-        session == one_shot,
-        "session-batched execution changed outcomes:\n--- session ---\n{session}\n--- one-shot ---\n{one_shot}"
-    );
-    let session_nc = artifact_with(Engine::new(4).without_cache());
-    let one_shot_nc = artifact_with(Engine::new(4).without_cache().one_shot());
-    assert!(
-        session_nc == one_shot_nc,
-        "session-batched execution changed uncached outcomes:\n--- session ---\n{session_nc}\n--- one-shot ---\n{one_shot_nc}"
-    );
-    assert!(session == session_nc, "cache setting changed outcomes");
-}
-
-#[test]
 fn golden_cache_is_semantically_transparent_across_thread_counts() {
     // Isolate the golden-artifact layer: the other layers stay on, only
     // the golden cache is toggled — and the comparison spans thread

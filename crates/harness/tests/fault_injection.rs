@@ -98,7 +98,6 @@ fn binding_sim_budget_aborts_deterministically_across_threads_and_caches() {
         Engine::new(4),
         Engine::new(8),
         Engine::new(4).without_cache(),
-        Engine::new(4).one_shot(),
     ] {
         let other = stream(engine, &plan);
         assert!(

@@ -2,7 +2,7 @@
 //!
 //! Everything in the reproduction that "runs a testbench" — the
 //! validator's RS-matrix rows, AutoEval's Eval1/Eval2 reports, the final
-//! verdicts — funnels through [`crate::run_testbench_parsed`], and the
+//! verdicts — funnels through [`crate::EvalSession::run`], and the
 //! same `(DUT, driver, checker, scenarios)` quadruple recurs constantly:
 //! every repetition of a problem re-simulates the golden testbench
 //! against the same ten Eval2 mutants, and validator RTL groups resample
@@ -24,10 +24,6 @@
 //! on short shard locks.
 
 use crate::runner::{TbError, TbRun};
-use crate::scenarios::ScenarioSet;
-use correctbench_checker::CheckerProgram;
-use correctbench_dataset::Problem;
-use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::hash::{Fingerprint, FingerprintHasher, StructuralHash};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,13 +41,17 @@ const SHARDS: usize = 16;
 /// fingerprints.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct CacheKey {
-    /// [`SourceFile::fingerprint`] of the DUT.
+    /// [`SourceFile::fingerprint`](correctbench_verilog::ast::SourceFile::fingerprint)
+    /// of the DUT.
     pub dut: Fingerprint,
-    /// [`SourceFile::fingerprint`] of the driver.
+    /// [`SourceFile::fingerprint`](correctbench_verilog::ast::SourceFile::fingerprint)
+    /// of the driver.
     pub driver: Fingerprint,
-    /// [`CheckerProgram::fingerprint`] of the checker.
+    /// [`CheckerProgram::fingerprint`](correctbench_checker::CheckerProgram::fingerprint)
+    /// of the checker.
     pub checker: Fingerprint,
-    /// [`ScenarioSet::fingerprint`] of the scenario list.
+    /// [`ScenarioSet::fingerprint`](crate::ScenarioSet::fingerprint) of the
+    /// scenario list.
     pub scenarios: Fingerprint,
     /// [`module_interface_fingerprint`] of the problem — what
     /// `judge_records` consults beyond the artifacts.
@@ -59,23 +59,6 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
-    /// Builds the key for one run.
-    pub fn for_run(
-        dut: &SourceFile,
-        driver: &SourceFile,
-        checker: &CheckerProgram,
-        problem: &Problem,
-        scenarios: &ScenarioSet,
-    ) -> Self {
-        CacheKey {
-            dut: dut.fingerprint(),
-            driver: driver.fingerprint(),
-            checker: checker.fingerprint(),
-            scenarios: scenarios.fingerprint(),
-            problem: module_interface_fingerprint(&problem.name, &problem.ports),
-        }
-    }
-
     fn shard(&self) -> usize {
         // The components are already well-mixed FNV states.
         (self
@@ -97,7 +80,7 @@ impl CacheKey {
 /// fingerprint of the problem name plus its port list (names, widths,
 /// directions) — everything record judging consults beyond the
 /// artifacts. Takes the bare fields so sessions need not hold a whole
-/// [`Problem`].
+/// [`Problem`](correctbench_dataset::Problem).
 pub fn module_interface_fingerprint(
     name: &str,
     ports: &[correctbench_dataset::PortSpec],
@@ -231,7 +214,7 @@ impl SimCache {
     }
 
     /// Makes `self` the active cache of the *current thread* until the
-    /// returned guard drops. [`crate::run_testbench_parsed`] consults the
+    /// returned guard drops. [`crate::EvalSession::run`] consults the
     /// active cache transparently; nesting restores the previous cache.
     ///
     /// A thin shim over [`CacheStack`](crate::CacheStack), which is the
@@ -310,8 +293,8 @@ mod tests {
     #[test]
     fn repeated_design_tb_pair_hits_through_the_runner() {
         use crate::driver::generate_driver;
-        use crate::runner::run_testbench_parsed;
         use crate::scenarios::generate_scenarios;
+        use crate::EvalSession;
 
         let p = correctbench_dataset::problem("and_8").expect("problem");
         let scenarios = generate_scenarios(&p, 7);
@@ -321,15 +304,15 @@ mod tests {
         let checker =
             correctbench_checker::compile_module(&p.golden_module()).expect("golden checker");
 
+        // A fresh session per run, so only the cache can link them.
+        let run = |dut| EvalSession::new(&p, &checker)?.run(dut, &driver, &scenarios);
         let cache = SimCache::new();
         let _guard = cache.install();
-        let first =
-            run_testbench_parsed(&dut, &driver, &checker, &p, &scenarios).expect("first run");
+        let first = run(&dut).expect("first run");
         let s1 = cache.stats();
         assert_eq!((s1.hits, s1.misses, s1.entries), (0, 1, 1));
 
-        let second =
-            run_testbench_parsed(&dut, &driver, &checker, &p, &scenarios).expect("second run");
+        let second = run(&dut).expect("second run");
         let s2 = cache.stats();
         assert_eq!(
             (s2.hits, s2.misses, s2.entries),
@@ -344,7 +327,7 @@ mod tests {
             .or_else(|| correctbench_dataset::problem("adder_8"))
             .expect("another problem");
         let other_dut = correctbench_verilog::parse(&other.golden_rtl).expect("parses");
-        let _ = run_testbench_parsed(&other_dut, &driver, &checker, &p, &scenarios);
+        let _ = run(&other_dut);
         let s3 = cache.stats();
         assert_eq!(s3.misses, 2, "different design must be a distinct entry");
     }

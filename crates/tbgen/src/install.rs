@@ -21,16 +21,12 @@ use std::thread::LocalKey;
 pub(crate) type Slot<T> = LocalKey<RefCell<Option<Arc<T>>>>;
 
 thread_local! {
-    /// The active simulation cache (consulted by the runner and
+    /// The active simulation cache (consulted by
     /// [`crate::EvalSession::run`]).
     pub(crate) static SIM: RefCell<Option<Arc<SimCache>>> = const { RefCell::new(None) };
     /// The active golden-artifact cache (consulted by
     /// `correctbench_autoeval::golden_artifacts`).
     pub(crate) static GOLDEN: RefCell<Option<Arc<GoldenCache>>> = const { RefCell::new(None) };
-    /// The one-shot escape hatch (see [`crate::force_one_shot`]) — not a
-    /// cache slot, but thread-local session state lives here with the
-    /// rest of the install machinery.
-    pub(crate) static ONE_SHOT: Cell<bool> = const { Cell::new(false) };
     /// The active per-job execution budget (see [`JobBudget`]) —
     /// consulted by every simulation entry point to clamp
     /// [`correctbench_verilog::sim::SimLimits`].
@@ -39,7 +35,7 @@ thread_local! {
 
 /// Per-job execution budgets a harness installs around one job. Both
 /// knobs are enforced at the simulation entry points
-/// ([`crate::simulate_records_limited`] and the session runner), which
+/// ([`crate::EvalSession::run`] and [`crate::reference_run`]), which
 /// clamp every run's [`SimLimits`](correctbench_verilog::sim::SimLimits)
 /// against them:
 ///
@@ -153,7 +149,7 @@ impl<T> Drop for InstallGuard<T> {
 ///
 /// let stack = CacheStack::full().without_golden_cache();
 /// let _guard = stack.install();
-/// // Runner calls on this thread now consult the simulation cache; the
+/// // Sessions on this thread now consult the simulation cache; the
 /// // guard restores the previous (usually empty) layers on drop.
 /// assert!(stack.stats().golden.is_none());
 /// ```

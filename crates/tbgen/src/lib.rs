@@ -3,8 +3,9 @@
 //! AutoBench testbenches are *hybrid*: a Verilog driver applies scenario
 //! stimuli to the DUT and logs records, and a separate checker computes
 //! reference outputs. This crate provides the canonical scenario
-//! generator, the driver code generator, record parsing, and the runner
-//! that produces per-scenario verdicts.
+//! generator, the driver code generator, record parsing, and the
+//! [`EvalSession`] that runs a testbench and produces per-scenario
+//! verdicts, with [`reference_run`] as its executable reference.
 //!
 //! # Examples
 //!
@@ -12,13 +13,14 @@
 //!
 //! ```
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! use correctbench_tbgen::{generate_driver, generate_scenarios, run_testbench};
+//! use correctbench_tbgen::{generate_driver, generate_scenarios, EvalSession};
 //!
 //! let problem = correctbench_dataset::problem("adder_8").expect("known problem");
 //! let scenarios = generate_scenarios(&problem, 42);
-//! let driver = generate_driver(&problem, &scenarios);
+//! let driver = correctbench_verilog::parse(&generate_driver(&problem, &scenarios))?;
 //! let checker = correctbench_checker::compile_module(&problem.golden_module())?;
-//! let run = run_testbench(&problem.golden_rtl, &driver, &checker, &problem, &scenarios)?;
+//! let dut = correctbench_verilog::parse(&problem.golden_rtl)?;
+//! let run = EvalSession::new(&problem, &checker)?.run(&dut, &driver, &scenarios)?;
 //! assert!(run.all_pass());
 //! # Ok(())
 //! # }
@@ -48,8 +50,7 @@ pub use install::{
 };
 pub use record::{parse_record, parse_records, FieldValue, Record, RecordBinding};
 pub use runner::{
-    compile_pair, judge_records, limits_for, run_testbench, run_testbench_parsed, simulate_records,
-    simulate_records_limited, simulate_records_parsed, ScenarioResult, TbError, TbRun,
+    compile_pair, judge_records, limits_for, reference_run, ScenarioResult, TbError, TbRun,
 };
 pub use scenarios::{generate_scenarios, Scenario, ScenarioSet, Stimulus};
-pub use session::{force_one_shot, EvalSession, OneShotGuard};
+pub use session::EvalSession;

@@ -1,18 +1,17 @@
-//! The hybrid-testbench runner: simulate DUT + driver, check outputs
-//! against the checker's reference model, and produce per-scenario
-//! verdicts.
-//!
-//! This is the execution engine behind everything in the paper that
-//! "runs a testbench": Eval1/Eval2 runs, the validator's RS-matrix rows,
-//! and the final user-facing verification.
+//! What a testbench run produces and the pieces every run shares: the
+//! verdict types, [`compile_pair`] (the design a run executes),
+//! [`limits_for`] (its simulation bounds), the interpreted checker judge
+//! [`judge_records`], and [`reference_run`], the fresh-everything run
+//! that [`crate::EvalSession`] (the way jobs execute: the validator's
+//! RS-matrix rows, Eval1/Eval2) is tested against.
 
 use crate::record::{parse_records, FieldValue, Record};
 use crate::scenarios::ScenarioSet;
-use crate::session::EvalSession;
 use correctbench_checker::{step, CheckerProgram, CheckerRunError, CheckerState};
 use correctbench_dataset::Problem;
+use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::{
-    elaborate, parse, CompiledDesign, SimError, SimLimits, Simulator, VerilogError,
+    elaborate, CompiledDesign, SimError, SimLimits, Simulator, VerilogError,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -29,8 +28,7 @@ pub enum ScenarioResult {
 }
 
 /// Result of running a hybrid testbench against one DUT: the verdicts,
-/// not the record stream they were judged from (callers that need the
-/// records simulate through [`simulate_records_limited`]), so a
+/// not the record stream they were judged from, so a
 /// [`crate::SimCache`] entry and every hit's clone stay small.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TbRun {
@@ -58,7 +56,7 @@ impl TbRun {
 }
 
 /// A testbench run failure.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum TbError {
     /// The DUT or driver failed to parse, elaborate or simulate.
     Verilog(VerilogError),
@@ -89,43 +87,17 @@ impl From<CheckerRunError> for TbError {
     }
 }
 
-/// Simulates `driver_src` against `dut_src` and returns the captured
-/// records.
-///
-/// # Errors
-///
-/// Any front-end or simulation failure of the combined sources.
-pub fn simulate_records(dut_src: &str, driver_src: &str) -> Result<(Vec<Record>, u64), TbError> {
-    let dut = parse(dut_src).map_err(VerilogError::from)?;
-    let driver = parse(driver_src).map_err(VerilogError::from)?;
-    simulate_records_parsed(&dut, &driver)
-}
-
-/// Like [`simulate_records`], for already-parsed sources. Hot paths (the
-/// RS matrix builds one row per RTL against the *same* driver; Eval2 runs
-/// the same testbench against 10 mutants) parse once and reuse.
+/// Simulates `driver` against `dut` under `limits` (clamped by the
+/// thread's [`crate::JobBudget`]) and returns the captured records and
+/// the end time. Every call combines, elaborates and compiles the pair
+/// afresh: the simulation half of [`reference_run`].
 ///
 /// # Errors
 ///
 /// Elaboration or simulation failure of the combined design.
-pub fn simulate_records_parsed(
-    dut: &correctbench_verilog::ast::SourceFile,
-    driver: &correctbench_verilog::ast::SourceFile,
-) -> Result<(Vec<Record>, u64), TbError> {
-    simulate_records_limited(dut, driver, SimLimits::default())
-}
-
-/// [`simulate_records_parsed`] with explicit simulator limits. Testbench
-/// runs bound `max_time` to the driver's stimulus schedule so a corrupted
-/// driver that lost its `$finish` cannot burn the full default horizon.
-/// Every call combines, elaborates and compiles the pair afresh.
-///
-/// # Errors
-///
-/// Elaboration or simulation failure of the combined design.
-pub fn simulate_records_limited(
-    dut: &correctbench_verilog::ast::SourceFile,
-    driver: &correctbench_verilog::ast::SourceFile,
+pub(crate) fn simulate_records_limited(
+    dut: &SourceFile,
+    driver: &SourceFile,
     limits: SimLimits,
 ) -> Result<(Vec<Record>, u64), TbError> {
     let compiled = compile_pair(dut, driver)?;
@@ -181,10 +153,7 @@ pub(crate) fn classify_sim_err(err: SimError, binding: bool) -> VerilogError {
 /// # Errors
 ///
 /// Elaboration failure of the combined design.
-pub fn compile_pair(
-    dut: &correctbench_verilog::ast::SourceFile,
-    driver: &correctbench_verilog::ast::SourceFile,
-) -> Result<CompiledDesign, TbError> {
+pub fn compile_pair(dut: &SourceFile, driver: &SourceFile) -> Result<CompiledDesign, TbError> {
     let mut file = dut.clone();
     file.modules.extend(driver.modules.iter().cloned());
     let design = elaborate(&file, crate::driver::TB_MODULE).map_err(VerilogError::from)?;
@@ -207,71 +176,19 @@ pub fn limits_for(scenarios: &ScenarioSet) -> SimLimits {
     }
 }
 
-/// Runs the hybrid testbench (driver + checker) against a DUT and returns
-/// per-scenario verdicts.
-///
-/// The checker consumes the *input fields of the records* — what the DUT
-/// actually saw — so driver bugs (wrong stimuli, missing scenarios) are
-/// observable as `Missing` scenarios rather than silently compensated.
+/// The executable reference for one testbench run: a fresh
+/// [`compile_pair`], a fresh [`Simulator`] and the checker interpreter
+/// ([`judge_records`]), with no session and no cache. Jobs run through
+/// [`crate::EvalSession`]; the session tests and the golden keystone
+/// test compare against this.
 ///
 /// # Errors
 ///
-/// [`TbError::Verilog`] when the DUT/driver fails the front end or the
+/// [`TbError::Verilog`] when the DUT/driver pair fails elaboration or
 /// simulation; [`TbError::Checker`] when the checker program is broken.
-pub fn run_testbench(
-    dut_src: &str,
-    driver_src: &str,
-    checker: &CheckerProgram,
-    problem: &Problem,
-    scenarios: &ScenarioSet,
-) -> Result<TbRun, TbError> {
-    let dut = parse(dut_src).map_err(VerilogError::from)?;
-    let driver = parse(driver_src).map_err(VerilogError::from)?;
-    run_testbench_parsed(&dut, &driver, checker, problem, scenarios)
-}
-
-/// [`run_testbench`] over already-parsed sources.
-///
-/// When a [`crate::SimCache`] is installed on the current thread (see
-/// [`crate::SimCache::install`]), the run is memoized under the content
-/// address of `(dut, driver, checker, problem ports, scenarios)`: a
-/// repeated key returns the stored result without simulating. A run is a
-/// pure function of that key, so cached and fresh results are identical.
-///
-/// # Errors
-///
-/// As [`run_testbench`].
-pub fn run_testbench_parsed(
-    dut: &correctbench_verilog::ast::SourceFile,
-    driver: &correctbench_verilog::ast::SourceFile,
-    checker: &CheckerProgram,
-    problem: &Problem,
-    scenarios: &ScenarioSet,
-) -> Result<TbRun, TbError> {
-    let key = crate::cache::with_active(|_| {
-        crate::cache::CacheKey::for_run(dut, driver, checker, problem, scenarios)
-    });
-    if let Some(key) = key {
-        if let Some(cached) = crate::cache::with_active(|c| c.get(&key)).flatten() {
-            return cached;
-        }
-        // The cache key already paid the checker/interface visitor
-        // walks; hand them to the session constructor below.
-        let fps = Some((key.problem, key.checker));
-        let result = run_testbench_uncached(dut, driver, checker, problem, scenarios, fps);
-        crate::cache::with_active(|c| c.put(key, result.clone()));
-        return result;
-    }
-    run_testbench_uncached(dut, driver, checker, problem, scenarios, None)
-}
-
-/// The legacy fresh-everything run: new simulator, interpreted judging.
-/// Still the semantic reference — [`crate::session::force_one_shot`]
-/// routes whole plans through it so the determinism suite can pin
-/// session/one-shot artifact equality.
-pub(crate) fn run_testbench_one_shot(
-    dut: &correctbench_verilog::ast::SourceFile,
-    driver: &correctbench_verilog::ast::SourceFile,
+pub fn reference_run(
+    dut: &SourceFile,
+    driver: &SourceFile,
     checker: &CheckerProgram,
     problem: &Problem,
     scenarios: &ScenarioSet,
@@ -279,32 +196,6 @@ pub(crate) fn run_testbench_one_shot(
     let (records, end_time) = simulate_records_limited(dut, driver, limits_for(scenarios))?;
     let results = judge_records(&records, checker, problem, scenarios.len())?;
     Ok(TbRun { results, end_time })
-}
-
-fn run_testbench_uncached(
-    dut: &correctbench_verilog::ast::SourceFile,
-    driver: &correctbench_verilog::ast::SourceFile,
-    checker: &CheckerProgram,
-    problem: &Problem,
-    scenarios: &ScenarioSet,
-    fingerprints: Option<(
-        correctbench_verilog::Fingerprint,
-        correctbench_verilog::Fingerprint,
-    )>,
-) -> Result<TbRun, TbError> {
-    if crate::session::one_shot_active() {
-        return run_testbench_one_shot(dut, driver, checker, problem, scenarios);
-    }
-    // A throwaway session: same execution engine as the batch paths,
-    // so one-shot callers and sweeps produce identical artifacts by
-    // construction.
-    let mut session = match fingerprints {
-        Some((problem_fp, checker_fp)) => {
-            EvalSession::with_fingerprints(problem, checker, problem_fp, checker_fp)?
-        }
-        None => EvalSession::new(problem, checker)?,
-    };
-    session.run_once(dut, driver, scenarios)
 }
 
 /// The width a record prints `name` at: its port width, defaulting to 1
@@ -347,21 +238,18 @@ pub(crate) fn output_ok(
 /// Judges already-captured records against the checker, interpreting the
 /// IR with [`step`] — the semantic reference the compiled session judge
 /// ([`crate::EvalSession`]) is differentially tested against.
+///
+/// The checker consumes the *input fields of the records* — what the DUT
+/// actually saw — so driver bugs (wrong stimuli, missing scenarios) are
+/// observable as `Missing` scenarios rather than silently compensated.
+///
+/// # Errors
+///
+/// [`TbError::Checker`] when the stream cannot be stepped.
 pub fn judge_records(
     records: &[Record],
     checker: &CheckerProgram,
     problem: &Problem,
-    num_scenarios: usize,
-) -> Result<Vec<ScenarioResult>, TbError> {
-    judge_records_with_ports(records, checker, &problem.ports, num_scenarios)
-}
-
-/// [`judge_records`] against a bare port list (all it reads from the
-/// problem).
-pub(crate) fn judge_records_with_ports(
-    records: &[Record],
-    checker: &CheckerProgram,
-    ports: &[correctbench_dataset::PortSpec],
     num_scenarios: usize,
 ) -> Result<Vec<ScenarioResult>, TbError> {
     let _span = correctbench_obs::span(correctbench_obs::Phase::Judge);
@@ -375,7 +263,7 @@ pub(crate) fn judge_records_with_ports(
     // (first occurrence, exactly like `Record::field`) instead of one
     // linear name search per signal per record.
     let mut binding = crate::record::RecordBinding::default();
-    let in_binds = bind_inputs(&mut binding, checker, ports);
+    let in_binds = bind_inputs(&mut binding, checker, &problem.ports);
     let out_slots: Vec<usize> = checker
         .outputs
         .iter()
@@ -436,15 +324,7 @@ mod tests {
     use correctbench_checker::compile_module;
     use correctbench_dataset::problem;
 
-    fn golden_setup(
-        name: &str,
-        seed: u64,
-    ) -> (
-        correctbench_dataset::Problem,
-        ScenarioSet,
-        String,
-        CheckerProgram,
-    ) {
+    fn golden_setup(name: &str, seed: u64) -> (Problem, ScenarioSet, String, CheckerProgram) {
         let p = problem(name).expect("problem");
         let scen = generate_scenarios(&p, seed);
         let driver = generate_driver(&p, &scen);
@@ -452,17 +332,31 @@ mod tests {
         (p, scen, driver, checker)
     }
 
+    /// [`reference_run`] over source texts; a parse failure is a
+    /// [`TbError::Verilog`] like any other front-end failure.
+    fn run_src(
+        dut: &str,
+        driver: &str,
+        checker: &CheckerProgram,
+        p: &Problem,
+        scen: &ScenarioSet,
+    ) -> Result<TbRun, TbError> {
+        let dut = correctbench_verilog::parse(dut).map_err(VerilogError::from)?;
+        let driver = correctbench_verilog::parse(driver).map_err(VerilogError::from)?;
+        reference_run(&dut, &driver, checker, p, scen)
+    }
+
     #[test]
     fn golden_dut_passes_combinational() {
         let (p, scen, driver, checker) = golden_setup("alu_8", 11);
-        let run = run_testbench(&p.golden_rtl, &driver, &checker, &p, &scen).expect("run");
+        let run = run_src(&p.golden_rtl, &driver, &checker, &p, &scen).expect("run");
         assert!(run.all_pass(), "results: {:?}", run.results);
     }
 
     #[test]
     fn golden_dut_passes_sequential() {
         let (p, scen, driver, checker) = golden_setup("counter_8", 13);
-        let run = run_testbench(&p.golden_rtl, &driver, &checker, &p, &scen).expect("run");
+        let run = run_src(&p.golden_rtl, &driver, &checker, &p, &scen).expect("run");
         assert!(run.all_pass(), "results: {:?}", run.results);
     }
 
@@ -475,7 +369,7 @@ mod tests {
         let m = file.module_mut(&p.name).expect("module");
         correctbench_verilog::mutate::mutate_module(m, &mut rng, 2);
         let mutant_src = correctbench_verilog::pretty::print_file(&file);
-        let run = run_testbench(&mutant_src, &driver, &checker, &p, &scen).expect("run");
+        let run = run_src(&mutant_src, &driver, &checker, &p, &scen).expect("run");
         assert!(
             !run.all_pass(),
             "a 2-site ALU mutant should fail some scenario"
@@ -486,7 +380,7 @@ mod tests {
     fn broken_dut_is_verilog_error() {
         let (p, scen, driver, checker) = golden_setup("and_8", 3);
         let broken = p.golden_rtl.replace(';', "");
-        let r = run_testbench(&broken, &driver, &checker, &p, &scen);
+        let r = run_src(&broken, &driver, &checker, &p, &scen);
         assert!(matches!(r, Err(TbError::Verilog(_))));
     }
 
@@ -498,7 +392,7 @@ mod tests {
         let marker = format!("// Scenario {}", scen.len());
         let cut = driver.find(&marker).expect("marker");
         let truncated = format!("{}\n$finish;\nend\nendmodule\n", &driver[..cut]);
-        let run = run_testbench(&p.golden_rtl, &truncated, &checker, &p, &scen).expect("run");
+        let run = run_src(&p.golden_rtl, &truncated, &checker, &p, &scen).expect("run");
         assert_eq!(*run.results.last().expect("last"), ScenarioResult::Missing);
         assert!(!run.all_pass());
     }

@@ -1,14 +1,9 @@
-//! Session-oriented evaluation: the batch surface of the runner.
+//! Session-oriented evaluation: the way every testbench runs.
 //!
 //! Every experiment in the reproduction bottoms out in *sweeps* — the
 //! validator's RS matrix runs one driver against a whole RTL group,
 //! Eval2 replays one testbench against ten mutants, repetition sweeps
-//! re-run near-identical pairs — yet the one-shot entry points
-//! ([`crate::run_testbench_parsed`] and friends) rebuild everything per
-//! run: a fresh [`Simulator`] value table, a fresh judging pass that
-//! re-interprets the checker IR with name-keyed maps.
-//!
-//! An [`EvalSession`] is the amortized form. It is pinned to one
+//! re-run near-identical pairs. An [`EvalSession`] is pinned to one
 //! `(problem, checker)` pair and owns, across arbitrarily many runs:
 //!
 //! * the **compiled checker** ([`JudgeSession`]) — IR flattened to slot
@@ -22,11 +17,9 @@
 //! * the **judging buffers** (per-scenario flags, positional inputs).
 //!
 //! [`EvalSession::run`] consults the thread's
-//! [`SimCache`](crate::SimCache) under the same content key as the
-//! one-shot path. Results are byte-identical to the one-shot path (the
-//! harness determinism suite pins session vs one-shot artifact
-//! equality), so the free functions are now thin wrappers over a
-//! throwaway session.
+//! [`SimCache`](crate::SimCache) first. Its results equal
+//! [`crate::reference_run`]'s (a fresh compile, a fresh simulator, the
+//! interpreted checker), which this module's tests pin run by run.
 
 use crate::cache::{module_interface_fingerprint, CacheKey};
 use crate::record::{parse_records, Record, RecordBinding};
@@ -63,17 +56,11 @@ use std::sync::Arc;
 /// # }
 /// ```
 pub struct EvalSession {
-    /// The checker IR (the one-shot fallback interprets it directly).
-    checker: CheckerProgram,
     /// [`CacheKey`] components fixed for the session, computed once in
     /// [`EvalSession::new`] — visitor fingerprints are cheap enough to
     /// take eagerly.
     checker_fp: Fingerprint,
     problem_fp: Fingerprint,
-    /// The one piece of the problem judging still reads per record —
-    /// a session does not hold the spec, name or golden RTL (the
-    /// problem's identity lives in `problem_fp`).
-    ports: Vec<correctbench_dataset::PortSpec>,
     judge: JudgeSession,
     /// Record-field resolution for the checker's inputs and outputs,
     /// re-indexed per record (first-occurrence semantics, exactly like
@@ -111,23 +98,6 @@ impl EvalSession {
     /// [`TbError::Checker`] when the checker program is malformed (the
     /// same class the interpreter rejects at judge time).
     pub fn new(problem: &Problem, checker: &CheckerProgram) -> Result<EvalSession, TbError> {
-        Self::with_fingerprints(
-            problem,
-            checker,
-            module_interface_fingerprint(&problem.name, &problem.ports),
-            checker.fingerprint(),
-        )
-    }
-
-    /// [`EvalSession::new`] with the `(problem, checker)` fingerprints
-    /// already in hand — the runner's cached path computes them for its
-    /// [`CacheKey`] and must not pay the visitor walks twice on a miss.
-    pub(crate) fn with_fingerprints(
-        problem: &Problem,
-        checker: &CheckerProgram,
-        problem_fp: Fingerprint,
-        checker_fp: Fingerprint,
-    ) -> Result<EvalSession, TbError> {
         let judge = JudgeSession::new(checker)?;
         let mut binding = RecordBinding::default();
         let input_slots = crate::runner::bind_inputs(&mut binding, checker, &problem.ports);
@@ -141,10 +111,8 @@ impl EvalSession {
             .map(|(_, w)| LogicVec::filled_x((*w).max(1)))
             .collect();
         Ok(EvalSession {
-            checker: checker.clone(),
-            checker_fp,
-            problem_fp,
-            ports: problem.ports.clone(),
+            checker_fp: checker.fingerprint(),
+            problem_fp: module_interface_fingerprint(&problem.name, &problem.ports),
             judge,
             binding,
             input_slots,
@@ -182,15 +150,13 @@ impl EvalSession {
         Ok(cd)
     }
 
-    /// Runs the hybrid testbench against one DUT — the session
-    /// counterpart of [`crate::run_testbench_parsed`], byte-identical
-    /// results included. Consults the thread's simulation cache first and
-    /// stores misses back, so batched and one-shot execution share one
-    /// memo table.
+    /// Runs the hybrid testbench against one DUT, with the same result
+    /// as [`crate::reference_run`]. Consults the thread's simulation
+    /// cache first and stores misses back.
     ///
     /// # Errors
     ///
-    /// As [`crate::run_testbench`].
+    /// As [`crate::reference_run`].
     pub fn run(
         &mut self,
         dut: &SourceFile,
@@ -229,40 +195,14 @@ impl EvalSession {
             .collect()
     }
 
-    /// Sweeps one DUT across many stimulus schedules (each a driver with
-    /// its scenario set) — the repetition-sweep shape.
-    pub fn sweep_schedules<'d>(
-        &mut self,
-        dut: &SourceFile,
-        schedules: impl IntoIterator<Item = &'d (SourceFile, ScenarioSet)>,
-    ) -> Vec<Result<TbRun, TbError>> {
-        schedules
-            .into_iter()
-            .map(|(driver, scenarios)| self.run(dut, driver, scenarios))
-            .collect()
-    }
-
     /// The uncached run: simulate (session simulator) and judge (compiled
-    /// checker). The one-shot escape hatch (see [`force_one_shot`])
-    /// instead takes the legacy fresh-everything path — the determinism
-    /// suite runs whole plans both ways and compares artifacts.
-    pub(crate) fn run_once(
+    /// checker).
+    fn run_once(
         &mut self,
         dut: &SourceFile,
         driver: &SourceFile,
         scenarios: &ScenarioSet,
     ) -> Result<TbRun, TbError> {
-        if one_shot_active() {
-            let (records, end_time) =
-                crate::runner::simulate_records_limited(dut, driver, limits_for(scenarios))?;
-            let results = crate::runner::judge_records_with_ports(
-                &records,
-                &self.checker,
-                &self.ports,
-                scenarios.len(),
-            )?;
-            return Ok(TbRun { results, end_time });
-        }
         let compiled = self.compiled(dut, driver)?;
         let (limits, binding) = crate::runner::budgeted_limits(limits_for(scenarios));
         let sim = match &mut self.sim {
@@ -347,46 +287,30 @@ impl EvalSession {
     }
 }
 
-/// `true` while a [`force_one_shot`] guard is live on this thread.
-pub(crate) fn one_shot_active() -> bool {
-    crate::install::ONE_SHOT.with(|f| f.get())
-}
-
-/// Forces every session on the current thread onto the legacy one-shot
-/// path — fresh simulator per run, interpreted judging — until the guard
-/// drops. Exists for the determinism suite (session-batched vs one-shot
-/// artifact equality) and A/B benchmarking; never needed for correctness.
-pub fn force_one_shot() -> OneShotGuard {
-    let prev = crate::install::ONE_SHOT.with(|f| f.replace(true));
-    OneShotGuard { prev }
-}
-
-/// Restores the previous execution path when dropped.
-pub struct OneShotGuard {
-    prev: bool,
-}
-
-impl Drop for OneShotGuard {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        crate::install::ONE_SHOT.with(|f| f.set(prev));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::generate_driver;
-    use crate::runner::run_testbench_parsed;
+    use crate::runner::reference_run;
     use crate::scenarios::generate_scenarios;
     use correctbench_checker::compile_module;
-    use correctbench_verilog::{parse, VerilogError};
+    use correctbench_verilog::{parse, SimError, VerilogError};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// The problems both sweep tests below run: a combinational ALU, a
-    /// counter and a wide shift register.
-    const SWEEP_PROBLEMS: [&str; 3] = ["alu_8", "counter_8", "shift18"];
+    /// counter, a wide shift register, and the [`LOOPED`] designs.
+    const SWEEP_PROBLEMS: [&str; 5] = [
+        "alu_8",
+        "counter_8",
+        "shift18",
+        "priority_enc_8",
+        "reverse_16",
+    ];
+
+    /// The `for`-loop designs of [`SWEEP_PROBLEMS`]: some of their
+    /// seeded mutants run away into `EventBudgetExhausted`.
+    const LOOPED: [&str; 2] = ["priority_enc_8", "reverse_16"];
 
     /// One problem's sweep inputs: the golden testbench (scenarios,
     /// parsed driver, checker) and a DUT sequence of the golden DUT plus
@@ -426,11 +350,12 @@ mod tests {
         }
     }
 
-    /// Session runs must match the one-shot free function exactly — on
-    /// golden DUTs, mutants, repeated DUTs (simulator reuse via reset),
-    /// and interleavings that force simulator reconstruction.
+    /// Session runs must match [`reference_run`] exactly, errors
+    /// included — on golden DUTs, mutants, runaway mutants, repeated DUTs
+    /// (simulator reuse via reset), and interleavings that force
+    /// simulator reconstruction.
     #[test]
-    fn session_matches_one_shot_across_a_sweep() {
+    fn session_matches_the_reference_across_a_sweep() {
         for name in SWEEP_PROBLEMS {
             let SweepInputs {
                 problem: p,
@@ -441,17 +366,21 @@ mod tests {
             } = sweep_inputs(name);
             let mut session = EvalSession::new(&p, &checker).expect("session");
             let swept = session.sweep_mutants(duts.iter().map(|(_, f)| f), &driver, &scen);
-            for ((_, dut), via_session) in duts.iter().zip(swept) {
-                let one_shot = {
-                    let _guard = force_one_shot();
-                    run_testbench_parsed(dut, &driver, &checker, &p, &scen)
-                };
-                match (via_session, one_shot) {
-                    (Ok(a), Ok(b)) => assert_eq!(a, b, "{name}: session diverged from one-shot"),
-                    (Err(_), Err(_)) => {}
-                    (a, b) => panic!("{name}: one path errored: {a:?} vs {b:?}"),
+            let mut runaways = 0;
+            for ((design, dut), via_session) in duts.iter().zip(swept) {
+                let reference = reference_run(dut, &driver, &checker, &p, &scen);
+                assert_eq!(
+                    via_session, reference,
+                    "{name}: design {design} diverged from the reference"
+                );
+                if reference == Err(TbError::Verilog(SimError::EventBudgetExhausted.into())) {
+                    runaways += 1;
                 }
             }
+            assert!(
+                runaways > 0 || !LOOPED.contains(&name),
+                "{name}: no mutant ran away"
+            );
         }
     }
 
@@ -509,31 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_schedules_matches_one_shot() {
-        let p = correctbench_dataset::problem("counter_8").expect("problem");
-        let checker = compile_module(&p.golden_module()).expect("checker");
-        let dut = parse(&p.golden_rtl).expect("golden");
-        let schedules: Vec<(SourceFile, ScenarioSet)> = (0..3u64)
-            .map(|seed| {
-                let scen = generate_scenarios(&p, 100 + seed);
-                let driver = parse(&generate_driver(&p, &scen)).expect("driver");
-                (driver, scen)
-            })
-            .collect();
-        let mut session = EvalSession::new(&p, &checker).expect("session");
-        for ((driver, scen), run) in schedules
-            .iter()
-            .zip(session.sweep_schedules(&dut, schedules.iter()))
-        {
-            let reference = {
-                let _guard = force_one_shot();
-                run_testbench_parsed(&dut, driver, &checker, &p, scen).expect("one-shot")
-            };
-            assert_eq!(run.expect("session run"), reference);
-        }
-    }
-
-    #[test]
     fn session_uses_sim_cache() {
         let p = correctbench_dataset::problem("and_8").expect("problem");
         let scen = generate_scenarios(&p, 5);
@@ -548,24 +452,5 @@ mod tests {
         assert_eq!(a, b);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        // And the one-shot wrapper hits the very same entry.
-        let c = crate::run_testbench_parsed(&dut, &driver, &checker, &p, &scen).expect("wrapper");
-        assert_eq!(a, c);
-        assert_eq!(cache.stats().hits, 2);
-    }
-
-    #[test]
-    fn one_shot_guard_is_scoped() {
-        assert!(!one_shot_active());
-        {
-            let _g = force_one_shot();
-            assert!(one_shot_active());
-            {
-                let _g2 = force_one_shot();
-                assert!(one_shot_active());
-            }
-            assert!(one_shot_active());
-        }
-        assert!(!one_shot_active());
     }
 }

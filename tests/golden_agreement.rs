@@ -3,11 +3,28 @@
 //! interpretation of the same design agree on every scenario — i.e. the
 //! golden testbench passes Eval1 dataset-wide. This pins the two
 //! independent execution semantics (simulator vs. checker interpreter)
-//! to each other.
+//! to each other. The runs go through `reference_run`, whose judge is the
+//! checker interpreter; the compiled judge jobs use is pinned to the
+//! interpreter separately (`crates/checker/tests/exec_diff.rs`).
 
-use correctbench_suite::checker::compile_module;
-use correctbench_suite::dataset::all_problems;
-use correctbench_suite::tbgen::{generate_driver, generate_scenarios, run_testbench};
+use correctbench_suite::checker::{compile_module, CheckerProgram};
+use correctbench_suite::dataset::{all_problems, Problem};
+use correctbench_suite::tbgen::{
+    generate_driver, generate_scenarios, reference_run, ScenarioSet, TbError, TbRun,
+};
+use correctbench_suite::verilog::{parse, VerilogError};
+
+/// The golden RTL of `p` under `driver`, run through the reference.
+fn run_golden(
+    p: &Problem,
+    driver: &str,
+    checker: &CheckerProgram,
+    scenarios: &ScenarioSet,
+) -> Result<TbRun, TbError> {
+    let dut = parse(&p.golden_rtl).map_err(VerilogError::from)?;
+    let driver = parse(driver).map_err(VerilogError::from)?;
+    reference_run(&dut, &driver, checker, p, scenarios)
+}
 
 #[test]
 fn golden_testbench_passes_on_all_156_problems() {
@@ -24,7 +41,7 @@ fn golden_testbench_passes_on_all_156_problems() {
                 continue;
             }
         };
-        match run_testbench(&p.golden_rtl, &driver, &checker, p, &scenarios) {
+        match run_golden(p, &driver, &checker, &scenarios) {
             Ok(run) => {
                 if !run.all_pass() {
                     failures.push(format!(
@@ -69,7 +86,7 @@ fn golden_agreement_across_multiple_seeds() {
         for seed in [1u64, 2, 3, 4, 5] {
             let scenarios = generate_scenarios(&p, seed);
             let driver = generate_driver(&p, &scenarios);
-            let run = run_testbench(&p.golden_rtl, &driver, &checker, &p, &scenarios)
+            let run = run_golden(&p, &driver, &checker, &scenarios)
                 .unwrap_or_else(|e| panic!("{name} seed {seed}: {e}"));
             assert!(
                 run.all_pass(),
