@@ -1,18 +1,14 @@
 //! `bench_sim`: the simulation-core micro-benchmark behind the
 //! `BENCH_sim.json` perf trajectory.
 //!
-//! Measures the testbench hot path — combine DUT + driver, elaborate,
-//! compile, execute, judge against the checker — on representative
-//! combinational and sequential problems, in three configurations:
+//! Measures the testbench hot path — elaborate DUT + driver, simulate,
+//! judge against the checker — on representative combinational and
+//! sequential problems, in two configurations:
 //!
-//! * `tree_walk_ns` — execute the pre-compiled design with the
-//!   tree-walking interpreter (`ExecMode::TreeWalk`) and judge: the
-//!   bytecode's executable reference, timed on exactly the work
-//!   `bytecode_cached_ns` does, so their ratio is the bytecode's own.
-//! * `bytecode_ns` — re-elaborate *and recompile* every run, execute
-//!   bytecode: the path every freshly generated design takes.
-//! * `bytecode_cached_ns` — execute bytecode against the pre-compiled
-//!   design: the steady state an `EvalSession` reaches when its design
+//! * `fresh_design_ns` — re-elaborate the pair every run, then simulate
+//!   and judge: the path every freshly generated design takes.
+//! * `cached_design_ns` — simulate the already elaborated design and
+//!   judge: the steady state an `EvalSession` reaches when its design
 //!   memo holds the pair (repeated runs of one DUT + driver).
 //!
 //! Further interleaved comparisons:
@@ -20,7 +16,7 @@
 //! * `judge_interp_ns` vs `judge_session_ns` — judging one pre-captured
 //!   record stream with the interpreter (`judge_records`) and with the
 //!   session's compiled checker.
-//! * `bytecode_cached_ns` vs `hot_path_obs_ns` — the same steady-state
+//! * `cached_design_ns` vs `hot_path_obs_ns` — the same steady-state
 //!   hot path with no observability collector armed (spans and counter
 //!   probes short-circuit on the thread-local check) and with a live
 //!   per-job collector installed (`ObsStack::enabled`), pinning the
@@ -63,14 +59,15 @@ use correctbench_harness::{
 use correctbench_llm::SimulatedClientFactory;
 use correctbench_obs::ObsStack;
 use correctbench_tbgen::{
-    compile_pair, generate_driver, generate_scenarios, judge_records, limits_for, EvalSession,
+    elaborate_pair, generate_driver, generate_scenarios, judge_records, limits_for, EvalSession,
     GoldenCache, ScenarioSet,
 };
 use correctbench_verilog::ast::SourceFile;
-use correctbench_verilog::{lint_files, parse, CompiledDesign, ExecMode, SimLimits, Simulator};
+use correctbench_verilog::{lint_files, parse, Design, SimLimits, Simulator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 const PROBLEMS: &[&str] = &["alu_8", "mux4_8", "counter_8", "shift18"];
@@ -109,11 +106,10 @@ fn case_for(name: &str) -> Case {
     }
 }
 
-/// One full run: simulate `compiled` and judge the records — everything
+/// One full run: simulate `design` and judge the records — everything
 /// a testbench run does after elaboration.
-fn simulate_and_judge(case: &Case, compiled: &CompiledDesign, mode: ExecMode) {
-    let out = Simulator::from_compiled_with_limits(compiled, case.limits)
-        .with_mode(mode)
+fn simulate_and_judge(case: &Case, design: impl Into<Arc<Design>>) {
+    let out = Simulator::with_limits(design, case.limits)
         .run()
         .expect("simulation ok");
     let records = correctbench_tbgen::parse_records(&out.lines);
@@ -159,9 +155,8 @@ fn medians_interleaved<const N: usize>(
 struct Row {
     name: String,
     kind: &'static str,
-    tree_walk_ns: u64,
-    bytecode_ns: u64,
-    bytecode_cached_ns: u64,
+    fresh_design_ns: u64,
+    cached_design_ns: u64,
     hot_path_obs_ns: u64,
     judge_interp_ns: u64,
     judge_session_ns: u64,
@@ -173,11 +168,6 @@ struct Row {
 }
 
 impl Row {
-    /// Bytecode vs. tree-walk execution of the same compiled design.
-    fn speedup_vs_tree_walk(&self) -> f64 {
-        self.tree_walk_ns as f64 / self.bytecode_cached_ns.max(1) as f64
-    }
-
     /// Compiled checker vs. interpreted judging of one record stream.
     fn speedup_judge(&self) -> f64 {
         self.judge_interp_ns as f64 / self.judge_session_ns.max(1) as f64
@@ -196,7 +186,7 @@ impl Row {
     /// Cost of a live observability collector on the steady-state hot
     /// path, in percent over the unobserved run.
     fn obs_overhead_pct(&self) -> f64 {
-        (self.hot_path_obs_ns as f64 / self.bytecode_cached_ns.max(1) as f64 - 1.0) * 100.0
+        (self.hot_path_obs_ns as f64 / self.cached_design_ns.max(1) as f64 - 1.0) * 100.0
     }
 }
 
@@ -259,10 +249,10 @@ fn main() {
     let mut rows = Vec::new();
     for name in PROBLEMS {
         let case = case_for(name);
-        let compiled = compile_pair(&case.dut, &case.driver).expect("elaborate");
+        let design = Arc::new(elaborate_pair(&case.dut, &case.driver).expect("elaborate"));
         // One pre-captured record stream for the judge-only arms.
         let records = {
-            let out = Simulator::from_compiled_with_limits(&compiled, case.limits)
+            let out = Simulator::with_limits(Arc::clone(&design), case.limits)
                 .run()
                 .expect("simulation ok");
             correctbench_tbgen::parse_records(&out.lines)
@@ -293,25 +283,22 @@ fn main() {
         store
             .put(&store_key, &encode_cell(&primed))
             .expect("publish primed cell");
-        let [tree_walk_ns, bytecode_ns, bytecode_cached_ns, hot_path_obs_ns, judge_interp_ns, judge_session_ns, golden_derive_ns, golden_cached_ns, lint_warn_ns, store_cold_job_ns, store_warm_hit_ns] =
+        let [fresh_design_ns, cached_design_ns, hot_path_obs_ns, judge_interp_ns, judge_session_ns, golden_derive_ns, golden_cached_ns, lint_warn_ns, store_cold_job_ns, store_warm_hit_ns] =
             medians_interleaved(
                 samples,
                 &mut [
                     &mut || {
-                        simulate_and_judge(&case, &compiled, ExecMode::TreeWalk);
+                        let fresh = elaborate_pair(&case.dut, &case.driver).expect("elaborate");
+                        simulate_and_judge(&case, fresh);
                     },
                     &mut || {
-                        let fresh = compile_pair(&case.dut, &case.driver).expect("elaborate");
-                        simulate_and_judge(&case, &fresh, ExecMode::Bytecode);
-                    },
-                    &mut || {
-                        simulate_and_judge(&case, &compiled, ExecMode::Bytecode);
+                        simulate_and_judge(&case, Arc::clone(&design));
                     },
                     &mut || {
                         // The identical hot path with a collector armed:
                         // every span and counter flush does real work.
                         let _obs = ObsStack::enabled().install();
-                        simulate_and_judge(&case, &compiled, ExecMode::Bytecode);
+                        simulate_and_judge(&case, Arc::clone(&design));
                     },
                     &mut || {
                         std::hint::black_box(
@@ -376,9 +363,8 @@ fn main() {
             } else {
                 "seq"
             },
-            tree_walk_ns,
-            bytecode_ns,
-            bytecode_cached_ns,
+            fresh_design_ns,
+            cached_design_ns,
             hot_path_obs_ns,
             judge_interp_ns,
             judge_session_ns,
@@ -389,15 +375,14 @@ fn main() {
             store_warm_hit_ns,
         };
         eprintln!(
-            "{:<12} tree-walk {:>9} ns | bytecode {:>9} ns | precompiled {:>9} ns | vs tree {:.2}x | judge {:.2}x | golden {:.2}x | lint warn {:>7} ns | store warm {:.0}x | obs {:+.2}%",
-            row.name, row.tree_walk_ns, row.bytecode_ns, row.bytecode_cached_ns,
-            row.speedup_vs_tree_walk(), row.speedup_judge(), row.speedup_golden(),
+            "{:<12} fresh design {:>9} ns | cached design {:>9} ns | judge {:.2}x | golden {:.2}x | lint warn {:>7} ns | store warm {:.0}x | obs {:+.2}%",
+            row.name, row.fresh_design_ns, row.cached_design_ns,
+            row.speedup_judge(), row.speedup_golden(),
             row.lint_warn_ns, row.speedup_store(), row.obs_overhead_pct(),
         );
         rows.push(row);
     }
 
-    let vs_tree = Spread::of(&rows, Row::speedup_vs_tree_walk);
     let judge = Spread::of(&rows, Row::speedup_judge);
     let golden = Spread::of(&rows, Row::speedup_golden);
     let store = Spread::of(&rows, Row::speedup_store);
@@ -407,7 +392,6 @@ fn main() {
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"sim_exec\",");
     let _ = writeln!(json, "  \"samples\": {samples},");
-    let _ = writeln!(json, "{}", vs_tree.json_line("speedup_vs_tree_walk"));
     let _ = writeln!(
         json,
         "{}",
@@ -432,9 +416,9 @@ fn main() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"name\":\"{}\",\"kind\":\"{}\",\"tree_walk_ns\":{},\"bytecode_ns\":{},\"bytecode_cached_ns\":{},\"speedup_vs_tree_walk\":{:.2},\"judge_interp_ns\":{},\"judge_session_ns\":{},\"speedup_judge_compiled_vs_interp\":{:.2},\"golden_derive_ns\":{},\"golden_cached_ns\":{},\"speedup_golden_cached\":{:.2},\"lint_warn_ns\":{},\"store_cold_job_ns\":{},\"store_warm_hit_ns\":{},\"speedup_store_warm_vs_cold\":{:.2},\"hot_path_obs_ns\":{},\"obs_overhead_pct\":{:.2}}}{comma}",
-            r.name, r.kind, r.tree_walk_ns, r.bytecode_ns, r.bytecode_cached_ns,
-            r.speedup_vs_tree_walk(), r.judge_interp_ns, r.judge_session_ns, r.speedup_judge(),
+            "    {{\"name\":\"{}\",\"kind\":\"{}\",\"fresh_design_ns\":{},\"cached_design_ns\":{},\"judge_interp_ns\":{},\"judge_session_ns\":{},\"speedup_judge_compiled_vs_interp\":{:.2},\"golden_derive_ns\":{},\"golden_cached_ns\":{},\"speedup_golden_cached\":{:.2},\"lint_warn_ns\":{},\"store_cold_job_ns\":{},\"store_warm_hit_ns\":{},\"speedup_store_warm_vs_cold\":{:.2},\"hot_path_obs_ns\":{},\"obs_overhead_pct\":{:.2}}}{comma}",
+            r.name, r.kind, r.fresh_design_ns, r.cached_design_ns,
+            r.judge_interp_ns, r.judge_session_ns, r.speedup_judge(),
             r.golden_derive_ns, r.golden_cached_ns, r.speedup_golden(),
             r.lint_warn_ns,
             r.store_cold_job_ns, r.store_warm_hit_ns, r.speedup_store(),
@@ -453,8 +437,8 @@ fn main() {
         None => String::new(),
     };
     eprintln!(
-        "median speedups: {:.2}x vs tree-walk, compiled judge {:.2}x, cached golden {:.2}x, warm store {:.2}x, obs overhead {:+.2}%{lint_tail} -> {out_path}",
-        vs_tree.median, judge.median, golden.median, store.median, obs.median
+        "median speedups: compiled judge {:.2}x, cached golden {:.2}x, warm store {:.2}x, obs overhead {:+.2}%{lint_tail} -> {out_path}",
+        judge.median, golden.median, store.median, obs.median
     );
 }
 

@@ -5,8 +5,7 @@
 //! LogicVec>` by name, reads register state through another hash map, and
 //! returns outputs as a freshly allocated name-keyed map. None of that
 //! resolution depends on the step — the program is fixed — so a
-//! [`JudgeSession`] does it once, mirroring how [`correctbench_verilog`]'s
-//! `compile` module turned the tree-walking simulator into register
+//! [`JudgeSession`] does it once, compiling the program to register
 //! bytecode:
 //!
 //! * every node gets a **slot** in a preallocated value file at its

@@ -2,8 +2,7 @@
 //! interpreter [`correctbench_checker::step`] output-for-output — on
 //! golden checkers compiled from the dataset, on IR *mutants* (the
 //! defect model the whole reproduction revolves around), and on random
-//! input streams containing x/z values. Mirrors what
-//! `crates/tbgen/tests/exec_diff.rs` pins for the simulator's bytecode.
+//! input streams containing x/z values.
 
 use correctbench_checker::{
     compile_module, mutate_ir, step, CheckerProgram, CheckerState, JudgeSession,

@@ -236,9 +236,10 @@ pub fn generate_rtl_group(
 
 /// Simulates every RTL of the group ([`generate_rtl_group`]) under the
 /// testbench and assembles the RS matrix. The driver's carried parse is
-/// used as is, and the whole group runs through one
-/// [`correctbench_tbgen::EvalSession`]: the checker compile and record
-/// bindings are paid once per matrix, never once per row.
+/// used as is, and the whole group runs as one
+/// [`correctbench_tbgen::EvalSession::sweep_mutants`]: the checker
+/// compile, the record bindings and the schedule's hash are paid once per
+/// matrix, never once per row.
 pub fn build_rs_matrix(problem: &Problem, tb: &HybridTb, rtls: &[SourceFile]) -> RsMatrix {
     let ns = tb.scenarios.len();
     let unknown_matrix = || RsMatrix {
@@ -252,24 +253,22 @@ pub fn build_rs_matrix(problem: &Problem, tb: &HybridTb, rtls: &[SourceFile]) ->
         // same verdict the per-row interpreter produced.
         return unknown_matrix();
     };
-    let mut rows = Vec::with_capacity(rtls.len());
-    for dut in rtls {
-        let row = session
-            .run(dut, driver, &tb.scenarios)
-            .ok()
-            .map(|run| {
-                run.results
-                    .iter()
-                    .map(|r| match r {
-                        ScenarioResult::Pass => RsCell::Correct,
-                        ScenarioResult::Fail => RsCell::Wrong,
-                        ScenarioResult::Missing => RsCell::Unknown,
-                    })
-                    .collect()
-            })
-            .unwrap_or_else(|| vec![RsCell::Unknown; ns]);
-        rows.push(row);
-    }
+    let rows = session
+        .sweep_mutants(rtls, driver, &tb.scenarios)
+        .into_iter()
+        .map(|run| match run {
+            Ok(run) => run
+                .results
+                .iter()
+                .map(|r| match r {
+                    ScenarioResult::Pass => RsCell::Correct,
+                    ScenarioResult::Fail => RsCell::Wrong,
+                    ScenarioResult::Missing => RsCell::Unknown,
+                })
+                .collect(),
+            Err(_) => vec![RsCell::Unknown; ns],
+        })
+        .collect();
     RsMatrix { rows }
 }
 

@@ -10,7 +10,7 @@
 //!   Attribution is **exclusive** (self-time): entering a nested span
 //!   pauses the parent, so a job's per-phase nanoseconds sum to the
 //!   wall time actually covered by spans — never double-counted.
-//! * [`add`] bumps a [`Counter`] (simulation events, retired bytecode
+//! * [`add`] bumps a [`Counter`] (simulation events, retired process
 //!   instructions, NBA commits, budget-exhausted runs and their
 //!   instructions, judge slot commits, bytes parsed, per-layer cache hits
 //!   and misses)
@@ -39,7 +39,10 @@ pub enum Phase {
     Parse,
     /// AST → elaborated design (`verilog::elaborate`).
     Elab,
-    /// Elaborated design → bytecode (`CompiledDesign::new`).
+    /// Reads 0: nothing compiles an elaborated design any more, since the
+    /// simulator walks it directly. The phase keeps its place because
+    /// store cells encode phases by position and `perfbench-trace` reads
+    /// it.
     Compile,
     /// Event-driven simulation (`Simulator::run`).
     Simulate,
@@ -94,13 +97,13 @@ impl Phase {
 pub enum Counter {
     /// Simulator activations processed (process + assign wake-ups).
     SimEvents,
-    /// Bytecode instructions retired by the simulator.
+    /// Process instructions retired by the simulator.
     SimInstrs,
     /// Non-blocking assignment commits applied.
     NbaCommits,
     /// Simulations that ended in `EventBudgetExhausted`.
     SimBudgetTrips,
-    /// Bytecode instructions retired by those simulations.
+    /// Process instructions retired by those simulations.
     SimTripInstrs,
     /// Compiled-judge register slot commits.
     JudgeCommits,

@@ -50,7 +50,7 @@ pub use install::{
 };
 pub use record::{parse_record, parse_records, FieldValue, Record, RecordBinding};
 pub use runner::{
-    compile_pair, judge_records, limits_for, reference_run, ScenarioResult, TbError, TbRun,
+    elaborate_pair, judge_records, limits_for, reference_run, ScenarioResult, TbError, TbRun,
 };
 pub use scenarios::{generate_scenarios, Scenario, ScenarioSet, Stimulus};
 pub use session::EvalSession;

@@ -1,5 +1,5 @@
 //! What a testbench run produces and the pieces every run shares: the
-//! verdict types, [`compile_pair`] (the design a run executes),
+//! verdict types, [`elaborate_pair`] (the design a run executes),
 //! [`limits_for`] (its simulation bounds), the interpreted checker judge
 //! [`judge_records`], and [`reference_run`], the fresh-everything run
 //! that [`crate::EvalSession`] (the way jobs execute: the validator's
@@ -10,9 +10,7 @@ use crate::scenarios::ScenarioSet;
 use correctbench_checker::{step, CheckerProgram, CheckerRunError, CheckerState};
 use correctbench_dataset::Problem;
 use correctbench_verilog::ast::SourceFile;
-use correctbench_verilog::{
-    elaborate, CompiledDesign, SimError, SimLimits, Simulator, VerilogError,
-};
+use correctbench_verilog::{elaborate_files, Design, SimError, SimLimits, Simulator, VerilogError};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -89,8 +87,8 @@ impl From<CheckerRunError> for TbError {
 
 /// Simulates `driver` against `dut` under `limits` (clamped by the
 /// thread's [`crate::JobBudget`]) and returns the captured records and
-/// the end time. Every call combines, elaborates and compiles the pair
-/// afresh: the simulation half of [`reference_run`].
+/// the end time. Every call elaborates the pair afresh: the simulation
+/// half of [`reference_run`].
 ///
 /// # Errors
 ///
@@ -100,9 +98,9 @@ pub(crate) fn simulate_records_limited(
     driver: &SourceFile,
     limits: SimLimits,
 ) -> Result<(Vec<Record>, u64), TbError> {
-    let compiled = compile_pair(dut, driver)?;
+    let design = elaborate_pair(dut, driver)?;
     let (limits, binding) = budgeted_limits(limits);
-    let out = Simulator::from_compiled_with_limits(&compiled, limits)
+    let out = Simulator::with_limits(design, limits)
         .run()
         .map_err(|e| classify_sim_err(e, binding))?;
     Ok((parse_records(&out.lines), out.end_time))
@@ -145,19 +143,17 @@ pub(crate) fn classify_sim_err(err: SimError, binding: bool) -> VerilogError {
     }
 }
 
-/// Combines a DUT with a driver, elaborates the pair under
-/// [`crate::driver::TB_MODULE`] and compiles it for the simulator —
-/// the single definition of "the design a testbench run executes",
-/// shared by the runner, the benches and the differential tests.
+/// Elaborates a DUT and a driver as one file under
+/// [`crate::driver::TB_MODULE`], without joining their ASTs — the single
+/// definition of "the design a testbench run executes", shared by the
+/// runner, the benches and the differential tests.
 ///
 /// # Errors
 ///
 /// Elaboration failure of the combined design.
-pub fn compile_pair(dut: &SourceFile, driver: &SourceFile) -> Result<CompiledDesign, TbError> {
-    let mut file = dut.clone();
-    file.modules.extend(driver.modules.iter().cloned());
-    let design = elaborate(&file, crate::driver::TB_MODULE).map_err(VerilogError::from)?;
-    Ok(CompiledDesign::new(design))
+pub fn elaborate_pair(dut: &SourceFile, driver: &SourceFile) -> Result<Design, TbError> {
+    elaborate_files(&[dut, driver], crate::driver::TB_MODULE)
+        .map_err(|e| TbError::Verilog(e.into()))
 }
 
 /// The simulation-time bound implied by a scenario schedule: every
@@ -177,7 +173,7 @@ pub fn limits_for(scenarios: &ScenarioSet) -> SimLimits {
 }
 
 /// The executable reference for one testbench run: a fresh
-/// [`compile_pair`], a fresh [`Simulator`] and the checker interpreter
+/// [`elaborate_pair`], a fresh [`Simulator`] and the checker interpreter
 /// ([`judge_records`]), with no session and no cache. Jobs run through
 /// [`crate::EvalSession`]; the session tests and the golden keystone
 /// test compare against this.

@@ -11,25 +11,25 @@
 //! * the **record bindings** — `(checker input → record field, port
 //!   width)` resolved to indices once, not string-searched per record;
 //! * the **simulator** — kept while consecutive runs execute the same
-//!   [`CompiledDesign`] (by `Arc` identity, which the session's design
-//!   memo makes common for repeated pairs) and rewound with
+//!   [`Design`] (by `Arc` identity, which the session's design memo
+//!   makes common for repeated pairs) and rewound with
 //!   [`Simulator::reset`] instead of reconstructed;
 //! * the **judging buffers** (per-scenario flags, positional inputs).
 //!
 //! [`EvalSession::run`] consults the thread's
 //! [`SimCache`](crate::SimCache) first. Its results equal
-//! [`crate::reference_run`]'s (a fresh compile, a fresh simulator, the
-//! interpreted checker), which this module's tests pin run by run.
+//! [`crate::reference_run`]'s (a fresh elaboration, a fresh simulator,
+//! the interpreted checker), which this module's tests pin run by run.
 
 use crate::cache::{module_interface_fingerprint, CacheKey};
 use crate::record::{parse_records, Record, RecordBinding};
-use crate::runner::{compile_pair, limits_for, ScenarioResult, TbError, TbRun};
+use crate::runner::{elaborate_pair, limits_for, ScenarioResult, TbError, TbRun};
 use crate::scenarios::ScenarioSet;
 use correctbench_checker::{CheckerProgram, JudgeSession};
 use correctbench_dataset::Problem;
 use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::hash::Fingerprint;
-use correctbench_verilog::{CompiledDesign, LogicVec, Simulator};
+use correctbench_verilog::{Design, LogicVec, Simulator};
 use std::sync::Arc;
 
 /// A reusable evaluation session for one `(problem, checker)` pair.
@@ -75,18 +75,18 @@ pub struct EvalSession {
     input_buf: Vec<LogicVec>,
     seen: Vec<bool>,
     failed: Vec<bool>,
-    /// Kept while consecutive runs share a compiled design.
-    sim: Option<Simulator<'static>>,
+    /// Kept while consecutive runs share a design.
+    sim: Option<Simulator>,
     /// The session's own level-0 design memo: fingerprints of the last
-    /// (DUT, driver) pair and its compiled form. Repeated pairs — the
+    /// (DUT, driver) pair and its elaborated design. Repeated pairs — the
     /// defining shape of a sweep — reuse the simulator instead of
-    /// recompiling. Keyed on [`SourceFile::fingerprint`]: the caller's
+    /// re-elaborating. Keyed on [`SourceFile::fingerprint`]: the caller's
     /// files cache their own fingerprint, so a repeated probe is two u64
     /// compares. Only the last pair is held, so a session's memory
     /// stays bounded by one design.
     last_dut: Option<Fingerprint>,
     last_driver: Option<Fingerprint>,
-    last_compiled: Option<Arc<CompiledDesign>>,
+    last_design: Option<Arc<Design>>,
 }
 
 impl EvalSession {
@@ -123,31 +123,27 @@ impl EvalSession {
             sim: None,
             last_dut: None,
             last_driver: None,
-            last_compiled: None,
+            last_design: None,
         })
     }
 
-    /// The compiled pair: the session memo when the pair repeats, a fresh
-    /// [`compile_pair`] otherwise. Compilation is a pure function of the
-    /// two sources, so a memo hit is semantically identical to
-    /// recompiling.
-    fn compiled(
-        &mut self,
-        dut: &SourceFile,
-        driver: &SourceFile,
-    ) -> Result<Arc<CompiledDesign>, TbError> {
+    /// The elaborated pair: the session memo when the pair repeats, a
+    /// fresh [`elaborate_pair`] otherwise. Elaboration is a pure function
+    /// of the two sources, so a memo hit is semantically identical to
+    /// re-elaborating.
+    fn design(&mut self, dut: &SourceFile, driver: &SourceFile) -> Result<Arc<Design>, TbError> {
         let dut_fp = dut.fingerprint();
         let driver_fp = driver.fingerprint();
         if self.last_dut == Some(dut_fp) && self.last_driver == Some(driver_fp) {
-            if let Some(cd) = &self.last_compiled {
-                return Ok(Arc::clone(cd));
+            if let Some(design) = &self.last_design {
+                return Ok(Arc::clone(design));
             }
         }
-        let cd = Arc::new(compile_pair(dut, driver)?);
+        let design = Arc::new(elaborate_pair(dut, driver)?);
         self.last_dut = Some(dut_fp);
         self.last_driver = Some(driver_fp);
-        self.last_compiled = Some(Arc::clone(&cd));
-        Ok(cd)
+        self.last_design = Some(Arc::clone(&design));
+        Ok(design)
     }
 
     /// Runs the hybrid testbench against one DUT, with the same result
@@ -163,11 +159,40 @@ impl EvalSession {
         driver: &SourceFile,
         scenarios: &ScenarioSet,
     ) -> Result<TbRun, TbError> {
+        self.run_keyed(dut, driver, scenarios, &mut None)
+    }
+
+    /// Sweeps one driver across many DUTs — the RS-matrix / Eval2 shape.
+    /// Setup (checker compilation, bindings) is shared; the simulator is
+    /// reused whenever consecutive DUTs elaborate to the same design, and
+    /// the scenario schedule is hashed at most once per sweep.
+    pub fn sweep_mutants<'d>(
+        &mut self,
+        duts: impl IntoIterator<Item = &'d SourceFile>,
+        driver: &SourceFile,
+        scenarios: &ScenarioSet,
+    ) -> Vec<Result<TbRun, TbError>> {
+        let mut scenarios_fp = None;
+        duts.into_iter()
+            .map(|dut| self.run_keyed(dut, driver, scenarios, &mut scenarios_fp))
+            .collect()
+    }
+
+    /// [`EvalSession::run`], taking the schedule's fingerprint from
+    /// `scenarios_fp` and filling it on the first cache probe: nothing is
+    /// hashed when no simulation cache is active.
+    fn run_keyed(
+        &mut self,
+        dut: &SourceFile,
+        driver: &SourceFile,
+        scenarios: &ScenarioSet,
+        scenarios_fp: &mut Option<Fingerprint>,
+    ) -> Result<TbRun, TbError> {
         let key = crate::cache::with_active(|_| CacheKey {
             dut: dut.fingerprint(),
             driver: driver.fingerprint(),
             checker: self.checker_fp,
-            scenarios: scenarios.fingerprint(),
+            scenarios: *scenarios_fp.get_or_insert_with(|| scenarios.fingerprint()),
             problem: self.problem_fp,
         });
         if let Some(key) = key {
@@ -181,20 +206,6 @@ impl EvalSession {
         self.run_once(dut, driver, scenarios)
     }
 
-    /// Sweeps one driver across many DUTs — the RS-matrix / Eval2 shape.
-    /// Setup (checker compilation, bindings) is shared; the simulator is
-    /// reused whenever consecutive DUTs compile to the same design.
-    pub fn sweep_mutants<'d>(
-        &mut self,
-        duts: impl IntoIterator<Item = &'d SourceFile>,
-        driver: &SourceFile,
-        scenarios: &ScenarioSet,
-    ) -> Vec<Result<TbRun, TbError>> {
-        duts.into_iter()
-            .map(|dut| self.run(dut, driver, scenarios))
-            .collect()
-    }
-
     /// The uncached run: simulate (session simulator) and judge (compiled
     /// checker).
     fn run_once(
@@ -203,15 +214,15 @@ impl EvalSession {
         driver: &SourceFile,
         scenarios: &ScenarioSet,
     ) -> Result<TbRun, TbError> {
-        let compiled = self.compiled(dut, driver)?;
+        let design = self.design(dut, driver)?;
         let (limits, binding) = crate::runner::budgeted_limits(limits_for(scenarios));
         let sim = match &mut self.sim {
-            Some(sim) if sim.shares(&compiled) => {
+            Some(sim) if sim.shares(&design) => {
                 sim.reset();
                 sim.set_limits(limits);
                 sim
             }
-            slot => slot.insert(Simulator::from_shared_with_limits(compiled, limits)),
+            slot => slot.insert(Simulator::with_limits(design, limits)),
         };
         let out = sim
             .run()
@@ -396,11 +407,11 @@ mod tests {
         for name in SWEEP_PROBLEMS {
             let inputs = sweep_inputs(name);
             let limits = limits_for(&inputs.scenarios);
-            let mut sims: Vec<Option<Simulator<'static>>> = Vec::new();
+            let mut sims: Vec<Option<Simulator>> = Vec::new();
             for (round, (design, dut)) in inputs.duts.iter().chain(&inputs.duts).enumerate() {
                 let what = format!("{name}: run {round} (design {design})");
                 let fresh = crate::runner::simulate_records_limited(dut, &inputs.driver, limits);
-                let Ok(compiled) = compile_pair(dut, &inputs.driver) else {
+                let Ok(elaborated) = elaborate_pair(dut, &inputs.driver) else {
                     assert!(fresh.is_err(), "{what}: only the fresh path elaborated");
                     continue;
                 };
@@ -412,10 +423,7 @@ mod tests {
                         sim.reset();
                         sim
                     }
-                    slot => slot.insert(Simulator::from_shared_with_limits(
-                        Arc::new(compiled),
-                        limits,
-                    )),
+                    slot => slot.insert(Simulator::with_limits(elaborated, limits)),
                 };
                 match (sim.run(), fresh) {
                     (Ok(out), Ok((records, end_time))) => {

@@ -1,38 +1,27 @@
-//! Design-level differential test: the bytecode executor must reproduce
-//! the tree-walker's behaviour — `$display` stream, end time, finish
-//! flag, and error classification — on real hybrid-testbench designs:
-//! golden DUTs and randomly mutated ones across the dataset.
-//!
-//! The expression-level equivalence is pinned by the proptests inside
-//! `correctbench-verilog`; this test closes the loop over whole
-//! event-driven runs (process scheduling, NBA commits, watchers, case
-//! dispatch, lvalue writes through dynamic indices). It is also the
-//! reference for the bytecode's runaway-loop detector: the tree-walker
-//! runs every loop to the step budget.
+//! Design-level differential test of the simulator's runaway-loop
+//! detector: with detection on, a run must reproduce the run with
+//! detection off — `$display` stream, end time, finish flag and error
+//! classification — on real hybrid-testbench designs, seeded mutants of
+//! the dataset's looped problems. With detection off every runaway runs
+//! to the step budget, so the off run is the detector's reference.
 
 use correctbench_obs::{Counter, ObsStack};
-use correctbench_tbgen::{compile_pair, generate_driver, generate_scenarios, limits_for};
-use correctbench_verilog::ast::SourceFile;
-use correctbench_verilog::{
-    parse, CompiledDesign, ExecMode, SimError, SimLimits, SimOutput, Simulator,
-};
+use correctbench_tbgen::{elaborate_pair, generate_driver, generate_scenarios, limits_for};
+use correctbench_verilog::{parse, Design, SimError, SimLimits, SimOutput, Simulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn compiled(dut: &SourceFile, driver: &SourceFile) -> CompiledDesign {
-    compile_pair(dut, driver).expect("elaborate")
-}
+use std::sync::Arc;
 
 /// One run under an armed collector: the result and the instructions it
 /// retired, cross-checked against the wasted-work counters.
 fn run_observed(
-    compiled: &CompiledDesign,
+    design: &Arc<Design>,
     limits: SimLimits,
-    mode: ExecMode,
+    detect: bool,
 ) -> (Result<SimOutput, SimError>, u64) {
     let _obs = ObsStack::enabled().install();
-    let out = Simulator::from_compiled_with_limits(compiled, limits)
-        .with_mode(mode)
+    let out = Simulator::with_limits(Arc::clone(design), limits)
+        .detect_runaways(detect)
         .run();
     let obs = correctbench_obs::take_job().expect("collector armed");
     let instrs = obs.counter(Counter::SimInstrs);
@@ -46,71 +35,20 @@ fn run_observed(
 }
 
 fn assert_same_result(
-    byte: Result<SimOutput, SimError>,
-    tree: Result<SimOutput, SimError>,
+    on: Result<SimOutput, SimError>,
+    off: Result<SimOutput, SimError>,
     what: &str,
 ) {
-    match (byte, tree) {
-        (Ok(b), Ok(t)) => {
-            assert_eq!(b.lines, t.lines, "{what}: output lines differ");
-            assert_eq!(b.end_time, t.end_time, "{what}: end time differs");
-            assert_eq!(b.finished, t.finished, "{what}: finish flag differs");
+    match (on, off) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a.lines, b.lines, "{what}: output lines differ");
+            assert_eq!(a.end_time, b.end_time, "{what}: end time differs");
+            assert_eq!(a.finished, b.finished, "{what}: finish flag differs");
         }
-        (Err(b), Err(t)) => {
-            assert_eq!(b, t, "{what}: errors differ");
+        (Err(a), Err(b)) => {
+            assert_eq!(a, b, "{what}: errors differ");
         }
-        (b, t) => panic!("{what}: one mode errored and the other did not: {b:?} vs {t:?}"),
-    }
-}
-
-fn assert_modes_agree(compiled: &CompiledDesign, limits: SimLimits, what: &str) {
-    let byte = Simulator::from_compiled_with_limits(compiled, limits).run();
-    let tree = Simulator::from_compiled_with_limits(compiled, limits)
-        .with_mode(ExecMode::TreeWalk)
-        .run();
-    assert_same_result(byte, tree, what);
-}
-
-/// Every `n`-th problem of the dataset (full golden coverage is the
-/// slower harness suites' job; a stride keeps this differential fast
-/// while still touching cmb and seq designs of every family).
-fn sampled_problems(stride: usize) -> Vec<correctbench_dataset::Problem> {
-    correctbench_dataset::all_problems()
-        .into_iter()
-        .step_by(stride)
-        .collect()
-}
-
-#[test]
-fn golden_designs_agree_across_modes() {
-    for (i, p) in sampled_problems(9).iter().enumerate() {
-        let scenarios = generate_scenarios(p, 11 + i as u64);
-        let driver = parse(&generate_driver(p, &scenarios)).expect("driver parses");
-        let dut = parse(&p.golden_rtl).expect("golden parses");
-        let compiled = compiled(&dut, &driver);
-        assert_modes_agree(&compiled, limits_for(&scenarios), &p.name);
-    }
-}
-
-#[test]
-fn mutant_designs_agree_across_modes() {
-    for (i, p) in sampled_problems(13).iter().enumerate() {
-        let scenarios = generate_scenarios(p, 5 + i as u64);
-        let driver = parse(&generate_driver(p, &scenarios)).expect("driver parses");
-        for seed in 0..3u64 {
-            let mut file = parse(&p.golden_rtl).expect("golden parses");
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9) ^ i as u64);
-            let m = file.module_mut(&p.name).expect("module");
-            correctbench_verilog::mutate::mutate_module(m, &mut rng, 2);
-            let mutant = correctbench_verilog::pretty::print_file(&file);
-            let dut = parse(&mutant).expect("mutant parses");
-            let compiled = compiled(&dut, &driver);
-            assert_modes_agree(
-                &compiled,
-                limits_for(&scenarios),
-                &format!("{} mutant {seed}", p.name),
-            );
-        }
+        (a, b) => panic!("{what}: detection changed whether the run errored: {a:?} vs {b:?}"),
     }
 }
 
@@ -132,7 +70,7 @@ fn runaway_loop_mutants_agree_with_the_reference() {
         .collect();
     assert_eq!(looped.len(), 9, "problems whose golden RTL has a loop");
     let (mut runs, mut trips, mut early) = (0u64, 0u64, 0u64);
-    let (mut byte_trip_instrs, mut tree_trip_instrs) = (0u64, 0u64);
+    let (mut on_trip_instrs, mut off_trip_instrs) = (0u64, 0u64);
     for (i, p) in looped.iter().enumerate() {
         let scenarios = generate_scenarios(p, 17 + i as u64);
         let driver = parse(&generate_driver(p, &scenarios)).expect("driver parses");
@@ -150,7 +88,7 @@ fn runaway_loop_mutants_agree_with_the_reference() {
             correctbench_verilog::mutate::mutate_module(m, &mut rng, 1 + (seed % 3) as usize);
             let mutant = correctbench_verilog::pretty::print_file(&file);
             let dut = parse(&mutant).expect("mutant parses");
-            let compiled = compiled(&dut, &driver);
+            let design = Arc::new(elaborate_pair(&dut, &driver).expect("elaborate"));
             let budgets: &[SimLimits] = if seed < NATURAL_BUDGET_MUTANTS {
                 &[tight, natural]
             } else {
@@ -158,30 +96,30 @@ fn runaway_loop_mutants_agree_with_the_reference() {
             };
             for limits in budgets {
                 let what = format!("{} mutant {seed} at {} steps", p.name, limits.max_steps);
-                let (byte, byte_instrs) = run_observed(&compiled, *limits, ExecMode::Bytecode);
-                let (tree, tree_instrs) = run_observed(&compiled, *limits, ExecMode::TreeWalk);
+                let (on, on_instrs) = run_observed(&design, *limits, true);
+                let (off, off_instrs) = run_observed(&design, *limits, false);
                 runs += 1;
-                if matches!(tree, Err(SimError::EventBudgetExhausted)) {
+                if matches!(off, Err(SimError::EventBudgetExhausted)) {
                     trips += 1;
-                    assert_eq!(tree_instrs, limits.max_steps + 1, "{what}");
-                    assert!(byte_instrs <= tree_instrs, "{what}");
-                    early += u64::from(byte_instrs < tree_instrs);
-                    byte_trip_instrs += byte_instrs;
-                    tree_trip_instrs += tree_instrs;
+                    assert_eq!(off_instrs, limits.max_steps + 1, "{what}");
+                    assert!(on_instrs <= off_instrs, "{what}");
+                    early += u64::from(on_instrs < off_instrs);
+                    on_trip_instrs += on_instrs;
+                    off_trip_instrs += off_instrs;
                 } else {
-                    assert_eq!(byte_instrs, tree_instrs, "{what}: same work");
+                    assert_eq!(on_instrs, off_instrs, "{what}: same work");
                 }
-                assert_same_result(byte, tree, &what);
+                assert_same_result(on, off, &what);
             }
         }
     }
     assert_eq!(runs, 9 * (LOOP_MUTANTS + NATURAL_BUDGET_MUTANTS));
     assert!(early > 0, "no runaway caught early in {trips} trips");
     assert!(
-        byte_trip_instrs < tree_trip_instrs,
-        "bytecode retired {byte_trip_instrs} instructions in {trips} trips, the reference {tree_trip_instrs}"
+        on_trip_instrs < off_trip_instrs,
+        "detection on retired {on_trip_instrs} instructions in {trips} trips, off {off_trip_instrs}"
     );
     eprintln!(
-        "{runs} runs, {trips} trips, {early} caught early: {byte_trip_instrs} vs {tree_trip_instrs} trip instructions"
+        "{runs} runs, {trips} trips, {early} caught early: {on_trip_instrs} vs {off_trip_instrs} trip instructions"
     );
 }

@@ -2,9 +2,9 @@
 //!
 //! Elaboration flattens the module hierarchy into a [`Design`]: a table of
 //! signals, a list of continuous assignments, and a list of processes whose
-//! bodies are compiled to a small bytecode ([`Instr`]) so that the event
-//! simulator can suspend them at delays and event controls and resume them
-//! later.
+//! bodies are lowered to a flat instruction list ([`Instr`]) so that the
+//! event simulator can suspend them at delays and event controls and resume
+//! them later.
 //!
 //! Expression evaluation implements the Verilog context-determined sizing
 //! rules: operands of arithmetic and bitwise operators are extended to the
@@ -29,7 +29,7 @@ pub enum SignalKind {
 }
 
 /// A flattened signal.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct SignalDef {
     /// Hierarchical name (`u1.q` for instance-internal signals).
     pub name: String,
@@ -45,7 +45,7 @@ pub struct SignalDef {
 
 /// A resolved expression: operator tree with signal ids, annotated with the
 /// self-determined width and signedness used by the sizing rules.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct RExpr {
     /// Self-determined width.
     pub width: usize,
@@ -56,7 +56,7 @@ pub struct RExpr {
 }
 
 /// Expression node kinds.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum RExprKind {
     /// Literal value.
     Lit(LogicVec),
@@ -126,7 +126,7 @@ impl RExpr {
 }
 
 /// A resolved assignment target.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum RLValue {
     /// Whole signal.
     Sig(SignalId),
@@ -168,7 +168,7 @@ impl RLValue {
 }
 
 /// A system-task argument after resolution.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum RSysArg {
     /// String literal (format strings).
     Str(String),
@@ -176,8 +176,8 @@ pub enum RSysArg {
     Expr(RExpr),
 }
 
-/// One bytecode instruction of a process body.
-#[derive(Clone, Debug)]
+/// One instruction of a process body.
+#[derive(Clone, PartialEq, Debug)]
 pub enum Instr {
     /// Blocking assignment.
     Assign(RLValue, RExpr),
@@ -187,6 +187,16 @@ pub enum Instr {
     JumpIfFalse(RExpr, usize),
     /// Unconditional jump.
     Jump(usize),
+    /// Backward jump to `head` closing a zero-time loop: no `Delay` or
+    /// `WaitEvent` lies between `head` and this instruction. The
+    /// simulator's runaway detector runs here; `guard` is set when the
+    /// loop has the counted shape (see [`CountedGuard`]).
+    LoopBack {
+        /// The loop's first instruction.
+        head: usize,
+        /// The counted-loop facts, when the loop has that shape.
+        guard: Option<CountedGuard>,
+    },
     /// Multi-way branch for `case`/`casez`/`casex`.
     CaseJump {
         /// Selector.
@@ -213,6 +223,29 @@ pub enum Instr {
     Halt,
 }
 
+/// A counted zero-time loop, as laid out by the elaborator's `for`/`while`
+/// lowering:
+///
+/// ```text
+/// H:    if !(v REL k) goto B+1     REL ∈ {<, <=, >, >=}, either operand order
+///       …body…                     no suspension, no $finish/$stop, no write
+///                                  to v, every jump lands inside the body
+/// B-1:  v = v ± c  (or c + v)      c a literal
+/// B:    goto H                     the LoopBack carrying this guard
+/// ```
+///
+/// where `k` reads no signal the loop writes. Within one activation `v`
+/// then walks `v, v + step, v + 2·step, …` (mod 2^width) and `k` is
+/// constant, which is what lets the simulator prove the loop outlives its
+/// step budget without running it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct CountedGuard {
+    /// The loop variable.
+    pub var: SignalId,
+    /// What one execution of the step adds to `var`, modulo 2^width.
+    pub step: u64,
+}
+
 /// Kind of process.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ProcessKind {
@@ -222,19 +255,23 @@ pub enum ProcessKind {
     Always,
 }
 
-/// A compiled process.
-#[derive(Clone, Debug)]
+/// An elaborated process.
+#[derive(Clone, PartialEq, Debug)]
 pub struct ProcessDef {
     /// Initial or always.
     pub kind: ProcessKind,
-    /// Bytecode body.
+    /// Instruction body.
     pub code: Vec<Instr>,
     /// Debug name (`initial#0`, `always#2`).
     pub name: String,
+    /// Signals the process writes with blocking assignments: together
+    /// with the pc, the state of an activation that the runaway detector
+    /// compares. Left empty for processes without an [`Instr::LoopBack`].
+    pub written: Box<[SignalId]>,
 }
 
 /// A continuous assignment.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct RAssign {
     /// Target.
     pub lhs: RLValue,
@@ -245,7 +282,7 @@ pub struct RAssign {
 }
 
 /// A flattened, executable design.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct Design {
     /// All signals.
     pub signals: Vec<SignalDef>,

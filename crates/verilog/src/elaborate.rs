@@ -3,14 +3,17 @@
 //! Elaboration resolves names to signal ids, folds parameters into
 //! constants, flattens the instance hierarchy with dotted name prefixes,
 //! binds instance ports with continuous assignments, annotates expressions
-//! with Verilog sizing information, and compiles procedural bodies to the
-//! bytecode executed by the simulator.
+//! with Verilog sizing information, and lowers procedural bodies to the
+//! instruction lists the simulator walks. It also marks each process's
+//! zero-time loops ([`Instr::LoopBack`], with a [`CountedGuard`] for the
+//! counted ones) and the signals it writes, the facts the simulator's
+//! runaway detector works from.
 
 use crate::ast::*;
 use crate::design::*;
 use crate::error::ElabError;
 use crate::logic::LogicVec;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Elaborates `top` (and everything it instantiates) from `file`.
 ///
@@ -21,22 +24,34 @@ use std::collections::HashMap;
 /// modules, recursive instantiation deeper than 16 levels, bad port
 /// bindings, and `always` blocks that could never suspend.
 pub fn elaborate(file: &SourceFile, top: &str) -> Result<Design, ElabError> {
+    elaborate_files(&[file], top)
+}
+
+/// Elaborates `top` from the modules of `files` taken as one file. Module
+/// lookup and the duplicate-module check span every file, so this is
+/// exactly [`elaborate`] over a parse of their texts joined in order —
+/// without building the joined AST.
+///
+/// # Errors
+///
+/// As [`elaborate`].
+pub fn elaborate_files(files: &[&SourceFile], top: &str) -> Result<Design, ElabError> {
     let _span = correctbench_obs::span(correctbench_obs::Phase::Elab);
-    let mut seen = HashMap::new();
-    for m in &file.modules {
-        if seen.insert(m.name.clone(), ()).is_some() {
+    let mut seen = HashSet::new();
+    for m in files.iter().flat_map(|f| &f.modules) {
+        if !seen.insert(m.name.as_str()) {
             return Err(ElabError::new(format!("duplicate module `{}`", m.name)));
         }
     }
-    let module = file
-        .module(top)
-        .ok_or_else(|| ElabError::new(format!("top module `{top}` not found")))?;
     let mut design = Design::default();
     let mut el = Elaborator {
-        file,
+        files,
         design: &mut design,
         temp_counter: 0,
     };
+    let module = el
+        .module(top)
+        .ok_or_else(|| ElabError::new(format!("top module `{top}` not found")))?;
     el.instantiate(module, "", 0)?;
     Ok(design)
 }
@@ -86,12 +101,29 @@ fn checked_width(width: usize, what: &str) -> Result<usize, ElabError> {
 }
 
 struct Elaborator<'a> {
-    file: &'a SourceFile,
+    files: &'a [&'a SourceFile],
     design: &'a mut Design,
     temp_counter: usize,
 }
 
 impl<'a> Elaborator<'a> {
+    /// The module named `name`, from whichever file defines it.
+    fn module(&self, name: &str) -> Option<&'a Module> {
+        self.files.iter().find_map(|f| f.module(name))
+    }
+
+    /// Appends a process, marking its zero-time loops for the
+    /// simulator's runaway detector.
+    fn push_process(&mut self, kind: ProcessKind, mut code: Vec<Instr>, name: String) {
+        let written = mark_zero_time_loops(self.design, &mut code);
+        self.design.processes.push(ProcessDef {
+            kind,
+            code,
+            name,
+            written,
+        });
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn add_signal(
         &mut self,
@@ -265,11 +297,7 @@ impl<'a> Elaborator<'a> {
                 code.push(Instr::Assign(lhs, rhs));
             }
             code.push(Instr::Halt);
-            self.design.processes.push(ProcessDef {
-                kind: ProcessKind::Initial,
-                code,
-                name: format!("{prefix}$decl_init"),
-            });
+            self.push_process(ProcessKind::Initial, code, format!("{prefix}$decl_init"));
         }
 
         // Second pass: behaviour.
@@ -336,11 +364,7 @@ impl<'a> Elaborator<'a> {
                         }
                     }
                     let code = comp.code;
-                    self.design.processes.push(ProcessDef {
-                        kind: ProcessKind::Always,
-                        code,
-                        name: format!("{prefix}always#{idx}"),
-                    });
+                    self.push_process(ProcessKind::Always, code, format!("{prefix}always#{idx}"));
                 }
                 Item::Initial(body) => {
                     let idx = self.design.processes.len();
@@ -354,11 +378,7 @@ impl<'a> Elaborator<'a> {
                     comp.stmt(body)?;
                     comp.code.push(Instr::Halt);
                     let code = comp.code;
-                    self.design.processes.push(ProcessDef {
-                        kind: ProcessKind::Initial,
-                        code,
-                        name: format!("{prefix}initial#{idx}"),
-                    });
+                    self.push_process(ProcessKind::Initial, code, format!("{prefix}initial#{idx}"));
                 }
                 Item::Instance(inst) => {
                     self.bind_instance(&scope, prefix, inst, depth)?;
@@ -377,12 +397,10 @@ impl<'a> Elaborator<'a> {
         depth: usize,
     ) -> Result<(), ElabError> {
         let module = self
-            .file
             .module(&inst.module)
-            .ok_or_else(|| ElabError::new(format!("unknown module `{}`", inst.module)))?
-            .clone();
+            .ok_or_else(|| ElabError::new(format!("unknown module `{}`", inst.module)))?;
         let inner_prefix = format!("{prefix}{}.", inst.name);
-        let inner_scope = self.instantiate(&module, &inner_prefix, depth + 1)?;
+        let inner_scope = self.instantiate(module, &inner_prefix, depth + 1)?;
 
         // Pair up connections with ports.
         let pairs: Vec<(String, Option<&Expr>)> = match &inst.conns {
@@ -770,7 +788,7 @@ pub fn const_eval(e: &RExpr) -> Option<LogicVec> {
     Some(eval(e, e.width, &NoSigs))
 }
 
-/// Statement-to-bytecode compiler for one process body.
+/// Statement-to-instruction lowering for one process body.
 struct BodyCompiler<'a, 'b> {
     el: &'a mut Elaborator<'b>,
     scope: &'a Scope,
@@ -999,6 +1017,159 @@ impl BodyCompiler<'_, '_> {
             Instr::JumpIfFalse(_, t) => *t = target,
             other => panic!("patch target is not a jump: {other:?}"),
         }
+    }
+}
+
+// ---- loop analysis ----
+
+/// Turns the back-edge of every zero-time loop in `code` into an
+/// [`Instr::LoopBack`] and returns the signals the process writes with
+/// blocking assignments, or nothing when it has no such loop.
+fn mark_zero_time_loops(design: &Design, code: &mut [Instr]) -> Box<[SignalId]> {
+    // Read every guard off the unmarked body: an outer loop sees the
+    // back-edge of an inner one as the plain in-body jump it was.
+    let loops: Vec<_> = zero_time_back_edges(code)
+        .map(|(back, head)| (back, head, counted_guard(design, code, head, back)))
+        .collect();
+    if loops.is_empty() {
+        return Box::default();
+    }
+    for (back, head, guard) in loops {
+        code[back] = Instr::LoopBack { head, guard };
+    }
+    let mut written = Vec::new();
+    for instr in code.iter() {
+        if let Instr::Assign(lhs, _) = instr {
+            lhs.collect_sigs(&mut written);
+        }
+    }
+    written.sort();
+    written.dedup();
+    written.into_boxed_slice()
+}
+
+/// `(back, head)` of every backward jump whose loop cannot suspend: no
+/// `Delay` or `WaitEvent` in `code[head..=back]`. The jump of an `always`
+/// block back to its event control is not one of them.
+fn zero_time_back_edges(code: &[Instr]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    code.iter()
+        .enumerate()
+        .filter_map(|(back, instr)| match instr {
+            Instr::Jump(head)
+                if *head <= back
+                    && !code[*head..=back]
+                        .iter()
+                        .any(|i| matches!(i, Instr::Delay(_) | Instr::WaitEvent(_))) =>
+            {
+                Some((back, *head))
+            }
+            _ => None,
+        })
+}
+
+/// The [`CountedGuard`] of the zero-time loop `code[head..=back]`, when
+/// the loop has the counted shape.
+fn counted_guard(
+    design: &Design,
+    code: &[Instr],
+    head: usize,
+    back: usize,
+) -> Option<CountedGuard> {
+    if back < head + 2 {
+        return None;
+    }
+    let (Instr::JumpIfFalse(cond, exit), Instr::Assign(RLValue::Sig(var), step)) =
+        (&code[head], &code[back - 1])
+    else {
+        return None;
+    };
+    let var = *var;
+    let is_var = |e: &RExpr| matches!(e.kind, RExprKind::Sig(s) if s == var);
+    let RExprKind::Binary(BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge, a, b) =
+        &cond.kind
+    else {
+        return None;
+    };
+    let bound = match (is_var(a), is_var(b)) {
+        (true, false) => b,
+        (false, true) => a,
+        _ => return None,
+    };
+    if *exit != back + 1 {
+        return None;
+    }
+    let step = affine_step(design, var, step)?;
+    let in_body = |t: usize| head < t && t < back;
+    let mut writes = Vec::new();
+    for instr in &code[head + 1..back - 1] {
+        let stays = match instr {
+            Instr::Assign(lhs, _) => {
+                lhs.collect_sigs(&mut writes);
+                true
+            }
+            Instr::NbAssign(..) => true,
+            Instr::Jump(t) | Instr::JumpIfFalse(_, t) | Instr::LoopBack { head: t, .. } => {
+                in_body(*t)
+            }
+            Instr::CaseJump { arms, default, .. } => {
+                in_body(*default) && arms.iter().all(|(_, t)| in_body(*t))
+            }
+            Instr::SysCall { name, .. } => !matches!(name.as_str(), "$finish" | "$stop"),
+            Instr::Delay(_) | Instr::WaitEvent(_) | Instr::Halt => false,
+        };
+        if !stays {
+            return None;
+        }
+    }
+    if writes.contains(&var) {
+        return None;
+    }
+    writes.push(var);
+    let mut reads = Vec::new();
+    bound.collect_sigs(&mut reads);
+    if reads.iter().any(|s| writes.contains(s)) {
+        return None;
+    }
+    Some(CountedGuard { var, step })
+}
+
+/// What the step `var = rhs` adds to `var`, modulo 2^width, when `rhs` is
+/// `var + c`, `c + var` or `var - c` for a known literal `c` and `var` is
+/// at most 64 bits wide. The low `width` bits of a sum or difference
+/// depend only on the low `width` bits of its operands, so the step maps
+/// every known `var` to `var + step`, where `step` is what the
+/// assignment stores for `var = 0`.
+fn affine_step(design: &Design, var: SignalId, rhs: &RExpr) -> Option<u64> {
+    let RExprKind::Binary(op, a, b) = &rhs.kind else {
+        return None;
+    };
+    let is_var = |e: &RExpr| matches!(e.kind, RExprKind::Sig(s) if s == var);
+    let is_lit = |e: &RExpr| matches!(e.kind, RExprKind::Lit(_));
+    let affine = match op {
+        BinaryOp::Add => (is_var(a) && is_lit(b)) || (is_lit(a) && is_var(b)),
+        BinaryOp::Sub => is_var(a) && is_lit(b),
+        _ => false,
+    };
+    let width = design.signal(var).width;
+    if !affine || !(1..=64).contains(&width) {
+        return None;
+    }
+    let zero = OneSignal(LogicVec::zeros(width));
+    eval(rhs, width.max(rhs.width), &zero)
+        .resize(width, rhs.signed)
+        .to_u64()
+}
+
+/// A store answering every read with one value: enough for an
+/// expression that reads a single signal.
+struct OneSignal(LogicVec);
+
+impl SigRead for OneSignal {
+    fn read(&self, _: SignalId) -> &LogicVec {
+        &self.0
+    }
+    fn now(&self) -> u64 {
+        0
     }
 }
 

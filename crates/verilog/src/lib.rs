@@ -7,11 +7,10 @@
 //! * [`logic`] — four-state values ([`logic::LogicVec`], inline for
 //!   widths ≤ 64, with in-place mutating ops);
 //! * [`lexer`] / [`parser`] / [`ast`] — the front end;
-//! * [`elaborate`] — hierarchy flattening into a [`Design`];
-//! * [`compile`] — compile-once register bytecode
-//!   ([`compile::CompiledDesign`]) for run-many simulation;
-//! * [`sim`] — the event-driven simulator with `$display` capture and
-//!   tree-walk/bytecode execution modes;
+//! * [`elaborate`] — hierarchy flattening into a [`Design`], with each
+//!   process's zero-time loops marked for the runaway detector;
+//! * [`sim`] — the event-driven simulator, which walks the elaborated
+//!   design directly, with `$display` capture and runaway-loop detection;
 //! * [`pretty`] — AST → source rendering (artifacts round-trip as text);
 //! * [`mutate`] — semantic mutation (Eval2 mutants, validator RTL groups,
 //!   simulated-LLM defect injection);
@@ -47,7 +46,6 @@
 #![forbid(unsafe_code)]
 
 pub mod ast;
-pub mod compile;
 pub mod corrupt;
 pub mod dataflow;
 pub mod design;
@@ -63,12 +61,11 @@ pub mod pretty;
 pub mod sim;
 pub mod sysfmt;
 
-pub use compile::{compile, CompiledDesign};
 pub use design::{Design, SignalId};
-pub use elaborate::elaborate;
+pub use elaborate::{elaborate, elaborate_files};
 pub use error::{ElabError, ParseError, SimError, VerilogError};
 pub use hash::{fnv1a64, structural_hash, Fingerprint, FingerprintHasher, StructuralHash};
 pub use lint::{lint_file, lint_files, Diagnostic, LintReport, Rule, Severity};
 pub use logic::{Bit, LogicVec};
 pub use parser::parse;
-pub use sim::{run_source, ExecMode, SimLimits, SimOutput, Simulator};
+pub use sim::{run_source, SimLimits, SimOutput, Simulator};

@@ -23,11 +23,11 @@
 //! designs — are stored **inline** as two `u64` plane words with no heap
 //! allocation; wider vectors spill to heap-allocated word vectors. The
 //! variant is determined solely by the width, so plane-level equality and
-//! hashing remain value equality. On top of the value-returning operators
-//! the type offers **in-place mutating ops** (`and_assign`, `add_assign`,
-//! `not_assign`, [`LogicVec::assign_resize`], …) used by the bytecode
-//! simulator so steady-state expression evaluation performs zero
-//! allocations.
+//! hashing remain value equality. Beside the value-returning operators the
+//! type offers a few **in-place ops** ([`LogicVec::write_range`],
+//! [`LogicVec::set_all_x`], [`LogicVec::assign_resize`],
+//! [`LogicVec::copy_from`]) for the simulator's signal commits and the
+//! checker's compiled judge, which overwrite preallocated values.
 
 use std::fmt;
 
@@ -515,7 +515,7 @@ impl LogicVec {
     /// In-place resize: overwrites `self` with `src` truncated or extended
     /// to `self`'s width (sign-extension replicates `src`'s MSB including
     /// `x`/`z` when `signed`). The zero-allocation workhorse behind
-    /// [`LogicVec::resize`] and the bytecode executor's signal loads.
+    /// [`LogicVec::resize`] and the compiled checker's register stages.
     pub fn assign_resize(&mut self, src: &LogicVec, signed: bool) {
         let width = self.width;
         let copy = src.width.min(width);
@@ -678,27 +678,9 @@ impl LogicVec {
         self.bitwise(other, and_words)
     }
 
-    /// In-place bitwise AND with an equal-width operand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    pub fn and_assign(&mut self, other: &LogicVec) {
-        self.bitwise_assign(other, and_words)
-    }
-
     /// Bitwise OR with `x` propagation (`1 | x == 1`).
     pub fn or(&self, other: &LogicVec) -> LogicVec {
         self.bitwise(other, or_words)
-    }
-
-    /// In-place bitwise OR with an equal-width operand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    pub fn or_assign(&mut self, other: &LogicVec) {
-        self.bitwise_assign(other, or_words)
     }
 
     /// Bitwise XOR (`x` if either bit is unknown).
@@ -706,28 +688,9 @@ impl LogicVec {
         self.bitwise(other, xor_words)
     }
 
-    /// In-place bitwise XOR with an equal-width operand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    pub fn xor_assign(&mut self, other: &LogicVec) {
-        self.bitwise_assign(other, xor_words)
-    }
-
     /// Bitwise XNOR.
     pub fn xnor(&self, other: &LogicVec) -> LogicVec {
         self.xor(other).not()
-    }
-
-    /// In-place bitwise XNOR with an equal-width operand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    pub fn xnor_assign(&mut self, other: &LogicVec) {
-        self.xor_assign(other);
-        self.not_assign();
     }
 
     fn bitwise(&self, other: &LogicVec, f: impl Fn(u64, u64, u64, u64) -> (u64, u64)) -> LogicVec {
@@ -758,17 +721,12 @@ impl LogicVec {
     /// Bitwise NOT (`~x == x`).
     pub fn not(&self) -> LogicVec {
         let mut out = self.clone();
-        out.not_assign();
-        out
-    }
-
-    /// In-place bitwise NOT.
-    pub fn not_assign(&mut self) {
-        let (val, unk) = self.planes_mut();
+        let (val, unk) = out.planes_mut();
         for i in 0..val.len() {
             val[i] = !val[i] & !unk[i];
         }
-        self.normalize();
+        out.normalize();
+        out
     }
 
     // ---- reductions ----
@@ -852,21 +810,6 @@ impl LogicVec {
         out
     }
 
-    /// In-place wrapping addition with an equal-width operand (all-`x`
-    /// result when either input has unknown bits).
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    pub fn add_assign(&mut self, other: &LogicVec) {
-        assert_eq!(self.width, other.width, "add_assign width mismatch");
-        if !self.is_fully_known() || !other.is_fully_known() {
-            self.set_all_x();
-            return;
-        }
-        self.add_known(other);
-    }
-
     /// Word-level wrapping add; both sides must be fully known and of
     /// `self`'s width.
     fn add_known(&mut self, other: &LogicVec) {
@@ -897,20 +840,6 @@ impl LogicVec {
         out
     }
 
-    /// In-place wrapping subtraction with an equal-width operand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    pub fn sub_assign(&mut self, other: &LogicVec) {
-        assert_eq!(self.width, other.width, "sub_assign width mismatch");
-        if !self.is_fully_known() || !other.is_fully_known() {
-            self.set_all_x();
-            return;
-        }
-        self.sub_known(other);
-    }
-
     fn sub_known(&mut self, other: &LogicVec) {
         let (bv, _) = other.planes();
         let (av, _) = self.planes_mut();
@@ -924,27 +853,21 @@ impl LogicVec {
         self.normalize();
     }
 
-    /// Two's-complement negation.
+    /// Two's-complement negation (all-`x` when any bit is unknown).
     pub fn neg(&self) -> LogicVec {
-        let mut out = self.clone();
-        out.neg_assign();
-        out
-    }
-
-    /// In-place two's-complement negation (all-`x` when any bit unknown).
-    pub fn neg_assign(&mut self) {
         if !self.is_fully_known() {
-            self.set_all_x();
-            return;
+            return LogicVec::filled_x(self.width);
         }
-        let (val, _) = self.planes_mut();
+        let mut out = self.clone();
+        let (val, _) = out.planes_mut();
         let mut carry = 1u64;
         for w in val.iter_mut() {
             let (s, c) = (!*w).overflowing_add(carry);
             *w = s;
             carry = c as u64;
         }
-        self.normalize();
+        out.normalize();
+        out
     }
 
     /// Wrapping multiplication at `max(widths)` bits.
@@ -1130,17 +1053,6 @@ impl LogicVec {
             }
         }
         true
-    }
-
-    /// Overwrites every bit with zero in place.
-    pub fn set_all_zero(&mut self) {
-        let (val, unk) = self.planes_mut();
-        for w in val.iter_mut() {
-            *w = 0;
-        }
-        for w in unk.iter_mut() {
-            *w = 0;
-        }
     }
 
     /// `casez` match: `z` bits in `pattern` (or in `self`) are wildcards.
@@ -1762,40 +1674,6 @@ mod tests {
         }
         out.push(k);
         out
-    }
-
-    #[test]
-    fn assign_ops_match_value_ops() {
-        for width in [1, 7, 63, 64, 65, 100, 128, 130] {
-            for a in sample_vectors(width) {
-                for b in sample_vectors(width) {
-                    let mut m = a.clone();
-                    m.and_assign(&b);
-                    assert_eq!(m, a.and(&b), "and w={width}");
-                    let mut m = a.clone();
-                    m.or_assign(&b);
-                    assert_eq!(m, a.or(&b), "or w={width}");
-                    let mut m = a.clone();
-                    m.xor_assign(&b);
-                    assert_eq!(m, a.xor(&b), "xor w={width}");
-                    let mut m = a.clone();
-                    m.xnor_assign(&b);
-                    assert_eq!(m, a.xnor(&b), "xnor w={width}");
-                    let mut m = a.clone();
-                    m.add_assign(&b);
-                    assert_eq!(m, a.add(&b), "add w={width}");
-                    let mut m = a.clone();
-                    m.sub_assign(&b);
-                    assert_eq!(m, a.sub(&b), "sub w={width}");
-                }
-                let mut m = a.clone();
-                m.not_assign();
-                assert_eq!(m, a.not(), "not w={width}");
-                let mut m = a.clone();
-                m.neg_assign();
-                assert_eq!(m, a.neg(), "neg w={width}");
-            }
-        }
     }
 
     #[test]

@@ -8,37 +8,22 @@
 //! next scheduled delay. Combinational oscillation is caught by a
 //! delta-cycle limit; runaway testbenches by a global instruction budget.
 //!
-//! # Execution modes
-//!
-//! The simulator runs a [`CompiledDesign`] in one of two modes:
-//!
-//! * [`ExecMode::Bytecode`] (the default) executes the compile-once
-//!   register bytecode of [`crate::compile`]: no per-step instruction
-//!   cloning, no per-node allocation — the scratch register file is
-//!   preallocated once and every op mutates it in place.
-//! * [`ExecMode::TreeWalk`] interprets the elaborated `RExpr` trees
-//!   directly. It is the executable semantic reference the differential
-//!   tests compare the bytecode against, and the baseline the benchmarks
-//!   measure the speedup from.
-//!
-//! Both modes share the scheduler, the commit/wake machinery and the
-//! system-task handling; a run's [`SimOutput`] is identical by
-//! construction of the bytecode and verified by the differential
-//! proptests in [`crate::compile`] and the whole-design differential
-//! suite `crates/tbgen/tests/exec_diff.rs`.
+//! Processes execute by walking their instruction lists ([`Instr`]) and
+//! evaluating the elaborated `RExpr` trees with [`eval`], borrowing both
+//! from the shared design: no step clones an instruction or an expression.
 //!
 //! # Runaway loops
 //!
 //! A mutated `for` loop (`i = i - 1`, `i = i | 1`, …) never ends, and
-//! would retire the whole step budget before failing. The bytecode mode
-//! fails such a run with the same [`SimError::EventBudgetExhausted`] as
-//! soon as it is proven, at the loop's back-edge ([`CInstr::LoopBack`]).
-//! Within one process activation nothing else runs — continuous assigns,
-//! wake-ups and NBAs are only queued, `$time` stands still — so the
-//! activation is a deterministic function of the pc and the values of the
-//! signals the process writes with blocking assignments. Two checks run
-//! at back-edges once an activation has taken [`LOOP_WATCH_GRACE`] of
-//! them:
+//! would retire the whole step budget before failing. The simulator fails
+//! such a run with the same [`SimError::EventBudgetExhausted`] as soon as
+//! it is proven, at the loop's back-edge ([`Instr::LoopBack`], marked at
+//! elaboration). Within one process activation nothing else runs —
+//! continuous assigns, wake-ups and NBAs are only queued, `$time` stands
+//! still — so the activation is a deterministic function of the pc and
+//! the values of the signals the process writes with blocking
+//! assignments ([`ProcessDef::written`]). Two checks run at back-edges
+//! once an activation has taken [`LOOP_WATCH_GRACE`] of them:
 //!
 //! 1. **State cycle.** Brent's cycle detection over the pairs (pc,
 //!    written values) seen at back-edges: a repeated pair means the
@@ -51,12 +36,9 @@
 //!
 //! Either check fires only in an activation that would exhaust the budget
 //! anyway, so the error and every artifact are unchanged; only the
-//! instructions retired before it fall. The tree-walk mode runs such
-//! loops to the budget and is the detector's reference.
+//! instructions retired before it fall. The detector's reference is the
+//! same simulator with detection off, which runs such loops to the budget.
 
-use crate::compile::{
-    exec_unit, CInstr, CLValue, CSysArg, CompiledDesign, CountedGuard, ExprId, ValueStore,
-};
 use crate::design::*;
 use crate::error::SimError;
 use crate::logic::{Bit, LogicVec};
@@ -93,16 +75,6 @@ impl Default for SimLimits {
             deadline: None,
         }
     }
-}
-
-/// How the simulator executes process bodies and expressions.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ExecMode {
-    /// Register bytecode over a preallocated scratch file (fast path).
-    #[default]
-    Bytecode,
-    /// Direct interpretation of the `RExpr` trees (semantic reference).
-    TreeWalk,
 }
 
 /// The result of a completed simulation.
@@ -164,24 +136,18 @@ enum Watcher {
     Process { idx: usize, edge: crate::ast::Edge },
 }
 
-/// Either a borrowed, pre-compiled design (the run-many hot path), one
-/// compiled and owned by this simulator (the convenience constructors),
-/// or a shared handle (the session hot path: the simulator owns an `Arc`
-/// so it is `'static` and can live inside a long-lived session next to
-/// the cache entry it executes).
-enum DesignRef<'d> {
-    Borrowed(&'d CompiledDesign),
-    Owned(Box<CompiledDesign>),
-    Shared(Arc<CompiledDesign>),
+/// Signal values and `$time`, as expression evaluation reads them.
+struct ValueStore<'a> {
+    values: &'a [LogicVec],
+    time: u64,
 }
 
-impl DesignRef<'_> {
-    fn get(&self) -> &CompiledDesign {
-        match self {
-            DesignRef::Borrowed(cd) => cd,
-            DesignRef::Owned(cd) => cd,
-            DesignRef::Shared(cd) => cd,
-        }
+impl SigRead for ValueStore<'_> {
+    fn read(&self, id: SignalId) -> &LogicVec {
+        &self.values[id.0 as usize]
+    }
+    fn now(&self) -> u64 {
+        self.time
     }
 }
 
@@ -189,7 +155,7 @@ impl DesignRef<'_> {
 ///
 /// # Examples
 ///
-/// One-shot simulation from a [`Design`]:
+/// One-shot simulation of a [`Design`]:
 ///
 /// ```
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -207,92 +173,56 @@ impl DesignRef<'_> {
 ///     end
 ///   endmodule";
 /// let design = elaborate(&parse(src)?, "tb")?;
-/// let out = Simulator::new(&design).run()?;
+/// let out = Simulator::new(design).run()?;
 /// assert_eq!(out.lines, vec!["y=3".to_string()]);
 /// # Ok(())
 /// # }
 /// ```
 ///
-/// Compile once, run many (the harness hot path — repeated runs reuse
-/// the bytecode, the literal pool and the flattened design):
+/// Elaborate once, run many (the session hot path): the simulator
+/// co-owns the design and [`Simulator::reset`] rewinds it in place.
 ///
 /// ```
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use correctbench_verilog::{compile, parse, elaborate, Simulator};
+/// use correctbench_verilog::{elaborate, parse, Simulator};
+/// use std::sync::Arc;
 ///
 /// let src = "module tb; initial begin $display(\"hi\"); $finish; end endmodule";
-/// let compiled = compile(&elaborate(&parse(src)?, "tb")?);
+/// let design = Arc::new(elaborate(&parse(src)?, "tb")?);
+/// let mut sim = Simulator::new(Arc::clone(&design));
 /// for _ in 0..3 {
-///     assert_eq!(Simulator::from_compiled(&compiled).run()?.lines, vec!["hi"]);
+///     assert_eq!(sim.run()?.lines, vec!["hi"]);
+///     sim.reset();
 /// }
+/// assert!(sim.shares(&design));
 /// # Ok(())
 /// # }
 /// ```
-pub struct Simulator<'d> {
-    compiled: DesignRef<'d>,
+pub struct Simulator {
+    design: Arc<Design>,
     state: SimState,
-    mode: ExecMode,
 }
 
-impl<'d> Simulator<'d> {
-    /// Creates a simulator with default [`SimLimits`], compiling the
-    /// design. Prefer [`Simulator::from_compiled`] when the same design
-    /// is simulated more than once.
-    pub fn new(design: &'d Design) -> Self {
+impl Simulator {
+    /// Creates a simulator with default [`SimLimits`].
+    pub fn new(design: impl Into<Arc<Design>>) -> Self {
         Self::with_limits(design, SimLimits::default())
     }
 
-    /// Creates a simulator with explicit limits, compiling the design.
-    pub fn with_limits(design: &'d Design, limits: SimLimits) -> Self {
-        let compiled = Box::new(CompiledDesign::new(design.clone()));
-        let state = SimState::new(&compiled, limits);
-        Simulator {
-            compiled: DesignRef::Owned(compiled),
-            state,
-            mode: ExecMode::default(),
-        }
+    /// Creates a simulator with explicit limits. Construction allocates
+    /// only the value table and the scheduler state; the design is shared.
+    pub fn with_limits(design: impl Into<Arc<Design>>, limits: SimLimits) -> Self {
+        let design = design.into();
+        let state = SimState::new(&design, limits);
+        Simulator { design, state }
     }
 
-    /// Creates a simulator over a pre-compiled design with default
-    /// limits. Construction allocates only the value and scratch tables.
-    pub fn from_compiled(compiled: &'d CompiledDesign) -> Self {
-        Self::from_compiled_with_limits(compiled, SimLimits::default())
-    }
-
-    /// [`Simulator::from_compiled`] with explicit limits.
-    pub fn from_compiled_with_limits(compiled: &'d CompiledDesign, limits: SimLimits) -> Self {
-        let state = SimState::new(compiled, limits);
-        Simulator {
-            compiled: DesignRef::Borrowed(compiled),
-            state,
-            mode: ExecMode::default(),
-        }
-    }
-
-    /// Creates a `'static` simulator that co-owns a shared compiled
-    /// design: the session constructor. Pair with [`Simulator::reset`] to
-    /// sweep many runs over one design without reconstructing the value
-    /// table, the scratch file, or the scheduler queues.
-    pub fn from_shared(compiled: Arc<CompiledDesign>) -> Simulator<'static> {
-        Self::from_shared_with_limits(compiled, SimLimits::default())
-    }
-
-    /// [`Simulator::from_shared`] with explicit limits.
-    pub fn from_shared_with_limits(
-        compiled: Arc<CompiledDesign>,
-        limits: SimLimits,
-    ) -> Simulator<'static> {
-        let state = SimState::new(&compiled, limits);
-        Simulator {
-            compiled: DesignRef::Shared(compiled),
-            state,
-            mode: ExecMode::default(),
-        }
-    }
-
-    /// Selects the execution mode (default [`ExecMode::Bytecode`]).
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
+    /// Switches the runaway detector (on by default). With it off, a
+    /// runaway loop runs to the step budget: the detector's reference in
+    /// the differential tests, and nothing else.
+    #[doc(hidden)]
+    pub fn detect_runaways(mut self, on: bool) -> Self {
+        self.state.detect_runaways = on;
         self
     }
 
@@ -302,13 +232,10 @@ impl<'d> Simulator<'d> {
         self.state.limits = limits;
     }
 
-    /// `true` when this simulator executes `compiled` (sessions use this
-    /// to decide between [`Simulator::reset`] and reconstruction).
-    pub fn shares(&self, compiled: &Arc<CompiledDesign>) -> bool {
-        match &self.compiled {
-            DesignRef::Shared(cd) => Arc::ptr_eq(cd, compiled),
-            _ => false,
-        }
+    /// `true` when this simulator executes `design` (sessions use this to
+    /// decide between [`Simulator::reset`] and reconstruction).
+    pub fn shares(&self, design: &Arc<Design>) -> bool {
+        Arc::ptr_eq(&self.design, design)
     }
 
     /// Reads a signal's current value (test and harness access).
@@ -331,13 +258,9 @@ impl<'d> Simulator<'d> {
     /// would exhaust it (see the module docs).
     pub fn run(&mut self) -> Result<SimOutput, SimError> {
         let _span = correctbench_obs::span(correctbench_obs::Phase::Simulate);
-        let Simulator {
-            compiled,
-            state,
-            mode,
-        } = self;
+        let Simulator { design, state } = self;
         let steps_before = state.steps;
-        let out = state.run(compiled.get(), *mode);
+        let out = state.run(design);
         // Flush the run's work volumes to the job's collector (inert
         // when none is armed). The accumulators are pure measurement
         // fields, zeroed after flush so a session's next run reports its
@@ -361,30 +284,23 @@ impl<'d> Simulator<'d> {
     }
 
     /// Rewinds every piece of mutable simulation state to power-on —
-    /// value table back to all-x, scratch registers to their compiled
-    /// widths, scheduler queues, watcher lists, captured lines, time and
-    /// budgets all cleared — **without releasing any allocation** that
-    /// still fits. A reset simulator is observationally identical to a
-    /// newly constructed one (pinned by `reset_replays_identically`); the
-    /// point is that a session sweeping N runs pays the table setup once,
-    /// not N times.
+    /// value table back to all-x, scheduler queues, watcher lists,
+    /// captured lines, time and budgets all cleared — **without releasing
+    /// any allocation**. A reset simulator is observationally identical
+    /// to a newly constructed one (pinned by `reset_replays_identically`);
+    /// the point is that a session sweeping N runs pays the table setup
+    /// once, not N times.
     pub fn reset(&mut self) {
-        let Simulator {
-            compiled, state, ..
-        } = self;
-        state.reset(compiled.get());
+        self.state.reset(&self.design);
     }
 }
 
 /// All mutable simulation state, split from the (shared, immutable)
-/// compiled design so the executor borrows instead of cloning: an
-/// instruction reference from the design and mutable access to values,
-/// scratch registers and scheduler queues coexist without any per-step
-/// `Instr`/`RExpr` clone.
+/// design so the executor borrows instead of cloning: an instruction
+/// reference from the design and mutable access to values and scheduler
+/// queues coexist without any per-step `Instr`/`RExpr` clone.
 struct SimState {
     values: Vec<LogicVec>,
-    /// Bytecode scratch registers, preallocated at their compiled widths.
-    scratch: Vec<LogicVec>,
     time: u64,
     procs: Vec<ProcState>,
     sig_watchers: Vec<Vec<Watcher>>,
@@ -406,6 +322,8 @@ struct SimState {
     /// NBA commits applied since the last observability flush
     /// (measurement only).
     nba_commits: u64,
+    /// Whether back-edges run the runaway checks.
+    detect_runaways: bool,
     /// The runaway detector's saved back-edge pair: the pc and the values
     /// of the running process's blocking-written signals. Only read
     /// within the activation that saved it.
@@ -414,8 +332,7 @@ struct SimState {
 }
 
 impl SimState {
-    fn new(cd: &CompiledDesign, limits: SimLimits) -> SimState {
-        let design = cd.design();
+    fn new(design: &Design, limits: SimLimits) -> SimState {
         let values = design
             .signals
             .iter()
@@ -437,7 +354,6 @@ impl SimState {
         }
         SimState {
             values,
-            scratch: cd.new_scratch(),
             time: 0,
             procs,
             sig_watchers,
@@ -452,26 +368,19 @@ impl SimState {
             steps: 0,
             events: 0,
             nba_commits: 0,
+            detect_runaways: true,
             saved_pc: 0,
             saved_values: Vec::new(),
         }
     }
 
     /// Rewinds to power-on state in place, preserving allocations: value
-    /// and scratch vectors keep their buffers (widths are re-pinned —
-    /// an errored run can abandon a placeholder in a scratch slot),
-    /// watcher lists are rebuilt with their capacity, queues are cleared.
-    fn reset(&mut self, cd: &CompiledDesign) {
-        let design = cd.design();
+    /// slots keep their buffers, watcher lists are rebuilt with their
+    /// capacity, queues are cleared.
+    fn reset(&mut self, design: &Design) {
         for (slot, sig) in self.values.iter_mut().zip(design.signals.iter()) {
             debug_assert_eq!(slot.width(), sig.width.max(1));
             slot.set_all_x();
-        }
-        for (slot, w) in self.scratch.iter_mut().zip(cd.reg_widths.iter()) {
-            let w = (*w as usize).max(1);
-            if slot.width() != w {
-                *slot = LogicVec::zeros(w);
-            }
         }
         self.time = 0;
         for p in &mut self.procs {
@@ -498,6 +407,14 @@ impl SimState {
         self.nba_commits = 0;
     }
 
+    /// The current signal values, for expression evaluation.
+    fn store(&self) -> ValueStore<'_> {
+        ValueStore {
+            values: &self.values,
+            time: self.time,
+        }
+    }
+
     /// Fails the run if the optional wall-clock deadline has passed.
     /// Called at a coarse cadence (every 4096 executed instructions and
     /// once per simulated time step) so the `Instant::now()` cost stays
@@ -509,16 +426,16 @@ impl SimState {
         }
     }
 
-    fn run(&mut self, cd: &CompiledDesign, mode: ExecMode) -> Result<SimOutput, SimError> {
+    fn run(&mut self, design: &Design) -> Result<SimOutput, SimError> {
         // Time zero: all continuous assignments evaluate once, every
         // process starts.
-        for i in 0..cd.design().assigns.len() {
+        for i in 0..design.assigns.len() {
             self.active.push_back(Activation::Assign(i));
         }
-        for i in 0..cd.design().processes.len() {
+        for i in 0..design.processes.len() {
             self.active.push_back(Activation::Process(i));
         }
-        self.settle(cd, mode)?;
+        self.settle(design)?;
         while !self.finished {
             let Some(std::cmp::Reverse((t, _, proc))) = self.timed.pop() else {
                 break;
@@ -543,7 +460,7 @@ impl SimState {
                 self.procs[p2].status = ProcStatus::Ready;
                 self.active.push_back(Activation::Process(p2));
             }
-            self.settle(cd, mode)?;
+            self.settle(design)?;
         }
         Ok(SimOutput {
             lines: std::mem::take(&mut self.lines),
@@ -553,8 +470,7 @@ impl SimState {
     }
 
     /// Runs the active/NBA delta loop at the current time.
-    fn settle(&mut self, cd: &CompiledDesign, mode: ExecMode) -> Result<(), SimError> {
-        let design = cd.design();
+    fn settle(&mut self, design: &Design) -> Result<(), SimError> {
         let mut deltas = 0usize;
         // Oscillation through continuous assignments alone never touches
         // the NBA queue, so the activation count itself must be bounded.
@@ -573,11 +489,9 @@ impl SimState {
                 if activations > activation_budget {
                     return Err(SimError::DeltaOverflow { time: self.time });
                 }
-                match (act, mode) {
-                    (Activation::Assign(i), ExecMode::Bytecode) => self.eval_assign(cd, i)?,
-                    (Activation::Assign(i), ExecMode::TreeWalk) => self.eval_assign_tree(cd, i)?,
-                    (Activation::Process(i), ExecMode::Bytecode) => self.run_process(cd, i)?,
-                    (Activation::Process(i), ExecMode::TreeWalk) => self.run_process_tree(cd, i)?,
+                match act {
+                    Activation::Assign(i) => self.eval_assign(design, i)?,
+                    Activation::Process(i) => self.run_process(design, i)?,
                 }
             }
             if self.nba.is_empty() {
@@ -600,413 +514,20 @@ impl SimState {
         }
     }
 
-    // ---- bytecode execution ----
-
-    /// Runs expression unit `id` and returns its output register index.
-    /// The borrow-split here is the core of the zero-clone design: the
-    /// bytecode lives in `cd`, the registers and signal values in `self`,
-    /// so execution needs no cloning and no interior mutability.
-    fn exec(&mut self, cd: &CompiledDesign, id: ExprId) -> usize {
-        exec_unit(cd, id, &mut self.scratch, &self.values, self.time);
-        cd.out_reg(id)
+    fn eval_assign(&mut self, design: &Design, i: usize) -> Result<(), SimError> {
+        let a = &design.assigns[i];
+        let lhs_width = a.lhs.width(design);
+        let value =
+            eval(&a.rhs, lhs_width.max(a.rhs.width), &self.store()).resize(lhs_width, a.rhs.signed);
+        self.write_lvalue(design, &a.lhs, value)
     }
 
-    /// Moves an evaluated value out of its scratch register (swapping in
-    /// a 1-bit placeholder) so the write walk can borrow `self` mutably;
-    /// [`SimState::untake`] restores it afterwards, keeping the register
-    /// file's preallocated widths intact.
-    fn take(&mut self, reg: usize) -> LogicVec {
-        std::mem::replace(&mut self.scratch[reg], LogicVec::zeros(1))
-    }
-
-    fn untake(&mut self, reg: usize, value: LogicVec) {
-        self.scratch[reg] = value;
-    }
-
-    fn eval_assign(&mut self, cd: &CompiledDesign, i: usize) -> Result<(), SimError> {
-        let a = &cd.assigns[i];
-        let out = self.exec(cd, a.rhs);
-        let value = self.take(out);
-        self.write_lvalue(cd, &a.lhs, &value)?;
-        self.untake(out, value);
-        Ok(())
-    }
-
-    fn run_process(&mut self, cd: &CompiledDesign, i: usize) -> Result<(), SimError> {
+    fn run_process(&mut self, design: &Design, i: usize) -> Result<(), SimError> {
         let mut watch = LoopWatch {
             visits: 0,
             power: 1,
             lam: 0,
         };
-        loop {
-            self.steps += 1;
-            if self.steps > self.limits.max_steps {
-                return Err(SimError::EventBudgetExhausted);
-            }
-            if self.steps & 0xFFF == 0 {
-                self.check_deadline()?;
-            }
-            let code = &cd.processes[i].code;
-            let pc = self.procs[i].pc;
-            let Some(instr) = code.get(pc) else {
-                self.procs[i].status = ProcStatus::Done;
-                return Ok(());
-            };
-            match instr {
-                CInstr::Assign { lhs, rhs } => {
-                    let out = self.exec(cd, *rhs);
-                    let value = self.take(out);
-                    self.write_lvalue(cd, lhs, &value)?;
-                    self.untake(out, value);
-                    self.procs[i].pc = pc + 1;
-                }
-                CInstr::NbAssign { lhs, rhs } => {
-                    let out = self.exec(cd, *rhs);
-                    let value = self.take(out);
-                    self.schedule_nba(cd, lhs, &value)?;
-                    self.untake(out, value);
-                    self.procs[i].pc = pc + 1;
-                }
-                CInstr::JumpIfFalse { cond, target } => {
-                    let out = self.exec(cd, *cond);
-                    let t = self.scratch[out].truthy();
-                    self.procs[i].pc = if t == Bit::One { pc + 1 } else { *target };
-                }
-                CInstr::Jump(target) => {
-                    self.procs[i].pc = *target;
-                }
-                CInstr::LoopBack { head, guard } => {
-                    self.procs[i].pc = *head;
-                    watch.visits += 1;
-                    if watch.visits > LOOP_WATCH_GRACE
-                        && self.loop_runs_away(cd, i, pc, *head, guard.as_ref(), &mut watch)
-                    {
-                        return Err(SimError::EventBudgetExhausted);
-                    }
-                }
-                CInstr::CaseJump {
-                    sel,
-                    kind,
-                    arms,
-                    default,
-                } => {
-                    let sel_reg = self.exec(cd, *sel);
-                    let mut target = *default;
-                    'arms: for (labels, t) in arms {
-                        for l in labels {
-                            let l_reg = self.exec(cd, *l);
-                            let selv = &self.scratch[sel_reg];
-                            let lv = &self.scratch[l_reg];
-                            let hit = match kind {
-                                crate::ast::CaseKind::Case => selv.eq_case(lv) == Bit::One,
-                                crate::ast::CaseKind::Casez => selv.casez_match(lv),
-                                crate::ast::CaseKind::Casex => selv.casex_match(lv),
-                            };
-                            if hit {
-                                target = *t;
-                                break 'arms;
-                            }
-                        }
-                    }
-                    self.procs[i].pc = target;
-                }
-                CInstr::Delay(d) => {
-                    self.procs[i].pc = pc + 1;
-                    self.procs[i].status = ProcStatus::Waiting;
-                    self.seq += 1;
-                    self.timed
-                        .push(std::cmp::Reverse((self.time + d, self.seq, i)));
-                    return Ok(());
-                }
-                CInstr::WaitEvent(edges) => {
-                    self.procs[i].pc = pc + 1;
-                    self.procs[i].status = ProcStatus::Waiting;
-                    for (edge, sig) in edges {
-                        self.sig_watchers[sig.0 as usize].push(Watcher::Process {
-                            idx: i,
-                            edge: *edge,
-                        });
-                    }
-                    return Ok(());
-                }
-                CInstr::SysCall { name, args } => {
-                    if is_display(name) {
-                        let line = self.render(cd, args, display_skip(name));
-                        self.lines.push(line);
-                    }
-                    self.syscall_effect(name);
-                    if self.finished {
-                        return Ok(());
-                    }
-                    self.procs[i].pc = pc + 1;
-                }
-                CInstr::Halt => {
-                    self.procs[i].status = ProcStatus::Done;
-                    return Ok(());
-                }
-            }
-        }
-    }
-
-    // ---- runaway detection (see the module docs) ----
-
-    /// Runs the runaway checks at the back-edge `pc` of process `i`, just
-    /// after it jumped to `head`: `true` when the activation provably
-    /// exhausts the step budget.
-    fn loop_runs_away(
-        &mut self,
-        cd: &CompiledDesign,
-        i: usize,
-        pc: usize,
-        head: usize,
-        guard: Option<&CountedGuard>,
-        watch: &mut LoopWatch,
-    ) -> bool {
-        let written = &cd.processes[i].written;
-        // Nothing is saved before the first save doubles `power`.
-        if watch.power > 1
-            && self.saved_pc == pc
-            && written
-                .iter()
-                .zip(&self.saved_values)
-                .all(|(s, v)| self.values[s.0 as usize] == *v)
-        {
-            return true;
-        }
-        watch.lam += 1;
-        if watch.lam < watch.power {
-            return false;
-        }
-        self.saved_pc = pc;
-        self.saved_values.clear();
-        self.saved_values
-            .extend(written.iter().map(|s| self.values[s.0 as usize].clone()));
-        watch.power *= 2;
-        watch.lam = 0;
-        // The counted check rides on the saves, at geometrically spaced
-        // visits: the remaining budget shrinks, so a later try can succeed.
-        let (Some(g), CInstr::JumpIfFalse { cond, .. }) = (guard, &cd.processes[i].code[head])
-        else {
-            return false;
-        };
-        self.counted_loop_outlives_budget(cd, *cond, g)
-    }
-
-    /// Whether the loop test `cond` of a counted loop holds for the next
-    /// ⌊(max_steps − steps)/3⌋ + 1 head tests. Each iteration retires at
-    /// least three instructions (head test, step, back-edge), so the loop
-    /// cannot exit before the budget runs out.
-    ///
-    /// The loop variable visits `v, v + step, …` modulo 2^width. While it
-    /// stays within one half of its range, its value read at any width
-    /// and signedness is monotone, so the test (a relation against a
-    /// loop-invariant bound) holds throughout a stretch when it holds at
-    /// both ends. The orbit repeats after 2^width / gcd(step, 2^width)
-    /// tests, which bounds the tests worth checking.
-    fn counted_loop_outlives_budget(
-        &mut self,
-        cd: &CompiledDesign,
-        cond: ExprId,
-        g: &CountedGuard,
-    ) -> bool {
-        let slot = g.var.0 as usize;
-        let Some(mut v) = self.values[slot].to_u64() else {
-            return false;
-        };
-        let width = self.values[slot].width() as u32;
-        let mut left = (self.limits.max_steps.saturating_sub(self.steps) / 3).saturating_add(1);
-        let period_log2 = width - g.step.trailing_zeros().min(width);
-        if period_log2 < 64 {
-            left = left.min(1 << period_log2);
-        }
-        let mask = u64::MAX >> (64 - width);
-        let low = mask >> 1;
-        let up = g.step <= low;
-        let delta = if up {
-            g.step
-        } else {
-            g.step.wrapping_neg() & mask
-        };
-        for _ in 0..MAX_STRETCHES {
-            let room = if up { (v | low) - v } else { v & low };
-            let n = room.checked_div(delta).map_or(left, |q| (q + 1).min(left));
-            let last = if up {
-                v + (n - 1) * delta
-            } else {
-                v - (n - 1) * delta
-            };
-            if !self.cond_holds_at(cd, cond, g.var, v) || !self.cond_holds_at(cd, cond, g.var, last)
-            {
-                return false;
-            }
-            left -= n;
-            if left == 0 {
-                return true;
-            }
-            v = if up {
-                last.wrapping_add(delta)
-            } else {
-                last.wrapping_sub(delta)
-            } & mask;
-        }
-        false
-    }
-
-    /// Evaluates the loop test `cond` with `var` read as `value`, leaving
-    /// the signal as it was.
-    fn cond_holds_at(
-        &mut self,
-        cd: &CompiledDesign,
-        cond: ExprId,
-        var: SignalId,
-        value: u64,
-    ) -> bool {
-        let slot = var.0 as usize;
-        let probe = LogicVec::from_u64(self.values[slot].width(), value);
-        let actual = std::mem::replace(&mut self.values[slot], probe);
-        let out = self.exec(cd, cond);
-        self.values[slot] = actual;
-        self.scratch[out].truthy() == Bit::One
-    }
-
-    fn render(&mut self, cd: &CompiledDesign, args: &[CSysArg], skip: usize) -> String {
-        let args = &args[skip.min(args.len())..];
-        let (fmt, rest): (&str, &[CSysArg]) = match args.first() {
-            Some(CSysArg::Str(s)) => (s, &args[1..]),
-            _ => {
-                // No format string: default-format every argument.
-                let mut parts = Vec::new();
-                for a in args {
-                    if let CSysArg::Expr(e) = a {
-                        let out = self.exec(cd, *e);
-                        parts.push(self.scratch[out].to_decimal_string());
-                    }
-                }
-                return parts.join(" ");
-            }
-        };
-        let mut values: Vec<LogicVec> = Vec::with_capacity(rest.len());
-        for a in rest {
-            if let CSysArg::Expr(e) = a {
-                let out = self.exec(cd, *e);
-                values.push(self.scratch[out].clone());
-            }
-        }
-        format_display(fmt, &values, self.time)
-    }
-
-    /// Immediately writes `value` through an lvalue (blocking semantics).
-    /// Dynamic indices are evaluated lazily, in target order, exactly as
-    /// the tree-walker does.
-    fn write_lvalue(
-        &mut self,
-        cd: &CompiledDesign,
-        lhs: &CLValue,
-        value: &LogicVec,
-    ) -> Result<(), SimError> {
-        match lhs {
-            CLValue::Sig(s) => {
-                self.commit_bits(*s, 0, value);
-                Ok(())
-            }
-            CLValue::Part(s, lo, w) => {
-                self.commit_bits(*s, *lo, &value.slice(0, *w));
-                Ok(())
-            }
-            CLValue::Bit(s, idx) => {
-                let out = self.exec(cd, *idx);
-                if let Some(i) = self.scratch[out].to_u64() {
-                    let width = cd.design().signal(*s).width;
-                    if (i as usize) < width {
-                        self.commit_bits(*s, i as usize, &value.slice(0, 1));
-                    }
-                }
-                Ok(())
-            }
-            CLValue::IndexedPart(s, base, w) => {
-                let out = self.exec(cd, *base);
-                if let Some(lo) = self.scratch[out].to_u64() {
-                    self.commit_bits(*s, lo as usize, &value.slice(0, *w));
-                }
-                Ok(())
-            }
-            CLValue::Concat(parts) => {
-                // MSB-first: the last part takes the low bits.
-                let mut lo = 0usize;
-                for part in parts.iter().rev() {
-                    let w = part.width(cd.design());
-                    let chunk = value.slice(lo, w);
-                    self.write_lvalue(cd, part, &chunk)?;
-                    lo += w;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Schedules an NBA update.
-    fn schedule_nba(
-        &mut self,
-        cd: &CompiledDesign,
-        lhs: &CLValue,
-        value: &LogicVec,
-    ) -> Result<(), SimError> {
-        match lhs {
-            CLValue::Sig(s) => {
-                self.nba.push((*s, 0, value.clone()));
-                Ok(())
-            }
-            CLValue::Part(s, lo, w) => {
-                self.nba.push((*s, *lo, value.slice(0, *w)));
-                Ok(())
-            }
-            CLValue::Bit(s, idx) => {
-                let out = self.exec(cd, *idx);
-                if let Some(i) = self.scratch[out].to_u64() {
-                    let width = cd.design().signal(*s).width;
-                    if (i as usize) < width {
-                        self.nba.push((*s, i as usize, value.slice(0, 1)));
-                    }
-                }
-                Ok(())
-            }
-            CLValue::IndexedPart(s, base, w) => {
-                let out = self.exec(cd, *base);
-                if let Some(lo) = self.scratch[out].to_u64() {
-                    self.nba.push((*s, lo as usize, value.slice(0, *w)));
-                }
-                Ok(())
-            }
-            CLValue::Concat(parts) => {
-                let mut lo = 0usize;
-                for part in parts.iter().rev() {
-                    let w = part.width(cd.design());
-                    let chunk = value.slice(lo, w);
-                    self.schedule_nba(cd, part, &chunk)?;
-                    lo += w;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    // ---- tree-walk execution (semantic reference) ----
-
-    fn eval_assign_tree(&mut self, cd: &CompiledDesign, i: usize) -> Result<(), SimError> {
-        let a = &cd.design().assigns[i];
-        let lhs_width = a.lhs.width(cd.design());
-        let value = {
-            let store = ValueStore {
-                values: &self.values,
-                time: self.time,
-            };
-            eval(&a.rhs, lhs_width.max(a.rhs.width), &store).resize(lhs_width, a.rhs.signed)
-        };
-        self.write_lvalue_tree(cd, &a.lhs, value)
-    }
-
-    fn run_process_tree(&mut self, cd: &CompiledDesign, i: usize) -> Result<(), SimError> {
-        let design = cd.design();
         loop {
             self.steps += 1;
             if self.steps > self.limits.max_steps {
@@ -1023,38 +544,34 @@ impl SimState {
             match instr {
                 Instr::Assign(lhs, rhs) => {
                     let lhs_width = lhs.width(design);
-                    let v = {
-                        let store = ValueStore {
-                            values: &self.values,
-                            time: self.time,
-                        };
-                        eval(rhs, lhs_width.max(rhs.width), &store).resize(lhs_width, rhs.signed)
-                    };
-                    self.write_lvalue_tree(cd, lhs, v)?;
+                    let v = eval(rhs, lhs_width.max(rhs.width), &self.store())
+                        .resize(lhs_width, rhs.signed);
+                    self.write_lvalue(design, lhs, v)?;
                     self.procs[i].pc = pc + 1;
                 }
                 Instr::NbAssign(lhs, rhs) => {
                     let lhs_width = lhs.width(design);
-                    let v = {
-                        let store = ValueStore {
-                            values: &self.values,
-                            time: self.time,
-                        };
-                        eval(rhs, lhs_width.max(rhs.width), &store).resize(lhs_width, rhs.signed)
-                    };
-                    self.schedule_nba_tree(cd, lhs, v)?;
+                    let v = eval(rhs, lhs_width.max(rhs.width), &self.store())
+                        .resize(lhs_width, rhs.signed);
+                    self.schedule_nba(design, lhs, v)?;
                     self.procs[i].pc = pc + 1;
                 }
                 Instr::JumpIfFalse(cond, target) => {
-                    let store = ValueStore {
-                        values: &self.values,
-                        time: self.time,
-                    };
-                    let t = eval(cond, cond.width, &store).truthy();
+                    let t = eval(cond, cond.width, &self.store()).truthy();
                     self.procs[i].pc = if t == Bit::One { pc + 1 } else { *target };
                 }
                 Instr::Jump(target) => {
                     self.procs[i].pc = *target;
+                }
+                Instr::LoopBack { head, guard } => {
+                    self.procs[i].pc = *head;
+                    watch.visits += 1;
+                    if self.detect_runaways
+                        && watch.visits > LOOP_WATCH_GRACE
+                        && self.loop_runs_away(design, i, pc, *head, guard.as_ref(), &mut watch)
+                    {
+                        return Err(SimError::EventBudgetExhausted);
+                    }
                 }
                 Instr::CaseJump {
                     expr,
@@ -1062,10 +579,7 @@ impl SimState {
                     arms,
                     default,
                 } => {
-                    let store = ValueStore {
-                        values: &self.values,
-                        time: self.time,
-                    };
+                    let store = self.store();
                     let sel_w = arms
                         .iter()
                         .flat_map(|(ls, _)| ls.iter().map(|l| l.width))
@@ -1109,7 +623,7 @@ impl SimState {
                 }
                 Instr::SysCall { name, args } => {
                     if is_display(name) {
-                        let line = self.render_tree(args, display_skip(name));
+                        let line = self.render(args, display_skip(name));
                         self.lines.push(line);
                     }
                     self.syscall_effect(name);
@@ -1126,11 +640,121 @@ impl SimState {
         }
     }
 
-    fn render_tree(&self, args: &[RSysArg], skip: usize) -> String {
-        let store = ValueStore {
-            values: &self.values,
-            time: self.time,
+    // ---- runaway detection (see the module docs) ----
+
+    /// Runs the runaway checks at the back-edge `pc` of process `i`, just
+    /// after it jumped to `head`: `true` when the activation provably
+    /// exhausts the step budget.
+    fn loop_runs_away(
+        &mut self,
+        design: &Design,
+        i: usize,
+        pc: usize,
+        head: usize,
+        guard: Option<&CountedGuard>,
+        watch: &mut LoopWatch,
+    ) -> bool {
+        let process = &design.processes[i];
+        // Nothing is saved before the first save doubles `power`.
+        if watch.power > 1
+            && self.saved_pc == pc
+            && process
+                .written
+                .iter()
+                .zip(&self.saved_values)
+                .all(|(s, v)| self.values[s.0 as usize] == *v)
+        {
+            return true;
+        }
+        watch.lam += 1;
+        if watch.lam < watch.power {
+            return false;
+        }
+        self.saved_pc = pc;
+        self.saved_values.clear();
+        self.saved_values.extend(
+            process
+                .written
+                .iter()
+                .map(|s| self.values[s.0 as usize].clone()),
+        );
+        watch.power *= 2;
+        watch.lam = 0;
+        // The counted check rides on the saves, at geometrically spaced
+        // visits: the remaining budget shrinks, so a later try can succeed.
+        let (Some(g), Instr::JumpIfFalse(cond, _)) = (guard, &process.code[head]) else {
+            return false;
         };
+        self.counted_loop_outlives_budget(cond, g)
+    }
+
+    /// Whether the loop test `cond` of a counted loop holds for the next
+    /// ⌊(max_steps − steps)/3⌋ + 1 head tests. Each iteration retires at
+    /// least three instructions (head test, step, back-edge), so the loop
+    /// cannot exit before the budget runs out.
+    ///
+    /// The loop variable visits `v, v + step, …` modulo 2^width. While it
+    /// stays within one half of its range, its value read at any width
+    /// and signedness is monotone, so the test (a relation against a
+    /// loop-invariant bound) holds throughout a stretch when it holds at
+    /// both ends. The orbit repeats after 2^width / gcd(step, 2^width)
+    /// tests, which bounds the tests worth checking.
+    fn counted_loop_outlives_budget(&mut self, cond: &RExpr, g: &CountedGuard) -> bool {
+        let slot = g.var.0 as usize;
+        let Some(mut v) = self.values[slot].to_u64() else {
+            return false;
+        };
+        let width = self.values[slot].width() as u32;
+        let mut left = (self.limits.max_steps.saturating_sub(self.steps) / 3).saturating_add(1);
+        let period_log2 = width - g.step.trailing_zeros().min(width);
+        if period_log2 < 64 {
+            left = left.min(1 << period_log2);
+        }
+        let mask = u64::MAX >> (64 - width);
+        let low = mask >> 1;
+        let up = g.step <= low;
+        let delta = if up {
+            g.step
+        } else {
+            g.step.wrapping_neg() & mask
+        };
+        for _ in 0..MAX_STRETCHES {
+            let room = if up { (v | low) - v } else { v & low };
+            let n = room.checked_div(delta).map_or(left, |q| (q + 1).min(left));
+            let last = if up {
+                v + (n - 1) * delta
+            } else {
+                v - (n - 1) * delta
+            };
+            if !self.cond_holds_at(cond, g.var, v) || !self.cond_holds_at(cond, g.var, last) {
+                return false;
+            }
+            left -= n;
+            if left == 0 {
+                return true;
+            }
+            v = if up {
+                last.wrapping_add(delta)
+            } else {
+                last.wrapping_sub(delta)
+            } & mask;
+        }
+        false
+    }
+
+    /// Evaluates the loop test `cond` with `var` read as `value`, leaving
+    /// the signal as it was.
+    fn cond_holds_at(&mut self, cond: &RExpr, var: SignalId, value: u64) -> bool {
+        let slot = var.0 as usize;
+        let probe = LogicVec::from_u64(self.values[slot].width(), value);
+        let actual = std::mem::replace(&mut self.values[slot], probe);
+        let holds = eval(cond, cond.width, &self.store()).truthy() == Bit::One;
+        self.values[slot] = actual;
+        holds
+    }
+
+    fn render(&self, args: &[RSysArg], skip: usize) -> String {
+        let store = self.store();
         let args = &args[skip.min(args.len())..];
         let (fmt, rest): (&str, &[RSysArg]) = match args.first() {
             Some(RSysArg::Str(s)) => (s, &args[1..]),
@@ -1155,9 +779,11 @@ impl SimState {
         format_display(fmt, &values, self.time)
     }
 
-    fn write_lvalue_tree(
+    /// Immediately writes `value` through an lvalue (blocking semantics).
+    /// Dynamic indices are evaluated lazily, in target order.
+    fn write_lvalue(
         &mut self,
-        cd: &CompiledDesign,
+        design: &Design,
         lhs: &RLValue,
         value: LogicVec,
     ) -> Result<(), SimError> {
@@ -1171,15 +797,9 @@ impl SimState {
                 Ok(())
             }
             RLValue::Bit(s, idx) => {
-                let i = {
-                    let store = ValueStore {
-                        values: &self.values,
-                        time: self.time,
-                    };
-                    eval(idx, idx.width, &store)
-                };
+                let i = eval(idx, idx.width, &self.store());
                 if let Some(i) = i.to_u64() {
-                    let width = cd.design().signal(*s).width;
+                    let width = design.signal(*s).width;
                     if (i as usize) < width {
                         self.commit_bits(*s, i as usize, &value.slice(0, 1));
                     }
@@ -1187,13 +807,7 @@ impl SimState {
                 Ok(())
             }
             RLValue::IndexedPart(s, base, w) => {
-                let b = {
-                    let store = ValueStore {
-                        values: &self.values,
-                        time: self.time,
-                    };
-                    eval(base, base.width, &store)
-                };
+                let b = eval(base, base.width, &self.store());
                 if let Some(lo) = b.to_u64() {
                     self.commit_bits(*s, lo as usize, &value.slice(0, *w));
                 }
@@ -1203,9 +817,9 @@ impl SimState {
                 // MSB-first: the last part takes the low bits.
                 let mut lo = 0usize;
                 for part in parts.iter().rev() {
-                    let w = part.width(cd.design());
+                    let w = part.width(design);
                     let chunk = value.slice(lo, w);
-                    self.write_lvalue_tree(cd, part, chunk)?;
+                    self.write_lvalue(design, part, chunk)?;
                     lo += w;
                 }
                 Ok(())
@@ -1213,9 +827,10 @@ impl SimState {
         }
     }
 
-    fn schedule_nba_tree(
+    /// Schedules an NBA update.
+    fn schedule_nba(
         &mut self,
-        cd: &CompiledDesign,
+        design: &Design,
         lhs: &RLValue,
         value: LogicVec,
     ) -> Result<(), SimError> {
@@ -1229,15 +844,9 @@ impl SimState {
                 Ok(())
             }
             RLValue::Bit(s, idx) => {
-                let i = {
-                    let store = ValueStore {
-                        values: &self.values,
-                        time: self.time,
-                    };
-                    eval(idx, idx.width, &store)
-                };
+                let i = eval(idx, idx.width, &self.store());
                 if let Some(i) = i.to_u64() {
-                    let width = cd.design().signal(*s).width;
+                    let width = design.signal(*s).width;
                     if (i as usize) < width {
                         self.nba.push((*s, i as usize, value.slice(0, 1)));
                     }
@@ -1245,13 +854,7 @@ impl SimState {
                 Ok(())
             }
             RLValue::IndexedPart(s, base, w) => {
-                let b = {
-                    let store = ValueStore {
-                        values: &self.values,
-                        time: self.time,
-                    };
-                    eval(base, base.width, &store)
-                };
+                let b = eval(base, base.width, &self.store());
                 if let Some(lo) = b.to_u64() {
                     self.nba.push((*s, lo as usize, value.slice(0, *w)));
                 }
@@ -1260,9 +863,9 @@ impl SimState {
             RLValue::Concat(parts) => {
                 let mut lo = 0usize;
                 for part in parts.iter().rev() {
-                    let w = part.width(cd.design());
+                    let w = part.width(design);
                     let chunk = value.slice(lo, w);
-                    self.schedule_nba_tree(cd, part, chunk)?;
+                    self.schedule_nba(design, part, chunk)?;
                     lo += w;
                 }
                 Ok(())
@@ -1273,8 +876,7 @@ impl SimState {
     // ---- shared machinery ----
 
     /// Applies a system task's scheduler effect (display rendering is
-    /// handled by the callers, which own the mode-specific argument
-    /// evaluation).
+    /// handled by the caller).
     fn syscall_effect(&mut self, name: &str) {
         match name {
             "$finish" | "$stop" => {
@@ -1377,7 +979,7 @@ fn display_skip(name: &str) -> usize {
 pub fn run_source(src: &str, top: &str) -> Result<SimOutput, crate::error::VerilogError> {
     let file = crate::parser::parse(src)?;
     let design = crate::elaborate::elaborate(&file, top)?;
-    Ok(Simulator::new(&design).run()?)
+    Ok(Simulator::new(design).run()?)
 }
 
 #[cfg(test)]
@@ -1388,27 +990,9 @@ mod tests {
         run_source(src, top).expect("simulation ok")
     }
 
-    /// Runs `src` in both modes and checks they agree before returning
-    /// the bytecode output — every legacy simulator test doubles as a
-    /// tree-vs-bytecode differential check.
-    fn run_both(src: &str, top: &str) -> SimOutput {
-        let file = crate::parser::parse(src).expect("parse");
-        let design = crate::elaborate::elaborate(&file, top).expect("elab");
-        let compiled = CompiledDesign::new(design);
-        let byte = Simulator::from_compiled(&compiled).run().expect("bytecode");
-        let tree = Simulator::from_compiled(&compiled)
-            .with_mode(ExecMode::TreeWalk)
-            .run()
-            .expect("tree");
-        assert_eq!(byte.lines, tree.lines, "modes disagree on output");
-        assert_eq!(byte.end_time, tree.end_time, "modes disagree on time");
-        assert_eq!(byte.finished, tree.finished);
-        byte
-    }
-
     #[test]
     fn combinational_assign() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg [3:0] a, b;\nwire [3:0] y;\nassign y = a + b;\ninitial begin\na = 4'd3; b = 4'd4;\n#1 $display(\"y=%0d\", y);\na = 4'd9;\n#1 $display(\"y=%0d\", y);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1418,7 +1002,7 @@ mod tests {
 
     #[test]
     fn clocked_register() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg clk, d;\nreg q;\nalways @(posedge clk) q <= d;\ninitial begin\nclk = 0; d = 1;\n#1 $display(\"q=%b\", q);\n#4 clk = 1;\n#1 $display(\"q=%b\", q);\nd = 0;\n#4 clk = 0;\n#5 clk = 1;\n#1 $display(\"q=%b\", q);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1427,7 +1011,7 @@ mod tests {
 
     #[test]
     fn nonblocking_swap() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg clk;\nreg [3:0] a, b;\nalways @(posedge clk) begin a <= b; b <= a; end\ninitial begin\nclk = 0; a = 4'd1; b = 4'd2;\n#5 clk = 1;\n#1 $display(\"a=%0d b=%0d\", a, b);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1436,7 +1020,7 @@ mod tests {
 
     #[test]
     fn clock_generator_and_counter() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg clk = 0;\nalways #5 clk = ~clk;\nreg [7:0] n = 0;\nalways @(posedge clk) n <= n + 8'd1;\ninitial begin\n#52 $display(\"n=%0d\", n);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1446,7 +1030,7 @@ mod tests {
 
     #[test]
     fn dut_instance() {
-        let out = run_both(
+        let out = run(
             "module add1(input [3:0] a, output [3:0] y);\nassign y = a + 4'd1;\nendmodule\nmodule tb;\nreg [3:0] a;\nwire [3:0] y;\nadd1 dut(.a(a), .y(y));\ninitial begin\na = 4'd7;\n#1 $display(\"y=%0d\", y);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1455,7 +1039,7 @@ mod tests {
 
     #[test]
     fn always_star_mux() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg s;\nreg [3:0] a, b;\nreg [3:0] y;\nalways @(*) begin if (s) y = a; else y = b; end\ninitial begin\na = 4'd10; b = 4'd5; s = 0;\n#1 $display(\"y=%0d\", y);\ns = 1;\n#1 $display(\"y=%0d\", y);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1483,74 +1067,67 @@ mod tests {
     }
 
     #[test]
-    fn zero_delay_runaway_caught_in_both_modes() {
+    fn zero_delay_runaway_caught_with_detection_on_and_off() {
         let src =
             "module tb;\nreg x;\ninitial begin x = 0; forever begin #0; x = ~x; end end\nendmodule";
         // #0 delays still advance the queue at the same time; the step
         // budget eventually trips.
-        let file = crate::parser::parse(src).expect("parse");
-        let design = crate::elaborate::elaborate(&file, "tb").expect("elab");
-        let compiled = CompiledDesign::new(design);
-        let limits = SimLimits {
-            max_steps: 10_000,
-            ..SimLimits::default()
-        };
-        for mode in [ExecMode::Bytecode, ExecMode::TreeWalk] {
-            let r = Simulator::from_compiled_with_limits(&compiled, limits)
-                .with_mode(mode)
-                .run();
-            assert!(matches!(r, Err(SimError::EventBudgetExhausted)), "{mode:?}");
+        let design = design_of(src);
+        for detect in [true, false] {
+            let (r, steps) = run_counted(&design, detect, 10_000);
+            assert!(matches!(r, Err(SimError::EventBudgetExhausted)), "{detect}");
+            assert_eq!(steps, 10_001, "a timed loop runs to the budget: {detect}");
         }
     }
 
-    /// How a runaway-detector case must end in both modes.
+    /// How a runaway-detector case must end, with detection on and off.
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Ends {
-        /// Budget exhausted, the bytecode retiring a small fraction of it.
+        /// Budget exhausted, the detector retiring a small fraction of it.
         EarlyTrip,
-        /// Budget exhausted with the whole budget retired in both modes.
+        /// Budget exhausted with the whole budget retired either way.
         FullBudget,
         /// `$finish` within the budget.
         Finishes,
     }
 
-    fn compile_src(src: &str) -> CompiledDesign {
+    fn design_of(src: &str) -> Arc<Design> {
         let file = crate::parser::parse(src).expect("parse");
-        CompiledDesign::new(crate::elaborate::elaborate(&file, "tb").expect("elab"))
+        Arc::new(crate::elaborate::elaborate(&file, "tb").expect("elab"))
     }
 
-    /// Runs `compiled` to completion; returns the result and the
-    /// instructions it retired.
+    /// Runs `design` to completion with the runaway detector on or off;
+    /// returns the result and the instructions it retired.
     fn run_counted(
-        compiled: &CompiledDesign,
-        mode: ExecMode,
+        design: &Arc<Design>,
+        detect: bool,
         max_steps: u64,
     ) -> (Result<SimOutput, SimError>, u64) {
         let limits = SimLimits {
             max_steps,
             ..SimLimits::default()
         };
-        let mut sim = Simulator::from_compiled_with_limits(compiled, limits).with_mode(mode);
+        let mut sim = Simulator::with_limits(Arc::clone(design), limits).detect_runaways(detect);
         let out = sim.run();
         (out, sim.state.steps)
     }
 
     /// Per zero-time back-edge of the design, whether it carries a
     /// counted-loop guard.
-    fn loop_guards(compiled: &CompiledDesign) -> Vec<bool> {
-        compiled
+    fn loop_guards(design: &Design) -> Vec<bool> {
+        design
             .processes
             .iter()
             .flat_map(|p| &p.code)
             .filter_map(|i| match i {
-                CInstr::LoopBack { guard, .. } => Some(guard.is_some()),
+                Instr::LoopBack { guard, .. } => Some(guard.is_some()),
                 _ => None,
             })
             .collect()
     }
 
     #[test]
-    fn runaway_loop_boundaries_in_both_modes() {
+    fn runaway_loop_boundaries_with_detection_on_and_off() {
         use Ends::*;
         const BUDGET: u64 = 250_000;
         let tb = |decls: &str, body: &str| {
@@ -1643,45 +1220,36 @@ mod tests {
             ),
         ];
         for (name, src, guards, ends) in cases {
-            let compiled = compile_src(&src);
-            assert_eq!(loop_guards(&compiled), guards, "{name}: classification");
-            let (byte, byte_steps) = run_counted(&compiled, ExecMode::Bytecode, BUDGET);
-            let (tree, tree_steps) = run_counted(&compiled, ExecMode::TreeWalk, BUDGET);
-            match (&byte, &tree) {
-                (Ok(b), Ok(t)) => {
-                    assert_eq!(b.lines, t.lines, "{name}: lines");
-                    assert_eq!((b.end_time, b.finished), (t.end_time, t.finished), "{name}");
+            let design = design_of(&src);
+            assert_eq!(loop_guards(&design), guards, "{name}: classification");
+            let (on, on_steps) = run_counted(&design, true, BUDGET);
+            let (off, off_steps) = run_counted(&design, false, BUDGET);
+            match (&on, &off) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.lines, b.lines, "{name}: lines");
+                    assert_eq!((a.end_time, a.finished), (b.end_time, b.finished), "{name}");
                 }
-                (Err(b), Err(t)) => assert_eq!(b, t, "{name}: errors"),
-                _ => panic!("{name}: modes disagree: {byte:?} vs {tree:?}"),
+                (Err(a), Err(b)) => assert_eq!(a, b, "{name}: errors"),
+                _ => panic!("{name}: detection changed the result: {on:?} vs {off:?}"),
             }
             match ends {
                 EarlyTrip => {
-                    assert!(
-                        matches!(tree, Err(SimError::EventBudgetExhausted)),
-                        "{name}"
-                    );
+                    assert!(matches!(off, Err(SimError::EventBudgetExhausted)), "{name}");
                     assert_eq!(
-                        tree_steps,
+                        off_steps,
                         BUDGET + 1,
                         "{name}: reference retires the budget"
                     );
-                    assert!(
-                        byte_steps < BUDGET / 50,
-                        "{name}: tripped after {byte_steps}"
-                    );
+                    assert!(on_steps < BUDGET / 50, "{name}: tripped after {on_steps}");
                 }
                 FullBudget => {
-                    assert!(
-                        matches!(tree, Err(SimError::EventBudgetExhausted)),
-                        "{name}"
-                    );
-                    assert_eq!((byte_steps, tree_steps), (BUDGET + 1, BUDGET + 1), "{name}");
+                    assert!(matches!(off, Err(SimError::EventBudgetExhausted)), "{name}");
+                    assert_eq!((on_steps, off_steps), (BUDGET + 1, BUDGET + 1), "{name}");
                 }
                 Finishes => {
-                    let out = byte.expect("finishes");
+                    let out = on.expect("finishes");
                     assert!(out.finished, "{name}");
-                    assert_eq!(byte_steps, tree_steps, "{name}: same work");
+                    assert_eq!(on_steps, off_steps, "{name}: same work");
                 }
             }
         }
@@ -1694,28 +1262,28 @@ mod tests {
         // with one or two fewer it trips after the loop (at `$finish` or
         // at the failing head test), so the loop must run out in full;
         // with three fewer the last back-edge trips, inside the loop, and
-        // the bytecode proves it early.
-        let compiled = compile_src(
+        // the detector proves it early.
+        let design = design_of(
             "module tb;\ninteger i;\ninitial begin\nfor (i = 0; i < 1000; i = i + 1) ;\n$finish;\nend\nendmodule",
         );
-        assert_eq!(loop_guards(&compiled), vec![true]);
-        let (out, needed) = run_counted(&compiled, ExecMode::TreeWalk, 1_000_000);
+        assert_eq!(loop_guards(&design), vec![true]);
+        let (out, needed) = run_counted(&design, false, 1_000_000);
         assert!(out.expect("finite loop").finished);
-        for mode in [ExecMode::Bytecode, ExecMode::TreeWalk] {
-            let (out, steps) = run_counted(&compiled, mode, needed);
-            assert!(out.expect("exact budget completes").finished, "{mode:?}");
-            assert_eq!(steps, needed, "{mode:?}");
+        for detect in [true, false] {
+            let (out, steps) = run_counted(&design, detect, needed);
+            assert!(out.expect("exact budget completes").finished, "{detect}");
+            assert_eq!(steps, needed, "{detect}");
             for short in 1..=3 {
                 let budget = needed - short;
-                let (out, steps) = run_counted(&compiled, mode, budget);
+                let (out, steps) = run_counted(&design, detect, budget);
                 assert!(
                     matches!(out, Err(SimError::EventBudgetExhausted)),
-                    "{mode:?} {budget}: {out:?}"
+                    "{detect} {budget}: {out:?}"
                 );
-                if mode == ExecMode::Bytecode && short == 3 {
-                    assert!(steps < budget / 10, "{mode:?} {budget}: tripped at {steps}");
+                if detect && short == 3 {
+                    assert!(steps < budget / 10, "{detect} {budget}: tripped at {steps}");
                 } else {
-                    assert_eq!(steps, budget + 1, "{mode:?} {budget}: ran to the budget");
+                    assert_eq!(steps, budget + 1, "{detect} {budget}: ran to the budget");
                 }
             }
         }
@@ -1723,7 +1291,7 @@ mod tests {
 
     #[test]
     fn for_loop_popcount() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg [7:0] v;\nreg [3:0] n;\ninteger i;\ninitial begin\nv = 8'b1011_0110;\nn = 0;\nfor (i = 0; i < 8; i = i + 1) if (v[i]) n = n + 1;\n$display(\"n=%0d\", n);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1732,7 +1300,7 @@ mod tests {
 
     #[test]
     fn case_statement() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg [1:0] s;\nreg [3:0] y;\nalways @(*) begin\ncase (s)\n2'd0: y = 4'd1;\n2'd1: y = 4'd2;\ndefault: y = 4'd15;\nendcase\nend\ninitial begin\ns = 2'd0; #1 $display(\"%0d\", y);\ns = 2'd1; #1 $display(\"%0d\", y);\ns = 2'd3; #1 $display(\"%0d\", y);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1741,7 +1309,7 @@ mod tests {
 
     #[test]
     fn event_wait_in_initial() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg clk = 0;\nalways #5 clk = ~clk;\ninitial begin\n@(posedge clk);\n$display(\"t=%0d\", $time);\n@(posedge clk);\n$display(\"t=%0d\", $time);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1750,7 +1318,7 @@ mod tests {
 
     #[test]
     fn part_select_write() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg [7:0] v;\ninitial begin\nv = 8'h00;\nv[3:0] = 4'hf;\nv[6] = 1'b1;\n$display(\"%h\", v);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1759,7 +1327,7 @@ mod tests {
 
     #[test]
     fn concat_lvalue() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg [3:0] hi, lo;\ninitial begin\n{hi, lo} = 8'hA5;\n$display(\"%h %h\", hi, lo);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1775,14 +1343,14 @@ mod tests {
             max_time: 100,
             ..SimLimits::default()
         };
-        let out = Simulator::with_limits(&design, limits).run().expect("run");
+        let out = Simulator::with_limits(design, limits).run().expect("run");
         assert!(!out.finished);
         assert!(out.end_time <= 105);
     }
 
     #[test]
     fn sequential_sr_with_sync_reset() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg clk = 0, rst;\nalways #5 clk = ~clk;\nreg [3:0] q;\nalways @(posedge clk) begin\nif (rst) q <= 4'd0; else q <= q + 4'd1;\nend\ninitial begin\nrst = 1;\n#12 rst = 0;\n#40 $display(\"q=%0d\", q);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1792,7 +1360,7 @@ mod tests {
 
     #[test]
     fn wide_arithmetic_and_selects() {
-        let out = run_both(
+        let out = run(
             "module tb;\nreg [99:0] a, b;\nwire [99:0] s;\nassign s = a + b;\ninitial begin\na = 100'd1;\nb = 100'd0;\na = a << 64;\nb = 100'd5;\n#1 $display(\"%0d %0d\", s[99:60], s[7:0]);\n$display(\"%b\", s[64]);\n$finish;\nend\nendmodule",
             "tb",
         );
@@ -1801,11 +1369,11 @@ mod tests {
 
     #[test]
     fn hot_path_has_no_per_step_clones() {
-        // The pre-bytecode simulator deep-cloned every executed `Instr`
-        // and the continuous-assign target. Both borrow now; this source
-        // scan keeps the regression from sneaking back in either
-        // execution mode. (The needles are assembled at runtime so the
-        // scan does not match its own source.)
+        // The simulator once deep-cloned every executed `Instr` and the
+        // continuous-assign target. Both borrow now; this source scan
+        // keeps the regression from sneaking back in. (The needles are
+        // assembled at runtime so the scan does not match its own
+        // source.)
         let src = include_str!("sim.rs");
         for needle in [
             format!("instr{}", ".clone"),
@@ -1822,17 +1390,13 @@ mod tests {
     #[test]
     fn reset_replays_identically() {
         // A reset simulator must be observationally identical to a fresh
-        // one — including after runs that *errored* (scratch placeholders
-        // abandoned mid-write) or hit limits. Sequential design with NBA
+        // one — including after runs that *errored* or hit limits. Sequential design with NBA
         // traffic, event waits and timed activity exercises every queue.
         let src = "module tb;\nreg clk = 0, rst;\nalways #5 clk = ~clk;\nreg [7:0] q;\nwire [7:0] y;\nassign y = q ^ 8'h0f;\nalways @(posedge clk) begin\nif (rst) q <= 8'd0; else q <= q + 8'd3;\nend\ninitial begin\nrst = 1;\n#12 rst = 0;\n#40 $display(\"q=%0d y=%0d t=%0d\", q, y, $time);\n$finish;\nend\nendmodule";
-        let file = crate::parser::parse(src).expect("parse");
-        let design = crate::elaborate::elaborate(&file, "tb").expect("elab");
-        let compiled = std::sync::Arc::new(CompiledDesign::new(design));
-
-        let reference = Simulator::from_compiled(&compiled).run().expect("fresh");
-        let mut sim = Simulator::from_shared(Arc::clone(&compiled));
-        assert!(sim.shares(&compiled));
+        let design = design_of(src);
+        let reference = Simulator::new(Arc::clone(&design)).run().expect("fresh");
+        let mut sim = Simulator::new(Arc::clone(&design));
+        assert!(sim.shares(&design));
         for round in 0..3 {
             let out = sim.run().expect("session run");
             assert_eq!(out.lines, reference.lines, "round {round}");
@@ -1858,10 +1422,7 @@ mod tests {
     #[test]
     fn run_after_completion_without_reset_is_inert() {
         let src = "module tb;\ninitial begin $display(\"once\"); $finish; end\nendmodule";
-        let file = crate::parser::parse(src).expect("parse");
-        let design = crate::elaborate::elaborate(&file, "tb").expect("elab");
-        let compiled = std::sync::Arc::new(CompiledDesign::new(design));
-        let mut sim = Simulator::from_shared(Arc::clone(&compiled));
+        let mut sim = Simulator::new(design_of(src));
         assert_eq!(sim.run().expect("first").lines, vec!["once"]);
         // No reset: the finished flag stands, nothing re-executes.
         assert!(sim.run().expect("second").lines.is_empty());
