@@ -18,8 +18,8 @@ use correctbench_checker::compile_module;
 use correctbench_dataset::Problem;
 use correctbench_llm::{CheckerArtifact, HybridTb};
 use correctbench_tbgen::{
-    abort_job, generate_driver, generate_scenarios, AbortKind, Driver, EvalSession,
-    GoldenArtifacts, GoldenKey, ScenarioResult, TbError, TbRun,
+    abort_job, generate_driver, generate_scenarios, AbortKind, Driver, EvalContext, EvalSession,
+    GoldenArtifacts, GoldenCache, GoldenKey, ScenarioResult, TbError, TbRun,
 };
 use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::mutate::mutate_module;
@@ -200,16 +200,10 @@ pub fn derive_golden_artifacts(problem: &Problem, seed: u64) -> GoldenArtifacts 
     }
 }
 
-/// The golden fixture bundle, through the thread's golden-artifact
-/// cache when one is installed (see
-/// [`CacheStack`](correctbench_tbgen::CacheStack)): every `(method,
-/// rep)` cell of a problem shares one eval seed, so only the first call
-/// pays [`derive_golden_artifacts`]. With no cache installed this *is*
-/// a fresh derivation.
-pub fn golden_artifacts(problem: &Problem, seed: u64) -> Arc<GoldenArtifacts> {
-    let Some(cache) = correctbench_tbgen::golden::active() else {
-        return Arc::new(derive_golden_artifacts(problem, seed));
-    };
+/// The golden fixture bundle, through `cache`: every `(method, rep)`
+/// cell of a problem shares one eval seed, so only the first call pays
+/// [`derive_golden_artifacts`].
+pub fn golden_artifacts(cache: &GoldenCache, problem: &Problem, seed: u64) -> Arc<GoldenArtifacts> {
     let key = GoldenKey::for_eval(problem, seed);
     if let Some(hit) = cache.get(&key) {
         return hit;
@@ -230,8 +224,10 @@ fn lint_signature(file: &SourceFile) -> u64 {
 
 /// Evaluates `tb` for `problem`, returning the highest level reached.
 /// `seed` fixes the Eval2 mutant set (use the same seed when comparing
-/// methods). The driver is judged through the parse it carries.
-pub fn evaluate(problem: &Problem, tb: &HybridTb, seed: u64) -> EvalLevel {
+/// methods). The driver is judged through the parse it carries. Every
+/// run reads `ctx`'s simulation cache and budget, and the golden
+/// fixtures come through its golden cache when it has one.
+pub fn evaluate(problem: &Problem, tb: &HybridTb, seed: u64, ctx: &EvalContext) -> EvalLevel {
     let _span = correctbench_obs::span(correctbench_obs::Phase::Autoeval);
     // Eval0: syntax.
     let Some(driver) = tb.driver.parsed().filter(|f| {
@@ -248,16 +244,17 @@ pub fn evaluate(problem: &Problem, tb: &HybridTb, seed: u64) -> EvalLevel {
     // One session per testbench: checker compiled and record bindings
     // resolved once for the Eval1 report and every Eval2 mutant run of
     // this call.
-    let Ok(mut session) = EvalSession::new(problem, &tb.checker.program) else {
+    let Ok(mut session) = EvalSession::new(problem, &tb.checker.program, ctx) else {
         return EvalLevel::Failed; // checker program the judge cannot run
     };
 
-    // Under a worker's golden cache the whole fixture bundle is fetched
-    // (or derived once) up front. Without one, stay lazy: an Eval0/Eval1
+    // With a golden cache the whole fixture bundle is fetched (or
+    // derived once) up front. Without one, stay lazy: an Eval0/Eval1
     // exit must not pay for mutants it will never sweep.
-    let cached = correctbench_tbgen::golden::active()
-        .is_some()
-        .then(|| golden_artifacts(problem, seed));
+    let cached = ctx
+        .golden
+        .as_deref()
+        .map(|cache| golden_artifacts(cache, problem, seed));
 
     // Eval1: the golden DUT must elaborate with the driver and report pass.
     let local_dut;
@@ -289,7 +286,7 @@ pub fn evaluate(problem: &Problem, tb: &HybridTb, seed: u64) -> EvalLevel {
     }
     let mine = session.sweep_mutants(&golden.mutants, driver, &tb.scenarios);
     let golden_reports: Vec<Option<bool>> = match (
-        EvalSession::new(problem, &golden.checker),
+        EvalSession::new(problem, &golden.checker, ctx),
         golden.driver.parsed(),
     ) {
         (Ok(mut golden_session), Some(golden_driver)) => golden_session
@@ -331,12 +328,17 @@ mod tests {
     use super::*;
     use correctbench_dataset::problem;
 
+    /// [`evaluate`] with no reuse layer and no budget.
+    fn eval(p: &Problem, tb: &HybridTb, seed: u64) -> EvalLevel {
+        evaluate(p, tb, seed, &EvalContext::default())
+    }
+
     #[test]
     fn golden_testbench_reaches_eval2() {
         for name in ["alu_8", "counter_8", "seq_det_101", "mux6_4"] {
             let p = problem(name).expect("problem");
             let tb = golden_testbench(&p, 3);
-            assert_eq!(evaluate(&p, &tb, 3), EvalLevel::Eval2, "{name}");
+            assert_eq!(eval(&p, &tb, 3), EvalLevel::Eval2, "{name}");
         }
     }
 
@@ -345,7 +347,7 @@ mod tests {
         let p = problem("and_8").expect("problem");
         let mut tb = golden_testbench(&p, 3);
         tb.driver = Driver::new(tb.driver.text().replace("endmodule", ""));
-        assert_eq!(evaluate(&p, &tb, 3), EvalLevel::Failed);
+        assert_eq!(eval(&p, &tb, 3), EvalLevel::Failed);
     }
 
     #[test]
@@ -353,7 +355,7 @@ mod tests {
         let p = problem("and_8").expect("problem");
         let mut tb = golden_testbench(&p, 3);
         tb.checker.broken = true;
-        assert_eq!(evaluate(&p, &tb, 3), EvalLevel::Failed);
+        assert_eq!(eval(&p, &tb, 3), EvalLevel::Failed);
     }
 
     #[test]
@@ -365,7 +367,7 @@ mod tests {
             let mut tb = golden_testbench(&p, 3);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             correctbench_checker::mutate_ir(&mut tb.checker.program, &mut rng, 2);
-            let lvl = evaluate(&p, &tb, 3);
+            let lvl = eval(&p, &tb, 3);
             if lvl <= EvalLevel::Eval0 {
                 stopped += 1;
             }
@@ -384,7 +386,7 @@ mod tests {
             let mut tb = golden_testbench(&p, seed);
             tb.scenarios.scenarios.truncate(1);
             tb.driver = Driver::new(generate_driver(&p, &tb.scenarios));
-            let lvl = evaluate(&p, &tb, seed);
+            let lvl = eval(&p, &tb, seed);
             assert!(lvl >= EvalLevel::Eval1, "thin TB must still pass Eval1");
             if lvl == EvalLevel::Eval1 {
                 caught_gap = true;
@@ -413,37 +415,36 @@ mod tests {
     fn golden_cache_is_transparent_and_hits_on_reuse() {
         let p = problem("alu_8").expect("problem");
         let tb = golden_testbench(&p, 5);
-        let uncached = evaluate(&p, &tb, 5);
-        let stack = correctbench_tbgen::CacheStack::full();
-        let _guard = stack.install();
+        let uncached = eval(&p, &tb, 5);
+        let ctx = EvalContext::cached();
+        let golden = ctx.golden.as_ref().expect("layer");
         assert_eq!(
-            evaluate(&p, &tb, 5),
+            evaluate(&p, &tb, 5, &ctx),
             uncached,
             "cache must not change levels"
         );
-        let s = stack.golden_cache().expect("layer").stats();
+        let s = golden.stats();
         assert_eq!(
             (s.hits, s.misses, s.entries),
             (0, 1, 1),
             "first cell derives"
         );
-        assert_eq!(evaluate(&p, &tb, 5), uncached);
-        let s = stack.golden_cache().expect("layer").stats();
+        assert_eq!(evaluate(&p, &tb, 5, &ctx), uncached);
+        let s = golden.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1), "second cell hits");
         // A different eval seed is a different derivation.
         let tb7 = golden_testbench(&p, 7);
-        evaluate(&p, &tb7, 7);
-        assert_eq!(stack.golden_cache().expect("layer").stats().misses, 2);
+        evaluate(&p, &tb7, 7, &ctx);
+        assert_eq!(golden.stats().misses, 2);
     }
 
     #[test]
     fn cached_and_derived_bundles_are_identical() {
         let p = problem("counter_8").expect("problem");
         let derived = derive_golden_artifacts(&p, 9);
-        let cache = correctbench_tbgen::GoldenCache::new();
-        let _guard = cache.install();
-        let first = golden_artifacts(&p, 9);
-        let second = golden_artifacts(&p, 9);
+        let cache = GoldenCache::new();
+        let first = golden_artifacts(&cache, &p, 9);
+        let second = golden_artifacts(&cache, &p, 9);
         assert!(Arc::ptr_eq(&first, &second), "second call shares the entry");
         assert_eq!(first.driver.text(), derived.driver.text());
         assert_eq!(first.scenarios, derived.scenarios);

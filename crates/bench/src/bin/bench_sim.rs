@@ -25,7 +25,7 @@
 //!   per-problem golden evaluation bundle (golden testbench generation,
 //!   golden DUT/driver parses, Eval2 mutant set) by deriving it from
 //!   scratch (the per-cell cost AutoEval paid before the golden cache)
-//!   and by fetching it from an installed `GoldenCache` (steady state:
+//!   and by fetching it from a primed `GoldenCache` (steady state:
 //!   every cell of a problem after the first).
 //! * `store_cold_job_ns` vs `store_warm_hit_ns` — one full evaluation
 //!   job of the problem (CorrectBench method, rep 0) executed from
@@ -59,8 +59,8 @@ use correctbench_harness::{
 use correctbench_llm::SimulatedClientFactory;
 use correctbench_obs::ObsStack;
 use correctbench_tbgen::{
-    elaborate_pair, generate_driver, generate_scenarios, judge_records, limits_for, EvalSession,
-    GoldenCache, ScenarioSet,
+    elaborate_pair, generate_driver, generate_scenarios, judge_records, limits_for, EvalContext,
+    EvalSession, GoldenCache, ScenarioSet,
 };
 use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::{lint_files, parse, Design, SimLimits, Simulator};
@@ -258,12 +258,12 @@ fn main() {
             correctbench_tbgen::parse_records(&out.lines)
         };
         let mut judge_session =
-            EvalSession::new(&case.problem, &case.checker).expect("checker compiles");
+            EvalSession::new(&case.problem, &case.checker, &EvalContext::default())
+                .expect("checker compiles");
         let golden_cache = GoldenCache::new();
-        let _golden_guard = golden_cache.install();
         // Prime the golden shard so the cached arm measures steady-state
         // hits, not the first derivation.
-        std::hint::black_box(golden_artifacts(&case.problem, GOLDEN_SEED));
+        std::hint::black_box(golden_artifacts(&golden_cache, &case.problem, GOLDEN_SEED));
         // The persistent-store pair: one full job of this problem
         // (CorrectBench, rep 0) executed cold vs replayed from a store
         // primed with its published cell.
@@ -324,10 +324,13 @@ fn main() {
                         std::hint::black_box(derive_golden_artifacts(&case.problem, GOLDEN_SEED));
                     },
                     &mut || {
-                        // Fetch the primed bundle from the installed
-                        // golden cache (steady state: every cell after
-                        // the first).
-                        std::hint::black_box(golden_artifacts(&case.problem, GOLDEN_SEED));
+                        // Fetch the primed bundle from the golden cache
+                        // (steady state: every cell after the first).
+                        std::hint::black_box(golden_artifacts(
+                            &golden_cache,
+                            &case.problem,
+                            GOLDEN_SEED,
+                        ));
                     },
                     &mut || {
                         // Exactly what `--lint=warn` adds per job: parse

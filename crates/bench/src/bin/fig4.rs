@@ -3,7 +3,7 @@
 //! showing the column signature that drives validation (`.` = green /
 //! correct, `#` = red / wrong, `?` = no verdict).
 
-use correctbench::{build_rs_matrix, generate_rtl_group, judge, Config, HybridTb};
+use correctbench::{build_rs_matrix, generate_rtl_group, judge, Config, EvalContext, HybridTb};
 use correctbench_checker::compile_module;
 use correctbench_llm::{CheckerArtifact, LlmClient, ModelKind, ModelProfile, SimulatedLlm};
 use correctbench_tbgen::{generate_driver, generate_scenarios, Driver};
@@ -17,9 +17,11 @@ fn main() {
         .unwrap_or(2025u64);
 
     // Both `alu_8` panels share one RTL group's worth of simulations:
-    // the harness cache answers the repeats.
-    let cache = correctbench_harness::SimCache::new();
-    let _guard = cache.install();
+    // the simulation cache answers the repeats.
+    let ctx = EvalContext {
+        golden: None,
+        ..EvalContext::cached()
+    };
 
     for (title, name, inject) in [
         ("Correct TB (combinational task `alu_8`)", "alu_8", 0usize),
@@ -47,7 +49,7 @@ fn main() {
         };
         let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), seed);
         let rtls = generate_rtl_group(&problem, &mut llm, &cfg);
-        let matrix = build_rs_matrix(&problem, &tb, &rtls);
+        let matrix = build_rs_matrix(&problem, &tb, &rtls, &ctx);
         let verdict = judge(&matrix, &cfg);
         println!("== {title} ==");
         println!(
@@ -63,5 +65,6 @@ fn main() {
         println!("{}", matrix.to_ascii());
         let _ = llm.usage();
     }
-    eprintln!("simulation cache: {}", cache.stats());
+    let stats = ctx.stats().sim.expect("sim layer");
+    eprintln!("simulation cache: {stats}");
 }

@@ -7,12 +7,12 @@
 //! wrong testbenches.
 
 use correctbench::{
-    build_rs_matrix, generate_autobench, generate_rtl_group, judge, Config, HybridTb, RsMatrix,
-    ValidationCriterion,
+    build_rs_matrix, generate_autobench, generate_rtl_group, judge, Config, EvalContext, HybridTb,
+    RsMatrix, ValidationCriterion,
 };
 use correctbench_autoeval::{evaluate, EvalLevel};
 use correctbench_dataset::Problem;
-use correctbench_harness::{parallel_map, CacheStack};
+use correctbench_harness::parallel_map;
 use correctbench_llm::{ClientFactory, ModelKind, SimulatedClientFactory};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -50,8 +50,8 @@ pub fn collect_corpus(
     threads: usize,
 ) -> Vec<TaskCorpus> {
     let factory = SimulatedClientFactory::for_model(model);
-    let stack = CacheStack::full();
-    let mut corpora = parallel_map(threads, Some(&stack), problems, |i, problem| {
+    let ctx = EvalContext::cached();
+    let mut corpora = parallel_map(threads, problems, |i, problem| {
         let seed = base_seed ^ (i as u64).wrapping_mul(0x9e37_79b9);
         let mut llm = factory.client(seed);
         // One shared RTL group per task, as in the paper, parsed once
@@ -61,12 +61,12 @@ pub fn collect_corpus(
         for k in 0..per_task {
             let mut rng = StdRng::seed_from_u64(seed ^ (k as u64) << 32);
             let tb = generate_autobench(problem, &mut *llm, cfg, &mut rng);
-            let correct = evaluate(problem, &tb, base_seed) >= EvalLevel::Eval2;
+            let correct = evaluate(problem, &tb, base_seed, &ctx) >= EvalLevel::Eval2;
             let broken = !tb.is_syntactically_valid();
             let matrix = if broken {
                 RsMatrix::default()
             } else {
-                build_rs_matrix(problem, &tb, &rtls)
+                build_rs_matrix(problem, &tb, &rtls, &ctx)
             };
             tbs.push(LabeledTb {
                 tb,
@@ -80,7 +80,7 @@ pub fn collect_corpus(
             tbs,
         }
     });
-    eprintln!("corpus: {}", stack.stats());
+    eprintln!("corpus: {}", ctx.stats());
     corpora.sort_by(|a, b| a.problem.name.cmp(&b.problem.name));
     corpora
 }

@@ -19,14 +19,15 @@
 //! # Examples
 //!
 //! ```
-//! use correctbench::{Config, run_correctbench};
+//! use correctbench::{Config, EvalContext, run_correctbench};
 //! use correctbench_llm::{ModelKind, ModelProfile, SimulatedLlm};
 //! use rand::SeedableRng;
 //!
 //! let problem = correctbench_dataset::problem("and_8").expect("known problem");
 //! let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), 7);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let outcome = run_correctbench(&problem, &mut llm, &Config::default(), &mut rng);
+//! let ctx = EvalContext::default();
+//! let outcome = run_correctbench(&problem, &mut llm, &Config::default(), &mut rng, &ctx);
 //! assert!(outcome.tb.scenarios.len() > 0);
 //! ```
 
@@ -41,6 +42,7 @@ pub mod validator;
 
 pub use config::{Config, ValidationCriterion};
 pub use correctbench_llm::HybridTb;
+pub use correctbench_tbgen::EvalContext;
 pub use corrector::correct;
 pub use generator::{generate_autobench, generate_direct};
 pub use pipeline::{

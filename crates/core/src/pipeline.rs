@@ -15,6 +15,7 @@ use crate::generator::{generate_autobench, generate_direct};
 use crate::validator::{validate, Verdict};
 use correctbench_dataset::Problem;
 use correctbench_llm::{HybridTb, LlmClient, TokenUsage};
+use correctbench_tbgen::EvalContext;
 use rand::Rng;
 
 /// The agent's actions, recorded for tracing and attribution.
@@ -104,12 +105,14 @@ impl Outcome {
     }
 }
 
-/// Runs the full CorrectBench loop on one task.
+/// Runs the full CorrectBench loop on one task; every validation runs
+/// in `ctx`.
 pub fn run_correctbench(
     problem: &Problem,
     llm: &mut dyn LlmClient,
     cfg: &Config,
     rng: &mut impl Rng,
+    ctx: &EvalContext,
 ) -> Outcome {
     let start = llm.usage();
     let mut corrections = 0u32;
@@ -121,7 +124,7 @@ pub fn run_correctbench(
     let mut validated = false;
     let mut validator_intervened = false;
     loop {
-        let v = validate(problem, &tb, llm, cfg);
+        let v = validate(problem, &tb, llm, cfg, ctx);
         match v.verdict {
             Verdict::Correct => {
                 validated = true;
@@ -198,16 +201,18 @@ pub fn run_baseline(problem: &Problem, llm: &mut dyn LlmClient) -> Outcome {
     }
 }
 
-/// Dispatches on [`Method`].
+/// Dispatches on [`Method`]; only CorrectBench runs testbenches, in
+/// `ctx`.
 pub fn run_method(
     method: Method,
     problem: &Problem,
     llm: &mut dyn LlmClient,
     cfg: &Config,
     rng: &mut impl Rng,
+    ctx: &EvalContext,
 ) -> Outcome {
     match method {
-        Method::CorrectBench => run_correctbench(problem, llm, cfg, rng),
+        Method::CorrectBench => run_correctbench(problem, llm, cfg, rng, ctx),
         Method::AutoBench => run_autobench(problem, llm, cfg, rng),
         Method::Baseline => run_baseline(problem, llm),
     }
@@ -229,7 +234,7 @@ mod tests {
         };
         let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), 41);
         let mut rng = StdRng::seed_from_u64(41);
-        let out = run_correctbench(&p, &mut llm, &cfg, &mut rng);
+        let out = run_correctbench(&p, &mut llm, &cfg, &mut rng, &EvalContext::default());
         let last = *out.trace.last().expect("trace");
         assert!(matches!(last, Action::Pass | Action::GiveUp));
         assert_eq!(last == Action::Pass, out.validated);
@@ -251,7 +256,7 @@ mod tests {
         for seed in 0..10u64 {
             let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), seed);
             let mut rng = StdRng::seed_from_u64(seed);
-            if run_correctbench(&p, &mut llm, &cfg, &mut rng).validated {
+            if run_correctbench(&p, &mut llm, &cfg, &mut rng, &EvalContext::default()).validated {
                 validated += 1;
             }
         }
@@ -262,11 +267,12 @@ mod tests {
     fn methods_differ_in_token_cost() {
         let p = correctbench_dataset::problem("seq_det_101").expect("problem");
         let cfg = Config::default();
+        let ctx = EvalContext::default();
         let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), 5);
         let mut rng = StdRng::seed_from_u64(5);
-        let cb = run_method(Method::CorrectBench, &p, &mut llm, &cfg, &mut rng);
+        let cb = run_method(Method::CorrectBench, &p, &mut llm, &cfg, &mut rng, &ctx);
         let mut llm2 = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), 5);
-        let base = run_method(Method::Baseline, &p, &mut llm2, &cfg, &mut rng);
+        let base = run_method(Method::Baseline, &p, &mut llm2, &cfg, &mut rng, &ctx);
         assert!(cb.tokens.total() > base.tokens.total());
     }
 
@@ -280,7 +286,7 @@ mod tests {
         for seed in 0..6u64 {
             let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), seed);
             let mut rng = StdRng::seed_from_u64(seed);
-            let out = run_correctbench(&p, &mut llm, &cfg, &mut rng);
+            let out = run_correctbench(&p, &mut llm, &cfg, &mut rng, &EvalContext::default());
             if out.final_from_corrector {
                 assert!(out.validator_intervened);
                 assert!(out.corrections > 0);

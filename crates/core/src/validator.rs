@@ -12,7 +12,7 @@
 use crate::config::Config;
 use correctbench_dataset::Problem;
 use correctbench_llm::{BugReport, HybridTb, LlmClient, LlmRequest, LlmResponse};
-use correctbench_tbgen::ScenarioResult;
+use correctbench_tbgen::{EvalContext, EvalSession, ScenarioResult};
 use correctbench_verilog::ast::SourceFile;
 use std::fmt;
 
@@ -159,12 +159,14 @@ pub struct Validation {
     pub matrix: RsMatrix,
 }
 
-/// Validates `tb` for `problem` using a fresh LLM-generated RTL group.
+/// Validates `tb` for `problem` using a fresh LLM-generated RTL group,
+/// simulated in `ctx`.
 pub fn validate(
     problem: &Problem,
     tb: &HybridTb,
     llm: &mut dyn LlmClient,
     cfg: &Config,
+    ctx: &EvalContext,
 ) -> Validation {
     let _span = correctbench_obs::span(correctbench_obs::Phase::Validate);
     // A testbench that cannot even run is wrong with no usable bug info.
@@ -181,7 +183,7 @@ pub fn validate(
     }
 
     let rtls = generate_rtl_group(problem, llm, cfg);
-    let matrix = build_rs_matrix(problem, tb, &rtls);
+    let matrix = build_rs_matrix(problem, tb, &rtls, ctx);
     let mut verdict = judge(&matrix, cfg);
 
     // Experimental coverage gate (paper future work): a clean RS matrix
@@ -237,10 +239,15 @@ pub fn generate_rtl_group(
 /// Simulates every RTL of the group ([`generate_rtl_group`]) under the
 /// testbench and assembles the RS matrix. The driver's carried parse is
 /// used as is, and the whole group runs as one
-/// [`correctbench_tbgen::EvalSession::sweep_mutants`]: the checker
-/// compile, the record bindings and the schedule's hash are paid once per
-/// matrix, never once per row.
-pub fn build_rs_matrix(problem: &Problem, tb: &HybridTb, rtls: &[SourceFile]) -> RsMatrix {
+/// [`EvalSession::sweep_mutants`] in `ctx`: the checker compile, the
+/// record bindings and the schedule's hash are paid once per matrix,
+/// never once per row.
+pub fn build_rs_matrix(
+    problem: &Problem,
+    tb: &HybridTb,
+    rtls: &[SourceFile],
+    ctx: &EvalContext,
+) -> RsMatrix {
     let ns = tb.scenarios.len();
     let unknown_matrix = || RsMatrix {
         rows: vec![vec![RsCell::Unknown; ns]; rtls.len()],
@@ -248,7 +255,7 @@ pub fn build_rs_matrix(problem: &Problem, tb: &HybridTb, rtls: &[SourceFile]) ->
     let Some(driver) = tb.driver.parsed() else {
         return unknown_matrix();
     };
-    let Ok(mut session) = correctbench_tbgen::EvalSession::new(problem, &tb.checker.program) else {
+    let Ok(mut session) = EvalSession::new(problem, &tb.checker.program, ctx) else {
         // A checker the judge cannot even compile fails every row, the
         // same verdict the per-row interpreter produced.
         return unknown_matrix();
@@ -344,7 +351,7 @@ mod tests {
         let (p, tb) = golden_tb("alu_8", 21);
         let cfg = Config::default();
         let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), 77);
-        let v = validate(&p, &tb, &mut llm, &cfg);
+        let v = validate(&p, &tb, &mut llm, &cfg, &EvalContext::default());
         assert!(
             v.verdict.is_correct(),
             "golden TB misvalidated; matrix:\n{}",
@@ -363,7 +370,7 @@ mod tests {
         assert!(!muts.is_empty());
         let cfg = Config::default();
         let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), 78);
-        let v = validate(&p, &tb, &mut llm, &cfg);
+        let v = validate(&p, &tb, &mut llm, &cfg, &EvalContext::default());
         match &v.verdict {
             Verdict::Wrong(report) => {
                 assert!(!report.wrong.is_empty(), "matrix:\n{}", v.matrix);
@@ -378,7 +385,7 @@ mod tests {
         tb.checker.broken = true;
         let cfg = Config::default();
         let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), 1);
-        let v = validate(&p, &tb, &mut llm, &cfg);
+        let v = validate(&p, &tb, &mut llm, &cfg, &EvalContext::default());
         assert!(!v.verdict.is_correct());
         assert_eq!(v.matrix.num_rtls(), 0);
         assert_eq!(llm.usage().requests, 0, "no RTL group for a broken TB");
@@ -391,7 +398,7 @@ mod tests {
         assert!(tb.driver.parsed().is_none());
         let cfg = Config::default();
         let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), 5);
-        let v = validate(&p, &tb, &mut llm, &cfg);
+        let v = validate(&p, &tb, &mut llm, &cfg, &EvalContext::default());
         let all: Vec<usize> = (1..=tb.scenarios.len()).collect();
         assert_eq!(
             v.verdict,

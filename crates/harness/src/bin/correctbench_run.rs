@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Expands (problems × methods × reps) into a job graph and runs it on a
-//! worker pool with one shared `CacheStack` (simulation cache,
+//! worker pool with one shared `EvalContext` (simulation cache,
 //! golden-artifact cache). Each layer has its own `--no-*-cache`
 //! switch; `--no-cache` is the alias that disables both. The retired
 //! layer switches `--no-elab-cache`, `--no-session-pool` and
@@ -206,7 +206,7 @@ fn main() {
             );
             true
         }
-        // The alias: disable every layer of the stack at once.
+        // The alias: disable every cache layer at once.
         "--no-cache" => {
             sim_cache = false;
             golden_cache = false;

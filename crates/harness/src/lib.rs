@@ -10,9 +10,9 @@
 //!   order is restored by job id, so results are byte-identical
 //!   regardless of thread count;
 //! * [`worker`] — single-job execution with per-job clients and RNGs;
-//! * [`cache`] — re-exports of the [`CacheStack`] reuse layers the
-//!   engine installs on every worker (simulation cache, golden-artifact
-//!   cache);
+//! * [`cache`] — re-exports of the reuse layers the engine shares with
+//!   every job through one [`EvalContext`] (simulation cache,
+//!   golden-artifact cache);
 //! * [`artifact`] — deterministic `outcomes.jsonl` and
 //!   `diagnostics.jsonl` plus the measured `timings.jsonl` sidecar and
 //!   the aggregated `metrics.json`;
@@ -60,18 +60,14 @@ pub mod scheduler;
 pub mod storebridge;
 pub mod worker;
 
-/// The cache-stack layers shared by worker threads.
+/// The reuse layers shared by worker threads.
 ///
 /// The layers live in `correctbench_tbgen` — the crate that owns the
 /// testbench runner they hook — and are re-exported here because the
-/// harness is what installs, shares and reports them (as one
-/// [`CacheStack`]).
+/// harness is what shares and reports them (in one [`EvalContext`]).
 pub mod cache {
-    pub use correctbench_tbgen::cache::{with_active, CacheKey, CacheStats, SimCache};
-    pub use correctbench_tbgen::golden::{
-        with_active as with_active_golden, GoldenArtifacts, GoldenCache, GoldenKey,
-    };
-    pub use correctbench_tbgen::{CacheStack, StackGuard, StackStats};
+    pub use correctbench_tbgen::golden::{GoldenArtifacts, GoldenCache, GoldenKey};
+    pub use correctbench_tbgen::{CacheKey, CacheStats, EvalContext, SimCache, StackStats};
 }
 
 pub use artifact::{
@@ -80,7 +76,7 @@ pub use artifact::{
     plan_manifest_json, replay_journal, timings_jsonl, write_artifacts, write_atomic,
     write_sidecars, ArtifactPaths, OutcomeJournal,
 };
-pub use cache::{CacheStack, CacheStats, GoldenCache, SimCache, StackStats};
+pub use cache::{CacheStats, EvalContext, GoldenCache, SimCache, StackStats};
 pub use cli::RunArgs;
 pub use correctbench_obs::{Histogram, JobObs, ObsStack};
 pub use correctbench_store::{CellKey, OutcomeStore, StoreStats};

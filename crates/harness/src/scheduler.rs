@@ -13,7 +13,7 @@ use crate::plan::RunPlan;
 use crate::worker::{run_job_guarded, TaskOutcome};
 use correctbench_llm::ClientFactory;
 use correctbench_obs::{Counter, ObsStack};
-use correctbench_tbgen::{CacheStack, GoldenCache, SimCache, StackStats};
+use correctbench_tbgen::{EvalContext, GoldenCache, SimCache, StackStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -23,14 +23,14 @@ use std::time::{Duration, Instant};
 pub type OutcomeHook = Box<dyn Fn(&TaskOutcome) + Send + Sync>;
 
 /// Executes [`RunPlan`]s over a worker pool with one shared
-/// [`CacheStack`]: the simulation cache (per-scenario verdicts of whole
+/// [`EvalContext`]: the simulation cache (per-scenario verdicts of whole
 /// testbench runs) and the golden-artifact cache (per-problem
-/// evaluation fixtures, derived once per eval seed). Each worker thread
-/// installs the stack once, under a single guard; layers can be
-/// disabled individually.
+/// evaluation fixtures, derived once per eval seed). Every job runs on
+/// a clone that shares both layers and carries the job's own budget;
+/// layers can be disabled individually.
 pub struct Engine {
     threads: usize,
-    stack: CacheStack,
+    ctx: EvalContext,
     obs: ObsStack,
     progress: bool,
     faults: FaultPlan,
@@ -45,11 +45,11 @@ pub struct Engine {
 
 impl Engine {
     /// An engine with `threads` workers and a fresh, fully-enabled
-    /// shared [`CacheStack`].
+    /// shared [`EvalContext`].
     pub fn new(threads: usize) -> Self {
         Engine {
             threads: threads.max(1),
-            stack: CacheStack::full(),
+            ctx: EvalContext::cached(),
             obs: ObsStack::enabled(),
             progress: false,
             faults: FaultPlan::none(),
@@ -86,30 +86,29 @@ impl Engine {
         self
     }
 
-    /// Replaces the whole cache stack (pass an externally-shared stack
-    /// to memoize across several plans, e.g. an ablation's criterion
-    /// sweep).
-    pub fn with_stack(mut self, stack: CacheStack) -> Self {
-        self.stack = stack;
+    /// Replaces the shared context (give several engines clones of one
+    /// context to memoize across their plans). Its budget is ignored:
+    /// each job's budget comes from the plan.
+    pub fn with_context(mut self, ctx: EvalContext) -> Self {
+        self.ctx = ctx;
         self
     }
 
     /// Disables every reuse layer (simulation cache, golden cache) — the
     /// harness `--no-cache` behavior.
-    pub fn without_cache(mut self) -> Self {
-        self.stack = CacheStack::empty();
-        self
+    pub fn without_cache(self) -> Self {
+        self.without_sim_cache().without_golden_cache()
     }
 
     /// Disables only the simulation cache.
     pub fn without_sim_cache(mut self) -> Self {
-        self.stack = self.stack.without_sim_cache();
+        self.ctx.sim = None;
         self
     }
 
     /// Disables only the golden-artifact cache.
     pub fn without_golden_cache(mut self) -> Self {
-        self.stack = self.stack.without_golden_cache();
+        self.ctx.golden = None;
         self
     }
 
@@ -177,7 +176,7 @@ impl Engine {
             .collect();
         let total = to_run.len();
         let done = AtomicUsize::new(0);
-        let executed = parallel_map(self.threads, Some(&self.stack), &to_run, |_, job| {
+        let executed = parallel_map(self.threads, &to_run, |_, job| {
             let job: &crate::plan::Job = job;
             // One collector per job (not per worker): the worker drains
             // it at job end, so measurements are attributed to the job
@@ -188,15 +187,7 @@ impl Engine {
                 // count lands in this job's own collector.
                 correctbench_obs::add(Counter::StoreMisses, 1);
             }
-            let outcome = run_job_guarded(
-                job,
-                &plan.config,
-                factory,
-                plan.sim_budget,
-                plan.job_deadline_ms,
-                self.faults.get(job.id),
-                plan.lint,
-            );
+            let outcome = run_job_guarded(job, plan, factory, &self.ctx, self.faults.get(job.id));
             if let Some(hook) = &self.outcome_hook {
                 hook(&outcome);
             }
@@ -231,26 +222,21 @@ impl Engine {
         RunResult {
             outcomes,
             threads: self.threads,
-            caches: self.stack.stats(),
+            caches: self.ctx.stats(),
             store: None,
             wall: t0.elapsed(),
             peak_rss_bytes: peak_rss_bytes(),
         }
     }
 
-    /// The engine's shared cache stack.
-    pub fn stack(&self) -> &CacheStack {
-        &self.stack
-    }
-
     /// The engine's shared simulation cache, if enabled.
     pub fn cache(&self) -> Option<&Arc<SimCache>> {
-        self.stack.sim_cache()
+        self.ctx.sim.as_ref()
     }
 
     /// The engine's shared golden-artifact cache, if enabled.
     pub fn golden_cache(&self) -> Option<&Arc<GoldenCache>> {
-        self.stack.golden_cache()
+        self.ctx.golden.as_ref()
     }
 }
 
@@ -262,7 +248,7 @@ pub struct RunResult {
     pub outcomes: Vec<TaskOutcome>,
     /// Worker count the run used (timing sidecar metadata).
     pub threads: usize,
-    /// Per-layer counters of the installed [`CacheStack`] at the end of
+    /// Per-layer counters of the engine's [`EvalContext`] at the end of
     /// the run (`None` per layer that was disabled).
     pub caches: StackStats,
     /// Persistent outcome-store counters (`None` when no store was
@@ -295,14 +281,8 @@ fn peak_rss_bytes() -> Option<u64> {
 
 /// Order-preserving parallel map over `items` with work-stealing
 /// scheduling: applies `f(index, item)` on a pool of `threads` workers
-/// (each with `stack` installed under one guard, when given) and
-/// returns results in item order regardless of completion order.
-pub fn parallel_map<T, U, F>(
-    threads: usize,
-    stack: Option<&CacheStack>,
-    items: &[T],
-    f: F,
-) -> Vec<U>
+/// and returns results in item order regardless of completion order.
+pub fn parallel_map<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
@@ -312,16 +292,13 @@ where
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads.max(1) {
-            scope.spawn(|| {
-                let _guard = stack.map(|s| s.install());
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let result = f(i, &items[i]);
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= items.len() {
+                    break;
                 }
+                let result = f(i, &items[i]);
+                *slots[i].lock().expect("result slot poisoned") = Some(result);
             });
         }
     });
@@ -343,7 +320,7 @@ mod tests {
     fn parallel_map_preserves_order() {
         let items: Vec<usize> = (0..100).collect();
         for threads in [1, 3, 8] {
-            let out = parallel_map(threads, None, &items, |i, x| {
+            let out = parallel_map(threads, &items, |i, x| {
                 assert_eq!(i, *x);
                 x * 2
             });
@@ -355,7 +332,7 @@ mod tests {
     fn workers_share_the_stack() {
         use correctbench_tbgen::cache::CacheKey;
         use correctbench_verilog::Fingerprint;
-        let stack = CacheStack::full();
+        let ctx = EvalContext::cached();
         let key = CacheKey {
             dut: Fingerprint(1),
             driver: Fingerprint(2),
@@ -364,9 +341,9 @@ mod tests {
             problem: Fingerprint(5),
         };
         // Prime the table once, then have every worker probe the same
-        // key: all 64 lookups must hit, which only holds when workers
-        // share one table rather than installing per-thread copies.
-        stack.sim_cache().expect("sim layer").put(
+        // key through its own clone of the context: all 64 lookups must
+        // hit, which only holds when clones share one table.
+        ctx.sim.as_ref().expect("sim layer").put(
             key,
             Ok(correctbench_tbgen::TbRun {
                 results: Vec::new(),
@@ -374,11 +351,12 @@ mod tests {
             }),
         );
         let items: Vec<u64> = (0..64).collect();
-        let found = parallel_map(4, Some(&stack), &items, |_, _| {
-            correctbench_tbgen::cache::with_active(|c| c.get(&key).is_some()).expect("installed")
+        let found = parallel_map(4, &items, |_, _| {
+            let clone = ctx.clone();
+            clone.sim.expect("sim layer").get(&key).is_some()
         });
         assert!(found.iter().all(|f| *f), "every worker sees the entry");
-        let stats = stack.stats().sim.expect("sim layer");
+        let stats = ctx.stats().sim.expect("sim layer");
         assert_eq!((stats.hits, stats.misses, stats.entries), (64, 0, 1));
     }
 
@@ -391,11 +369,6 @@ mod tests {
         assert!(e.cache().is_some());
         assert!(e.golden_cache().is_none());
         let all_off = Engine::new(2).without_cache();
-        assert!(all_off
-            .stack()
-            .stats()
-            .layers()
-            .iter()
-            .all(|(_, s)| s.is_none()));
+        assert!(all_off.cache().is_none() && all_off.golden_cache().is_none());
     }
 }

@@ -2,12 +2,14 @@
 //!
 //! Every job builds its own LLM client and RNG from the job seed (see
 //! [`correctbench_llm::ClientFactory`]), runs the method, and evaluates
-//! the resulting testbench with AutoEval. Nothing escapes the job except
-//! its [`TaskOutcome`], so jobs commute: any worker may run any job in
-//! any order and the collected outcomes are identical.
+//! the resulting testbench with AutoEval, all in one [`EvalContext`]:
+//! the engine's shared reuse layers plus the job's own budget. Nothing
+//! escapes the job except its [`TaskOutcome`] (the layers only memoize
+//! pure results), so jobs commute: any worker may run any job in any
+//! order and the collected outcomes are identical.
 
 use crate::fault::{FaultKind, FAULT_EXIT_CODE};
-use crate::plan::{Job, LintMode};
+use crate::plan::{Job, LintMode, RunPlan};
 use correctbench::Method;
 use correctbench::{run_method, Action, Config};
 use correctbench_autoeval::{evaluate, EvalLevel};
@@ -16,7 +18,7 @@ use correctbench_llm::{
     ClientFactory, FaultyTransport, LlmClient, ModelKind, RetryPolicy, Retrying, TokenUsage,
 };
 use correctbench_obs::Counter;
-use correctbench_tbgen::{install_budget, AbortKind, Driver, JobAbort, JobBudget};
+use correctbench_tbgen::{AbortKind, Driver, EvalContext, JobAbort, JobBudget};
 use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::Diagnostic;
 use rand::rngs::StdRng;
@@ -88,11 +90,12 @@ pub struct TaskOutcome {
     pub lint: Vec<Diagnostic>,
 }
 
-/// Runs one job to completion, unguarded: a panic propagates to the
-/// caller (a `--lint=gate` rejection unwinds too). The engine runs jobs
-/// through [`run_job_guarded`] instead.
+/// Runs one job to completion, unguarded, with no reuse layer, no
+/// budget and no lint pass: a panic propagates to the caller. The
+/// engine runs jobs through [`run_job_guarded`] instead.
 pub fn run_job(job: &Job, cfg: &Config, factory: &dyn ClientFactory) -> TaskOutcome {
-    run_job_inner(job, cfg, factory, None, LintMode::Off)
+    let ctx = EvalContext::default();
+    run_job_inner(job, cfg, factory, None, LintMode::Off, &ctx)
 }
 
 thread_local! {
@@ -198,6 +201,7 @@ fn run_job_inner(
     factory: &dyn ClientFactory,
     fault: Option<FaultKind>,
     lint_mode: LintMode,
+    ctx: &EvalContext,
 ) -> TaskOutcome {
     let t0 = Instant::now();
     // Both lint halves read one parse of the golden DUT.
@@ -208,12 +212,12 @@ fn run_job_inner(
     lint_golden_gate(job, golden.as_ref(), lint_mode);
     let mut llm = build_client(factory, job.seed, fault);
     let mut rng = StdRng::seed_from_u64(job.seed ^ 0x777);
-    let outcome = run_method(job.method, &job.problem, &mut *llm, cfg, &mut rng);
+    let outcome = run_method(job.method, &job.problem, &mut *llm, cfg, &mut rng, ctx);
     // The static-analysis gate sits between generation and evaluation:
     // under `--lint=gate` a deny-level finding unwinds here, before the
     // first simulation.
     let lint = lint_pass(job, golden.as_ref(), &outcome.tb.driver, lint_mode);
-    let level = evaluate(&job.problem, &outcome.tb, job.eval_seed);
+    let level = evaluate(&job.problem, &outcome.tb, job.eval_seed, ctx);
     TaskOutcome {
         job_id: job.id,
         problem: job.problem.name.clone(),
@@ -312,40 +316,43 @@ fn aborted_outcome(job: &Job, kind: AbortKind, wall: Duration) -> TaskOutcome {
     }
 }
 
-/// Runs one job inside a fault barrier with its budgets installed.
+/// Runs one job of `plan` inside a fault barrier, under the plan's
+/// config, budgets and lint mode.
 ///
-/// * Any unwind is caught and classified: a typed
-///   [`JobAbort`](correctbench_tbgen::JobAbort) payload carries its own
-///   [`AbortKind`]; anything else is `panic`. Either way the job
-///   becomes a deterministic `status: aborted` outcome instead of
-///   taking down the worker.
-/// * `sim_budget` / `deadline_ms` are installed as the thread's
-///   [`JobBudget`] for the duration of the job; tbgen clamps every
-///   simulation with them and aborts the job when a binding
-///   budget is exhausted.
+/// * Any unwind is caught and classified: a typed [`JobAbort`] payload
+///   carries its own [`AbortKind`]; anything else is `panic`. Either
+///   way the job becomes a deterministic `status: aborted` outcome
+///   instead of taking down the worker.
+/// * The job runs on a clone of `shared` whose [`JobBudget`] holds the
+///   plan's `sim_budget` and `job_deadline_ms`; tbgen clamps every
+///   simulation with them and aborts the job when a binding budget is
+///   exhausted.
 /// * Cache hygiene is structural: every reuse layer inserts only after
 ///   a simulation completes, so an aborted job leaves no trace in the
-///   shared [`CacheStack`](correctbench_tbgen::CacheStack).
+///   layers it shares through `shared`.
 pub fn run_job_guarded(
     job: &Job,
-    cfg: &Config,
+    plan: &RunPlan,
     factory: &dyn ClientFactory,
-    sim_budget: Option<u64>,
-    deadline_ms: Option<u64>,
+    shared: &EvalContext,
     fault: Option<FaultKind>,
-    lint_mode: LintMode,
 ) -> TaskOutcome {
     install_quiet_panic_hook();
     let t0 = Instant::now();
     LINT_STASH.with(|s| s.borrow_mut().clear());
     let result = catch_unwind(AssertUnwindSafe(|| {
         let _in_job = InJobGuard::enter();
-        let _budget = install_budget(JobBudget {
-            max_sim_steps: sim_budget,
-            // The deadline clock starts when the job starts, not when
-            // the run starts — each job gets the full allowance.
-            deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
-        });
+        let ctx = EvalContext {
+            budget: JobBudget {
+                max_sim_steps: plan.sim_budget,
+                // The deadline clock starts when the job starts, not
+                // when the run starts — each job gets the full allowance.
+                deadline: plan
+                    .job_deadline_ms
+                    .map(|ms| Instant::now() + Duration::from_millis(ms)),
+            },
+            ..shared.clone()
+        };
         match fault {
             Some(FaultKind::Panic) => panic!("injected fault: panic at job {}", job.id),
             Some(FaultKind::Slow(ms)) => std::thread::sleep(Duration::from_millis(ms)),
@@ -355,7 +362,7 @@ pub fn run_job_guarded(
             }
             _ => {}
         }
-        run_job_inner(job, cfg, factory, fault, lint_mode)
+        run_job_inner(job, &plan.config, factory, fault, plan.lint, &ctx)
     }));
     match result {
         Ok(outcome) => outcome,

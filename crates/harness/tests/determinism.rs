@@ -1,6 +1,6 @@
 //! The harness's central contract: the JSONL artifact streams of a plan
 //! (`outcomes.jsonl` and `diagnostics.jsonl`) are **byte-identical**
-//! regardless of worker count, and independent of which [`CacheStack`]
+//! regardless of worker count, and independent of which `EvalContext`
 //! layers (simulation cache, golden-artifact cache) are enabled —
 //! caching is a pure memoization: it may change wall time, never
 //! results.
@@ -99,7 +99,7 @@ fn diagnostics_with(engine: Engine, lint: LintMode) -> String {
 fn diagnostics_stream_is_byte_identical_across_threads_and_caches() {
     // The lint pass is pure, so diagnostics.jsonl shares outcomes.jsonl's
     // determinism contract: byte-identical across worker counts and with
-    // the whole stack stripped.
+    // every cache layer stripped.
     let two = diagnostics_with(Engine::new(2), LintMode::Warn);
     let four = diagnostics_with(Engine::new(4), LintMode::Warn);
     let eight = diagnostics_with(Engine::new(8), LintMode::Warn);
@@ -110,7 +110,7 @@ fn diagnostics_stream_is_byte_identical_across_threads_and_caches() {
     let stripped = diagnostics_with(Engine::new(4).without_cache(), LintMode::Warn);
     assert!(
         four == stripped,
-        "cache stack changed diagnostics:\n--- full ---\n{four}\n--- stripped ---\n{stripped}"
+        "cache layers changed diagnostics:\n--- full ---\n{four}\n--- stripped ---\n{stripped}"
     );
 }
 

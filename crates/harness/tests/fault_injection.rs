@@ -8,7 +8,7 @@
 
 use correctbench_harness::json::{parse, Value};
 use correctbench_harness::{
-    outcomes_jsonl, AbortKind, CacheStack, Engine, FaultPlan, LintMode, RunPlan, TaskOutcome,
+    outcomes_jsonl, AbortKind, Engine, EvalContext, FaultPlan, LintMode, RunPlan, TaskOutcome,
 };
 use correctbench_llm::{ModelKind, SimulatedClientFactory};
 
@@ -137,17 +137,17 @@ fn expired_deadline_aborts_with_deadline_exceeded() {
 #[test]
 fn aborted_jobs_never_poison_the_shared_cache_stack() {
     // First pass: every job dies on a binding simulation budget, with
-    // every reuse layer (sim cache, golden cache) installed and shared.
-    // Second pass: the *same* stack runs the plan cleanly. If any abort
+    // every reuse layer (sim cache, golden cache) enabled and shared.
+    // Second pass: the *same* layers run the plan cleanly. If any abort
     // had published a poisoned entry — a partial simulation, a
-    // half-built golden bundle — the reused stack would diverge from a
-    // fresh one.
+    // half-built golden bundle — the reused layers would diverge from
+    // fresh ones.
     let mut starved = plan();
     starved.sim_budget = Some(10);
-    let stack = CacheStack::full();
+    let ctx = EvalContext::cached();
     let factory = SimulatedClientFactory::for_model(ModelKind::Gpt4o);
     let first = Engine::new(4)
-        .with_stack(stack.clone())
+        .with_context(ctx.clone())
         .execute(&starved, &factory);
     assert!(
         first.outcomes.iter().any(|o| o.failure.is_some()),
@@ -155,14 +155,14 @@ fn aborted_jobs_never_poison_the_shared_cache_stack() {
     );
     let reused = outcomes_jsonl(
         &Engine::new(4)
-            .with_stack(stack)
+            .with_context(ctx)
             .execute(&plan(), &factory)
             .outcomes,
     );
     let fresh = stream(Engine::new(4), &plan());
     assert!(
         reused == fresh,
-        "cache stack poisoned by aborted jobs:\n--- reused stack ---\n{reused}\n--- fresh stack ---\n{fresh}"
+        "shared layers poisoned by aborted jobs:\n--- reused layers ---\n{reused}\n--- fresh layers ---\n{fresh}"
     );
 }
 
@@ -251,14 +251,14 @@ fn lint_warn_records_findings_without_aborting() {
 #[test]
 fn lint_gate_aborts_never_poison_the_shared_cache_stack() {
     // Same shape as the budget-starvation poison test: a gate pass that
-    // rejects every job of the dirty problem shares its stack with a
+    // rejects every job of the dirty problem shares its layers with a
     // later clean pass. The aborted jobs must leave nothing behind —
     // not even lint-report entries keyed on fingerprints the clean pass
     // will also compute.
-    let stack = CacheStack::full();
+    let ctx = EvalContext::cached();
     let factory = SimulatedClientFactory::for_model(ModelKind::Gpt4o);
     let first = Engine::new(4)
-        .with_stack(stack.clone())
+        .with_context(ctx.clone())
         .execute(&dirty_plan(LintMode::Gate), &factory);
     assert!(
         first
@@ -269,14 +269,14 @@ fn lint_gate_aborts_never_poison_the_shared_cache_stack() {
     );
     let reused = outcomes_jsonl(
         &Engine::new(4)
-            .with_stack(stack)
+            .with_context(ctx)
             .execute(&plan(), &factory)
             .outcomes,
     );
     let fresh = stream(Engine::new(4), &plan());
     assert!(
         reused == fresh,
-        "cache stack poisoned by lint-gate aborts:\n--- reused stack ---\n{reused}\n--- fresh stack ---\n{fresh}"
+        "shared layers poisoned by lint-gate aborts:\n--- reused layers ---\n{reused}\n--- fresh layers ---\n{fresh}"
     );
 }
 

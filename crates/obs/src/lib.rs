@@ -2,9 +2,9 @@
 //! and deterministic log-bucketed latency histograms.
 //!
 //! The engine's measurement substrate. A worker installs a thread-local
-//! [`Collector`] per job via [`ObsStack::install`] (the same
-//! single-owner guard pattern as `tbgen::install`); instrumented code
-//! anywhere below records into it through two free functions:
+//! [`Collector`] per job via [`ObsStack::install`], a guard that
+//! restores the previous collector on drop; instrumented code anywhere
+//! below records into it through two free functions:
 //!
 //! * [`span`] opens a phase-scoped span ([`Phase`] names the taxonomy).
 //!   Attribution is **exclusive** (self-time): entering a nested span
@@ -267,10 +267,10 @@ thread_local! {
     static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
 }
 
-/// The observability switch a worker installs per job, mirroring the
-/// `CacheStack` handle: [`ObsStack::enabled`] arms a fresh collector,
-/// [`ObsStack::disabled`] guarantees none is active (the `--no-obs`
-/// path), and the returned guard restores the previous state on drop.
+/// The observability switch a worker installs per job:
+/// [`ObsStack::enabled`] arms a fresh collector, [`ObsStack::disabled`]
+/// guarantees none is active (the `--no-obs` path), and the returned
+/// guard restores the previous state on drop.
 #[derive(Clone, Copy, Debug)]
 pub struct ObsStack {
     enabled: bool,

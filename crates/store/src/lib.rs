@@ -1,7 +1,7 @@
 //! On-disk, content-addressed, crash-safe outcome store.
 //!
-//! The in-memory reuse layers (`tbgen::CacheStack`) die with the
-//! process; this crate is the layer that survives it. Each completed
+//! The in-memory reuse layers (the caches of a `tbgen::EvalContext`)
+//! die with the process; this crate is the layer that survives it. Each completed
 //! job's artifact payload is keyed by a [`CellKey`] — the job's content
 //! fingerprint paired with the run-configuration fingerprint — and
 //! appended to checksummed, append-only **segment files**. Any later

@@ -16,23 +16,14 @@
 //! byte-identical to a recomputation and caching never changes results —
 //! only wall time.
 //!
-//! The cache is *installed* per worker thread (see [`SimCache::install`])
-//! rather than threaded through every call signature: the pipeline layers
-//! between the harness and the runner (`correctbench::validate`,
-//! `correctbench_autoeval::evaluate`) stay oblivious. One `Arc<SimCache>`
-//! shared by all workers memoizes across jobs; threads synchronize only
-//! on short shard locks.
+//! Sessions find the cache in the [`EvalContext`](crate::EvalContext)
+//! they are built with. One `Arc<SimCache>` shared by all workers
+//! memoizes across jobs; threads synchronize only on short shard locks.
 
+use crate::memo::{Memo, MemoKey};
 use crate::runner::{TbError, TbRun};
+use correctbench_obs::Counter;
 use correctbench_verilog::hash::{Fingerprint, FingerprintHasher, StructuralHash};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-use crate::install;
-
-/// Number of independently-locked shards (power of two).
-const SHARDS: usize = 16;
 
 /// The content address of one simulation: typed structural fingerprints
 /// of the five inputs that determine a testbench run. Record judging
@@ -58,11 +49,20 @@ pub struct CacheKey {
     pub problem: Fingerprint,
 }
 
-impl CacheKey {
-    fn shard(&self) -> usize {
+impl MemoKey for CacheKey {
+    const SHARDS: usize = 16;
+    /// Most validator RS-matrix rows simulate a freshly-generated RTL
+    /// whose key never recurs; the bound keeps those single-use entries
+    /// (each a per-scenario verdict vector) from growing the cache for
+    /// the whole run, while the hit-producing entries — golden-testbench
+    /// / Eval2 repeats — are revisited and therefore survive eviction.
+    const MAX_ENTRIES_PER_SHARD: usize = 2048;
+    const HITS: Counter = Counter::SimCacheHits;
+    const MISSES: Counter = Counter::SimCacheMisses;
+
+    fn mix(&self) -> u64 {
         // The components are already well-mixed FNV states.
-        (self
-            .dut
+        self.dut
             .0
             .wrapping_mul(31)
             .wrapping_add(self.driver.0)
@@ -71,8 +71,7 @@ impl CacheKey {
             .wrapping_mul(31)
             .wrapping_add(self.scenarios.0)
             .wrapping_mul(31)
-            .wrapping_add(self.problem.0)) as usize
-            & (SHARDS - 1)
+            .wrapping_add(self.problem.0)
     }
 }
 
@@ -91,150 +90,8 @@ pub fn module_interface_fingerprint(
     h.finish()
 }
 
-/// Point-in-time cache counters.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct CacheStats {
-    /// Runs answered from the cache.
-    pub hits: u64,
-    /// Runs that had to simulate.
-    pub misses: u64,
-    /// Entries currently stored.
-    pub entries: u64,
-}
-
-impl CacheStats {
-    /// Hit fraction over all lookups (0 when nothing was looked up).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-impl std::fmt::Display for CacheStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} hits / {} misses ({:.1}% hit ratio, {} entries)",
-            self.hits,
-            self.misses,
-            self.hit_ratio() * 100.0,
-            self.entries
-        )
-    }
-}
-
-/// Maximum entries one shard holds before cold entries are evicted.
-/// Most validator RS-matrix rows simulate a freshly-generated RTL whose
-/// key never recurs; the bound keeps those single-use entries (each a
-/// per-scenario verdict vector) from growing the cache for the whole
-/// run, while the hit-producing entries — golden-testbench / Eval2
-/// repeats — are revisited and therefore survive eviction.
-pub const MAX_ENTRIES_PER_SHARD: usize = 2048;
-
-struct Entry {
-    value: Result<TbRun, TbError>,
-    hits: u32,
-}
-
 /// A sharded, thread-safe, bounded memo table for testbench runs.
-pub struct SimCache {
-    shards: Vec<Mutex<HashMap<CacheKey, Entry>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl SimCache {
-    /// An empty cache, ready to share across worker threads.
-    pub fn new() -> Arc<SimCache> {
-        Arc::new(SimCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        })
-    }
-
-    /// Looks up a run, counting a hit or a miss.
-    pub fn get(&self, key: &CacheKey) -> Option<Result<TbRun, TbError>> {
-        let found = self.shards[key.shard()]
-            .lock()
-            .expect("sim cache shard poisoned")
-            .get_mut(key)
-            .map(|e| {
-                e.hits += 1;
-                e.value.clone()
-            });
-        match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                correctbench_obs::add(correctbench_obs::Counter::SimCacheHits, 1);
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                correctbench_obs::add(correctbench_obs::Counter::SimCacheMisses, 1);
-            }
-        };
-        found
-    }
-
-    /// Stores a run result. A full shard first evicts a never-hit entry
-    /// (or, when every entry has hits, an arbitrary one), so memory stays
-    /// bounded at `SHARDS * MAX_ENTRIES_PER_SHARD` entries.
-    pub fn put(&self, key: CacheKey, value: Result<TbRun, TbError>) {
-        let mut shard = self.shards[key.shard()]
-            .lock()
-            .expect("sim cache shard poisoned");
-        if shard.len() >= MAX_ENTRIES_PER_SHARD && !shard.contains_key(&key) {
-            let victim = shard
-                .iter()
-                .find(|(_, e)| e.hits == 0)
-                .or_else(|| shard.iter().next())
-                .map(|(k, _)| *k);
-            if let Some(victim) = victim {
-                shard.remove(&victim);
-            }
-        }
-        shard.insert(key, Entry { value, hits: 0 });
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("sim cache shard poisoned").len() as u64)
-                .sum(),
-        }
-    }
-
-    /// Makes `self` the active cache of the *current thread* until the
-    /// returned guard drops. [`crate::EvalSession::run`] consults the
-    /// active cache transparently; nesting restores the previous cache.
-    ///
-    /// A thin shim over [`CacheStack`](crate::CacheStack), which is the
-    /// preferred handle — it installs every layer under one guard.
-    pub fn install(self: &Arc<Self>) -> CacheGuard {
-        crate::CacheStack::empty()
-            .with_sim_cache(Arc::clone(self))
-            .install()
-    }
-}
-
-/// Runs `f` with the thread's active cache, if one is installed. Mostly
-/// internal — the runner consults it on every testbench run — but public
-/// so harnesses can probe or prime the active cache directly.
-pub fn with_active<R>(f: impl FnOnce(&SimCache) -> R) -> Option<R> {
-    install::with_active(&install::SIM, f)
-}
-
-/// Re-activates the previous cache (usually none) when dropped.
-pub type CacheGuard = install::StackGuard;
+pub type SimCache = Memo<CacheKey, Result<TbRun, TbError>>;
 
 #[cfg(test)]
 mod tests {
@@ -265,13 +122,14 @@ mod tests {
         cache.put(key(u64::MAX), dummy_run());
         assert!(cache.get(&key(u64::MAX)).is_some());
         // Flood with cold single-use keys well past the global bound.
-        let flood = (SHARDS * MAX_ENTRIES_PER_SHARD + 4096) as u64;
+        let bound = CacheKey::SHARDS * CacheKey::MAX_ENTRIES_PER_SHARD;
+        let flood = (bound + 4096) as u64;
         for n in 0..flood {
             cache.put(key(n), dummy_run());
         }
         let stats = cache.stats();
         assert!(
-            stats.entries <= (SHARDS * MAX_ENTRIES_PER_SHARD) as u64,
+            stats.entries <= bound as u64,
             "cache exceeded its bound: {stats}"
         );
         // The hot entry survived the flood of cold insertions.
@@ -305,9 +163,9 @@ mod tests {
             correctbench_checker::compile_module(&p.golden_module()).expect("golden checker");
 
         // A fresh session per run, so only the cache can link them.
-        let run = |dut| EvalSession::new(&p, &checker)?.run(dut, &driver, &scenarios);
-        let cache = SimCache::new();
-        let _guard = cache.install();
+        let ctx = crate::EvalContext::cached();
+        let cache = ctx.sim.as_ref().expect("sim layer");
+        let run = |dut| EvalSession::new(&p, &checker, &ctx)?.run(dut, &driver, &scenarios);
         let first = run(&dut).expect("first run");
         let s1 = cache.stats();
         assert_eq!((s1.hits, s1.misses, s1.entries), (0, 1, 1));
@@ -330,23 +188,5 @@ mod tests {
         let _ = run(&other_dut);
         let s3 = cache.stats();
         assert_eq!(s3.misses, 2, "different design must be a distinct entry");
-    }
-
-    #[test]
-    fn install_is_scoped_and_nested() {
-        let outer = SimCache::new();
-        let inner = SimCache::new();
-        assert!(with_active(|_| ()).is_none());
-        {
-            let _g1 = outer.install();
-            with_active(|c| c.put(key(7), dummy_run())).expect("outer active");
-            {
-                let _g2 = inner.install();
-                // A different cache is active: the outer entry is invisible.
-                assert!(!with_active(|c| c.get(&key(7)).is_some()).expect("inner active"));
-            }
-            assert!(with_active(|c| c.get(&key(7)).is_some()).expect("outer restored"));
-        }
-        assert!(with_active(|_| ()).is_none());
     }
 }

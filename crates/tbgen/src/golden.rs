@@ -15,32 +15,19 @@
 //! hands every cell of a problem the *same* eval seed, so only the
 //! first cell pays the derivation. Derivation itself lives upstream in
 //! `correctbench_autoeval` (it owns the generators); this module holds
-//! the container, following the shape of the sibling layers: sharded,
-//! bounded, never-hit-first eviction, installed per worker thread
-//! through the [`CacheStack`](crate::CacheStack).
+//! the key and the bundle. The container is the same [`Memo`] as the
+//! simulation cache's, and evaluation finds it in the
+//! [`EvalContext`](crate::EvalContext).
 
-use crate::cache::CacheStats;
 use crate::driver::Driver;
-use crate::install;
+use crate::memo::{Memo, MemoKey};
 use crate::scenarios::ScenarioSet;
 use correctbench_checker::CheckerProgram;
 use correctbench_dataset::Problem;
+use correctbench_obs::Counter;
 use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::hash::{Fingerprint, FingerprintHasher, StructuralHash};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Number of independently-locked shards (power of two). The key space
-/// is one entry per dataset problem — tiny next to the artifact caches
-/// — so fewer shards suffice.
-const SHARDS: usize = 8;
-
-/// Maximum entries one shard holds before cold entries are evicted. A
-/// bundle holds a dozen parsed files, so the global bound
-/// (`SHARDS * MAX_ENTRIES_PER_SHARD` = 512) comfortably covers the full
-/// 156-problem dataset with room for multi-seed sweeps.
-pub const MAX_ENTRIES_PER_SHARD: usize = 64;
+use std::sync::Arc;
 
 /// The identity of one derivation: everything the golden fixtures are a
 /// function of.
@@ -61,9 +48,21 @@ impl GoldenKey {
             seed,
         }
     }
+}
 
-    fn shard(&self) -> usize {
-        (self.problem.0.wrapping_mul(31).wrapping_add(self.seed)) as usize & (SHARDS - 1)
+impl MemoKey for GoldenKey {
+    /// The key space is one entry per dataset problem — tiny next to the
+    /// simulation cache's — so fewer shards suffice.
+    const SHARDS: usize = 8;
+    /// A bundle holds a dozen parsed files, so the global bound (512)
+    /// comfortably covers the full 156-problem dataset with room for
+    /// multi-seed sweeps.
+    const MAX_ENTRIES_PER_SHARD: usize = 64;
+    const HITS: Counter = Counter::GoldenHits;
+    const MISSES: Counter = Counter::GoldenMisses;
+
+    fn mix(&self) -> u64 {
+        self.problem.0.wrapping_mul(31).wrapping_add(self.seed)
     }
 }
 
@@ -108,111 +107,9 @@ pub struct GoldenArtifacts {
     pub statically_distinguished: usize,
 }
 
-struct Entry {
-    value: Arc<GoldenArtifacts>,
-    hits: u32,
-}
-
 /// A sharded, thread-safe, bounded memo table for golden-artifact
 /// bundles.
-pub struct GoldenCache {
-    shards: Vec<Mutex<HashMap<GoldenKey, Entry>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl GoldenCache {
-    /// An empty cache, ready to share across worker threads.
-    pub fn new() -> Arc<GoldenCache> {
-        Arc::new(GoldenCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        })
-    }
-
-    /// Looks up a bundle, counting a hit or a miss.
-    pub fn get(&self, key: &GoldenKey) -> Option<Arc<GoldenArtifacts>> {
-        let found = self.shards[key.shard()]
-            .lock()
-            .expect("golden cache shard poisoned")
-            .get_mut(key)
-            .map(|e| {
-                e.hits += 1;
-                Arc::clone(&e.value)
-            });
-        match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                correctbench_obs::add(correctbench_obs::Counter::GoldenHits, 1);
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                correctbench_obs::add(correctbench_obs::Counter::GoldenMisses, 1);
-            }
-        };
-        found
-    }
-
-    /// Stores a bundle. A full shard first evicts a never-hit entry (or,
-    /// when every entry has hits, an arbitrary one), so memory stays
-    /// bounded at `SHARDS * MAX_ENTRIES_PER_SHARD` entries. When two
-    /// workers race the same derivation, last-write-wins is sound: the
-    /// bundle is a pure function of the key.
-    pub fn put(&self, key: GoldenKey, value: Arc<GoldenArtifacts>) {
-        let mut shard = self.shards[key.shard()]
-            .lock()
-            .expect("golden cache shard poisoned");
-        if shard.len() >= MAX_ENTRIES_PER_SHARD && !shard.contains_key(&key) {
-            let victim = shard
-                .iter()
-                .find(|(_, e)| e.hits == 0)
-                .or_else(|| shard.iter().next())
-                .map(|(k, _)| *k);
-            if let Some(victim) = victim {
-                shard.remove(&victim);
-            }
-        }
-        shard.insert(key, Entry { value, hits: 0 });
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("golden cache shard poisoned").len() as u64)
-                .sum(),
-        }
-    }
-
-    /// Makes `self` the active golden cache of the *current thread* until
-    /// the returned guard drops — a thin shim over
-    /// [`CacheStack`](crate::CacheStack), which is the preferred way to
-    /// install a full layer set.
-    pub fn install(self: &Arc<Self>) -> GoldenCacheGuard {
-        crate::CacheStack::empty()
-            .with_golden_cache(Arc::clone(self))
-            .install()
-    }
-}
-
-/// Runs `f` with the thread's active golden cache, if one is installed.
-pub fn with_active<R>(f: impl FnOnce(&GoldenCache) -> R) -> Option<R> {
-    install::with_active(&install::GOLDEN, f)
-}
-
-/// The thread's active golden cache itself, if one is installed —
-/// derivation sites hold it across the get/derive/put sequence.
-pub fn active() -> Option<Arc<GoldenCache>> {
-    install::active(&install::GOLDEN)
-}
-
-/// Re-activates the previous cache (usually none) when dropped.
-pub type GoldenCacheGuard = crate::install::StackGuard;
+pub type GoldenCache = Memo<GoldenKey, Arc<GoldenArtifacts>>;
 
 #[cfg(test)]
 mod tests {
@@ -282,32 +179,16 @@ mod tests {
         cache.put(key(u64::MAX), Arc::clone(&hot));
         assert!(cache.get(&key(u64::MAX)).is_some());
         let cold = bundle("and_8", 2);
-        let flood = (SHARDS * MAX_ENTRIES_PER_SHARD + 64) as u64;
+        let bound = GoldenKey::SHARDS * GoldenKey::MAX_ENTRIES_PER_SHARD;
+        let flood = (bound + 64) as u64;
         for n in 0..flood {
             cache.put(key(n), Arc::clone(&cold));
         }
         let stats = cache.stats();
         assert!(
-            stats.entries <= (SHARDS * MAX_ENTRIES_PER_SHARD) as u64,
+            stats.entries <= bound as u64,
             "cache exceeded its bound: {stats}"
         );
         assert!(cache.get(&key(u64::MAX)).is_some(), "hot key was evicted");
-    }
-
-    #[test]
-    fn install_is_scoped_and_nested() {
-        let outer = GoldenCache::new();
-        let inner = GoldenCache::new();
-        assert!(with_active(|_| ()).is_none());
-        {
-            let _g1 = outer.install();
-            with_active(|c| c.put(key(7), bundle("and_8", 7))).expect("outer active");
-            {
-                let _g2 = inner.install();
-                assert!(!with_active(|c| c.get(&key(7)).is_some()).expect("inner active"));
-            }
-            assert!(with_active(|c| c.get(&key(7)).is_some()).expect("outer restored"));
-        }
-        assert!(with_active(|_| ()).is_none());
     }
 }

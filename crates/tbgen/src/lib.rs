@@ -5,7 +5,9 @@
 //! reference outputs. This crate provides the canonical scenario
 //! generator, the driver code generator, record parsing, and the
 //! [`EvalSession`] that runs a testbench and produces per-scenario
-//! verdicts, with [`reference_run`] as its executable reference.
+//! verdicts, with [`reference_run`] as its executable reference. What a
+//! run reads beyond its inputs — the reuse layers and the job budget —
+//! arrives explicitly in an [`EvalContext`].
 //!
 //! # Examples
 //!
@@ -13,14 +15,15 @@
 //!
 //! ```
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! use correctbench_tbgen::{generate_driver, generate_scenarios, EvalSession};
+//! use correctbench_tbgen::{generate_driver, generate_scenarios, EvalContext, EvalSession};
 //!
 //! let problem = correctbench_dataset::problem("adder_8").expect("known problem");
 //! let scenarios = generate_scenarios(&problem, 42);
 //! let driver = correctbench_verilog::parse(&generate_driver(&problem, &scenarios))?;
 //! let checker = correctbench_checker::compile_module(&problem.golden_module())?;
 //! let dut = correctbench_verilog::parse(&problem.golden_rtl)?;
-//! let run = EvalSession::new(&problem, &checker)?.run(&dut, &driver, &scenarios)?;
+//! let mut session = EvalSession::new(&problem, &checker, &EvalContext::default())?;
+//! let run = session.run(&dut, &driver, &scenarios)?;
 //! assert!(run.all_pass());
 //! # Ok(())
 //! # }
@@ -31,23 +34,23 @@
 
 pub mod abort;
 pub mod cache;
+mod context;
 pub mod coverage;
 pub mod driver;
 pub mod golden;
-mod install;
+pub mod memo;
 pub mod record;
 pub mod runner;
 pub mod scenarios;
 pub mod session;
 
 pub use abort::{abort_job, AbortKind, JobAbort};
-pub use cache::{module_interface_fingerprint, CacheKey, CacheStats, SimCache};
+pub use cache::{module_interface_fingerprint, CacheKey, SimCache};
+pub use context::{EvalContext, JobBudget, StackStats};
 pub use coverage::{CoverageReport, SignalCoverage};
 pub use driver::{generate_driver, record_format, Driver, TB_MODULE};
 pub use golden::{problem_fingerprint, GoldenArtifacts, GoldenCache, GoldenKey};
-pub use install::{
-    active_budget, install_budget, BudgetGuard, CacheStack, JobBudget, StackGuard, StackStats,
-};
+pub use memo::CacheStats;
 pub use record::{parse_record, parse_records, FieldValue, Record, RecordBinding};
 pub use runner::{
     elaborate_pair, judge_records, limits_for, reference_run, ScenarioResult, TbError, TbRun,

@@ -85,10 +85,9 @@ impl From<CheckerRunError> for TbError {
     }
 }
 
-/// Simulates `driver` against `dut` under `limits` (clamped by the
-/// thread's [`crate::JobBudget`]) and returns the captured records and
-/// the end time. Every call elaborates the pair afresh: the simulation
-/// half of [`reference_run`].
+/// Simulates `driver` against `dut` under `limits`, with no budget,
+/// and returns the captured records and the end time. Every call
+/// elaborates the pair afresh: the simulation half of [`reference_run`].
 ///
 /// # Errors
 ///
@@ -99,32 +98,10 @@ pub(crate) fn simulate_records_limited(
     limits: SimLimits,
 ) -> Result<(Vec<Record>, u64), TbError> {
     let design = elaborate_pair(dut, driver)?;
-    let (limits, binding) = budgeted_limits(limits);
     let out = Simulator::with_limits(design, limits)
         .run()
-        .map_err(|e| classify_sim_err(e, binding))?;
+        .map_err(VerilogError::Sim)?;
     Ok((parse_records(&out.lines), out.end_time))
-}
-
-/// Applies the thread's active [`crate::JobBudget`] to one run's
-/// limits: clamps `max_steps` when the step budget undercuts the
-/// natural limit (the *binding* case) and threads the wall deadline
-/// through. Returns the clamped limits and whether the step budget
-/// binds — the flag that decides whether an exhaustion is a natural,
-/// cacheable `Err` (today's behavior) or a structured job abort.
-pub(crate) fn budgeted_limits(mut limits: SimLimits) -> (SimLimits, bool) {
-    let budget = crate::install::active_budget();
-    let mut binding = false;
-    if let Some(b) = budget.max_sim_steps {
-        if b < limits.max_steps {
-            limits.max_steps = b;
-            binding = true;
-        }
-    }
-    if budget.deadline.is_some() {
-        limits.deadline = budget.deadline;
-    }
-    (limits, binding)
 }
 
 /// Classifies a simulation error under a budgeted run: a missed wall
@@ -174,9 +151,9 @@ pub fn limits_for(scenarios: &ScenarioSet) -> SimLimits {
 
 /// The executable reference for one testbench run: a fresh
 /// [`elaborate_pair`], a fresh [`Simulator`] and the checker interpreter
-/// ([`judge_records`]), with no session and no cache. Jobs run through
-/// [`crate::EvalSession`]; the session tests and the golden keystone
-/// test compare against this.
+/// ([`judge_records`]), with no session, no cache and no budget. Jobs
+/// run through [`crate::EvalSession`]; the session tests and the golden
+/// keystone test compare against this.
 ///
 /// # Errors
 ///

@@ -16,12 +16,14 @@
 //!   [`Simulator::reset`] instead of reconstructed;
 //! * the **judging buffers** (per-scenario flags, positional inputs).
 //!
-//! [`EvalSession::run`] consults the thread's
-//! [`SimCache`](crate::SimCache) first. Its results equal
+//! A session takes the [`SimCache`] and the [`JobBudget`] of the
+//! [`EvalContext`] it is built with: [`EvalSession::run`] consults the
+//! cache first and clamps every run to the budget. Its results equal
 //! [`crate::reference_run`]'s (a fresh elaboration, a fresh simulator,
 //! the interpreted checker), which this module's tests pin run by run.
 
-use crate::cache::{module_interface_fingerprint, CacheKey};
+use crate::cache::{module_interface_fingerprint, CacheKey, SimCache};
+use crate::context::{EvalContext, JobBudget};
 use crate::record::{parse_records, Record, RecordBinding};
 use crate::runner::{elaborate_pair, limits_for, ScenarioResult, TbError, TbRun};
 use crate::scenarios::ScenarioSet;
@@ -40,7 +42,7 @@ use std::sync::Arc;
 ///
 /// ```
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use correctbench_tbgen::{generate_driver, generate_scenarios, EvalSession};
+/// use correctbench_tbgen::{generate_driver, generate_scenarios, EvalContext, EvalSession};
 ///
 /// let problem = correctbench_dataset::problem("adder_8").expect("known problem");
 /// let scenarios = generate_scenarios(&problem, 42);
@@ -48,7 +50,7 @@ use std::sync::Arc;
 /// let checker = correctbench_checker::compile_module(&problem.golden_module())?;
 /// let dut = correctbench_verilog::parse(&problem.golden_rtl)?;
 ///
-/// let mut session = EvalSession::new(&problem, &checker)?;
+/// let mut session = EvalSession::new(&problem, &checker, &EvalContext::default())?;
 /// for run in session.sweep_mutants(std::slice::from_ref(&dut), &driver, &scenarios) {
 ///     assert!(run?.all_pass());
 /// }
@@ -61,6 +63,10 @@ pub struct EvalSession {
     /// take eagerly.
     checker_fp: Fingerprint,
     problem_fp: Fingerprint,
+    /// The context's simulation cache, consulted before every run.
+    cache: Option<Arc<SimCache>>,
+    /// The context's job budget, clamping every run's limits.
+    budget: JobBudget,
     judge: JudgeSession,
     /// Record-field resolution for the checker's inputs and outputs,
     /// re-indexed per record (first-occurrence semantics, exactly like
@@ -90,14 +96,19 @@ pub struct EvalSession {
 }
 
 impl EvalSession {
-    /// Builds a session: compiles the checker and resolves the record
-    /// bindings. One-time cost, amortized over every subsequent run.
+    /// Builds a session: compiles the checker, resolves the record
+    /// bindings, and keeps `ctx`'s simulation cache and job budget.
+    /// One-time cost, amortized over every subsequent run.
     ///
     /// # Errors
     ///
     /// [`TbError::Checker`] when the checker program is malformed (the
     /// same class the interpreter rejects at judge time).
-    pub fn new(problem: &Problem, checker: &CheckerProgram) -> Result<EvalSession, TbError> {
+    pub fn new(
+        problem: &Problem,
+        checker: &CheckerProgram,
+        ctx: &EvalContext,
+    ) -> Result<EvalSession, TbError> {
         let judge = JudgeSession::new(checker)?;
         let mut binding = RecordBinding::default();
         let input_slots = crate::runner::bind_inputs(&mut binding, checker, &problem.ports);
@@ -113,6 +124,8 @@ impl EvalSession {
         Ok(EvalSession {
             checker_fp: checker.fingerprint(),
             problem_fp: module_interface_fingerprint(&problem.name, &problem.ports),
+            cache: ctx.sim.clone(),
+            budget: ctx.budget,
             judge,
             binding,
             input_slots,
@@ -147,8 +160,8 @@ impl EvalSession {
     }
 
     /// Runs the hybrid testbench against one DUT, with the same result
-    /// as [`crate::reference_run`]. Consults the thread's simulation
-    /// cache first and stores misses back.
+    /// as [`crate::reference_run`] when no budget binds. Consults the
+    /// session's simulation cache first and stores misses back.
     ///
     /// # Errors
     ///
@@ -180,7 +193,7 @@ impl EvalSession {
 
     /// [`EvalSession::run`], taking the schedule's fingerprint from
     /// `scenarios_fp` and filling it on the first cache probe: nothing is
-    /// hashed when no simulation cache is active.
+    /// hashed when the session has no simulation cache.
     fn run_keyed(
         &mut self,
         dut: &SourceFile,
@@ -188,22 +201,22 @@ impl EvalSession {
         scenarios: &ScenarioSet,
         scenarios_fp: &mut Option<Fingerprint>,
     ) -> Result<TbRun, TbError> {
-        let key = crate::cache::with_active(|_| CacheKey {
+        let Some(cache) = self.cache.clone() else {
+            return self.run_once(dut, driver, scenarios);
+        };
+        let key = CacheKey {
             dut: dut.fingerprint(),
             driver: driver.fingerprint(),
             checker: self.checker_fp,
             scenarios: *scenarios_fp.get_or_insert_with(|| scenarios.fingerprint()),
             problem: self.problem_fp,
-        });
-        if let Some(key) = key {
-            if let Some(cached) = crate::cache::with_active(|c| c.get(&key)).flatten() {
-                return cached;
-            }
-            let result = self.run_once(dut, driver, scenarios);
-            crate::cache::with_active(|c| c.put(key, result.clone()));
-            return result;
+        };
+        if let Some(cached) = cache.get(&key) {
+            return cached;
         }
-        self.run_once(dut, driver, scenarios)
+        let result = self.run_once(dut, driver, scenarios);
+        cache.put(key, result.clone());
+        result
     }
 
     /// The uncached run: simulate (session simulator) and judge (compiled
@@ -215,7 +228,7 @@ impl EvalSession {
         scenarios: &ScenarioSet,
     ) -> Result<TbRun, TbError> {
         let design = self.design(dut, driver)?;
-        let (limits, binding) = crate::runner::budgeted_limits(limits_for(scenarios));
+        let (limits, binding) = self.budget.clamp(limits_for(scenarios));
         let sim = match &mut self.sim {
             Some(sim) if sim.shares(&design) => {
                 sim.reset();
@@ -375,7 +388,8 @@ mod tests {
                 checker,
                 duts,
             } = sweep_inputs(name);
-            let mut session = EvalSession::new(&p, &checker).expect("session");
+            let mut session =
+                EvalSession::new(&p, &checker, &EvalContext::default()).expect("session");
             let swept = session.sweep_mutants(duts.iter().map(|(_, f)| f), &driver, &scen);
             let mut runaways = 0;
             for ((design, dut), via_session) in duts.iter().zip(swept) {
@@ -452,13 +466,12 @@ mod tests {
         let driver = parse(&generate_driver(&p, &scen)).expect("driver");
         let checker = compile_module(&p.golden_module()).expect("checker");
         let dut = parse(&p.golden_rtl).expect("golden");
-        let cache = crate::SimCache::new();
-        let _guard = cache.install();
-        let mut session = EvalSession::new(&p, &checker).expect("session");
+        let ctx = EvalContext::cached();
+        let mut session = EvalSession::new(&p, &checker, &ctx).expect("session");
         let a = session.run(&dut, &driver, &scen).expect("first");
         let b = session.run(&dut, &driver, &scen).expect("second");
         assert_eq!(a, b);
-        let stats = cache.stats();
+        let stats = ctx.stats().sim.expect("sim layer");
         assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 }

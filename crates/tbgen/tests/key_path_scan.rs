@@ -1,35 +1,44 @@
-//! Source-scan guards: no rendering hash on any cache-key path, and no
-//! thread-local cache slots outside `install.rs`.
+//! Source-scan guards over every tbgen source file: no thread-local
+//! state, and no rendering hash on any runtime path.
+//!
+//! The reuse layers and the job budget reach a run through an explicit
+//! `EvalContext`; a `thread_local!` anywhere in the crate would be
+//! implicit per-thread state sneaking back onto the evaluation path.
 //!
 //! The fingerprint migration's acceptance criterion is that cache
 //! probes never render an AST again — neither through `debug_hash`
 //! (FNV over the `Debug` stream) nor through `print_file` /
 //! `structural_hash` (FNV over the pretty-print). Those functions
 //! survive as test-only oracles, so the type system cannot enforce the
-//! boundary; this scan does: the runtime halves of every file that
-//! builds cache keys must not mention them.
+//! boundary; this scan does: the runtime half of no file may mention
+//! them.
+//!
+//! The files are listed from `src/` when the test runs, so a new module
+//! is scanned without anyone having to add it here.
 
-const KEY_PATH_SOURCES: &[(&str, &str)] = &[
-    ("cache.rs", include_str!("../src/cache.rs")),
-    ("golden.rs", include_str!("../src/golden.rs")),
-    ("session.rs", include_str!("../src/session.rs")),
-    ("runner.rs", include_str!("../src/runner.rs")),
-];
+use std::path::Path;
 
-/// Every tbgen source file except `install.rs` — the one module allowed
-/// to declare thread-local slots.
-const NON_INSTALL_SOURCES: &[(&str, &str)] = &[
-    ("lib.rs", include_str!("../src/lib.rs")),
-    ("abort.rs", include_str!("../src/abort.rs")),
-    ("cache.rs", include_str!("../src/cache.rs")),
-    ("coverage.rs", include_str!("../src/coverage.rs")),
-    ("driver.rs", include_str!("../src/driver.rs")),
-    ("golden.rs", include_str!("../src/golden.rs")),
-    ("record.rs", include_str!("../src/record.rs")),
-    ("runner.rs", include_str!("../src/runner.rs")),
-    ("scenarios.rs", include_str!("../src/scenarios.rs")),
-    ("session.rs", include_str!("../src/session.rs")),
-];
+/// Every `src/*.rs` file of the crate, as `(file name, contents)`.
+fn sources() -> Vec<(String, String)> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut files: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .expect("src/ lists")
+        .map(|entry| entry.expect("src/ entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
+        .map(|path| {
+            let name = path.file_name().expect("file name").to_string_lossy();
+            let src = std::fs::read_to_string(&path).expect("source reads");
+            (name.into_owned(), src)
+        })
+        .collect();
+    files.sort();
+    assert!(
+        files.iter().any(|(name, _)| name == "session.rs"),
+        "the scan found no sources in {}",
+        dir.display()
+    );
+    files
+}
 
 /// The non-test half of a source file (everything before its
 /// `#[cfg(test)]` module).
@@ -37,29 +46,25 @@ fn runtime_half(src: &str) -> &str {
     src.split("#[cfg(test)]").next().unwrap_or(src)
 }
 
-/// The CacheStack refactor's acceptance criterion: every thread-local
-/// cache slot lives in `install.rs`, where the `CacheStack` install
-/// machinery owns save/restore. A `thread_local!` anywhere else in the
-/// crate is a new hand-rolled slot sneaking past the unified handle.
 #[test]
-fn no_thread_local_slots_outside_install() {
-    for (name, src) in NON_INSTALL_SOURCES {
+fn no_thread_local_anywhere_in_tbgen() {
+    for (name, src) in sources() {
         assert!(
             !src.contains("thread_local!"),
-            "{name}: `thread_local!` outside install.rs; per-worker state \
-             goes through the CacheStack slots in install.rs"
+            "{name}: `thread_local!` in tbgen; the reuse layers and the \
+             job budget travel in the explicit EvalContext"
         );
     }
 }
 
 #[test]
 fn no_rendering_hash_on_key_paths() {
-    for (name, src) in KEY_PATH_SOURCES {
-        let runtime = runtime_half(src);
+    for (name, src) in sources() {
+        let runtime = runtime_half(&src);
         for oracle in ["debug_hash", "print_file", "structural_hash"] {
             assert!(
                 !runtime.contains(oracle),
-                "{name}: `{oracle}` reappeared on a cache-key path; \
+                "{name}: `{oracle}` reappeared in a runtime half; \
                  rendering hashes are test-only oracles — key paths use \
                  the StructuralHash visitor fingerprints"
             );

@@ -6,7 +6,7 @@
 //! ```
 
 use correctbench_suite::autoeval::evaluate;
-use correctbench_suite::core::{run_method, Config, Method};
+use correctbench_suite::core::{run_method, Config, EvalContext, Method};
 use correctbench_suite::llm::{ModelKind, ModelProfile, SimulatedLlm};
 use rand::SeedableRng;
 
@@ -20,6 +20,9 @@ fn main() {
         "seq_det_101",
     ];
     let cfg = Config::default();
+    // One context for the whole table: its caches share the golden
+    // fixtures and repeated simulations across methods and tasks.
+    let ctx = EvalContext::cached();
 
     println!(
         "{:<16} {:<14} {:<12} {:<10} (AutoEval level per method)",
@@ -32,8 +35,8 @@ fn main() {
             let mut llm =
                 SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), 42 + i as u64);
             let mut rng = rand::rngs::StdRng::seed_from_u64(42 + i as u64);
-            let outcome = run_method(*method, &problem, &mut llm, &cfg, &mut rng);
-            cells.push(evaluate(&problem, &outcome.tb, 42).name().to_string());
+            let outcome = run_method(*method, &problem, &mut llm, &cfg, &mut rng, &ctx);
+            cells.push(evaluate(&problem, &outcome.tb, 42, &ctx).name().to_string());
         }
         println!(
             "{:<16} {:<14} {:<12} {:<10}",

@@ -6,7 +6,7 @@
 //! ```
 
 use correctbench_suite::autoeval::evaluate;
-use correctbench_suite::core::{run_correctbench, Config};
+use correctbench_suite::core::{run_correctbench, Config, EvalContext};
 use correctbench_suite::llm::{LlmClient, ModelKind, ModelProfile, SimulatedLlm};
 use rand::SeedableRng;
 
@@ -26,7 +26,8 @@ fn main() {
     let cfg = Config::default();
     let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), 2025);
     let mut rng = rand::rngs::StdRng::seed_from_u64(2025);
-    let outcome = run_correctbench(&problem, &mut llm, &cfg, &mut rng);
+    let ctx = EvalContext::cached();
+    let outcome = run_correctbench(&problem, &mut llm, &cfg, &mut rng, &ctx);
 
     println!("pipeline finished:");
     println!("  actions            : {:?}", outcome.trace);
@@ -38,7 +39,7 @@ fn main() {
         outcome.tokens.input_tokens, outcome.tokens.output_tokens, outcome.tokens.requests
     );
 
-    let level = evaluate(&problem, &outcome.tb, 2025);
+    let level = evaluate(&problem, &outcome.tb, 2025, &ctx);
     println!("  AutoEval level     : {}", level.name());
 
     println!("\ngenerated driver (first 30 lines):");

@@ -9,7 +9,7 @@
 
 use correctbench_suite::checker::compile_module;
 use correctbench_suite::core::{
-    build_rs_matrix, correct, generate_rtl_group, judge, Config, HybridTb, Verdict,
+    build_rs_matrix, correct, generate_rtl_group, judge, Config, EvalContext, HybridTb, Verdict,
 };
 use correctbench_suite::llm::{CheckerArtifact, ModelKind, ModelProfile, SimulatedLlm};
 use correctbench_suite::tbgen::{generate_driver, generate_scenarios, Driver};
@@ -46,7 +46,8 @@ fn main() {
     // Validate: build the RS matrix from 20 imperfect RTL generations.
     let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), 77);
     let rtls = generate_rtl_group(&problem, &mut llm, &cfg);
-    let matrix = build_rs_matrix(&problem, &tb, &rtls);
+    let ctx = EvalContext::cached();
+    let matrix = build_rs_matrix(&problem, &tb, &rtls, &ctx);
     println!(
         "\nRS matrix ({} RTLs x {} scenarios):",
         matrix.num_rtls(),
@@ -72,7 +73,7 @@ fn main() {
                 fixed.checker.defects.len(),
                 tb.checker.defects.len()
             );
-            let matrix2 = build_rs_matrix(&problem, &fixed, &rtls);
+            let matrix2 = build_rs_matrix(&problem, &fixed, &rtls, &ctx);
             let verdict2 = judge(&matrix2, &cfg);
             println!(
                 "re-validation verdict: {}",

@@ -4,7 +4,7 @@
 //! invariants behind Table III.
 
 use correctbench_suite::autoeval::{evaluate, EvalLevel};
-use correctbench_suite::core::{run_method, Config, Method};
+use correctbench_suite::core::{run_method, Config, EvalContext, Method};
 use correctbench_suite::llm::{ModelKind, ModelProfile, SimulatedLlm};
 use rand::SeedableRng;
 
@@ -17,14 +17,15 @@ fn eval2_count(method: Method, seeds: std::ops::Range<u64>) -> usize {
         max_reboots: 2,
         ..Config::default()
     };
+    let ctx = EvalContext::default();
     let mut passed = 0;
     for name in TASKS {
         let problem = correctbench_suite::dataset::problem(name).expect("known problem");
         for seed in seeds.clone() {
             let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), seed);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xabc);
-            let out = run_method(method, &problem, &mut llm, &cfg, &mut rng);
-            if evaluate(&problem, &out.tb, 1) >= EvalLevel::Eval2 {
+            let out = run_method(method, &problem, &mut llm, &cfg, &mut rng, &ctx);
+            if evaluate(&problem, &out.tb, 1, &ctx) >= EvalLevel::Eval2 {
                 passed += 1;
             }
         }
@@ -54,12 +55,20 @@ fn method_ordering_holds() {
 #[test]
 fn correctbench_outcome_invariants() {
     let cfg = Config::default();
+    let ctx = EvalContext::default();
     for name in ["alu_8", "seq_det_101"] {
         let problem = correctbench_suite::dataset::problem(name).expect("known problem");
         for seed in 0..2u64 {
             let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), seed);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let out = run_method(Method::CorrectBench, &problem, &mut llm, &cfg, &mut rng);
+            let out = run_method(
+                Method::CorrectBench,
+                &problem,
+                &mut llm,
+                &cfg,
+                &mut rng,
+                &ctx,
+            );
             // The trace always ends with a terminal action, and Pass is
             // reserved for a validated testbench.
             use correctbench_suite::core::Action;
@@ -85,6 +94,7 @@ fn validated_testbenches_usually_pass_eval2() {
         max_reboots: 2,
         ..Config::default()
     };
+    let ctx = EvalContext::default();
     let mut validated = 0;
     let mut validated_and_passed = 0;
     for name in TASKS {
@@ -92,12 +102,19 @@ fn validated_testbenches_usually_pass_eval2() {
         for seed in 10..12u64 {
             let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), seed);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let out = run_method(Method::CorrectBench, &problem, &mut llm, &cfg, &mut rng);
+            let out = run_method(
+                Method::CorrectBench,
+                &problem,
+                &mut llm,
+                &cfg,
+                &mut rng,
+                &ctx,
+            );
             if !out.validated {
                 continue;
             }
             validated += 1;
-            if evaluate(&problem, &out.tb, 1) >= EvalLevel::Eval2 {
+            if evaluate(&problem, &out.tb, 1, &ctx) >= EvalLevel::Eval2 {
                 validated_and_passed += 1;
             }
         }
