@@ -1,26 +1,19 @@
 //! `bench_sim`: the simulation-core micro-benchmark behind the
 //! `BENCH_sim.json` perf trajectory.
 //!
-//! Measures the testbench hot path — elaborate DUT + driver, simulate,
-//! judge against the checker — on representative combinational and
-//! sequential problems, in two configurations:
+//! Measures the testbench hot path on representative combinational and
+//! sequential problems, with interleaved comparisons:
 //!
-//! * `fresh_design_ns` — re-elaborate the pair every run, then simulate
-//!   and judge: the path every freshly generated design takes.
-//! * `cached_design_ns` — simulate the already elaborated design and
-//!   judge: the steady state an `EvalSession` reaches when its design
-//!   memo holds the pair (repeated runs of one DUT + driver).
-//!
-//! Further interleaved comparisons:
-//!
+//! * `fresh_design_ns` vs `hot_path_obs_ns` — one uncached run
+//!   (elaborate DUT + driver, simulate, judge against the checker: what
+//!   every job's session does on a cache miss) with no observability
+//!   collector armed (spans and counter probes short-circuit on the
+//!   thread-local check) and with a live per-job collector installed
+//!   (`ObsStack::enabled`), pinning the enabled-span overhead the
+//!   harness pays per job.
 //! * `judge_interp_ns` vs `judge_session_ns` — judging one pre-captured
 //!   record stream with the interpreter (`judge_records`) and with the
 //!   session's compiled checker.
-//! * `cached_design_ns` vs `hot_path_obs_ns` — the same steady-state
-//!   hot path with no observability collector armed (spans and counter
-//!   probes short-circuit on the thread-local check) and with a live
-//!   per-job collector installed (`ObsStack::enabled`), pinning the
-//!   enabled-span overhead the harness pays per job.
 //! * `golden_derive_ns` vs `golden_cached_ns` — acquiring the
 //!   per-problem golden evaluation bundle (golden testbench generation,
 //!   golden DUT/driver parses, Eval2 mutant set) by deriving it from
@@ -63,11 +56,10 @@ use correctbench_tbgen::{
     EvalSession, GoldenCache, ScenarioSet,
 };
 use correctbench_verilog::ast::SourceFile;
-use correctbench_verilog::{lint_files, parse, Design, SimLimits, Simulator};
+use correctbench_verilog::{lint_files, parse, SimLimits, Simulator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 const PROBLEMS: &[&str] = &["alu_8", "mux4_8", "counter_8", "shift18"];
@@ -106,13 +98,18 @@ fn case_for(name: &str) -> Case {
     }
 }
 
-/// One full run: simulate `design` and judge the records — everything
-/// a testbench run does after elaboration.
-fn simulate_and_judge(case: &Case, design: impl Into<Arc<Design>>) {
+/// The pair's captured record stream: elaborate it and simulate it.
+fn simulate(case: &Case) -> Vec<correctbench_tbgen::Record> {
+    let design = elaborate_pair(&case.dut, &case.driver).expect("elaborate");
     let out = Simulator::with_limits(design, case.limits)
         .run()
         .expect("simulation ok");
-    let records = correctbench_tbgen::parse_records(&out.lines);
+    correctbench_tbgen::parse_records(&out.lines)
+}
+
+/// One full uncached run: elaborate, simulate and judge the records.
+fn run_fresh(case: &Case) {
+    let records = simulate(case);
     let verdicts = judge_records(&records, &case.checker, &case.problem, case.scenarios.len())
         .expect("judge ok");
     std::hint::black_box(verdicts);
@@ -156,7 +153,6 @@ struct Row {
     name: String,
     kind: &'static str,
     fresh_design_ns: u64,
-    cached_design_ns: u64,
     hot_path_obs_ns: u64,
     judge_interp_ns: u64,
     judge_session_ns: u64,
@@ -183,10 +179,10 @@ impl Row {
         self.store_cold_job_ns as f64 / self.store_warm_hit_ns.max(1) as f64
     }
 
-    /// Cost of a live observability collector on the steady-state hot
-    /// path, in percent over the unobserved run.
+    /// Cost of a live observability collector on an uncached run, in
+    /// percent over the unobserved run.
     fn obs_overhead_pct(&self) -> f64 {
-        (self.hot_path_obs_ns as f64 / self.cached_design_ns.max(1) as f64 - 1.0) * 100.0
+        (self.hot_path_obs_ns as f64 / self.fresh_design_ns.max(1) as f64 - 1.0) * 100.0
     }
 }
 
@@ -249,14 +245,8 @@ fn main() {
     let mut rows = Vec::new();
     for name in PROBLEMS {
         let case = case_for(name);
-        let design = Arc::new(elaborate_pair(&case.dut, &case.driver).expect("elaborate"));
         // One pre-captured record stream for the judge-only arms.
-        let records = {
-            let out = Simulator::with_limits(Arc::clone(&design), case.limits)
-                .run()
-                .expect("simulation ok");
-            correctbench_tbgen::parse_records(&out.lines)
-        };
+        let records = simulate(&case);
         let mut judge_session =
             EvalSession::new(&case.problem, &case.checker, &EvalContext::default())
                 .expect("checker compiles");
@@ -283,22 +273,16 @@ fn main() {
         store
             .put(&store_key, &encode_cell(&primed))
             .expect("publish primed cell");
-        let [fresh_design_ns, cached_design_ns, hot_path_obs_ns, judge_interp_ns, judge_session_ns, golden_derive_ns, golden_cached_ns, lint_warn_ns, store_cold_job_ns, store_warm_hit_ns] =
+        let [fresh_design_ns, hot_path_obs_ns, judge_interp_ns, judge_session_ns, golden_derive_ns, golden_cached_ns, lint_warn_ns, store_cold_job_ns, store_warm_hit_ns] =
             medians_interleaved(
                 samples,
                 &mut [
+                    &mut || run_fresh(&case),
                     &mut || {
-                        let fresh = elaborate_pair(&case.dut, &case.driver).expect("elaborate");
-                        simulate_and_judge(&case, fresh);
-                    },
-                    &mut || {
-                        simulate_and_judge(&case, Arc::clone(&design));
-                    },
-                    &mut || {
-                        // The identical hot path with a collector armed:
+                        // The identical run with a collector armed:
                         // every span and counter flush does real work.
                         let _obs = ObsStack::enabled().install();
-                        simulate_and_judge(&case, Arc::clone(&design));
+                        run_fresh(&case);
                     },
                     &mut || {
                         std::hint::black_box(
@@ -367,7 +351,6 @@ fn main() {
                 "seq"
             },
             fresh_design_ns,
-            cached_design_ns,
             hot_path_obs_ns,
             judge_interp_ns,
             judge_session_ns,
@@ -378,8 +361,8 @@ fn main() {
             store_warm_hit_ns,
         };
         eprintln!(
-            "{:<12} fresh design {:>9} ns | cached design {:>9} ns | judge {:.2}x | golden {:.2}x | lint warn {:>7} ns | store warm {:.0}x | obs {:+.2}%",
-            row.name, row.fresh_design_ns, row.cached_design_ns,
+            "{:<12} fresh design {:>9} ns | judge {:.2}x | golden {:.2}x | lint warn {:>7} ns | store warm {:.0}x | obs {:+.2}%",
+            row.name, row.fresh_design_ns,
             row.speedup_judge(), row.speedup_golden(),
             row.lint_warn_ns, row.speedup_store(), row.obs_overhead_pct(),
         );
@@ -419,8 +402,8 @@ fn main() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"name\":\"{}\",\"kind\":\"{}\",\"fresh_design_ns\":{},\"cached_design_ns\":{},\"judge_interp_ns\":{},\"judge_session_ns\":{},\"speedup_judge_compiled_vs_interp\":{:.2},\"golden_derive_ns\":{},\"golden_cached_ns\":{},\"speedup_golden_cached\":{:.2},\"lint_warn_ns\":{},\"store_cold_job_ns\":{},\"store_warm_hit_ns\":{},\"speedup_store_warm_vs_cold\":{:.2},\"hot_path_obs_ns\":{},\"obs_overhead_pct\":{:.2}}}{comma}",
-            r.name, r.kind, r.fresh_design_ns, r.cached_design_ns,
+            "    {{\"name\":\"{}\",\"kind\":\"{}\",\"fresh_design_ns\":{},\"judge_interp_ns\":{},\"judge_session_ns\":{},\"speedup_judge_compiled_vs_interp\":{:.2},\"golden_derive_ns\":{},\"golden_cached_ns\":{},\"speedup_golden_cached\":{:.2},\"lint_warn_ns\":{},\"store_cold_job_ns\":{},\"store_warm_hit_ns\":{},\"speedup_store_warm_vs_cold\":{:.2},\"hot_path_obs_ns\":{},\"obs_overhead_pct\":{:.2}}}{comma}",
+            r.name, r.kind, r.fresh_design_ns,
             r.judge_interp_ns, r.judge_session_ns, r.speedup_judge(),
             r.golden_derive_ns, r.golden_cached_ns, r.speedup_golden(),
             r.lint_warn_ns,

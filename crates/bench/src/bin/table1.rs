@@ -36,8 +36,8 @@ fn main() {
         &Config::default(),
         args.seed,
     );
-    let (records, result) = run_plan(&plan, args.threads);
-    println!("{}", render_table1(&records));
+    let result = run_plan(&plan, args.threads);
+    println!("{}", render_table1(&result.outcomes));
     eprintln!("elapsed: {:?}", result.wall);
     for (label, stats) in result.caches.layers() {
         if let Some(stats) = stats {

@@ -7,56 +7,7 @@ use correctbench::{Config, Method};
 use correctbench_autoeval::EvalLevel;
 use correctbench_dataset::{CircuitKind, Problem};
 use correctbench_harness::{Engine, RunPlan, RunResult, TaskOutcome};
-use correctbench_llm::{ModelKind, SimulatedClientFactory, TokenUsage};
-
-/// One evaluated pipeline run.
-#[derive(Clone, Debug)]
-pub struct TaskRecord {
-    /// Problem name.
-    pub problem: String,
-    /// Combinational or sequential.
-    pub kind: CircuitKind,
-    /// Which method produced the testbench.
-    pub method: Method,
-    /// Which model profile drove it.
-    pub model: ModelKind,
-    /// Repetition index.
-    pub rep: u64,
-    /// AutoEval outcome.
-    pub level: EvalLevel,
-    /// Token usage of the run.
-    pub tokens: TokenUsage,
-    /// Corrections performed (CorrectBench only).
-    pub corrections: u32,
-    /// Reboots performed (CorrectBench only).
-    pub reboots: u32,
-    /// The final checker came from the corrector.
-    pub final_from_corrector: bool,
-    /// The validator rejected at least one candidate.
-    pub validator_intervened: bool,
-    /// Final validator verdict was "correct".
-    pub validated: bool,
-}
-
-impl TaskRecord {
-    /// Converts a harness outcome into the bench crate's record shape.
-    pub fn from_outcome(o: &TaskOutcome) -> TaskRecord {
-        TaskRecord {
-            problem: o.problem.clone(),
-            kind: o.kind,
-            method: o.method,
-            model: o.model,
-            rep: o.rep,
-            level: o.level,
-            tokens: o.tokens,
-            corrections: o.corrections,
-            reboots: o.reboots,
-            final_from_corrector: o.final_from_corrector,
-            validator_intervened: o.validator_intervened,
-            validated: o.validated,
-        }
-    }
-}
+use correctbench_llm::{ModelKind, SimulatedClientFactory};
 
 /// Builds the declarative plan of a sweep over problems × methods ×
 /// repetitions.
@@ -79,48 +30,12 @@ pub fn sweep_plan(
 }
 
 /// Executes a plan on the parallel harness (shared simulation cache,
-/// per-job clients) and returns both the bench-shaped records and the
-/// raw harness result (for artifact writing).
-pub fn run_plan(plan: &RunPlan, threads: usize) -> (Vec<TaskRecord>, RunResult) {
+/// per-job clients) and returns its result: the outcomes in canonical
+/// job order, and what artifact writing needs.
+pub fn run_plan(plan: &RunPlan, threads: usize) -> RunResult {
     let engine = Engine::new(threads).with_progress(true);
     let factory = SimulatedClientFactory::for_model(plan.model);
-    let result = engine.execute(plan, &factory);
-    let mut records: Vec<TaskRecord> = result
-        .outcomes
-        .iter()
-        .map(TaskRecord::from_outcome)
-        .collect();
-    records.sort_by(|a, b| {
-        (a.problem.as_str(), a.method as u8, a.rep).cmp(&(
-            b.problem.as_str(),
-            b.method as u8,
-            b.rep,
-        ))
-    });
-    (records, result)
-}
-
-/// Runs one (method, problem, rep) cell (single job on the harness).
-pub fn run_task(
-    method: Method,
-    problem: &Problem,
-    model: ModelKind,
-    rep: u64,
-    cfg: &Config,
-    base_seed: u64,
-) -> TaskRecord {
-    use correctbench_harness::{mix_seed, Job};
-    let job = Job {
-        id: 0,
-        problem: problem.clone(),
-        method,
-        model,
-        rep,
-        seed: mix_seed(base_seed, problem.name.as_bytes(), method as u64, rep),
-        eval_seed: mix_seed(base_seed, problem.name.as_bytes(), 0, 0),
-    };
-    let factory = SimulatedClientFactory::for_model(model);
-    TaskRecord::from_outcome(&correctbench_harness::run_job(&job, cfg, &factory))
+    engine.execute(plan, &factory)
 }
 
 /// Runs a sweep over problems × methods × repetitions on the parallel
@@ -133,7 +48,7 @@ pub fn run_sweep(
     cfg: &Config,
     base_seed: u64,
     threads: usize,
-) -> Vec<TaskRecord> {
+) -> Vec<TaskOutcome> {
     let plan = sweep_plan(
         "bench-sweep",
         problems,
@@ -143,7 +58,7 @@ pub fn run_sweep(
         cfg,
         base_seed,
     );
-    let (records, result) = run_plan(&plan, threads);
+    let result = run_plan(&plan, threads);
     let layers: Vec<String> = result
         .caches
         .layers()
@@ -153,12 +68,12 @@ pub fn run_sweep(
     if !layers.is_empty() {
         eprintln!(
             "sweep: {} jobs in {:?}; {}",
-            records.len(),
+            result.outcomes.len(),
             result.wall,
             layers.join("; ")
         );
     }
-    records
+    result.outcomes
 }
 
 /// Task-group filter used by the paper's tables.
@@ -233,9 +148,9 @@ impl CellStats {
     }
 }
 
-/// Aggregates records into a (group, method) cell.
-pub fn aggregate(records: &[TaskRecord], group: Group, method: Method) -> CellStats {
-    let selected: Vec<&TaskRecord> = records
+/// Aggregates outcomes into a (group, method) cell.
+pub fn aggregate(records: &[TaskOutcome], group: Group, method: Method) -> CellStats {
+    let selected: Vec<&TaskOutcome> = records
         .iter()
         .filter(|r| r.method == method && group.contains(r.kind))
         .collect();
@@ -270,8 +185,8 @@ pub fn aggregate(records: &[TaskRecord], group: Group, method: Method) -> CellSt
     stats
 }
 
-/// Renders Table I from a sweep's records.
-pub fn render_table1(records: &[TaskRecord]) -> String {
+/// Renders Table I from a sweep's outcomes.
+pub fn render_table1(records: &[TaskOutcome]) -> String {
     let mut s = String::new();
     s.push_str("TABLE I: MAIN RESULTS (reproduction)\n");
     s.push_str("Group  Metric  CorrectBench        AutoBench           Baseline\n");
@@ -297,7 +212,7 @@ pub fn render_table1(records: &[TaskRecord]) -> String {
 }
 
 /// Table III: contributions of validator and corrector.
-pub fn render_table3(records: &[TaskRecord]) -> String {
+pub fn render_table3(records: &[TaskOutcome]) -> String {
     let mut s = String::new();
     s.push_str("TABLE III: CONTRIBUTIONS OF VALIDATOR AND CORRECTOR (avg Eval2-passed tasks per repetition)\n");
     s.push_str("Group  CorrectBench  AutoBench  Gain   Val.   Corr.\n");
@@ -305,7 +220,7 @@ pub fn render_table3(records: &[TaskRecord]) -> String {
         let cb = aggregate(records, group, Method::CorrectBench);
         let ab = aggregate(records, group, Method::AutoBench);
         let reps = cb.reps.max(1) as f64;
-        let passed: Vec<&TaskRecord> = records
+        let passed: Vec<&TaskOutcome> = records
             .iter()
             .filter(|r| {
                 r.method == Method::CorrectBench
@@ -332,7 +247,7 @@ pub fn render_table3(records: &[TaskRecord]) -> String {
 mod tests {
     use super::*;
 
-    fn tiny_sweep() -> Vec<TaskRecord> {
+    fn tiny_sweep() -> Vec<TaskOutcome> {
         let problems: Vec<Problem> = ["and_8", "counter_8"]
             .iter()
             .map(|n| correctbench_dataset::problem(n).expect("problem"))

@@ -265,7 +265,7 @@ pub fn diagnostic_json(o: &TaskOutcome, d: &correctbench_verilog::Diagnostic) ->
     )
 }
 
-/// Parses one `diagnostics.jsonl` line back into its [`Diagnostic`] —
+/// Parses one `diagnostics.jsonl` line back into its [`correctbench_verilog::Diagnostic`] —
 /// the exact inverse of [`diagnostic_json`] over the diagnostic's own
 /// fields (the `job`/`problem`/`method`/`rep` join keys belong to the
 /// outcome the line rides with). The persistent outcome store replays
@@ -809,7 +809,7 @@ pub fn manifest_fingerprint(src: &str) -> Option<String> {
         .map(str::to_string)
 }
 
-/// Parses a `plan.json` manifest back into the [`RunPlan`] it recorded.
+/// Parses a `plan.json` manifest back into the [`crate::plan::RunPlan`] it recorded.
 ///
 /// # Errors
 ///

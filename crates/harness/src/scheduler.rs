@@ -118,14 +118,6 @@ impl Engine {
         self
     }
 
-    /// Replaces the observability switch ([`ObsStack::enabled`] by
-    /// default): each job runs under its own collector, so phase
-    /// self-times and counters land in [`TaskOutcome::obs`].
-    pub fn with_obs(mut self, obs: ObsStack) -> Self {
-        self.obs = obs;
-        self
-    }
-
     /// Disables observability — the `--no-obs` behavior: no collector
     /// is armed, every span and counter probe short-circuits, and
     /// [`TaskOutcome::obs`] is `None`.

@@ -2,7 +2,7 @@
 //! and deterministic log-bucketed latency histograms.
 //!
 //! The engine's measurement substrate. A worker installs a thread-local
-//! [`Collector`] per job via [`ObsStack::install`], a guard that
+//! `Collector` per job via [`ObsStack::install`], a guard that
 //! restores the previous collector on drop; instrumented code anywhere
 //! below records into it through two free functions:
 //!

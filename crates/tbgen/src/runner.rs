@@ -1,8 +1,10 @@
 //! What a testbench run produces and the pieces every run shares: the
 //! verdict types, [`elaborate_pair`] (the design a run executes),
-//! [`limits_for`] (its simulation bounds), the interpreted checker judge
-//! [`judge_records`], and [`reference_run`], the fresh-everything run
-//! that [`crate::EvalSession`] (the way jobs execute: the validator's
+//! [`limits_for`] (its simulation bounds), the simulation half of every
+//! run (elaborate the pair, run one fresh [`Simulator`], capture its
+//! records), the interpreted checker judge [`judge_records`], and
+//! [`reference_run`], the uncached, unbudgeted run that
+//! [`crate::EvalSession`] (the way jobs execute: the validator's
 //! RS-matrix rows, Eval1/Eval2) is tested against.
 
 use crate::record::{parse_records, FieldValue, Record};
@@ -85,22 +87,26 @@ impl From<CheckerRunError> for TbError {
     }
 }
 
-/// Simulates `driver` against `dut` under `limits`, with no budget,
-/// and returns the captured records and the end time. Every call
-/// elaborates the pair afresh: the simulation half of [`reference_run`].
+/// Simulates `driver` against `dut` under `limits` and returns the
+/// captured records and the end time: the simulation half of every run,
+/// [`crate::EvalSession`]'s and [`reference_run`]'s alike. Every call
+/// elaborates the pair and runs one fresh [`Simulator`]. `binding` says
+/// whether a job budget lowered `limits.max_steps`
+/// ([`classify_sim_err`]).
 ///
 /// # Errors
 ///
 /// Elaboration or simulation failure of the combined design.
-pub(crate) fn simulate_records_limited(
+pub(crate) fn simulate_records(
     dut: &SourceFile,
     driver: &SourceFile,
     limits: SimLimits,
+    binding: bool,
 ) -> Result<(Vec<Record>, u64), TbError> {
     let design = elaborate_pair(dut, driver)?;
     let out = Simulator::with_limits(design, limits)
         .run()
-        .map_err(VerilogError::Sim)?;
+        .map_err(|e| classify_sim_err(e, binding))?;
     Ok((parse_records(&out.lines), out.end_time))
 }
 
@@ -149,9 +155,10 @@ pub fn limits_for(scenarios: &ScenarioSet) -> SimLimits {
     }
 }
 
-/// The executable reference for one testbench run: a fresh
-/// [`elaborate_pair`], a fresh [`Simulator`] and the checker interpreter
-/// ([`judge_records`]), with no session, no cache and no budget. Jobs
+/// The executable reference for one testbench run: the session's
+/// simulation half under [`limits_for`] (a fresh [`elaborate_pair`], a
+/// fresh [`Simulator`]) and the checker interpreter ([`judge_records`]),
+/// with no session, no cache and no budget. Jobs
 /// run through [`crate::EvalSession`]; the session tests and the golden
 /// keystone test compare against this.
 ///
@@ -166,7 +173,7 @@ pub fn reference_run(
     problem: &Problem,
     scenarios: &ScenarioSet,
 ) -> Result<TbRun, TbError> {
-    let (records, end_time) = simulate_records_limited(dut, driver, limits_for(scenarios))?;
+    let (records, end_time) = simulate_records(dut, driver, limits_for(scenarios), false)?;
     let results = judge_records(&records, checker, problem, scenarios.len())?;
     Ok(TbRun { results, end_time })
 }

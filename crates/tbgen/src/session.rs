@@ -10,28 +10,29 @@
 //!   bytecode once, stepped positionally ever after;
 //! * the **record bindings** — `(checker input → record field, port
 //!   width)` resolved to indices once, not string-searched per record;
-//! * the **simulator** — kept while consecutive runs execute the same
-//!   [`Design`] (by `Arc` identity, which the session's design memo
-//!   makes common for repeated pairs) and rewound with
-//!   [`Simulator::reset`] instead of reconstructed;
 //! * the **judging buffers** (per-scenario flags, positional inputs).
 //!
 //! A session takes the [`SimCache`] and the [`JobBudget`] of the
 //! [`EvalContext`] it is built with: [`EvalSession::run`] consults the
-//! cache first and clamps every run to the budget. Its results equal
-//! [`crate::reference_run`]'s (a fresh elaboration, a fresh simulator,
-//! the interpreted checker), which this module's tests pin run by run.
+//! cache first, so a repeated pair costs one lookup. A miss clamps the
+//! run's limits to the budget, elaborates the pair and runs one fresh
+//! [`Simulator`] — the simulation half [`crate::reference_run`] runs too
+//! — and judges the records with the compiled checker. Its results equal
+//! [`crate::reference_run`]'s (the same simulation, the interpreted
+//! checker), which this module's tests pin run by run.
+//!
+//! [`Simulator`]: correctbench_verilog::Simulator
 
 use crate::cache::{module_interface_fingerprint, CacheKey, SimCache};
 use crate::context::{EvalContext, JobBudget};
-use crate::record::{parse_records, Record, RecordBinding};
-use crate::runner::{elaborate_pair, limits_for, ScenarioResult, TbError, TbRun};
+use crate::record::{Record, RecordBinding};
+use crate::runner::{limits_for, simulate_records, ScenarioResult, TbError, TbRun};
 use crate::scenarios::ScenarioSet;
 use correctbench_checker::{CheckerProgram, JudgeSession};
 use correctbench_dataset::Problem;
 use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::hash::Fingerprint;
-use correctbench_verilog::{Design, LogicVec, Simulator};
+use correctbench_verilog::LogicVec;
 use std::sync::Arc;
 
 /// A reusable evaluation session for one `(problem, checker)` pair.
@@ -81,18 +82,6 @@ pub struct EvalSession {
     input_buf: Vec<LogicVec>,
     seen: Vec<bool>,
     failed: Vec<bool>,
-    /// Kept while consecutive runs share a design.
-    sim: Option<Simulator>,
-    /// The session's own level-0 design memo: fingerprints of the last
-    /// (DUT, driver) pair and its elaborated design. Repeated pairs — the
-    /// defining shape of a sweep — reuse the simulator instead of
-    /// re-elaborating. Keyed on [`SourceFile::fingerprint`]: the caller's
-    /// files cache their own fingerprint, so a repeated probe is two u64
-    /// compares. Only the last pair is held, so a session's memory
-    /// stays bounded by one design.
-    last_dut: Option<Fingerprint>,
-    last_driver: Option<Fingerprint>,
-    last_design: Option<Arc<Design>>,
 }
 
 impl EvalSession {
@@ -133,30 +122,7 @@ impl EvalSession {
             input_buf,
             seen: Vec::new(),
             failed: Vec::new(),
-            sim: None,
-            last_dut: None,
-            last_driver: None,
-            last_design: None,
         })
-    }
-
-    /// The elaborated pair: the session memo when the pair repeats, a
-    /// fresh [`elaborate_pair`] otherwise. Elaboration is a pure function
-    /// of the two sources, so a memo hit is semantically identical to
-    /// re-elaborating.
-    fn design(&mut self, dut: &SourceFile, driver: &SourceFile) -> Result<Arc<Design>, TbError> {
-        let dut_fp = dut.fingerprint();
-        let driver_fp = driver.fingerprint();
-        if self.last_dut == Some(dut_fp) && self.last_driver == Some(driver_fp) {
-            if let Some(design) = &self.last_design {
-                return Ok(Arc::clone(design));
-            }
-        }
-        let design = Arc::new(elaborate_pair(dut, driver)?);
-        self.last_dut = Some(dut_fp);
-        self.last_driver = Some(driver_fp);
-        self.last_design = Some(Arc::clone(&design));
-        Ok(design)
     }
 
     /// Runs the hybrid testbench against one DUT, with the same result
@@ -176,9 +142,8 @@ impl EvalSession {
     }
 
     /// Sweeps one driver across many DUTs — the RS-matrix / Eval2 shape.
-    /// Setup (checker compilation, bindings) is shared; the simulator is
-    /// reused whenever consecutive DUTs elaborate to the same design, and
-    /// the scenario schedule is hashed at most once per sweep.
+    /// Setup (checker compilation, bindings) is shared, and the scenario
+    /// schedule is hashed at most once per sweep.
     pub fn sweep_mutants<'d>(
         &mut self,
         duts: impl IntoIterator<Item = &'d SourceFile>,
@@ -219,33 +184,18 @@ impl EvalSession {
         result
     }
 
-    /// The uncached run: simulate (session simulator) and judge (compiled
-    /// checker).
+    /// The uncached run: clamp the limits to the budget, simulate
+    /// ([`simulate_records`]) and judge (compiled checker).
     fn run_once(
         &mut self,
         dut: &SourceFile,
         driver: &SourceFile,
         scenarios: &ScenarioSet,
     ) -> Result<TbRun, TbError> {
-        let design = self.design(dut, driver)?;
         let (limits, binding) = self.budget.clamp(limits_for(scenarios));
-        let sim = match &mut self.sim {
-            Some(sim) if sim.shares(&design) => {
-                sim.reset();
-                sim.set_limits(limits);
-                sim
-            }
-            slot => slot.insert(Simulator::with_limits(design, limits)),
-        };
-        let out = sim
-            .run()
-            .map_err(|e| crate::runner::classify_sim_err(e, binding))?;
-        let records = parse_records(&out.lines);
+        let (records, end_time) = simulate_records(dut, driver, limits, binding)?;
         let results = self.judge(&records, scenarios.len())?;
-        Ok(TbRun {
-            results,
-            end_time: out.end_time,
-        })
+        Ok(TbRun { results, end_time })
     }
 
     /// Judges a pre-captured record stream with the compiled checker —
@@ -318,7 +268,7 @@ mod tests {
     use crate::runner::reference_run;
     use crate::scenarios::generate_scenarios;
     use correctbench_checker::compile_module;
-    use correctbench_verilog::{parse, SimError, VerilogError};
+    use correctbench_verilog::{parse, SimError};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -339,8 +289,8 @@ mod tests {
     /// One problem's sweep inputs: the golden testbench (scenarios,
     /// parsed driver, checker) and a DUT sequence of the golden DUT plus
     /// three seeded two-site mutants, with the golden DUT repeated in
-    /// between so a sweep exercises reset-reuse *and* reconstruction.
-    /// Each entry carries its design's index (0 = golden).
+    /// between so a cached sweep answers repeats within one pass. Each
+    /// entry carries its design's index (0 = golden).
     struct SweepInputs {
         problem: Problem,
         scenarios: ScenarioSet,
@@ -375,9 +325,10 @@ mod tests {
     }
 
     /// Session runs must match [`reference_run`] exactly, errors
-    /// included — on golden DUTs, mutants, runaway mutants, repeated DUTs
-    /// (simulator reuse via reset), and interleavings that force
-    /// simulator reconstruction.
+    /// included — on golden DUTs, mutants, runaway mutants and repeated
+    /// DUTs — in three passes: with no cache, then a cold and a warm pass
+    /// through one simulation cache, so cached `Err`s replay too. The
+    /// warm pass must be answered by the cache alone.
     #[test]
     fn session_matches_the_reference_across_a_sweep() {
         for name in SWEEP_PROBLEMS {
@@ -388,74 +339,38 @@ mod tests {
                 checker,
                 duts,
             } = sweep_inputs(name);
-            let mut session =
-                EvalSession::new(&p, &checker, &EvalContext::default()).expect("session");
-            let swept = session.sweep_mutants(duts.iter().map(|(_, f)| f), &driver, &scen);
-            let mut runaways = 0;
-            for ((design, dut), via_session) in duts.iter().zip(swept) {
-                let reference = reference_run(dut, &driver, &checker, &p, &scen);
-                assert_eq!(
-                    via_session, reference,
-                    "{name}: design {design} diverged from the reference"
-                );
-                if reference == Err(TbError::Verilog(SimError::EventBudgetExhausted.into())) {
-                    runaways += 1;
-                }
-            }
+            let references: Vec<_> = duts
+                .iter()
+                .map(|(_, dut)| reference_run(dut, &driver, &checker, &p, &scen))
+                .collect();
+            let runaway = Err(TbError::Verilog(SimError::EventBudgetExhausted.into()));
             assert!(
-                runaways > 0 || !LOOPED.contains(&name),
+                references.contains(&runaway) || !LOOPED.contains(&name),
                 "{name}: no mutant ran away"
             );
-        }
-    }
-
-    /// The record-level oracle for simulator reuse: a [`Simulator`] kept
-    /// per design and rewound with `reset()` between runs must capture
-    /// the same record stream and end time as a fresh
-    /// `simulate_records_limited` — run by run, over the same sweep
-    /// inputs as the test above, walked twice so every design (mutants
-    /// included) is replayed through a reset at least once. Verdicts
-    /// alone could hide a reset bug that happens not to flip a scenario.
-    #[test]
-    fn reset_reuse_captures_the_same_records_as_a_fresh_simulator() {
-        for name in SWEEP_PROBLEMS {
-            let inputs = sweep_inputs(name);
-            let limits = limits_for(&inputs.scenarios);
-            let mut sims: Vec<Option<Simulator>> = Vec::new();
-            for (round, (design, dut)) in inputs.duts.iter().chain(&inputs.duts).enumerate() {
-                let what = format!("{name}: run {round} (design {design})");
-                let fresh = crate::runner::simulate_records_limited(dut, &inputs.driver, limits);
-                let Ok(elaborated) = elaborate_pair(dut, &inputs.driver) else {
-                    assert!(fresh.is_err(), "{what}: only the fresh path elaborated");
-                    continue;
-                };
-                if sims.len() <= *design {
-                    sims.resize_with(*design + 1, || None);
+            let uncached = EvalContext::default();
+            let cached = EvalContext::cached();
+            let misses = || cached.stats().sim.expect("sim layer").misses;
+            for (pass, ctx) in [
+                ("uncached", &uncached),
+                ("cold", &cached),
+                ("warm", &cached),
+            ] {
+                let misses_before = misses();
+                let mut session = EvalSession::new(&p, &checker, ctx).expect("session");
+                let swept = session.sweep_mutants(duts.iter().map(|(_, f)| f), &driver, &scen);
+                for (((design, _), reference), via_session) in
+                    duts.iter().zip(&references).zip(swept)
+                {
+                    assert_eq!(
+                        &via_session, reference,
+                        "{name}: design {design} diverged from the reference ({pass} pass)"
+                    );
                 }
-                let sim = match &mut sims[*design] {
-                    Some(sim) => {
-                        sim.reset();
-                        sim
-                    }
-                    slot => slot.insert(Simulator::with_limits(elaborated, limits)),
-                };
-                match (sim.run(), fresh) {
-                    (Ok(out), Ok((records, end_time))) => {
-                        assert_eq!(parse_records(&out.lines), records, "{what}: records differ");
-                        assert_eq!(out.end_time, end_time, "{what}: end time differs");
-                    }
-                    (Err(reused), Err(TbError::Verilog(VerilogError::Sim(fresh)))) => {
-                        assert_eq!(reused, fresh, "{what}: errors differ");
-                    }
-                    (reused, fresh) => {
-                        panic!("{what}: one path errored: {reused:?} vs {fresh:?}")
-                    }
+                if pass == "warm" {
+                    assert_eq!(misses(), misses_before, "{name}: the warm pass missed");
                 }
             }
-            assert!(
-                sims.iter().flatten().count() >= 2,
-                "{name}: the sweep reused fewer than two designs"
-            );
         }
     }
 

@@ -7,7 +7,7 @@
 //! * [`logic`] — four-state values ([`logic::LogicVec`], inline for
 //!   widths ≤ 64, with in-place mutating ops);
 //! * [`lexer`] / [`parser`] / [`ast`] — the front end;
-//! * [`elaborate`] — hierarchy flattening into a [`Design`], with each
+//! * [`elaborate`](mod@elaborate) — hierarchy flattening into a [`Design`], with each
 //!   process's zero-time loops marked for the runaway detector;
 //! * [`sim`] — the event-driven simulator, which walks the elaborated
 //!   design directly, with `$display` capture and runaway-loop detection;

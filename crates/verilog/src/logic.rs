@@ -25,9 +25,9 @@
 //! variant is determined solely by the width, so plane-level equality and
 //! hashing remain value equality. Beside the value-returning operators the
 //! type offers a few **in-place ops** ([`LogicVec::write_range`],
-//! [`LogicVec::set_all_x`], [`LogicVec::assign_resize`],
-//! [`LogicVec::copy_from`]) for the simulator's signal commits and the
-//! checker's compiled judge, which overwrite preallocated values.
+//! [`LogicVec::assign_resize`], [`LogicVec::copy_from`]) for the
+//! simulator's signal commits and the checker's compiled judge, which
+//! overwrite preallocated values.
 
 use std::fmt;
 
@@ -557,18 +557,6 @@ impl LogicVec {
             }
             _ => unreachable!("representation is width-determined"),
         }
-    }
-
-    /// Overwrites every bit with `x` in place.
-    pub fn set_all_x(&mut self) {
-        let (val, unk) = self.planes_mut();
-        for w in val.iter_mut() {
-            *w = 0;
-        }
-        for w in unk.iter_mut() {
-            *w = u64::MAX;
-        }
-        self.normalize();
     }
 
     /// In-place `slice`-then-zero-extend: overwrites `self` with

@@ -11,6 +11,8 @@
 //! Processes execute by walking their instruction lists ([`Instr`]) and
 //! evaluating the elaborated `RExpr` trees with [`eval`], borrowing both
 //! from the shared design: no step clones an instruction or an expression.
+//! A [`Simulator`] co-owns its design and performs one run:
+//! [`Simulator::run`] consumes it, so every run starts from power-on.
 //!
 //! # Runaway loops
 //!
@@ -23,7 +25,7 @@
 //! still — so the activation is a deterministic function of the pc and
 //! the values of the signals the process writes with blocking
 //! assignments ([`ProcessDef::written`]). Two checks run at back-edges
-//! once an activation has taken [`LOOP_WATCH_GRACE`] of them:
+//! once an activation has taken `LOOP_WATCH_GRACE` of them:
 //!
 //! 1. **State cycle.** Brent's cycle detection over the pairs (pc,
 //!    written values) seen at back-edges: a repeated pair means the
@@ -178,26 +180,6 @@ impl SigRead for ValueStore<'_> {
 /// # Ok(())
 /// # }
 /// ```
-///
-/// Elaborate once, run many (the session hot path): the simulator
-/// co-owns the design and [`Simulator::reset`] rewinds it in place.
-///
-/// ```
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use correctbench_verilog::{elaborate, parse, Simulator};
-/// use std::sync::Arc;
-///
-/// let src = "module tb; initial begin $display(\"hi\"); $finish; end endmodule";
-/// let design = Arc::new(elaborate(&parse(src)?, "tb")?);
-/// let mut sim = Simulator::new(Arc::clone(&design));
-/// for _ in 0..3 {
-///     assert_eq!(sim.run()?.lines, vec!["hi"]);
-///     sim.reset();
-/// }
-/// assert!(sim.shares(&design));
-/// # Ok(())
-/// # }
-/// ```
 pub struct Simulator {
     design: Arc<Design>,
     state: SimState,
@@ -226,29 +208,8 @@ impl Simulator {
         self
     }
 
-    /// Replaces the simulation limits for the next run (sessions bound
-    /// `max_time` per scenario schedule).
-    pub fn set_limits(&mut self, limits: SimLimits) {
-        self.state.limits = limits;
-    }
-
-    /// `true` when this simulator executes `design` (sessions use this to
-    /// decide between [`Simulator::reset`] and reconstruction).
-    pub fn shares(&self, design: &Arc<Design>) -> bool {
-        Arc::ptr_eq(&self.design, design)
-    }
-
-    /// Reads a signal's current value (test and harness access).
-    pub fn value(&self, sig: SignalId) -> &LogicVec {
-        &self.state.values[sig.0 as usize]
-    }
-
-    /// Runs to `$finish`, event exhaustion, or `max_time`.
-    ///
-    /// Runs continue from the current state: a freshly constructed (or
-    /// [`reset`](Simulator::reset)) simulator performs a whole
-    /// simulation; calling `run` again after completion without a reset
-    /// observes the final state and returns immediately-empty output.
+    /// Runs to `$finish`, event exhaustion, or `max_time`: a simulator
+    /// performs one whole simulation.
     ///
     /// # Errors
     ///
@@ -256,42 +217,21 @@ impl Simulator {
     /// [`SimError::EventBudgetExhausted`] when the instruction budget runs
     /// out (runaway zero-delay loops), or as soon as a loop provably
     /// would exhaust it (see the module docs).
-    pub fn run(&mut self) -> Result<SimOutput, SimError> {
+    pub fn run(self) -> Result<SimOutput, SimError> {
         let _span = correctbench_obs::span(correctbench_obs::Phase::Simulate);
-        let Simulator { design, state } = self;
-        let steps_before = state.steps;
-        let out = state.run(design);
+        let Simulator { design, mut state } = self;
+        let out = state.run(&design);
         // Flush the run's work volumes to the job's collector (inert
-        // when none is armed). The accumulators are pure measurement
-        // fields, zeroed after flush so a session's next run reports its
-        // own delta.
-        let instrs = state.steps - steps_before;
-        correctbench_obs::add(correctbench_obs::Counter::SimInstrs, instrs);
+        // when none is armed).
+        correctbench_obs::add(correctbench_obs::Counter::SimInstrs, state.steps);
         if matches!(out, Err(SimError::EventBudgetExhausted)) {
             // Wasted work: the run buys no output, early trip or not.
             correctbench_obs::add(correctbench_obs::Counter::SimBudgetTrips, 1);
-            correctbench_obs::add(correctbench_obs::Counter::SimTripInstrs, instrs);
+            correctbench_obs::add(correctbench_obs::Counter::SimTripInstrs, state.steps);
         }
-        correctbench_obs::add(
-            correctbench_obs::Counter::SimEvents,
-            std::mem::take(&mut state.events),
-        );
-        correctbench_obs::add(
-            correctbench_obs::Counter::NbaCommits,
-            std::mem::take(&mut state.nba_commits),
-        );
+        correctbench_obs::add(correctbench_obs::Counter::SimEvents, state.events);
+        correctbench_obs::add(correctbench_obs::Counter::NbaCommits, state.nba_commits);
         out
-    }
-
-    /// Rewinds every piece of mutable simulation state to power-on —
-    /// value table back to all-x, scheduler queues, watcher lists,
-    /// captured lines, time and budgets all cleared — **without releasing
-    /// any allocation**. A reset simulator is observationally identical
-    /// to a newly constructed one (pinned by `reset_replays_identically`);
-    /// the point is that a session sweeping N runs pays the table setup
-    /// once, not N times.
-    pub fn reset(&mut self) {
-        self.state.reset(&self.design);
     }
 }
 
@@ -316,11 +256,10 @@ struct SimState {
     finished: bool,
     limits: SimLimits,
     steps: u64,
-    /// Activations processed since the last observability flush
-    /// (measurement only — never read by simulation logic).
+    /// Activations processed (measurement only — never read by
+    /// simulation logic).
     events: u64,
-    /// NBA commits applied since the last observability flush
-    /// (measurement only).
+    /// NBA commits applied (measurement only).
     nba_commits: u64,
     /// Whether back-edges run the runaway checks.
     detect_runaways: bool,
@@ -372,39 +311,6 @@ impl SimState {
             saved_pc: 0,
             saved_values: Vec::new(),
         }
-    }
-
-    /// Rewinds to power-on state in place, preserving allocations: value
-    /// slots keep their buffers, watcher lists are rebuilt with their
-    /// capacity, queues are cleared.
-    fn reset(&mut self, design: &Design) {
-        for (slot, sig) in self.values.iter_mut().zip(design.signals.iter()) {
-            debug_assert_eq!(slot.width(), sig.width.max(1));
-            slot.set_all_x();
-        }
-        self.time = 0;
-        for p in &mut self.procs {
-            p.pc = 0;
-            p.status = ProcStatus::Ready;
-        }
-        for ws in &mut self.sig_watchers {
-            ws.clear();
-        }
-        for (i, a) in design.assigns.iter().enumerate() {
-            for s in &a.reads {
-                self.sig_watchers[s.0 as usize].push(Watcher::Assign(i));
-            }
-        }
-        self.active.clear();
-        self.nba.clear();
-        self.nba_scratch.clear();
-        self.timed.clear();
-        self.seq = 0;
-        self.lines.clear();
-        self.finished = false;
-        self.steps = 0;
-        self.events = 0;
-        self.nba_commits = 0;
     }
 
     /// The current signal values, for expression evaluation.
@@ -1096,8 +1002,9 @@ mod tests {
         Arc::new(crate::elaborate::elaborate(&file, "tb").expect("elab"))
     }
 
-    /// Runs `design` to completion with the runaway detector on or off;
-    /// returns the result and the instructions it retired.
+    /// Runs `design` to completion with the runaway detector on or off,
+    /// under an armed collector; returns the result and the instructions
+    /// it retired.
     fn run_counted(
         design: &Arc<Design>,
         detect: bool,
@@ -1107,9 +1014,12 @@ mod tests {
             max_steps,
             ..SimLimits::default()
         };
-        let mut sim = Simulator::with_limits(Arc::clone(design), limits).detect_runaways(detect);
-        let out = sim.run();
-        (out, sim.state.steps)
+        let _obs = correctbench_obs::ObsStack::enabled().install();
+        let out = Simulator::with_limits(Arc::clone(design), limits)
+            .detect_runaways(detect)
+            .run();
+        let obs = correctbench_obs::take_job().expect("collector armed");
+        (out, obs.counter(correctbench_obs::Counter::SimInstrs))
     }
 
     /// Per zero-time back-edge of the design, whether it carries a
@@ -1385,49 +1295,6 @@ mod tests {
                 "per-step clone `{needle}` reintroduced in the simulator hot path"
             );
         }
-    }
-
-    #[test]
-    fn reset_replays_identically() {
-        // A reset simulator must be observationally identical to a fresh
-        // one — including after runs that *errored* or hit limits. Sequential design with NBA
-        // traffic, event waits and timed activity exercises every queue.
-        let src = "module tb;\nreg clk = 0, rst;\nalways #5 clk = ~clk;\nreg [7:0] q;\nwire [7:0] y;\nassign y = q ^ 8'h0f;\nalways @(posedge clk) begin\nif (rst) q <= 8'd0; else q <= q + 8'd3;\nend\ninitial begin\nrst = 1;\n#12 rst = 0;\n#40 $display(\"q=%0d y=%0d t=%0d\", q, y, $time);\n$finish;\nend\nendmodule";
-        let design = design_of(src);
-        let reference = Simulator::new(Arc::clone(&design)).run().expect("fresh");
-        let mut sim = Simulator::new(Arc::clone(&design));
-        assert!(sim.shares(&design));
-        for round in 0..3 {
-            let out = sim.run().expect("session run");
-            assert_eq!(out.lines, reference.lines, "round {round}");
-            assert_eq!(out.end_time, reference.end_time, "round {round}");
-            assert_eq!(out.finished, reference.finished, "round {round}");
-            sim.reset();
-        }
-
-        // Interleave an errored run (step budget) and confirm reset still
-        // restores a clean replay afterwards.
-        sim.set_limits(SimLimits {
-            max_steps: 10,
-            ..SimLimits::default()
-        });
-        assert!(sim.run().is_err(), "tiny budget must trip");
-        sim.set_limits(SimLimits::default());
-        sim.reset();
-        let after_err = sim.run().expect("post-error run");
-        assert_eq!(after_err.lines, reference.lines);
-        assert_eq!(after_err.end_time, reference.end_time);
-    }
-
-    #[test]
-    fn run_after_completion_without_reset_is_inert() {
-        let src = "module tb;\ninitial begin $display(\"once\"); $finish; end\nendmodule";
-        let mut sim = Simulator::new(design_of(src));
-        assert_eq!(sim.run().expect("first").lines, vec!["once"]);
-        // No reset: the finished flag stands, nothing re-executes.
-        assert!(sim.run().expect("second").lines.is_empty());
-        sim.reset();
-        assert_eq!(sim.run().expect("third").lines, vec!["once"]);
     }
 
     #[test]
