@@ -38,8 +38,9 @@ pub struct Engine {
     /// worker that produced it — the persistent store's publish path.
     outcome_hook: Option<OutcomeHook>,
     /// Whether a persistent store is consulted for this run: executed
-    /// jobs then count one `store_misses` each (replayed jobs carry
-    /// their `store_hits` in the restored obs fragment).
+    /// jobs then count one `store_misses` each (a replayed job's
+    /// fragment, from [`crate::storebridge::decode_cell`], holds only
+    /// its one `store_hits`).
     store_active: bool,
 }
 
@@ -339,7 +340,6 @@ mod tests {
             key,
             Ok(correctbench_tbgen::TbRun {
                 results: Vec::new(),
-                end_time: 0,
             }),
         );
         let items: Vec<u64> = (0..64).collect();

@@ -20,22 +20,23 @@
 //!   cannot change an outcome byte.
 //!
 //! The payload behind a key is line-tagged text built from the exact
-//! artifact codecs (`O` outcome line, `D` diagnostic lines, `P`/`C`
-//! observability fragments), so a store replay re-renders byte-for-byte
-//! what the executed job wrote — the warm-vs-cold byte-equality
-//! guarantee rides entirely on [`crate::artifact`]'s exact-inverse
-//! parsers.
+//! artifact codecs (`O` outcome line, `D` diagnostic lines), so a store
+//! replay re-renders byte-for-byte what the executed job wrote — the
+//! warm-vs-cold byte-equality guarantee rides entirely on
+//! [`crate::artifact`]'s exact-inverse parsers. A cell holds no
+//! measurement: the executed run's phase times and counters belong to
+//! that run, so a replayed job reports only its own store hit.
 
 use crate::plan::{Job, RunPlan};
 use crate::worker::TaskOutcome;
-use correctbench_obs::{Counter, JobObs, Phase};
+use correctbench_obs::{Counter, JobObs};
 use correctbench_store::CellKey;
 use correctbench_verilog::{Fingerprint, FingerprintHasher, StructuralHash};
 
 /// Version tag of the cell payload encoding below. Folded into the
 /// config fingerprint, so bumping it orphans (never mis-reads) every
 /// cell written under the old encoding.
-pub const CELL_SCHEMA: &str = "correctbench-cell-v4";
+pub const CELL_SCHEMA: &str = "correctbench-cell-v5";
 
 /// Fingerprint of everything plan-wide that can change an outcome byte.
 pub fn config_fingerprint(plan: &RunPlan) -> Fingerprint {
@@ -141,8 +142,6 @@ pub fn plan_fingerprint(plan: &RunPlan) -> Fingerprint {
 /// ```text
 /// O <outcomes.jsonl line>
 /// D <diagnostics.jsonl line>     (one per lint finding)
-/// P <phase ns, space-separated>  (or `P null` when obs was off)
-/// C <counter values>             (or `C null`)
 /// ```
 pub fn encode_cell(outcome: &TaskOutcome) -> String {
     let mut s = String::new();
@@ -154,22 +153,6 @@ pub fn encode_cell(outcome: &TaskOutcome) -> String {
         s.push_str(&crate::artifact::diagnostic_json(outcome, d));
         s.push('\n');
     }
-    match &outcome.obs {
-        Some(obs) => {
-            let join = |vals: &[u64]| {
-                vals.iter()
-                    .map(u64::to_string)
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            };
-            s.push_str("P ");
-            s.push_str(&join(&obs.phase_ns));
-            s.push_str("\nC ");
-            s.push_str(&join(&obs.counters));
-            s.push('\n');
-        }
-        None => s.push_str("P null\nC null\n"),
-    }
     s
 }
 
@@ -177,9 +160,10 @@ pub fn encode_cell(outcome: &TaskOutcome) -> String {
 /// re-addressed to the current plan (the stored line carries the
 /// *original* run's job id; the id is patched and everything else must
 /// match `job` exactly — a mismatch means the fingerprint lied and the
-/// cell is unusable). Measured wall time is not stored (it belongs to
-/// the run that paid it); observability fragments are restored when
-/// `obs_enabled`, with the store counters rewritten to one hit.
+/// cell is unusable). The replayed job did no work in this run, so its
+/// wall time is zero and, when `obs_enabled`, its observability
+/// fragment is empty but for one `store_hits`; with observability off
+/// it has none.
 ///
 /// # Errors
 ///
@@ -189,17 +173,6 @@ pub fn encode_cell(outcome: &TaskOutcome) -> String {
 pub fn decode_cell(payload: &str, job: &Job, obs_enabled: bool) -> Result<TaskOutcome, String> {
     let mut outcome: Option<TaskOutcome> = None;
     let mut diags = Vec::new();
-    let mut phases: Option<Option<Vec<u64>>> = None;
-    let mut counters: Option<Option<Vec<u64>>> = None;
-    let ints = |rest: &str| -> Result<Option<Vec<u64>>, String> {
-        if rest == "null" {
-            return Ok(None);
-        }
-        rest.split(' ')
-            .map(|n| n.parse().map_err(|_| format!("bad obs value `{n}`")))
-            .collect::<Result<Vec<u64>, String>>()
-            .map(Some)
-    };
     for line in payload.lines() {
         let (tag, rest) = line
             .split_once(' ')
@@ -212,8 +185,6 @@ pub fn decode_cell(payload: &str, job: &Job, obs_enabled: bool) -> Result<TaskOu
                 outcome = Some(crate::artifact::parse_outcome_line(rest)?);
             }
             "D" => diags.push(crate::artifact::parse_diagnostic_line(rest)?),
-            "P" => phases = Some(ints(rest)?),
-            "C" => counters = Some(ints(rest)?),
             other => return Err(format!("unknown payload tag `{other}`")),
         }
     }
@@ -242,27 +213,11 @@ pub fn decode_cell(payload: &str, job: &Job, obs_enabled: bool) -> Result<TaskOu
         return Err("stored outcome is aborted (never-poison violation)".to_string());
     }
     outcome.lint = diags;
-    let phases = phases.ok_or("payload has no P line")?;
-    let counters = counters.ok_or("payload has no C line")?;
-    outcome.obs = match (phases, counters, obs_enabled) {
-        (Some(p), Some(c), true) => {
-            if p.len() != Phase::COUNT || c.len() != Counter::COUNT {
-                return Err("obs fragment taxonomy mismatch".to_string());
-            }
-            let mut obs = JobObs {
-                phase_ns: [0; Phase::COUNT],
-                counters: [0; Counter::COUNT],
-            };
-            obs.phase_ns.copy_from_slice(&p);
-            obs.counters.copy_from_slice(&c);
-            // The fragment recorded the *executed* run's store traffic;
-            // this job was replayed, so its truth is one hit, no miss.
-            obs.counters[Counter::StoreHits as usize] = 1;
-            obs.counters[Counter::StoreMisses as usize] = 0;
-            Some(obs)
-        }
-        _ => None,
-    };
+    outcome.obs = obs_enabled.then(|| {
+        let mut obs = JobObs::default();
+        obs.counters[Counter::StoreHits as usize] = 1;
+        obs
+    });
     Ok(outcome)
 }
 
@@ -351,7 +306,18 @@ mod tests {
                 "outcome line must replay byte-identically"
             );
             assert_eq!(decoded.lint, outcome.lint, "diagnostics must replay");
-            // Replay into an obs-off run drops the fragments.
+            assert!(
+                payload
+                    .lines()
+                    .all(|l| l.starts_with("O ") || l.starts_with("D ")),
+                "a cell carries the outcome and its diagnostics only:\n{payload}"
+            );
+            // The replay reports its own work: one store hit, nothing
+            // the executed run measured.
+            let mut hit = JobObs::default();
+            hit.counters[Counter::StoreHits as usize] = 1;
+            assert_eq!(decoded.obs, Some(hit));
+            // Replay into an obs-off run has no fragment.
             let blind = decode_cell(&payload, job, false).expect("decode");
             assert!(blind.obs.is_none());
         }

@@ -90,14 +90,6 @@ pub struct TaskOutcome {
     pub lint: Vec<Diagnostic>,
 }
 
-/// Runs one job to completion, unguarded, with no reuse layer, no
-/// budget and no lint pass: a panic propagates to the caller. The
-/// engine runs jobs through [`run_job_guarded`] instead.
-pub fn run_job(job: &Job, cfg: &Config, factory: &dyn ClientFactory) -> TaskOutcome {
-    let ctx = EvalContext::default();
-    run_job_inner(job, cfg, factory, None, LintMode::Off, &ctx)
-}
-
 thread_local! {
     /// Findings of a lint pass that is about to gate-abort its job:
     /// stashed just before `abort_job(LintRejected)` unwinds so the
@@ -399,8 +391,8 @@ mod tests {
         let plan = RunPlan::new("det", problems);
         let factory = SimulatedClientFactory::for_model(ModelKind::Gpt4o);
         let job = &plan.jobs()[0];
-        let a = run_job(job, &plan.config, &factory);
-        let b = run_job(job, &plan.config, &factory);
+        let a = run_job_guarded(job, &plan, &factory, &EvalContext::default(), None);
+        let b = run_job_guarded(job, &plan, &factory, &EvalContext::default(), None);
         assert_eq!(a.level, b.level);
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.tokens, b.tokens);

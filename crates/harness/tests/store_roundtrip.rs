@@ -4,12 +4,16 @@
 //! * a warm re-run of an unchanged plan replays every cell (hits ==
 //!   jobs, nothing executes) and its `outcomes.jsonl` /
 //!   `diagnostics.jsonl` are byte-identical to the cold run's — at any
-//!   thread count;
+//!   thread count — while its `timings.jsonl` reports only the warm
+//!   run's own work: no phase time, no simulator counters, one store
+//!   hit per job;
 //! * mutating one problem's source moves exactly that problem's cell
 //!   fingerprints, so only its cells re-execute;
 //! * `--store-readonly` replays without ever writing to the store.
 
-use correctbench_harness::problem_subset;
+use correctbench_harness::json::{parse, Value};
+use correctbench_harness::{problem_subset, JobObs};
+use correctbench_obs::{Counter, Phase};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -63,6 +67,31 @@ fn summary_store_line(dir: &Path) -> String {
         .find(|l| l.starts_with("outcome store: "))
         .unwrap_or_else(|| panic!("no store line in summary:\n{summary}"))
         .to_string()
+}
+
+/// Every job line's phases and counters in `timings.jsonl`, read back
+/// by name and merged (phases are whole microseconds there).
+fn merged_obs(dir: &Path) -> JobObs {
+    let timings = String::from_utf8(read(dir, "timings.jsonl")).expect("timings utf8");
+    let field = |v: &Value, key: &str, name: &str| -> u64 {
+        v.get(key)
+            .and_then(|o| o.get(name))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("no {key}.{name} in timings job line"))
+    };
+    let mut total = JobObs::default();
+    for line in timings.lines().skip(1) {
+        let v = parse(line).expect("job line parses");
+        let mut job = JobObs::default();
+        for p in Phase::ALL {
+            job.phase_ns[p as usize] = field(&v, "phases", p.name()) * 1_000;
+        }
+        for c in Counter::ALL {
+            job.counters[c as usize] = field(&v, "counters", c.name());
+        }
+        total.merge(&job);
+    }
+    total
 }
 
 fn assert_same_artifacts(cold: &Path, warm: &Path) {
@@ -119,6 +148,11 @@ fn warm_rerun_replays_every_cell_byte_identically_across_thread_counts() {
             "warm run on {threads} threads must replay all {JOBS} cells: {line}"
         );
         assert_same_artifacts(&cold_dir, &warm_dir);
+        // A replayed job did no work in this run, and says so.
+        let obs = merged_obs(&warm_dir);
+        assert_eq!(obs.total_phase_ns(), 0, "warm phases: {obs:?}");
+        assert_eq!(obs.counter(Counter::SimInstrs), 0, "warm counters: {obs:?}");
+        assert_eq!(obs.counter(Counter::StoreHits), JOBS as u64);
         let _ = std::fs::remove_dir_all(&warm_dir);
     }
     let _ = std::fs::remove_dir_all(&cold_dir);

@@ -20,7 +20,8 @@
 //! rearms it for the next job. With no collector installed — or one
 //! installed by [`ObsStack::disabled`] — every call is a thread-local
 //! probe plus a branch: observability is free when off and cheap when
-//! on (pinned by the `bench_sim` overhead arm).
+//! on (priced on whole plans by the `no-obs` arm of
+//! `perfbench/run.py --ablate`).
 //!
 //! Nothing here feeds back into evaluation: collectors only absorb
 //! measurements, so `outcomes.jsonl` is byte-identical with

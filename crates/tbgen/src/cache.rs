@@ -101,7 +101,6 @@ mod tests {
     fn dummy_run() -> Result<TbRun, TbError> {
         Ok(TbRun {
             results: vec![ScenarioResult::Pass],
-            end_time: 10,
         })
     }
 

@@ -34,8 +34,6 @@ pub enum ScenarioResult {
 pub struct TbRun {
     /// Verdict per scenario (index 0 holds scenario 1).
     pub results: Vec<ScenarioResult>,
-    /// Simulation end time.
-    pub end_time: u64,
 }
 
 impl TbRun {
@@ -88,7 +86,7 @@ impl From<CheckerRunError> for TbError {
 }
 
 /// Simulates `driver` against `dut` under `limits` and returns the
-/// captured records and the end time: the simulation half of every run,
+/// captured records: the simulation half of every run,
 /// [`crate::EvalSession`]'s and [`reference_run`]'s alike. Every call
 /// elaborates the pair and runs one fresh [`Simulator`]. `binding` says
 /// whether a job budget lowered `limits.max_steps`
@@ -102,12 +100,12 @@ pub(crate) fn simulate_records(
     driver: &SourceFile,
     limits: SimLimits,
     binding: bool,
-) -> Result<(Vec<Record>, u64), TbError> {
+) -> Result<Vec<Record>, TbError> {
     let design = elaborate_pair(dut, driver)?;
     let out = Simulator::with_limits(design, limits)
         .run()
         .map_err(|e| classify_sim_err(e, binding))?;
-    Ok((parse_records(&out.lines), out.end_time))
+    Ok(parse_records(&out.lines))
 }
 
 /// Classifies a simulation error under a budgeted run: a missed wall
@@ -173,9 +171,9 @@ pub fn reference_run(
     problem: &Problem,
     scenarios: &ScenarioSet,
 ) -> Result<TbRun, TbError> {
-    let (records, end_time) = simulate_records(dut, driver, limits_for(scenarios), false)?;
+    let records = simulate_records(dut, driver, limits_for(scenarios), false)?;
     let results = judge_records(&records, checker, problem, scenarios.len())?;
-    Ok(TbRun { results, end_time })
+    Ok(TbRun { results })
 }
 
 /// The width a record prints `name` at: its port width, defaulting to 1

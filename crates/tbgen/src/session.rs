@@ -193,9 +193,9 @@ impl EvalSession {
         scenarios: &ScenarioSet,
     ) -> Result<TbRun, TbError> {
         let (limits, binding) = self.budget.clamp(limits_for(scenarios));
-        let (records, end_time) = simulate_records(dut, driver, limits, binding)?;
+        let records = simulate_records(dut, driver, limits, binding)?;
         let results = self.judge(&records, scenarios.len())?;
-        Ok(TbRun { results, end_time })
+        Ok(TbRun { results })
     }
 
     /// Judges a pre-captured record stream with the compiled checker —
