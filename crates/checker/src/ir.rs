@@ -10,7 +10,7 @@
 //! Checker *bugs* (the thing CorrectBench exists to find) are modelled by
 //! mutating nodes — see [`crate::mutate_ir`].
 
-use correctbench_verilog::hash::{Fingerprint, FingerprintHasher, StructuralHash};
+use correctbench_verilog::hash::{fingerprint, Fingerprint};
 use correctbench_verilog::logic::LogicVec;
 use std::fmt;
 
@@ -20,7 +20,7 @@ pub struct NodeId(pub u32);
 
 /// Binary operations at the IR level (a deliberately small, orthogonal set;
 /// the compiler lowers the full Verilog operator zoo onto it).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum IrBinOp {
     /// Wrapping addition.
     Add,
@@ -78,7 +78,7 @@ impl fmt::Display for IrBinOp {
 }
 
 /// Unary operations at the IR level.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum IrUnOp {
     /// Bitwise NOT.
     Not,
@@ -98,7 +98,7 @@ pub enum IrUnOp {
 
 /// One IR node. Operand [`NodeId`]s always refer to earlier nodes, so a
 /// single forward pass evaluates the combinational part.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum Node {
     /// An input signal, fed from the stimulus record each step.
     Input {
@@ -191,7 +191,7 @@ pub enum Node {
 }
 
 /// A node plus its result width.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct NodeDef {
     /// The operation.
     pub node: Node,
@@ -201,7 +201,7 @@ pub struct NodeDef {
 
 /// A clocked register update: on each step, `reg` takes the value of
 /// `next` computed by the combinational pass.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct RegUpdate {
     /// Register node (must be a [`Node::Reg`]).
     pub reg: NodeId,
@@ -210,7 +210,7 @@ pub struct RegUpdate {
 }
 
 /// An output binding: DUT port name → node computing the reference value.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct OutputDef {
     /// Port name.
     pub name: String,
@@ -219,7 +219,7 @@ pub struct OutputDef {
 }
 
 /// A complete checker: the reference model of one DUT.
-#[derive(Clone, PartialEq, Debug, Default)]
+#[derive(Clone, PartialEq, Hash, Debug, Default)]
 pub struct CheckerProgram {
     /// Nodes in topological order.
     pub nodes: Vec<NodeDef>,
@@ -256,12 +256,11 @@ impl CheckerProgram {
         self.nodes.is_empty()
     }
 
-    /// Stable structural fingerprint via a direct visitor over the IR —
-    /// equal programs fingerprint equal, independent of the process, at
-    /// a fraction of the old `Debug`-rendering hash's cost. Used as the
-    /// checker component of simulation-cache keys and session-pool keys.
+    /// The program's [`fingerprint`]: equal programs fingerprint equal,
+    /// independent of the process. The checker component of
+    /// simulation-cache keys.
     pub fn fingerprint(&self) -> Fingerprint {
-        StructuralHash::fingerprint(self)
+        fingerprint(self)
     }
 
     /// Ids of all mutable (operation) nodes — the mutation surface.
@@ -277,126 +276,6 @@ impl CheckerProgram {
             })
             .map(|(i, _)| NodeId(i as u32))
             .collect()
-    }
-}
-
-impl StructuralHash for NodeId {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_u64(u64::from(self.0));
-    }
-}
-
-impl StructuralHash for IrBinOp {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_u8(*self as u8);
-    }
-}
-
-impl StructuralHash for IrUnOp {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_u8(*self as u8);
-    }
-}
-
-impl StructuralHash for Node {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        match self {
-            Node::Input { name } => {
-                h.write_u8(0);
-                h.write_str(name);
-            }
-            Node::Reg { name, init } => {
-                h.write_u8(1);
-                h.write_str(name);
-                init.hash_structure(h);
-            }
-            Node::Const(v) => {
-                h.write_u8(2);
-                v.hash_structure(h);
-            }
-            Node::Bin { op, a, b, signed } => {
-                h.write_u8(3);
-                op.hash_structure(h);
-                a.hash_structure(h);
-                b.hash_structure(h);
-                h.write_bool(*signed);
-            }
-            Node::Un { op, a } => {
-                h.write_u8(4);
-                op.hash_structure(h);
-                a.hash_structure(h);
-            }
-            Node::Mux { sel, t, f } => {
-                h.write_u8(5);
-                sel.hash_structure(h);
-                t.hash_structure(h);
-                f.hash_structure(h);
-            }
-            Node::Slice { a, lo, width } => {
-                h.write_u8(6);
-                a.hash_structure(h);
-                h.write_usize(*lo);
-                h.write_usize(*width);
-            }
-            Node::DynSlice { a, lo, width } => {
-                h.write_u8(7);
-                a.hash_structure(h);
-                lo.hash_structure(h);
-                h.write_usize(*width);
-            }
-            Node::DynInsert { a, lo, b, width } => {
-                h.write_u8(8);
-                a.hash_structure(h);
-                lo.hash_structure(h);
-                b.hash_structure(h);
-                h.write_usize(*width);
-            }
-            Node::Concat(ids) => {
-                h.write_u8(9);
-                ids.hash_structure(h);
-            }
-            Node::Repl { a, n } => {
-                h.write_u8(10);
-                a.hash_structure(h);
-                h.write_usize(*n);
-            }
-            Node::Ext { a, signed } => {
-                h.write_u8(11);
-                a.hash_structure(h);
-                h.write_bool(*signed);
-            }
-        }
-    }
-}
-
-impl StructuralHash for NodeDef {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        self.node.hash_structure(h);
-        h.write_usize(self.width);
-    }
-}
-
-impl StructuralHash for RegUpdate {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        self.reg.hash_structure(h);
-        self.next.hash_structure(h);
-    }
-}
-
-impl StructuralHash for OutputDef {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_str(&self.name);
-        self.node.hash_structure(h);
-    }
-}
-
-impl StructuralHash for CheckerProgram {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        self.nodes.hash_structure(h);
-        self.reg_updates.hash_structure(h);
-        self.outputs.hash_structure(h);
-        self.inputs.hash_structure(h);
-        h.write_bool(self.sequential);
     }
 }
 
@@ -428,7 +307,7 @@ mod tests {
         assert_eq!(p.op_nodes(), vec![c, s]);
     }
 
-    /// The visitor fingerprint must distinguish every checker pair the
+    /// The fingerprint must distinguish every checker pair the
     /// `Debug`-rendering oracle distinguishes (the retired cache-key
     /// scheme), across compiled golden checkers and IR mutants.
     #[test]

@@ -68,7 +68,7 @@ impl Difficulty {
 }
 
 /// Direction of a DUT port.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum PortDir {
     /// Driven by the testbench.
     Input,
@@ -77,7 +77,7 @@ pub enum PortDir {
 }
 
 /// One DUT port as the testbench generator sees it.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct PortSpec {
     /// Port name.
     pub name: String,
@@ -85,20 +85,6 @@ pub struct PortSpec {
     pub width: usize,
     /// Direction.
     pub dir: PortDir,
-}
-
-impl correctbench_verilog::StructuralHash for PortDir {
-    fn hash_structure(&self, h: &mut correctbench_verilog::FingerprintHasher) {
-        h.write_u8(*self as u8);
-    }
-}
-
-impl correctbench_verilog::StructuralHash for PortSpec {
-    fn hash_structure(&self, h: &mut correctbench_verilog::FingerprintHasher) {
-        h.write_str(&self.name);
-        h.write_usize(self.width);
-        self.dir.hash_structure(h);
-    }
 }
 
 impl PortSpec {
@@ -122,7 +108,7 @@ impl PortSpec {
 }
 
 /// Sizing of the canonical scenario list for a problem.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ScenarioSpec {
     /// Number of test scenarios (the paper's NS, set by task complexity).
     pub scenarios: usize,
@@ -130,27 +116,13 @@ pub struct ScenarioSpec {
     pub stimuli_per_scenario: usize,
 }
 
-impl correctbench_verilog::StructuralHash for CircuitKind {
-    fn hash_structure(&self, h: &mut correctbench_verilog::FingerprintHasher) {
-        h.write_u8(*self as u8);
-    }
-}
-
-impl correctbench_verilog::StructuralHash for Difficulty {
-    fn hash_structure(&self, h: &mut correctbench_verilog::FingerprintHasher) {
-        h.write_u8(*self as u8);
-    }
-}
-
-impl correctbench_verilog::StructuralHash for ScenarioSpec {
-    fn hash_structure(&self, h: &mut correctbench_verilog::FingerprintHasher) {
-        h.write_usize(self.scenarios);
-        h.write_usize(self.stimuli_per_scenario);
-    }
-}
-
 /// One benchmark problem.
-#[derive(Clone, PartialEq, Debug)]
+///
+/// Derives `Hash`, so its [`fingerprint`](correctbench_verilog::fingerprint)
+/// covers every field, `spec` and `golden_rtl` as raw text: it moves
+/// when *anything* about the problem moves, even a comment in the golden
+/// RTL. The golden-artifact cache and the persistent store key on it.
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct Problem {
     /// Unique short name; also the golden RTL module name.
     pub name: String,
@@ -171,25 +143,6 @@ pub struct Problem {
     /// over the golden dataset skips allowlisted findings; anything else
     /// it reports is a real defect.
     pub lint_allow: Vec<String>,
-}
-
-/// Full-content identity: every field, with `spec` and `golden_rtl`
-/// hashed as raw bytes. Unlike `tbgen`'s structural golden-cache key
-/// (which deliberately ignores text that cannot change simulation),
-/// this fingerprint moves when *anything* about the problem moves —
-/// even a comment edit in the golden RTL — which is exactly the
-/// conservatism a persistent cross-run store needs.
-impl correctbench_verilog::StructuralHash for Problem {
-    fn hash_structure(&self, h: &mut correctbench_verilog::FingerprintHasher) {
-        h.write_str(&self.name);
-        self.kind.hash_structure(h);
-        h.write_str(&self.spec);
-        h.write_str(&self.golden_rtl);
-        self.ports.hash_structure(h);
-        self.difficulty.hash_structure(h);
-        self.scenario_spec.hash_structure(h);
-        self.lint_allow.hash_structure(h);
-    }
 }
 
 impl Problem {

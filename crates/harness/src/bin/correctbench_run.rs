@@ -80,6 +80,7 @@ use correctbench_llm::{ModelKind, SimulatedClientFactory};
 use std::io::IsTerminal as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 const EXTRA_USAGE: &str = "[--methods cb,ab,base] [--model gpt-4o|claude-3.5-sonnet|gpt-4o-mini] \
      [--resume DIR] [--sim-budget N] [--job-deadline-ms N] [--lint off|warn|gate] \
@@ -334,6 +335,11 @@ fn main() {
 
     let out = resume.clone().or_else(|| args.out.clone());
 
+    // The run's wall clock starts here: a warm run's work is opening the
+    // store, probing and decoding its cells and flushing it, all outside
+    // the engine.
+    let started = Instant::now();
+
     // Open the store (if any) and probe every scheduled job's cell key
     // before the engine sees the plan.
     let store: Option<Arc<OutcomeStore>> = plan.store.as_ref().map(|cfg| {
@@ -349,13 +355,16 @@ fn main() {
         }
         Arc::new(handle)
     });
-    let config_fp = config_fingerprint(&plan);
-    let jobs = plan.jobs();
+    // Each job's cell key is computed once: the probe below reads it,
+    // and the publish hook indexes it by job id.
+    let mut keys: Vec<CellKey> = Vec::new();
     let mut replayed: Vec<TaskOutcome> = Vec::new();
     if let Some(store) = &store {
-        for job in &jobs[prior.len().min(jobs.len())..] {
-            let key = cell_key(job, config_fp);
-            let Some(payload) = store.get(&key) else {
+        let config_fp = config_fingerprint(&plan);
+        let jobs = plan.jobs();
+        keys = jobs.iter().map(|j| cell_key(j, config_fp)).collect();
+        for (job, key) in jobs.iter().zip(&keys).skip(prior.len()) {
+            let Some(payload) = store.get(key) else {
                 continue;
             };
             match decode_cell(&payload, job, obs) {
@@ -364,7 +373,7 @@ fn main() {
                     // A cell that cannot replay reads as a miss and the
                     // job executes (then republishes over the bad cell).
                     eprintln!("warning: store: cell {key} unusable ({e}); re-executing");
-                    store.discount_hit(&key);
+                    store.discount_hit(key);
                 }
             }
         }
@@ -429,7 +438,6 @@ fn main() {
     if let Some(store) = &store {
         if !store.readonly() {
             let store = Arc::clone(store);
-            let keys: Vec<CellKey> = jobs.iter().map(|j| cell_key(j, config_fp)).collect();
             engine = engine.with_outcome_hook(Box::new(move |o: &TaskOutcome| {
                 if o.failure.is_none() {
                     if let Err(e) = store.put(&keys[o.job_id], &encode_cell(o)) {
@@ -474,10 +482,12 @@ fn main() {
 
     // Replayed outcomes rejoin the fresh ones so the summary and the
     // sidecars describe the whole run (their wall times are unknown —
-    // measured data from a previous process — and read as zero).
+    // measured data from a previous process — and read as zero). The
+    // run's wall covers the store work around the engine too.
     let result = RunResult {
         outcomes: prior.into_iter().chain(result.outcomes).collect(),
         store: store_stats,
+        wall: started.elapsed(),
         ..result
     };
     let summary = render_summary(&plan, &result);

@@ -13,7 +13,7 @@ use correctbench_llm::ModelKind;
 
 /// How the run treats static-analysis diagnostics from `verilog::lint`
 /// (`--lint=off|warn|gate`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum LintMode {
     /// Skip the lint pass entirely.
     Off,

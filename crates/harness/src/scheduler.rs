@@ -330,7 +330,8 @@ mod tests {
             dut: Fingerprint(1),
             driver: Fingerprint(2),
             checker: Fingerprint(3),
-            scenarios: Fingerprint(4),
+            num_scenarios: 4,
+            total_stimuli: 16,
             problem: Fingerprint(5),
         };
         // Prime the table once, then have every worker probe the same

@@ -6,11 +6,12 @@
 //! A cell is one completed job, addressed by two fingerprints:
 //!
 //! * **job fingerprint** — the job's own content: the problem's
-//!   *full-content* structural hash (spec and golden RTL as raw bytes,
-//!   ports, difficulty, scenario sizing, lint allowlist), the method,
-//!   the repetition index, and both derived seeds. Editing anything
-//!   about a problem — even a comment in its golden RTL — moves every
-//!   one of its cells; nothing else moves.
+//!   *full-content* fingerprint (every field of its derived `Hash`:
+//!   spec and golden RTL as raw text, ports, difficulty, scenario
+//!   sizing, lint allowlist), the method, the repetition index, and
+//!   both derived seeds. Editing anything about a problem — even a
+//!   comment in its golden RTL — moves every one of its cells; nothing
+//!   else moves.
 //! * **config fingerprint** — everything plan-wide that can change an
 //!   outcome byte: the payload schema version, model profile, lint
 //!   mode, simulation budget, job deadline, and every pipeline
@@ -31,7 +32,7 @@ use crate::plan::{Job, RunPlan};
 use crate::worker::TaskOutcome;
 use correctbench_obs::{Counter, JobObs};
 use correctbench_store::CellKey;
-use correctbench_verilog::{Fingerprint, FingerprintHasher, StructuralHash};
+use correctbench_verilog::{fingerprint, Fingerprint};
 
 /// Version tag of the cell payload encoding below. Folded into the
 /// config fingerprint, so bumping it orphans (never mis-reads) every
@@ -39,68 +40,43 @@ use correctbench_verilog::{Fingerprint, FingerprintHasher, StructuralHash};
 pub const CELL_SCHEMA: &str = "correctbench-cell-v5";
 
 /// Fingerprint of everything plan-wide that can change an outcome byte.
+/// `f64` knobs go in as their bits.
 pub fn config_fingerprint(plan: &RunPlan) -> Fingerprint {
     use correctbench::ValidationCriterion;
-    let mut h = FingerprintHasher::new();
-    h.write_str(CELL_SCHEMA);
-    h.write_str(plan.model.as_str());
-    h.write_str(plan.lint.name());
-    opt_u64(&mut h, plan.sim_budget);
-    opt_u64(&mut h, plan.job_deadline_ms);
     let cfg = &plan.config;
-    h.write_u64(u64::from(cfg.max_corrections));
-    h.write_u64(u64::from(cfg.max_reboots));
-    h.write_usize(cfg.num_validation_rtls);
-    match cfg.criterion {
-        ValidationCriterion::Wrong100 => h.write_u8(0),
-        ValidationCriterion::Wrong70 => h.write_u8(1),
-        ValidationCriterion::Wrong50 => h.write_u8(2),
+    // A tag per variant, then the variant's knobs.
+    let criterion = match cfg.criterion {
+        ValidationCriterion::Wrong100 => (0u8, None, None),
+        ValidationCriterion::Wrong70 => (1, None, None),
+        ValidationCriterion::Wrong50 => (2, None, None),
         ValidationCriterion::Custom {
             wrong_fraction,
             green_row_rule,
-        } => {
-            h.write_u8(3);
-            h.write_u64(wrong_fraction.to_bits());
-            h.write_bool(green_row_rule);
-        }
+        } => (3, Some(wrong_fraction.to_bits()), Some(green_row_rule)),
         ValidationCriterion::Weighted { wrong_fraction } => {
-            h.write_u8(4);
-            h.write_u64(wrong_fraction.to_bits());
+            (4, Some(wrong_fraction.to_bits()), None)
         }
-    }
-    h.write_u64(u64::from(cfg.syntax_debug_rounds));
-    h.write_u64(cfg.scenario_check_recall.to_bits());
-    h.write_u64(cfg.green_row_fraction.to_bits());
-    match cfg.min_input_coverage {
-        None => h.write_u8(0),
-        Some(f) => {
-            h.write_u8(1);
-            h.write_u64(f.to_bits());
-        }
-    }
-    h.finish()
-}
-
-fn opt_u64(h: &mut FingerprintHasher, v: Option<u64>) {
-    match v {
-        None => h.write_u8(0),
-        Some(n) => {
-            h.write_u8(1);
-            h.write_u64(n);
-        }
-    }
+    };
+    fingerprint(&(
+        (CELL_SCHEMA, plan.model, plan.lint),
+        (plan.sim_budget, plan.job_deadline_ms),
+        (
+            cfg.max_corrections,
+            cfg.max_reboots,
+            cfg.num_validation_rtls,
+        ),
+        criterion,
+        cfg.syntax_debug_rounds,
+        cfg.scenario_check_recall.to_bits(),
+        cfg.green_row_fraction.to_bits(),
+        cfg.min_input_coverage.map(f64::to_bits),
+    ))
 }
 
 /// Fingerprint of one job's own content (plan-position-free: the job id
 /// is *not* hashed, so the same cell is found from any plan shape).
 pub fn job_fingerprint(job: &Job) -> Fingerprint {
-    let mut h = FingerprintHasher::new();
-    job.problem.hash_structure(&mut h);
-    h.write_str(job.method.name());
-    h.write_u64(job.rep);
-    h.write_u64(job.seed);
-    h.write_u64(job.eval_seed);
-    h.finish()
+    fingerprint(&(&job.problem, job.method, job.rep, job.seed, job.eval_seed))
 }
 
 /// The content address of `job` under `config` (a precomputed
@@ -119,19 +95,13 @@ pub fn cell_key(job: &Job, config: Fingerprint) -> CellKey {
 /// content drift and configuration-default drift between the
 /// interrupted run and the resuming binary.
 pub fn plan_fingerprint(plan: &RunPlan) -> Fingerprint {
-    let mut h = FingerprintHasher::new();
-    h.write_u64(config_fingerprint(plan).0);
-    h.write_usize(plan.problems.len());
-    for p in &plan.problems {
-        p.hash_structure(&mut h);
-    }
-    h.write_usize(plan.methods.len());
-    for m in &plan.methods {
-        h.write_str(m.name());
-    }
-    h.write_u64(plan.reps);
-    h.write_u64(plan.base_seed);
-    h.finish()
+    fingerprint(&(
+        config_fingerprint(plan),
+        &plan.problems,
+        &plan.methods,
+        plan.reps,
+        plan.base_seed,
+    ))
 }
 
 /// Serializes one *completed* outcome as a cell payload. The caller

@@ -41,9 +41,8 @@ pub enum Phase {
     /// AST → elaborated design (`verilog::elaborate`).
     Elab,
     /// Reads 0: nothing compiles an elaborated design any more, since the
-    /// simulator walks it directly. The phase keeps its place because
-    /// store cells encode phases by position and `perfbench-trace` reads
-    /// it.
+    /// simulator walks it directly. The phase stays because
+    /// `perfbench-trace` reads it.
     Compile,
     /// Event-driven simulation (`Simulator::run`).
     Simulate,

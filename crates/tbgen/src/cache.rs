@@ -3,18 +3,17 @@
 //! Everything in the reproduction that "runs a testbench" — the
 //! validator's RS-matrix rows, AutoEval's Eval1/Eval2 reports, the final
 //! verdicts — funnels through [`crate::EvalSession::run`], and the
-//! same `(DUT, driver, checker, scenarios)` quadruple recurs constantly:
-//! every repetition of a problem re-simulates the golden testbench
-//! against the same ten Eval2 mutants, and validator RTL groups resample
-//! the same low-mutation designs again and again.
+//! same `(DUT, driver, checker)` triple recurs constantly: every
+//! repetition of a problem re-simulates the golden testbench against
+//! the same ten Eval2 mutants, and validator RTL groups resample the
+//! same low-mutation designs again and again.
 //!
-//! A [`SimCache`] memoizes those runs under a stable content key
-//! ([`CacheKey`]): the structural hashes of the elaboratable DUT source,
-//! the driver source, the checker program and the scenario set, plus the
-//! problem's port signature (record judging reads port widths from it).
-//! A testbench run is a pure function of that key, so a hit is
-//! byte-identical to a recomputation and caching never changes results —
-//! only wall time.
+//! A [`SimCache`] memoizes those runs under a [`CacheKey`]: the
+//! fingerprints of the DUT, the driver, the checker program and the
+//! module interface, plus the two counts of the scenario schedule that
+//! a run reads. A testbench run is a pure function of that key, so a
+//! hit is byte-identical to a recomputation and caching never changes
+//! results — only wall time.
 //!
 //! Sessions find the cache in the [`EvalContext`](crate::EvalContext)
 //! they are built with. One `Arc<SimCache>` shared by all workers
@@ -23,13 +22,18 @@
 use crate::memo::{Memo, MemoKey};
 use crate::runner::{TbError, TbRun};
 use correctbench_obs::Counter;
-use correctbench_verilog::hash::{Fingerprint, FingerprintHasher, StructuralHash};
+use correctbench_verilog::hash::Fingerprint;
 
-/// The content address of one simulation: typed structural fingerprints
-/// of the five inputs that determine a testbench run. Record judging
-/// reads port widths from the problem, so the problem's port signature
-/// is part of the content address alongside the four artifact
-/// fingerprints.
+/// The content address of one simulation: everything a testbench run
+/// reads.
+///
+/// A run simulates the DUT against the driver, which carries every
+/// stimulus, and judges the records with the checker against the module
+/// interface (problem name and ports). Of the scenario schedule it
+/// reads only two counts: [`limits_for`](crate::limits_for) sizes the
+/// run from `num_scenarios` and `total_stimuli`, and judging sizes the
+/// verdict vector from `num_scenarios`. If a run ever reads more of its
+/// schedule, this key must grow with it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct CacheKey {
     /// [`SourceFile::fingerprint`](correctbench_verilog::ast::SourceFile::fingerprint)
@@ -41,11 +45,14 @@ pub struct CacheKey {
     /// [`CheckerProgram::fingerprint`](correctbench_checker::CheckerProgram::fingerprint)
     /// of the checker.
     pub checker: Fingerprint,
-    /// [`ScenarioSet::fingerprint`](crate::ScenarioSet::fingerprint) of the
-    /// scenario list.
-    pub scenarios: Fingerprint,
-    /// [`module_interface_fingerprint`] of the problem — what
-    /// `judge_records` consults beyond the artifacts.
+    /// [`ScenarioSet::len`](crate::ScenarioSet::len) of the schedule.
+    pub num_scenarios: usize,
+    /// [`ScenarioSet::total_stimuli`](crate::ScenarioSet::total_stimuli)
+    /// of the schedule.
+    pub total_stimuli: usize,
+    /// [`fingerprint`](correctbench_verilog::fingerprint) of the
+    /// problem's `(name, ports)`: what judging consults beyond the
+    /// artifacts.
     pub problem: Fingerprint,
 }
 
@@ -59,35 +66,6 @@ impl MemoKey for CacheKey {
     const MAX_ENTRIES_PER_SHARD: usize = 2048;
     const HITS: Counter = Counter::SimCacheHits;
     const MISSES: Counter = Counter::SimCacheMisses;
-
-    fn mix(&self) -> u64 {
-        // The components are already well-mixed FNV states.
-        self.dut
-            .0
-            .wrapping_mul(31)
-            .wrapping_add(self.driver.0)
-            .wrapping_mul(31)
-            .wrapping_add(self.checker.0)
-            .wrapping_mul(31)
-            .wrapping_add(self.scenarios.0)
-            .wrapping_mul(31)
-            .wrapping_add(self.problem.0)
-    }
-}
-
-/// The module-interface component of a [`CacheKey`]: a visitor
-/// fingerprint of the problem name plus its port list (names, widths,
-/// directions) — everything record judging consults beyond the
-/// artifacts. Takes the bare fields so sessions need not hold a whole
-/// [`Problem`](correctbench_dataset::Problem).
-pub fn module_interface_fingerprint(
-    name: &str,
-    ports: &[correctbench_dataset::PortSpec],
-) -> Fingerprint {
-    let mut h = FingerprintHasher::new();
-    h.write_str(name);
-    ports.hash_structure(&mut h);
-    h.finish()
 }
 
 /// A sharded, thread-safe, bounded memo table for testbench runs.
@@ -109,7 +87,8 @@ mod tests {
             dut: Fingerprint(n),
             driver: Fingerprint(n ^ 1),
             checker: Fingerprint(n ^ 2),
-            scenarios: Fingerprint(n ^ 3),
+            num_scenarios: 3,
+            total_stimuli: 12,
             problem: Fingerprint(n ^ 4),
         }
     }
@@ -187,5 +166,76 @@ mod tests {
         let _ = run(&other_dut);
         let s3 = cache.stats();
         assert_eq!(s3.misses, 2, "different design must be a distinct entry");
+    }
+
+    /// The key holds the schedule's shape, not its stimuli, which are in
+    /// the driver: a second schedule of the same shape under the same
+    /// driver is a hit, and each run equals the reference under its own
+    /// schedule.
+    #[test]
+    fn schedules_of_one_shape_share_entries_under_one_driver() {
+        use crate::driver::generate_driver;
+        use crate::scenarios::generate_scenarios;
+        use crate::{reference_run, EvalSession};
+        use rand::SeedableRng;
+
+        let p = correctbench_dataset::problem("alu_8").expect("problem");
+        let first = generate_scenarios(&p, 1);
+        let second = generate_scenarios(&p, 2);
+        assert_ne!(first, second, "the schedules must differ in their stimuli");
+        assert_eq!(
+            (first.len(), first.total_stimuli()),
+            (second.len(), second.total_stimuli()),
+            "the schedules must share their shape"
+        );
+        let driver =
+            correctbench_verilog::parse(&generate_driver(&p, &first)).expect("driver parses");
+        let checker =
+            correctbench_checker::compile_module(&p.golden_module()).expect("golden checker");
+        let golden = correctbench_verilog::parse(&p.golden_rtl).expect("golden parses");
+        let mut mutant = golden.clone();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        correctbench_verilog::mutate::mutate_module(
+            mutant.module_mut(&p.name).expect("module"),
+            &mut rng,
+            2,
+        );
+        let duts = [golden, mutant];
+
+        let ctx = crate::EvalContext::cached();
+        let cache = ctx.sim.as_ref().expect("sim layer");
+        let mut session = EvalSession::new(&p, &checker, &ctx).expect("session");
+        for (pass, scenarios) in [&first, &second].into_iter().enumerate() {
+            let runs = session.sweep_mutants(&duts, &driver, scenarios);
+            for (dut, run) in duts.iter().zip(runs) {
+                assert_eq!(
+                    run,
+                    reference_run(dut, &driver, &checker, &p, scenarios),
+                    "pass {pass}: the session must equal the reference"
+                );
+            }
+        }
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.entries),
+            (2, 2, 2),
+            "the second schedule must hit the first one's entries"
+        );
+    }
+
+    /// A literal fingerprint of a fixed module interface, the key's
+    /// `problem` component. `PortSpec`'s derived `Hash` is part of every
+    /// stored cell's job key too, so a drift in the derive order, std's
+    /// `Hash` impls or the hasher's integer widths must fail here rather
+    /// than silently orphan every cell.
+    #[test]
+    fn encoding_vector_of_a_module_interface() {
+        use correctbench_dataset::PortSpec;
+        let name = "inc".to_string();
+        let ports = vec![PortSpec::input("a", 4), PortSpec::output("y", 4)];
+        assert_eq!(
+            correctbench_verilog::fingerprint(&(&name, &ports)),
+            Fingerprint(0xdcba_18c6_1a5a_c99b)
+        );
     }
 }

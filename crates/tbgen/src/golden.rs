@@ -10,8 +10,8 @@
 //! mutants that the previous cell had just thrown away.
 //!
 //! A [`GoldenCache`] memoizes the derived [`GoldenArtifacts`] bundle
-//! under a [`GoldenKey`]: the structural fingerprint of the problem's
-//! derivation-relevant fields plus the evaluation seed. The harness
+//! under a [`GoldenKey`]: the problem's full-content fingerprint plus
+//! the evaluation seed. The harness
 //! hands every cell of a problem the *same* eval seed, so only the
 //! first cell pays the derivation. Derivation itself lives upstream in
 //! `correctbench_autoeval` (it owns the generators); this module holds
@@ -26,14 +26,16 @@ use correctbench_checker::CheckerProgram;
 use correctbench_dataset::Problem;
 use correctbench_obs::Counter;
 use correctbench_verilog::ast::SourceFile;
-use correctbench_verilog::hash::{Fingerprint, FingerprintHasher, StructuralHash};
+use correctbench_verilog::hash::{fingerprint, Fingerprint};
 use std::sync::Arc;
 
 /// The identity of one derivation: everything the golden fixtures are a
 /// function of.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct GoldenKey {
-    /// [`problem_fingerprint`] of the problem.
+    /// [`fingerprint`] of the whole problem: the same full-content
+    /// identity the persistent store keys on, so two problems share an
+    /// entry only when they are equal.
     pub problem: Fingerprint,
     /// The evaluation seed (fixes the golden scenario set and the Eval2
     /// mutant set).
@@ -44,7 +46,7 @@ impl GoldenKey {
     /// The key for one `(problem, eval seed)` pair.
     pub fn for_eval(problem: &Problem, seed: u64) -> GoldenKey {
         GoldenKey {
-            problem: problem_fingerprint(problem),
+            problem: fingerprint(problem),
             seed,
         }
     }
@@ -60,26 +62,6 @@ impl MemoKey for GoldenKey {
     const MAX_ENTRIES_PER_SHARD: usize = 64;
     const HITS: Counter = Counter::GoldenHits;
     const MISSES: Counter = Counter::GoldenMisses;
-
-    fn mix(&self) -> u64 {
-        self.problem.0.wrapping_mul(31).wrapping_add(self.seed)
-    }
-}
-
-/// A visitor fingerprint of every problem field the golden derivation
-/// reads: name (module lookup), circuit kind (scenario shape), golden
-/// RTL source (DUT, checker, mutant base), port list (driver and record
-/// formats) and scenario sizing. Two problems that agree on all of these
-/// derive byte-identical fixtures, so sharing a cache entry is sound.
-pub fn problem_fingerprint(problem: &Problem) -> Fingerprint {
-    let mut h = FingerprintHasher::new();
-    h.write_str(&problem.name);
-    h.write_bool(problem.kind.is_combinational());
-    h.write_str(&problem.golden_rtl);
-    problem.ports.hash_structure(&mut h);
-    h.write_usize(problem.scenario_spec.scenarios);
-    h.write_usize(problem.scenario_spec.stimuli_per_scenario);
-    h.finish()
 }
 
 /// The derived evaluation fixtures for one `(problem, eval seed)` pair —
@@ -151,25 +133,83 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }
 
+    /// The key's problem component is the full-content fingerprint: it
+    /// separates an edit to any one field of a problem, and all 156
+    /// dataset problems. The destructuring stops compiling when a field
+    /// is added, so a new field gets an edit here too.
     #[test]
-    fn problem_fingerprint_separates_derivation_inputs() {
+    fn golden_key_separates_every_problem_field() {
+        use correctbench_dataset::{CircuitKind, Difficulty, PortDir};
         let a = correctbench_dataset::problem("and_8").expect("problem");
-        assert_eq!(problem_fingerprint(&a), problem_fingerprint(&a.clone()));
-        let mut renamed = a.clone();
-        renamed.name.push('x');
-        assert_ne!(problem_fingerprint(&a), problem_fingerprint(&renamed));
-        let mut resized = a.clone();
-        resized.scenario_spec.scenarios += 1;
-        assert_ne!(problem_fingerprint(&a), problem_fingerprint(&resized));
-        let mut rewired = a.clone();
-        rewired.golden_rtl.push('\n');
-        assert_ne!(problem_fingerprint(&a), problem_fingerprint(&rewired));
+        let Problem {
+            name: _,
+            kind: _,
+            spec: _,
+            golden_rtl: _,
+            ports: _,
+            difficulty: _,
+            scenario_spec: _,
+            lint_allow: _,
+        } = &a;
+        type Edit = fn(&mut Problem);
+        let edits: [(&str, Edit); 12] = [
+            ("name", |p| p.name.push('x')),
+            ("kind", |p| {
+                p.kind = match p.kind {
+                    CircuitKind::Combinational => CircuitKind::Sequential,
+                    CircuitKind::Sequential => CircuitKind::Combinational,
+                }
+            }),
+            ("spec", |p| p.spec.push('.')),
+            ("golden_rtl", |p| p.golden_rtl.push('\n')),
+            ("port name", |p| p.ports[0].name.push('x')),
+            ("port width", |p| p.ports[0].width += 1),
+            ("port direction", |p| {
+                p.ports[0].dir = match p.ports[0].dir {
+                    PortDir::Input => PortDir::Output,
+                    PortDir::Output => PortDir::Input,
+                }
+            }),
+            ("port list", |p| {
+                p.ports.pop();
+            }),
+            ("difficulty", |p| {
+                p.difficulty = match p.difficulty {
+                    Difficulty::Hard => Difficulty::Easy,
+                    _ => Difficulty::Hard,
+                }
+            }),
+            ("scenarios", |p| p.scenario_spec.scenarios += 1),
+            ("stimuli per scenario", |p| {
+                p.scenario_spec.stimuli_per_scenario += 1
+            }),
+            ("lint_allow", |p| {
+                p.lint_allow.push("unused-signal:x".into())
+            }),
+        ];
+        let mut seen = std::collections::HashMap::new();
+        seen.insert(GoldenKey::for_eval(&a, 1), "unedited");
+        assert_eq!(
+            GoldenKey::for_eval(&a.clone(), 1),
+            GoldenKey::for_eval(&a, 1)
+        );
+        for (field, edit) in edits {
+            let mut p = a.clone();
+            edit(&mut p);
+            assert_ne!(p, a, "the {field} edit changed nothing");
+            let key = GoldenKey::for_eval(&p, 1);
+            assert_eq!(key.problem, fingerprint(&p));
+            if let Some(other) = seen.insert(key, field) {
+                panic!("the {field} edit keys like the {other} edit");
+            }
+        }
         // All 156 problems get distinct keys.
         let all = correctbench_dataset::all_problems();
         let mut seen = std::collections::HashSet::new();
         for p in &all {
-            assert!(seen.insert(problem_fingerprint(p)), "{} collides", p.name);
+            assert!(seen.insert(fingerprint(p)), "{} collides", p.name);
         }
+        assert_eq!(seen.len(), 156);
     }
 
     #[test]

@@ -45,11 +45,11 @@ pub mod scenarios;
 pub mod session;
 
 pub use abort::{abort_job, AbortKind, JobAbort};
-pub use cache::{module_interface_fingerprint, CacheKey, SimCache};
+pub use cache::{CacheKey, SimCache};
 pub use context::{EvalContext, JobBudget, StackStats};
 pub use coverage::{CoverageReport, SignalCoverage};
 pub use driver::{generate_driver, record_format, Driver, TB_MODULE};
-pub use golden::{problem_fingerprint, GoldenArtifacts, GoldenCache, GoldenKey};
+pub use golden::{GoldenArtifacts, GoldenCache, GoldenKey};
 pub use memo::CacheStats;
 pub use record::{parse_record, parse_records, FieldValue, Record, RecordBinding};
 pub use runner::{

@@ -7,9 +7,11 @@
 //! single-use entries cannot crowd out the revisited ones. Each lookup
 //! counts a hit or a miss twice, in the table's own atomics and in the
 //! job's obs collector. The key type fixes the shard count, the bound
-//! and the obs counters ([`MemoKey`]).
+//! and the obs counters ([`MemoKey`]); a key's shard is its
+//! [`fingerprint`] masked to the shard count.
 
 use correctbench_obs::Counter;
+use correctbench_verilog::fingerprint;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,9 +29,6 @@ pub trait MemoKey: Copy + Eq + Hash {
     const HITS: Counter;
     /// The obs counter each miss adds to.
     const MISSES: Counter;
-    /// Mixes the key's components; the table masks the result down to
-    /// a shard.
-    fn mix(&self) -> u64;
 }
 
 /// Point-in-time table counters.
@@ -91,7 +90,7 @@ impl<K: MemoKey, V: Clone> Memo<K, V> {
     }
 
     fn shard(&self, key: &K) -> MutexGuard<'_, HashMap<K, Entry<V>>> {
-        self.shards[key.mix() as usize & (K::SHARDS - 1)]
+        self.shards[fingerprint(key).0 as usize & (K::SHARDS - 1)]
             .lock()
             .expect("memo shard poisoned")
     }

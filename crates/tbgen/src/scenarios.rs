@@ -7,7 +7,6 @@
 //! random vectors, with reset-framed scenarios for sequential DUTs.
 
 use correctbench_dataset::{PortSpec, Problem};
-use correctbench_verilog::hash::{Fingerprint, FingerprintHasher, StructuralHash};
 use correctbench_verilog::logic::LogicVec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,34 +57,6 @@ impl ScenarioSet {
     /// Total stimulus count across scenarios.
     pub fn total_stimuli(&self) -> usize {
         self.scenarios.iter().map(|s| s.stimuli.len()).sum()
-    }
-
-    /// Stable structural fingerprint via a direct visitor — equal sets
-    /// fingerprint equal, independent of the process, without rendering
-    /// the stimuli to text. Used as the scenario component of
-    /// simulation-cache keys.
-    pub fn fingerprint(&self) -> Fingerprint {
-        StructuralHash::fingerprint(self)
-    }
-}
-
-impl StructuralHash for Stimulus {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        self.values.hash_structure(h);
-    }
-}
-
-impl StructuralHash for Scenario {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_usize(self.index);
-        h.write_str(&self.description);
-        self.stimuli.hash_structure(h);
-    }
-}
-
-impl StructuralHash for ScenarioSet {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        self.scenarios.hash_structure(h);
     }
 }
 
@@ -306,47 +277,6 @@ mod tests {
                 assert!(st.value("clk").is_none());
             }
         }
-    }
-
-    /// The visitor fingerprint must separate every scenario set the
-    /// `Debug`-rendering oracle (the retired cache-key hash) separates,
-    /// and agree on equal sets.
-    #[test]
-    fn fingerprint_tracks_the_debug_hash_oracle() {
-        use correctbench_verilog::hash::debug_hash;
-        let mut seen = std::collections::HashMap::new();
-        let mut oracles = std::collections::HashSet::new();
-        for name in ["alu_8", "counter_8", "and_8"] {
-            let p = problem(name).expect("problem");
-            for seed in 0..5u64 {
-                let s = generate_scenarios(&p, seed);
-                assert_eq!(
-                    s.fingerprint(),
-                    generate_scenarios(&p, seed).fingerprint(),
-                    "equal sets must fingerprint equal"
-                );
-                oracles.insert(debug_hash(&s));
-                match seen.get(&s.fingerprint()) {
-                    None => {
-                        seen.insert(s.fingerprint(), debug_hash(&s));
-                    }
-                    Some(prev) => assert_eq!(
-                        *prev,
-                        debug_hash(&s),
-                        "fingerprint aliases sets the oracle separates"
-                    ),
-                }
-            }
-        }
-        // Sets without randomized content (e.g. a control-port-only
-        // problem) legitimately repeat across seeds — the oracle and the
-        // fingerprint must agree on exactly which ones.
-        assert_eq!(
-            seen.len(),
-            oracles.len(),
-            "fingerprint partition differs from the oracle partition"
-        );
-        assert!(seen.len() > 5, "corpus unexpectedly degenerate");
     }
 
     #[test]

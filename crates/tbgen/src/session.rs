@@ -14,7 +14,11 @@
 //!
 //! A session takes the [`SimCache`] and the [`JobBudget`] of the
 //! [`EvalContext`] it is built with: [`EvalSession::run`] consults the
-//! cache first, so a repeated pair costs one lookup. A miss clamps the
+//! cache first, so a repeated pair costs one lookup. The [`CacheKey`]
+//! holds the pair's fingerprints, two fixed for the session (the
+//! checker's and the module interface's) and the two counts of the
+//! scenario schedule a run reads; the stimuli themselves are in the
+//! driver. A miss clamps the
 //! run's limits to the budget, elaborates the pair and runs one fresh
 //! [`Simulator`] — the simulation half [`crate::reference_run`] runs too
 //! — and judges the records with the compiled checker. Its results equal
@@ -23,7 +27,7 @@
 //!
 //! [`Simulator`]: correctbench_verilog::Simulator
 
-use crate::cache::{module_interface_fingerprint, CacheKey, SimCache};
+use crate::cache::{CacheKey, SimCache};
 use crate::context::{EvalContext, JobBudget};
 use crate::record::{Record, RecordBinding};
 use crate::runner::{limits_for, simulate_records, ScenarioResult, TbError, TbRun};
@@ -31,7 +35,7 @@ use crate::scenarios::ScenarioSet;
 use correctbench_checker::{CheckerProgram, JudgeSession};
 use correctbench_dataset::Problem;
 use correctbench_verilog::ast::SourceFile;
-use correctbench_verilog::hash::Fingerprint;
+use correctbench_verilog::hash::{fingerprint, Fingerprint};
 use correctbench_verilog::LogicVec;
 use std::sync::Arc;
 
@@ -60,8 +64,7 @@ use std::sync::Arc;
 /// ```
 pub struct EvalSession {
     /// [`CacheKey`] components fixed for the session, computed once in
-    /// [`EvalSession::new`] — visitor fingerprints are cheap enough to
-    /// take eagerly.
+    /// [`EvalSession::new`].
     checker_fp: Fingerprint,
     problem_fp: Fingerprint,
     /// The context's simulation cache, consulted before every run.
@@ -112,7 +115,7 @@ impl EvalSession {
             .collect();
         Ok(EvalSession {
             checker_fp: checker.fingerprint(),
-            problem_fp: module_interface_fingerprint(&problem.name, &problem.ports),
+            problem_fp: fingerprint(&(&problem.name, &problem.ports)),
             cache: ctx.sim.clone(),
             budget: ctx.budget,
             judge,
@@ -138,34 +141,6 @@ impl EvalSession {
         driver: &SourceFile,
         scenarios: &ScenarioSet,
     ) -> Result<TbRun, TbError> {
-        self.run_keyed(dut, driver, scenarios, &mut None)
-    }
-
-    /// Sweeps one driver across many DUTs — the RS-matrix / Eval2 shape.
-    /// Setup (checker compilation, bindings) is shared, and the scenario
-    /// schedule is hashed at most once per sweep.
-    pub fn sweep_mutants<'d>(
-        &mut self,
-        duts: impl IntoIterator<Item = &'d SourceFile>,
-        driver: &SourceFile,
-        scenarios: &ScenarioSet,
-    ) -> Vec<Result<TbRun, TbError>> {
-        let mut scenarios_fp = None;
-        duts.into_iter()
-            .map(|dut| self.run_keyed(dut, driver, scenarios, &mut scenarios_fp))
-            .collect()
-    }
-
-    /// [`EvalSession::run`], taking the schedule's fingerprint from
-    /// `scenarios_fp` and filling it on the first cache probe: nothing is
-    /// hashed when the session has no simulation cache.
-    fn run_keyed(
-        &mut self,
-        dut: &SourceFile,
-        driver: &SourceFile,
-        scenarios: &ScenarioSet,
-        scenarios_fp: &mut Option<Fingerprint>,
-    ) -> Result<TbRun, TbError> {
         let Some(cache) = self.cache.clone() else {
             return self.run_once(dut, driver, scenarios);
         };
@@ -173,7 +148,8 @@ impl EvalSession {
             dut: dut.fingerprint(),
             driver: driver.fingerprint(),
             checker: self.checker_fp,
-            scenarios: *scenarios_fp.get_or_insert_with(|| scenarios.fingerprint()),
+            num_scenarios: scenarios.len(),
+            total_stimuli: scenarios.total_stimuli(),
             problem: self.problem_fp,
         };
         if let Some(cached) = cache.get(&key) {
@@ -182,6 +158,19 @@ impl EvalSession {
         let result = self.run_once(dut, driver, scenarios);
         cache.put(key, result.clone());
         result
+    }
+
+    /// Sweeps one driver across many DUTs — the RS-matrix / Eval2 shape —
+    /// sharing the session's setup (checker compilation, bindings).
+    pub fn sweep_mutants<'d>(
+        &mut self,
+        duts: impl IntoIterator<Item = &'d SourceFile>,
+        driver: &SourceFile,
+        scenarios: &ScenarioSet,
+    ) -> Vec<Result<TbRun, TbError>> {
+        duts.into_iter()
+            .map(|dut| self.run(dut, driver, scenarios))
+            .collect()
     }
 
     /// The uncached run: clamp the limits to the budget, simulate

@@ -66,7 +66,7 @@ fn no_rendering_hash_on_key_paths() {
                 !runtime.contains(oracle),
                 "{name}: `{oracle}` reappeared in a runtime half; \
                  rendering hashes are test-only oracles — key paths use \
-                 the StructuralHash visitor fingerprints"
+                 `verilog::fingerprint` over derived `Hash`"
             );
         }
     }

@@ -1,26 +1,30 @@
 //! Abstract syntax tree for the supported Verilog subset.
+//!
+//! Every node derives `Hash`, so a parsed design's [`fingerprint`] is
+//! defined by these type definitions alone; [`SourceFile`] hashes its
+//! modules and caches the result.
 
-use crate::hash::{Fingerprint, StructuralHash};
+use crate::hash::{fingerprint, Fingerprint};
 use crate::logic::LogicVec;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 
 /// A parsed source file: one or more module definitions.
 ///
-/// Carries a lazily computed structural [`Fingerprint`] so repeated
-/// cache probes against the same parsed value hash once. The cache is
-/// **per value**: cloning yields a fresh, empty cache (clones are
-/// routinely mutated into mutants — inheriting the original's
-/// fingerprint would silently alias distinct designs), and
-/// [`SourceFile::module_mut`] invalidates it. Code that mutates
-/// `modules` directly must do so before the first
+/// Carries a lazily computed [`Fingerprint`] so repeated cache probes
+/// against the same parsed value hash once. The cache is **per value**:
+/// cloning yields a fresh, empty cache (clones are routinely mutated
+/// into mutants — inheriting the original's fingerprint would silently
+/// alias distinct designs), and [`SourceFile::module_mut`] invalidates
+/// it. Code that mutates `modules` directly must do so before the first
 /// [`SourceFile::fingerprint`] call on that value (every in-tree
 /// mutation site operates on a fresh parse or clone).
 #[derive(Default)]
 pub struct SourceFile {
     /// Modules in source order.
     pub modules: Vec<Module>,
-    /// Lazily computed structural fingerprint of `modules`.
+    /// Lazily computed fingerprint of `modules`.
     fp: OnceLock<Fingerprint>,
 }
 
@@ -45,13 +49,11 @@ impl SourceFile {
         self.modules.iter_mut().find(|m| m.name == name)
     }
 
-    /// The structural fingerprint of this file, computed on first use
-    /// and cached for the value's lifetime (see [`StructuralHash`]).
-    /// This inherent method shadows the trait's; call
-    /// `StructuralHash::fingerprint` explicitly to force a fresh
-    /// computation.
+    /// The [`fingerprint`] of this file, computed on first use and
+    /// cached for the value's lifetime. Call the free [`fingerprint`] to
+    /// force a fresh computation.
     pub fn fingerprint(&self) -> Fingerprint {
-        let fp = *self.fp.get_or_init(|| StructuralHash::fingerprint(self));
+        let fp = *self.fp.get_or_init(|| fingerprint(self));
         // The cache's soundness rests on a convention the compiler
         // cannot check (the pub `modules` field must not be mutated
         // after the first fingerprint). Debug builds — including the
@@ -60,7 +62,7 @@ impl SourceFile {
         // distinct designs in a content-addressed cache.
         debug_assert_eq!(
             fp,
-            StructuralHash::fingerprint(self),
+            fingerprint(self),
             "stale cached fingerprint: this SourceFile was mutated through \
              the pub `modules` field after being fingerprinted; mutate via \
              `module_mut` (which invalidates) or before the first \
@@ -88,6 +90,14 @@ impl PartialEq for SourceFile {
     }
 }
 
+impl Hash for SourceFile {
+    /// Hashes the modules, like [`PartialEq`] compares them: the cached
+    /// fingerprint is derived from them.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.modules.hash(state);
+    }
+}
+
 impl fmt::Debug for SourceFile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SourceFile")
@@ -97,7 +107,7 @@ impl fmt::Debug for SourceFile {
 }
 
 /// A module definition.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct Module {
     /// Module name.
     pub name: String,
@@ -110,7 +120,7 @@ pub struct Module {
 }
 
 /// Port direction.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Direction {
     /// `input`
     Input,
@@ -119,7 +129,7 @@ pub enum Direction {
 }
 
 /// Net kind of a declaration.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum NetKind {
     /// `wire` — driven by continuous assignments / instance outputs.
     Wire,
@@ -131,7 +141,7 @@ pub enum NetKind {
 
 /// A `[msb:lsb]` range. Only descending constant ranges are supported
 /// (`[7:0]`); the LSB may be non-zero.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Range {
     /// Most significant bit index.
     pub msb: i64,
@@ -147,7 +157,7 @@ impl Range {
 }
 
 /// A port declaration.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct PortDecl {
     /// Port name.
     pub name: String,
@@ -169,7 +179,7 @@ impl PortDecl {
 }
 
 /// A module body item.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum Item {
     /// `wire`/`reg`/`integer` declaration of one or more names.
     Net(NetDecl),
@@ -186,7 +196,7 @@ pub enum Item {
 }
 
 /// A net declaration (one statement may declare several names).
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct NetDecl {
     /// Kind of net.
     pub kind: NetKind,
@@ -199,7 +209,7 @@ pub struct NetDecl {
 }
 
 /// A parameter declaration.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct ParamDecl {
     /// `true` for `localparam`.
     pub local: bool,
@@ -210,7 +220,7 @@ pub struct ParamDecl {
 }
 
 /// A continuous assignment.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct AssignItem {
     /// Left-hand side.
     pub lhs: LValue,
@@ -219,7 +229,7 @@ pub struct AssignItem {
 }
 
 /// An `always` block.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct AlwaysBlock {
     /// Sensitivity: `None` means a bare `always` (free-running process,
     /// used by TB clock generators as `always #5 clk = ~clk;`).
@@ -229,7 +239,7 @@ pub struct AlwaysBlock {
 }
 
 /// An event control `@(...)`.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum EventControl {
     /// `@(*)` / `@*` — sensitive to every signal read by the body.
     Star,
@@ -238,7 +248,7 @@ pub enum EventControl {
 }
 
 /// One entry of an event list.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct EventExpr {
     /// Edge qualifier.
     pub edge: Edge,
@@ -247,7 +257,7 @@ pub struct EventExpr {
 }
 
 /// Edge qualifier of an event expression.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Edge {
     /// `posedge`
     Pos,
@@ -258,7 +268,7 @@ pub enum Edge {
 }
 
 /// A module instantiation.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct Instance {
     /// Instantiated module name.
     pub module: String,
@@ -269,7 +279,7 @@ pub struct Instance {
 }
 
 /// Port connections of an instance.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum Connections {
     /// Positional `m u(a, b, c);`
     Ordered(Vec<Expr>),
@@ -278,7 +288,7 @@ pub enum Connections {
 }
 
 /// A procedural statement.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum Stmt {
     /// `begin ... end` (optionally named).
     Block(Vec<Stmt>),
@@ -357,7 +367,7 @@ pub enum Stmt {
 }
 
 /// Flavour of a case statement.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum CaseKind {
     /// Exact (`===`) matching.
     Case,
@@ -368,7 +378,7 @@ pub enum CaseKind {
 }
 
 /// One arm of a case statement.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct CaseArm {
     /// Match labels; empty means `default`.
     pub labels: Vec<Expr>,
@@ -377,7 +387,7 @@ pub struct CaseArm {
 }
 
 /// A system-task argument.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum SysArg {
     /// A string literal (usually the format string).
     Str(String),
@@ -386,7 +396,7 @@ pub enum SysArg {
 }
 
 /// An assignable location.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum LValue {
     /// A whole signal.
     Ident(String),
@@ -416,7 +426,7 @@ impl LValue {
 }
 
 /// Unary operators.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum UnaryOp {
     /// `+`
     Plus,
@@ -441,7 +451,7 @@ pub enum UnaryOp {
 }
 
 /// Binary operators.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum BinaryOp {
     /// `+`
     Add,
@@ -511,7 +521,7 @@ impl BinaryOp {
 }
 
 /// An expression.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum Expr {
     /// A literal value.
     Literal {

@@ -1,50 +1,59 @@
-//! Stable structural hashing for cache keys.
+//! Stable fingerprints for content-addressed keys.
 //!
-//! Content-addressed caches (the simulation, elaboration and session
-//! pools in `tbgen`) need a hash that is equal for structurally equal
-//! artifacts, stable across processes and platforms, and **cheap enough
-//! to compute on every cache probe**. `std::collections::hash_map::
-//! DefaultHasher` makes no cross-version stability promise, and the
-//! first-generation scheme here — FNV-1a over a `Debug`/pretty-print
-//! rendering — was stable but cost nearly as much as elaboration itself
-//! (formatting machinery, per-node string traffic).
+//! The simulation cache, the golden-artifact cache, the persistent
+//! store's cell keys and the run manifest's plan key address content by
+//! [`Fingerprint`]: a hash that is equal for equal values, stable
+//! across processes and platforms, and cheap enough to compute on every
+//! probe.
 //!
-//! The current scheme is a direct structural visitor: [`StructuralHash`]
-//! walks a value's own shape, feeding variant tags and payloads straight
-//! into an FNV-1a state ([`FingerprintHasher`]) with no intermediate
-//! text. The result is a typed [`Fingerprint`] — cache keys carry the
-//! newtype, so a raw `u64` from some other hash cannot be confused for
-//! a content address.
+//! Every fingerprinted type derives [`Hash`], so its definition is its
+//! only description: a field added to a type is hashed without anyone
+//! having to remember it. [`fingerprint`] feeds a value's `Hash` into a
+//! [`FingerprintHasher`]: FNV-1a, with every integer written as
+//! fixed-width little-endian bytes (`usize` as 8), so a fingerprint
+//! does not depend on the platform's word size or byte order.
+//! `std::collections::hash_map::DefaultHasher` makes no cross-version
+//! stability promise; FNV-1a is fixed. The byte stream itself comes
+//! from the derives and std's `Hash` impls: an enum writes its
+//! discriminant before its payload, a sequence its length before its
+//! elements, a string its bytes and a `0xff` terminator. std does not
+//! promise to keep that stream, so encoding-vector tests pin literal
+//! fingerprints: a drift fails a test instead of silently orphaning
+//! every stored cell. One exception to the byte-order independence:
+//! std hashes an integer slice as its native-endian bytes in one
+//! write (`LogicVec`'s planes above 64 bits), so a big-endian host
+//! fingerprints such values differently; its store misses those cells
+//! and never misreads them.
 //!
-//! The old renderers survive as **test-only oracles**: [`debug_hash`]
-//! and [`structural_hash`] define what "distinguishable" means, and the
-//! differential suite (`tests/fingerprint_props.rs`) pins that visitor
+//! The first-generation scheme, FNV-1a over a `Debug` or pretty-print
+//! rendering, survives as **test-only oracles**: [`debug_hash`] and
+//! [`structural_hash`] define what "distinguishable" means, and the
+//! differential suite (`tests/fingerprint_props.rs`) pins that
 //! fingerprints separate every design pair the pretty-print hash
 //! separates while agreeing on re-parses. Production cache paths must
-//! not call them (a source-scan test in `tbgen` enforces it).
+//! not call them (a source-scan test in `tbgen` enforces it): rendering
+//! cost nearly as much as elaboration itself.
 
-use crate::ast::{
-    AlwaysBlock, AssignItem, CaseArm, CaseKind, Connections, Direction, Edge, EventControl,
-    EventExpr, Expr, Instance, Item, LValue, Module, NetDecl, NetKind, ParamDecl, PortDecl, Range,
-    SourceFile, Stmt, SysArg, UnaryOp,
-};
+use crate::ast::SourceFile;
 use crate::pretty::print_file;
 use std::fmt::{self, Write};
+use std::hash::{Hash, Hasher};
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// 64-bit FNV-1a over a byte slice.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = FingerprintHasher::default();
+    h.write(bytes);
+    h.finish()
 }
 
-/// A stable 64-bit structural fingerprint — the typed content address of
-/// one artifact (design source, checker program, scenario set, port
-/// signature). Equal values fingerprint equal in any process on any
-/// platform; the newtype keeps cache keys from silently accepting hashes
-/// computed some other way.
+/// A stable 64-bit fingerprint: the typed content address of one
+/// artifact (design source, checker program, problem, cache key). Equal
+/// values fingerprint equal in any process on any platform; the newtype
+/// keeps cache keys from silently accepting hashes computed some other
+/// way.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct Fingerprint(pub u64);
 
@@ -54,552 +63,63 @@ impl fmt::Display for Fingerprint {
     }
 }
 
-/// An incremental FNV-1a state fed by structural visitors. Variant tags,
-/// lengths and payload words go in directly — no `Debug` or
-/// pretty-print rendering, no intermediate allocation.
+/// The fingerprint of `value`: its [`Hash`] fed through a fresh
+/// [`FingerprintHasher`]. [`SourceFile::fingerprint`] caches this per
+/// parsed file.
+pub fn fingerprint<T: Hash + ?Sized>(value: &T) -> Fingerprint {
+    let mut h = FingerprintHasher::default();
+    value.hash(&mut h);
+    Fingerprint(h.finish())
+}
+
+/// An FNV-1a [`Hasher`] with a platform-independent integer encoding:
+/// every integer goes in as its fixed-width little-endian bytes, and
+/// `usize` as a 64-bit word (signed integers as their unsigned bits).
 #[derive(Clone, Copy, Debug)]
 pub struct FingerprintHasher(u64);
 
-impl FingerprintHasher {
-    /// A fresh state at the FNV-1a offset basis.
-    pub fn new() -> Self {
-        FingerprintHasher(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// The accumulated fingerprint.
-    pub fn finish(self) -> Fingerprint {
-        Fingerprint(self.0)
-    }
-
-    /// Folds raw bytes into the state.
-    #[inline]
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Folds one byte — enum variant tags use this.
-    #[inline]
-    pub fn write_u8(&mut self, b: u8) {
-        self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    /// Folds a 64-bit word (little-endian byte order, fixed width so
-    /// adjacent fields cannot alias each other's bytes).
-    #[inline]
-    pub fn write_u64(&mut self, w: u64) {
-        self.write_bytes(&w.to_le_bytes());
-    }
-
-    /// Folds a `usize` as a 64-bit word (stable across platforms).
-    #[inline]
-    pub fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    /// Folds an `i64` via its two's-complement bits.
-    #[inline]
-    pub fn write_i64(&mut self, n: i64) {
-        self.write_u64(n as u64);
-    }
-
-    /// Folds a boolean as one byte.
-    #[inline]
-    pub fn write_bool(&mut self, b: bool) {
-        self.write_u8(b as u8);
-    }
-
-    /// Folds a string, length-prefixed so `("ab", "c")` and `("a", "bc")`
-    /// cannot collide.
-    #[inline]
-    pub fn write_str(&mut self, s: &str) {
-        self.write_usize(s.len());
-        self.write_bytes(s.as_bytes());
-    }
-}
-
 impl Default for FingerprintHasher {
+    /// A fresh state at the FNV-1a offset basis.
     fn default() -> Self {
-        FingerprintHasher::new()
+        FingerprintHasher(FNV_OFFSET)
     }
 }
 
-/// Direct structural hashing: a visitor over the value's own shape.
-///
-/// Implementations must be *injective up to structural equality*: two
-/// values feed identical byte streams iff they are structurally equal.
-/// The conventions that guarantee it: every enum writes a variant tag
-/// before its payload, every sequence writes its length before its
-/// elements, and strings are length-prefixed.
-pub trait StructuralHash {
-    /// Feeds this value's structure into `h`.
-    fn hash_structure(&self, h: &mut FingerprintHasher);
-
-    /// The fingerprint of this value, computed fresh. Types with a
-    /// cached fingerprint (see [`SourceFile::fingerprint`]) shadow this
-    /// with an inherent method; calling the trait method always
-    /// recomputes.
-    fn fingerprint(&self) -> Fingerprint {
-        let mut h = FingerprintHasher::new();
-        self.hash_structure(&mut h);
-        h.finish()
+impl Hasher for FingerprintHasher {
+    fn finish(&self) -> u64 {
+        self.0
     }
-}
 
-impl<T: StructuralHash + ?Sized> StructuralHash for &T {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        (**self).hash_structure(h);
-    }
-}
-
-impl<T: StructuralHash> StructuralHash for Box<T> {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        (**self).hash_structure(h);
-    }
-}
-
-impl<T: StructuralHash> StructuralHash for [T] {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_usize(self.len());
-        for item in self {
-            item.hash_structure(h);
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
         }
     }
-}
 
-impl<T: StructuralHash> StructuralHash for Vec<T> {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        self.as_slice().hash_structure(h);
+    #[inline]
+    fn write_u16(&mut self, n: u16) {
+        self.write(&n.to_le_bytes());
     }
-}
 
-impl<T: StructuralHash> StructuralHash for Option<T> {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        match self {
-            None => h.write_u8(0),
-            Some(v) => {
-                h.write_u8(1);
-                v.hash_structure(h);
-            }
-        }
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write(&n.to_le_bytes());
     }
-}
 
-impl<A: StructuralHash, B: StructuralHash> StructuralHash for (A, B) {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        self.0.hash_structure(h);
-        self.1.hash_structure(h);
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.write(&n.to_le_bytes());
     }
-}
 
-impl StructuralHash for str {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_str(self);
+    #[inline]
+    fn write_u128(&mut self, n: u128) {
+        self.write(&n.to_le_bytes());
     }
-}
 
-impl StructuralHash for String {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_str(self);
-    }
-}
-
-impl StructuralHash for bool {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_bool(*self);
-    }
-}
-
-impl StructuralHash for u64 {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_u64(*self);
-    }
-}
-
-impl StructuralHash for usize {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_usize(*self);
-    }
-}
-
-impl StructuralHash for i64 {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_i64(*self);
-    }
-}
-
-// ---------------------------------------------------------------------
-// AST visitor. Fieldless enums cast to their discriminant; every
-// payload-carrying enum writes an explicit tag byte first.
-// ---------------------------------------------------------------------
-
-impl StructuralHash for SourceFile {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        self.modules.hash_structure(h);
-    }
-}
-
-impl StructuralHash for Module {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_str(&self.name);
-        self.port_order.hash_structure(h);
-        self.ports.hash_structure(h);
-        self.items.hash_structure(h);
-    }
-}
-
-impl StructuralHash for Direction {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_u8(*self as u8);
-    }
-}
-
-impl StructuralHash for NetKind {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_u8(*self as u8);
-    }
-}
-
-impl StructuralHash for Edge {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_u8(*self as u8);
-    }
-}
-
-impl StructuralHash for CaseKind {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_u8(*self as u8);
-    }
-}
-
-impl StructuralHash for UnaryOp {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_u8(*self as u8);
-    }
-}
-
-impl StructuralHash for crate::ast::BinaryOp {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_u8(*self as u8);
-    }
-}
-
-impl StructuralHash for Range {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_i64(self.msb);
-        h.write_i64(self.lsb);
-    }
-}
-
-impl StructuralHash for PortDecl {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_str(&self.name);
-        self.dir.hash_structure(h);
-        self.net.hash_structure(h);
-        h.write_bool(self.signed);
-        self.range.hash_structure(h);
-    }
-}
-
-impl StructuralHash for Item {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        match self {
-            Item::Net(d) => {
-                h.write_u8(0);
-                d.hash_structure(h);
-            }
-            Item::Param(p) => {
-                h.write_u8(1);
-                p.hash_structure(h);
-            }
-            Item::Assign(a) => {
-                h.write_u8(2);
-                a.hash_structure(h);
-            }
-            Item::Always(a) => {
-                h.write_u8(3);
-                a.hash_structure(h);
-            }
-            Item::Initial(s) => {
-                h.write_u8(4);
-                s.hash_structure(h);
-            }
-            Item::Instance(i) => {
-                h.write_u8(5);
-                i.hash_structure(h);
-            }
-        }
-    }
-}
-
-impl StructuralHash for NetDecl {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        self.kind.hash_structure(h);
-        h.write_bool(self.signed);
-        self.range.hash_structure(h);
-        self.names.hash_structure(h);
-    }
-}
-
-impl StructuralHash for ParamDecl {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_bool(self.local);
-        h.write_str(&self.name);
-        self.value.hash_structure(h);
-    }
-}
-
-impl StructuralHash for AssignItem {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        self.lhs.hash_structure(h);
-        self.rhs.hash_structure(h);
-    }
-}
-
-impl StructuralHash for AlwaysBlock {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        self.event.hash_structure(h);
-        self.body.hash_structure(h);
-    }
-}
-
-impl StructuralHash for EventControl {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        match self {
-            EventControl::Star => h.write_u8(0),
-            EventControl::List(es) => {
-                h.write_u8(1);
-                es.hash_structure(h);
-            }
-        }
-    }
-}
-
-impl StructuralHash for EventExpr {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        self.edge.hash_structure(h);
-        h.write_str(&self.signal);
-    }
-}
-
-impl StructuralHash for Instance {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        h.write_str(&self.module);
-        h.write_str(&self.name);
-        self.conns.hash_structure(h);
-    }
-}
-
-impl StructuralHash for Connections {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        match self {
-            Connections::Ordered(es) => {
-                h.write_u8(0);
-                es.hash_structure(h);
-            }
-            Connections::Named(ns) => {
-                h.write_u8(1);
-                ns.hash_structure(h);
-            }
-        }
-    }
-}
-
-impl StructuralHash for Stmt {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        match self {
-            Stmt::Block(stmts) => {
-                h.write_u8(0);
-                stmts.hash_structure(h);
-            }
-            Stmt::Blocking(lv, e) => {
-                h.write_u8(1);
-                lv.hash_structure(h);
-                e.hash_structure(h);
-            }
-            Stmt::NonBlocking(lv, e) => {
-                h.write_u8(2);
-                lv.hash_structure(h);
-                e.hash_structure(h);
-            }
-            Stmt::If {
-                cond,
-                then_stmt,
-                else_stmt,
-            } => {
-                h.write_u8(3);
-                cond.hash_structure(h);
-                then_stmt.hash_structure(h);
-                else_stmt.hash_structure(h);
-            }
-            Stmt::Case { kind, expr, arms } => {
-                h.write_u8(4);
-                kind.hash_structure(h);
-                expr.hash_structure(h);
-                arms.hash_structure(h);
-            }
-            Stmt::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                h.write_u8(5);
-                init.hash_structure(h);
-                cond.hash_structure(h);
-                step.hash_structure(h);
-                body.hash_structure(h);
-            }
-            Stmt::While { cond, body } => {
-                h.write_u8(6);
-                cond.hash_structure(h);
-                body.hash_structure(h);
-            }
-            Stmt::Repeat { count, body } => {
-                h.write_u8(7);
-                count.hash_structure(h);
-                body.hash_structure(h);
-            }
-            Stmt::Forever(body) => {
-                h.write_u8(8);
-                body.hash_structure(h);
-            }
-            Stmt::Delay { delay, stmt } => {
-                h.write_u8(9);
-                h.write_u64(*delay);
-                stmt.hash_structure(h);
-            }
-            Stmt::EventWait { event, stmt } => {
-                h.write_u8(10);
-                event.hash_structure(h);
-                stmt.hash_structure(h);
-            }
-            Stmt::SysCall { name, args } => {
-                h.write_u8(11);
-                h.write_str(name);
-                args.hash_structure(h);
-            }
-            Stmt::Empty => h.write_u8(12),
-        }
-    }
-}
-
-impl StructuralHash for CaseArm {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        self.labels.hash_structure(h);
-        self.body.hash_structure(h);
-    }
-}
-
-impl StructuralHash for SysArg {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        match self {
-            SysArg::Str(s) => {
-                h.write_u8(0);
-                h.write_str(s);
-            }
-            SysArg::Expr(e) => {
-                h.write_u8(1);
-                e.hash_structure(h);
-            }
-        }
-    }
-}
-
-impl StructuralHash for LValue {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        match self {
-            LValue::Ident(n) => {
-                h.write_u8(0);
-                h.write_str(n);
-            }
-            LValue::Bit(n, i) => {
-                h.write_u8(1);
-                h.write_str(n);
-                i.hash_structure(h);
-            }
-            LValue::Part(n, msb, lsb) => {
-                h.write_u8(2);
-                h.write_str(n);
-                h.write_i64(*msb);
-                h.write_i64(*lsb);
-            }
-            LValue::IndexedPart(n, base, width) => {
-                h.write_u8(3);
-                h.write_str(n);
-                base.hash_structure(h);
-                h.write_usize(*width);
-            }
-            LValue::Concat(parts) => {
-                h.write_u8(4);
-                parts.hash_structure(h);
-            }
-        }
-    }
-}
-
-impl StructuralHash for Expr {
-    fn hash_structure(&self, h: &mut FingerprintHasher) {
-        match self {
-            Expr::Literal { value, signed } => {
-                h.write_u8(0);
-                value.hash_structure(h);
-                h.write_bool(*signed);
-            }
-            Expr::Ident(n) => {
-                h.write_u8(1);
-                h.write_str(n);
-            }
-            Expr::Unary(op, e) => {
-                h.write_u8(2);
-                op.hash_structure(h);
-                e.hash_structure(h);
-            }
-            Expr::Binary(op, a, b) => {
-                h.write_u8(3);
-                op.hash_structure(h);
-                a.hash_structure(h);
-                b.hash_structure(h);
-            }
-            Expr::Ternary(c, a, b) => {
-                h.write_u8(4);
-                c.hash_structure(h);
-                a.hash_structure(h);
-                b.hash_structure(h);
-            }
-            Expr::Concat(es) => {
-                h.write_u8(5);
-                es.hash_structure(h);
-            }
-            Expr::Repl(n, e) => {
-                h.write_u8(6);
-                h.write_usize(*n);
-                e.hash_structure(h);
-            }
-            Expr::Bit(n, i) => {
-                h.write_u8(7);
-                h.write_str(n);
-                i.hash_structure(h);
-            }
-            Expr::Part(n, msb, lsb) => {
-                h.write_u8(8);
-                h.write_str(n);
-                h.write_i64(*msb);
-                h.write_i64(*lsb);
-            }
-            Expr::IndexedPart(n, base, width) => {
-                h.write_u8(9);
-                h.write_str(n);
-                base.hash_structure(h);
-                h.write_usize(*width);
-            }
-            Expr::SysFunc(name, args) => {
-                h.write_u8(10);
-                h.write_str(name);
-                args.hash_structure(h);
-            }
-        }
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
     }
 }
 
@@ -612,41 +132,32 @@ impl StructuralHash for Expr {
 /// An [`fmt::Write`] sink that folds everything written into an FNV-1a
 /// state, so `Debug`/`Display` streams can be hashed without allocating
 /// the intermediate string.
-#[derive(Clone, Copy, Debug)]
-pub struct FnvWriter(u64);
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FnvWriter(FingerprintHasher);
 
 impl FnvWriter {
     /// A fresh hasher at the FNV-1a offset basis.
     pub fn new() -> Self {
-        FnvWriter(0xcbf2_9ce4_8422_2325)
+        FnvWriter::default()
     }
 
     /// The accumulated hash.
     pub fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for FnvWriter {
-    fn default() -> Self {
-        FnvWriter::new()
+        self.0.finish()
     }
 }
 
 impl Write for FnvWriter {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        for &b in s.as_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0.write(s.as_bytes());
         Ok(())
     }
 }
 
 /// Stable hash of a value's `Debug` rendering. **Test-only oracle**: the
 /// rendering costs as much as the formatting machinery, so cache probes
-/// use [`StructuralHash`] fingerprints instead; this survives as the
-/// reference the differential suite compares visitor fingerprints
-/// against.
+/// use [`fingerprint`]s instead; this survives as the reference the
+/// differential suite compares fingerprints against.
 pub fn debug_hash<T: fmt::Debug>(value: &T) -> u64 {
     let mut w = FnvWriter::new();
     write!(w, "{value:?}").expect("FnvWriter never fails");
@@ -683,16 +194,28 @@ mod tests {
     #[test]
     fn writer_matches_slice_hash() {
         let mut w = FnvWriter::new();
-        use std::fmt::Write as _;
         w.write_str("foobar").unwrap();
         assert_eq!(w.finish(), fnv1a64(b"foobar"));
     }
 
     #[test]
     fn hasher_bytes_match_slice_hash() {
-        let mut h = FingerprintHasher::new();
-        h.write_bytes(b"foobar");
-        assert_eq!(h.finish(), Fingerprint(fnv1a64(b"foobar")));
+        let mut h = FingerprintHasher::default();
+        h.write(b"foo");
+        h.write(b"bar");
+        assert_eq!(h.finish(), fnv1a64(b"foobar"));
+    }
+
+    #[test]
+    fn integers_go_in_as_fixed_width_little_endian_bytes() {
+        let le = |bytes: &[u8]| Fingerprint(fnv1a64(bytes));
+        assert_eq!(fingerprint(&0x0102u16), le(&[2, 1]));
+        assert_eq!(fingerprint(&0x0102_0304u32), le(&[4, 3, 2, 1]));
+        assert_eq!(fingerprint(&7u64), le(&7u64.to_le_bytes()));
+        assert_eq!(fingerprint(&7u128), le(&7u128.to_le_bytes()));
+        assert_eq!(fingerprint(&-2i32), le(&(-2i32).to_le_bytes()));
+        // Word-sized integers are 64-bit words on every platform.
+        assert_eq!(fingerprint(&7usize), fingerprint(&7u64));
     }
 
     #[test]
@@ -709,6 +232,17 @@ mod tests {
         assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
+    /// A literal fingerprint of a fixed parse. Every stored cell key
+    /// rests on this encoding, so a drift in the AST's derive order,
+    /// std's `Hash` impls or the hasher's integer widths must fail here
+    /// rather than silently orphan every cell.
+    #[test]
+    fn encoding_vector_of_a_parse() {
+        let file = parse(SRC).expect("parses");
+        assert_eq!(file.fingerprint(), Fingerprint(0x4bb0_fec8_606e_fee2));
+        assert_eq!(fingerprint(&file), file.fingerprint());
+    }
+
     #[test]
     fn oracle_hash_is_formatting_insensitive() {
         let a = parse(SRC).expect("parses");
@@ -717,13 +251,13 @@ mod tests {
     }
 
     #[test]
-    fn strings_are_length_prefixed() {
-        // ("ab", "c") vs ("a", "bc"): same byte stream without prefixes.
-        let a = ("ab".to_string(), "c".to_string());
-        let b = ("a".to_string(), "bc".to_string());
-        assert_ne!(
-            StructuralHash::fingerprint(&a),
-            StructuralHash::fingerprint(&b)
+    fn strings_are_prefix_free() {
+        // ("ab", "c") vs ("a", "bc"): one byte stream without a boundary
+        // marker between the strings.
+        assert_ne!(fingerprint(&("ab", "c")), fingerprint(&("a", "bc")));
+        assert_eq!(
+            fingerprint(&("ab".to_string(), "c")),
+            fingerprint(&("ab", "c"))
         );
     }
 

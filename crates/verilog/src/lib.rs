@@ -64,7 +64,7 @@ pub mod sysfmt;
 pub use design::{Design, SignalId};
 pub use elaborate::{elaborate, elaborate_files};
 pub use error::{ElabError, ParseError, SimError, VerilogError};
-pub use hash::{fnv1a64, structural_hash, Fingerprint, FingerprintHasher, StructuralHash};
+pub use hash::{fingerprint, fnv1a64, structural_hash, Fingerprint};
 pub use lint::{lint_file, lint_files, Diagnostic, LintReport, Rule, Severity};
 pub use logic::{Bit, LogicVec};
 pub use parser::parse;

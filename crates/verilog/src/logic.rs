@@ -1292,22 +1292,6 @@ impl From<Bit> for LogicVec {
     }
 }
 
-impl crate::hash::StructuralHash for LogicVec {
-    /// Width plus the two normalized plane word arrays — plane equality
-    /// is value equality (the normalized invariant), so this is
-    /// injective up to `==`.
-    fn hash_structure(&self, h: &mut crate::hash::FingerprintHasher) {
-        h.write_usize(self.width);
-        let (val, unk) = self.planes();
-        for w in val {
-            h.write_u64(*w);
-        }
-        for w in unk {
-            h.write_u64(*w);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,23 +1,22 @@
-//! Differential properties of the visitor fingerprint against the
-//! rendering-hash oracles it replaced on every cache-key path.
+//! Differential properties of the derived-`Hash` fingerprint against
+//! the rendering-hash oracles it replaced on every cache-key path.
 //!
 //! The retired scheme — `structural_hash` (FNV over the pretty-print)
 //! and `debug_hash` (FNV over the `Debug` rendering) — survives purely
 //! as the *oracle* defining what "distinguishable designs" means. The
-//! visitor fingerprint must be:
+//! fingerprint must be:
 //!
 //! 1. **stable across re-parses** — parsing the same (or a reprinted)
 //!    source yields the same fingerprint, so content addressing works
 //!    across processes and pipeline stages; and
 //! 2. **at least as discriminating** — every design pair the
 //!    pretty-print hash separates, the fingerprint separates too, so
-//!    migrating the caches cannot introduce aliasing the old keys did
-//!    not have.
+//!    the caches cannot alias designs the old keys kept apart.
 //!
 //! The corpus is the real workload: all 156 golden RTLs plus seeded
 //! semantic mutants of each.
 
-use correctbench_verilog::hash::{structural_hash, Fingerprint, StructuralHash};
+use correctbench_verilog::hash::{fingerprint, structural_hash, Fingerprint};
 use correctbench_verilog::mutate::mutate_module;
 use correctbench_verilog::parser::parse;
 use correctbench_verilog::pretty::print_file;
@@ -47,7 +46,7 @@ fn fingerprint_is_stable_across_reparses_for_all_golden_rtl() {
     }
 }
 
-/// Every design pair the pretty-print oracle distinguishes, the visitor
+/// Every design pair the pretty-print oracle distinguishes, the
 /// fingerprint distinguishes: across the whole golden corpus plus
 /// mutants, no fingerprint may map to two distinct oracle hashes.
 #[test]
@@ -142,7 +141,7 @@ proptest! {
         if structural_hash(&file) != structural_hash(&golden) {
             prop_assert_ne!(file.fingerprint(), golden.fingerprint());
         }
-        // Fresh trait computation matches the cached inherent one.
-        prop_assert_eq!(file.fingerprint(), StructuralHash::fingerprint(&file));
+        // A fresh computation matches the cached one.
+        prop_assert_eq!(file.fingerprint(), fingerprint(&file));
     }
 }
