@@ -5,7 +5,8 @@
 //! complete 156-task, 10-per-task corpus.
 //!
 //! An extra `no-row-rule` row ablates the 25%-green-row override of the
-//! 70% criterion (a design choice DESIGN.md calls out).
+//! 70% criterion (see `ValidationCriterion::green_row_rule` in
+//! `crates/core/src/config.rs`).
 
 use correctbench::{Config, ValidationCriterion};
 use correctbench_bench::valacc::{collect_corpus, criterion_accuracy};

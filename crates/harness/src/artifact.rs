@@ -752,13 +752,13 @@ pub fn replay_journal(path: &Path) -> io::Result<Vec<TaskOutcome>> {
 
 /// Renders the `plan.json` run manifest: everything `--resume` needs to
 /// rebuild the interrupted run's plan (problems by name, methods,
-/// model, seeds, budgets, store attachment). The pipeline `Config` is
-/// not recorded — the run binary always uses the default configuration,
-/// whose knobs the recorded `config_fingerprint` covers: `--resume`
-/// recomputes the fingerprint from the rebuilt plan and refuses to
-/// replay a directory whose manifest fingerprint no longer matches
-/// (problem content, defaults or schema drifted since the original
-/// run).
+/// model, seeds, simulation budget, store attachment). The pipeline
+/// `Config` is not recorded — the run binary always uses the default
+/// configuration, whose knobs the recorded `config_fingerprint` covers:
+/// `--resume` recomputes the fingerprint from the rebuilt plan and
+/// refuses to replay a directory whose manifest fingerprint no longer
+/// matches (problem content, defaults or schema drifted since the
+/// original run).
 pub fn plan_manifest_json(plan: &crate::plan::RunPlan) -> String {
     let problems: Vec<String> = plan
         .problems
@@ -783,7 +783,7 @@ pub fn plan_manifest_json(plan: &crate::plan::RunPlan) -> String {
         concat!(
             "{{\"schema\":\"correctbench-plan-v1\",\"name\":\"{}\",",
             "\"problems\":[{}],\"methods\":[{}],\"model\":\"{}\",",
-            "\"reps\":{},\"base_seed\":{},\"sim_budget\":{},\"job_deadline_ms\":{},",
+            "\"reps\":{},\"base_seed\":{},\"sim_budget\":{},",
             "\"lint\":\"{}\",\"config_fingerprint\":\"{}\",\"store\":{}}}\n"
         ),
         json_escape(&plan.name),
@@ -793,7 +793,6 @@ pub fn plan_manifest_json(plan: &crate::plan::RunPlan) -> String {
         plan.reps,
         plan.base_seed,
         opt(plan.sim_budget),
-        opt(plan.job_deadline_ms),
         plan.lint.name(),
         crate::storebridge::plan_fingerprint(plan),
         store,
@@ -876,7 +875,6 @@ pub fn parse_plan_manifest(src: &str) -> Result<crate::plan::RunPlan, String> {
     plan.reps = raw_u64_field(src, "reps").ok_or("missing field `reps`")?;
     plan.base_seed = raw_u64_field(src, "base_seed").ok_or("missing field `base_seed`")?;
     plan.sim_budget = opt("sim_budget")?;
-    plan.job_deadline_ms = opt("job_deadline_ms")?;
     // Manifests written before the lint pass existed lack the field;
     // they replay with the pass off, matching their original run.
     plan.lint = match v.get("lint") {

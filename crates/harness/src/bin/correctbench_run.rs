@@ -4,11 +4,10 @@
 //! correctbench-run [--full] [--problems N] [--reps N] [--seed N]
 //!                  [--threads N] [--methods cb,ab,base] [--model NAME]
 //!                  [--out DIR] [--resume DIR] [--sim-budget N]
-//!                  [--job-deadline-ms N] [--lint off|warn|gate]
-//!                  [--store DIR] [--no-store] [--store-readonly]
-//!                  [--faults SPEC] [--mutate-golden NAME] [--no-cache]
-//!                  [--no-sim-cache] [--no-golden-cache] [--no-obs]
-//!                  [--progress] [--quiet]
+//!                  [--lint off|warn|gate] [--store DIR] [--no-store]
+//!                  [--store-readonly] [--faults SPEC]
+//!                  [--mutate-golden NAME] [--no-cache] [--no-sim-cache]
+//!                  [--no-golden-cache] [--no-obs] [--progress] [--quiet]
 //! ```
 //!
 //! Expands (problems × methods × reps) into a job graph and runs it on a
@@ -54,16 +53,17 @@
 //! abort from an exhausted budget) becomes a `status: "aborted"`
 //! outcome line with a stable `failure` taxonomy instead of killing the
 //! run. `--sim-budget N` caps the instructions any one simulation
-//! retires; `--job-deadline-ms N` bounds each job's wall time. With
-//! `--out` the outcome stream is journaled — appended and flushed per
-//! line as jobs complete — and a `plan.json` manifest is written up
-//! front, so a run killed at any instant can be finished with
-//! `--resume DIR` (replays the journal, skips completed jobs, appends
-//! the rest; the final file is byte-identical to an uninterrupted run).
-//! The manifest records the plan's config fingerprint; `--resume`
-//! recomputes it and refuses a directory whose problems or
-//! configuration drifted since the interrupted run. `--faults` injects
-//! test-only failures (see the fault module docs for the grammar).
+//! retires. Every bound is an instruction count, never wall time, so
+//! no outcome depends on machine speed. With `--out` the outcome stream
+//! is journaled — appended and flushed per line as jobs complete — and
+//! a `plan.json` manifest is written up front, so a run killed at any
+//! instant can be finished with `--resume DIR` (replays the journal,
+//! skips completed jobs, appends the rest; the final file is
+//! byte-identical to an uninterrupted run). The manifest records the
+//! plan's config fingerprint; `--resume` recomputes it and refuses a
+//! directory whose problems or configuration drifted since the
+//! interrupted run. `--faults` injects test-only failures (`panic@`,
+//! `slow@`, `exit@`; see the fault module docs for the grammar).
 //!
 //! Exit codes: 0 all jobs ok; 1 infrastructure/IO failure; 2 usage
 //! error; 3 run completed but at least one job aborted.
@@ -83,7 +83,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const EXTRA_USAGE: &str = "[--methods cb,ab,base] [--model gpt-4o|claude-3.5-sonnet|gpt-4o-mini] \
-     [--resume DIR] [--sim-budget N] [--job-deadline-ms N] [--lint off|warn|gate] \
+     [--resume DIR] [--sim-budget N] [--lint off|warn|gate] \
      [--store DIR] [--no-store] [--store-readonly] [--faults SPEC] [--mutate-golden NAME] \
      [--no-cache] [--no-sim-cache] [--no-golden-cache] [--no-obs] [--progress] [--quiet]\n\
      retired no-ops (their layers were deleted): --no-elab-cache --no-session-pool --no-lint-cache";
@@ -129,7 +129,6 @@ fn main() {
     let mut progress = false;
     let mut quiet = false;
     let mut sim_budget: Option<u64> = None;
-    let mut job_deadline_ms: Option<u64> = None;
     let mut lint = LintMode::default();
     let mut faults = FaultPlan::none();
     let mut resume: Option<PathBuf> = None;
@@ -154,10 +153,6 @@ fn main() {
         }
         "--sim-budget" => {
             sim_budget = Some(numeric_flag("--sim-budget", it, EXTRA_USAGE));
-            true
-        }
-        "--job-deadline-ms" => {
-            job_deadline_ms = Some(numeric_flag("--job-deadline-ms", it, EXTRA_USAGE));
             true
         }
         "--lint" => {
@@ -274,7 +269,6 @@ fn main() {
             plan.reps = args.reps;
             plan.base_seed = args.seed;
             plan.sim_budget = sim_budget;
-            plan.job_deadline_ms = job_deadline_ms;
             plan.lint = lint;
             (plan, Vec::new(), None)
         }

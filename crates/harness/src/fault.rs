@@ -3,21 +3,18 @@
 //! The fault-isolation contract ("one crashing job never disturbs any
 //! other job's outcome") is only testable if a job can be made to crash
 //! on demand. A [`FaultPlan`] maps job ids to [`FaultKind`]s; the
-//! engine consults it at job start and the worker wires LLM faults into
-//! the client it builds. Production runs use [`FaultPlan::none`] — the
-//! `--faults` flag exists for the fault-injection suite and the CI
-//! kill-and-resume smoke, not for experiments.
+//! worker consults it at job start. Production runs use
+//! [`FaultPlan::none`] — the `--faults` flag exists for the
+//! fault-injection suite and the CI kill-and-resume smoke, not for
+//! experiments.
 //!
-//! Spec grammar (comma-separated, e.g. `panic@3,slow@5:50,llm@2`):
+//! Spec grammar (comma-separated, e.g. `panic@3,slow@5:50,exit@7`):
 //!
 //! * `panic@ID` — panic at job start (an *unstructured* crash; the
 //!   worker's isolation must classify it as `panic`).
-//! * `slow@ID:MS` — sleep `MS` milliseconds at job start (pushes the
-//!   job over a `--job-deadline-ms` budget on purpose).
-//! * `llm@ID` — the job's LLM transport fails its first two attempts,
-//!   then recovers; retries must make the run byte-identical to clean.
-//! * `llmfatal@ID` — every LLM attempt fails; the retry budget expires
-//!   and the job aborts with `llm_error`.
+//! * `slow@ID:MS` — sleep `MS` milliseconds at job start; it only
+//!   widens the window in which a kill-and-resume smoke can SIGKILL the
+//!   run.
 //! * `exit@ID` — `std::process::exit` at job start: an orderly stand-in
 //!   for SIGKILL that the resume integration test can trigger
 //!   deterministically (CI also does the real-signal version).
@@ -31,10 +28,6 @@ pub enum FaultKind {
     Panic,
     /// Sleep this many milliseconds at job start.
     Slow(u64),
-    /// Transient LLM failures (first attempts), retries succeed.
-    LlmTransient,
-    /// Every LLM attempt fails; the retry budget cannot save the job.
-    LlmFatal,
     /// Kill the whole process at job start (crash-safety testing).
     Exit,
 }
@@ -80,8 +73,6 @@ impl FaultPlan {
                         .map_err(|_| format!("fault `{entry}`: bad duration `{ms}`"))?,
                 ),
                 ("slow", None) => return Err(format!("fault `{entry}`: slow needs `:MS`")),
-                ("llm", None) => FaultKind::LlmTransient,
-                ("llmfatal", None) => FaultKind::LlmFatal,
                 ("exit", None) => FaultKind::Exit,
                 _ => return Err(format!("fault `{entry}`: unknown kind `{kind}`")),
             };
@@ -109,11 +100,9 @@ mod tests {
 
     #[test]
     fn parses_every_kind() {
-        let plan = FaultPlan::parse("panic@3, slow@5:50,llm@2,llmfatal@7,exit@9").expect("parse");
+        let plan = FaultPlan::parse("panic@3, slow@5:50,exit@9").expect("parse");
         assert_eq!(plan.get(3), Some(FaultKind::Panic));
         assert_eq!(plan.get(5), Some(FaultKind::Slow(50)));
-        assert_eq!(plan.get(2), Some(FaultKind::LlmTransient));
-        assert_eq!(plan.get(7), Some(FaultKind::LlmFatal));
         assert_eq!(plan.get(9), Some(FaultKind::Exit));
         assert_eq!(plan.get(0), None);
         assert!(!plan.is_empty());
@@ -128,7 +117,9 @@ mod tests {
             "slow@3",
             "slow@3:ms",
             "frob@1",
-            "panic@1,llm@1",
+            "panic@1,exit@1",
+            "llm@1",
+            "llmfatal@1",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "`{bad}` should not parse");
         }

@@ -82,13 +82,6 @@ pub struct RunPlan {
     /// `sim_budget_exhausted` — deterministically, since the budget is a
     /// pure function of the plan. `None` = natural limits only.
     pub sim_budget: Option<u64>,
-    /// Per-job wall-clock deadline in milliseconds
-    /// (`--job-deadline-ms`): a job still simulating past its deadline
-    /// aborts with `deadline_exceeded`. Wall time is measured, so this
-    /// is the one knob that makes outcomes depend on machine speed —
-    /// off (`None`) by default and excluded from the determinism
-    /// contract when set.
-    pub job_deadline_ms: Option<u64>,
     /// Static-analysis mode (`--lint`): whether each job's RTL runs
     /// through `verilog::lint` before simulation, and whether
     /// deny-level findings abort the job. The pass is pure, so the
@@ -124,7 +117,6 @@ impl RunPlan {
             base_seed: 2025,
             config: Config::default(),
             sim_budget: None,
-            job_deadline_ms: None,
             lint: LintMode::default(),
             store: None,
         }

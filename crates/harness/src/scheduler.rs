@@ -26,8 +26,8 @@ pub type OutcomeHook = Box<dyn Fn(&TaskOutcome) + Send + Sync>;
 /// [`EvalContext`]: the simulation cache (per-scenario verdicts of whole
 /// testbench runs) and the golden-artifact cache (per-problem
 /// evaluation fixtures, derived once per eval seed). Every job runs on
-/// a clone that shares both layers and carries the job's own budget;
-/// layers can be disabled individually.
+/// a clone that shares both layers and carries the plan's simulation
+/// budget; layers can be disabled individually.
 pub struct Engine {
     threads: usize,
     ctx: EvalContext,
@@ -78,18 +78,18 @@ impl Engine {
         self
     }
 
-    /// Injects a test-only [`FaultPlan`]: the listed jobs are broken on
-    /// purpose at job start (or through their LLM transport) so the
-    /// fault-isolation and crash-recovery suites have something to
-    /// survive. Production runs keep the default empty plan.
+    /// Injects a test-only [`FaultPlan`]: the listed jobs panic, sleep
+    /// or exit the process at job start, so the fault-isolation and
+    /// crash-recovery suites have something to survive. Production runs
+    /// keep the default empty plan.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
     }
 
     /// Replaces the shared context (give several engines clones of one
-    /// context to memoize across their plans). Its budget is ignored:
-    /// each job's budget comes from the plan.
+    /// context to memoize across their plans). Its `sim_budget` is
+    /// ignored: each job's budget comes from the plan.
     pub fn with_context(mut self, ctx: EvalContext) -> Self {
         self.ctx = ctx;
         self

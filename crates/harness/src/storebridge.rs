@@ -14,7 +14,7 @@
 //!   else moves.
 //! * **config fingerprint** — everything plan-wide that can change an
 //!   outcome byte: the payload schema version, model profile, lint
-//!   mode, simulation budget, job deadline, and every pipeline
+//!   mode, simulation budget, and every pipeline
 //!   [`Config`](correctbench::Config) knob. Thread counts, cache
 //!   toggles, observability and the store attachment itself are
 //!   deliberately excluded — the determinism contract guarantees they
@@ -59,7 +59,7 @@ pub fn config_fingerprint(plan: &RunPlan) -> Fingerprint {
     };
     fingerprint(&(
         (CELL_SCHEMA, plan.model, plan.lint),
-        (plan.sim_budget, plan.job_deadline_ms),
+        plan.sim_budget,
         (
             cfg.max_corrections,
             cfg.max_reboots,

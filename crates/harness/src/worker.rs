@@ -3,10 +3,10 @@
 //! Every job builds its own LLM client and RNG from the job seed (see
 //! [`correctbench_llm::ClientFactory`]), runs the method, and evaluates
 //! the resulting testbench with AutoEval, all in one [`EvalContext`]:
-//! the engine's shared reuse layers plus the job's own budget. Nothing
-//! escapes the job except its [`TaskOutcome`] (the layers only memoize
-//! pure results), so jobs commute: any worker may run any job in any
-//! order and the collected outcomes are identical.
+//! the engine's shared reuse layers plus the plan's simulation budget.
+//! Nothing escapes the job except its [`TaskOutcome`] (the layers only
+//! memoize pure results), so jobs commute: any worker may run any job in
+//! any order and the collected outcomes are identical.
 
 use crate::fault::{FaultKind, FAULT_EXIT_CODE};
 use crate::plan::{Job, LintMode, RunPlan};
@@ -14,11 +14,9 @@ use correctbench::Method;
 use correctbench::{run_method, Action, Config};
 use correctbench_autoeval::{evaluate, EvalLevel};
 use correctbench_dataset::CircuitKind;
-use correctbench_llm::{
-    ClientFactory, FaultyTransport, LlmClient, ModelKind, RetryPolicy, Retrying, TokenUsage,
-};
+use correctbench_llm::{ClientFactory, ModelKind, TokenUsage};
 use correctbench_obs::Counter;
-use correctbench_tbgen::{AbortKind, Driver, EvalContext, JobAbort, JobBudget};
+use correctbench_tbgen::{AbortKind, Driver, EvalContext, JobAbort};
 use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::Diagnostic;
 use rand::rngs::StdRng;
@@ -166,32 +164,10 @@ fn lint_pass(
     diags
 }
 
-/// Builds the job's client, wiring injected LLM faults through the
-/// retry layer. Transient faults fail before reaching the real client,
-/// so a recovered run's responses and token usage are unchanged.
-fn build_client(
-    factory: &dyn ClientFactory,
-    seed: u64,
-    fault: Option<FaultKind>,
-) -> Box<dyn LlmClient + Send> {
-    match fault {
-        Some(FaultKind::LlmTransient) => Box::new(Retrying::new(
-            FaultyTransport::transient(factory.client(seed), 2),
-            RetryPolicy::default(),
-        )),
-        Some(FaultKind::LlmFatal) => Box::new(Retrying::new(
-            FaultyTransport::fatal(factory.client(seed)),
-            RetryPolicy::default(),
-        )),
-        _ => factory.client(seed),
-    }
-}
-
 fn run_job_inner(
     job: &Job,
     cfg: &Config,
     factory: &dyn ClientFactory,
-    fault: Option<FaultKind>,
     lint_mode: LintMode,
     ctx: &EvalContext,
 ) -> TaskOutcome {
@@ -202,7 +178,7 @@ fn run_job_inner(
         .then(|| correctbench_verilog::parse(&job.problem.golden_rtl).ok())
         .flatten();
     lint_golden_gate(job, golden.as_ref(), lint_mode);
-    let mut llm = build_client(factory, job.seed, fault);
+    let mut llm = factory.client(job.seed);
     let mut rng = StdRng::seed_from_u64(job.seed ^ 0x777);
     let outcome = run_method(job.method, &job.problem, &mut *llm, cfg, &mut rng, ctx);
     // The static-analysis gate sits between generation and evaluation:
@@ -309,16 +285,18 @@ fn aborted_outcome(job: &Job, kind: AbortKind, wall: Duration) -> TaskOutcome {
 }
 
 /// Runs one job of `plan` inside a fault barrier, under the plan's
-/// config, budgets and lint mode.
+/// config, simulation budget and lint mode.
 ///
 /// * Any unwind is caught and classified: a typed [`JobAbort`] payload
 ///   carries its own [`AbortKind`]; anything else is `panic`. Either
 ///   way the job becomes a deterministic `status: aborted` outcome
 ///   instead of taking down the worker.
-/// * The job runs on a clone of `shared` whose [`JobBudget`] holds the
-///   plan's `sim_budget` and `job_deadline_ms`; tbgen clamps every
-///   simulation with them and aborts the job when a binding budget is
-///   exhausted.
+/// * The job runs on a clone of `shared` whose
+///   [`EvalContext::sim_budget`] is the plan's `sim_budget`; tbgen
+///   clamps every simulation with it and aborts the job when a binding
+///   budget is exhausted.
+/// * An injected `fault` (test-only) panics, sleeps or exits the
+///   process at job start.
 /// * Cache hygiene is structural: every reuse layer inserts only after
 ///   a simulation completes, so an aborted job leaves no trace in the
 ///   layers it shares through `shared`.
@@ -335,14 +313,7 @@ pub fn run_job_guarded(
     let result = catch_unwind(AssertUnwindSafe(|| {
         let _in_job = InJobGuard::enter();
         let ctx = EvalContext {
-            budget: JobBudget {
-                max_sim_steps: plan.sim_budget,
-                // The deadline clock starts when the job starts, not
-                // when the run starts — each job gets the full allowance.
-                deadline: plan
-                    .job_deadline_ms
-                    .map(|ms| Instant::now() + Duration::from_millis(ms)),
-            },
+            sim_budget: plan.sim_budget,
             ..shared.clone()
         };
         match fault {
@@ -352,9 +323,9 @@ pub fn run_job_guarded(
                 eprintln!("injected fault: exiting process at job {}", job.id);
                 std::process::exit(FAULT_EXIT_CODE);
             }
-            _ => {}
+            None => {}
         }
-        run_job_inner(job, &plan.config, factory, fault, plan.lint, &ctx)
+        run_job_inner(job, &plan.config, factory, plan.lint, &ctx)
     }));
     match result {
         Ok(outcome) => outcome,

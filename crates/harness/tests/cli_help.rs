@@ -5,7 +5,8 @@
 //! (`--no-elab-cache`, `--no-session-pool`, `--no-lint-cache`) are part
 //! of the binary's contract — CI's cache-layer matrix, the benchmark's
 //! ablation arms and the README all lean on them — so the help text is
-//! pinned here by running the real binary.
+//! pinned here by running the real binary. So is the usage-error exit of
+//! flags and fault kinds that were deleted.
 
 use std::process::Command;
 
@@ -82,10 +83,38 @@ fn report_binary_documents_its_usage() {
 #[test]
 fn help_lists_the_robustness_flags() {
     let help = help_output();
-    for flag in ["--sim-budget", "--job-deadline-ms", "--faults", "--resume"] {
+    for flag in ["--sim-budget", "--faults", "--resume"] {
         assert!(
             help.contains(flag),
             "--help output is missing robustness flag `{flag}`:\n{help}"
+        );
+    }
+}
+
+#[test]
+fn removed_robustness_flags_and_faults_are_usage_errors() {
+    // The wall-clock deadline and the LLM fault kinds are gone. A script
+    // that still passes them must fail loudly (exit 2, naming what it
+    // passed) instead of running without them.
+    for (args, named) in [
+        (["--job-deadline-ms", "5"], "`--job-deadline-ms`"),
+        (["--faults", "llm@1"], "`llm`"),
+        (["--faults", "llmfatal@1"], "`llmfatal`"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_correctbench-run"))
+            .args(["--problems", "1", "--reps", "1", "--quiet"])
+            .args(args)
+            .output()
+            .expect("run correctbench-run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?} must be a usage error:\n{stderr}"
+        );
+        assert!(
+            stderr.contains(named),
+            "{args:?}: stderr does not name {named}:\n{stderr}"
         );
     }
 }

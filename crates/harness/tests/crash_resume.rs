@@ -86,7 +86,6 @@ fn plan_manifest_round_trips_the_job_list() {
     let back = parse_plan_manifest(&plan_manifest_json(&plan)).expect("manifest parses");
     assert_eq!(back.name, plan.name);
     assert_eq!(back.sim_budget, plan.sim_budget);
-    assert_eq!(back.job_deadline_ms, None);
     let sig = |p: &RunPlan| -> Vec<(usize, u64, u64)> {
         p.jobs()
             .iter()

@@ -1,8 +1,8 @@
 //! Fault isolation and budget enforcement.
 //!
 //! The robustness contract: a job that panics, exhausts a budget, or
-//! loses its LLM becomes a structured `status: aborted` outcome line —
-//! and *nothing else changes*. Every other job's line stays
+//! fails the lint gate becomes a structured `status: aborted` outcome
+//! line — and *nothing else changes*. Every other job's line stays
 //! byte-identical across thread counts and cache layers, because
 //! aborted jobs never publish into the shared reuse layers.
 
@@ -57,34 +57,6 @@ fn panic_fault_leaves_every_other_line_byte_identical() {
 }
 
 #[test]
-fn exhausted_llm_retries_abort_with_llm_error() {
-    let plan = plan();
-    let outcomes = run(
-        Engine::new(2).with_faults(FaultPlan::parse("llmfatal@1").expect("spec")),
-        &plan,
-    );
-    assert_eq!(outcomes[1].failure, Some(AbortKind::LlmError));
-    assert!(outcomes
-        .iter()
-        .enumerate()
-        .all(|(i, o)| i == 1 || o.failure.is_none()));
-}
-
-#[test]
-fn recovered_transient_llm_fault_is_byte_invisible() {
-    let plan = plan();
-    let clean = stream(Engine::new(4), &plan);
-    let faulted = stream(
-        Engine::new(4).with_faults(FaultPlan::parse("llm@3").expect("spec")),
-        &plan,
-    );
-    assert!(
-        clean == faulted,
-        "a retried transient LLM fault changed the artifact:\n--- clean ---\n{clean}\n--- faulted ---\n{faulted}"
-    );
-}
-
-#[test]
 fn binding_sim_budget_aborts_deterministically_across_threads_and_caches() {
     let mut plan = plan();
     plan.sim_budget = Some(10);
@@ -103,33 +75,6 @@ fn binding_sim_budget_aborts_deterministically_across_threads_and_caches() {
         assert!(
             baseline == other,
             "budget exhaustion is not deterministic:\n--- 1 thread ---\n{baseline}\n--- variant ---\n{other}"
-        );
-    }
-}
-
-#[test]
-fn expired_deadline_aborts_with_deadline_exceeded() {
-    let mut plan = plan();
-    plan.job_deadline_ms = Some(0);
-    let outcomes = run(Engine::new(2), &plan);
-    // A job that never simulates (e.g. a Baseline testbench that dies
-    // at Eval0 on syntax) can legitimately finish under an expired
-    // deadline; every job that *does* reach a simulation must abort.
-    let exceeded = outcomes
-        .iter()
-        .filter(|o| o.failure == Some(AbortKind::DeadlineExceeded))
-        .count();
-    assert!(
-        exceeded > 0,
-        "no job hit the expired deadline: {:?}",
-        outcomes.iter().map(|o| o.failure).collect::<Vec<_>>()
-    );
-    for o in &outcomes {
-        assert!(
-            o.failure.is_none() || o.failure == Some(AbortKind::DeadlineExceeded),
-            "job {}: unexpected failure {:?} under an expired deadline",
-            o.job_id,
-            o.failure
         );
     }
 }
@@ -283,11 +228,20 @@ fn lint_gate_aborts_never_poison_the_shared_cache_stack() {
 #[test]
 fn aborted_outcomes_round_trip_through_the_journal_codec() {
     use correctbench_harness::{outcome_json, parse_outcome_line};
-    let plan = plan();
+    // A binding budget aborts every job that simulates; the injected
+    // panic aborts job 0 first, so two failure names cross the codec.
+    let mut plan = plan();
+    plan.sim_budget = Some(10);
     let outcomes = run(
-        Engine::new(2).with_faults(FaultPlan::parse("panic@0,llmfatal@4").expect("spec")),
+        Engine::new(2).with_faults(FaultPlan::parse("panic@0").expect("spec")),
         &plan,
     );
+    for kind in [AbortKind::Panic, AbortKind::SimBudgetExhausted] {
+        assert!(
+            outcomes.iter().any(|o| o.failure == Some(kind)),
+            "no {kind} outcome to round-trip"
+        );
+    }
     for o in &outcomes {
         let line = outcome_json(o);
         let back = parse_outcome_line(&line).expect("line parses back");

@@ -4,8 +4,8 @@
 //! claude-3.5-sonnet, gpt-4o-mini). This crate defines the typed client
 //! interface the pipeline uses ([`LlmClient`]) and an offline stand-in
 //! ([`SimulatedLlm`]) whose error statistics are controlled by
-//! per-model [`ModelProfile`]s — see `DESIGN.md` for why the substitution
-//! preserves the paper's dynamics.
+//! per-model [`ModelProfile`]s — the [`profile`] module docs give the
+//! calibration that makes the substitution preserve the paper's dynamics.
 //!
 //! # Examples
 //!
@@ -27,7 +27,6 @@
 pub mod client;
 pub mod factory;
 pub mod profile;
-pub mod retry;
 pub mod sim;
 pub mod tokens;
 
@@ -36,6 +35,5 @@ pub use client::{
 };
 pub use factory::{ClientFactory, SimulatedClientFactory};
 pub use profile::{ModelKind, ModelProfile};
-pub use retry::{FaultyTransport, LlmTransport, RetryPolicy, Retrying, TransientLlmError};
 pub use sim::SimulatedLlm;
 pub use tokens::{estimate_tokens, TokenUsage};

@@ -117,7 +117,8 @@ pub enum Counter {
     GoldenHits,
     /// Golden-artifact-cache misses (bundle derived).
     GoldenMisses,
-    /// LLM requests retried after a transient transport failure.
+    /// Retired: the LLM retry layer was deleted, so this always reads 0.
+    /// Kept only because the benchmark's `perfbench-trace` reads it.
     LlmRetries,
     /// Jobs that ended in a structured abort instead of an outcome.
     JobAborts,

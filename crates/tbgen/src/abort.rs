@@ -1,11 +1,11 @@
 //! Structured job aborts: the stable failure taxonomy and the typed
 //! panic payload that carries it.
 //!
-//! A job that cannot produce a result — a panic, an enforced budget, a
-//! missed deadline, an unrecoverable LLM transport failure — must still
-//! produce a deterministic `outcomes.jsonl` line. The harness wraps
-//! every job in `catch_unwind`; code below the harness signals a
-//! *classified* abort by unwinding with a [`JobAbort`] payload
+//! A job that cannot produce a result — a panic, a broken trusted
+//! artifact, an exhausted simulation budget, a lint-gate rejection —
+//! must still produce a deterministic `outcomes.jsonl` line. The
+//! harness wraps every job in `catch_unwind`; code below the harness
+//! signals a *classified* abort by unwinding with a [`JobAbort`] payload
 //! ([`abort_job`]), which the worker downcasts into [`AbortKind`]. Any
 //! other payload classifies as [`AbortKind::Panic`].
 //!
@@ -30,10 +30,6 @@ pub enum AbortKind {
     ParseError,
     /// A binding `--sim-budget` was exhausted by one simulation run.
     SimBudgetExhausted,
-    /// The per-job wall-clock deadline (`--job-deadline-ms`) passed.
-    DeadlineExceeded,
-    /// The LLM client's retry budget was exhausted by transport errors.
-    LlmError,
     /// The static-analysis gate (`--lint=gate`) found deny-level
     /// diagnostics in the job's RTL before simulation.
     LintRejected,
@@ -41,12 +37,10 @@ pub enum AbortKind {
 
 impl AbortKind {
     /// Every kind, in taxonomy order.
-    pub const ALL: [AbortKind; 6] = [
+    pub const ALL: [AbortKind; 4] = [
         AbortKind::Panic,
         AbortKind::ParseError,
         AbortKind::SimBudgetExhausted,
-        AbortKind::DeadlineExceeded,
-        AbortKind::LlmError,
         AbortKind::LintRejected,
     ];
 
@@ -56,8 +50,6 @@ impl AbortKind {
             AbortKind::Panic => "panic",
             AbortKind::ParseError => "parse_error",
             AbortKind::SimBudgetExhausted => "sim_budget_exhausted",
-            AbortKind::DeadlineExceeded => "deadline_exceeded",
-            AbortKind::LlmError => "llm_error",
             AbortKind::LintRejected => "lint_rejected",
         }
     }

@@ -1,7 +1,7 @@
 //! The explicit evaluation context every testbench run reads.
 //!
 //! An [`EvalContext`] carries what a run consults beyond its own inputs:
-//! the two optional reuse layers and the job's [`JobBudget`].
+//! the two optional reuse layers and the job's simulation budget.
 //!
 //! | field | type | memoizes |
 //! |---|---|---|
@@ -18,51 +18,11 @@
 use crate::cache::SimCache;
 use crate::golden::GoldenCache;
 use crate::memo::CacheStats;
-use correctbench_verilog::SimLimits;
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Per-job execution budgets, enforced by [`crate::EvalSession::run`],
-/// which clamps every run's [`SimLimits`] against them:
-///
-/// * `max_sim_steps` — a **per-simulation-run** instruction budget.
-///   When it undercuts a run's natural step limit ("binding") and the
-///   run exhausts it, the job aborts with
-///   [`AbortKind::SimBudgetExhausted`](crate::abort::AbortKind). Sims
-///   are deterministic, so whether a given (design, testbench,
-///   scenarios) key completes or aborts under a fixed budget never
-///   depends on thread count or cache warmth — aborted runs are never
-///   cached, completed runs replay identically.
-/// * `deadline` — a wall-clock cutoff for the whole job; exceeding it
-///   aborts with [`AbortKind::DeadlineExceeded`](crate::abort::AbortKind).
-///   Inherently non-deterministic; meant as a last-resort guard, not a
-///   reproducible outcome.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct JobBudget {
-    /// Per-simulation-run step ceiling, if any.
-    pub max_sim_steps: Option<u64>,
-    /// Wall-clock deadline for the job, if any.
-    pub deadline: Option<Instant>,
-}
-
-impl JobBudget {
-    /// Applies the budget to one run's limits: lowers `max_steps` when
-    /// the step budget undercuts the natural limit and threads the wall
-    /// deadline through. Returns the clamped limits and whether the step
-    /// budget binds — the flag that decides whether an exhaustion is a
-    /// natural, cacheable `Err` or a structured job abort.
-    pub(crate) fn clamp(&self, mut limits: SimLimits) -> (SimLimits, bool) {
-        let binding = self.max_sim_steps.filter(|b| *b < limits.max_steps);
-        if let Some(b) = binding {
-            limits.max_steps = b;
-        }
-        limits.deadline = self.deadline.or(limits.deadline);
-        (limits, binding.is_some())
-    }
-}
 
 /// What a testbench run reads beyond its inputs: each reuse layer, when
-/// enabled, and the job budget. `Default` is no layer and no budget.
+/// enabled, and the job's simulation budget. `Default` is no layer and
+/// no budget.
 ///
 /// # Examples
 ///
@@ -79,8 +39,16 @@ pub struct EvalContext {
     pub sim: Option<Arc<SimCache>>,
     /// The golden-artifact cache, when enabled.
     pub golden: Option<Arc<GoldenCache>>,
-    /// The job's execution budget.
-    pub budget: JobBudget,
+    /// The job's per-simulation instruction budget, if any.
+    /// [`crate::EvalSession::run`] lowers every run's step limit to it.
+    /// When it undercuts a run's natural limit ("binding") and the run
+    /// exhausts it, the job aborts with
+    /// [`AbortKind::SimBudgetExhausted`](crate::abort::AbortKind).
+    /// Simulations are deterministic, so whether a given (design,
+    /// testbench, scenarios) key completes or aborts under a fixed
+    /// budget never depends on thread count or cache warmth: aborted
+    /// runs are never cached, completed runs replay identically.
+    pub sim_budget: Option<u64>,
 }
 
 impl EvalContext {
@@ -89,7 +57,7 @@ impl EvalContext {
         EvalContext {
             sim: Some(SimCache::new()),
             golden: Some(GoldenCache::new()),
-            budget: JobBudget::default(),
+            sim_budget: None,
         }
     }
 
@@ -155,7 +123,6 @@ impl std::fmt::Display for StackStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn stats_report_disabled_layers_as_none() {
@@ -185,57 +152,5 @@ mod tests {
             ctx.golden.as_ref().expect("golden"),
             clone.golden.as_ref().expect("golden")
         ));
-    }
-
-    fn natural() -> SimLimits {
-        SimLimits {
-            max_steps: 1000,
-            ..SimLimits::default()
-        }
-    }
-
-    #[test]
-    fn clamp_without_a_budget_changes_nothing() {
-        let (limits, binding) = JobBudget::default().clamp(natural());
-        assert_eq!(
-            (limits.max_steps, limits.deadline, binding),
-            (1000, None, false)
-        );
-    }
-
-    #[test]
-    fn clamp_binds_a_step_budget_below_the_natural_limit() {
-        let budget = JobBudget {
-            max_sim_steps: Some(999),
-            deadline: None,
-        };
-        let (limits, binding) = budget.clamp(natural());
-        assert_eq!((limits.max_steps, binding), (999, true));
-    }
-
-    #[test]
-    fn clamp_leaves_a_step_budget_at_or_above_the_natural_limit_unbound() {
-        // Exhausting the natural limit stays a cacheable `Err`, not an
-        // abort.
-        for steps in [1000, 1001] {
-            let budget = JobBudget {
-                max_sim_steps: Some(steps),
-                deadline: None,
-            };
-            let (limits, binding) = budget.clamp(natural());
-            assert_eq!((limits.max_steps, binding), (1000, false), "budget {steps}");
-        }
-    }
-
-    #[test]
-    fn clamp_copies_the_deadline() {
-        let deadline = Instant::now() + Duration::from_secs(60);
-        let budget = JobBudget {
-            max_sim_steps: None,
-            deadline: Some(deadline),
-        };
-        let (limits, binding) = budget.clamp(natural());
-        assert_eq!((limits.max_steps, limits.deadline), (1000, Some(deadline)));
-        assert!(!binding, "a deadline alone never binds the step budget");
     }
 }

@@ -6,8 +6,9 @@
 //! generator, the driver code generator, record parsing, and the
 //! [`EvalSession`] that runs a testbench and produces per-scenario
 //! verdicts, with [`reference_run`] as its executable reference. What a
-//! run reads beyond its inputs — the reuse layers and the job budget —
-//! arrives explicitly in an [`EvalContext`].
+//! run reads beyond its inputs — the reuse layers and the job's
+//! per-simulation instruction budget — arrives explicitly in an
+//! [`EvalContext`].
 //!
 //! # Examples
 //!
@@ -46,7 +47,7 @@ pub mod session;
 
 pub use abort::{abort_job, AbortKind, JobAbort};
 pub use cache::{CacheKey, SimCache};
-pub use context::{EvalContext, JobBudget, StackStats};
+pub use context::{EvalContext, StackStats};
 pub use coverage::{CoverageReport, SignalCoverage};
 pub use driver::{generate_driver, record_format, Driver, TB_MODULE};
 pub use golden::{GoldenArtifacts, GoldenCache, GoldenKey};

@@ -108,15 +108,12 @@ pub(crate) fn simulate_records(
     Ok(parse_records(&out.lines))
 }
 
-/// Classifies a simulation error under a budgeted run: a missed wall
-/// deadline or a *binding* step-budget exhaustion aborts the job
-/// (unwinding before any cache `put`, so the abort can never be
-/// memoized); everything else stays an ordinary error.
+/// Classifies a simulation error under a budgeted run: a *binding*
+/// step-budget exhaustion aborts the job (unwinding before any cache
+/// `put`, so the abort can never be memoized); everything else stays an
+/// ordinary error.
 pub(crate) fn classify_sim_err(err: SimError, binding: bool) -> VerilogError {
     match err {
-        SimError::DeadlineExceeded => {
-            crate::abort::abort_job(crate::abort::AbortKind::DeadlineExceeded)
-        }
         SimError::EventBudgetExhausted if binding => {
             crate::abort::abort_job(crate::abort::AbortKind::SimBudgetExhausted)
         }

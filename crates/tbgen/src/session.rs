@@ -12,7 +12,7 @@
 //!   width)` resolved to indices once, not string-searched per record;
 //! * the **judging buffers** (per-scenario flags, positional inputs).
 //!
-//! A session takes the [`SimCache`] and the [`JobBudget`] of the
+//! A session takes the [`SimCache`] and the simulation budget of the
 //! [`EvalContext`] it is built with: [`EvalSession::run`] consults the
 //! cache first, so a repeated pair costs one lookup. The [`CacheKey`]
 //! holds the pair's fingerprints, two fixed for the session (the
@@ -28,7 +28,7 @@
 //! [`Simulator`]: correctbench_verilog::Simulator
 
 use crate::cache::{CacheKey, SimCache};
-use crate::context::{EvalContext, JobBudget};
+use crate::context::EvalContext;
 use crate::record::{Record, RecordBinding};
 use crate::runner::{limits_for, simulate_records, ScenarioResult, TbError, TbRun};
 use crate::scenarios::ScenarioSet;
@@ -36,7 +36,7 @@ use correctbench_checker::{CheckerProgram, JudgeSession};
 use correctbench_dataset::Problem;
 use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::hash::{fingerprint, Fingerprint};
-use correctbench_verilog::LogicVec;
+use correctbench_verilog::{LogicVec, SimLimits};
 use std::sync::Arc;
 
 /// A reusable evaluation session for one `(problem, checker)` pair.
@@ -69,8 +69,8 @@ pub struct EvalSession {
     problem_fp: Fingerprint,
     /// The context's simulation cache, consulted before every run.
     cache: Option<Arc<SimCache>>,
-    /// The context's job budget, clamping every run's limits.
-    budget: JobBudget,
+    /// The context's simulation budget, clamping every run's limits.
+    sim_budget: Option<u64>,
     judge: JudgeSession,
     /// Record-field resolution for the checker's inputs and outputs,
     /// re-indexed per record (first-occurrence semantics, exactly like
@@ -89,7 +89,7 @@ pub struct EvalSession {
 
 impl EvalSession {
     /// Builds a session: compiles the checker, resolves the record
-    /// bindings, and keeps `ctx`'s simulation cache and job budget.
+    /// bindings, and keeps `ctx`'s simulation cache and budget.
     /// One-time cost, amortized over every subsequent run.
     ///
     /// # Errors
@@ -117,7 +117,7 @@ impl EvalSession {
             checker_fp: checker.fingerprint(),
             problem_fp: fingerprint(&(&problem.name, &problem.ports)),
             cache: ctx.sim.clone(),
-            budget: ctx.budget,
+            sim_budget: ctx.sim_budget,
             judge,
             binding,
             input_slots,
@@ -181,7 +181,7 @@ impl EvalSession {
         driver: &SourceFile,
         scenarios: &ScenarioSet,
     ) -> Result<TbRun, TbError> {
-        let (limits, binding) = self.budget.clamp(limits_for(scenarios));
+        let (limits, binding) = clamp(self.sim_budget, limits_for(scenarios));
         let records = simulate_records(dut, driver, limits, binding)?;
         let results = self.judge(&records, scenarios.len())?;
         Ok(TbRun { results })
@@ -248,6 +248,19 @@ impl EvalSession {
             })
             .collect())
     }
+}
+
+/// Applies a job's simulation budget to one run's limits: lowers
+/// `max_steps` when the budget undercuts the natural limit. Returns the
+/// clamped limits and whether the budget binds — the flag that decides
+/// whether an exhaustion is a natural, cacheable `Err` or a structured
+/// job abort.
+fn clamp(sim_budget: Option<u64>, mut limits: SimLimits) -> (SimLimits, bool) {
+    let binding = sim_budget.filter(|b| *b < limits.max_steps);
+    if let Some(b) = binding {
+        limits.max_steps = b;
+    }
+    (limits, binding.is_some())
 }
 
 #[cfg(test)]
@@ -377,5 +390,34 @@ mod tests {
         assert_eq!(a, b);
         let stats = ctx.stats().sim.expect("sim layer");
         assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    fn natural() -> SimLimits {
+        SimLimits {
+            max_steps: 1000,
+            ..SimLimits::default()
+        }
+    }
+
+    #[test]
+    fn clamp_without_a_budget_changes_nothing() {
+        let (limits, binding) = clamp(None, natural());
+        assert_eq!((limits.max_steps, binding), (1000, false));
+    }
+
+    #[test]
+    fn clamp_binds_a_step_budget_below_the_natural_limit() {
+        let (limits, binding) = clamp(Some(999), natural());
+        assert_eq!((limits.max_steps, binding), (999, true));
+    }
+
+    #[test]
+    fn clamp_leaves_a_step_budget_at_or_above_the_natural_limit_unbound() {
+        // Exhausting the natural limit stays a cacheable `Err`, not an
+        // abort.
+        for steps in [1000, 1001] {
+            let (limits, binding) = clamp(Some(steps), natural());
+            assert_eq!((limits.max_steps, binding), (1000, false), "budget {steps}");
+        }
     }
 }

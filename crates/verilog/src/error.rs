@@ -82,9 +82,6 @@ pub enum SimError {
     /// The instruction budget (`SimLimits::max_steps`) ran out before
     /// `$finish`, or a runaway loop provably would exhaust it.
     EventBudgetExhausted,
-    /// The wall-clock deadline in [`SimLimits`](crate::sim::SimLimits)
-    /// passed before the run completed.
-    DeadlineExceeded,
     /// A runtime-evaluated construct was invalid (e.g. out-of-range
     /// replication count).
     Runtime(String),
@@ -101,9 +98,6 @@ impl fmt::Display for SimError {
             }
             SimError::EventBudgetExhausted => {
                 write!(f, "event budget exhausted before $finish")
-            }
-            SimError::DeadlineExceeded => {
-                write!(f, "wall-clock deadline exceeded before $finish")
             }
             SimError::Runtime(m) => write!(f, "runtime error: {m}"),
         }

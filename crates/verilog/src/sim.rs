@@ -60,12 +60,6 @@ pub struct SimLimits {
     pub max_steps: u64,
     /// Simulation stops (cleanly) at this time if `$finish` never runs.
     pub max_time: u64,
-    /// Optional wall-clock deadline: the run fails with
-    /// [`SimError::DeadlineExceeded`] once this instant passes. Checked
-    /// every few thousand executed instructions, so enforcement is
-    /// approximate — and inherently non-deterministic, unlike the step
-    /// budget above.
-    pub deadline: Option<std::time::Instant>,
 }
 
 impl Default for SimLimits {
@@ -74,7 +68,6 @@ impl Default for SimLimits {
             max_deltas: 4096,
             max_steps: 10_000_000,
             max_time: 1_000_000,
-            deadline: None,
         }
     }
 }
@@ -321,17 +314,6 @@ impl SimState {
         }
     }
 
-    /// Fails the run if the optional wall-clock deadline has passed.
-    /// Called at a coarse cadence (every 4096 executed instructions and
-    /// once per simulated time step) so the `Instant::now()` cost stays
-    /// off the hot path when no deadline is set.
-    fn check_deadline(&self) -> Result<(), SimError> {
-        match self.limits.deadline {
-            Some(d) if std::time::Instant::now() >= d => Err(SimError::DeadlineExceeded),
-            _ => Ok(()),
-        }
-    }
-
     fn run(&mut self, design: &Design) -> Result<SimOutput, SimError> {
         // Time zero: all continuous assignments evaluate once, every
         // process starts.
@@ -348,9 +330,6 @@ impl SimState {
             };
             if t > self.limits.max_time {
                 break;
-            }
-            if self.limits.deadline.is_some() {
-                self.check_deadline()?;
             }
             self.time = t;
             self.procs[proc].status = ProcStatus::Ready;
@@ -438,9 +417,6 @@ impl SimState {
             self.steps += 1;
             if self.steps > self.limits.max_steps {
                 return Err(SimError::EventBudgetExhausted);
-            }
-            if self.steps & 0xFFF == 0 {
-                self.check_deadline()?;
             }
             let pc = self.procs[i].pc;
             let Some(instr) = design.processes[i].code.get(pc) else {
