@@ -112,6 +112,7 @@ fn timings_lines_pin_field_set_and_order() {
                 "nba_commits",
                 "sim_budget_trips",
                 "sim_trip_instrs",
+                "sim_skipped_instrs",
                 "judge_commits",
                 "parse_bytes",
                 "sim_cache_hits",
@@ -258,8 +259,9 @@ fn summary_contains_latency_percentile_table() {
 #[test]
 fn report_reads_sidecars_from_before_the_wasted_work_counters() {
     // Counters are read by name, so a sidecar written before
-    // `sim_budget_trips`/`sim_trip_instrs` or `parse_bytes` existed still
-    // reports, with the missing counters at zero.
+    // `sim_budget_trips`/`sim_trip_instrs`, `sim_skipped_instrs` or
+    // `parse_bytes` existed still reports, with the missing counters at
+    // zero.
     let dir = std::env::temp_dir().join(format!("correctbench_old_sidecar_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("timings.jsonl");
@@ -292,6 +294,12 @@ fn report_reads_sidecars_from_before_the_wasted_work_counters() {
     assert_eq!(counter("sim_instrs").as_deref(), Some("345"), "{text}");
     assert_eq!(counter("sim_budget_trips").as_deref(), Some("0"), "{text}");
     assert_eq!(counter("sim_trip_instrs").as_deref(), Some("0"), "{text}");
+    // Nor did `sim_skipped_instrs`.
+    assert_eq!(
+        counter("sim_skipped_instrs").as_deref(),
+        Some("0"),
+        "{text}"
+    );
     // Nor did `parse_bytes`.
     assert_eq!(counter("parse_bytes").as_deref(), Some("0"), "{text}");
     // The run line predates `peak_rss_bytes`: reported without it.

@@ -105,6 +105,10 @@ pub enum Counter {
     SimBudgetTrips,
     /// Process instructions retired by those simulations.
     SimTripInstrs,
+    /// Process instructions the simulator charged without walking them:
+    /// the fast-forwarded dead tails of counted loops (part of
+    /// `SimInstrs`).
+    SimSkippedInstrs,
     /// Compiled-judge register slot commits.
     JudgeCommits,
     /// Source bytes handed to the Verilog parser.
@@ -132,7 +136,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array-index domain).
-    pub const COUNT: usize = 16;
+    pub const COUNT: usize = 17;
 
     /// Every counter, in canonical (artifact) order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -141,6 +145,7 @@ impl Counter {
         Counter::NbaCommits,
         Counter::SimBudgetTrips,
         Counter::SimTripInstrs,
+        Counter::SimSkippedInstrs,
         Counter::JudgeCommits,
         Counter::ParseBytes,
         Counter::SimCacheHits,
@@ -162,6 +167,7 @@ impl Counter {
             Counter::NbaCommits => "nba_commits",
             Counter::SimBudgetTrips => "sim_budget_trips",
             Counter::SimTripInstrs => "sim_trip_instrs",
+            Counter::SimSkippedInstrs => "sim_skipped_instrs",
             Counter::JudgeCommits => "judge_commits",
             Counter::ParseBytes => "parse_bytes",
             Counter::SimCacheHits => "sim_cache_hits",

@@ -40,7 +40,45 @@
 //! anyway, so the error and every artifact are unchanged; only the
 //! instructions retired before it fall. The detector's reference is the
 //! same simulator with detection off, which runs such loops to the budget.
+//!
+//! A loop whose bound is merely large (a bit-flipped `i < 16392`) ends
+//! within each activation, and past the design's width its iterations
+//! change nothing but the loop variable. A third mechanism skips them:
+//!
+//! 3. **Fast-forward.** After a save of the state-cycle check at a
+//!    counted loop's back-edge, the next back-edge visit reads the
+//!    iteration in between, once both checks have declined. Say it ran
+//!    with the loop variable `v` at `u` and retired k instructions. If
+//!    - `v` was the only stored value to change (one value-changing
+//!      commit, the step's), and nothing watches `v`;
+//!    - the path ran no NBA, system task or other back-edge, and read `v`
+//!      only in the head test, in the step and as the whole index of a
+//!      bit or indexed-part select, as `v`, `v ± c` or `c − v` for a
+//!      literal `c`;
+//!    - each such index is out of range for `u` and for the n values
+//!      after it that pass the head test before one fails (checked at both
+//!      ends of each stretch, where the index is monotone unless it
+//!      wraps, which is checked too); and
+//!    - the remaining budget pays for n·k instructions,
+//!
+//!    then each of those n iterations takes the same path, retires k
+//!    instructions and changes only `v`: an out-of-range select reads `x`
+//!    or drops its write whatever its index, and nothing else the path
+//!    reads changes. So the simulator charges n·k instructions, sets `v`
+//!    to its exit value, and replays what the n back-edges would have
+//!    done to the state-cycle check: their saves, O(log n) of them. No
+//!    skipped compare could match, because the saved pair is the armed
+//!    back-edge's or one saved among the skipped ones, and `v` takes no
+//!    value twice before the loop exits. No skipped counted check could
+//!    fire, because the loop exits within the budget.
+//!
+//! The fast-forward is exact: every trip lands on the same instruction,
+//! and every other counter reads as if the iterations were walked,
+//! `sim_instrs` included; only the walked work and the time fall, and
+//! `sim_skipped_instrs` counts what was charged unwalked. Its reference is
+//! the same simulator with the fast-forward off, which walks them.
 
+use crate::ast::BinaryOp;
 use crate::design::*;
 use crate::error::SimError;
 use crate::logic::{Bit, LogicVec};
@@ -114,6 +152,22 @@ struct LoopWatch {
     power: u64,
     /// Checked visits since the last save.
     lam: u64,
+    /// Set at a save made at a counted loop's back-edge and taken at the
+    /// next back-edge visit, so the fast-forward reads the iteration in
+    /// between.
+    armed: Option<Armed>,
+}
+
+/// A counted loop's back-edge visit that the fast-forward measures the
+/// next iteration from.
+#[derive(Clone, Copy)]
+struct Armed {
+    /// The back-edge.
+    pc: usize,
+    /// [`SimState::steps`] at the visit.
+    steps: u64,
+    /// [`SimState::changes`] at the visit.
+    changes: u64,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -201,6 +255,16 @@ impl Simulator {
         self
     }
 
+    /// Switches the detector's fast-forward of counted loops' dead tails
+    /// (on by default). With it off, those iterations are walked: the
+    /// fast-forward's reference in the differential tests, and nothing
+    /// else.
+    #[doc(hidden)]
+    pub fn fast_forward_loops(mut self, on: bool) -> Self {
+        self.state.fast_forward = on;
+        self
+    }
+
     /// Runs to `$finish`, event exhaustion, or `max_time`: a simulator
     /// performs one whole simulation.
     ///
@@ -222,6 +286,7 @@ impl Simulator {
             correctbench_obs::add(correctbench_obs::Counter::SimBudgetTrips, 1);
             correctbench_obs::add(correctbench_obs::Counter::SimTripInstrs, state.steps);
         }
+        correctbench_obs::add(correctbench_obs::Counter::SimSkippedInstrs, state.skipped);
         correctbench_obs::add(correctbench_obs::Counter::SimEvents, state.events);
         correctbench_obs::add(correctbench_obs::Counter::NbaCommits, state.nba_commits);
         out
@@ -256,6 +321,14 @@ struct SimState {
     nba_commits: u64,
     /// Whether back-edges run the runaway checks.
     detect_runaways: bool,
+    /// Whether the runaway detector fast-forwards dead loop tails.
+    fast_forward: bool,
+    /// Commits that changed a stored value: how the fast-forward knows
+    /// that an iteration changed nothing but its loop variable.
+    changes: u64,
+    /// Instructions charged to `steps` without being walked (measurement
+    /// only).
+    skipped: u64,
     /// The runaway detector's saved back-edge pair: the pc and the values
     /// of the running process's blocking-written signals. Only read
     /// within the activation that saved it.
@@ -301,6 +374,9 @@ impl SimState {
             events: 0,
             nba_commits: 0,
             detect_runaways: true,
+            fast_forward: true,
+            changes: 0,
+            skipped: 0,
             saved_pc: 0,
             saved_values: Vec::new(),
         }
@@ -412,6 +488,7 @@ impl SimState {
             visits: 0,
             power: 1,
             lam: 0,
+            armed: None,
         };
         loop {
             self.steps += 1;
@@ -448,11 +525,16 @@ impl SimState {
                 Instr::LoopBack { head, guard } => {
                     self.procs[i].pc = *head;
                     watch.visits += 1;
-                    if self.detect_runaways
-                        && watch.visits > LOOP_WATCH_GRACE
-                        && self.loop_runs_away(design, i, pc, *head, guard.as_ref(), &mut watch)
-                    {
-                        return Err(SimError::EventBudgetExhausted);
+                    if self.detect_runaways && watch.visits > LOOP_WATCH_GRACE {
+                        let armed = watch.armed.take();
+                        if self.loop_runs_away(design, i, pc, *head, guard.as_ref(), &mut watch) {
+                            return Err(SimError::EventBudgetExhausted);
+                        }
+                        if let (Some(a), Some(g)) = (armed, guard) {
+                            if a.pc == pc {
+                                self.skip_dead_tail(design, i, *head, g, a, &mut watch);
+                            }
+                        }
                     }
                 }
                 Instr::CaseJump {
@@ -461,35 +543,20 @@ impl SimState {
                     arms,
                     default,
                 } => {
-                    let store = self.store();
-                    let sel_w = arms
-                        .iter()
-                        .flat_map(|(ls, _)| ls.iter().map(|l| l.width))
-                        .fold(expr.width, usize::max);
-                    let sel = eval(expr, sel_w, &store);
-                    let mut target = *default;
-                    'arms: for (labels, t) in arms {
-                        for l in labels {
-                            let lv = eval(l, sel_w, &store);
-                            let hit = match kind {
-                                crate::ast::CaseKind::Case => sel.eq_case(&lv) == Bit::One,
-                                crate::ast::CaseKind::Casez => sel.casez_match(&lv),
-                                crate::ast::CaseKind::Casex => sel.casex_match(&lv),
-                            };
-                            if hit {
-                                target = *t;
-                                break 'arms;
-                            }
-                        }
-                    }
-                    self.procs[i].pc = target;
+                    self.procs[i].pc = self.case_target(expr, *kind, arms, *default);
                 }
                 Instr::Delay(d) => {
                     self.procs[i].pc = pc + 1;
                     self.procs[i].status = ProcStatus::Waiting;
                     self.seq += 1;
-                    self.timed
-                        .push(std::cmp::Reverse((self.time + d, self.seq, i)));
+                    // A wake-up beyond `u64::MAX` waits there instead of
+                    // wrapping `$time` backwards: past `max_time`, where the
+                    // run ends.
+                    self.timed.push(std::cmp::Reverse((
+                        self.time.saturating_add(*d),
+                        self.seq,
+                        i,
+                    )));
                     return Ok(());
                 }
                 Instr::WaitEvent(edges) => {
@@ -520,6 +587,37 @@ impl SimState {
                 }
             }
         }
+    }
+
+    /// The target of a `case` dispatch: the first arm with a matching
+    /// label, else `default`.
+    fn case_target(
+        &self,
+        expr: &RExpr,
+        kind: crate::ast::CaseKind,
+        arms: &[(Vec<RExpr>, usize)],
+        default: usize,
+    ) -> usize {
+        let store = self.store();
+        let sel_w = arms
+            .iter()
+            .flat_map(|(ls, _)| ls.iter().map(|l| l.width))
+            .fold(expr.width, usize::max);
+        let sel = eval(expr, sel_w, &store);
+        for (labels, t) in arms {
+            for l in labels {
+                let lv = eval(l, sel_w, &store);
+                let hit = match kind {
+                    crate::ast::CaseKind::Case => sel.eq_case(&lv) == Bit::One,
+                    crate::ast::CaseKind::Casez => sel.casez_match(&lv),
+                    crate::ast::CaseKind::Casex => sel.casex_match(&lv),
+                };
+                if hit {
+                    return *t;
+                }
+            }
+        }
+        default
     }
 
     // ---- runaway detection (see the module docs) ----
@@ -567,72 +665,277 @@ impl SimState {
         let (Some(g), Instr::JumpIfFalse(cond, _)) = (guard, &process.code[head]) else {
             return false;
         };
+        if self.fast_forward {
+            watch.armed = Some(Armed {
+                pc,
+                steps: self.steps,
+                changes: self.changes,
+            });
+        }
         self.counted_loop_outlives_budget(cond, g)
     }
 
     /// Whether the loop test `cond` of a counted loop holds for the next
     /// ⌊(max_steps − steps)/3⌋ + 1 head tests. Each iteration retires at
     /// least three instructions (head test, step, back-edge), so the loop
-    /// cannot exit before the budget runs out.
-    ///
-    /// The loop variable visits `v, v + step, …` modulo 2^width. While it
-    /// stays within one half of its range, its value read at any width
-    /// and signedness is monotone, so the test (a relation against a
-    /// loop-invariant bound) holds throughout a stretch when it holds at
-    /// both ends. The orbit repeats after 2^width / gcd(step, 2^width)
-    /// tests, which bounds the tests worth checking.
+    /// cannot exit before the budget runs out. The test is a relation
+    /// against a loop-invariant bound, so it holds throughout a
+    /// [`Stretch`] when it holds at both ends.
     fn counted_loop_outlives_budget(&mut self, cond: &RExpr, g: &CountedGuard) -> bool {
         let slot = g.var.0 as usize;
-        let Some(mut v) = self.values[slot].to_u64() else {
+        let Some(v) = self.values[slot].to_u64() else {
             return false;
         };
-        let width = self.values[slot].width() as u32;
-        let mut left = (self.limits.max_steps.saturating_sub(self.steps) / 3).saturating_add(1);
-        let period_log2 = width - g.step.trailing_zeros().min(width);
-        if period_log2 < 64 {
-            left = left.min(1 << period_log2);
-        }
-        let mask = u64::MAX >> (64 - width);
-        let low = mask >> 1;
-        let up = g.step <= low;
-        let delta = if up {
-            g.step
-        } else {
-            g.step.wrapping_neg() & mask
-        };
-        for _ in 0..MAX_STRETCHES {
-            let room = if up { (v | low) - v } else { v & low };
-            let n = room.checked_div(delta).map_or(left, |q| (q + 1).min(left));
-            let last = if up {
-                v + (n - 1) * delta
-            } else {
-                v - (n - 1) * delta
-            };
-            if !self.cond_holds_at(cond, g.var, v) || !self.cond_holds_at(cond, g.var, last) {
+        let tests = (self.limits.max_steps.saturating_sub(self.steps) / 3).saturating_add(1);
+        let mut stretches = Stretches::new(v, self.values[slot].width(), g.step, tests);
+        for s in stretches.by_ref().take(MAX_STRETCHES) {
+            if !self.cond_holds_at(cond, g.var, s.first)
+                || !self.cond_holds_at(cond, g.var, s.last())
+            {
                 return false;
             }
-            left -= n;
-            if left == 0 {
-                return true;
-            }
-            v = if up {
-                last.wrapping_add(delta)
-            } else {
-                last.wrapping_sub(delta)
-            } & mask;
         }
-        false
+        stretches.left == 0
     }
 
-    /// Evaluates the loop test `cond` with `var` read as `value`, leaving
-    /// the signal as it was.
+    /// The fast-forward (see the module docs), at the back-edge
+    /// `armed.pc` of the counted loop `g` whose head is `head`: when the
+    /// iteration that just ended there provably repeats unchanged until
+    /// the loop exits, and the budget pays for every repeat, charges them
+    /// without walking them, moves the loop variable to its exit value
+    /// and advances `watch` as the walked back-edges would have.
+    fn skip_dead_tail(
+        &mut self,
+        design: &Design,
+        i: usize,
+        head: usize,
+        g: &CountedGuard,
+        armed: Armed,
+        watch: &mut LoopWatch,
+    ) {
+        let slot = g.var.0 as usize;
+        // The step changed the variable, nothing else changed, and no
+        // write to the variable wakes anything.
+        if g.step == 0 || self.changes != armed.changes + 1 || !self.sig_watchers[slot].is_empty() {
+            return;
+        }
+        let Some(now) = self.values[slot].to_u64() else {
+            return;
+        };
+        let width = self.values[slot].width();
+        let mask = u64::MAX >> (64 - width);
+        // The value the iteration ran with, and the value `p` steps on.
+        let first = now.wrapping_sub(g.step) & mask;
+        let at = |p: u64| first.wrapping_add(p.wrapping_mul(g.step)) & mask;
+        let k = self.steps - armed.steps;
+        let code = &design.processes[i].code;
+        let Instr::JumpIfFalse(cond, _) = &code[head] else {
+            return;
+        };
+        let mut indices = Vec::new();
+        if self.dead_path(code, head, armed.pc, g.var, first, &mut indices) != Some(k) {
+            return;
+        }
+        let Some(n) = self
+            .dead_tail_exit(cond, g, first, k, &indices)
+            .and_then(|exit| exit.checked_sub(1))
+            .filter(|&n| n > 0)
+        else {
+            return;
+        };
+        // Walked, the n skipped back-edge visits (the j-th with the
+        // variable at `at(j + 1)`) would only replay Brent's saves, and
+        // those are O(log n).
+        let written = &design.processes[i].written;
+        let var_at = written
+            .binary_search(&g.var)
+            .expect("the step writes the loop variable");
+        debug_assert!(
+            self.saved_pc == armed.pc && self.saved_values[var_at].to_u64() == Some(first),
+            "the saved pair is the armed visit's"
+        );
+        let mut done = 0;
+        while watch.power - watch.lam <= n - done {
+            done += watch.power - watch.lam;
+            watch.power *= 2;
+            watch.lam = 0;
+            self.saved_values[var_at] = LogicVec::from_u64(width, at(done + 1));
+        }
+        watch.lam += n - done;
+        watch.visits += n;
+        self.values[slot] = LogicVec::from_u64(width, at(n + 1));
+        self.steps += n * k;
+        self.skipped += n * k;
+    }
+
+    /// Walks the path that the iteration from `head` to the back-edge
+    /// `back` took, reading `var` as `first`, the value it ran with (the
+    /// caller has shown that nothing else changed), and returns the
+    /// instructions it retires. `None` unless the path runs forward to
+    /// `back` with no NBA, system task or other back-edge, reading `var`
+    /// only in the head test, in the step and as a select index of a
+    /// shape that [`index_reads`] pushes onto `indices`.
+    fn dead_path<'d>(
+        &mut self,
+        code: &'d [Instr],
+        head: usize,
+        back: usize,
+        var: SignalId,
+        first: u64,
+        indices: &mut Vec<(&'d RExpr, SignalId)>,
+    ) -> Option<u64> {
+        let slot = var.0 as usize;
+        let probe = LogicVec::from_u64(self.values[slot].width(), first);
+        let actual = std::mem::replace(&mut self.values[slot], probe);
+        let mut pc = head;
+        let mut walked = 1;
+        let path = loop {
+            if pc == back {
+                break Some(walked);
+            }
+            walked += 1;
+            let next = match &code[pc] {
+                Instr::JumpIfFalse(cond, target) => {
+                    if pc != head && !reads_only_as_index(cond, var, indices) {
+                        break None;
+                    }
+                    let t = eval(cond, cond.width, &self.store()).truthy();
+                    if t == Bit::One {
+                        pc + 1
+                    } else {
+                        *target
+                    }
+                }
+                Instr::Assign(lhs, rhs) => {
+                    let is_step = pc == back - 1;
+                    let reads_ok = is_step
+                        || (lvalue_reads_only_as_index(lhs, var, indices)
+                            && reads_only_as_index(rhs, var, indices));
+                    if !reads_ok {
+                        break None;
+                    }
+                    pc + 1
+                }
+                Instr::Jump(target) => *target,
+                Instr::CaseJump {
+                    expr,
+                    kind,
+                    arms,
+                    default,
+                } => {
+                    let labels = arms.iter().flat_map(|(ls, _)| ls);
+                    if !reads_only_as_index(expr, var, indices)
+                        || !labels
+                            .into_iter()
+                            .all(|l| reads_only_as_index(l, var, indices))
+                    {
+                        break None;
+                    }
+                    self.case_target(expr, *kind, arms, *default)
+                }
+                _ => break None,
+            };
+            if next <= pc || next > back {
+                break None;
+            }
+            pc = next;
+        };
+        self.values[slot] = actual;
+        path
+    }
+
+    /// The orbit position (from `first` at 0) of the counted loop's first
+    /// failing head test, when it is at most one past the iterations the
+    /// remaining budget pays for at `k` instructions each, and every
+    /// select index in `indices` is out of range from `first` up to it.
+    /// Within a [`Stretch`] the test flips at most once, so a stretch
+    /// whose test holds at its start and fails at its end is bisected.
+    fn dead_tail_exit(
+        &mut self,
+        cond: &RExpr,
+        g: &CountedGuard,
+        first: u64,
+        k: u64,
+        indices: &[(&RExpr, SignalId)],
+    ) -> Option<u64> {
+        let width = self.values[g.var.0 as usize].width();
+        let pay = (self.limits.max_steps - self.steps) / k;
+        let mut seen = 0;
+        for s in Stretches::new(first, width, g.step, pay.saturating_add(2)).take(MAX_STRETCHES) {
+            let exit = if !self.cond_holds_at(cond, g.var, s.first) {
+                Some(0)
+            } else if self.cond_holds_at(cond, g.var, s.last()) {
+                None
+            } else {
+                let (mut holds, mut fails) = (0, s.count - 1);
+                while fails - holds > 1 {
+                    let mid = holds + (fails - holds) / 2;
+                    if self.cond_holds_at(cond, g.var, s.at(mid)) {
+                        holds = mid;
+                    } else {
+                        fails = mid;
+                    }
+                }
+                Some(fails)
+            };
+            // The stretch's values whose iterations run.
+            let live = exit.unwrap_or(s.count);
+            if live > 0 {
+                let span = (live - 1) * s.delta;
+                for (idx, sig) in indices {
+                    if !self.index_out_of_range(idx, *sig, g.var, s.first, s.at(live - 1), span) {
+                        return None;
+                    }
+                }
+            }
+            if let Some(p) = exit {
+                return Some(seen + p);
+            }
+            seen += s.count;
+        }
+        None
+    }
+
+    /// Whether the select index `idx` into `sig` is at or past the
+    /// signal's width, where a read is `x` and a write is dropped, for
+    /// every value of `var` in a stretch from `first` to `last`, `span`
+    /// apart. [`index_reads`] admits only `var` plus or minus a literal
+    /// or a literal minus `var`, at a width at least `var`'s, so the
+    /// index moves by exactly `span` between the ends unless it wraps.
+    fn index_out_of_range(
+        &mut self,
+        idx: &RExpr,
+        sig: SignalId,
+        var: SignalId,
+        first: u64,
+        last: u64,
+        span: u64,
+    ) -> bool {
+        if !(self.values[var.0 as usize].width()..=64).contains(&idx.width) {
+            return false;
+        }
+        let width = self.values[sig.0 as usize].width() as u64;
+        let ends = (
+            self.eval_at(idx, var, first).to_u64(),
+            self.eval_at(idx, var, last).to_u64(),
+        );
+        matches!(ends, (Some(a), Some(b)) if a >= width && b >= width && a.abs_diff(b) == span)
+    }
+
+    /// Whether the loop test `cond` holds with `var` read as `value`.
     fn cond_holds_at(&mut self, cond: &RExpr, var: SignalId, value: u64) -> bool {
+        self.eval_at(cond, var, value).truthy() == Bit::One
+    }
+
+    /// Evaluates `e` self-determined with `var` read as `value`, leaving
+    /// the signal as it was.
+    fn eval_at(&mut self, e: &RExpr, var: SignalId, value: u64) -> LogicVec {
         let slot = var.0 as usize;
         let probe = LogicVec::from_u64(self.values[slot].width(), value);
         let actual = std::mem::replace(&mut self.values[slot], probe);
-        let holds = eval(cond, cond.width, &self.store()).truthy() == Bit::One;
+        let out = eval(e, e.width, &self.store());
         self.values[slot] = actual;
-        holds
+        out
     }
 
     fn render(&self, args: &[RSysArg], skip: usize) -> String {
@@ -785,6 +1088,7 @@ impl SimState {
             return;
         }
         let new_lsb = slot.bit(0);
+        self.changes += 1;
 
         // Wake watchers. Edge-qualified watchers look at bit 0 (clocks and
         // resets are 1-bit in practice). The list is compacted in place —
@@ -836,6 +1140,167 @@ impl SimState {
             }
             ws.retain(|w| !matches!(w, Watcher::Process { idx, .. } if *idx == proc));
         }
+    }
+}
+
+/// The values `v, v + step, v + 2·step, …` (mod 2^width) that a counted
+/// loop's variable walks, cut into [`Stretch`]es.
+struct Stretches {
+    /// First value of the next stretch.
+    next: u64,
+    /// Values not yet covered.
+    left: u64,
+    /// `2^width − 1`.
+    mask: u64,
+    /// Whether the walk counts up, by `delta`; else down.
+    up: bool,
+    delta: u64,
+}
+
+impl Stretches {
+    /// The first `left` values of the walk from `v`, capped at its
+    /// period: the walk repeats after 2^width / gcd(step, 2^width) values.
+    fn new(v: u64, width: usize, step: u64, left: u64) -> Self {
+        let width = width as u32;
+        let mask = u64::MAX >> (64 - width);
+        let up = step <= mask >> 1;
+        let delta = if up { step } else { step.wrapping_neg() & mask };
+        let period_log2 = width - step.trailing_zeros().min(width);
+        let left = if period_log2 < 64 {
+            left.min(1 << period_log2)
+        } else {
+            left
+        };
+        Stretches {
+            next: v,
+            left,
+            mask,
+            up,
+            delta,
+        }
+    }
+}
+
+impl Iterator for Stretches {
+    type Item = Stretch;
+
+    fn next(&mut self) -> Option<Stretch> {
+        if self.left == 0 {
+            return None;
+        }
+        let v = self.next;
+        let low = self.mask >> 1;
+        let room = if self.up { (v | low) - v } else { v & low };
+        let count = room
+            .checked_div(self.delta)
+            .map_or(self.left, |q| (q + 1).min(self.left));
+        let s = Stretch {
+            first: v,
+            count,
+            up: self.up,
+            delta: self.delta,
+        };
+        self.left -= count;
+        self.next = if self.up {
+            s.last().wrapping_add(self.delta)
+        } else {
+            s.last().wrapping_sub(self.delta)
+        } & self.mask;
+        Some(s)
+    }
+}
+
+/// A run of `count` values of a counted loop's walk, `delta` apart, that
+/// stays within one half of the variable's range. There the variable's
+/// value, read at any width and signedness, is monotone.
+#[derive(Clone, Copy)]
+struct Stretch {
+    first: u64,
+    count: u64,
+    up: bool,
+    delta: u64,
+}
+
+impl Stretch {
+    /// The value `j` steps after `first` (`j < count`).
+    fn at(&self, j: u64) -> u64 {
+        if self.up {
+            self.first + j * self.delta
+        } else {
+            self.first - j * self.delta
+        }
+    }
+
+    fn last(&self) -> u64 {
+        self.at(self.count - 1)
+    }
+}
+
+/// Whether `e` reads `var` only as a whole select index that
+/// [`index_reads`] admits, pushing each such index onto `indices`.
+fn reads_only_as_index<'d>(
+    e: &'d RExpr,
+    var: SignalId,
+    indices: &mut Vec<(&'d RExpr, SignalId)>,
+) -> bool {
+    match &e.kind {
+        RExprKind::Lit(_) | RExprKind::Time => true,
+        RExprKind::Sig(s) | RExprKind::Part(s, ..) => *s != var,
+        RExprKind::Bit(s, idx) | RExprKind::IndexedPart(s, idx, _) => {
+            *s != var && index_reads(*s, idx, var, indices)
+        }
+        RExprKind::Unary(_, a) | RExprKind::Repl(_, a) => reads_only_as_index(a, var, indices),
+        RExprKind::Binary(_, a, b) => {
+            reads_only_as_index(a, var, indices) && reads_only_as_index(b, var, indices)
+        }
+        RExprKind::Ternary(c, a, b) => [c, a, b]
+            .into_iter()
+            .all(|e| reads_only_as_index(e, var, indices)),
+        RExprKind::Concat(es) => es.iter().all(|e| reads_only_as_index(e, var, indices)),
+    }
+}
+
+/// [`reads_only_as_index`] for an assignment target.
+fn lvalue_reads_only_as_index<'d>(
+    lv: &'d RLValue,
+    var: SignalId,
+    indices: &mut Vec<(&'d RExpr, SignalId)>,
+) -> bool {
+    match lv {
+        RLValue::Sig(_) | RLValue::Part(..) => true,
+        RLValue::Bit(s, idx) | RLValue::IndexedPart(s, idx, _) => {
+            index_reads(*s, idx, var, indices)
+        }
+        RLValue::Concat(parts) => parts
+            .iter()
+            .all(|p| lvalue_reads_only_as_index(p, var, indices)),
+    }
+}
+
+/// Whether the index `idx` of a select into `sig` reads `var` only in an
+/// admitted shape. An index of the shape `var`, `var ± c`, `c + var` or
+/// `c − var`, for a literal `c`, is admitted whole and pushed onto
+/// `indices`; any other index must read `var` only as admitted indices.
+fn index_reads<'d>(
+    sig: SignalId,
+    idx: &'d RExpr,
+    var: SignalId,
+    indices: &mut Vec<(&'d RExpr, SignalId)>,
+) -> bool {
+    let is_var = |e: &RExpr| matches!(e.kind, RExprKind::Sig(s) if s == var);
+    let is_lit = |e: &RExpr| matches!(e.kind, RExprKind::Lit(_));
+    let offset = match &idx.kind {
+        RExprKind::Sig(s) => *s == var,
+        RExprKind::Binary(BinaryOp::Add | BinaryOp::Sub, a, b) => {
+            (is_var(a) && is_lit(b)) || (is_lit(a) && is_var(b))
+        }
+        _ => false,
+    };
+    if offset {
+        indices.push((idx, sig));
+        true
+    } else {
+        reads_only_as_index(idx, var, indices)
     }
 }
 
@@ -986,6 +1451,19 @@ mod tests {
         detect: bool,
         max_steps: u64,
     ) -> (Result<SimOutput, SimError>, u64) {
+        let (out, instrs, _) = run_switched(design, detect, true, max_steps);
+        (out, instrs)
+    }
+
+    /// [`run_counted`] with the fast-forward switched too; also returns
+    /// the instructions charged without being walked.
+    fn run_switched(
+        design: &Arc<Design>,
+        detect: bool,
+        fast_forward: bool,
+        max_steps: u64,
+    ) -> (Result<SimOutput, SimError>, u64, u64) {
+        use correctbench_obs::Counter;
         let limits = SimLimits {
             max_steps,
             ..SimLimits::default()
@@ -993,9 +1471,30 @@ mod tests {
         let _obs = correctbench_obs::ObsStack::enabled().install();
         let out = Simulator::with_limits(Arc::clone(design), limits)
             .detect_runaways(detect)
+            .fast_forward_loops(fast_forward)
             .run();
         let obs = correctbench_obs::take_job().expect("collector armed");
-        (out, obs.counter(correctbench_obs::Counter::SimInstrs))
+        let skipped = obs.counter(Counter::SimSkippedInstrs);
+        if !(detect && fast_forward) {
+            assert_eq!(skipped, 0, "only the fast-forward skips");
+        }
+        (out, obs.counter(Counter::SimInstrs), skipped)
+    }
+
+    /// Asserts two runs of one design ended alike.
+    fn assert_same_end(
+        a: &Result<SimOutput, SimError>,
+        b: &Result<SimOutput, SimError>,
+        what: &str,
+    ) {
+        match (a, b) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.lines, b.lines, "{what}: lines");
+                assert_eq!((a.end_time, a.finished), (b.end_time, b.finished), "{what}");
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b, "{what}: errors"),
+            _ => panic!("{what}: the runs ended differently: {a:?} vs {b:?}"),
+        }
     }
 
     /// Per zero-time back-edge of the design, whether it carries a
@@ -1110,14 +1609,13 @@ mod tests {
             assert_eq!(loop_guards(&design), guards, "{name}: classification");
             let (on, on_steps) = run_counted(&design, true, BUDGET);
             let (off, off_steps) = run_counted(&design, false, BUDGET);
-            match (&on, &off) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.lines, b.lines, "{name}: lines");
-                    assert_eq!((a.end_time, a.finished), (b.end_time, b.finished), "{name}");
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b, "{name}: errors"),
-                _ => panic!("{name}: detection changed the result: {on:?} vs {off:?}"),
-            }
+            assert_same_end(&on, &off, name);
+            let (walked, walked_steps, _) = run_switched(&design, true, false, BUDGET);
+            assert_same_end(&on, &walked, name);
+            assert_eq!(
+                on_steps, walked_steps,
+                "{name}: the fast-forward charges exactly"
+            );
             match ends {
                 EarlyTrip => {
                     assert!(matches!(off, Err(SimError::EventBudgetExhausted)), "{name}");
@@ -1149,30 +1647,220 @@ mod tests {
         // at the failing head test), so the loop must run out in full;
         // with three fewer the last back-edge trips, inside the loop, and
         // the detector proves it early.
+        // The fast-forward skips the loop's empty tail whenever the budget
+        // pays for all of it, and charges it exactly.
         let design = design_of(
             "module tb;\ninteger i;\ninitial begin\nfor (i = 0; i < 1000; i = i + 1) ;\n$finish;\nend\nendmodule",
         );
         assert_eq!(loop_guards(&design), vec![true]);
         let (out, needed) = run_counted(&design, false, 1_000_000);
         assert!(out.expect("finite loop").finished);
-        for detect in [true, false] {
-            let (out, steps) = run_counted(&design, detect, needed);
-            assert!(out.expect("exact budget completes").finished, "{detect}");
-            assert_eq!(steps, needed, "{detect}");
+        for (detect, fast_forward) in [(true, true), (true, false), (false, false)] {
+            let what = format!("detect {detect}, fast-forward {fast_forward}");
+            let (out, steps, skipped) = run_switched(&design, detect, fast_forward, needed);
+            assert!(out.expect("exact budget completes").finished, "{what}");
+            assert_eq!(steps, needed, "{what}");
+            assert_eq!(skipped > 0, fast_forward, "{what}: skipped {skipped}");
             for short in 1..=3 {
                 let budget = needed - short;
-                let (out, steps) = run_counted(&design, detect, budget);
+                let (out, steps, skipped) = run_switched(&design, detect, fast_forward, budget);
                 assert!(
                     matches!(out, Err(SimError::EventBudgetExhausted)),
-                    "{detect} {budget}: {out:?}"
+                    "{what} {budget}: {out:?}"
                 );
                 if detect && short == 3 {
-                    assert!(steps < budget / 10, "{detect} {budget}: tripped at {steps}");
+                    assert!(steps < budget / 10, "{what} {budget}: tripped at {steps}");
+                    assert_eq!(skipped, 0, "{what} {budget}: the counted check trips first");
                 } else {
-                    assert_eq!(steps, budget + 1, "{detect} {budget}: ran to the budget");
+                    assert_eq!(steps, budget + 1, "{what} {budget}: ran to the budget");
+                    assert_eq!(
+                        skipped > 0,
+                        fast_forward,
+                        "{what} {budget}: skipped {skipped}"
+                    );
                 }
             }
         }
+    }
+
+    #[test]
+    fn dead_loop_tails_fast_forward_exactly_or_not_at_all() {
+        const BUDGET: u64 = 1_000_000;
+        let tb = |decls: &str, body: &str| {
+            format!(
+                "module tb;\nreg [7:0] d;\nreg [15:0] r;\nreg [2:0] y;\ninteger i;\n{decls}\ninitial begin\nd = 8'h24;\nr = 16'h0;\ny = 3'd0;\n{body}\n$display(\"y=%0d r=%h\", y, r);\n$finish;\nend\nendmodule"
+            )
+        };
+        // (name, source, whether the fast-forward skips)
+        let cases: Vec<(&str, String, bool)> = vec![
+            (
+                "bit-flipped bound past a bit select",
+                tb(
+                    "",
+                    "for (i = 0; i < 16392; i = i + 1) if (d[i]) y = i[2:0];",
+                ),
+                true,
+            ),
+            (
+                "reversal writes and reads out of range",
+                tb("", "for (i = 0; i < 32784; i = i + 1) r[i] = d[15 - i];"),
+                true,
+            ),
+            (
+                "step of three",
+                tb("", "for (i = 0; i < 8200; i = i + 3) if (!d[i]) y = 3'd7;"),
+                true,
+            ),
+            (
+                "indexed part select and an offset index",
+                tb(
+                    "",
+                    "for (i = 0; i < 9000; i = i + 1) r[i +: 2] = {d[i + 1], d[i - 1]};",
+                ),
+                true,
+            ),
+            (
+                "count-down that leaves the range",
+                tb("", "for (i = 9000; i > 3; i = i - 1) if (d[i]) y = 3'd1;"),
+                false,
+            ),
+            (
+                "a $display in the body",
+                tb(
+                    "",
+                    "for (i = 0; i < 300; i = i + 1) $display(\"%b\", d[i]);",
+                ),
+                false,
+            ),
+            (
+                "an NBA in the body",
+                tb("reg q;", "for (i = 0; i < 9000; i = i + 1) q <= d[i];"),
+                false,
+            ),
+            (
+                "an in-range read of the variable on the taken path",
+                tb(
+                    "",
+                    "for (i = 0; i < 9000; i = i + 1) if (d[i - 8992]) y = 3'd1;",
+                ),
+                false,
+            ),
+            (
+                "an index that wraps through the range between a stretch's ends",
+                tb(
+                    "",
+                    "for (i = 0; i < 9100; i = i + 1) if (d[i - 8992]) y = 3'd1;",
+                ),
+                false,
+            ),
+            (
+                "a read of the variable outside an index",
+                tb(
+                    "",
+                    "for (i = 0; i < 9000; i = i + 1) if (d[i] ^ i[0]) y = 3'd1;",
+                ),
+                false,
+            ),
+            (
+                "a comparison with the variable",
+                tb(
+                    "",
+                    "for (i = 0; i < 16392; i = i + 1) if (i == 12000) y = 3'd5;",
+                ),
+                false,
+            ),
+            (
+                // The first armed iteration runs with `i == 65` (after the
+                // 64-visit grace) and reads `d[7]`, in range; the fast-forward
+                // declines it and fires at the next save.
+                "the armed iteration reads in range, later ones out of range",
+                tb(
+                    "",
+                    "y = 3'd1;\nfor (i = 0; i < 9000; i = i + 1) if (!d[i - 58]) y = 3'd1;",
+                ),
+                true,
+            ),
+            (
+                "a continuous assign reads the variable",
+                tb(
+                    "wire [31:0] w;\nassign w = i;",
+                    "for (i = 0; i < 9000; i = i + 1) if (d[i]) y = 3'd1;",
+                ),
+                false,
+            ),
+            (
+                "the body changes another signal",
+                tb(
+                    "reg [31:0] n;",
+                    "n = 0;\nfor (i = 0; i < 9000; i = i + 1) if (d[i]) n = 0; else n = n + 1;",
+                ),
+                false,
+            ),
+            (
+                "the body changes and restores another signal",
+                tb(
+                    "reg t;",
+                    "for (i = 0; i < 9000; i = i + 1) begin t = d[i]; t = 0; end",
+                ),
+                false,
+            ),
+        ];
+        for (name, src, skips) in cases {
+            let design = design_of(&src);
+            let (on, on_steps, skipped) = run_switched(&design, true, true, BUDGET);
+            let (walked, walked_steps, _) = run_switched(&design, true, false, BUDGET);
+            let (off, _, _) = run_switched(&design, false, false, BUDGET);
+            assert!(on.as_ref().is_ok_and(|o| o.finished), "{name}: {on:?}");
+            assert_same_end(&on, &walked, name);
+            assert_same_end(&on, &off, name);
+            assert_eq!(on_steps, walked_steps, "{name}: the charge is exact");
+            assert_eq!(
+                skipped > 0,
+                skips,
+                "{name}: skipped {skipped} of {on_steps}"
+            );
+            if skips {
+                assert!(
+                    skipped > on_steps / 2,
+                    "{name}: skipped {skipped} of {on_steps}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fast_forwarded_inner_loop_then_outer_runaway_trips_on_the_same_instruction() {
+        // The outer loop is a state cycle (`i | 1` from 1). The inner
+        // loop's tail past `d`'s width is dead, so the fast-forward skips
+        // it in every pass that an armed back-edge reaches. The state-cycle
+        // check saves a pair inside the first pass's skipped tail, and the
+        // second pass repeats it: the cycle must be found on the same
+        // instruction as when every iteration is walked.
+        const BUDGET: u64 = 1_000_000;
+        let design = design_of(
+            "module tb;\nreg [7:0] d;\nreg [2:0] y;\ninteger i, j;\ninitial begin\nd = 8'h05;\ny = 3'd0;\nfor (i = 1; i < 8; i = i | 1)\nfor (j = 0; j < 20000; j = j + 1) if (d[j]) y = j[2:0];\n$finish;\nend\nendmodule",
+        );
+        assert_eq!(loop_guards(&design), vec![true, false]);
+        let (on, on_steps, skipped) = run_switched(&design, true, true, BUDGET);
+        let (walked, walked_steps, _) = run_switched(&design, true, false, BUDGET);
+        assert!(matches!(on, Err(SimError::EventBudgetExhausted)), "{on:?}");
+        assert_same_end(&on, &walked, "nest");
+        assert_eq!(on_steps, walked_steps, "trips on the same instruction");
+        assert!(on_steps < BUDGET / 2, "caught early: {on_steps}");
+        assert!(skipped > 0, "the inner tail was skipped");
+    }
+
+    #[test]
+    fn huge_delay_saturates_instead_of_wrapping_time() {
+        // `5 + (2^64 - 1)` would wrap to 4 and run time backwards; the
+        // wake-up lands past `max_time` instead, where the run ends.
+        let out = run(
+            "module tb;\nreg a;\ninitial begin\na = 0;\n#5 a = 1;\n#18446744073709551615 a = 0;\n$display(\"t=%0d\", $time);\n$finish;\nend\nendmodule",
+            "tb",
+        );
+        assert!(out.lines.is_empty(), "{:?}", out.lines);
+        assert!(!out.finished);
+        assert_eq!(out.end_time, 5);
     }
 
     #[test]
