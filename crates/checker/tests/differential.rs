@@ -103,7 +103,7 @@ proptest! {
         let file = correctbench_verilog::parse(&src).expect("generated module parses");
         // Simulate through the event simulator.
         let full = format!("{}\n{}", src, driver_source(&inputs));
-        let sim = correctbench_verilog::run_source(&full, "tb").expect("simulates");
+        let sim = correctbench_verilog::run_source(&full, "tb").expect("simulates").lines();
         // Interpret through the checker IR.
         let checker = compile_module(&file.modules[0]).expect("compiles");
         let mut state = CheckerState::new(&checker);
@@ -114,7 +114,7 @@ proptest! {
             in_map.insert("i2".to_string(), LogicVec::from_u64(8, *c as u64));
             let out = step(&checker, &mut state, &in_map).expect("steps");
             let expect = out["y"].to_decimal_string();
-            let got = sim.lines[k].strip_prefix("y=").expect("record");
+            let got = sim[k].strip_prefix("y=").expect("record");
             prop_assert_eq!(
                 got, expect.as_str(),
                 "divergence at step {} of {} for {}", k, src, render(&e)

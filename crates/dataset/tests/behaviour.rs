@@ -40,7 +40,7 @@ fn run_cmb(problem: &str, drives: &[(&str, u64)], outputs: &[&str]) -> Vec<Strin
     tb.push_str(&format!("#1 $display(\"{}\", {args});\n", fmt.join(" ")));
     tb.push_str("$finish;\nend\nendmodule\n");
     let full = format!("{}\n{}", p.golden_rtl, tb);
-    run_source(&full, "tb").expect("simulate").lines
+    run_source(&full, "tb").expect("simulate").lines()
 }
 
 #[test]
@@ -217,7 +217,7 @@ fn run_seq(problem: &str, cycles: &[&[(&str, u64)]], outputs: &[&str]) -> Vec<St
     }
     tb.push_str("$finish;\nend\nendmodule\n");
     let full = format!("{}\n{}", p.golden_rtl, tb);
-    run_source(&full, "tb").expect("simulate").lines
+    run_source(&full, "tb").expect("simulate").lines()
 }
 
 #[test]

@@ -113,6 +113,7 @@ fn timings_lines_pin_field_set_and_order() {
                 "sim_budget_trips",
                 "sim_trip_instrs",
                 "sim_skipped_instrs",
+                "render_bytes",
                 "judge_commits",
                 "parse_bytes",
                 "sim_cache_hits",
@@ -259,9 +260,9 @@ fn summary_contains_latency_percentile_table() {
 #[test]
 fn report_reads_sidecars_from_before_the_wasted_work_counters() {
     // Counters are read by name, so a sidecar written before
-    // `sim_budget_trips`/`sim_trip_instrs`, `sim_skipped_instrs` or
-    // `parse_bytes` existed still reports, with the missing counters at
-    // zero.
+    // `sim_budget_trips`/`sim_trip_instrs`, `sim_skipped_instrs`,
+    // `render_bytes` or `parse_bytes` existed still reports, with the
+    // missing counters at zero.
     let dir = std::env::temp_dir().join(format!("correctbench_old_sidecar_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("timings.jsonl");
@@ -300,6 +301,8 @@ fn report_reads_sidecars_from_before_the_wasted_work_counters() {
         Some("0"),
         "{text}"
     );
+    // Nor did `render_bytes`.
+    assert_eq!(counter("render_bytes").as_deref(), Some("0"), "{text}");
     // Nor did `parse_bytes`.
     assert_eq!(counter("parse_bytes").as_deref(), Some("0"), "{text}");
     // The run line predates `peak_rss_bytes`: reported without it.

@@ -12,8 +12,8 @@
 //!   wall time actually covered by spans — never double-counted.
 //! * [`add`] bumps a [`Counter`] (simulation events, retired process
 //!   instructions, NBA commits, budget-exhausted runs and their
-//!   instructions, judge slot commits, bytes parsed, per-layer cache hits
-//!   and misses)
+//!   instructions, display text rendered, judge slot commits, bytes
+//!   parsed, per-layer cache hits and misses)
 //!   for the job that incurred it.
 //!
 //! [`take_job`] drains the collector into a [`JobObs`] snapshot and
@@ -44,13 +44,17 @@ pub enum Phase {
     /// simulator walks it directly. The phase stays because
     /// `perfbench-trace` reads it.
     Compile,
-    /// Event-driven simulation (`Simulator::run`).
+    /// Event-driven simulation (`Simulator::run`), including capturing
+    /// what the displays print: a record display's values, any other
+    /// display's rendered line.
     Simulate,
     /// Checker judging, compiled or interpreted.
     Judge,
     /// LLM request round-trips.
     Llm,
-    /// CorrectBench validator verdicts.
+    /// CorrectBench validator verdicts: the self time of the validator's
+    /// RS matrix around the runs it makes. A generated driver's records
+    /// reach the judge as values, so no record parsing lands here.
     Validate,
     /// AutoEval Eval0/1/2 ladder.
     Autoeval,
@@ -109,6 +113,10 @@ pub enum Counter {
     /// the fast-forwarded dead tails of counted loops (part of
     /// `SimInstrs`).
     SimSkippedInstrs,
+    /// Bytes of display text the simulator rendered, as line lengths
+    /// without newlines. A record display captured as values renders
+    /// nothing, so this counts only the other displays' lines.
+    RenderBytes,
     /// Compiled-judge register slot commits.
     JudgeCommits,
     /// Source bytes handed to the Verilog parser.
@@ -136,7 +144,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array-index domain).
-    pub const COUNT: usize = 17;
+    pub const COUNT: usize = 18;
 
     /// Every counter, in canonical (artifact) order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -146,6 +154,7 @@ impl Counter {
         Counter::SimBudgetTrips,
         Counter::SimTripInstrs,
         Counter::SimSkippedInstrs,
+        Counter::RenderBytes,
         Counter::JudgeCommits,
         Counter::ParseBytes,
         Counter::SimCacheHits,
@@ -168,6 +177,7 @@ impl Counter {
             Counter::SimBudgetTrips => "sim_budget_trips",
             Counter::SimTripInstrs => "sim_trip_instrs",
             Counter::SimSkippedInstrs => "sim_skipped_instrs",
+            Counter::RenderBytes => "render_bytes",
             Counter::JudgeCommits => "judge_commits",
             Counter::ParseBytes => "parse_bytes",
             Counter::SimCacheHits => "sim_cache_hits",
@@ -631,6 +641,7 @@ mod tests {
         assert_eq!(phases[Phase::Lint as usize], "lint");
         let counters: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(counters[0], "sim_events");
+        assert_eq!(counters[Counter::RenderBytes as usize], "render_bytes");
         assert_eq!(counters[Counter::ParseBytes as usize], "parse_bytes");
         assert_eq!(counters[Counter::GoldenMisses as usize], "golden_misses");
         assert_eq!(counters[Counter::LintDiags as usize], "lint_diags");

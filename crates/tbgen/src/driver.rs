@@ -180,8 +180,9 @@ mod tests {
         let full = format!("{}\n{}", p.golden_rtl, driver);
         let out = correctbench_verilog::run_source(&full, TB_MODULE).expect("simulate");
         assert!(out.finished, "driver must reach $finish");
-        assert_eq!(out.lines.len(), scen.total_stimuli());
-        assert!(out.lines[0].starts_with("scenario: 1, "));
+        let lines = out.lines();
+        assert_eq!(lines.len(), scen.total_stimuli());
+        assert!(lines[0].starts_with("scenario: 1, "));
     }
 
     #[test]

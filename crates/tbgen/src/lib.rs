@@ -52,7 +52,7 @@ pub use coverage::{CoverageReport, SignalCoverage};
 pub use driver::{generate_driver, record_format, Driver, TB_MODULE};
 pub use golden::{GoldenArtifacts, GoldenCache, GoldenKey};
 pub use memo::CacheStats;
-pub use record::{parse_record, parse_records, FieldValue, Record, RecordBinding};
+pub use record::{parse_record, parse_records, typed_records, FieldValue, Record, RecordBinding};
 pub use runner::{
     elaborate_pair, judge_records, limits_for, reference_run, ScenarioResult, TbError, TbRun,
 };

@@ -1,18 +1,23 @@
 //! What a testbench run produces and the pieces every run shares: the
 //! verdict types, [`elaborate_pair`] (the design a run executes),
 //! [`limits_for`] (its simulation bounds), the simulation half of every
-//! run (elaborate the pair, run one fresh [`Simulator`], capture its
-//! records), the interpreted checker judge [`judge_records`], and
-//! [`reference_run`], the uncached, unbudgeted run that
-//! [`crate::EvalSession`] (the way jobs execute: the validator's
-//! RS-matrix rows, Eval1/Eval2) is tested against.
+//! run (`simulate_records`: elaborate the pair, run one fresh
+//! [`Simulator`], capture what its displays print), the interpreted
+//! checker judge [`judge_records`], and [`reference_run`], the uncached,
+//! unbudgeted run that [`crate::EvalSession`] (the way jobs execute: the
+//! validator's RS-matrix rows, Eval1/Eval2) is tested against. The
+//! session judges a run's records from their values; the reference
+//! renders them to text and parses them back, as the paper's Python
+//! checker reads the Verilog driver's output.
 
 use crate::record::{parse_records, FieldValue, Record};
 use crate::scenarios::ScenarioSet;
 use correctbench_checker::{step, CheckerProgram, CheckerRunError, CheckerState};
 use correctbench_dataset::Problem;
 use correctbench_verilog::ast::SourceFile;
-use correctbench_verilog::{elaborate_files, Design, SimError, SimLimits, Simulator, VerilogError};
+use correctbench_verilog::{
+    elaborate_files, Design, SimError, SimLimits, SimOutput, Simulator, VerilogError,
+};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -85,11 +90,14 @@ impl From<CheckerRunError> for TbError {
     }
 }
 
-/// Simulates `driver` against `dut` under `limits` and returns the
-/// captured records: the simulation half of every run,
+/// Simulates `driver` against `dut` under `limits` and returns what its
+/// displays printed: the simulation half of every run,
 /// [`crate::EvalSession`]'s and [`reference_run`]'s alike. Every call
-/// elaborates the pair and runs one fresh [`Simulator`]. `binding` says
-/// whether a job budget lowered `limits.max_steps`
+/// elaborates the pair and runs one fresh [`Simulator`], which captures
+/// each record display as values and renders every other display. The
+/// session judges the typed view ([`SimOutput::printed`]);
+/// [`reference_run`] parses the text view ([`SimOutput::lines`]).
+/// `binding` says whether a job budget lowered `limits.max_steps`
 /// ([`classify_sim_err`]).
 ///
 /// # Errors
@@ -100,12 +108,11 @@ pub(crate) fn simulate_records(
     driver: &SourceFile,
     limits: SimLimits,
     binding: bool,
-) -> Result<Vec<Record>, TbError> {
+) -> Result<SimOutput, TbError> {
     let design = elaborate_pair(dut, driver)?;
-    let out = Simulator::with_limits(design, limits)
+    Ok(Simulator::with_limits(design, limits)
         .run()
-        .map_err(|e| classify_sim_err(e, binding))?;
-    Ok(parse_records(&out.lines))
+        .map_err(|e| classify_sim_err(e, binding))?)
 }
 
 /// Classifies a simulation error under a budgeted run: a *binding*
@@ -152,8 +159,9 @@ pub fn limits_for(scenarios: &ScenarioSet) -> SimLimits {
 
 /// The executable reference for one testbench run: the session's
 /// simulation half under [`limits_for`] (a fresh [`elaborate_pair`], a
-/// fresh [`Simulator`]) and the checker interpreter ([`judge_records`]),
-/// with no session, no cache and no budget. Jobs
+/// fresh [`Simulator`]), its text view parsed ([`parse_records`]) and
+/// the checker interpreter ([`judge_records`]), with no session, no
+/// cache and no budget. Jobs
 /// run through [`crate::EvalSession`]; the session tests and the golden
 /// keystone test compare against this.
 ///
@@ -168,7 +176,8 @@ pub fn reference_run(
     problem: &Problem,
     scenarios: &ScenarioSet,
 ) -> Result<TbRun, TbError> {
-    let records = simulate_records(dut, driver, limits_for(scenarios), false)?;
+    let out = simulate_records(dut, driver, limits_for(scenarios), false)?;
+    let records = parse_records(&out.lines());
     let results = judge_records(&records, checker, problem, scenarios.len())?;
     Ok(TbRun { results })
 }

@@ -8,8 +8,8 @@
 //!
 //! * the **compiled checker** ([`JudgeSession`]) — IR flattened to slot
 //!   bytecode once, stepped positionally ever after;
-//! * the **record bindings** — `(checker input → record field, port
-//!   width)` resolved to indices once, not string-searched per record;
+//! * the **record bindings** — each checker input and output given a
+//!   slot once, with its port width;
 //! * the **judging buffers** (per-scenario flags, positional inputs).
 //!
 //! A session takes the [`SimCache`] and the simulation budget of the
@@ -21,22 +21,33 @@
 //! driver. A miss clamps the
 //! run's limits to the budget, elaborates the pair and runs one fresh
 //! [`Simulator`] — the simulation half [`crate::reference_run`] runs too
-//! — and judges the records with the compiled checker. Its results equal
-//! [`crate::reference_run`]'s (the same simulation, the interpreted
-//! checker), which this module's tests pin run by run.
+//! — and judges the records with the compiled checker.
+//!
+//! The judge reads the run's typed view ([`SimOutput::printed`]), not its
+//! text. Each record format's field names are resolved to binding slots
+//! once per run, the first occurrence of a name winning as in
+//! [`Record::field`], and each record display's values are read with the
+//! text semantics, as [`typed_records`] reads them. The rare line of any
+//! other display goes through [`parse_record`] and a per-record binding,
+//! in print order. So no record is rendered, parsed or looked up by name.
+//! The results equal [`crate::reference_run`]'s (the same simulation, its
+//! text view parsed, the interpreted checker), which this module's tests
+//! and `tests/typed_records.rs` pin run by run.
 //!
 //! [`Simulator`]: correctbench_verilog::Simulator
+//! [`Record::field`]: crate::Record::field
+//! [`typed_records`]: crate::typed_records
 
 use crate::cache::{CacheKey, SimCache};
 use crate::context::EvalContext;
-use crate::record::{Record, RecordBinding};
+use crate::record::{parse_record, read_values, FieldValue, RecordBinding};
 use crate::runner::{limits_for, simulate_records, ScenarioResult, TbError, TbRun};
 use crate::scenarios::ScenarioSet;
 use correctbench_checker::{CheckerProgram, JudgeSession};
 use correctbench_dataset::Problem;
 use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::hash::{fingerprint, Fingerprint};
-use correctbench_verilog::{LogicVec, SimLimits};
+use correctbench_verilog::{LogicVec, Printed, SimLimits, SimOutput};
 use std::sync::Arc;
 
 /// A reusable evaluation session for one `(problem, checker)` pair.
@@ -71,11 +82,19 @@ pub struct EvalSession {
     cache: Option<Arc<SimCache>>,
     /// The context's simulation budget, clamping every run's limits.
     sim_budget: Option<u64>,
-    judge: JudgeSession,
-    /// Record-field resolution for the checker's inputs and outputs,
-    /// re-indexed per record (first-occurrence semantics, exactly like
-    /// [`Record::field`]).
+    /// Record-field resolution for the checker's inputs and outputs
+    /// (first-occurrence semantics, exactly like [`Record::field`]).
+    ///
+    /// [`Record::field`]: crate::Record::field
     binding: RecordBinding,
+    /// The current record display's field values.
+    fields: Vec<FieldValue>,
+    verdicts: Verdicts,
+}
+
+/// The compiled checker and the verdicts of the stream it is judging.
+struct Verdicts {
+    judge: JudgeSession,
     /// Per checker input: its binding slot and the port width the
     /// record prints it at.
     input_slots: Vec<(usize, usize)>,
@@ -118,13 +137,16 @@ impl EvalSession {
             problem_fp: fingerprint(&(&problem.name, &problem.ports)),
             cache: ctx.sim.clone(),
             sim_budget: ctx.sim_budget,
-            judge,
             binding,
-            input_slots,
-            output_slots,
-            input_buf,
-            seen: Vec::new(),
-            failed: Vec::new(),
+            fields: Vec::new(),
+            verdicts: Verdicts {
+                judge,
+                input_slots,
+                output_slots,
+                input_buf,
+                seen: Vec::new(),
+                failed: Vec::new(),
+            },
         })
     }
 
@@ -182,71 +204,106 @@ impl EvalSession {
         scenarios: &ScenarioSet,
     ) -> Result<TbRun, TbError> {
         let (limits, binding) = clamp(self.sim_budget, limits_for(scenarios));
-        let records = simulate_records(dut, driver, limits, binding)?;
-        let results = self.judge(&records, scenarios.len())?;
+        let out = simulate_records(dut, driver, limits, binding)?;
+        let results = self.judge(&out, scenarios.len())?;
         Ok(TbRun { results })
     }
 
-    /// Judges a pre-captured record stream with the compiled checker —
-    /// the session counterpart of [`crate::judge_records`], same verdicts
-    /// (pinned by the checker differential suite), no per-record maps or
-    /// name lookups. Checker state is rewound first, so one session
-    /// judges arbitrarily many streams.
-    ///
-    /// # Errors
-    ///
-    /// [`TbError::Checker`] when the stream cannot be stepped.
-    pub fn judge(
+    /// Judges a run's typed view with the compiled checker — the session
+    /// counterpart of [`crate::judge_records`] over the text view, with
+    /// the same verdicts. Checker state is rewound first, so one session
+    /// judges arbitrarily many runs.
+    fn judge(
         &mut self,
-        records: &[Record],
+        out: &SimOutput,
         num_scenarios: usize,
     ) -> Result<Vec<ScenarioResult>, TbError> {
         let _span = correctbench_obs::span(correctbench_obs::Phase::Judge);
+        let verdicts = &mut self.verdicts;
+        verdicts.reset(num_scenarios);
+        let layouts: Vec<Vec<Option<u32>>> = out
+            .record_formats()
+            .iter()
+            .map(|f| self.binding.resolve(f.names.iter().map(String::as_str)))
+            .collect();
+        for printed in out.printed() {
+            match printed {
+                Printed::Record { format, values } => {
+                    let Some(scenario) = read_values(values, &mut self.fields) else {
+                        continue;
+                    };
+                    let (found, fields) = (&layouts[format], &self.fields);
+                    verdicts.record(scenario, |slot| found[slot].map(|fi| &fields[fi as usize]))?;
+                }
+                Printed::Line(line) => {
+                    let Some(rec) = parse_record(line) else {
+                        continue;
+                    };
+                    self.binding.bind(&rec);
+                    let binding = &self.binding;
+                    verdicts.record(rec.scenario, |slot| binding.field(slot, &rec))?;
+                }
+            }
+        }
+        correctbench_obs::add(
+            correctbench_obs::Counter::JudgeCommits,
+            verdicts.judge.take_commits_retired(),
+        );
+        Ok(verdicts.results())
+    }
+}
+
+impl Verdicts {
+    /// Rewinds the checker and clears the verdicts for a stream of
+    /// `num_scenarios` scenarios.
+    fn reset(&mut self, num_scenarios: usize) {
         self.judge.reset();
         self.seen.clear();
         self.seen.resize(num_scenarios, false);
         self.failed.clear();
         self.failed.resize(num_scenarios, false);
+    }
 
-        for rec in records {
-            self.binding.bind(rec);
-            for ((slot, width), buf) in self.input_slots.iter().zip(self.input_buf.iter_mut()) {
-                match self.binding.field(*slot, rec) {
-                    Some(fv) => *buf = fv.to_logic(*width),
-                    None => *buf = LogicVec::filled_x((*width).max(1)),
-                }
-            }
-            self.judge.step(&self.input_buf)?;
-
-            let idx = rec.scenario;
-            if idx == 0 || idx > num_scenarios {
-                continue;
-            }
-            self.seen[idx - 1] = true;
-            for (oi, slot) in self.output_slots.iter().enumerate() {
-                let reference = self.judge.output(oi);
-                if !crate::runner::output_ok(reference, self.binding.field(*slot, rec)) {
-                    self.failed[idx - 1] = true;
-                }
+    /// Steps the checker over one record of `scenario`, whose field
+    /// bound to a slot `field` answers, and marks the scenario seen and,
+    /// on a mismatching output, failed.
+    fn record<'f>(
+        &mut self,
+        scenario: usize,
+        field: impl Fn(usize) -> Option<&'f FieldValue>,
+    ) -> Result<(), TbError> {
+        for ((slot, width), buf) in self.input_slots.iter().zip(self.input_buf.iter_mut()) {
+            match field(*slot) {
+                Some(fv) => *buf = fv.to_logic(*width),
+                None => *buf = LogicVec::filled_x((*width).max(1)),
             }
         }
+        self.judge.step(&self.input_buf)?;
 
-        correctbench_obs::add(
-            correctbench_obs::Counter::JudgeCommits,
-            self.judge.take_commits_retired(),
-        );
+        let num_scenarios = self.seen.len();
+        if scenario == 0 || scenario > num_scenarios {
+            return Ok(());
+        }
+        self.seen[scenario - 1] = true;
+        for (oi, slot) in self.output_slots.iter().enumerate() {
+            if !crate::runner::output_ok(self.judge.output(oi), field(*slot)) {
+                self.failed[scenario - 1] = true;
+            }
+        }
+        Ok(())
+    }
 
-        Ok((0..num_scenarios)
-            .map(|i| {
-                if !self.seen[i] {
-                    ScenarioResult::Missing
-                } else if self.failed[i] {
-                    ScenarioResult::Fail
-                } else {
-                    ScenarioResult::Pass
-                }
+    /// The verdict per scenario of the stream judged since the reset.
+    fn results(&self) -> Vec<ScenarioResult> {
+        self.seen
+            .iter()
+            .zip(&self.failed)
+            .map(|(seen, failed)| match (seen, failed) {
+                (false, _) => ScenarioResult::Missing,
+                (true, true) => ScenarioResult::Fail,
+                (true, false) => ScenarioResult::Pass,
             })
-            .collect())
+            .collect()
     }
 }
 
@@ -373,6 +430,72 @@ mod tests {
                     assert_eq!(misses(), misses_before, "{name}: the warm pass missed");
                 }
             }
+        }
+    }
+
+    /// Drivers whose records take the unusual routes through the judge:
+    /// a record display that repeats a field with a wrong value last,
+    /// and record lines printed as text (a trailing space keeps the
+    /// format out of the record grammar) between record displays. On a
+    /// sequential problem the checker steps through the records in
+    /// print order, so any reordering fails the golden DUT. Each run must
+    /// match [`reference_run`], which renders every record and parses it
+    /// back, and the golden DUT must pass.
+    /// `text` with its `k`-th `$fdisplay` line (from 0) replaced by
+    /// `edit(k, line)`.
+    fn rewrite_displays(text: &str, mut edit: impl FnMut(usize, &str) -> String) -> String {
+        let mut k = 0;
+        let lines: Vec<String> = text
+            .lines()
+            .map(|l| {
+                if !l.contains("$fdisplay") {
+                    return l.to_string();
+                }
+                k += 1;
+                edit(k - 1, l)
+            })
+            .collect();
+        lines.join("\n")
+    }
+
+    #[test]
+    fn session_judges_repeated_names_and_text_lines_like_the_reference() {
+        let p = correctbench_dataset::problem("counter_8").expect("problem");
+        let scen = generate_scenarios(&p, 21);
+        let checker = compile_module(&p.golden_module()).expect("checker");
+        let golden = parse(&p.golden_rtl).expect("golden");
+        let clean = generate_driver(&p, &scen);
+        let fmt = format!("\"{}\"", crate::record_format(&p));
+        // The format without its closing quote.
+        let open = &fmt[..fmt.len() - 1];
+        let repeated = rewrite_displays(&clean, |_, l| {
+            l.replace(&fmt, &format!("{open}, rst = %0d\""))
+                .replace(");", ", ~rst);")
+        });
+        let interleaved = rewrite_displays(&clean, |k, l| match k % 2 {
+            0 => l.replace(&fmt, &format!("{open} \"")),
+            _ => l.to_string(),
+        });
+        let displays = clean.matches("$fdisplay").count();
+        let mut session = EvalSession::new(&p, &checker, &EvalContext::default()).expect("session");
+        for (what, text, typed) in [
+            ("repeated name", repeated, displays),
+            ("interleaved text", interleaved, displays / 2),
+        ] {
+            let driver = parse(&text).expect("driver parses");
+            let out = simulate_records(&golden, &driver, limits_for(&scen), false).expect("runs");
+            let records = out
+                .printed()
+                .filter(|p| matches!(p, Printed::Record { .. }))
+                .count();
+            assert_eq!(records, typed, "{what}: displays captured as values");
+            let via_session = session.run(&golden, &driver, &scen);
+            assert_eq!(
+                via_session,
+                reference_run(&golden, &driver, &checker, &p, &scen),
+                "{what}"
+            );
+            assert!(via_session.expect("run").all_pass(), "{what}");
         }
     }
 

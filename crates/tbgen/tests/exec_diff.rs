@@ -86,7 +86,7 @@ fn assert_same_result(
 ) {
     match (on, off) {
         (Ok(a), Ok(b)) => {
-            assert_eq!(a.lines, b.lines, "{what}: output lines differ");
+            assert_eq!(a.lines(), b.lines(), "{what}: output lines differ");
             assert_eq!(a.end_time, b.end_time, "{what}: end time differs");
             assert_eq!(a.finished, b.finished, "{what}: finish flag differs");
         }

@@ -218,6 +218,10 @@ pub enum Instr {
         name: String,
         /// Arguments.
         args: Vec<RSysArg>,
+        /// For a display whose format is a [`RecordFormat`], its index in
+        /// [`Design::records`]: the simulator captures the display's
+        /// values instead of rendering its text.
+        record: Option<usize>,
     },
     /// Terminate the process.
     Halt,
@@ -244,6 +248,59 @@ pub struct CountedGuard {
     pub var: SignalId,
     /// What one execution of the step adds to `var`, modulo 2^width.
     pub step: u64,
+}
+
+/// The literal format of a *record display*: exactly `scenario: %0d`
+/// followed by `, NAME = %0d` per field, where each NAME is an identifier
+/// and the display passes one expression argument per directive. This is
+/// the grammar hybrid-testbench drivers print their records in.
+#[derive(Clone, PartialEq, Debug)]
+pub struct RecordFormat {
+    /// The format string.
+    pub format: String,
+    /// The field names, in format order (the scenario comes first and
+    /// has none).
+    pub names: Vec<String>,
+}
+
+impl RecordFormat {
+    /// Recognises `format` as the record grammar, or `None`.
+    pub fn parse(format: &str) -> Option<RecordFormat> {
+        let mut rest = format.strip_prefix("scenario: %0d")?;
+        let mut names = Vec::new();
+        while !rest.is_empty() {
+            let (name, tail) = rest.strip_prefix(", ")?.split_once(" = %0d")?;
+            if !is_identifier(name) {
+                return None;
+            }
+            names.push(name.to_string());
+            rest = tail;
+        }
+        Some(RecordFormat {
+            format: format.to_string(),
+            names,
+        })
+    }
+}
+
+/// For a display-family system task, how many leading arguments precede
+/// its format: `$fdisplay`/`$fwrite` take a file descriptor first (every
+/// display prints into one stream). `None` for any other task.
+pub(crate) fn display_skip(name: &str) -> Option<usize> {
+    match name {
+        "$display" | "$write" => Some(0),
+        "$fdisplay" | "$fwrite" => Some(1),
+        _ => None,
+    }
+}
+
+/// `[A-Za-z_][A-Za-z0-9_$]*`: a simple Verilog identifier.
+fn is_identifier(name: &str) -> bool {
+    let mut bytes = name.bytes();
+    bytes
+        .next()
+        .is_some_and(|b| b.is_ascii_alphabetic() || b == b'_')
+        && bytes.all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'$')
 }
 
 /// Kind of process.
@@ -290,6 +347,9 @@ pub struct Design {
     pub assigns: Vec<RAssign>,
     /// Processes.
     pub processes: Vec<ProcessDef>,
+    /// The distinct record formats of the design's displays
+    /// ([`Instr::SysCall`]'s `record` indexes this).
+    pub records: Vec<RecordFormat>,
 }
 
 impl Design {

@@ -7,7 +7,9 @@
 //! instruction lists the simulator walks. It also marks each process's
 //! zero-time loops ([`Instr::LoopBack`], with a [`CountedGuard`] for the
 //! counted ones) and the signals it writes, the facts the simulator's
-//! runaway detector works from.
+//! runaway detector works from, and each display whose literal format is
+//! the record grammar ([`RecordFormat`]), which the simulator captures as
+//! values instead of text.
 
 use crate::ast::*;
 use crate::design::*;
@@ -122,6 +124,28 @@ impl<'a> Elaborator<'a> {
             name,
             written,
         });
+    }
+
+    /// The index in [`Design::records`] of the record format that the
+    /// display `name` prints with `args`, interning the format on first
+    /// sight; `None` for any other system task or display.
+    fn record_format(&mut self, name: &str, args: &[RSysArg]) -> Option<usize> {
+        let skip = display_skip(name)?;
+        let Some((RSysArg::Str(format), exprs)) = args[skip.min(args.len())..].split_first() else {
+            return None;
+        };
+        if !exprs.iter().all(|a| matches!(a, RSysArg::Expr(_))) {
+            return None;
+        }
+        let records = &mut self.design.records;
+        let index = match records.iter().position(|r| r.format == *format) {
+            Some(i) => i,
+            None => {
+                records.push(RecordFormat::parse(format)?);
+                records.len() - 1
+            }
+        };
+        (records[index].names.len() + 1 == exprs.len()).then_some(index)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1001,9 +1025,11 @@ impl BodyCompiler<'_, '_> {
                         })
                     })
                     .collect::<Result<Vec<_>, ElabError>>()?;
+                let record = self.el.record_format(name, &args);
                 self.code.push(Instr::SysCall {
                     name: name.clone(),
                     args,
+                    record,
                 });
                 Ok(())
             }
@@ -1180,6 +1206,94 @@ mod tests {
 
     fn elab(src: &str, top: &str) -> Design {
         elaborate(&parse(src).expect("parse"), top).expect("elaborate")
+    }
+
+    /// Per display of `body` (run in an `initial` block with 4-bit regs
+    /// `a`, `b` and an integer `file`), the field names of the record
+    /// format it is marked with, or `None`.
+    fn record_marks(body: &str) -> Vec<Option<Vec<String>>> {
+        let d = elab(
+            &format!(
+                "module tb; reg [3:0] a, b; integer file;\ninitial begin\n{body}\nend\nendmodule"
+            ),
+            "tb",
+        );
+        d.processes
+            .iter()
+            .flat_map(|p| &p.code)
+            .filter_map(|i| match i {
+                Instr::SysCall { record, .. } => Some(record.map(|r| d.records[r].names.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn record_displays_are_marked_exactly() {
+        let names = |ns: &[&str]| Some(ns.iter().map(|n| n.to_string()).collect::<Vec<_>>());
+        for (display, want) in [
+            (
+                r#"$fdisplay(file, "scenario: %0d, a = %0d, b = %0d", 1, a, b);"#,
+                names(&["a", "b"]),
+            ),
+            (
+                r#"$display("scenario: %0d, a = %0d", 1, a);"#,
+                names(&["a"]),
+            ),
+            (
+                r#"$write("scenario: %0d, _a1$ = %0d", 1, a);"#,
+                names(&["_a1$"]),
+            ),
+            (r#"$fwrite(file, "scenario: %0d", 1);"#, names(&[])),
+            (
+                r#"$display("scenario: %0d, a = %0d, a = %0d", 1, a, b);"#,
+                names(&["a", "a"]),
+            ),
+        ] {
+            assert_eq!(record_marks(display), vec![want], "{display}");
+        }
+        for display in [
+            r#"$display("scenario: %d, a = %0d", 1, a);"#,
+            r#"$display("scenario: %0d, a = %d", 1, a);"#,
+            r#"$display("scenario: %0d, a = %5d", 1, a);"#,
+            r#"$display("scenario: %0d, a = %h", 1, a);"#,
+            r#"$display("scenario: %0d, a = %0t", 1, a);"#,
+            // A missing, an extra and a string argument.
+            r#"$display("scenario: %0d, a = %0d", 1);"#,
+            r#"$display("scenario: %0d, a = %0d", 1, a, b);"#,
+            r#"$display("scenario: %0d, a = %0d", 1, "a");"#,
+            // A trailing space, a name with a space or a `?` (what a
+            // mangled identifier leaves), an empty name, a digit first.
+            r#"$display("scenario: %0d, a = %0d ", 1, a);"#,
+            r#"$display("scenario: %0d, a b = %0d", 1, a);"#,
+            r#"$display("scenario: %0d, a?b = %0d", 1, a);"#,
+            r#"$display("s?cenario: %0d, a = %0d", 1, a);"#,
+            r#"$display("scenario: %0d,  = %0d", 1, a);"#,
+            r#"$display("scenario: %0d, 1a = %0d", 1, a);"#,
+            // No format: for `$fdisplay` the first argument is the file.
+            r#"$display(1, a);"#,
+            r#"$fdisplay("scenario: %0d", 1);"#,
+        ] {
+            assert_eq!(record_marks(display), vec![None], "{display}");
+        }
+    }
+
+    #[test]
+    fn repeated_record_formats_share_one_entry() {
+        let d = elab(
+            "module tb; reg a; initial begin\n$display(\"scenario: %0d, a = %0d\", 1, a);\n$display(\"scenario: %0d, a = %0d\", 2, a);\n$display(\"a=%0d\", a);\nend\nendmodule",
+            "tb",
+        );
+        assert_eq!(d.records.len(), 1);
+        let marks: Vec<_> = d.processes[0]
+            .code
+            .iter()
+            .filter_map(|i| match i {
+                Instr::SysCall { record, .. } => Some(*record),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(marks, [Some(0), Some(0), None]);
     }
 
     #[test]

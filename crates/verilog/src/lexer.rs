@@ -253,10 +253,6 @@ impl<'a> Lexer<'a> {
         self.src.get(self.pos + 1).copied()
     }
 
-    fn peek3(&self) -> Option<u8> {
-        self.src.get(self.pos + 2).copied()
-    }
-
     fn bump(&mut self) -> Option<u8> {
         let c = self.peek()?;
         self.pos += 1;
@@ -696,7 +692,6 @@ impl<'a> Lexer<'a> {
                 ))
             }
         };
-        let _ = self.peek3();
         Ok(Token::Punct(p))
     }
 }

@@ -10,7 +10,8 @@
 //! * [`elaborate`](mod@elaborate) — hierarchy flattening into a [`Design`], with each
 //!   process's zero-time loops marked for the runaway detector;
 //! * [`sim`] — the event-driven simulator, which walks the elaborated
-//!   design directly, with `$display` capture and runaway-loop detection;
+//!   design directly, with `$display` capture (record displays as values,
+//!   other displays as text) and runaway-loop detection;
 //! * [`pretty`] — AST → source rendering (artifacts round-trip as text);
 //! * [`mutate`] — semantic mutation (Eval2 mutants, validator RTL groups,
 //!   simulated-LLM defect injection);
@@ -37,7 +38,7 @@
 //!      endmodule",
 //!     "tb",
 //! )?;
-//! assert_eq!(out.lines, vec!["42".to_string()]);
+//! assert_eq!(out.lines(), vec!["42".to_string()]);
 //! # Ok(())
 //! # }
 //! ```
@@ -61,11 +62,11 @@ pub mod pretty;
 pub mod sim;
 pub mod sysfmt;
 
-pub use design::{Design, SignalId};
+pub use design::{Design, RecordFormat, SignalId};
 pub use elaborate::{elaborate, elaborate_files};
 pub use error::{ElabError, ParseError, SimError, VerilogError};
 pub use hash::{fingerprint, fnv1a64, structural_hash, Fingerprint};
 pub use lint::{lint_file, lint_files, Diagnostic, LintReport, Rule, Severity};
 pub use logic::{Bit, LogicVec};
 pub use parser::parse;
-pub use sim::{run_source, SimLimits, SimOutput, Simulator};
+pub use sim::{run_source, Printed, SimLimits, SimOutput, Simulator};

@@ -476,6 +476,6 @@ mod tests {
         let direct = crate::sim::run_source(src, "tb").expect("direct");
         let printed = print_file(&parse(src).expect("parse"));
         let via_print = crate::sim::run_source(&printed, "tb").expect("printed");
-        assert_eq!(direct.lines, via_print.lines);
+        assert_eq!(direct.lines(), via_print.lines());
     }
 }

@@ -14,6 +14,21 @@
 //! A [`Simulator`] co-owns its design and performs one run:
 //! [`Simulator::run`] consumes it, so every run starts from power-on.
 //!
+//! # Display capture
+//!
+//! The displays' output is captured once, in print order, into the
+//! [`SimOutput`]. A display the elaborator marked as a record display
+//! (its literal format is a [`RecordFormat`]) is captured as its
+//! evaluated argument values and renders nothing; every other display
+//! renders its line through [`format_display`] and adds its length to
+//! the `render_bytes` counter. [`SimOutput::lines`] is the text view of
+//! the capture: it renders each record through [`format_display`] too,
+//! so the lines equal what the displays print. [`SimOutput::printed`] is
+//! the typed view, which hands the records' values to whoever judges
+//! them. Capturing a record display is otherwise the display it
+//! replaces: the same instruction, the same step, the same place in
+//! every loop analysis.
+//!
 //! # Runaway loops
 //!
 //! A mutated `for` loop (`i = i - 1`, `i = i | 1`, …) never ends, and
@@ -110,16 +125,100 @@ impl Default for SimLimits {
     }
 }
 
-/// The result of a completed simulation.
-#[derive(Clone, Debug)]
+/// The result of a completed simulation: what its displays
+/// (`$display`/`$fdisplay`/`$write`/`$fwrite`) printed, captured once in
+/// print order, with two views of that capture.
+///
+/// A record display ([`RecordFormat`]) is captured as its evaluated
+/// argument values, and every other display as its rendered line. The
+/// text view [`SimOutput::lines`] renders each record through
+/// [`format_display`], as the display itself would have; the typed view
+/// [`SimOutput::printed`] hands out the values.
+#[derive(Clone)]
 pub struct SimOutput {
-    /// Lines captured from `$display`/`$fdisplay`/`$write`/`$fwrite`.
-    pub lines: Vec<String>,
+    captures: Vec<Capture>,
+    /// Every record's values, one record after another.
+    values: Vec<LogicVec>,
+    /// The design the run executed, for its record formats.
+    design: Arc<Design>,
     /// Final simulation time.
     pub end_time: u64,
     /// `true` when the run ended via `$finish` (vs. event exhaustion or
     /// hitting `max_time`).
     pub finished: bool,
+}
+
+/// One display's capture.
+#[derive(Clone)]
+enum Capture {
+    /// A display rendered as text.
+    Line(String),
+    /// A record display: its format's index in [`Design::records`] and
+    /// the position of its first value (the scenario) in
+    /// [`SimOutput`]'s values.
+    Record { format: usize, start: usize },
+}
+
+/// One display's output in [`SimOutput::printed`], the typed view.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum Printed<'a> {
+    /// The rendered line of a display that is not a record display.
+    Line(&'a str),
+    /// A record display's argument values, the scenario first, then one
+    /// per field of its format.
+    Record {
+        /// The format's index in [`SimOutput::record_formats`].
+        format: usize,
+        /// The evaluated arguments, each at its self-determined width.
+        values: &'a [LogicVec],
+    },
+}
+
+impl SimOutput {
+    /// The text view: one line per display, in print order, each record
+    /// rendered through [`format_display`], so the lines are exactly the
+    /// text the displays print.
+    pub fn lines(&self) -> Vec<String> {
+        self.printed()
+            .map(|p| match p {
+                Printed::Line(line) => line.to_string(),
+                // A record format has no `%t`, so the time goes unread.
+                Printed::Record { format, values } => {
+                    format_display(&self.design.records[format].format, values, 0)
+                }
+            })
+            .collect()
+    }
+
+    /// The typed view: the same displays in the same order, with each
+    /// record display's values instead of its text.
+    pub fn printed(&self) -> impl Iterator<Item = Printed<'_>> {
+        self.captures.iter().map(|c| match c {
+            Capture::Line(line) => Printed::Line(line),
+            Capture::Record { format, start } => {
+                let len = self.design.records[*format].names.len() + 1;
+                Printed::Record {
+                    format: *format,
+                    values: &self.values[*start..*start + len],
+                }
+            }
+        })
+    }
+
+    /// The record formats that [`Printed::Record`]'s `format` indexes.
+    pub fn record_formats(&self) -> &[RecordFormat] {
+        &self.design.records
+    }
+}
+
+impl std::fmt::Debug for SimOutput {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SimOutput")
+            .field("lines", &self.lines())
+            .field("end_time", &self.end_time)
+            .field("finished", &self.finished)
+            .finish()
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -223,7 +322,7 @@ impl SigRead for ValueStore<'_> {
 ///   endmodule";
 /// let design = elaborate(&parse(src)?, "tb")?;
 /// let out = Simulator::new(design).run()?;
-/// assert_eq!(out.lines, vec!["y=3".to_string()]);
+/// assert_eq!(out.lines(), vec!["y=3".to_string()]);
 /// # Ok(())
 /// # }
 /// ```
@@ -287,9 +386,16 @@ impl Simulator {
             correctbench_obs::add(correctbench_obs::Counter::SimTripInstrs, state.steps);
         }
         correctbench_obs::add(correctbench_obs::Counter::SimSkippedInstrs, state.skipped);
+        correctbench_obs::add(correctbench_obs::Counter::RenderBytes, state.render_bytes);
         correctbench_obs::add(correctbench_obs::Counter::SimEvents, state.events);
         correctbench_obs::add(correctbench_obs::Counter::NbaCommits, state.nba_commits);
-        out
+        out.map(|()| SimOutput {
+            captures: state.captures,
+            values: state.record_values,
+            design,
+            end_time: state.time,
+            finished: state.finished,
+        })
     }
 }
 
@@ -310,7 +416,12 @@ struct SimState {
     nba_scratch: Vec<(SignalId, usize, LogicVec)>,
     timed: BinaryHeap<std::cmp::Reverse<(u64, u64, usize)>>,
     seq: u64,
-    lines: Vec<String>,
+    /// The displays' output so far, in print order.
+    captures: Vec<Capture>,
+    /// The values of the record displays in `captures`.
+    record_values: Vec<LogicVec>,
+    /// Bytes of display text rendered (measurement only).
+    render_bytes: u64,
     finished: bool,
     limits: SimLimits,
     steps: u64,
@@ -367,7 +478,9 @@ impl SimState {
             nba_scratch: Vec::new(),
             timed: BinaryHeap::new(),
             seq: 0,
-            lines: Vec::new(),
+            captures: Vec::new(),
+            record_values: Vec::new(),
+            render_bytes: 0,
             finished: false,
             limits,
             steps: 0,
@@ -390,7 +503,7 @@ impl SimState {
         }
     }
 
-    fn run(&mut self, design: &Design) -> Result<SimOutput, SimError> {
+    fn run(&mut self, design: &Design) -> Result<(), SimError> {
         // Time zero: all continuous assignments evaluate once, every
         // process starts.
         for i in 0..design.assigns.len() {
@@ -423,11 +536,7 @@ impl SimState {
             }
             self.settle(design)?;
         }
-        Ok(SimOutput {
-            lines: std::mem::take(&mut self.lines),
-            end_time: self.time,
-            finished: self.finished,
-        })
+        Ok(())
     }
 
     /// Runs the active/NBA delta loop at the current time.
@@ -570,10 +679,9 @@ impl SimState {
                     }
                     return Ok(());
                 }
-                Instr::SysCall { name, args } => {
-                    if is_display(name) {
-                        let line = self.render(args, display_skip(name));
-                        self.lines.push(line);
+                Instr::SysCall { name, args, record } => {
+                    if let Some(skip) = display_skip(name) {
+                        self.print(&args[skip.min(args.len())..], *record);
                     }
                     self.syscall_effect(name);
                     if self.finished {
@@ -938,9 +1046,37 @@ impl SimState {
         out
     }
 
-    fn render(&self, args: &[RSysArg], skip: usize) -> String {
+    /// Captures one display's output from its arguments after the file
+    /// descriptor: a record display's argument values, or any other
+    /// display's rendered line.
+    fn print(&mut self, args: &[RSysArg], record: Option<usize>) {
+        let capture = match record {
+            Some(format) => {
+                let store = ValueStore {
+                    values: &self.values,
+                    time: self.time,
+                };
+                let start = self.record_values.len();
+                // The elaborator marks a record display only when every
+                // argument after its format is an expression.
+                self.record_values
+                    .extend(args[1..].iter().filter_map(|a| match a {
+                        RSysArg::Expr(e) => Some(eval(e, e.width, &store)),
+                        RSysArg::Str(_) => None,
+                    }));
+                Capture::Record { format, start }
+            }
+            None => {
+                let line = self.render(args);
+                self.render_bytes += line.len() as u64;
+                Capture::Line(line)
+            }
+        };
+        self.captures.push(capture);
+    }
+
+    fn render(&self, args: &[RSysArg]) -> String {
         let store = self.store();
-        let args = &args[skip.min(args.len())..];
         let (fmt, rest): (&str, &[RSysArg]) = match args.first() {
             Some(RSysArg::Str(s)) => (s, &args[1..]),
             _ => {
@@ -1304,20 +1440,6 @@ fn index_reads<'d>(
     }
 }
 
-/// Display-family system tasks that render a line.
-fn is_display(name: &str) -> bool {
-    matches!(name, "$display" | "$write" | "$fdisplay" | "$fwrite")
-}
-
-/// `$fdisplay`/`$fwrite` take a file descriptor first; we capture
-/// everything into one stream.
-fn display_skip(name: &str) -> usize {
-    match name {
-        "$fdisplay" | "$fwrite" => 1,
-        _ => 0,
-    }
-}
-
 /// Convenience: parse, elaborate and simulate `src` with `top` as the root.
 ///
 /// # Errors
@@ -1343,7 +1465,7 @@ mod tests {
             "module tb;\nreg [3:0] a, b;\nwire [3:0] y;\nassign y = a + b;\ninitial begin\na = 4'd3; b = 4'd4;\n#1 $display(\"y=%0d\", y);\na = 4'd9;\n#1 $display(\"y=%0d\", y);\n$finish;\nend\nendmodule",
             "tb",
         );
-        assert_eq!(out.lines, vec!["y=7", "y=13"]);
+        assert_eq!(out.lines(), vec!["y=7", "y=13"]);
         assert!(out.finished);
     }
 
@@ -1353,7 +1475,7 @@ mod tests {
             "module tb;\nreg clk, d;\nreg q;\nalways @(posedge clk) q <= d;\ninitial begin\nclk = 0; d = 1;\n#1 $display(\"q=%b\", q);\n#4 clk = 1;\n#1 $display(\"q=%b\", q);\nd = 0;\n#4 clk = 0;\n#5 clk = 1;\n#1 $display(\"q=%b\", q);\n$finish;\nend\nendmodule",
             "tb",
         );
-        assert_eq!(out.lines, vec!["q=x", "q=1", "q=0"]);
+        assert_eq!(out.lines(), vec!["q=x", "q=1", "q=0"]);
     }
 
     #[test]
@@ -1362,7 +1484,7 @@ mod tests {
             "module tb;\nreg clk;\nreg [3:0] a, b;\nalways @(posedge clk) begin a <= b; b <= a; end\ninitial begin\nclk = 0; a = 4'd1; b = 4'd2;\n#5 clk = 1;\n#1 $display(\"a=%0d b=%0d\", a, b);\n$finish;\nend\nendmodule",
             "tb",
         );
-        assert_eq!(out.lines, vec!["a=2 b=1"]);
+        assert_eq!(out.lines(), vec!["a=2 b=1"]);
     }
 
     #[test]
@@ -1372,7 +1494,7 @@ mod tests {
             "tb",
         );
         // Posedges at 5,15,25,35,45 -> n == 5 at t=52.
-        assert_eq!(out.lines, vec!["n=5"]);
+        assert_eq!(out.lines(), vec!["n=5"]);
     }
 
     #[test]
@@ -1381,7 +1503,7 @@ mod tests {
             "module add1(input [3:0] a, output [3:0] y);\nassign y = a + 4'd1;\nendmodule\nmodule tb;\nreg [3:0] a;\nwire [3:0] y;\nadd1 dut(.a(a), .y(y));\ninitial begin\na = 4'd7;\n#1 $display(\"y=%0d\", y);\n$finish;\nend\nendmodule",
             "tb",
         );
-        assert_eq!(out.lines, vec!["y=8"]);
+        assert_eq!(out.lines(), vec!["y=8"]);
     }
 
     #[test]
@@ -1390,7 +1512,7 @@ mod tests {
             "module tb;\nreg s;\nreg [3:0] a, b;\nreg [3:0] y;\nalways @(*) begin if (s) y = a; else y = b; end\ninitial begin\na = 4'd10; b = 4'd5; s = 0;\n#1 $display(\"y=%0d\", y);\ns = 1;\n#1 $display(\"y=%0d\", y);\n$finish;\nend\nendmodule",
             "tb",
         );
-        assert_eq!(out.lines, vec!["y=5", "y=10"]);
+        assert_eq!(out.lines(), vec!["y=5", "y=10"]);
     }
 
     #[test]
@@ -1489,7 +1611,7 @@ mod tests {
     ) {
         match (a, b) {
             (Ok(a), Ok(b)) => {
-                assert_eq!(a.lines, b.lines, "{what}: lines");
+                assert_eq!(a.lines(), b.lines(), "{what}: lines");
                 assert_eq!((a.end_time, a.finished), (b.end_time, b.finished), "{what}");
             }
             (Err(a), Err(b)) => assert_eq!(a, b, "{what}: errors"),
@@ -1858,7 +1980,7 @@ mod tests {
             "module tb;\nreg a;\ninitial begin\na = 0;\n#5 a = 1;\n#18446744073709551615 a = 0;\n$display(\"t=%0d\", $time);\n$finish;\nend\nendmodule",
             "tb",
         );
-        assert!(out.lines.is_empty(), "{:?}", out.lines);
+        assert!(out.lines().is_empty(), "{:?}", out.lines());
         assert!(!out.finished);
         assert_eq!(out.end_time, 5);
     }
@@ -1869,7 +1991,7 @@ mod tests {
             "module tb;\nreg [7:0] v;\nreg [3:0] n;\ninteger i;\ninitial begin\nv = 8'b1011_0110;\nn = 0;\nfor (i = 0; i < 8; i = i + 1) if (v[i]) n = n + 1;\n$display(\"n=%0d\", n);\n$finish;\nend\nendmodule",
             "tb",
         );
-        assert_eq!(out.lines, vec!["n=5"]);
+        assert_eq!(out.lines(), vec!["n=5"]);
     }
 
     #[test]
@@ -1878,7 +2000,7 @@ mod tests {
             "module tb;\nreg [1:0] s;\nreg [3:0] y;\nalways @(*) begin\ncase (s)\n2'd0: y = 4'd1;\n2'd1: y = 4'd2;\ndefault: y = 4'd15;\nendcase\nend\ninitial begin\ns = 2'd0; #1 $display(\"%0d\", y);\ns = 2'd1; #1 $display(\"%0d\", y);\ns = 2'd3; #1 $display(\"%0d\", y);\n$finish;\nend\nendmodule",
             "tb",
         );
-        assert_eq!(out.lines, vec!["1", "2", "15"]);
+        assert_eq!(out.lines(), vec!["1", "2", "15"]);
     }
 
     #[test]
@@ -1887,7 +2009,7 @@ mod tests {
             "module tb;\nreg clk = 0;\nalways #5 clk = ~clk;\ninitial begin\n@(posedge clk);\n$display(\"t=%0d\", $time);\n@(posedge clk);\n$display(\"t=%0d\", $time);\n$finish;\nend\nendmodule",
             "tb",
         );
-        assert_eq!(out.lines, vec!["t=5", "t=15"]);
+        assert_eq!(out.lines(), vec!["t=5", "t=15"]);
     }
 
     #[test]
@@ -1896,7 +2018,7 @@ mod tests {
             "module tb;\nreg [7:0] v;\ninitial begin\nv = 8'h00;\nv[3:0] = 4'hf;\nv[6] = 1'b1;\n$display(\"%h\", v);\n$finish;\nend\nendmodule",
             "tb",
         );
-        assert_eq!(out.lines, vec!["4f"]);
+        assert_eq!(out.lines(), vec!["4f"]);
     }
 
     #[test]
@@ -1905,7 +2027,7 @@ mod tests {
             "module tb;\nreg [3:0] hi, lo;\ninitial begin\n{hi, lo} = 8'hA5;\n$display(\"%h %h\", hi, lo);\n$finish;\nend\nendmodule",
             "tb",
         );
-        assert_eq!(out.lines, vec!["a 5"]);
+        assert_eq!(out.lines(), vec!["a 5"]);
     }
 
     #[test]
@@ -1929,7 +2051,7 @@ mod tests {
             "tb",
         );
         // Posedges: 5 (rst), 15,25,35,45 counting -> q=4 at t=52.
-        assert_eq!(out.lines, vec!["q=4"]);
+        assert_eq!(out.lines(), vec!["q=4"]);
     }
 
     #[test]
@@ -1938,7 +2060,7 @@ mod tests {
             "module tb;\nreg [99:0] a, b;\nwire [99:0] s;\nassign s = a + b;\ninitial begin\na = 100'd1;\nb = 100'd0;\na = a << 64;\nb = 100'd5;\n#1 $display(\"%0d %0d\", s[99:60], s[7:0]);\n$display(\"%b\", s[64]);\n$finish;\nend\nendmodule",
             "tb",
         );
-        assert_eq!(out.lines, vec!["16 5", "1"]);
+        assert_eq!(out.lines(), vec!["16 5", "1"]);
     }
 
     #[test]
@@ -1962,11 +2084,62 @@ mod tests {
     }
 
     #[test]
+    fn record_displays_are_captured_as_values_in_print_order() {
+        use correctbench_obs::{Counter, ObsStack};
+        // Record displays in all four forms, interleaved with a text
+        // line that is itself a well-formed record line and with another
+        // display.
+        let src = "module tb;\nreg [3:0] a;\ninteger file;\ninitial begin\nfile = 1; a = 4'd3;\n\
+                   $fdisplay(file, \"scenario: %0d, a = %0d\", 1, a);\n\
+                   $display(\"scenario: 2, a = 7\");\n\
+                   a = 4'b1x0z;\n$write(\"scenario: %0d, a = %0d\", 3, a);\n\
+                   $display(\"a=%b\", a);\n\
+                   $fwrite(file, \"scenario: %0d\", 4);\n\
+                   $display(\"scenario: %0d, a = %0d\", 5, 4'bz);\n$finish;\nend\nendmodule";
+        let _obs = ObsStack::enabled().install();
+        let out = run(src, "tb");
+        let rendered = correctbench_obs::take_job()
+            .expect("collector armed")
+            .counter(Counter::RenderBytes);
+        assert_eq!(
+            out.lines(),
+            vec![
+                "scenario: 1, a = 3",
+                "scenario: 2, a = 7",
+                "scenario: 3, a = X",
+                "a=1x0z",
+                "scenario: 4",
+                "scenario: 5, a = z",
+            ]
+        );
+        let printed: Vec<Printed> = out.printed().collect();
+        assert_eq!(printed.len(), 6);
+        let record = |i: usize| match printed[i] {
+            Printed::Record { format, values } => (format, values.to_vec()),
+            Printed::Line(line) => panic!("display {i} was rendered: {line}"),
+        };
+        let known = |w, v| LogicVec::from_u64(w, v);
+        assert_eq!(record(0), (0, vec![known(32, 1), known(4, 3)]));
+        assert_eq!(printed[1], Printed::Line("scenario: 2, a = 7"));
+        assert_eq!(record(2).1[1].to_binary_string(), "1x0z");
+        assert_eq!(printed[3], Printed::Line("a=1x0z"));
+        assert_eq!(record(4), (1, vec![known(32, 4)]));
+        assert_eq!(record(5).1[1], LogicVec::filled_z(4));
+        let names: Vec<&[String]> = out.record_formats().iter().map(|f| &f.names[..]).collect();
+        assert_eq!(names, [&["a".to_string()][..], &[]]);
+        // Only the two text lines were rendered.
+        assert_eq!(
+            rendered,
+            ("scenario: 2, a = 7".len() + "a=1x0z".len()) as u64
+        );
+    }
+
+    #[test]
     fn simulator_run_keeps_old_api_shape() {
         let out = run(
             "module tb;\ninitial begin $display(\"ok\"); $finish; end\nendmodule",
             "tb",
         );
-        assert_eq!(out.lines, vec!["ok"]);
+        assert_eq!(out.lines(), vec!["ok"]);
     }
 }

@@ -5,7 +5,7 @@
 use correctbench_verilog::run_source;
 
 fn lines(src: &str) -> Vec<String> {
-    run_source(src, "tb").expect("simulation ok").lines
+    run_source(src, "tb").expect("simulation ok").lines()
 }
 
 #[test]

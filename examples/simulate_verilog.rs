@@ -41,17 +41,17 @@ endmodule
 
 fn main() {
     let out = run_source(SRC, "tb").expect("simulation succeeds");
+    let lines = out.lines();
     println!(
         "captured {} lines (finished: {}):",
-        out.lines.len(),
+        lines.len(),
         out.finished
     );
-    for line in &out.lines {
+    for line in &lines {
         println!("  {line}");
     }
     // Successive Gray codes differ in exactly one bit.
-    let codes: Vec<u32> = out
-        .lines
+    let codes: Vec<u32> = lines
         .iter()
         .map(|l| u32::from_str_radix(l.rsplit('=').next().expect("value"), 2).expect("binary"))
         .collect();
