@@ -241,8 +241,8 @@ pub fn evaluate(problem: &Problem, tb: &HybridTb, seed: u64, ctx: &EvalContext) 
         return EvalLevel::Failed;
     }
 
-    // One session per testbench: checker compiled and record bindings
-    // resolved once for the Eval1 report and every Eval2 mutant run of
+    // One session per testbench: checker slot file and record bindings
+    // prepared once for the Eval1 report and every Eval2 mutant run of
     // this call.
     let Ok(mut session) = EvalSession::new(problem, &tb.checker.program, ctx) else {
         return EvalLevel::Failed; // checker program the judge cannot run

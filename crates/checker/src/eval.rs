@@ -6,6 +6,11 @@
 //! sampled at the end of the cycle — i.e. reference outputs are computed
 //! from the *new* state and the *current* inputs. For combinational DUTs a
 //! step is just one evaluation pass.
+//!
+//! Every operation node is evaluated by one function, `eval_op`, which
+//! [`crate::JudgeSession`] calls too: the two executors differ only in
+//! how they hold values and read leaves (here inputs by name, registers
+//! from [`CheckerState`], every node on both passes).
 
 use crate::ir::*;
 use correctbench_verilog::logic::{Bit, LogicVec};
@@ -100,95 +105,96 @@ fn eval_all(
                 .zero_extend(w),
             Node::Reg { init, .. } => state.regs.get(&(i as u32)).unwrap_or(init).zero_extend(w),
             Node::Const(c) => c.zero_extend(w),
-            Node::Bin { op, a, b, signed } => {
-                match op {
-                    // Comparisons consume their operands at full width (the
-                    // compiler already extended both sides to a common
-                    // width); resizing to the 1-bit result would truncate.
-                    IrBinOp::Eq | IrBinOp::CaseEq | IrBinOp::LtU | IrBinOp::LtS => {
-                        eval_bin(*op, &vals[a.0 as usize], &vals[b.0 as usize], w)
-                    }
-                    _ => {
-                        let va = vals[a.0 as usize].resize(w.max(1), *signed);
-                        let vb = vals[b.0 as usize].resize(w.max(1), *signed);
-                        eval_bin(*op, &va, &vb, w)
-                    }
-                }
-            }
-            Node::Un { op, a } => {
-                let va = &vals[a.0 as usize];
-                eval_un(*op, va, w)
-            }
-            Node::Mux { sel, t, f } => {
-                let s = vals[sel.0 as usize].truthy();
-                let tv = vals[t.0 as usize].zero_extend(w);
-                let fv = vals[f.0 as usize].zero_extend(w);
-                match s {
-                    Bit::One => tv,
-                    Bit::Zero => fv,
-                    _ => {
-                        let mut out = LogicVec::filled_x(w);
-                        for i in 0..w {
-                            let (a, b) = (tv.bit(i), fv.bit(i));
-                            if a == b && a.is_known() {
-                                out.set_bit(i, a);
-                            }
-                        }
-                        out
-                    }
-                }
-            }
-            Node::Slice { a, lo, width } => vals[a.0 as usize].slice(*lo, *width).zero_extend(w),
-            Node::DynSlice { a, lo, width } => {
-                let base = &vals[a.0 as usize];
-                match vals[lo.0 as usize].to_u64() {
-                    Some(l) => base.slice(l as usize, *width).zero_extend(w),
-                    None => LogicVec::filled_x(w),
-                }
-            }
-            Node::DynInsert { a, lo, b, width } => {
-                let mut base = vals[a.0 as usize].zero_extend(w);
-                if let Some(l) = vals[lo.0 as usize].to_u64() {
-                    let l = l as usize;
-                    let repl = &vals[b.0 as usize];
-                    for i in 0..*width {
-                        if l + i < w {
-                            let bit = if i < repl.width() {
-                                repl.bit(i)
-                            } else {
-                                Bit::Zero
-                            };
-                            base.set_bit(l + i, bit);
-                        }
-                    }
-                }
-                base
-            }
-            Node::Concat(parts) => {
-                let mut acc: Option<LogicVec> = None;
-                for p in parts {
-                    let v = vals[p.0 as usize].clone();
-                    acc = Some(match acc {
-                        None => v,
-                        Some(hi) => hi.concat(&v),
-                    });
-                }
-                acc.map(|v| v.zero_extend(w))
-                    .unwrap_or_else(|| LogicVec::filled_x(w))
-            }
-            Node::Repl { a, n } => vals[a.0 as usize].repeat((*n).max(1)).zero_extend(w),
-            Node::Ext { a, signed } => vals[a.0 as usize].resize(w, *signed),
+            op => eval_op(op, w, &vals),
         };
-        debug_assert_eq!(v.width(), w, "node {i} width mismatch");
         vals.push(v);
     }
     Ok(vals)
 }
 
-/// One binary IR op at result width `w` — shared by the interpreter and
-/// the compiled executor ([`crate::exec`]) so the two stay semantically
-/// identical by construction wherever possible.
-pub(crate) fn eval_bin(op: IrBinOp, a: &LogicVec, b: &LogicVec, w: usize) -> LogicVec {
+/// Evaluates the operation `node` at result width `w` from `vals`, the
+/// values of the nodes before it. The one copy of every operation's
+/// semantics: the interpreter and [`crate::JudgeSession`] both call it,
+/// each after reading the leaves (inputs, registers, constants) its own
+/// way.
+///
+/// # Panics
+///
+/// On a leaf, and on an operand that is not an earlier node.
+pub(crate) fn eval_op(node: &Node, w: usize, vals: &[LogicVec]) -> LogicVec {
+    let val = |id: &NodeId| &vals[id.0 as usize];
+    // A known dynamic index; one past `usize` is out of range like any
+    // other.
+    let index = |id: &NodeId| {
+        val(id)
+            .to_u64()
+            .map(|l| usize::try_from(l).unwrap_or(usize::MAX))
+    };
+    let v = match node {
+        Node::Input { .. } | Node::Reg { .. } | Node::Const(_) => {
+            unreachable!("leaves are read by the executor")
+        }
+        Node::Bin { op, a, b, signed } => match op {
+            // Comparisons consume their operands at full width (the
+            // compiler already extended both sides to a common width);
+            // resizing to the 1-bit result would truncate.
+            IrBinOp::Eq | IrBinOp::CaseEq | IrBinOp::LtU | IrBinOp::LtS => {
+                eval_bin(*op, val(a), val(b), w)
+            }
+            _ => {
+                let va = val(a).resize(w.max(1), *signed);
+                let vb = val(b).resize(w.max(1), *signed);
+                eval_bin(*op, &va, &vb, w)
+            }
+        },
+        Node::Un { op, a } => eval_un(*op, val(a), w),
+        Node::Mux { sel, t, f } => {
+            let tv = val(t).zero_extend(w);
+            let fv = val(f).zero_extend(w);
+            match val(sel).truthy() {
+                Bit::One => tv,
+                Bit::Zero => fv,
+                _ => {
+                    let mut out = LogicVec::filled_x(w);
+                    for i in 0..w {
+                        let (a, b) = (tv.bit(i), fv.bit(i));
+                        if a == b && a.is_known() {
+                            out.set_bit(i, a);
+                        }
+                    }
+                    out
+                }
+            }
+        }
+        Node::Slice { a, lo, width } => val(a).slice(*lo, *width).zero_extend(w),
+        Node::DynSlice { a, lo, width } => match index(lo) {
+            Some(l) => val(a).slice(l, *width).zero_extend(w),
+            None => LogicVec::filled_x(w),
+        },
+        Node::DynInsert { a, lo, b, width } => {
+            let mut base = val(a).zero_extend(w);
+            if let Some(l) = index(lo) {
+                // Bits at or past `w` are dropped, as the simulator drops
+                // an out-of-range write, however large `l` is.
+                base.write_range(l, &val(b).zero_extend(w), *width);
+            }
+            base
+        }
+        Node::Concat(parts) => parts
+            .iter()
+            .map(val)
+            .cloned()
+            .reduce(|hi, lo| hi.concat(&lo))
+            .map_or_else(|| LogicVec::filled_x(w), |v| v.zero_extend(w)),
+        Node::Repl { a, n } => val(a).repeat((*n).max(1)).zero_extend(w),
+        Node::Ext { a, signed } => val(a).resize(w, *signed),
+    };
+    debug_assert_eq!(v.width(), w, "operation width mismatch");
+    v
+}
+
+/// One binary IR op at result width `w`.
+fn eval_bin(op: IrBinOp, a: &LogicVec, b: &LogicVec, w: usize) -> LogicVec {
     match op {
         IrBinOp::Add => a.add(b).zero_extend(w),
         IrBinOp::Sub => a.sub(b).zero_extend(w),
@@ -208,8 +214,8 @@ pub(crate) fn eval_bin(op: IrBinOp, a: &LogicVec, b: &LogicVec, w: usize) -> Log
     }
 }
 
-/// One unary IR op at result width `w` (see [`eval_bin`]).
-pub(crate) fn eval_un(op: IrUnOp, a: &LogicVec, w: usize) -> LogicVec {
+/// One unary IR op at result width `w`.
+fn eval_un(op: IrUnOp, a: &LogicVec, w: usize) -> LogicVec {
     match op {
         IrUnOp::Not => a.zero_extend(w).not(),
         IrUnOp::Neg => a.zero_extend(w).neg(),

@@ -1,68 +1,34 @@
-//! Compile-once execution of [`CheckerProgram`]s.
+//! The judging executor: a [`JudgeSession`] steps a [`CheckerProgram`]'s
+//! own nodes over a preallocated slot file.
 //!
 //! The interpreter in [`crate::eval`] re-resolves every step: it builds a
 //! fresh `Vec` of node values, looks inputs up in a `HashMap<String,
 //! LogicVec>` by name, reads register state through another hash map, and
 //! returns outputs as a freshly allocated name-keyed map. None of that
-//! resolution depends on the step — the program is fixed — so a
-//! [`JudgeSession`] does it once, compiling the program to register
-//! bytecode:
+//! resolution depends on the step — the program is fixed — so a session
+//! does it once:
 //!
 //! * every node gets a **slot** in a preallocated value file at its
-//!   compiled width (registers live *in* their slots — state is a region
-//!   of the file, not a side map);
+//!   width; constants sit in their slots from power-on and registers live
+//!   in theirs (state is a region of the file, not a side map);
 //! * inputs are bound **positionally**: [`JudgeSession::step`] takes a
 //!   `&[LogicVec]` in [`CheckerProgram::inputs`] order, no name lookups;
-//! * constants are pre-extended into a literal pool;
-//! * outputs are read back by slot index via [`JudgeSession::output`].
+//! * a step evaluates only the operation nodes, each through the
+//!   interpreter's own `eval_op`, so every operation exists once;
+//! * register commits are staged, and the post-edge pass re-evaluates
+//!   only the output-cone nodes that depend on a register;
+//! * outputs are read back by slot via [`JudgeSession::output`], in
+//!   [`CheckerProgram::outputs`] order.
 //!
-//! The interpreter [`crate::step`] remains the semantic reference: each
-//! compiled op mirrors one `eval_all` arm and calls the same [`LogicVec`]
-//! primitives (the binary/unary kernels are literally shared), and the
-//! differential suite `crates/checker/tests/exec_diff.rs` pins verdict
-//! equality over golden checkers, IR mutants and random x/z input
-//! streams.
+//! The interpreter [`crate::step`] stays the reference for what the
+//! session does its own way (name binding, the state map, the full second
+//! pass): the differential suite `crates/checker/tests/exec_diff.rs` pins
+//! output equality over every golden checker, IR mutants and random x/z
+//! input streams.
 
-use crate::eval::{eval_bin, eval_un, CheckerRunError};
+use crate::eval::{eval_op, CheckerRunError};
 use crate::ir::*;
-use correctbench_verilog::logic::{Bit, LogicVec};
-
-/// One compiled node: operands are slot indices of strictly earlier
-/// nodes, so a single forward pass over the slot file evaluates the
-/// combinational part — the checker analog of the simulator's register
-/// bytecode.
-#[derive(Clone, Debug)]
-enum COp {
-    /// Copy input `idx` (positional) into the slot, zero-extended.
-    Input { idx: u32 },
-    /// State node: the slot *is* the register — nothing to evaluate.
-    Reg,
-    /// Copy a pre-extended literal from the pool.
-    Const { lit: u32 },
-    /// Binary op; non-comparisons resize both operands first.
-    Bin {
-        op: IrBinOp,
-        a: u32,
-        b: u32,
-        signed: bool,
-    },
-    /// Unary op.
-    Un { op: IrUnOp, a: u32 },
-    /// 2:1 mux with Verilog x-merge on unknown select.
-    Mux { sel: u32, t: u32, f: u32 },
-    /// Static slice.
-    Slice { a: u32, lo: u32, width: u32 },
-    /// Dynamic-low slice.
-    DynSlice { a: u32, lo: u32, width: u32 },
-    /// Dynamic bit/part overwrite.
-    DynInsert { a: u32, lo: u32, b: u32, width: u32 },
-    /// Concatenation, MSB first.
-    Concat(Vec<u32>),
-    /// Replication.
-    Repl { a: u32, n: u32 },
-    /// Resize with optional sign extension.
-    Ext { a: u32, signed: bool },
-}
+use correctbench_verilog::logic::LogicVec;
 
 /// The operand [`NodeId`]s a node reads.
 fn operands(node: &Node) -> impl Iterator<Item = NodeId> + '_ {
@@ -84,224 +50,28 @@ fn operands(node: &Node) -> impl Iterator<Item = NodeId> + '_ {
     fixed.into_iter().flatten().chain(parts.iter().copied())
 }
 
-/// A clocked update in slot terms: `reg` takes `next`'s value (through
-/// a width-`w` zero-extension) when the edge commits.
-#[derive(Clone, Copy, Debug)]
-struct CCommit {
-    reg: u32,
-    next: u32,
-}
-
-/// A [`CheckerProgram`] flattened for repeated execution. Build once via
-/// [`CompiledChecker::compile`], run via [`JudgeSession`].
-#[derive(Clone, Debug)]
-pub struct CompiledChecker {
-    ops: Vec<COp>,
-    /// Result width of every slot.
-    widths: Vec<usize>,
-    /// Power-on slot contents (x for combinational slots — overwritten
-    /// before first read — register `init`s at register width).
-    init: Vec<LogicVec>,
-    /// Pre-extended constants.
-    lits: Vec<LogicVec>,
-    commits: Vec<CCommit>,
-    /// The post-edge re-evaluation set: output-cone nodes whose value
-    /// depends on a register, in topological order. Every other slot
-    /// already holds its final value after pass 1 (non-state nodes) or
-    /// the commit (registers) — on register-out designs like a shift
-    /// register this set is *empty* and a step is one pass plus the
-    /// commit, where the interpreter always re-evaluates everything.
-    pass2: Vec<u32>,
-    /// `(port name, slot)` in program output order.
-    outputs: Vec<(String, u32)>,
-    /// Input port order the positional step expects.
-    inputs: Vec<String>,
-}
-
-impl CompiledChecker {
-    /// Flattens `prog`. The one-time resolution work: input names to
-    /// positions, constants to pool entries, state to slots.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckerRunError`] when the program is malformed in a way the
-    /// interpreter would also reject at runtime: an input node naming a
-    /// port absent from [`CheckerProgram::inputs`] (the interpreter's
-    /// "missing input"), or an operand referencing a later node (the
-    /// interpreter's out-of-bounds).
-    pub fn compile(prog: &CheckerProgram) -> Result<CompiledChecker, CheckerRunError> {
-        let n = prog.nodes.len();
-        let before = |id: NodeId, i: usize| -> Result<u32, CheckerRunError> {
-            if (id.0 as usize) < i {
-                Ok(id.0)
-            } else {
-                Err(CheckerRunError {
-                    message: format!("node {i} references later node {}", id.0),
-                })
-            }
-        };
-        let mut ops = Vec::with_capacity(n);
-        let mut widths = Vec::with_capacity(n);
-        let mut init = Vec::with_capacity(n);
-        let mut lits: Vec<LogicVec> = Vec::new();
-        for (i, def) in prog.nodes.iter().enumerate() {
-            let w = def.width;
-            let op = match &def.node {
-                Node::Input { name } => {
-                    let idx = prog.inputs.iter().position(|p| p == name).ok_or_else(|| {
-                        CheckerRunError {
-                            message: format!("missing input `{name}`"),
-                        }
-                    })?;
-                    COp::Input { idx: idx as u32 }
-                }
-                Node::Reg { .. } => COp::Reg,
-                Node::Const(c) => {
-                    let lit = lits.len() as u32;
-                    lits.push(c.zero_extend(w.max(1)));
-                    COp::Const { lit }
-                }
-                Node::Bin { op, a, b, signed } => COp::Bin {
-                    op: *op,
-                    a: before(*a, i)?,
-                    b: before(*b, i)?,
-                    signed: *signed,
-                },
-                Node::Un { op, a } => COp::Un {
-                    op: *op,
-                    a: before(*a, i)?,
-                },
-                Node::Mux { sel, t, f } => COp::Mux {
-                    sel: before(*sel, i)?,
-                    t: before(*t, i)?,
-                    f: before(*f, i)?,
-                },
-                Node::Slice { a, lo, width } => COp::Slice {
-                    a: before(*a, i)?,
-                    lo: *lo as u32,
-                    width: *width as u32,
-                },
-                Node::DynSlice { a, lo, width } => COp::DynSlice {
-                    a: before(*a, i)?,
-                    lo: before(*lo, i)?,
-                    width: *width as u32,
-                },
-                Node::DynInsert { a, lo, b, width } => COp::DynInsert {
-                    a: before(*a, i)?,
-                    lo: before(*lo, i)?,
-                    b: before(*b, i)?,
-                    width: *width as u32,
-                },
-                Node::Concat(parts) => {
-                    let mut ps = Vec::with_capacity(parts.len());
-                    for p in parts {
-                        ps.push(before(*p, i)?);
-                    }
-                    COp::Concat(ps)
-                }
-                Node::Repl { a, n } => COp::Repl {
-                    a: before(*a, i)?,
-                    n: *n as u32,
-                },
-                Node::Ext { a, signed } => COp::Ext {
-                    a: before(*a, i)?,
-                    signed: *signed,
-                },
-            };
-            // Register slots power on at `init` brought to slot width —
-            // exactly the value the interpreter's first read produces.
-            init.push(match &def.node {
-                Node::Reg { init, .. } => init.zero_extend(w.max(1)),
-                _ => LogicVec::filled_x(w.max(1)),
-            });
-            ops.push(op);
-            widths.push(w);
-        }
-        let mut commits = Vec::with_capacity(prog.reg_updates.len());
-        for ru in &prog.reg_updates {
-            if ru.reg.0 as usize >= n || ru.next.0 as usize >= n {
-                return Err(CheckerRunError {
-                    message: format!(
-                        "register update references node {} outside the program",
-                        ru.reg.0.max(ru.next.0)
-                    ),
-                });
-            }
-            commits.push(CCommit {
-                reg: ru.reg.0,
-                next: ru.next.0,
-            });
-        }
-        let mut outputs = Vec::with_capacity(prog.outputs.len());
-        for o in &prog.outputs {
-            if o.node.0 as usize >= n {
-                return Err(CheckerRunError {
-                    message: format!(
-                        "output `{}` references node {} outside the program",
-                        o.name, o.node.0
-                    ),
-                });
-            }
-            outputs.push((o.name.clone(), o.node.0));
-        }
-        // Dependency analysis for the post-edge pass. Forward: which
-        // nodes transitively read a register. Backward from the outputs:
-        // which nodes the sampled values are built from.
-        let mut reg_dep = vec![false; n];
-        for (i, def) in prog.nodes.iter().enumerate() {
-            reg_dep[i] = matches!(def.node, Node::Reg { .. })
-                || operands(&def.node).any(|id| reg_dep[id.0 as usize]);
-        }
-        let mut needed = vec![false; n];
-        for (_, slot) in &outputs {
-            needed[*slot as usize] = true;
-        }
-        for (i, def) in prog.nodes.iter().enumerate().rev() {
-            if needed[i] {
-                for id in operands(&def.node) {
-                    needed[id.0 as usize] = true;
-                }
-            }
-        }
-        let pass2 = (0..n)
-            .filter(|&i| needed[i] && reg_dep[i] && !matches!(prog.nodes[i].node, Node::Reg { .. }))
-            .map(|i| i as u32)
-            .collect();
-        Ok(CompiledChecker {
-            ops,
-            widths,
-            init,
-            lits,
-            commits,
-            pass2,
-            outputs,
-            inputs: prog.inputs.clone(),
-        })
-    }
-
-    /// Input port order [`JudgeSession::step`] expects.
-    pub fn inputs(&self) -> &[String] {
-        &self.inputs
-    }
-
-    /// Output port names in program order.
-    pub fn output_names(&self) -> impl Iterator<Item = &str> {
-        self.outputs.iter().map(|(n, _)| n.as_str())
-    }
-
-    /// Number of outputs.
-    pub fn num_outputs(&self) -> usize {
-        self.outputs.len()
-    }
-}
-
-/// Reusable execution state over a [`CompiledChecker`]: the slot file,
-/// the commit scratch, nothing else. One session judges arbitrarily many
+/// Reusable execution state over one [`CheckerProgram`]: the slot file,
+/// the commit staging, nothing else. One session judges arbitrarily many
 /// record streams; [`JudgeSession::reset`] rewinds to power-on without
 /// releasing an allocation.
 #[derive(Clone, Debug)]
 pub struct JudgeSession {
-    compiled: CompiledChecker,
+    prog: CheckerProgram,
+    /// The operation nodes in program order: pass 1. A leaf is never
+    /// evaluated — its slot is written by [`JudgeSession::step`] (inputs),
+    /// a commit (registers) or nothing at all (constants).
+    ops: Vec<u32>,
+    /// The post-edge pass: output-cone nodes whose value depends on a
+    /// register, in program order. Every other slot already holds its
+    /// final value after pass 1 or the commit — on register-out designs
+    /// like a shift register this pass is *empty*, where the interpreter
+    /// always re-evaluates everything.
+    pass2: Vec<u32>,
+    /// `(slot, position in the step's inputs)` of every input node.
+    input_slots: Vec<(u32, u32)>,
+    /// Power-on slot contents: constants and register `init`s at slot
+    /// width, x everywhere else.
+    init: Vec<LogicVec>,
     slots: Vec<LogicVec>,
     /// Staging for register next-values: updates read pass-1 values, so
     /// commits must not observe each other (`q2 <= q1; q1 <= d`).
@@ -314,49 +84,116 @@ pub struct JudgeSession {
 }
 
 impl JudgeSession {
-    /// Compiles `prog` and allocates the slot file.
+    /// Checks `prog` and allocates the slot file: the one-time
+    /// resolution of input names to positions, constants and state to
+    /// slots, and the post-edge pass.
     ///
     /// # Errors
     ///
-    /// As [`CompiledChecker::compile`].
+    /// [`CheckerRunError`] when the program is malformed: an input node
+    /// naming a port absent from [`CheckerProgram::inputs`] (the
+    /// interpreter's "missing input"), an operand, update or output
+    /// referencing a node that is not earlier in (or not in) the program
+    /// (the interpreter's out-of-bounds), or an update whose target is
+    /// not a [`Node::Reg`] (a commit into a resident constant or input
+    /// would persist).
     pub fn new(prog: &CheckerProgram) -> Result<JudgeSession, CheckerRunError> {
-        Ok(Self::over(CompiledChecker::compile(prog)?))
-    }
-
-    /// A session over an already compiled checker.
-    pub fn over(compiled: CompiledChecker) -> JudgeSession {
-        let slots = compiled.init.clone();
-        let commit = compiled
-            .commits
-            .iter()
-            .map(|c| LogicVec::zeros(compiled.widths[c.reg as usize].max(1)))
-            .collect();
-        JudgeSession {
-            compiled,
-            slots,
-            commit,
-            commits_retired: 0,
+        let fail = |message: String| Err(CheckerRunError { message });
+        let n = prog.nodes.len();
+        let (mut ops, mut input_slots, mut init) = (Vec::new(), Vec::new(), Vec::with_capacity(n));
+        for (i, def) in prog.nodes.iter().enumerate() {
+            if let Some(later) = operands(&def.node).find(|id| id.0 as usize >= i) {
+                return fail(format!("node {i} references later node {}", later.0));
+            }
+            let w = def.width.max(1);
+            init.push(match &def.node {
+                Node::Input { name } => {
+                    let Some(pos) = prog.inputs.iter().position(|p| p == name) else {
+                        return fail(format!("missing input `{name}`"));
+                    };
+                    input_slots.push((i as u32, pos as u32));
+                    LogicVec::filled_x(w)
+                }
+                // At slot width: the values the interpreter's reads produce.
+                Node::Const(c) => c.zero_extend(w),
+                Node::Reg { init, .. } => init.zero_extend(w),
+                _ => {
+                    ops.push(i as u32);
+                    LogicVec::filled_x(w)
+                }
+            });
         }
-    }
-
-    /// The compiled program.
-    pub fn compiled(&self) -> &CompiledChecker {
-        &self.compiled
-    }
-
-    /// Rewinds register state to power-on. In place — the slot file and
-    /// its allocations survive.
-    pub fn reset(&mut self) {
-        for (slot, init) in self.slots.iter_mut().zip(self.compiled.init.iter()) {
-            if slot.width() == init.width() {
-                slot.copy_from(init);
-            } else {
-                *slot = init.clone();
+        for ru in &prog.reg_updates {
+            let target = prog.nodes.get(ru.reg.0 as usize).map(|d| &d.node);
+            if !matches!(target, Some(Node::Reg { .. })) {
+                return fail(format!(
+                    "register update targets node {}, not a register",
+                    ru.reg.0
+                ));
+            }
+            if ru.next.0 as usize >= n {
+                return fail(format!(
+                    "register update reads node {} outside the program",
+                    ru.next.0
+                ));
             }
         }
+        if let Some(o) = prog.outputs.iter().find(|o| o.node.0 as usize >= n) {
+            return fail(format!(
+                "output `{}` references node {} outside the program",
+                o.name, o.node.0
+            ));
+        }
+        // Dependency analysis for the post-edge pass. Forward: which
+        // nodes transitively read a register. Backward from the outputs:
+        // which nodes the sampled values are built from.
+        let mut reg_dep = vec![false; n];
+        for (i, def) in prog.nodes.iter().enumerate() {
+            reg_dep[i] = matches!(def.node, Node::Reg { .. })
+                || operands(&def.node).any(|id| reg_dep[id.0 as usize]);
+        }
+        let mut needed = vec![false; n];
+        for o in &prog.outputs {
+            needed[o.node.0 as usize] = true;
+        }
+        for (i, def) in prog.nodes.iter().enumerate().rev() {
+            if needed[i] {
+                for id in operands(&def.node) {
+                    needed[id.0 as usize] = true;
+                }
+            }
+        }
+        let pass2 = ops
+            .iter()
+            .copied()
+            .filter(|&i| needed[i as usize] && reg_dep[i as usize])
+            .collect();
+        let commit = prog
+            .reg_updates
+            .iter()
+            .map(|ru| init[ru.reg.0 as usize].clone())
+            .collect();
+        Ok(JudgeSession {
+            prog: prog.clone(),
+            ops,
+            pass2,
+            input_slots,
+            slots: init.clone(),
+            init,
+            commit,
+            commits_retired: 0,
+        })
     }
 
-    /// Evaluates one step — the compiled counterpart of [`crate::step`]:
+    /// Rewinds the slot file, register state included, to power-on. In
+    /// place — the slot file and its allocations survive.
+    pub fn reset(&mut self) {
+        for (slot, init) in self.slots.iter_mut().zip(&self.init) {
+            slot.copy_from(init);
+        }
+    }
+
+    /// Evaluates one step — the session counterpart of [`crate::step`]:
     /// inputs applied, edge committed, outputs sampled post-edge. Read
     /// results via [`JudgeSession::output`].
     ///
@@ -364,37 +201,33 @@ impl JudgeSession {
     ///
     /// When `inputs` does not carry one value per declared input.
     pub fn step(&mut self, inputs: &[LogicVec]) -> Result<(), CheckerRunError> {
-        if inputs.len() != self.compiled.inputs.len() {
+        if inputs.len() != self.prog.inputs.len() {
             return Err(CheckerRunError {
                 message: format!(
                     "expected {} inputs, got {}",
-                    self.compiled.inputs.len(),
+                    self.prog.inputs.len(),
                     inputs.len()
                 ),
             });
         }
+        for &(slot, pos) in &self.input_slots {
+            self.slots[slot as usize].assign_resize(&inputs[pos as usize], false);
+        }
         // Pass 1: combinational values from current state.
-        eval_pass(&self.compiled, &mut self.slots, inputs);
-        if self.compiled.commits.is_empty() {
+        run_pass(&self.prog.nodes, &mut self.slots, &self.ops);
+        if self.commit.is_empty() {
             return Ok(());
         }
         // Commit register updates from pass-1 values (staged: no commit
         // observes another), then re-evaluate from the new state.
-        self.commits_retired += self.compiled.commits.len() as u64;
-        for (stage, c) in self.commit.iter_mut().zip(self.compiled.commits.iter()) {
-            stage.assign_resize(&self.slots[c.next as usize], false);
+        self.commits_retired += self.commit.len() as u64;
+        for (stage, ru) in self.commit.iter_mut().zip(&self.prog.reg_updates) {
+            stage.assign_resize(&self.slots[ru.next.0 as usize], false);
         }
-        for (stage, c) in self.commit.iter().zip(self.compiled.commits.iter()) {
-            let slot = &mut self.slots[c.reg as usize];
-            if slot.width() == stage.width() {
-                slot.copy_from(stage);
-            } else {
-                *slot = stage.clone();
-            }
+        for (stage, ru) in self.commit.iter().zip(&self.prog.reg_updates) {
+            self.slots[ru.reg.0 as usize].copy_from(stage);
         }
-        for &i in &self.compiled.pass2 {
-            eval_node(&self.compiled, i as usize, &mut self.slots, inputs);
-        }
+        run_pass(&self.prog.nodes, &mut self.slots, &self.pass2);
         Ok(())
     }
 
@@ -406,116 +239,20 @@ impl JudgeSession {
         std::mem::take(&mut self.commits_retired)
     }
 
-    /// Output `i` (program order, matching
-    /// [`CompiledChecker::output_names`]) after the last step.
+    /// Output `i` ([`CheckerProgram::outputs`] order) after the last
+    /// step.
     pub fn output(&self, i: usize) -> &LogicVec {
-        &self.slots[self.compiled.outputs[i].1 as usize]
+        &self.slots[self.prog.outputs[i].node.0 as usize]
     }
 }
 
-/// One full forward evaluation over the slot file.
-fn eval_pass(cd: &CompiledChecker, slots: &mut [LogicVec], inputs: &[LogicVec]) {
-    for i in 0..cd.ops.len() {
-        eval_node(cd, i, slots, inputs);
+/// Evaluates the operation nodes `order` into their slots, in order.
+fn run_pass(nodes: &[NodeDef], slots: &mut [LogicVec], order: &[u32]) {
+    for &i in order {
+        let def = &nodes[i as usize];
+        let (vals, rest) = slots.split_at_mut(i as usize);
+        rest[0] = eval_op(&def.node, def.width, vals);
     }
-}
-
-/// Evaluates node `i` into its slot. Every arm mirrors the corresponding
-/// `eval_all` arm in [`crate::eval`] — the slot file plays the
-/// interpreter's `vals` vector, with register slots standing in for the
-/// state map (so a register node needs no evaluation at all).
-fn eval_node(cd: &CompiledChecker, i: usize, slots: &mut [LogicVec], inputs: &[LogicVec]) {
-    let op = &cd.ops[i];
-    if matches!(op, COp::Reg) {
-        return;
-    }
-    let w = cd.widths[i];
-    let (vals, rest) = slots.split_at_mut(i);
-    let dst = &mut rest[0];
-    let v = match op {
-        COp::Reg => unreachable!("register slots are skipped"),
-        COp::Input { idx } => inputs[*idx as usize].zero_extend(w),
-        COp::Const { lit } => cd.lits[*lit as usize].clone(),
-        COp::Bin { op, a, b, signed } => match op {
-            // Comparisons consume their operands at full width (the
-            // compiler already extended both sides); resizing to the
-            // 1-bit result would truncate.
-            IrBinOp::Eq | IrBinOp::CaseEq | IrBinOp::LtU | IrBinOp::LtS => {
-                eval_bin(*op, &vals[*a as usize], &vals[*b as usize], w)
-            }
-            _ => {
-                let va = vals[*a as usize].resize(w.max(1), *signed);
-                let vb = vals[*b as usize].resize(w.max(1), *signed);
-                eval_bin(*op, &va, &vb, w)
-            }
-        },
-        COp::Un { op, a } => eval_un(*op, &vals[*a as usize], w),
-        COp::Mux { sel, t, f } => {
-            let s = vals[*sel as usize].truthy();
-            let tv = vals[*t as usize].zero_extend(w);
-            let fv = vals[*f as usize].zero_extend(w);
-            match s {
-                Bit::One => tv,
-                Bit::Zero => fv,
-                _ => {
-                    let mut out = LogicVec::filled_x(w);
-                    for i in 0..w {
-                        let (a, b) = (tv.bit(i), fv.bit(i));
-                        if a == b && a.is_known() {
-                            out.set_bit(i, a);
-                        }
-                    }
-                    out
-                }
-            }
-        }
-        COp::Slice { a, lo, width } => vals[*a as usize]
-            .slice(*lo as usize, *width as usize)
-            .zero_extend(w),
-        COp::DynSlice { a, lo, width } => {
-            let base = &vals[*a as usize];
-            match vals[*lo as usize].to_u64() {
-                Some(l) => base.slice(l as usize, *width as usize).zero_extend(w),
-                None => LogicVec::filled_x(w),
-            }
-        }
-        COp::DynInsert { a, lo, b, width } => {
-            let mut base = vals[*a as usize].zero_extend(w);
-            if let Some(l) = vals[*lo as usize].to_u64() {
-                let l = l as usize;
-                let repl = &vals[*b as usize];
-                for i in 0..*width as usize {
-                    if l + i < w {
-                        let bit = if i < repl.width() {
-                            repl.bit(i)
-                        } else {
-                            Bit::Zero
-                        };
-                        base.set_bit(l + i, bit);
-                    }
-                }
-            }
-            base
-        }
-        COp::Concat(parts) => {
-            let mut acc: Option<LogicVec> = None;
-            for p in parts {
-                let v = vals[*p as usize].clone();
-                acc = Some(match acc {
-                    None => v,
-                    Some(hi) => hi.concat(&v),
-                });
-            }
-            acc.map(|v| v.zero_extend(w))
-                .unwrap_or_else(|| LogicVec::filled_x(w))
-        }
-        COp::Repl { a, n } => vals[*a as usize]
-            .repeat((*n as usize).max(1))
-            .zero_extend(w),
-        COp::Ext { a, signed } => vals[*a as usize].resize(w, *signed),
-    };
-    debug_assert_eq!(v.width(), w, "slot {i} width mismatch");
-    *dst = v;
 }
 
 #[cfg(test)]
@@ -525,26 +262,31 @@ mod tests {
     use std::collections::HashMap;
 
     /// Steps the interpreter and the session side by side and asserts
-    /// every output matches.
+    /// every output matches; then resets the session and replays the
+    /// stream against a fresh interpreter state.
     fn assert_steps_agree(prog: &CheckerProgram, stream: &[Vec<LogicVec>]) {
-        let mut state = CheckerState::new(prog);
-        let mut session = JudgeSession::new(prog).expect("compiles");
-        for (k, inputs) in stream.iter().enumerate() {
-            let map: HashMap<String, LogicVec> = prog
-                .inputs
-                .iter()
-                .cloned()
-                .zip(inputs.iter().cloned())
-                .collect();
-            let expected = step(prog, &mut state, &map).expect("interpreter step");
-            session.step(inputs).expect("compiled step");
-            for (i, (name, _)) in session.compiled.outputs.iter().enumerate() {
-                assert_eq!(
-                    session.output(i),
-                    &expected[name],
-                    "step {k}, output `{name}`"
-                );
+        let mut session = JudgeSession::new(prog).expect("session builds");
+        for round in 0..2 {
+            let mut state = CheckerState::new(prog);
+            for (k, inputs) in stream.iter().enumerate() {
+                let map: HashMap<String, LogicVec> = prog
+                    .inputs
+                    .iter()
+                    .cloned()
+                    .zip(inputs.iter().cloned())
+                    .collect();
+                let expected = step(prog, &mut state, &map).expect("interpreter step");
+                session.step(inputs).expect("session step");
+                for (i, o) in prog.outputs.iter().enumerate() {
+                    assert_eq!(
+                        session.output(i),
+                        &expected[&o.name],
+                        "round {round}, step {k}, output `{}`",
+                        o.name
+                    );
+                }
             }
+            session.reset();
         }
     }
 
@@ -616,7 +358,8 @@ mod tests {
     #[test]
     fn staged_commit_shift_register() {
         // q2 <= q1; q1 <= d — the classic commit-ordering trap: a
-        // sequential in-place commit would let q2 observe the new q1.
+        // sequential in-place commit would let q2 observe the new q1
+        // (when q1's update comes first, so both orders are checked).
         let mut p = CheckerProgram::default();
         let q1 = p.push(
             Node::Reg {
@@ -645,36 +388,36 @@ mod tests {
             .iter()
             .map(|v| vec![LogicVec::from_u64(4, *v)])
             .collect();
-        assert_steps_agree(&p, &stream);
-        // And pin the absolute behaviour: after one step q2 holds old q1.
-        let mut s = JudgeSession::new(&p).expect("compiles");
-        s.step(&[LogicVec::from_u64(4, 9)]).expect("step");
-        assert_eq!(s.output(0).to_u64(), Some(1));
+        for _ in 0..2 {
+            assert_steps_agree(&p, &stream);
+            // And pin the absolute behaviour: after one step q2 holds
+            // old q1.
+            let mut s = JudgeSession::new(&p).expect("session builds");
+            s.step(&[LogicVec::from_u64(4, 9)]).expect("step");
+            assert_eq!(s.output(0).to_u64(), Some(1));
+            p.reg_updates.reverse();
+        }
     }
 
     #[test]
     fn reset_rewinds_to_power_on() {
         let p = counter_with_feedback();
-        let mut s = JudgeSession::new(&p).expect("compiles");
+        let mut s = JudgeSession::new(&p).expect("session builds");
         let first: Vec<LogicVec> = {
             s.step(&[LogicVec::from_u64(4, 7)]).expect("step");
-            (0..s.compiled.num_outputs())
-                .map(|i| s.output(i).clone())
-                .collect()
+            (0..p.outputs.len()).map(|i| s.output(i).clone()).collect()
         };
         s.step(&[LogicVec::from_u64(4, 2)]).expect("step");
         s.reset();
         s.step(&[LogicVec::from_u64(4, 7)]).expect("step");
-        let replay: Vec<LogicVec> = (0..s.compiled.num_outputs())
-            .map(|i| s.output(i).clone())
-            .collect();
+        let replay: Vec<LogicVec> = (0..p.outputs.len()).map(|i| s.output(i).clone()).collect();
         assert_eq!(first, replay);
     }
 
     #[test]
     fn wrong_arity_is_error() {
         let p = counter_with_feedback();
-        let mut s = JudgeSession::new(&p).expect("compiles");
+        let mut s = JudgeSession::new(&p).expect("session builds");
         assert!(s.step(&[]).is_err());
     }
 
@@ -687,7 +430,7 @@ mod tests {
             node: a,
         });
         // `inputs` does not declare `a`: the interpreter fails the step,
-        // the compiler fails the build — same observable error class.
+        // the session fails to build — same observable error class.
         assert!(JudgeSession::new(&p).is_err());
     }
 
@@ -701,6 +444,83 @@ mod tests {
             },
             4,
         );
-        assert!(CompiledChecker::compile(&p).is_err());
+        assert!(JudgeSession::new(&p).is_err());
+    }
+
+    /// Leaves whose values are narrower than their nodes (a constant, a
+    /// register `init`) next to an input fed at other widths: both
+    /// executors must bring each to its node width the same way.
+    fn mixed_width_leaves() -> CheckerProgram {
+        // q' = q + d; y = c ^ d; every leaf is also an output.
+        let mut p = CheckerProgram::default();
+        let d = p.push(Node::Input { name: "d".into() }, 8);
+        let c = p.push(Node::Const(LogicVec::from_u64(4, 0b1011)), 8);
+        let q = p.push(
+            Node::Reg {
+                name: "q".into(),
+                init: LogicVec::from_u64(4, 0b1001),
+            },
+            8,
+        );
+        let next = p.push(
+            Node::Bin {
+                op: IrBinOp::Add,
+                a: q,
+                b: d,
+                signed: false,
+            },
+            8,
+        );
+        let y = p.push(
+            Node::Bin {
+                op: IrBinOp::Xor,
+                a: c,
+                b: d,
+                signed: false,
+            },
+            8,
+        );
+        p.reg_updates.push(RegUpdate { reg: q, next });
+        for (name, node) in [("d", d), ("c", c), ("q", q), ("y", y)] {
+            p.outputs.push(OutputDef {
+                name: name.into(),
+                node,
+            });
+        }
+        p.inputs = vec!["d".into()];
+        p.sequential = true;
+        p
+    }
+
+    #[test]
+    fn leaves_off_their_node_width_match_interpreter() {
+        let p = mixed_width_leaves();
+        // Input values narrower (4 bits) and wider (12 bits) than the
+        // 8-bit input node, x included.
+        let stream = vec![
+            vec![LogicVec::from_u64(4, 0b0110)],
+            vec![LogicVec::from_u64(12, 0xabc)],
+            vec![LogicVec::filled_x(4)],
+            vec![LogicVec::from_u64(12, 0xf05)],
+            vec![LogicVec::filled_x(12)],
+        ];
+        assert_steps_agree(&p, &stream);
+    }
+
+    #[test]
+    fn update_of_a_constant_or_input_is_an_error() {
+        let p = mixed_width_leaves();
+        for target in [NodeId(0), NodeId(1)] {
+            let mut bad = p.clone();
+            bad.reg_updates.push(RegUpdate {
+                reg: target,
+                next: NodeId(3),
+            });
+            assert!(
+                JudgeSession::new(&bad).is_err(),
+                "update of node {}",
+                target.0
+            );
+        }
     }
 }

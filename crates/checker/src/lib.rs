@@ -8,9 +8,10 @@
 //! * [`ir`] — a word-level dataflow program ([`ir::CheckerProgram`]);
 //! * [`compile`] — Verilog AST → IR (how golden checkers are derived);
 //! * [`eval`] — the cycle-stepping interpreter producing reference outputs
-//!   (the semantic reference);
-//! * [`exec`] — the compiled executor ([`exec::JudgeSession`]): slot-file
-//!   bytecode with positional inputs, the judging hot path;
+//!   (the semantic reference), and the one evaluation of every operation;
+//! * [`exec`] — the judging executor ([`exec::JudgeSession`]): the same
+//!   operations stepped over a preallocated slot file with positional
+//!   inputs, the judging hot path;
 //! * [`mutate`] — revertible IR mutation, the model of LLM checker bugs.
 //!
 //! # Examples
@@ -46,6 +47,6 @@ pub mod mutate;
 
 pub use compile::{compile_module, CompileError};
 pub use eval::{step, CheckerRunError, CheckerState};
-pub use exec::{CompiledChecker, JudgeSession};
+pub use exec::JudgeSession;
 pub use ir::{CheckerProgram, NodeId};
 pub use mutate::{mutate_ir, mutate_ir_once, IrMutation};

@@ -3,7 +3,7 @@
 //! interpreter. This is the semantic contract the whole reproduction
 //! rests on (checker = independent reference model of the same RTL).
 
-use correctbench_checker::{compile_module, step, CheckerState};
+use correctbench_checker::{compile_module, step, CheckerState, JudgeSession};
 use correctbench_verilog::logic::LogicVec;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -120,5 +120,46 @@ proptest! {
                 "divergence at step {} of {} for {}", k, src, render(&e)
             );
         }
+    }
+}
+
+/// A dynamic part write at or past the target's width writes nothing
+/// there: the simulator drops those bits, and so must both checker
+/// executors — also when the index plus the part width overflows.
+#[test]
+fn out_of_range_dynamic_part_writes_match_the_simulator() {
+    let module = "module m (\n    input [63:0] i,\n    output reg [7:0] y\n);\n    always @(*) begin\n        y = 8'd0;\n        y[i +: 2] = 2'b11;\n    end\nendmodule\n";
+    // Far out of range (the index plus one overflows 64 bits), partly in
+    // range (only bit 7 is written), and in range.
+    let indices = [u64::MAX, 7, 3];
+    let mut driver = String::from(
+        "module tb;\n reg [63:0] i;\n wire [7:0] y;\n m dut(.i(i), .y(y));\n initial begin\n",
+    );
+    for i in indices {
+        driver.push_str(&format!(" i = 64'd{i};\n #10 $display(\"y=%0d\", y);\n"));
+    }
+    driver.push_str(" $finish;\n end\nendmodule\n");
+    let sim = correctbench_verilog::run_source(&format!("{module}\n{driver}"), "tb")
+        .expect("simulates")
+        .lines();
+    assert_eq!(sim, ["y=0", "y=128", "y=24"]);
+
+    let file = correctbench_verilog::parse(module).expect("module parses");
+    let checker = compile_module(&file.modules[0]).expect("compiles");
+    let mut state = CheckerState::new(&checker);
+    let mut session = JudgeSession::new(&checker).expect("session builds");
+    for (k, i) in indices.into_iter().enumerate() {
+        let value = LogicVec::from_u64(64, i);
+        let inputs = HashMap::from([("i".to_string(), value.clone())]);
+        let interpreted =
+            step(&checker, &mut state, &inputs).expect("steps")["y"].to_decimal_string();
+        session.step(&[value]).expect("session steps");
+        let judged = session.output(0).to_decimal_string();
+        let want = sim[k].strip_prefix("y=").expect("record");
+        assert_eq!(
+            (interpreted.as_str(), judged.as_str()),
+            (want, want),
+            "i = {i}"
+        );
     }
 }

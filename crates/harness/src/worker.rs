@@ -21,7 +21,7 @@ use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::Diagnostic;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
 use std::time::{Duration, Instant};
@@ -88,27 +88,23 @@ pub struct TaskOutcome {
     pub lint: Vec<Diagnostic>,
 }
 
-thread_local! {
-    /// Findings of a lint pass that is about to gate-abort its job:
-    /// stashed just before `abort_job(LintRejected)` unwinds so the
-    /// aborted outcome still carries the diagnostics that rejected it
-    /// into `diagnostics.jsonl`.
-    static LINT_STASH: RefCell<Vec<Diagnostic>> = const { RefCell::new(Vec::new()) };
-}
-
 /// The pre-generation half of the `--lint=gate` contract: deny-level
-/// findings in the golden DUT alone abort the job *before* it costs a
-/// single LLM token or reaches the generation path's dataset
-/// invariants (which assume well-formed golden RTL). Warn mode records
-/// golden findings through [`lint_pass`] instead, so this half is
-/// gate-only and leaves the diagnostics counter to the combined pass.
-fn lint_golden_gate(job: &Job, golden: Option<&SourceFile>, mode: LintMode) {
+/// findings in the golden DUT alone reject the job (`Err` carries them)
+/// *before* it costs a single LLM token or reaches the generation path's
+/// dataset invariants (which assume well-formed golden RTL). Warn mode
+/// records golden findings through [`lint_pass`] instead, so this half
+/// is gate-only and leaves the diagnostics counter to the combined pass.
+fn lint_golden_gate(
+    job: &Job,
+    golden: Option<&SourceFile>,
+    mode: LintMode,
+) -> Result<(), Vec<Diagnostic>> {
     if mode != LintMode::Gate {
-        return;
+        return Ok(());
     }
     let _span = correctbench_obs::span(correctbench_obs::Phase::Lint);
     let Some(golden) = golden else {
-        return;
+        return Ok(());
     };
     let report = correctbench_verilog::lint_file(golden);
     let deny: Vec<Diagnostic> = report
@@ -119,32 +115,32 @@ fn lint_golden_gate(job: &Job, golden: Option<&SourceFile>, mode: LintMode) {
                 && !job.problem.lint_allowed(d.rule.name(), &d.signal)
         })
         .collect();
-    if !deny.is_empty() {
-        correctbench_obs::add(Counter::LintDiags, deny.len() as u64);
-        LINT_STASH.with(|s| *s.borrow_mut() = deny);
-        correctbench_tbgen::abort_job(AbortKind::LintRejected);
+    if deny.is_empty() {
+        return Ok(());
     }
+    correctbench_obs::add(Counter::LintDiags, deny.len() as u64);
+    Err(deny)
 }
 
 /// Lints the job's combined RTL — the golden DUT's parse plus the
 /// candidate driver's, as one file — filtering findings the problem's
-/// allowlist marks intentional. Under [`LintMode::Gate`] deny-level
-/// findings abort the job with [`AbortKind::LintRejected`] *before* any
-/// simulation — stashing the findings first so the aborted outcome
-/// still reports them. A driver that does not parse is skipped here:
-/// syntax failures are AutoEval's `Failed` verdict, not lint subjects.
+/// allowlist marks intentional. Under [`LintMode::Gate`] a deny-level
+/// finding rejects the job *before* any simulation, and `Err` carries
+/// every finding so the aborted outcome still reports them. A driver
+/// that does not parse is skipped here: syntax failures are AutoEval's
+/// `Failed` verdict, not lint subjects.
 fn lint_pass(
     job: &Job,
     golden: Option<&SourceFile>,
     driver: &Driver,
     mode: LintMode,
-) -> Vec<Diagnostic> {
+) -> Result<Vec<Diagnostic>, Vec<Diagnostic>> {
     if !mode.is_enabled() {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     let _span = correctbench_obs::span(correctbench_obs::Phase::Lint);
     let (Some(golden), Some(driver)) = (golden, driver.parsed()) else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
     let report = correctbench_verilog::lint_files(&[golden, driver]);
     let diags: Vec<Diagnostic> = report
@@ -153,40 +149,40 @@ fn lint_pass(
         .filter(|d| !job.problem.lint_allowed(d.rule.name(), &d.signal))
         .collect();
     correctbench_obs::add(Counter::LintDiags, diags.len() as u64);
-    if mode == LintMode::Gate
-        && diags
-            .iter()
-            .any(|d| d.severity == correctbench_verilog::Severity::Error)
-    {
-        LINT_STASH.with(|s| *s.borrow_mut() = diags);
-        correctbench_tbgen::abort_job(AbortKind::LintRejected);
+    let deny = diags
+        .iter()
+        .any(|d| d.severity == correctbench_verilog::Severity::Error);
+    if mode == LintMode::Gate && deny {
+        return Err(diags);
     }
-    diags
+    Ok(diags)
 }
 
+/// Runs the job to its outcome, or returns the findings with which the
+/// lint gate rejected it.
 fn run_job_inner(
     job: &Job,
     cfg: &Config,
     factory: &dyn ClientFactory,
     lint_mode: LintMode,
     ctx: &EvalContext,
-) -> TaskOutcome {
+) -> Result<TaskOutcome, Vec<Diagnostic>> {
     let t0 = Instant::now();
     // Both lint halves read one parse of the golden DUT.
     let golden = lint_mode
         .is_enabled()
         .then(|| correctbench_verilog::parse(&job.problem.golden_rtl).ok())
         .flatten();
-    lint_golden_gate(job, golden.as_ref(), lint_mode);
+    lint_golden_gate(job, golden.as_ref(), lint_mode)?;
     let mut llm = factory.client(job.seed);
     let mut rng = StdRng::seed_from_u64(job.seed ^ 0x777);
     let outcome = run_method(job.method, &job.problem, &mut *llm, cfg, &mut rng, ctx);
     // The static-analysis gate sits between generation and evaluation:
-    // under `--lint=gate` a deny-level finding unwinds here, before the
+    // under `--lint=gate` a deny-level finding returns here, before the
     // first simulation.
-    let lint = lint_pass(job, golden.as_ref(), &outcome.tb.driver, lint_mode);
+    let lint = lint_pass(job, golden.as_ref(), &outcome.tb.driver, lint_mode)?;
     let level = evaluate(&job.problem, &outcome.tb, job.eval_seed, ctx);
-    TaskOutcome {
+    Ok(TaskOutcome {
         job_id: job.id,
         problem: job.problem.name.clone(),
         kind: job.problem.kind,
@@ -210,7 +206,7 @@ fn run_job_inner(
         // spans and counters.
         obs: correctbench_obs::take_job(),
         lint,
-    }
+    })
 }
 
 thread_local! {
@@ -254,12 +250,16 @@ impl Drop for InJobGuard {
 
 /// The deterministic record of a job that did not finish: every
 /// pipeline field takes its inert default, so the line depends only on
-/// the job and the failure kind — never on how far the job got before
-/// dying.
-fn aborted_outcome(job: &Job, kind: AbortKind, wall: Duration) -> TaskOutcome {
-    // A gate rejection stashed its findings just before unwinding; every
-    // other abort finds the stash empty (it is cleared at job start).
-    let lint = LINT_STASH.with(|s| std::mem::take(&mut *s.borrow_mut()));
+/// the job, the failure kind and `lint` (the findings of a lint-gate
+/// rejection, empty for every other kind) — never on how far the job
+/// got before dying.
+fn aborted_outcome(
+    job: &Job,
+    kind: AbortKind,
+    lint: Vec<Diagnostic>,
+    wall: Duration,
+) -> TaskOutcome {
+    correctbench_obs::add(Counter::JobAborts, 1);
     TaskOutcome {
         job_id: job.id,
         problem: job.problem.name.clone(),
@@ -291,6 +291,8 @@ fn aborted_outcome(job: &Job, kind: AbortKind, wall: Duration) -> TaskOutcome {
 ///   carries its own [`AbortKind`]; anything else is `panic`. Either
 ///   way the job becomes a deterministic `status: aborted` outcome
 ///   instead of taking down the worker.
+/// * A lint-gate rejection returns its findings instead of unwinding,
+///   and becomes a `lint_rejected` outcome that carries them.
 /// * The job runs on a clone of `shared` whose
 ///   [`EvalContext::sim_budget`] is the plan's `sim_budget`; tbgen
 ///   clamps every simulation with it and aborts the job when a binding
@@ -309,7 +311,6 @@ pub fn run_job_guarded(
 ) -> TaskOutcome {
     install_quiet_panic_hook();
     let t0 = Instant::now();
-    LINT_STASH.with(|s| s.borrow_mut().clear());
     let result = catch_unwind(AssertUnwindSafe(|| {
         let _in_job = InJobGuard::enter();
         let ctx = EvalContext {
@@ -328,7 +329,8 @@ pub fn run_job_guarded(
         run_job_inner(job, &plan.config, factory, plan.lint, &ctx)
     }));
     match result {
-        Ok(outcome) => outcome,
+        Ok(Ok(outcome)) => outcome,
+        Ok(Err(findings)) => aborted_outcome(job, AbortKind::LintRejected, findings, t0.elapsed()),
         Err(payload) => {
             let kind = payload
                 .downcast_ref::<JobAbort>()
@@ -344,8 +346,7 @@ pub fn run_job_guarded(
                     .unwrap_or_default();
                 eprintln!("job {}: aborted by panic: {msg}", job.id);
             }
-            correctbench_obs::add(Counter::JobAborts, 1);
-            aborted_outcome(job, kind, t0.elapsed())
+            aborted_outcome(job, kind, Vec::new(), t0.elapsed())
         }
     }
 }

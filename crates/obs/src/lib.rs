@@ -48,7 +48,7 @@ pub enum Phase {
     /// what the displays print: a record display's values, any other
     /// display's rendered line.
     Simulate,
-    /// Checker judging, compiled or interpreted.
+    /// Checker judging, by session or interpreter.
     Judge,
     /// LLM request round-trips.
     Llm,

@@ -4,10 +4,13 @@
 //! A job that cannot produce a result — a panic, a broken trusted
 //! artifact, an exhausted simulation budget, a lint-gate rejection —
 //! must still produce a deterministic `outcomes.jsonl` line. The
-//! harness wraps every job in `catch_unwind`; code below the harness
-//! signals a *classified* abort by unwinding with a [`JobAbort`] payload
-//! ([`abort_job`]), which the worker downcasts into [`AbortKind`]. Any
-//! other payload classifies as [`AbortKind::Panic`].
+//! harness wraps every job in `catch_unwind`; code below the harness (a
+//! trusted artifact that fails to parse, a simulation that exhausts the
+//! budget) signals a *classified* abort by unwinding with a [`JobAbort`]
+//! payload ([`abort_job`]), which the worker downcasts into
+//! [`AbortKind`]. Any other payload classifies as [`AbortKind::Panic`].
+//! The lint gate runs in the harness itself, so a lint-gate rejection
+//! does not unwind: the worker returns it, with the findings behind it.
 //!
 //! Unwinding (instead of threading `Result`s through every layer) is
 //! deliberate: an abort must cross cache lookups and sessions without
@@ -31,7 +34,8 @@ pub enum AbortKind {
     /// A binding `--sim-budget` was exhausted by one simulation run.
     SimBudgetExhausted,
     /// The static-analysis gate (`--lint=gate`) found deny-level
-    /// diagnostics in the job's RTL before simulation.
+    /// diagnostics in the job's RTL before simulation. The harness
+    /// returns this kind; nothing unwinds with it.
     LintRejected,
 }
 

@@ -183,7 +183,7 @@ pub fn reference_run(
 }
 
 /// The width a record prints `name` at: its port width, defaulting to 1
-/// — the single definition shared by the interpreted and compiled
+/// — the single definition shared by the interpreter and session
 /// judges.
 pub(crate) fn port_width(ports: &[correctbench_dataset::PortSpec], name: &str) -> usize {
     ports.iter().find(|p| p.name == name).map_or(1, |p| p.width)
@@ -220,7 +220,7 @@ pub(crate) fn output_ok(
 }
 
 /// Judges already-captured records against the checker, interpreting the
-/// IR with [`step`] — the semantic reference the compiled session judge
+/// IR with [`step`] — the semantic reference the session judge
 /// ([`crate::EvalSession`]) is differentially tested against.
 ///
 /// The checker consumes the *input fields of the records* — what the DUT

@@ -6,8 +6,9 @@
 //! re-run near-identical pairs. An [`EvalSession`] is pinned to one
 //! `(problem, checker)` pair and owns, across arbitrarily many runs:
 //!
-//! * the **compiled checker** ([`JudgeSession`]) — IR flattened to slot
-//!   bytecode once, stepped positionally ever after;
+//! * the **judging checker** ([`JudgeSession`]) — the IR's slot file
+//!   allocated and its inputs resolved to positions once, stepped
+//!   positionally ever after;
 //! * the **record bindings** — each checker input and output given a
 //!   slot once, with its port width;
 //! * the **judging buffers** (per-scenario flags, positional inputs).
@@ -21,7 +22,7 @@
 //! driver. A miss clamps the
 //! run's limits to the budget, elaborates the pair and runs one fresh
 //! [`Simulator`] — the simulation half [`crate::reference_run`] runs too
-//! — and judges the records with the compiled checker.
+//! — and judges the records with the session's checker.
 //!
 //! The judge reads the run's typed view ([`SimOutput::printed`]), not its
 //! text. Each record format's field names are resolved to binding slots
@@ -92,7 +93,7 @@ pub struct EvalSession {
     verdicts: Verdicts,
 }
 
-/// The compiled checker and the verdicts of the stream it is judging.
+/// The judging checker and the verdicts of the stream it is judging.
 struct Verdicts {
     judge: JudgeSession,
     /// Per checker input: its binding slot and the port width the
@@ -107,8 +108,8 @@ struct Verdicts {
 }
 
 impl EvalSession {
-    /// Builds a session: compiles the checker, resolves the record
-    /// bindings, and keeps `ctx`'s simulation cache and budget.
+    /// Builds a session: prepares the checker's slot file, resolves the
+    /// record bindings, and keeps `ctx`'s simulation cache and budget.
     /// One-time cost, amortized over every subsequent run.
     ///
     /// # Errors
@@ -123,10 +124,10 @@ impl EvalSession {
         let judge = JudgeSession::new(checker)?;
         let mut binding = RecordBinding::default();
         let input_slots = crate::runner::bind_inputs(&mut binding, checker, &problem.ports);
-        let output_slots = judge
-            .compiled()
-            .output_names()
-            .map(|name| binding.slot(name))
+        let output_slots = checker
+            .outputs
+            .iter()
+            .map(|o| binding.slot(&o.name))
             .collect();
         let input_buf = input_slots
             .iter()
@@ -183,7 +184,7 @@ impl EvalSession {
     }
 
     /// Sweeps one driver across many DUTs — the RS-matrix / Eval2 shape —
-    /// sharing the session's setup (checker compilation, bindings).
+    /// sharing the session's setup (the checker's slot file, bindings).
     pub fn sweep_mutants<'d>(
         &mut self,
         duts: impl IntoIterator<Item = &'d SourceFile>,
@@ -196,7 +197,7 @@ impl EvalSession {
     }
 
     /// The uncached run: clamp the limits to the budget, simulate
-    /// ([`simulate_records`]) and judge (compiled checker).
+    /// ([`simulate_records`]) and judge ([`JudgeSession`]).
     fn run_once(
         &mut self,
         dut: &SourceFile,
@@ -209,7 +210,7 @@ impl EvalSession {
         Ok(TbRun { results })
     }
 
-    /// Judges a run's typed view with the compiled checker — the session
+    /// Judges a run's typed view with the [`JudgeSession`] — the session
     /// counterpart of [`crate::judge_records`] over the text view, with
     /// the same verdicts. Checker state is rewound first, so one session
     /// judges arbitrarily many runs.

@@ -26,7 +26,7 @@
 //! hashing remain value equality. Beside the value-returning operators the
 //! type offers a few **in-place ops** ([`LogicVec::write_range`],
 //! [`LogicVec::assign_resize`], [`LogicVec::copy_from`]) for the
-//! simulator's signal commits and the checker's compiled judge, which
+//! simulator's signal commits and the checker's judge session, which
 //! overwrite preallocated values.
 
 use std::fmt;
@@ -515,7 +515,7 @@ impl LogicVec {
     /// In-place resize: overwrites `self` with `src` truncated or extended
     /// to `self`'s width (sign-extension replicates `src`'s MSB including
     /// `x`/`z` when `signed`). The zero-allocation workhorse behind
-    /// [`LogicVec::resize`] and the compiled checker's register stages.
+    /// [`LogicVec::resize`] and the checker session's register stages.
     pub fn assign_resize(&mut self, src: &LogicVec, signed: bool) {
         let width = self.width;
         let copy = src.width.min(width);

@@ -4,8 +4,12 @@
 //! golden testbench passes Eval1 dataset-wide. This pins the two
 //! independent execution semantics (simulator vs. checker interpreter)
 //! to each other. The runs go through `reference_run`, whose judge is the
-//! checker interpreter; the compiled judge jobs use is pinned to the
-//! interpreter separately (`crates/checker/tests/exec_diff.rs`).
+//! checker interpreter. The judge jobs use (`JudgeSession`) evaluates
+//! every operation node through the interpreter's own code, so this pins
+//! those operations to the simulator too; what the session does its own
+//! way (slot file, positional inputs, the pruned post-edge pass) is
+//! pinned to the interpreter separately
+//! (`crates/checker/tests/exec_diff.rs`).
 
 use correctbench_suite::checker::{compile_module, CheckerProgram};
 use correctbench_suite::dataset::{all_problems, Problem};
