@@ -60,7 +60,7 @@ pub fn collect_corpus(
         let mut tbs = Vec::with_capacity(per_task);
         for k in 0..per_task {
             let mut rng = StdRng::seed_from_u64(seed ^ (k as u64) << 32);
-            let tb = generate_autobench(problem, &mut *llm, cfg, &mut rng);
+            let tb = generate_autobench(problem, &mut *llm, &mut rng);
             let correct = evaluate(problem, &tb, base_seed, &ctx) >= EvalLevel::Eval2;
             let broken = !tb.is_syntactically_valid();
             let matrix = if broken {

@@ -410,8 +410,8 @@ impl<'a> Compiler<'a> {
 
     // ---- expression sizing (mirrors the elaborator) ----
 
-    fn expr_width(&self, e: &Expr) -> usize {
-        match e {
+    fn expr_width(&self, e: &Expr) -> Result<usize, CompileError> {
+        Ok(match e {
             Expr::Literal { value, .. } => value.width(),
             Expr::Ident(n) => {
                 if let Some((v, _)) = self.params.get(n) {
@@ -421,28 +421,52 @@ impl<'a> Compiler<'a> {
                 }
             }
             Expr::Unary(op, a) => match op {
-                UnaryOp::Plus | UnaryOp::Neg | UnaryOp::Not => self.expr_width(a),
+                UnaryOp::Plus | UnaryOp::Neg | UnaryOp::Not => self.expr_width(a)?,
                 _ => 1,
             },
             Expr::Binary(op, a, b) => {
                 if op.is_comparison() {
                     1
                 } else if op.is_shift() || *op == BinaryOp::Pow {
-                    self.expr_width(a)
+                    self.expr_width(a)?
                 } else {
-                    self.expr_width(a).max(self.expr_width(b))
+                    self.expr_width(a)?.max(self.expr_width(b)?)
                 }
             }
-            Expr::Ternary(_, t, f) => self.expr_width(t).max(self.expr_width(f)),
-            Expr::Concat(parts) => parts.iter().map(|p| self.expr_width(p)).sum(),
-            Expr::Repl(n, inner) => n * self.expr_width(inner),
+            Expr::Ternary(_, t, f) => self.expr_width(t)?.max(self.expr_width(f)?),
+            Expr::Concat(parts) => parts
+                .iter()
+                .map(|p| self.expr_width(p))
+                .sum::<Result<usize, _>>()?,
+            Expr::Repl(n, inner) => n * self.expr_width(inner)?,
             Expr::Bit(_, _) => 1,
-            Expr::Part(_, msb, lsb) => (msb - lsb).unsigned_abs() as usize + 1,
+            Expr::Part(name, msb, lsb) => self.part_select(name, *msb, *lsb)?.1,
             Expr::IndexedPart(_, _, w) => *w,
             Expr::SysFunc(name, args) => match name.as_str() {
-                "$signed" | "$unsigned" => args.first().map_or(1, |a| self.expr_width(a)),
+                "$signed" | "$unsigned" => args.first().map_or(Ok(1), |a| self.expr_width(a))?,
                 _ => 32,
             },
+        })
+    }
+
+    /// The offset into `name` and the width of the part select
+    /// `name[msb:lsb]`. A reversed range, or an `lsb` below the declared
+    /// range, is an error, as it is to the elaborator.
+    fn part_select(&self, name: &str, msb: i64, lsb: i64) -> Result<(usize, usize), CompileError> {
+        let decl_lsb = if self.params.contains_key(name) {
+            0
+        } else {
+            self.syms.get(name).map_or(0, |s| s.lsb)
+        };
+        let lo = lsb
+            .checked_sub(decl_lsb)
+            .and_then(|d| usize::try_from(d).ok());
+        let span = msb.checked_sub(lsb).and_then(|d| usize::try_from(d).ok());
+        match (lo, span) {
+            (Some(lo), Some(span)) => Ok((lo, span + 1)),
+            _ => Err(CompileError::new(format!(
+                "bad part select [{msb}:{lsb}] on `{name}`"
+            ))),
         }
     }
 
@@ -478,7 +502,7 @@ impl<'a> Compiler<'a> {
     /// Compiles `e` in a `ctx`-bit context, mirroring
     /// `correctbench_verilog::design::eval`.
     fn compile_expr(&mut self, e: &Expr, ctx: usize) -> Result<NodeId, CompileError> {
-        let ctx = ctx.max(self.expr_width(e));
+        let ctx = ctx.max(self.expr_width(e)?);
         Ok(match e {
             Expr::Literal { value, signed } => {
                 let v = value.resize(ctx, *signed);
@@ -624,29 +648,16 @@ impl<'a> Compiler<'a> {
                 self.extend(s, ctx, false)
             }
             Expr::Part(name, msb, lsb) => {
-                if let Some((pv, _)) = self.params.get(name).cloned() {
-                    let w = (msb - lsb).unsigned_abs() as usize + 1;
-                    let part = if *lsb >= 0 {
-                        pv.slice(*lsb as usize, w)
-                    } else {
-                        LogicVec::filled_x(w)
-                    };
-                    let c = self.prog.push(Node::Const(part), w);
+                let (lo, w) = self.part_select(name, *msb, *lsb)?;
+                if let Some((pv, _)) = self.params.get(name) {
+                    let c = self.prog.push(Node::Const(pv.slice(lo, w)), w);
                     return Ok(self.extend(c, ctx, false));
                 }
                 let base = self.lookup_env(name)?;
-                let decl_lsb = self.syms.get(name).map_or(0, |s| s.lsb);
-                let lo = lsb - decl_lsb;
-                if lo < 0 {
-                    return Err(CompileError::new(format!(
-                        "part select below `{name}` range"
-                    )));
-                }
-                let w = (msb - lsb) as usize + 1;
                 let s = self.prog.push(
                     Node::Slice {
                         a: base,
-                        lo: lo as usize,
+                        lo,
                         width: w,
                     },
                     w,
@@ -693,7 +704,7 @@ impl<'a> Compiler<'a> {
 
     /// Self-determined compilation.
     fn compile_self(&mut self, e: &Expr) -> Result<NodeId, CompileError> {
-        let w = self.expr_width(e);
+        let w = self.expr_width(e)?;
         self.compile_expr(e, w)
     }
 
@@ -820,7 +831,7 @@ impl<'a> Compiler<'a> {
                 self.extend(r, ctx, false)
             }
             B::Eq | B::Ne | B::CaseEq | B::CaseNe | B::Lt | B::Le | B::Gt | B::Ge => {
-                let w = self.expr_width(a).max(self.expr_width(b));
+                let w = self.expr_width(a)?.max(self.expr_width(b)?);
                 let an = self.compile_expr(a, w)?;
                 let bn = self.compile_expr(b, w)?;
                 let lt_op = if signed_pair {
@@ -988,7 +999,7 @@ impl<'a> Compiler<'a> {
                     .width
             }
             LValue::Bit(_, _) => 1,
-            LValue::Part(_, msb, lsb) => (msb - lsb).unsigned_abs() as usize + 1,
+            LValue::Part(n, msb, lsb) => self.part_select(n, *msb, *lsb)?.1,
             LValue::IndexedPart(_, _, w) => *w,
             LValue::Concat(parts) => {
                 let mut w = 0;
@@ -1045,10 +1056,8 @@ impl<'a> Compiler<'a> {
             }
             LValue::Bit(n, idx) => self.insert_bits(n, idx, value, 1, true, &mut HashMap::new()),
             LValue::Part(n, msb, lsb) => {
-                let w = (msb - lsb) as usize + 1;
-                let lsb_decl = self.syms.get(n).map_or(0, |s| s.lsb);
-                let lo = lsb - lsb_decl;
-                let lit = Expr::literal_u64(32, lo.max(0) as u64);
+                let (lo, w) = self.part_select(n, *msb, *lsb)?;
+                let lit = Expr::literal_u64(32, lo as u64);
                 self.insert_bits(n, &lit, value, w, true, &mut HashMap::new())
             }
             LValue::IndexedPart(n, base, w) => {
@@ -1090,10 +1099,8 @@ impl<'a> Compiler<'a> {
             }
             LValue::Bit(n, idx) => self.insert_bits(n, idx, value, 1, false, nba),
             LValue::Part(n, msb, lsb) => {
-                let w = (msb - lsb) as usize + 1;
-                let lsb_decl = self.syms.get(n).map_or(0, |s| s.lsb);
-                let lo = lsb - lsb_decl;
-                let lit = Expr::literal_u64(32, lo.max(0) as u64);
+                let (lo, w) = self.part_select(n, *msb, *lsb)?;
+                let lit = Expr::literal_u64(32, lo as u64);
                 self.insert_bits(n, &lit, value, w, false, nba)
             }
             LValue::IndexedPart(n, base, w) => self.insert_bits(n, base, value, *w, false, nba),
@@ -1239,10 +1246,10 @@ impl<'a> Compiler<'a> {
         clocked: bool,
     ) -> Result<(), CompileError> {
         // Lower to an if-else chain, last arm first.
-        let sel_w = arms
-            .iter()
-            .flat_map(|a| a.labels.iter().map(|l| self.expr_width(l)))
-            .fold(self.expr_width(expr), usize::max);
+        let mut sel_w = self.expr_width(expr)?;
+        for label in arms.iter().flat_map(|a| &a.labels) {
+            sel_w = sel_w.max(self.expr_width(label)?);
+        }
         let sel = self.compile_expr(expr, sel_w)?;
 
         // Build (cond, body) pairs in order; default is the trailing else.

@@ -163,3 +163,39 @@ fn out_of_range_dynamic_part_writes_match_the_simulator() {
         );
     }
 }
+
+/// A part select the elaborator refuses — a reversed range, or an `lsb`
+/// below the declared one — is refused by the checker compiler too,
+/// whether it is read, written blocking or written non-blocking.
+#[test]
+fn part_selects_the_elaborator_refuses_do_not_compile() {
+    let modules = [
+        (
+            "reversed read",
+            "module m (\n    input [3:0] a,\n    output [3:0] y\n);\n    assign y = a[0:3];\nendmodule\n",
+        ),
+        (
+            "reversed blocking write",
+            "module m (\n    input [3:0] a,\n    output reg [7:0] y\n);\n    always @(*) begin\n        y = 8'd0;\n        y[0:3] = a[3:0];\n    end\nendmodule\n",
+        ),
+        (
+            "reversed non-blocking write",
+            "module m (\n    input clk,\n    input [3:0] a,\n    output reg [7:0] y\n);\n    always @(posedge clk) y[0:3] <= a;\nendmodule\n",
+        ),
+        (
+            "write below the declared range",
+            "module m (\n    input [3:0] a,\n    output reg [7:4] y\n);\n    always @(*) begin\n        y = 4'd0;\n        y[5:2] = a;\n    end\nendmodule\n",
+        ),
+    ];
+    for (what, src) in modules {
+        let file = correctbench_verilog::parse(src).expect("module parses");
+        assert!(
+            correctbench_verilog::elaborate(&file, "m").is_err(),
+            "{what}: the elaborator accepts it"
+        );
+        assert!(
+            compile_module(&file.modules[0]).is_err(),
+            "{what}: the checker compiler accepts it"
+        );
+    }
+}

@@ -1,4 +1,7 @@
-//! Pipeline configuration: iteration limits and validation criteria.
+//! Pipeline configuration: what the paper's tables, figures and
+//! ablations vary — the iteration limits I_C^max and I_R^max, the
+//! validator group size NR and the validation criterion. Everything the
+//! paper fixes is a constant where it is used.
 
 /// Validation criterion for the RS matrix (paper Section III-B2).
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -18,15 +21,6 @@ pub enum ValidationCriterion {
         /// Enable the 25%-green-row override.
         green_row_rule: bool,
     },
-    /// Extension (paper future work, "more advanced validation
-    /// criteria"): plausibility-weighted voting. Each RTL row votes with
-    /// weight equal to its green fraction, so mostly-broken designs —
-    /// whose red cells say little about the testbench — are discounted
-    /// instead of diluting every column toward the threshold.
-    Weighted {
-        /// Weighted disagreement fraction that marks a scenario wrong.
-        wrong_fraction: f64,
-    },
 }
 
 impl ValidationCriterion {
@@ -37,7 +31,6 @@ impl ValidationCriterion {
             ValidationCriterion::Wrong70 => 0.7,
             ValidationCriterion::Wrong50 => 0.5,
             ValidationCriterion::Custom { wrong_fraction, .. } => wrong_fraction,
-            ValidationCriterion::Weighted { wrong_fraction } => wrong_fraction,
         }
     }
 
@@ -48,7 +41,6 @@ impl ValidationCriterion {
             ValidationCriterion::Wrong100 => false,
             ValidationCriterion::Wrong70 | ValidationCriterion::Wrong50 => true,
             ValidationCriterion::Custom { green_row_rule, .. } => green_row_rule,
-            ValidationCriterion::Weighted { .. } => true,
         }
     }
 
@@ -66,9 +58,6 @@ impl ValidationCriterion {
                 wrong_fraction * 100.0,
                 if green_row_rule { "" } else { " (no row rule)" }
             ),
-            ValidationCriterion::Weighted { wrong_fraction } => {
-                format!("{:.0}%-weighted", wrong_fraction * 100.0)
-            }
         }
     }
 }
@@ -84,19 +73,6 @@ pub struct Config {
     pub num_validation_rtls: usize,
     /// Validation criterion (paper: 70%-wrong).
     pub criterion: ValidationCriterion,
-    /// AutoBench syntax auto-debug rounds per artifact.
-    pub syntax_debug_rounds: u32,
-    /// Probability the AutoBench scenario-list check notices a missing
-    /// scenario in the driver (the paper reports the stage exists but not
-    /// a success rate; this models its imperfection).
-    pub scenario_check_recall: f64,
-    /// Fraction of entirely-green rows that forces a correct verdict.
-    pub green_row_fraction: f64,
-    /// Experimental coverage-based self-validation (the paper's stated
-    /// future work): when set, a testbench whose driver-covered scenarios
-    /// toggle less than this fraction of DUT input bits is validated
-    /// wrong even if the RS matrix looks clean. `None` disables it.
-    pub min_input_coverage: Option<f64>,
 }
 
 impl Default for Config {
@@ -106,10 +82,6 @@ impl Default for Config {
             max_reboots: 10,
             num_validation_rtls: 20,
             criterion: ValidationCriterion::Wrong70,
-            syntax_debug_rounds: 3,
-            scenario_check_recall: 0.6,
-            green_row_fraction: 0.25,
-            min_input_coverage: None,
         }
     }
 }

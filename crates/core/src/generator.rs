@@ -12,11 +12,18 @@
 //! The baseline asks the model for the whole testbench in one shot with
 //! no enhancement — the paper's "directly asking LLM" comparator.
 
-use crate::config::Config;
 use correctbench_dataset::Problem;
 use correctbench_llm::{ArtifactKind, HybridTb, LlmClient, LlmRequest, LlmResponse};
 use correctbench_tbgen::Driver;
 use rand::Rng;
+
+/// Syntax auto-debug rounds per artifact.
+const SYNTAX_DEBUG_ROUNDS: u32 = 3;
+
+/// Probability that the scenario-list check notices a scenario missing
+/// from the driver (the paper reports the stage exists but not a success
+/// rate; this models its imperfection).
+const SCENARIO_CHECK_RECALL: f64 = 0.6;
 
 /// Runs the AutoBench generation pipeline once.
 ///
@@ -26,7 +33,6 @@ use rand::Rng;
 pub fn generate_autobench(
     problem: &Problem,
     llm: &mut dyn LlmClient,
-    cfg: &Config,
     rng: &mut impl Rng,
 ) -> HybridTb {
     let scenarios = match llm.request(&LlmRequest::GenerateScenarios { problem }) {
@@ -46,7 +52,7 @@ pub fn generate_autobench(
     };
 
     // Self-enhancement 1: syntax auto-debug.
-    for _ in 0..cfg.syntax_debug_rounds {
+    for _ in 0..SYNTAX_DEBUG_ROUNDS {
         if driver.parsed().is_some() {
             break;
         }
@@ -59,7 +65,7 @@ pub fn generate_autobench(
             other => unreachable!("fix request returned {other:?}"),
         };
     }
-    for _ in 0..cfg.syntax_debug_rounds {
+    for _ in 0..SYNTAX_DEBUG_ROUNDS {
         if !checker.broken {
             break;
         }
@@ -82,7 +88,7 @@ pub fn generate_autobench(
     };
     if tb.driver.parsed().is_some() {
         let covered = tb.driver_scenario_coverage();
-        if covered.len() < tb.scenarios.len() && rng.gen_bool(cfg.scenario_check_recall) {
+        if covered.len() < tb.scenarios.len() && rng.gen_bool(SCENARIO_CHECK_RECALL) {
             if let LlmResponse::Source(s) = llm.request(&LlmRequest::GenerateDriver {
                 problem,
                 scenarios: &tb.scenarios,
@@ -130,12 +136,11 @@ mod tests {
     #[test]
     fn autobench_usually_produces_valid_syntax() {
         let p = correctbench_dataset::problem("counter_8").expect("problem");
-        let cfg = Config::default();
         let mut ok = 0;
         for seed in 0..30 {
             let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), seed);
             let mut rng = StdRng::seed_from_u64(seed);
-            let tb = generate_autobench(&p, &mut llm, &cfg, &mut rng);
+            let tb = generate_autobench(&p, &mut llm, &mut rng);
             if tb.is_syntactically_valid() {
                 ok += 1;
             }
@@ -147,13 +152,12 @@ mod tests {
     #[test]
     fn direct_baseline_is_worse_on_syntax() {
         let p = correctbench_dataset::problem("seq_det_1101").expect("problem");
-        let cfg = Config::default();
         let mut auto_ok = 0;
         let mut direct_ok = 0;
         for seed in 0..40 {
             let mut llm = SimulatedLlm::new(ModelProfile::for_model(ModelKind::Gpt4o), seed);
             let mut rng = StdRng::seed_from_u64(seed);
-            if generate_autobench(&p, &mut llm, &cfg, &mut rng).is_syntactically_valid() {
+            if generate_autobench(&p, &mut llm, &mut rng).is_syntactically_valid() {
                 auto_ok += 1;
             }
             let mut llm2 =

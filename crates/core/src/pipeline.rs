@@ -120,7 +120,7 @@ pub fn run_correctbench(
     let mut trace = Vec::new();
     let mut final_from_corrector = false;
 
-    let mut tb = generate_autobench(problem, llm, cfg, rng);
+    let mut tb = generate_autobench(problem, llm, rng);
     let mut validated = false;
     let mut validator_intervened = false;
     loop {
@@ -142,7 +142,7 @@ pub fn run_correctbench(
                     trace.push(Action::Rebooting);
                     reboots += 1;
                     corrections = 0;
-                    tb = generate_autobench(problem, llm, cfg, rng);
+                    tb = generate_autobench(problem, llm, rng);
                     final_from_corrector = false;
                 } else {
                     trace.push(Action::GiveUp);
@@ -165,14 +165,9 @@ pub fn run_correctbench(
 }
 
 /// Runs plain AutoBench (generation + self-enhancement, no validation).
-pub fn run_autobench(
-    problem: &Problem,
-    llm: &mut dyn LlmClient,
-    cfg: &Config,
-    rng: &mut impl Rng,
-) -> Outcome {
+pub fn run_autobench(problem: &Problem, llm: &mut dyn LlmClient, rng: &mut impl Rng) -> Outcome {
     let start = llm.usage();
-    let tb = generate_autobench(problem, llm, cfg, rng);
+    let tb = generate_autobench(problem, llm, rng);
     Outcome {
         tb,
         validated: false,
@@ -213,7 +208,7 @@ pub fn run_method(
 ) -> Outcome {
     match method {
         Method::CorrectBench => run_correctbench(problem, llm, cfg, rng, ctx),
-        Method::AutoBench => run_autobench(problem, llm, cfg, rng),
+        Method::AutoBench => run_autobench(problem, llm, rng),
         Method::Baseline => run_baseline(problem, llm),
     }
 }

@@ -8,6 +8,11 @@
 //! scenario correct for that design. Columns that are red across (almost)
 //! all rows indicate the *testbench* — not the designs — is wrong there,
 //! because independent generations rarely share the same bug.
+//!
+//! [`judge`] applies the configured criterion to the matrix: a column is
+//! wrong when at least the criterion's share of the rows with a verdict
+//! is red, and under the green-row rule more than 25% entirely-green rows
+//! make the whole testbench correct.
 
 use crate::config::Config;
 use correctbench_dataset::Problem;
@@ -64,35 +69,6 @@ impl RsMatrix {
             None
         } else {
             Some(wrong as f64 / known as f64)
-        }
-    }
-
-    /// Plausibility-weighted wrong fraction of scenario `j`: each row
-    /// votes with weight equal to its own green fraction, so thoroughly
-    /// broken designs are discounted. `None` when no weight exists.
-    pub fn weighted_wrong_fraction(&self, j: usize) -> Option<f64> {
-        let mut wrong = 0.0f64;
-        let mut total = 0.0f64;
-        for row in &self.rows {
-            let known = row.iter().filter(|c| **c != RsCell::Unknown).count();
-            if known == 0 {
-                continue;
-            }
-            let green = row.iter().filter(|c| **c == RsCell::Correct).count();
-            let weight = green as f64 / known as f64;
-            match row.get(j) {
-                Some(RsCell::Wrong) => {
-                    wrong += weight;
-                    total += weight;
-                }
-                Some(RsCell::Correct) => total += weight,
-                _ => {}
-            }
-        }
-        if total <= f64::EPSILON {
-            None
-        } else {
-            Some(wrong / total)
         }
     }
 
@@ -184,24 +160,7 @@ pub fn validate(
 
     let rtls = generate_rtl_group(problem, llm, cfg);
     let matrix = build_rs_matrix(problem, tb, &rtls, ctx);
-    let mut verdict = judge(&matrix, cfg);
-
-    // Experimental coverage gate (paper future work): a clean RS matrix
-    // cannot vouch for scenarios that were never exercised, so low input
-    // toggle coverage downgrades the verdict.
-    if let (Verdict::Correct, Some(threshold)) = (&verdict, cfg.min_input_coverage) {
-        let covered = tb.driver_scenario_coverage();
-        let report =
-            correctbench_tbgen::CoverageReport::measure(problem, &tb.scenarios, Some(&covered));
-        if report.ratio() < threshold {
-            let ns = tb.scenarios.len();
-            verdict = Verdict::Wrong(BugReport {
-                wrong: Vec::new(),
-                correct: covered,
-                uncertain: (1..=ns).collect(),
-            });
-        }
-    }
+    let verdict = judge(&matrix, cfg);
     Validation { verdict, matrix }
 }
 
@@ -279,6 +238,10 @@ pub fn build_rs_matrix(
     RsMatrix { rows }
 }
 
+/// Share of entirely-green rows above which the row rule forces a
+/// correct verdict (paper: 25%).
+const GREEN_ROW_FRACTION: f64 = 0.25;
+
 /// Applies the validation criterion to an RS matrix.
 pub fn judge(matrix: &RsMatrix, cfg: &Config) -> Verdict {
     let ns = matrix.num_scenarios();
@@ -287,25 +250,16 @@ pub fn judge(matrix: &RsMatrix, cfg: &Config) -> Verdict {
     }
 
     // Row rule: enough fully-green rows force a correct verdict.
-    if cfg.criterion.green_row_rule() && matrix.green_row_fraction() > cfg.green_row_fraction {
+    if cfg.criterion.green_row_rule() && matrix.green_row_fraction() > GREEN_ROW_FRACTION {
         return Verdict::Correct;
     }
 
     let threshold = cfg.criterion.wrong_fraction();
-    let weighted = matches!(
-        cfg.criterion,
-        crate::config::ValidationCriterion::Weighted { .. }
-    );
     let mut wrong = Vec::new();
     let mut correct = Vec::new();
     let mut uncertain = Vec::new();
     for j in 0..ns {
-        let fraction = if weighted {
-            matrix.weighted_wrong_fraction(j)
-        } else {
-            matrix.wrong_fraction(j)
-        };
-        match fraction {
+        match matrix.wrong_fraction(j) {
             None => uncertain.push(j + 1),
             Some(f) if f >= threshold => wrong.push(j + 1),
             Some(f) if f <= 1.0 - threshold => correct.push(j + 1),
@@ -459,11 +413,9 @@ mod tests {
     }
 
     #[test]
-    fn weighted_criterion_discounts_broken_rows() {
-        // 7 of 10 RTLs are completely broken (all-red rows). Under plain
-        // 70%-wrong every column reaches the threshold and an innocent
-        // testbench is condemned; weighted voting zeroes those rows out
-        // and only the column the *good* designs also flag stays wrong.
+    fn plain_criterion_counts_broken_rows() {
+        // 7 of 10 RTLs are completely broken (all-red rows): without the
+        // row rule every column is at least 7/10 wrong and is flagged.
         let mut rows = Vec::new();
         for _ in 0..7 {
             rows.push(vec![RsCell::Wrong, RsCell::Wrong, RsCell::Wrong]);
@@ -472,7 +424,6 @@ mod tests {
             rows.push(vec![RsCell::Wrong, RsCell::Correct, RsCell::Correct]);
         }
         let matrix = RsMatrix { rows };
-        // Plain: every column is at least 7/10 wrong.
         let plain = Config {
             criterion: ValidationCriterion::Custom {
                 wrong_fraction: 0.7,
@@ -484,29 +435,6 @@ mod tests {
             Verdict::Wrong(report) => assert_eq!(report.wrong, vec![1, 2, 3]),
             Verdict::Correct => panic!("plain criterion should flag everything"),
         }
-        // Weighted: broken rows carry zero weight; only column 0 (which
-        // the plausible designs also fail) is flagged.
-        let weighted = Config {
-            criterion: ValidationCriterion::Weighted {
-                wrong_fraction: 0.7,
-            },
-            ..Config::default()
-        };
-        match judge(&matrix, &weighted) {
-            Verdict::Wrong(report) => {
-                assert_eq!(report.wrong, vec![1]);
-                assert_eq!(report.correct, vec![2, 3]);
-            }
-            Verdict::Correct => panic!("weighted criterion must still flag column 0"),
-        }
-    }
-
-    #[test]
-    fn weighted_fraction_none_without_weight() {
-        let matrix = RsMatrix {
-            rows: vec![vec![RsCell::Unknown, RsCell::Unknown]],
-        };
-        assert_eq!(matrix.weighted_wrong_fraction(0), None);
     }
 
     #[test]

@@ -799,8 +799,9 @@ pub fn plan_manifest_json(plan: &crate::plan::RunPlan) -> String {
     )
 }
 
-/// The `config_fingerprint` a manifest recorded, if it has one
-/// (manifests written before the persistent store existed do not).
+/// The `config_fingerprint` a manifest recorded; `None` when it records
+/// none (as manifests written before the persistent store existed do),
+/// which `--resume` refuses like a mismatch.
 pub fn manifest_fingerprint(src: &str) -> Option<String> {
     let v = crate::json::parse(src.trim_end()).ok()?;
     v.get("config_fingerprint")
@@ -875,21 +876,13 @@ pub fn parse_plan_manifest(src: &str) -> Result<crate::plan::RunPlan, String> {
     plan.reps = raw_u64_field(src, "reps").ok_or("missing field `reps`")?;
     plan.base_seed = raw_u64_field(src, "base_seed").ok_or("missing field `base_seed`")?;
     plan.sim_budget = opt("sim_budget")?;
-    // Manifests written before the lint pass existed lack the field;
-    // they replay with the pass off, matching their original run.
-    plan.lint = match v.get("lint") {
-        None => crate::plan::LintMode::Off,
-        Some(crate::json::Value::Str(name)) => crate::plan::LintMode::from_name(name)
-            .ok_or_else(|| format!("unknown lint mode `{name}`"))?,
-        _ => return Err("bad field `lint`".to_string()),
-    };
-    // Manifests written before the persistent store existed lack the
-    // field; they replay with no store attached, matching their
-    // original run.
+    let lint = string("lint")?;
+    plan.lint = crate::plan::LintMode::from_name(lint)
+        .ok_or_else(|| format!("unknown lint mode `{lint}`"))?;
     plan.store = match v.get("store") {
-        None | Some(crate::json::Value::Null) => None,
-        Some(crate::json::Value::Obj(_)) => {
-            let store = v.get("store").expect("just matched");
+        None => return Err("missing field `store`".to_string()),
+        Some(crate::json::Value::Null) => None,
+        Some(store @ crate::json::Value::Obj(_)) => {
             let dir = store
                 .get("dir")
                 .and_then(crate::json::Value::as_str)
@@ -901,7 +894,7 @@ pub fn parse_plan_manifest(src: &str) -> Result<crate::plan::RunPlan, String> {
             };
             Some(crate::plan::StoreConfig { dir, readonly })
         }
-        _ => return Err("bad field `store`".to_string()),
+        Some(_) => return Err("bad field `store`".to_string()),
     };
     Ok(plan)
 }

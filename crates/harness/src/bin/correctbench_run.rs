@@ -243,7 +243,7 @@ fn main() {
     // `--resume DIR` rebuilds the plan from DIR's manifest (the sweep
     // flags of the original invocation win over any given now) and
     // replays the journal; a fresh run shapes the plan from the flags.
-    let (mut plan, prior, manifest_src) = match &resume {
+    let (mut plan, prior, recorded_fingerprint) = match &resume {
         Some(dir) => {
             let manifest_path = dir.join("plan.json");
             let manifest = std::fs::read_to_string(&manifest_path).unwrap_or_else(|e| {
@@ -251,6 +251,13 @@ fn main() {
             });
             let plan = parse_plan_manifest(&manifest)
                 .unwrap_or_else(|e| infra(&format!("{}: {e}", manifest_path.display())));
+            let recorded = manifest_fingerprint(&manifest).unwrap_or_else(|| {
+                infra(&format!(
+                    "{}: manifest records no config fingerprint, so the dataset and \
+                     configuration it ran under cannot be checked; refusing to mix outcomes",
+                    manifest_path.display()
+                ))
+            });
             let prior = replay_journal(&dir.join("outcomes.jsonl"))
                 .unwrap_or_else(|e| infra(&format!("cannot replay journal: {e}")));
             if prior.len() > plan.num_jobs() {
@@ -260,7 +267,7 @@ fn main() {
                     plan.num_jobs()
                 ));
             }
-            (plan, prior, Some(manifest))
+            (plan, prior, Some(recorded))
         }
         None => {
             let mut plan = RunPlan::new("correctbench-run", args.problem_set());
@@ -307,23 +314,15 @@ fn main() {
     // The fingerprint check runs after any mutation, so resuming a
     // mutated run with the same --mutate-golden flag still matches —
     // and resuming it *without* the flag is correctly refused.
-    if let (Some(dir), Some(manifest)) = (&resume, &manifest_src) {
-        match manifest_fingerprint(manifest) {
-            Some(recorded) => {
-                let current = plan_fingerprint(&plan).to_string();
-                if recorded != current {
-                    infra(&format!(
-                        "{}: config fingerprint mismatch (manifest {recorded}, current {current}): \
-                         the dataset or configuration changed since this run was interrupted; \
-                         refusing to mix outcomes",
-                        dir.join("plan.json").display()
-                    ));
-                }
-            }
-            None => eprintln!(
-                "warning: {}: manifest predates config fingerprints; resuming unchecked",
+    if let (Some(dir), Some(recorded)) = (&resume, &recorded_fingerprint) {
+        let current = plan_fingerprint(&plan).to_string();
+        if *recorded != current {
+            infra(&format!(
+                "{}: config fingerprint mismatch (manifest {recorded}, current {current}): \
+                 the dataset or configuration changed since this run was interrupted; \
+                 refusing to mix outcomes",
                 dir.join("plan.json").display()
-            ),
+            ));
         }
     }
 

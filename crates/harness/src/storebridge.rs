@@ -53,9 +53,6 @@ pub fn config_fingerprint(plan: &RunPlan) -> Fingerprint {
             wrong_fraction,
             green_row_rule,
         } => (3, Some(wrong_fraction.to_bits()), Some(green_row_rule)),
-        ValidationCriterion::Weighted { wrong_fraction } => {
-            (4, Some(wrong_fraction.to_bits()), None)
-        }
     };
     fingerprint(&(
         (CELL_SCHEMA, plan.model, plan.lint),
@@ -66,10 +63,6 @@ pub fn config_fingerprint(plan: &RunPlan) -> Fingerprint {
             cfg.num_validation_rtls,
         ),
         criterion,
-        cfg.syntax_debug_rounds,
-        cfg.scenario_check_recall.to_bits(),
-        cfg.green_row_fraction.to_bits(),
-        cfg.min_input_coverage.map(f64::to_bits),
     ))
 }
 

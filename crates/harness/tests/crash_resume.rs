@@ -99,6 +99,21 @@ fn plan_manifest_round_trips_the_job_list() {
     );
 }
 
+#[test]
+fn plan_manifest_without_lint_or_store_is_refused() {
+    let problems = vec![correctbench_dataset::problem("and_8").expect("problem")];
+    let plan = RunPlan::new("manifest", problems);
+    let manifest = plan_manifest_json(&plan);
+    let lint = format!("\"lint\":\"{}\",", plan.lint.name());
+    for field in [lint.as_str(), ",\"store\":null"] {
+        assert!(manifest.contains(field), "{field} not in {manifest}");
+        let err = parse_plan_manifest(&manifest.replace(field, ""))
+            .err()
+            .unwrap_or_else(|| panic!("a manifest without {field} parsed"));
+        assert!(err.starts_with("missing"), "{field}: {err}");
+    }
+}
+
 fn run_binary(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_correctbench-run"))
         .args(args)
@@ -223,22 +238,24 @@ fn resume_rejects_a_run_dir_whose_fingerprint_drifted() {
         "stderr must explain the refusal:\n{stderr}"
     );
 
-    // A manifest that predates fingerprints (no field at all) resumes
-    // with a warning instead — old run dirs stay usable.
+    // A manifest that predates fingerprints (no field at all) cannot be
+    // checked against the current dataset and configuration, so resume
+    // refuses it the same way.
     let legacy = manifest.replace(
         &manifest[at - marker.len()..at + 16 + 1],
         "\"legacy_probe\":\"x\"",
     );
     std::fs::write(&manifest_path, &legacy).expect("write legacy manifest");
     let resumed = run_binary(&["--resume", dir.to_str().expect("utf8 path"), "--quiet"]);
-    assert!(
-        resumed.status.success(),
-        "legacy manifest must still resume: {resumed:?}"
+    assert_eq!(
+        resumed.status.code(),
+        Some(1),
+        "a manifest without a fingerprint must be an infra error: {resumed:?}"
     );
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
     assert!(
-        String::from_utf8_lossy(&resumed.stderr).contains("predates config fingerprints"),
-        "legacy resume must warn: {}",
-        String::from_utf8_lossy(&resumed.stderr)
+        stderr.contains("records no config fingerprint"),
+        "stderr must explain the refusal:\n{stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,6 +7,19 @@
 use correctbench_harness::{Engine, RunPlan};
 use correctbench_llm::{ModelKind, SimulatedClientFactory};
 use correctbench_obs::{Counter, Phase};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Held by every test that runs an engine. Side by side, their six
+/// workers would share the machine's cores, and a worker preempted
+/// outside every span stretches its job's wall past what the spans
+/// cover; one engine at a time keeps the wall-clock bounds meaningful.
+static ENGINE: Mutex<()> = Mutex::new(());
+
+/// A test that fails while holding the lock poisons it; it guards no
+/// data, so the next test takes it all the same.
+fn engine_lock() -> MutexGuard<'static, ()> {
+    ENGINE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn plan() -> RunPlan {
     let problems = ["and_8", "mux4_8", "counter_8"]
@@ -20,6 +33,7 @@ fn plan() -> RunPlan {
 
 #[test]
 fn every_job_carries_phase_times_that_sum_close_to_wall() {
+    let _engine = engine_lock();
     let factory = SimulatedClientFactory::for_model(ModelKind::Gpt4o);
     let result = Engine::new(4).execute(&plan(), &factory);
     for o in &result.outcomes {
@@ -45,6 +59,7 @@ fn every_job_carries_phase_times_that_sum_close_to_wall() {
 
 #[test]
 fn work_counters_track_the_simulation() {
+    let _engine = engine_lock();
     let factory = SimulatedClientFactory::for_model(ModelKind::Gpt4o);
     let result = Engine::new(2).execute(&plan(), &factory);
     let mut totals = correctbench_obs::JobObs::default();
@@ -97,6 +112,7 @@ fn work_counters_track_the_simulation() {
 
 #[test]
 fn disabled_obs_leaves_outcomes_unobserved() {
+    let _engine = engine_lock();
     let factory = SimulatedClientFactory::for_model(ModelKind::Gpt4o);
     let result = Engine::new(2).without_obs().execute(&plan(), &factory);
     assert!(

@@ -36,7 +36,6 @@
 pub mod abort;
 pub mod cache;
 mod context;
-pub mod coverage;
 pub mod driver;
 pub mod golden;
 pub mod memo;
@@ -48,7 +47,6 @@ pub mod session;
 pub use abort::{abort_job, AbortKind, JobAbort};
 pub use cache::{CacheKey, SimCache};
 pub use context::{EvalContext, StackStats};
-pub use coverage::{CoverageReport, SignalCoverage};
 pub use driver::{generate_driver, record_format, Driver, TB_MODULE};
 pub use golden::{GoldenArtifacts, GoldenCache, GoldenKey};
 pub use memo::CacheStats;
