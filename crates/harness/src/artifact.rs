@@ -113,17 +113,6 @@ pub fn outcome_json(o: &TaskOutcome) -> String {
     )
 }
 
-/// Extracts an integer field from a canonical artifact line without
-/// going through the f64-based reader (exact for all 64 bits).
-fn raw_u64_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..]
-        .find(|c: char| !c.is_ascii_digit())
-        .map_or(line.len(), |i| start + i);
-    line[start..end].parse().ok()
-}
-
 /// Parses one `outcomes.jsonl` line back into its [`TaskOutcome`] — the
 /// exact inverse of [`outcome_json`] over the deterministic fields
 /// (`wall` and `obs` are measured, not journaled, so they come back
@@ -210,9 +199,7 @@ pub fn parse_outcome_line(line: &str) -> Result<TaskOutcome, String> {
         method,
         model,
         rep: num("rep")?,
-        // Seeds use all 64 bits; the f64-based reader would round them
-        // past 2^53, so the seed comes straight off the raw line.
-        seed: raw_u64_field(line, "seed").ok_or("missing numeric field `seed`")?,
+        seed: num("seed")?,
         level,
         failure,
         validated: boolean("validated")?,
@@ -873,8 +860,8 @@ pub fn parse_plan_manifest(src: &str) -> Result<crate::plan::RunPlan, String> {
     let mut plan = crate::plan::RunPlan::new(string("name")?.to_string(), problems);
     plan.methods = methods;
     plan.model = model;
-    plan.reps = raw_u64_field(src, "reps").ok_or("missing field `reps`")?;
-    plan.base_seed = raw_u64_field(src, "base_seed").ok_or("missing field `base_seed`")?;
+    plan.reps = opt("reps")?.ok_or("null field `reps`")?;
+    plan.base_seed = opt("base_seed")?.ok_or("null field `base_seed`")?;
     plan.sim_budget = opt("sim_budget")?;
     let lint = string("lint")?;
     plan.lint = crate::plan::LintMode::from_name(lint)

@@ -4,8 +4,8 @@
 //! correctbench-run [--full] [--problems N] [--reps N] [--seed N]
 //!                  [--threads N] [--methods cb,ab,base] [--model NAME]
 //!                  [--out DIR] [--resume DIR] [--sim-budget N]
-//!                  [--lint off|warn|gate] [--store DIR] [--no-store]
-//!                  [--store-readonly] [--faults SPEC]
+//!                  [--lint off|warn] [--store DIR] [--store-readonly]
+//!                  [--faults SPEC]
 //!                  [--mutate-golden NAME] [--no-cache] [--no-sim-cache]
 //!                  [--no-golden-cache] [--no-obs] [--progress] [--quiet]
 //! ```
@@ -25,9 +25,8 @@
 //! phase/counter totals, peak RSS, per-rule lint counts and latency
 //! percentiles) and `summary.txt`.
 //! `--lint` selects the static-analysis mode: `warn` (default) records
-//! `verilog::lint` findings for every job, `gate` additionally aborts
-//! jobs with deny-level findings (`failure: "lint_rejected"`) before
-//! any simulation, `off` skips the pass. `--no-obs` disarms the per-job
+//! `verilog::lint` findings for every job and never blocks one, `off`
+//! skips the pass. `--no-obs` disarms the per-job
 //! observability collectors; `--progress` draws a live
 //! done/throughput/ETA line on stderr (only when stderr is a terminal).
 //!
@@ -41,8 +40,8 @@
 //! warm run's `outcomes.jsonl` and `diagnostics.jsonl` are
 //! byte-identical to a cold run's. Completed (never aborted) outcomes
 //! the run executes are published back as they finish.
-//! `--store-readonly` probes without publishing; `--no-store` detaches
-//! a store a resumed manifest would otherwise reattach. The test-only
+//! `--store-readonly` probes without publishing. `--resume` reattaches
+//! the store its manifest recorded. The test-only
 //! `--mutate-golden NAME` appends a comment to that problem's golden
 //! RTL, moving exactly its cells' fingerprints — the selective
 //! re-execution smoke.
@@ -83,8 +82,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const EXTRA_USAGE: &str = "[--methods cb,ab,base] [--model gpt-4o|claude-3.5-sonnet|gpt-4o-mini] \
-     [--resume DIR] [--sim-budget N] [--lint off|warn|gate] \
-     [--store DIR] [--no-store] [--store-readonly] [--faults SPEC] [--mutate-golden NAME] \
+     [--resume DIR] [--sim-budget N] [--lint off|warn] \
+     [--store DIR] [--store-readonly] [--faults SPEC] [--mutate-golden NAME] \
      [--no-cache] [--no-sim-cache] [--no-golden-cache] [--no-obs] [--progress] [--quiet]\n\
      retired no-ops (their layers were deleted): --no-elab-cache --no-session-pool --no-lint-cache";
 
@@ -133,7 +132,6 @@ fn main() {
     let mut faults = FaultPlan::none();
     let mut resume: Option<PathBuf> = None;
     let mut store_dir: Option<String> = None;
-    let mut no_store = false;
     let mut store_readonly = false;
     let mut mutate_golden: Option<String> = None;
     let args = RunArgs::parse_with(Some(48), 2, EXTRA_USAGE, |flag, it| match flag {
@@ -158,7 +156,7 @@ fn main() {
         "--lint" => {
             let spec = it
                 .next()
-                .unwrap_or_else(|| usage("--lint needs a mode (off|warn|gate)", EXTRA_USAGE));
+                .unwrap_or_else(|| usage("--lint needs a mode (off|warn)", EXTRA_USAGE));
             lint = LintMode::from_name(&spec)
                 .unwrap_or_else(|| usage(&format!("unknown lint mode `{spec}`"), EXTRA_USAGE));
             true
@@ -181,10 +179,6 @@ fn main() {
                 it.next()
                     .unwrap_or_else(|| usage("--store needs a store directory", EXTRA_USAGE)),
             );
-            true
-        }
-        "--no-store" => {
-            no_store = true;
             true
         }
         "--store-readonly" => {
@@ -233,12 +227,6 @@ fn main() {
         }
         _ => false,
     });
-    if no_store && (store_dir.is_some() || store_readonly) {
-        usage(
-            "--no-store conflicts with --store/--store-readonly",
-            EXTRA_USAGE,
-        );
-    }
 
     // `--resume DIR` rebuilds the plan from DIR's manifest (the sweep
     // flags of the original invocation win over any given now) and
@@ -282,10 +270,8 @@ fn main() {
     };
 
     // Store attachment: explicit flags win; a resumed manifest's
-    // attachment is honored otherwise; `--no-store` detaches.
-    if no_store {
-        plan.store = None;
-    } else if let Some(dir) = store_dir {
+    // attachment is honored otherwise.
+    if let Some(dir) = store_dir {
         plan.store = Some(StoreConfig {
             dir,
             readonly: store_readonly,
@@ -329,8 +315,7 @@ fn main() {
     let out = resume.clone().or_else(|| args.out.clone());
 
     // The run's wall clock starts here: a warm run's work is opening the
-    // store, probing and decoding its cells and flushing it, all outside
-    // the engine.
+    // store and probing and decoding its cells, all outside the engine.
     let started = Instant::now();
 
     // Open the store (if any) and probe every scheduled job's cell key
@@ -464,8 +449,8 @@ fn main() {
     if let Some(e) = journal.as_ref().and_then(|j| j.take_error()) {
         infra(&format!("journal write failed: {e}"));
     }
-    // Persist the store's hit counts (gc eviction order) and pick up
-    // its final counters for the summary and metrics.
+    // Make the cells this run published durable and pick up the
+    // store's final counters for the summary and metrics.
     let store_stats = store.as_ref().map(|s| {
         if let Err(e) = s.flush() {
             eprintln!("warning: store flush failed: {e}");

@@ -103,7 +103,6 @@ impl RunArgs {
                             .unwrap_or_else(|| usage("--out needs a path", extra_usage)),
                     ))
                 }
-                "--bench" | "--nocapture" => {} // cargo-bench artifacts
                 other => {
                     if !extra(other, &mut it) {
                         usage(&format!("unknown flag `{other}`"), extra_usage)

@@ -9,16 +9,18 @@
 
 use std::fmt;
 
-/// A parsed JSON value. Numbers keep their `f64` reading (artifact
-/// numbers are integers well inside the exact range).
+/// A parsed JSON value. Numbers keep their literal text, so an integer
+/// reads back exactly at every width (seeds and budgets use all 64
+/// bits, past `f64`'s exact range).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number.
-    Num(f64),
+    /// Any number, as its literal text (already checked to parse as
+    /// an `f64`).
+    Num(String),
     /// A string (escapes decoded).
     Str(String),
     /// An array.
@@ -39,14 +41,18 @@ impl Value {
     /// The value as a number.
     pub fn as_num(&self) -> Option<f64> {
         match self {
-            Value::Num(n) => Some(*n),
+            Value::Num(n) => n.parse().ok(),
             _ => None,
         }
     }
 
-    /// The value as a u64 (rounded).
+    /// The value as a u64, exact up to `u64::MAX`; `None` for a
+    /// fraction, an exponent, a sign or a value past `u64::MAX`.
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_num().map(|n| n as u64)
+        match self {
+            Value::Num(n) => n.parse().ok(),
+            _ => None,
+        }
     }
 
     /// The value as a string slice.
@@ -167,8 +173,8 @@ impl<'a> Parser<'a> {
         }
         std::str::from_utf8(&self.bytes[start..self.pos])
             .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Value::Num)
+            .filter(|s| s.parse::<f64>().is_ok())
+            .map(|s| Value::Num(s.to_string()))
             .ok_or_else(|| self.err("bad number"))
     }
 
@@ -292,6 +298,18 @@ mod tests {
             v.keys(),
             vec!["job", "problem", "wall_ms", "phases", "ok", "none", "arr"]
         );
+    }
+
+    #[test]
+    fn integers_read_back_exactly() {
+        let n = |src: &str| parse(src).expect("parse").as_u64();
+        assert_eq!(n("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(n("9007199254740993"), Some((1 << 53) + 1));
+        assert_eq!(n("1.5"), None);
+        assert_eq!(n("1e3"), None);
+        assert_eq!(n("-1"), None);
+        assert_eq!(n("18446744073709551616"), None, "past u64::MAX");
+        assert_eq!(parse("1.5").expect("parse").as_num(), Some(1.5));
     }
 
     #[test]

@@ -11,43 +11,33 @@ use correctbench::{Config, Method};
 use correctbench_dataset::Problem;
 use correctbench_llm::ModelKind;
 
-/// How the run treats static-analysis diagnostics from `verilog::lint`
-/// (`--lint=off|warn|gate`).
+/// Whether the run records static-analysis diagnostics from
+/// `verilog::lint` (`--lint=off|warn`). Findings never block a job.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum LintMode {
     /// Skip the lint pass entirely.
     Off,
     /// Lint every job's RTL and record diagnostics in the
-    /// `diagnostics.jsonl` sidecar, but never block a job (the
-    /// default).
+    /// `diagnostics.jsonl` sidecar (the default).
     #[default]
     Warn,
-    /// Like `warn`, but deny-level diagnostics abort the job with
-    /// `lint_rejected` before any simulation runs.
-    Gate,
 }
 
 impl LintMode {
     /// Every mode, in flag order.
-    pub const ALL: [LintMode; 3] = [LintMode::Off, LintMode::Warn, LintMode::Gate];
+    pub const ALL: [LintMode; 2] = [LintMode::Off, LintMode::Warn];
 
     /// The stable flag/manifest name.
     pub fn name(self) -> &'static str {
         match self {
             LintMode::Off => "off",
             LintMode::Warn => "warn",
-            LintMode::Gate => "gate",
         }
     }
 
     /// The mode with flag name `name`, if any.
     pub fn from_name(name: &str) -> Option<LintMode> {
         LintMode::ALL.into_iter().find(|m| m.name() == name)
-    }
-
-    /// `true` unless the pass is [`LintMode::Off`].
-    pub fn is_enabled(self) -> bool {
-        self != LintMode::Off
     }
 }
 
@@ -83,8 +73,7 @@ pub struct RunPlan {
     /// pure function of the plan. `None` = natural limits only.
     pub sim_budget: Option<u64>,
     /// Static-analysis mode (`--lint`): whether each job's RTL runs
-    /// through `verilog::lint` before simulation, and whether
-    /// deny-level findings abort the job. The pass is pure, so the
+    /// through `verilog::lint`. The pass is pure, so the
     /// `diagnostics.jsonl` sidecar it feeds is as deterministic as
     /// `outcomes.jsonl`.
     pub lint: LintMode,

@@ -234,7 +234,7 @@ mod tests {
         let base = plan();
         assert_eq!(config_fingerprint(&base), config_fingerprint(&plan()));
         let mut lint = plan();
-        lint.lint = crate::plan::LintMode::Gate;
+        lint.lint = crate::plan::LintMode::Off;
         assert_ne!(config_fingerprint(&base), config_fingerprint(&lint));
         let mut budget = plan();
         budget.sim_budget = Some(50_000);

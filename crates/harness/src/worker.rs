@@ -88,59 +88,19 @@ pub struct TaskOutcome {
     pub lint: Vec<Diagnostic>,
 }
 
-/// The pre-generation half of the `--lint=gate` contract: deny-level
-/// findings in the golden DUT alone reject the job (`Err` carries them)
-/// *before* it costs a single LLM token or reaches the generation path's
-/// dataset invariants (which assume well-formed golden RTL). Warn mode
-/// records golden findings through [`lint_pass`] instead, so this half
-/// is gate-only and leaves the diagnostics counter to the combined pass.
-fn lint_golden_gate(
-    job: &Job,
-    golden: Option<&SourceFile>,
-    mode: LintMode,
-) -> Result<(), Vec<Diagnostic>> {
-    if mode != LintMode::Gate {
-        return Ok(());
-    }
-    let _span = correctbench_obs::span(correctbench_obs::Phase::Lint);
-    let Some(golden) = golden else {
-        return Ok(());
-    };
-    let report = correctbench_verilog::lint_file(golden);
-    let deny: Vec<Diagnostic> = report
-        .diagnostics
-        .into_iter()
-        .filter(|d| {
-            d.severity == correctbench_verilog::Severity::Error
-                && !job.problem.lint_allowed(d.rule.name(), &d.signal)
-        })
-        .collect();
-    if deny.is_empty() {
-        return Ok(());
-    }
-    correctbench_obs::add(Counter::LintDiags, deny.len() as u64);
-    Err(deny)
-}
-
 /// Lints the job's combined RTL — the golden DUT's parse plus the
 /// candidate driver's, as one file — filtering findings the problem's
-/// allowlist marks intentional. Under [`LintMode::Gate`] a deny-level
-/// finding rejects the job *before* any simulation, and `Err` carries
-/// every finding so the aborted outcome still reports them. A driver
-/// that does not parse is skipped here: syntax failures are AutoEval's
+/// allowlist marks intentional. Findings are recorded, never acted on.
+/// `golden` is `None` under `--lint=off`, which skips the pass. A driver
+/// that does not parse is skipped too: syntax failures are AutoEval's
 /// `Failed` verdict, not lint subjects.
-fn lint_pass(
-    job: &Job,
-    golden: Option<&SourceFile>,
-    driver: &Driver,
-    mode: LintMode,
-) -> Result<Vec<Diagnostic>, Vec<Diagnostic>> {
-    if !mode.is_enabled() {
-        return Ok(Vec::new());
-    }
+fn lint_pass(job: &Job, golden: Option<&SourceFile>, driver: &Driver) -> Vec<Diagnostic> {
+    let Some(golden) = golden else {
+        return Vec::new();
+    };
     let _span = correctbench_obs::span(correctbench_obs::Phase::Lint);
-    let (Some(golden), Some(driver)) = (golden, driver.parsed()) else {
-        return Ok(Vec::new());
+    let Some(driver) = driver.parsed() else {
+        return Vec::new();
     };
     let report = correctbench_verilog::lint_files(&[golden, driver]);
     let diags: Vec<Diagnostic> = report
@@ -149,40 +109,29 @@ fn lint_pass(
         .filter(|d| !job.problem.lint_allowed(d.rule.name(), &d.signal))
         .collect();
     correctbench_obs::add(Counter::LintDiags, diags.len() as u64);
-    let deny = diags
-        .iter()
-        .any(|d| d.severity == correctbench_verilog::Severity::Error);
-    if mode == LintMode::Gate && deny {
-        return Err(diags);
-    }
-    Ok(diags)
+    diags
 }
 
-/// Runs the job to its outcome, or returns the findings with which the
-/// lint gate rejected it.
+/// Runs the job to its outcome.
 fn run_job_inner(
     job: &Job,
     cfg: &Config,
     factory: &dyn ClientFactory,
     lint_mode: LintMode,
     ctx: &EvalContext,
-) -> Result<TaskOutcome, Vec<Diagnostic>> {
+) -> TaskOutcome {
     let t0 = Instant::now();
-    // Both lint halves read one parse of the golden DUT.
-    let golden = lint_mode
-        .is_enabled()
+    // Parsed before generation: a job's parse work then does not depend
+    // on how far it gets before a budget abort.
+    let golden = (lint_mode == LintMode::Warn)
         .then(|| correctbench_verilog::parse(&job.problem.golden_rtl).ok())
         .flatten();
-    lint_golden_gate(job, golden.as_ref(), lint_mode)?;
     let mut llm = factory.client(job.seed);
     let mut rng = StdRng::seed_from_u64(job.seed ^ 0x777);
     let outcome = run_method(job.method, &job.problem, &mut *llm, cfg, &mut rng, ctx);
-    // The static-analysis gate sits between generation and evaluation:
-    // under `--lint=gate` a deny-level finding returns here, before the
-    // first simulation.
-    let lint = lint_pass(job, golden.as_ref(), &outcome.tb.driver, lint_mode)?;
+    let lint = lint_pass(job, golden.as_ref(), &outcome.tb.driver);
     let level = evaluate(&job.problem, &outcome.tb, job.eval_seed, ctx);
-    Ok(TaskOutcome {
+    TaskOutcome {
         job_id: job.id,
         problem: job.problem.name.clone(),
         kind: job.problem.kind,
@@ -206,7 +155,7 @@ fn run_job_inner(
         // spans and counters.
         obs: correctbench_obs::take_job(),
         lint,
-    })
+    }
 }
 
 thread_local! {
@@ -250,15 +199,9 @@ impl Drop for InJobGuard {
 
 /// The deterministic record of a job that did not finish: every
 /// pipeline field takes its inert default, so the line depends only on
-/// the job, the failure kind and `lint` (the findings of a lint-gate
-/// rejection, empty for every other kind) — never on how far the job
-/// got before dying.
-fn aborted_outcome(
-    job: &Job,
-    kind: AbortKind,
-    lint: Vec<Diagnostic>,
-    wall: Duration,
-) -> TaskOutcome {
+/// the job and the failure kind — never on how far the job got before
+/// dying.
+fn aborted_outcome(job: &Job, kind: AbortKind, wall: Duration) -> TaskOutcome {
     correctbench_obs::add(Counter::JobAborts, 1);
     TaskOutcome {
         job_id: job.id,
@@ -280,7 +223,7 @@ fn aborted_outcome(
         tokens: TokenUsage::default(),
         wall,
         obs: correctbench_obs::take_job(),
-        lint,
+        lint: Vec::new(),
     }
 }
 
@@ -291,8 +234,6 @@ fn aborted_outcome(
 ///   carries its own [`AbortKind`]; anything else is `panic`. Either
 ///   way the job becomes a deterministic `status: aborted` outcome
 ///   instead of taking down the worker.
-/// * A lint-gate rejection returns its findings instead of unwinding,
-///   and becomes a `lint_rejected` outcome that carries them.
 /// * The job runs on a clone of `shared` whose
 ///   [`EvalContext::sim_budget`] is the plan's `sim_budget`; tbgen
 ///   clamps every simulation with it and aborts the job when a binding
@@ -329,8 +270,7 @@ pub fn run_job_guarded(
         run_job_inner(job, &plan.config, factory, plan.lint, &ctx)
     }));
     match result {
-        Ok(Ok(outcome)) => outcome,
-        Ok(Err(findings)) => aborted_outcome(job, AbortKind::LintRejected, findings, t0.elapsed()),
+        Ok(outcome) => outcome,
         Err(payload) => {
             let kind = payload
                 .downcast_ref::<JobAbort>()
@@ -346,7 +286,7 @@ pub fn run_job_guarded(
                     .unwrap_or_default();
                 eprintln!("job {}: aborted by panic: {msg}", job.id);
             }
-            aborted_outcome(job, kind, Vec::new(), t0.elapsed())
+            aborted_outcome(job, kind, t0.elapsed())
         }
     }
 }

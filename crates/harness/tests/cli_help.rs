@@ -93,13 +93,18 @@ fn help_lists_the_robustness_flags() {
 
 #[test]
 fn removed_robustness_flags_and_faults_are_usage_errors() {
-    // The wall-clock deadline and the LLM fault kinds are gone. A script
-    // that still passes them must fail loudly (exit 2, naming what it
-    // passed) instead of running without them.
+    // The wall-clock deadline, the LLM fault kinds, the lint gate,
+    // `--no-store` and the cargo-bench flags are gone. A script that
+    // still passes them must fail loudly (exit 2, naming what it passed)
+    // instead of running without them.
     for (args, named) in [
-        (["--job-deadline-ms", "5"], "`--job-deadline-ms`"),
-        (["--faults", "llm@1"], "`llm`"),
-        (["--faults", "llmfatal@1"], "`llmfatal`"),
+        (&["--job-deadline-ms", "5"][..], "`--job-deadline-ms`"),
+        (&["--faults", "llm@1"], "`llm`"),
+        (&["--faults", "llmfatal@1"], "`llmfatal`"),
+        (&["--lint", "gate"], "`gate`"),
+        (&["--no-store"], "`--no-store`"),
+        (&["--bench"], "`--bench`"),
+        (&["--nocapture"], "`--nocapture`"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_correctbench-run"))
             .args(["--problems", "1", "--reps", "1", "--quiet"])
@@ -120,15 +125,15 @@ fn removed_robustness_flags_and_faults_are_usage_errors() {
 }
 
 #[test]
-fn help_documents_the_lint_gate() {
-    // `--lint` and its three modes are the static-analysis gate's CLI
-    // contract; the golden-dataset CI gate scripts against them.
+fn help_documents_the_lint_modes() {
+    // `--lint` and its two modes are the static-analysis pass's CLI
+    // contract; CI's lint smoke scripts against them.
     let help = help_output();
     assert!(
-        help.contains("--lint"),
-        "--help output is missing `--lint`:\n{help}"
+        help.contains("--lint off|warn"),
+        "--help output is missing `--lint off|warn`:\n{help}"
     );
-    for mode in ["off", "warn", "gate"] {
+    for mode in ["off", "warn"] {
         assert!(
             help.contains(mode),
             "--help output is missing lint mode `{mode}`:\n{help}"
@@ -141,7 +146,7 @@ fn help_lists_the_store_flags() {
     // The persistent-store attachment flags are the warm-restart CLI
     // contract; CI's store matrix smoke scripts against them.
     let help = help_output();
-    for flag in ["--store", "--no-store", "--store-readonly"] {
+    for flag in ["--store", "--store-readonly"] {
         assert!(
             help.contains(flag),
             "--help output is missing store flag `{flag}`:\n{help}"

@@ -125,6 +125,11 @@ fn run_binary(args: &[&str]) -> std::process::Output {
 fn killed_run_resumes_to_a_byte_identical_outcome_stream() {
     let clean_dir = tmpdir("resume_clean");
     let killed_dir = tmpdir("resume_killed");
+    // 2^53 + 1 is the first integer an f64 cannot hold: the manifest
+    // must read the budget back exactly, or the recomputed plan
+    // fingerprint differs from the recorded one and the resume is
+    // refused. The budget is far above every natural limit, so it binds
+    // nothing.
     let sweep = [
         "--problems",
         "2",
@@ -135,6 +140,8 @@ fn killed_run_resumes_to_a_byte_identical_outcome_stream() {
         "--threads",
         "2",
         "--quiet",
+        "--sim-budget",
+        "9007199254740993",
     ];
 
     // Reference: the same plan, uninterrupted.

@@ -1,8 +1,8 @@
 //! Fault isolation and budget enforcement.
 //!
-//! The robustness contract: a job that panics, exhausts a budget, or
-//! fails the lint gate becomes a structured `status: aborted` outcome
-//! line — and *nothing else changes*. Every other job's line stays
+//! The robustness contract: a job that panics or exhausts a budget
+//! becomes a structured `status: aborted` outcome line — and *nothing
+//! else changes*. Every other job's line stays
 //! byte-identical across thread counts and cache layers, because
 //! aborted jobs never publish into the shared reuse layers.
 
@@ -111,58 +111,6 @@ fn aborted_jobs_never_poison_the_shared_cache_stack() {
     );
 }
 
-/// A plan whose first problem's golden RTL carries a deny-level
-/// `multiple-drivers` finding (a second continuous driver on `y`).
-fn dirty_plan(lint: LintMode) -> RunPlan {
-    let mut plan = plan();
-    plan.lint = lint;
-    let p = &mut plan.problems[0];
-    p.golden_rtl = p
-        .golden_rtl
-        .replace("endmodule", "assign y = a;\nendmodule");
-    plan
-}
-
-#[test]
-fn lint_gate_aborts_with_lint_rejected_deterministically() {
-    // Every job of the dirty problem must abort with the structured
-    // `lint_rejected` kind — carrying the findings that condemned it —
-    // while the clean problem's jobs stay untouched; and the whole
-    // stream must be byte-identical across thread counts and caches.
-    let plan = dirty_plan(LintMode::Gate);
-    let outcomes = run(Engine::new(2), &plan);
-    let dirty_name = &plan.problems[0].name;
-    for o in &outcomes {
-        if &o.problem == dirty_name {
-            assert_eq!(o.failure, Some(AbortKind::LintRejected), "job {}", o.job_id);
-            assert!(
-                o.lint.iter().any(|d| d.rule.name() == "multiple-drivers"),
-                "job {}: gate abort lost its findings: {:?}",
-                o.job_id,
-                o.lint
-            );
-        } else {
-            assert!(
-                o.failure.is_none(),
-                "clean problem disturbed: job {}",
-                o.job_id
-            );
-        }
-    }
-    let baseline = outcomes_jsonl(&outcomes);
-    for engine in [
-        Engine::new(4),
-        Engine::new(8),
-        Engine::new(4).without_cache(),
-    ] {
-        let other = stream(engine, &plan);
-        assert!(
-            baseline == other,
-            "gate aborts are not deterministic:\n--- 2 threads ---\n{baseline}\n--- variant ---\n{other}"
-        );
-    }
-}
-
 #[test]
 fn lint_warn_records_findings_without_aborting() {
     // A warning-level defect (a driven-but-never-read scratch wire):
@@ -191,38 +139,6 @@ fn lint_warn_records_findings_without_aborting() {
             o.lint
         );
     }
-}
-
-#[test]
-fn lint_gate_aborts_never_poison_the_shared_cache_stack() {
-    // Same shape as the budget-starvation poison test: a gate pass that
-    // rejects every job of the dirty problem shares its layers with a
-    // later clean pass. The aborted jobs must leave nothing behind —
-    // not even lint-report entries keyed on fingerprints the clean pass
-    // will also compute.
-    let ctx = EvalContext::cached();
-    let factory = SimulatedClientFactory::for_model(ModelKind::Gpt4o);
-    let first = Engine::new(4)
-        .with_context(ctx.clone())
-        .execute(&dirty_plan(LintMode::Gate), &factory);
-    assert!(
-        first
-            .outcomes
-            .iter()
-            .any(|o| o.failure == Some(AbortKind::LintRejected)),
-        "the gate pass must reject jobs for this test to mean anything"
-    );
-    let reused = outcomes_jsonl(
-        &Engine::new(4)
-            .with_context(ctx)
-            .execute(&plan(), &factory)
-            .outcomes,
-    );
-    let fresh = stream(Engine::new(4), &plan());
-    assert!(
-        reused == fresh,
-        "shared layers poisoned by lint-gate aborts:\n--- reused layers ---\n{reused}\n--- fresh layers ---\n{fresh}"
-    );
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //!   `diagnostics.jsonl` are byte-identical to the cold run's — at any
 //!   thread count — while its `timings.jsonl` reports only the warm
 //!   run's own work: no phase time, no simulator counters, one store
-//!   hit per job;
+//!   hit per job — and it leaves the store directory byte-identical;
 //! * mutating one problem's source moves exactly that problem's cell
 //!   fingerprints, so only its cells re-execute;
 //! * `--store-readonly` replays without ever writing to the store.
@@ -94,6 +94,19 @@ fn merged_obs(dir: &Path) -> JobObs {
     total
 }
 
+/// Every file of the store (top level and segments) with its bytes.
+fn snapshot(store: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files: Vec<(PathBuf, Vec<u8>)> = [store.to_path_buf(), store.join("segments")]
+        .iter()
+        .flat_map(|dir| std::fs::read_dir(dir).expect("read store dir"))
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|path| path.is_file())
+        .map(|path| (path.clone(), std::fs::read(&path).expect("read store file")))
+        .collect();
+    files.sort();
+    files
+}
+
 fn assert_same_artifacts(cold: &Path, warm: &Path) {
     for file in ["outcomes.jsonl", "diagnostics.jsonl"] {
         let (c, w) = (read(cold, file), read(warm, file));
@@ -132,6 +145,11 @@ fn warm_rerun_replays_every_cell_byte_identically_across_thread_counts() {
         manifest.contains("\"store\":{\"dir\":") && manifest.contains("\"readonly\":false"),
         "plan.json must record the store attachment:\n{manifest}"
     );
+    assert!(
+        !store.join("hits.tsv").exists(),
+        "the store keeps no hit ledger"
+    );
+    let filled = snapshot(&store);
 
     for threads in ["1", "4", "8"] {
         let warm_dir = tmpdir(&format!("store_warm_out_{threads}"));
@@ -153,6 +171,10 @@ fn warm_rerun_replays_every_cell_byte_identically_across_thread_counts() {
         assert_eq!(obs.total_phase_ns(), 0, "warm phases: {obs:?}");
         assert_eq!(obs.counter(Counter::SimInstrs), 0, "warm counters: {obs:?}");
         assert_eq!(obs.counter(Counter::StoreHits), JOBS as u64);
+        assert!(
+            snapshot(&store) == filled,
+            "a fully warm run on {threads} threads wrote to the store"
+        );
         let _ = std::fs::remove_dir_all(&warm_dir);
     }
     let _ = std::fs::remove_dir_all(&cold_dir);

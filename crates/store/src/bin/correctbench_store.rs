@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! correctbench-store verify DIR          # checksum every record; exit 1 on corruption
-//! correctbench-store ls DIR              # list live cells (key, bytes, lifetime hits)
-//! correctbench-store gc DIR --max-bytes N  # evict never-hit-first, compact segments
+//! correctbench-store ls DIR              # list live cells (key, bytes), oldest first
+//! correctbench-store gc DIR --max-bytes N  # evict oldest first, compact segments
 //! ```
 //!
 //! Exit codes follow the suite convention: 0 ok, 1 infra/corruption,
@@ -18,10 +18,11 @@ const USAGE: &str = "usage: correctbench-store <command> DIR [options]
 commands:
   verify DIR             rescan every segment, checking record checksums;
                          reports per-segment totals, exits 1 on corruption
-  ls DIR                 list live cells: <job-config key> <payload bytes> <hits>
-  gc DIR --max-bytes N   evict cells (never-hit first, then fewest hits,
-                         oldest first) until the store fits in N bytes,
-                         then compact the survivors into one segment
+  ls DIR                 list live cells, oldest first:
+                         <job-config key> <payload bytes>
+  gc DIR --max-bytes N   evict the oldest cells until the store fits in
+                         N bytes, then compact the survivors into one
+                         segment
 ";
 
 fn usage(msg: &str) -> ExitCode {
@@ -107,8 +108,8 @@ fn cmd_ls(dir: &Path) -> ExitCode {
         eprintln!("correctbench-store: warning: {w}");
     }
     let cells = store.cells();
-    for (key, bytes, hits) in &cells {
-        println!("{key} {bytes} {hits}");
+    for (key, bytes) in &cells {
+        println!("{key} {bytes}");
     }
     let stats = store.stats();
     eprintln!("{} cells, {} bytes on disk", cells.len(), stats.bytes);

@@ -15,7 +15,6 @@
 //! ```text
 //! DIR/
 //!   store.json          # schema marker, written atomically at creation
-//!   hits.tsv            # persisted per-cell hit counts (gc eviction order)
 //!   segments/
 //!     seg-00000.log     # append-only records, rotated by size
 //!     seg-00001.log
@@ -79,25 +78,6 @@ pub struct CellKey {
     pub job: Fingerprint,
     /// Fingerprint of the outcome-affecting run configuration.
     pub config: Fingerprint,
-}
-
-impl CellKey {
-    /// The key as its canonical `job-config` hex rendering.
-    pub fn hex(&self) -> String {
-        format!("{}-{}", self.job, self.config)
-    }
-
-    /// Parses the canonical `job-config` hex rendering.
-    pub fn parse(s: &str) -> Option<CellKey> {
-        let (job, config) = s.split_once('-')?;
-        if job.len() != 16 || config.len() != 16 {
-            return None;
-        }
-        Some(CellKey {
-            job: Fingerprint(u64::from_str_radix(job, 16).ok()?),
-            config: Fingerprint(u64::from_str_radix(config, 16).ok()?),
-        })
-    }
 }
 
 impl std::fmt::Display for CellKey {
@@ -242,11 +222,7 @@ fn parse_header(header: &str) -> Option<(CellKey, usize, u64)> {
 
 struct Entry {
     payload: String,
-    /// Hit count persisted by previous sessions (`hits.tsv`).
-    prior_hits: u64,
-    /// Hits this session.
-    session_hits: u64,
-    /// Scan/append order — the gc eviction tiebreak (oldest first).
+    /// Scan/append order — the gc eviction order (oldest first).
     seq: u64,
 }
 
@@ -261,6 +237,7 @@ struct Inner {
     seg_index: u64,
     /// Size of that segment.
     seg_bytes: u64,
+    /// The segment this handle appends to, opened by its first append.
     file: Option<std::fs::File>,
     next_seq: u64,
     warnings: Vec<String>,
@@ -320,23 +297,6 @@ fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-fn read_hits(dir: &Path) -> HashMap<CellKey, u64> {
-    let mut out = HashMap::new();
-    let Ok(text) = std::fs::read_to_string(dir.join("hits.tsv")) else {
-        return out;
-    };
-    for line in text.lines() {
-        let mut it = line.split(' ');
-        let (Some(key), Some(hits)) = (it.next(), it.next()) else {
-            continue;
-        };
-        if let (Some(key), Ok(hits)) = (CellKey::parse(key), hits.parse()) {
-            out.insert(key, hits);
-        }
-    }
-    out
-}
-
 impl OutcomeStore {
     /// Opens `dir` read-write, creating the store if it does not exist.
     /// Scans every segment into memory; a torn tail on the last segment
@@ -382,7 +342,6 @@ impl OutcomeStore {
     }
 
     fn open_scanned(dir: &Path, readonly: bool) -> io::Result<OutcomeStore> {
-        let prior_hits = read_hits(dir);
         let mut entries: HashMap<CellKey, Entry> = HashMap::new();
         let mut warnings = Vec::new();
         let mut disk_bytes = 0u64;
@@ -429,13 +388,10 @@ impl OutcomeStore {
                 seg_bytes = kept;
             }
             for record in records {
-                let prior = prior_hits.get(&record.key).copied().unwrap_or(0);
                 entries.insert(
                     record.key,
                     Entry {
                         payload: record.payload,
-                        prior_hits: prior,
-                        session_hits: 0,
                         seq: next_seq,
                     },
                 );
@@ -482,9 +438,8 @@ impl OutcomeStore {
     /// Looks up `key`, counting a hit (payload cloned out) or a miss.
     pub fn get(&self, key: &CellKey) -> Option<String> {
         let mut inner = self.inner.lock().expect("store lock poisoned");
-        match inner.entries.get_mut(key) {
+        match inner.entries.get(key) {
             Some(entry) => {
-                entry.session_hits += 1;
                 let payload = entry.payload.clone();
                 inner.hits += 1;
                 Some(payload)
@@ -498,14 +453,12 @@ impl OutcomeStore {
 
     /// Reclassifies the most recent hit as a miss — the caller fetched
     /// a payload it could not use (decode drift), which must read as a
-    /// cell the store failed to serve.
-    pub fn discount_hit(&self, key: &CellKey) {
+    /// cell the store failed to serve. Only the session counters move:
+    /// the store keeps no per-cell counts, so `_key` is not read.
+    pub fn discount_hit(&self, _key: &CellKey) {
         let mut inner = self.inner.lock().expect("store lock poisoned");
         inner.hits = inner.hits.saturating_sub(1);
         inner.misses += 1;
-        if let Some(entry) = inner.entries.get_mut(key) {
-            entry.session_hits = entry.session_hits.saturating_sub(1);
-        }
     }
 
     /// Publishes `payload` under `key`: one flushed append to the open
@@ -522,9 +475,14 @@ impl OutcomeStore {
         let record = encode_record(key, payload);
         let mut inner = self.inner.lock().expect("store lock poisoned");
         if inner.file.is_none() || inner.seg_bytes + record.len() as u64 > ROTATE_BYTES {
-            if inner.file.is_some() && inner.seg_bytes > 0 {
-                inner.seg_index += 1;
-                inner.seg_bytes = 0;
+            if let Some(full) = inner.file.take() {
+                // `flush` syncs only the open segment: sync a full one
+                // before leaving it.
+                full.sync_data()?;
+                if inner.seg_bytes > 0 {
+                    inner.seg_index += 1;
+                    inner.seg_bytes = 0;
+                }
             }
             let path = segment_path(&self.dir, inner.seg_index);
             let file = std::fs::OpenOptions::new()
@@ -545,8 +503,6 @@ impl OutcomeStore {
             *key,
             Entry {
                 payload: payload.to_string(),
-                prior_hits: 0,
-                session_hits: 0,
                 seq,
             },
         );
@@ -588,45 +544,32 @@ impl OutcomeStore {
             .clone()
     }
 
-    /// Every live cell as `(key, payload bytes, lifetime hits)`, oldest
-    /// first — the `correctbench-store ls` view and the gc eviction
-    /// order's input.
-    pub fn cells(&self) -> Vec<(CellKey, usize, u64)> {
+    /// Every live cell as `(key, payload bytes)`, oldest first — the
+    /// `correctbench-store ls` view and the gc eviction order.
+    pub fn cells(&self) -> Vec<(CellKey, usize)> {
         let inner = self.inner.lock().expect("store lock poisoned");
-        let mut cells: Vec<(u64, CellKey, usize, u64)> = inner
+        let mut cells: Vec<(u64, CellKey, usize)> = inner
             .entries
             .iter()
-            .map(|(k, e)| (e.seq, *k, e.payload.len(), e.prior_hits + e.session_hits))
+            .map(|(k, e)| (e.seq, *k, e.payload.len()))
             .collect();
         cells.sort();
-        cells.into_iter().map(|(_, k, l, h)| (k, l, h)).collect()
+        cells.into_iter().map(|(_, k, l)| (k, l)).collect()
     }
 
-    /// Persists the per-cell lifetime hit counts (`hits.tsv`,
-    /// atomically) so a later `gc` evicts never-hit cells first even
-    /// across processes. No-op on a read-only handle.
+    /// Syncs the segment this handle appends to, so every record it
+    /// published survives a power loss. Does nothing when the handle
+    /// appended nothing (a read-only handle never does).
     ///
     /// # Errors
     ///
-    /// Any filesystem failure writing the file.
+    /// Any filesystem failure syncing the segment.
     pub fn flush(&self) -> io::Result<()> {
-        if self.readonly {
-            return Ok(());
-        }
         let inner = self.inner.lock().expect("store lock poisoned");
-        let mut lines: Vec<(u64, String)> = inner
-            .entries
-            .iter()
-            .map(|(k, e)| {
-                (
-                    e.seq,
-                    format!("{} {}\n", k.hex(), e.prior_hits + e.session_hits),
-                )
-            })
-            .collect();
-        lines.sort();
-        let text: String = lines.into_iter().map(|(_, l)| l).collect();
-        write_atomic(&self.dir.join("hits.tsv"), text.as_bytes())
+        match &inner.file {
+            Some(file) => file.sync_data(),
+            None => Ok(()),
+        }
     }
 }
 
@@ -711,12 +654,11 @@ pub struct GcReport {
     pub evicted: usize,
 }
 
-/// Shrinks the store under `max_bytes`: evicts never-hit cells first
-/// (then fewest lifetime hits, oldest first) until the surviving
-/// records fit, compacts the survivors into one fresh higher-numbered
-/// segment (temp + rename — a crash mid-pass leaves recoverable
-/// duplicates, never a broken store), deletes the old segments and
-/// rewrites the hit index. Also a pure compaction when the store
+/// Shrinks the store under `max_bytes`: evicts the oldest cells first
+/// (append order) until the surviving records fit, compacts the
+/// survivors into one fresh higher-numbered segment (temp + rename — a
+/// crash mid-pass leaves recoverable duplicates, never a broken store)
+/// and deletes the old segments. Also a pure compaction when the store
 /// already fits (dead duplicate records are dropped either way).
 ///
 /// # Errors
@@ -725,53 +667,32 @@ pub struct GcReport {
 pub fn gc(dir: &Path, max_bytes: u64) -> io::Result<GcReport> {
     let store = OutcomeStore::open(dir)?;
     let before_bytes = store.stats().bytes;
-    let mut cells = store.cells(); // oldest first
-    let payload: HashMap<CellKey, String> = cells
+    let records: Vec<Vec<u8>> = store
+        .cells() // oldest first
         .iter()
-        .map(|(k, _, _)| (*k, store.get(k).expect("listed cell present")))
+        .map(|(k, _)| encode_record(k, &store.get(k).expect("listed cell present")))
         .collect();
     drop(store);
-    // Eviction order: hits ascending, then oldest first (the listing's
-    // order is stable, so sort-by-hits keeps age as the tiebreak).
-    cells.sort_by_key(|(_, _, hits)| *hits);
-    let record_len = |k: &CellKey| encode_record(k, &payload[k]).len() as u64;
-    let mut total: u64 = cells.iter().map(|(k, _, _)| record_len(k)).sum();
+    let mut total: u64 = records.iter().map(|r| r.len() as u64).sum();
     let mut evicted = 0usize;
-    let mut keep: Vec<(CellKey, u64)> = Vec::new();
-    for (key, _, hits) in &cells {
-        if total > max_bytes {
-            total -= record_len(key);
-            evicted += 1;
-        } else {
-            keep.push((*key, *hits));
+    for record in &records {
+        if total <= max_bytes {
+            break;
         }
+        total -= record.len() as u64;
+        evicted += 1;
     }
-    // Preserve append order among survivors.
-    let order: HashMap<CellKey, usize> = cells
-        .iter()
-        .enumerate()
-        .map(|(i, (k, _, _))| (*k, i))
-        .collect();
-    keep.sort_by_key(|(k, _)| order[k]);
+    let compacted = records[evicted..].concat();
     let old = list_segments(dir)?;
     let next = old.iter().map(|(i, _)| i + 1).max().unwrap_or(0);
-    let mut compacted = Vec::new();
-    for (key, _) in &keep {
-        compacted.extend_from_slice(&encode_record(key, &payload[key]));
-    }
     write_atomic(&segment_path(dir, next), &compacted)?;
     for (_, path) in &old {
         std::fs::remove_file(path)?;
     }
-    let hits_text: String = keep
-        .iter()
-        .map(|(k, h)| format!("{} {h}\n", k.hex()))
-        .collect();
-    write_atomic(&dir.join("hits.tsv"), hits_text.as_bytes())?;
     Ok(GcReport {
         before_bytes,
         after_bytes: compacted.len() as u64,
-        kept: keep.len(),
+        kept: records.len() - evicted,
         evicted,
     })
 }
@@ -897,7 +818,7 @@ mod tests {
     }
 
     #[test]
-    fn gc_evicts_never_hit_cells_first() {
+    fn gc_evicts_the_oldest_cells_first() {
         let dir = tmpdir("gc");
         let store = OutcomeStore::open(&dir).expect("open");
         for i in 0..4u64 {
@@ -905,10 +826,9 @@ mod tests {
                 .put(&key(i, 0), &format!("payload-{i}-{}", "x".repeat(100)))
                 .expect("put");
         }
-        // Cells 1 and 3 are hit; 0 and 2 never are.
-        store.get(&key(1, 0)).expect("hit");
-        store.get(&key(3, 0)).expect("hit");
-        store.flush().expect("flush hits");
+        // Hits do not protect a cell: the two oldest go, hit or not.
+        store.get(&key(0, 0)).expect("hit");
+        store.flush().expect("flush");
         drop(store);
         let before = verify(&dir).expect("verify");
         let total: u64 = before.segments.iter().map(|s| s.total_bytes).sum();
@@ -917,10 +837,15 @@ mod tests {
         assert_eq!(report.evicted, 2);
         assert!(report.after_bytes <= total / 2);
         let again = OutcomeStore::open(&dir).expect("reopen");
-        assert!(again.get(&key(0, 0)).is_none(), "never-hit evicted");
-        assert!(again.get(&key(2, 0)).is_none(), "never-hit evicted");
-        assert!(again.get(&key(1, 0)).is_some(), "hit cell survives");
-        assert!(again.get(&key(3, 0)).is_some(), "hit cell survives");
+        assert!(again.get(&key(0, 0)).is_none(), "oldest evicted");
+        assert!(again.get(&key(1, 0)).is_none(), "oldest evicted");
+        assert!(again.get(&key(2, 0)).is_some(), "newer cell survives");
+        assert!(again.get(&key(3, 0)).is_some(), "newer cell survives");
+        assert_eq!(
+            again.cells().iter().map(|(k, _)| *k).collect::<Vec<_>>(),
+            vec![key(2, 0), key(3, 0)],
+            "survivors keep their append order"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -946,13 +871,5 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         assert!(OutcomeStore::open_readonly(&dir).is_err());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cell_key_hex_roundtrip() {
-        let k = key(0xdead_beef_0123_4567, 0x89ab_cdef_aa55_aa55);
-        assert_eq!(CellKey::parse(&k.hex()), Some(k));
-        assert_eq!(CellKey::parse("nonsense"), None);
-        assert_eq!(CellKey::parse("1234-5678"), None, "short halves rejected");
     }
 }

@@ -2,15 +2,13 @@
 //! panic payload that carries it.
 //!
 //! A job that cannot produce a result — a panic, a broken trusted
-//! artifact, an exhausted simulation budget, a lint-gate rejection —
-//! must still produce a deterministic `outcomes.jsonl` line. The
+//! artifact, an exhausted simulation budget — must still produce a
+//! deterministic `outcomes.jsonl` line. The
 //! harness wraps every job in `catch_unwind`; code below the harness (a
 //! trusted artifact that fails to parse, a simulation that exhausts the
 //! budget) signals a *classified* abort by unwinding with a [`JobAbort`]
 //! payload ([`abort_job`]), which the worker downcasts into
 //! [`AbortKind`]. Any other payload classifies as [`AbortKind::Panic`].
-//! The lint gate runs in the harness itself, so a lint-gate rejection
-//! does not unwind: the worker returns it, with the findings behind it.
 //!
 //! Unwinding (instead of threading `Result`s through every layer) is
 //! deliberate: an abort must cross cache lookups and sessions without
@@ -33,19 +31,14 @@ pub enum AbortKind {
     ParseError,
     /// A binding `--sim-budget` was exhausted by one simulation run.
     SimBudgetExhausted,
-    /// The static-analysis gate (`--lint=gate`) found deny-level
-    /// diagnostics in the job's RTL before simulation. The harness
-    /// returns this kind; nothing unwinds with it.
-    LintRejected,
 }
 
 impl AbortKind {
     /// Every kind, in taxonomy order.
-    pub const ALL: [AbortKind; 4] = [
+    pub const ALL: [AbortKind; 3] = [
         AbortKind::Panic,
         AbortKind::ParseError,
         AbortKind::SimBudgetExhausted,
-        AbortKind::LintRejected,
     ];
 
     /// The stable artifact name.
@@ -54,7 +47,6 @@ impl AbortKind {
             AbortKind::Panic => "panic",
             AbortKind::ParseError => "parse_error",
             AbortKind::SimBudgetExhausted => "sim_budget_exhausted",
-            AbortKind::LintRejected => "lint_rejected",
         }
     }
 

@@ -169,6 +169,17 @@ impl Parser {
         Ok(if neg { -v } else { v })
     }
 
+    /// A part select's folded `msb`, held to [`Parser::const_int`]'s
+    /// ±2^31 bound for the same reason.
+    fn part_msb(&self, first: &Expr) -> Result<i64, ParseError> {
+        let msb = const_expr_i64(first)
+            .ok_or_else(|| self.err("part select bounds must be constants"))?;
+        if msb.unsigned_abs() > 1 << 31 {
+            return Err(self.err("range bound out of range"));
+        }
+        Ok(msb)
+    }
+
     // ---- modules ----
 
     fn module(&mut self) -> Result<Module, ParseError> {
@@ -718,8 +729,7 @@ impl Parser {
         if self.eat_punct(Punct::LBracket) {
             let first = self.expr()?;
             if self.eat_punct(Punct::Colon) {
-                let msb = const_expr_i64(&first)
-                    .ok_or_else(|| self.err("part select bounds must be constants"))?;
+                let msb = self.part_msb(&first)?;
                 let lsb = self.const_int()?;
                 self.expect_punct(Punct::RBracket)?;
                 Ok(LValue::Part(name, msb, lsb))
@@ -909,8 +919,7 @@ impl Parser {
                 if self.eat_punct(Punct::LBracket) {
                     let first = self.expr()?;
                     if self.eat_punct(Punct::Colon) {
-                        let msb = const_expr_i64(&first)
-                            .ok_or_else(|| self.err("part select bounds must be constants"))?;
+                        let msb = self.part_msb(&first)?;
                         let lsb = self.const_int()?;
                         self.expect_punct(Punct::RBracket)?;
                         Ok(Expr::Part(name, msb, lsb))
@@ -938,18 +947,19 @@ impl Parser {
 }
 
 /// Folds a literal-only expression to an `i64` (used for range bounds and
-/// replication counts at parse time).
+/// replication counts at parse time). `None` when the expression is not
+/// literal-only or a value along the way leaves `i64`.
 fn const_expr_i64(e: &Expr) -> Option<i64> {
     match e {
-        Expr::Literal { value, .. } => value.to_u64().map(|v| v as i64),
-        Expr::Unary(UnaryOp::Neg, inner) => const_expr_i64(inner).map(|v| -v),
+        Expr::Literal { value, .. } => i64::try_from(value.to_u64()?).ok(),
+        Expr::Unary(UnaryOp::Neg, inner) => const_expr_i64(inner)?.checked_neg(),
         Expr::Binary(op, a, b) => {
             let a = const_expr_i64(a)?;
             let b = const_expr_i64(b)?;
             match op {
-                BinaryOp::Add => Some(a + b),
-                BinaryOp::Sub => Some(a - b),
-                BinaryOp::Mul => Some(a * b),
+                BinaryOp::Add => a.checked_add(b),
+                BinaryOp::Sub => a.checked_sub(b),
+                BinaryOp::Mul => a.checked_mul(b),
                 _ => None,
             }
         }
@@ -1190,6 +1200,22 @@ mod tests {
         assert!(parse("module m; initial begin x = 1; endmodule").is_err());
         assert!(parse("garbage tokens here").is_err());
         assert!(parse("module m; wire [3:0 a; endmodule").is_err());
+        // Part-select bounds whose fold leaves `i64` or ±2^31: an error,
+        // never a panic or a wrapped bound.
+        for msb in [
+            "64'h7fffffffffffffff*2",
+            "64'h7fffffffffffffff+1",
+            "-64'h8000000000000000",
+            "64'hffffffffffffffff",
+            "64'h80000001",
+        ] {
+            let rhs =
+                format!("module m(input [7:0] a, output y); assign y = a[{msb}:0]; endmodule");
+            let lhs =
+                format!("module m(input a, output [7:0] y); assign y[{msb}:0] = a; endmodule");
+            assert!(parse(&rhs).is_err(), "{rhs}");
+            assert!(parse(&lhs).is_err(), "{lhs}");
+        }
     }
 
     #[test]

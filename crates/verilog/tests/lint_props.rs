@@ -1,6 +1,7 @@
 //! Lint robustness and sensitivity.
 //!
-//! Two properties back the `--lint` gate:
+//! Two properties back the `--lint` pass and AutoEval's lint
+//! pre-screen:
 //!
 //! 1. **Totality** — `lint_file` is called by the harness on whatever
 //!    the parser accepts, including corrupted and mutated sources; it

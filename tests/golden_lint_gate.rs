@@ -2,9 +2,8 @@
 //!
 //! Every golden DUT, and every golden DUT combined with its generated
 //! testbench driver, must carry **zero** deny-level diagnostics after
-//! the problem's allowlist is applied: the `--lint=gate` mode would
-//! otherwise reject trusted fixtures, and a real defect in a golden
-//! design would silently bias every method it evaluates. Intentional
+//! the problem's allowlist is applied: a real defect in a golden design
+//! would silently bias every method it evaluates. Intentional
 //! warning-level findings are pinned too, so a new finding (or a lost
 //! allowlist entry) shows up as a reviewed diff, not drift.
 
