@@ -14,7 +14,7 @@
 use correctbench::{Config, Method};
 use correctbench_bench::experiment::{render_table1, run_plan, sweep_plan};
 use correctbench_bench::RunArgs;
-use correctbench_harness::cli::write_artifacts_or_exit;
+use correctbench_harness::cli::{write_artifacts_or_exit, write_stdout};
 use correctbench_harness::render_summary;
 use correctbench_llm::ModelKind;
 
@@ -37,16 +37,20 @@ fn main() {
         args.seed,
     );
     let result = run_plan(&plan, args.threads);
-    println!("{}", render_table1(&result.outcomes));
+    // Artifacts first: a closed stdout must not lose them.
+    if let Some(dir) = &args.out {
+        let summary = render_summary(&plan, &result);
+        let paths = write_artifacts_or_exit(dir, &result, &summary);
+        eprintln!("artifacts: {}", paths.outcomes.display());
+    }
+    if let Err(e) = write_stdout(&format!("{}\n", render_table1(&result.outcomes))) {
+        eprintln!("error: cannot write the table to stdout: {e}");
+        std::process::exit(1);
+    }
     eprintln!("elapsed: {:?}", result.wall);
     for (label, stats) in result.caches.layers() {
         if let Some(stats) = stats {
             eprintln!("{label}: {stats}");
         }
-    }
-    if let Some(dir) = &args.out {
-        let summary = render_summary(&plan, &result);
-        let paths = write_artifacts_or_exit(dir, &result, &summary);
-        eprintln!("artifacts: {}", paths.outcomes.display());
     }
 }

@@ -17,7 +17,7 @@
 //!   every following line is one job, in canonical job order, carrying
 //!   the join keys `job`/`problem`/`method`/`rep`/`seed` (so joining
 //!   against `outcomes.jsonl` no longer needs lockstep reads), the
-//!   measured `wall_ms`/`wall_us`, and — when observability is on —
+//!   measured `wall_us`, and — when observability is on —
 //!   a `phases` object (exclusive per-phase microseconds, `obs::Phase`
 //!   taxonomy) plus a `counters` object (`obs::Counter` taxonomy);
 //!   both are `null` under `--no-obs`. Honest measurements are not
@@ -394,13 +394,12 @@ pub fn timings_jsonl(result: &RunResult) -> String {
     for o in &result.outcomes {
         let _ = writeln!(
             s,
-            "{{\"job\":{},\"problem\":\"{}\",\"method\":\"{}\",\"rep\":{},\"seed\":{},\"wall_ms\":{},\"wall_us\":{},\"phases\":{},\"counters\":{}}}",
+            "{{\"job\":{},\"problem\":\"{}\",\"method\":\"{}\",\"rep\":{},\"seed\":{},\"wall_us\":{},\"phases\":{},\"counters\":{}}}",
             o.job_id,
             json_escape(&o.problem),
             o.method.name(),
             o.rep,
             o.seed,
-            o.wall.as_millis(),
             o.wall.as_micros(),
             phases_json(o.obs.as_ref()),
             counters_json(o.obs.as_ref()),

@@ -13,10 +13,15 @@
 //! run's peak resident set when the run line records it. When a
 //! `diagnostics.jsonl` sits next to the timings file (as `--out` writes
 //! it), its static-analysis findings are re-aggregated per rule too.
-//! Works on any past run's artifact — no re-execution.
+//! Works on any past run's artifact — no re-execution. A job line
+//! without `problem`, `method` or `wall_us` is an error that names the
+//! line. A closed stdout ends the report quietly with exit 0; any other
+//! stdout failure exits 1.
 
+use correctbench_harness::cli::write_stdout;
 use correctbench_harness::json::{parse, Value};
 use correctbench_obs::{Counter, Histogram, Phase};
+use std::fmt::Write as _;
 
 const USAGE: &str = "usage: correctbench-report [--help] TIMINGS.JSONL";
 
@@ -31,7 +36,7 @@ fn main() {
     for a in std::env::args().skip(1) {
         match a.as_str() {
             "--help" | "-h" => {
-                println!("{USAGE}");
+                let _ = write_stdout(&format!("{USAGE}\n"));
                 std::process::exit(0)
             }
             other if other.starts_with("--") => fail(&format!("unknown flag `{other}`")),
@@ -85,19 +90,23 @@ fn main() {
             run_line = Some(v);
             continue;
         }
-        let Some(problem) = v.get("problem").and_then(Value::as_str) else {
-            eprintln!("error: {path}:{}: job line without `problem`", lineno + 1);
+        let missing = |field: &str| -> ! {
+            eprintln!("error: {path}:{}: job line without `{field}`", lineno + 1);
             std::process::exit(1)
         };
-        jobs += 1;
-        // v1 sidecars lack `method`/`wall_us`; degrade gracefully so the
-        // report still works on pre-v2 artifacts.
-        let method = v.get("method").and_then(Value::as_str).unwrap_or("?");
+        let problem = v
+            .get("problem")
+            .and_then(Value::as_str)
+            .unwrap_or_else(|| missing("problem"));
+        let method = v
+            .get("method")
+            .and_then(Value::as_str)
+            .unwrap_or_else(|| missing("method"));
         let wall_us = v
             .get("wall_us")
             .and_then(Value::as_u64)
-            .or_else(|| v.get("wall_ms").and_then(Value::as_u64).map(|ms| ms * 1000))
-            .unwrap_or(0);
+            .unwrap_or_else(|| missing("wall_us"));
+        jobs += 1;
         let slot = groups
             .iter()
             .position(|(p, m, _)| p == problem && m == method);
@@ -122,6 +131,7 @@ fn main() {
         }
     }
 
+    let mut out = String::new();
     if let Some(run) = &run_line {
         // Sidecars written before the run line carried `peak_rss_bytes`
         // (and runs where the platform could not report it) print
@@ -131,19 +141,22 @@ fn main() {
             .and_then(Value::as_u64)
             .map(|b| format!(", peak RSS {:.1} MiB", b as f64 / (1024.0 * 1024.0)))
             .unwrap_or_default();
-        println!(
+        let _ = writeln!(
+            out,
             "run: {} jobs on {} threads, wall {} ms{peak}",
             run.get("jobs").and_then(Value::as_u64).unwrap_or(0),
             run.get("threads").and_then(Value::as_u64).unwrap_or(0),
             run.get("run_wall_ms").and_then(Value::as_u64).unwrap_or(0),
         );
     }
-    println!(
+    let _ = writeln!(
+        out,
         "job latency percentiles (ms)\n{:<18} {:<13} {:>5} {:>9} {:>9} {:>9} {:>9}",
         "problem", "method", "runs", "p50", "p90", "p99", "max"
     );
     for (problem, method, hist) in &groups {
-        println!(
+        let _ = writeln!(
+            out,
             "{:<18} {:<13} {:>5} {:>9.2} {:>9.2} {:>9.2} {:>9.2}",
             problem,
             method,
@@ -155,25 +168,32 @@ fn main() {
         );
     }
     if observed > 0 {
-        println!("phase totals ({observed}/{jobs} jobs observed)");
+        let _ = writeln!(out, "phase totals ({observed}/{jobs} jobs observed)");
         for p in Phase::ALL {
-            println!("  {:<10} {:>12} us", p.name(), phase_us[p as usize]);
+            let _ = writeln!(out, "  {:<10} {:>12} us", p.name(), phase_us[p as usize]);
         }
-        println!("counter totals");
+        let _ = writeln!(out, "counter totals");
         for c in Counter::ALL {
-            println!("  {:<18} {:>14}", c.name(), counters[c as usize]);
+            let _ = writeln!(out, "  {:<18} {:>14}", c.name(), counters[c as usize]);
         }
     } else {
-        println!("no observability data in this sidecar (run without --no-obs to collect it)");
+        let _ = writeln!(
+            out,
+            "no observability data in this sidecar (run without --no-obs to collect it)"
+        );
     }
-    report_diagnostics(&path);
+    report_diagnostics(&path, &mut out);
+    if let Err(e) = write_stdout(&out) {
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1)
+    }
 }
 
 /// Re-aggregates the `diagnostics.jsonl` sibling of the timings file,
 /// when present: one count per lint rule plus a total. A run with
 /// `--lint=off` writes the file empty, so "0 diagnostics" and "no
 /// sidecar" are distinguishable states.
-fn report_diagnostics(timings_path: &str) {
+fn report_diagnostics(timings_path: &str, out: &mut String) {
     let diag_path = std::path::Path::new(timings_path).with_file_name("diagnostics.jsonl");
     let Ok(text) = std::fs::read_to_string(&diag_path) else {
         return;
@@ -202,8 +222,8 @@ fn report_diagnostics(timings_path: &str) {
             None => rules.push((rule.to_string(), 1)),
         }
     }
-    println!("lint diagnostics: {total}");
+    let _ = writeln!(out, "lint diagnostics: {total}");
     for (rule, n) in &rules {
-        println!("  {rule:<24} {n:>6}");
+        let _ = writeln!(out, "  {rule:<24} {n:>6}");
     }
 }

@@ -65,10 +65,12 @@
 //! `slow@`, `exit@`; see the fault module docs for the grammar).
 //!
 //! Exit codes: 0 all jobs ok; 1 infrastructure/IO failure; 2 usage
-//! error; 3 run completed but at least one job aborted.
+//! error; 3 run completed but at least one job aborted. The artifacts
+//! are written before the summary goes to stdout, and a closed stdout
+//! changes no exit code.
 
 use correctbench::Method;
-use correctbench_harness::cli::{numeric_flag, usage, RunArgs};
+use correctbench_harness::cli::{numeric_flag, usage, write_stdout, RunArgs};
 use correctbench_harness::storebridge::{cell_key, config_fingerprint, decode_cell, encode_cell};
 use correctbench_harness::{
     manifest_fingerprint, parse_plan_manifest, plan_fingerprint, plan_manifest_json,
@@ -472,8 +474,10 @@ fn main() {
     if live && !quiet {
         eprintln!();
     }
-    print!("{summary}");
 
+    // The artifacts are written before the summary is printed, so a
+    // closed or failing stdout (`| head -3`) loses only the printed copy:
+    // its error is ignored.
     if let Some(dir) = &out {
         let paths = write_sidecars(dir, &result, &summary).unwrap_or_else(|e| {
             infra(&format!(
@@ -491,6 +495,7 @@ fn main() {
             );
         }
     }
+    let _ = write_stdout(&summary);
 
     let aborted = result
         .outcomes

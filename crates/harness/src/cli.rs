@@ -7,6 +7,7 @@
 
 use crate::plan::problem_subset;
 use correctbench_dataset::Problem;
+use std::io::Write as _;
 use std::path::PathBuf;
 
 /// The core command-line options of every sweep binary.
@@ -82,7 +83,7 @@ impl RunArgs {
                 "--help" | "-h" => {
                     // Help goes to stdout with a success exit so `--help`
                     // output can be piped and asserted on in tests.
-                    println!("{}", usage_line(extra_usage));
+                    let _ = write_stdout(&format!("{}\n", usage_line(extra_usage)));
                     std::process::exit(0)
                 }
                 "--full" => {
@@ -118,6 +119,18 @@ impl RunArgs {
     /// [`problem_subset`]).
     pub fn problem_set(&self) -> Vec<Problem> {
         problem_subset(self.problems)
+    }
+}
+
+/// Writes `text` to stdout and flushes it, without panicking. A closed
+/// pipe (`BrokenPipe`) is not an error: whoever read the output stopped
+/// reading, and the work the text reports is done. Any other failure is
+/// returned.
+pub fn write_stdout(text: &str) -> std::io::Result<()> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        r => r,
     }
 }
 

@@ -38,14 +38,6 @@ impl Value {
         }
     }
 
-    /// The value as a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => n.parse().ok(),
-            _ => None,
-        }
-    }
-
     /// The value as a u64, exact up to `u64::MAX`; `None` for a
     /// fraction, an exponent, a sign or a value past `u64::MAX`.
     pub fn as_u64(&self) -> Option<u64> {
@@ -309,7 +301,6 @@ mod tests {
         assert_eq!(n("1e3"), None);
         assert_eq!(n("-1"), None);
         assert_eq!(n("18446744073709551616"), None, "past u64::MAX");
-        assert_eq!(parse("1.5").expect("parse").as_num(), Some(1.5));
     }
 
     #[test]

@@ -86,10 +86,7 @@ fn timings_lines_pin_field_set_and_order() {
         jobs += 1;
         assert_eq!(
             v.keys(),
-            vec![
-                "job", "problem", "method", "rep", "seed", "wall_ms", "wall_us", "phases",
-                "counters",
-            ],
+            vec!["job", "problem", "method", "rep", "seed", "wall_us", "phases", "counters"],
             "timings.jsonl job-line field drift:\n{line}"
         );
         // The default engine arms observability: both objects present,
@@ -269,7 +266,7 @@ fn report_reads_sidecars_from_before_the_wasted_work_counters() {
     std::fs::write(
         &path,
         "{\"run_wall_ms\":5,\"threads\":1,\"jobs\":1}\n\
-         {\"job\":0,\"problem\":\"and_8\",\"method\":\"Baseline\",\"rep\":0,\"seed\":1,\"wall_ms\":1,\"wall_us\":1500,\
+         {\"job\":0,\"problem\":\"and_8\",\"method\":\"Baseline\",\"rep\":0,\"seed\":1,\"wall_us\":1500,\
          \"phases\":{\"parse\":1,\"elab\":1,\"compile\":1,\"simulate\":7,\"judge\":1,\"llm\":1,\"validate\":0,\"autoeval\":1,\"lint\":0},\
          \"counters\":{\"sim_events\":12,\"sim_instrs\":345,\"nba_commits\":6,\"judge_commits\":3}}\n",
     )
@@ -310,6 +307,42 @@ fn report_reads_sidecars_from_before_the_wasted_work_counters() {
         text.starts_with("run: 1 jobs on 1 threads, wall 5 ms\n"),
         "{text}"
     );
+}
+
+#[test]
+fn report_refuses_a_job_line_without_method_or_wall_us() {
+    // Job lines have carried `method` and `wall_us` since schema v2, so a
+    // line without either is damaged, not old: the report names it.
+    let dir = std::env::temp_dir().join(format!("correctbench_bad_job_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("timings.jsonl");
+    for (field, job) in [
+        (
+            "method",
+            "{\"job\":0,\"problem\":\"and_8\",\"rep\":0,\"seed\":1,\"wall_us\":1500}",
+        ),
+        (
+            "wall_us",
+            "{\"job\":0,\"problem\":\"and_8\",\"method\":\"Baseline\",\"rep\":0,\"seed\":1,\"wall_ms\":1}",
+        ),
+    ] {
+        std::fs::write(
+            &path,
+            format!("{{\"run_wall_ms\":5,\"threads\":1,\"jobs\":1}}\n{job}\n{job}\n"),
+        )
+        .expect("write sidecar");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_correctbench-report"))
+            .arg(&path)
+            .output()
+            .expect("run correctbench-report");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(
+            stderr.contains(&format!(":2: job line without `{field}`")),
+            "{stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

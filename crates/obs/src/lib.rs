@@ -304,11 +304,6 @@ impl ObsStack {
         ObsStack { enabled: false }
     }
 
-    /// Whether installing this stack arms a collector.
-    pub fn is_enabled(self) -> bool {
-        self.enabled
-    }
-
     /// Arms (or disarms) the thread's collector; the guard restores the
     /// previous collector when dropped. Install once per job so
     /// [`take_job`] snapshots exactly that job's measurements.

@@ -7,9 +7,12 @@
 //! ```
 //!
 //! Exit codes follow the suite convention: 0 ok, 1 infra/corruption,
-//! 2 usage.
+//! 2 usage. A closed stdout (`ls DIR | head`) ends the output quietly
+//! and changes no exit code; any other stdout failure exits 1.
 
 use correctbench_store::{gc, verify, OutcomeStore, ScanStop};
+use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -36,11 +39,22 @@ fn infra(msg: String) -> ExitCode {
     ExitCode::from(1)
 }
 
+/// Writes `text` to stdout. A closed pipe is not an error: whoever read
+/// the output stopped reading.
+fn emit(text: &str) -> Result<(), ExitCode> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(infra(format!("cannot write to stdout: {e}")))
+        }
+        _ => Ok(()),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
-        return ExitCode::SUCCESS;
+        return emit(USAGE).err().unwrap_or(ExitCode::SUCCESS);
     }
     let Some(command) = args.first() else {
         return usage("missing command");
@@ -62,6 +76,7 @@ fn cmd_verify(dir: &Path) -> ExitCode {
         Ok(r) => r,
         Err(e) => return infra(format!("verify {}: {e}", dir.display())),
     };
+    let mut text = String::new();
     let mut records = 0usize;
     let mut corrupt = 0usize;
     for seg in &report.segments {
@@ -77,7 +92,8 @@ fn cmd_verify(dir: &Path) -> ExitCode {
                 seg.total_bytes - seg.good_bytes
             ),
         };
-        println!(
+        let _ = writeln!(
+            text,
             "{}: {} records, {}/{} bytes, {status}",
             seg.name, seg.records, seg.good_bytes, seg.total_bytes
         );
@@ -86,12 +102,16 @@ fn cmd_verify(dir: &Path) -> ExitCode {
             corrupt += 1;
         }
     }
-    println!(
+    let _ = writeln!(
+        text,
         "{} segments, {} intact records, {} corrupt segment(s)",
         report.segments.len(),
         records,
         corrupt
     );
+    if let Err(code) = emit(&text) {
+        return code;
+    }
     if report.corrupt() {
         ExitCode::from(1)
     } else {
@@ -108,8 +128,12 @@ fn cmd_ls(dir: &Path) -> ExitCode {
         eprintln!("correctbench-store: warning: {w}");
     }
     let cells = store.cells();
+    let mut text = String::new();
     for (key, bytes) in &cells {
-        println!("{key} {bytes}");
+        let _ = writeln!(text, "{key} {bytes}");
+    }
+    if let Err(code) = emit(&text) {
+        return code;
     }
     let stats = store.stats();
     eprintln!("{} cells, {} bytes on disk", cells.len(), stats.bytes);
@@ -134,13 +158,12 @@ fn cmd_gc(dir: &Path, rest: &[String]) -> ExitCode {
         return usage("gc requires --max-bytes N");
     };
     match gc(dir, max_bytes) {
-        Ok(report) => {
-            println!(
-                "gc: kept {} cells, evicted {}, {} -> {} bytes",
-                report.kept, report.evicted, report.before_bytes, report.after_bytes
-            );
-            ExitCode::SUCCESS
-        }
+        Ok(report) => emit(&format!(
+            "gc: kept {} cells, evicted {}, {} -> {} bytes\n",
+            report.kept, report.evicted, report.before_bytes, report.after_bytes
+        ))
+        .err()
+        .unwrap_or(ExitCode::SUCCESS),
         Err(e) => infra(format!("gc {}: {e}", dir.display())),
     }
 }

@@ -76,7 +76,7 @@ pub fn generate_scenarios(problem: &Problem, seed: u64) -> ScenarioSet {
         let description = scenario_description(index, spec.scenarios);
         let mut stimuli = Vec::with_capacity(spec.stimuli_per_scenario + 1);
         if has_rst {
-            stimuli.push(reset_stimulus(&inputs, &mut rng));
+            stimuli.push(reset_stimulus(&inputs));
         }
         // Scenarios are *focused*: narrow control ports (mode selects,
         // enables) are frozen to a per-scenario value, so a design bug in
@@ -98,8 +98,8 @@ pub fn generate_scenarios(problem: &Problem, seed: u64) -> ScenarioSet {
                 (p.name.clone(), LogicVec::from_u64(p.width, fixed))
             })
             .collect();
+        let pattern = pattern_for(index, spec.scenarios);
         for k in 0..spec.stimuli_per_scenario {
-            let pattern = pattern_for(index, k, spec.scenarios);
             let mut values = Vec::with_capacity(inputs.len());
             for port in &inputs {
                 let v = if port.name == "rst" {
@@ -175,7 +175,7 @@ enum Pattern {
     Random,
 }
 
-fn pattern_for(index: usize, _k: usize, total: usize) -> Pattern {
+fn pattern_for(index: usize, total: usize) -> Pattern {
     match index {
         1 => Pattern::Zeros,
         2 => Pattern::Ones,
@@ -214,7 +214,7 @@ fn gen_value(width: usize, pattern: Pattern, rng: &mut StdRng) -> LogicVec {
     }
 }
 
-fn reset_stimulus(inputs: &[&PortSpec], _rng: &mut StdRng) -> Stimulus {
+fn reset_stimulus(inputs: &[&PortSpec]) -> Stimulus {
     let values = inputs
         .iter()
         .map(|p| {
