@@ -4,15 +4,16 @@
 //! cheap knob, rebooting the expensive one.
 
 use correctbench::{Config, Method};
-use correctbench_bench::experiment::{aggregate, run_sweep, Group};
+use correctbench_bench::experiment::run_sweep;
 use correctbench_bench::RunArgs;
+use correctbench_harness::cli::print_or_exit;
+use correctbench_harness::summarize;
 use correctbench_llm::ModelKind;
 
 fn main() {
     let args = RunArgs::parse(Some(24), 2);
     let problems = args.problem_set();
-    println!("ABLATION: AGENT ITERATION BUDGETS");
-    println!("I_C  I_R  Eval2-pass  tokens/task");
+    print_or_exit("ABLATION: AGENT ITERATION BUDGETS\nI_C  I_R  Eval2-pass  tokens/task\n");
     for (ic, ir) in [(0u32, 10u32), (1, 10), (3, 10), (3, 3), (3, 0), (6, 10)] {
         let cfg = Config {
             max_corrections: ic,
@@ -28,13 +29,13 @@ fn main() {
             args.seed,
             args.threads,
         );
-        let cell = aggregate(&records, Group::Total, Method::CorrectBench);
-        println!(
-            "{:<4} {:<4} {:>8.2}%  {:>9.1}k",
+        let cell = summarize(&records);
+        print_or_exit(&format!(
+            "{:<4} {:<4} {:>8.2}%  {:>9.1}k\n",
             ic,
             ir,
             cell.ratio(2) * 100.0,
             (cell.mean_input_tokens + cell.mean_output_tokens) / 1000.0
-        );
+        ));
     }
 }

@@ -2,19 +2,41 @@
 //! RTL–Scenario matrices of two correct testbenches and one wrong one,
 //! showing the column signature that drives validation (`.` = green /
 //! correct, `#` = red / wrong, `?` = no verdict).
+//! Usage: `fig4 [--help] [SEED]`, the scenario and LLM seed (default
+//! 2025); any other argument is a usage error (exit 2).
 
 use correctbench::{build_rs_matrix, generate_rtl_group, judge, Config, EvalContext, HybridTb};
 use correctbench_checker::compile_module;
+use correctbench_harness::cli::print_or_exit;
 use correctbench_llm::{CheckerArtifact, LlmClient, ModelKind, ModelProfile, SimulatedLlm};
 use correctbench_tbgen::{generate_driver, generate_scenarios, Driver};
 use rand::SeedableRng;
 
+const USAGE: &str = "usage: fig4 [--help] [SEED]";
+
+/// The seed the command line names, 2025 when it names none; anything
+/// else is a usage error.
+fn parse_seed() -> u64 {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let error = match args.as_slice() {
+        [] => return 2025,
+        [help, ..] if help == "--help" || help == "-h" => {
+            print_or_exit(&format!("{USAGE}\n"));
+            std::process::exit(0)
+        }
+        [seed, rest @ ..] => match (seed.parse(), rest.first()) {
+            (Ok(seed), None) => return seed,
+            (Ok(_), Some(extra)) => format!("unexpected argument `{extra}`"),
+            (Err(_), _) => format!("`{seed}` is not a seed"),
+        },
+    };
+    eprintln!("error: {error}\n{USAGE}");
+    std::process::exit(2)
+}
+
 fn main() {
     let cfg = Config::default();
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2025u64);
+    let seed = parse_seed();
 
     // Both `alu_8` panels share one RTL group's worth of simulations:
     // the simulation cache answers the repeats.
@@ -51,18 +73,17 @@ fn main() {
         let rtls = generate_rtl_group(&problem, &mut llm, &cfg);
         let matrix = build_rs_matrix(&problem, &tb, &rtls, &ctx);
         let verdict = judge(&matrix, &cfg);
-        println!("== {title} ==");
-        println!(
-            "{} RTL rows x {} scenario columns; verdict: {}",
+        print_or_exit(&format!(
+            "== {title} ==\n{} RTL rows x {} scenario columns; verdict: {}\n{}\n",
             matrix.num_rtls(),
             matrix.num_scenarios(),
             if verdict.is_correct() {
                 "correct"
             } else {
                 "wrong"
-            }
-        );
-        println!("{}", matrix.to_ascii());
+            },
+            matrix.to_ascii()
+        ));
         let _ = llm.usage();
     }
     let stats = ctx.stats().sim.expect("sim layer");

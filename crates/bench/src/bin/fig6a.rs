@@ -11,6 +11,7 @@
 use correctbench::{Config, ValidationCriterion};
 use correctbench_bench::valacc::{collect_corpus, criterion_accuracy};
 use correctbench_bench::RunArgs;
+use correctbench_harness::cli::print_or_exit;
 use correctbench_llm::ModelKind;
 
 fn main() {
@@ -37,12 +38,12 @@ fn main() {
         .iter()
         .map(|c| c.tbs.iter().filter(|t| t.correct).count())
         .sum();
-    println!(
-        "corpus: {total_tbs} testbenches ({correct_tbs} labelled correct, {} labelled wrong)\n",
+    print_or_exit(&format!(
+        "corpus: {total_tbs} testbenches ({correct_tbs} labelled correct, {} labelled wrong)\n\n\
+         FIG 6(a): VALIDATION ACCURACY AMONG VALIDATORS\n\
+         criterion       total    correct-TBs  wrong-TBs\n",
         total_tbs - correct_tbs
-    );
-    println!("FIG 6(a): VALIDATION ACCURACY AMONG VALIDATORS");
-    println!("criterion       total    correct-TBs  wrong-TBs");
+    ));
     let criteria = [
         ValidationCriterion::Wrong100,
         ValidationCriterion::Wrong70,
@@ -54,12 +55,12 @@ fn main() {
     ];
     for criterion in criteria {
         let acc = criterion_accuracy(&corpora, criterion);
-        println!(
-            "{:<15} {:>6.2}%  {:>10.2}%  {:>8.2}%",
+        print_or_exit(&format!(
+            "{:<15} {:>6.2}%  {:>10.2}%  {:>8.2}%\n",
             criterion.name(),
             acc.total() * 100.0,
             acc.on_correct() * 100.0,
             acc.on_wrong() * 100.0
-        );
+        ));
     }
 }

@@ -4,8 +4,10 @@
 //! input/output tokens per task.
 
 use correctbench::{Config, Method, ValidationCriterion};
-use correctbench_bench::experiment::{aggregate, run_sweep, Group};
+use correctbench_bench::experiment::run_sweep;
 use correctbench_bench::RunArgs;
+use correctbench_harness::cli::print_or_exit;
+use correctbench_harness::summarize;
 use correctbench_llm::ModelKind;
 
 fn main() {
@@ -17,8 +19,9 @@ fn main() {
         args.reps,
         args.threads
     );
-    println!("FIG 6(b): CORRECTBENCH PERFORMANCE WITH DIFFERENT VALIDATION CRITERIA");
-    println!("criterion    Eval2-pass   in-tokens/task  out-tokens/task");
+    print_or_exit(
+        "FIG 6(b): CORRECTBENCH PERFORMANCE WITH DIFFERENT VALIDATION CRITERIA\ncriterion    Eval2-pass   in-tokens/task  out-tokens/task\n",
+    );
     for criterion in [
         ValidationCriterion::Wrong100,
         ValidationCriterion::Wrong70,
@@ -37,13 +40,13 @@ fn main() {
             args.seed,
             args.threads,
         );
-        let cell = aggregate(&records, Group::Total, Method::CorrectBench);
-        println!(
-            "{:<12} {:>8.2}%   {:>12.1}k  {:>13.1}k",
+        let cell = summarize(&records);
+        print_or_exit(&format!(
+            "{:<12} {:>8.2}%   {:>12.1}k  {:>13.1}k\n",
             criterion.name(),
             cell.ratio(2) * 100.0,
             cell.mean_input_tokens / 1000.0,
             cell.mean_output_tokens / 1000.0
-        );
+        ));
     }
 }

@@ -6,6 +6,8 @@ use correctbench::{Config, Method};
 use correctbench_autoeval::EvalLevel;
 use correctbench_bench::experiment::run_sweep;
 use correctbench_bench::RunArgs;
+use correctbench_harness::cli::print_or_exit;
+use correctbench_harness::summarize;
 use correctbench_llm::ModelKind;
 
 fn main() {
@@ -17,10 +19,11 @@ fn main() {
         args.reps,
         args.threads
     );
-    println!("FIG 7: PERFORMANCE OF CORRECTBENCH ON DIFFERENT LLMS");
+    print_or_exit("FIG 7: PERFORMANCE OF CORRECTBENCH ON DIFFERENT LLMS\n");
     for model in ModelKind::ALL {
-        println!("\n-- {model} --");
-        println!("method        Eval2    Eval1    Eval0    Failed");
+        print_or_exit(&format!(
+            "\n-- {model} --\nmethod        Eval2    Eval1    Eval0    Failed\n"
+        ));
         let records = run_sweep(
             &problems,
             &Method::ALL,
@@ -31,18 +34,17 @@ fn main() {
             args.threads,
         );
         for method in Method::ALL {
-            let runs: Vec<_> = records.iter().filter(|r| r.method == method).collect();
-            let n = runs.len().max(1) as f64;
-            let frac =
-                |lvl: EvalLevel| runs.iter().filter(|r| r.level == lvl).count() as f64 / n * 100.0;
-            println!(
-                "{:<13} {:>5.1}%  {:>6.1}%  {:>6.1}%  {:>6.1}%",
+            let m = summarize(records.iter().filter(|r| r.method == method));
+            let pct =
+                |lvl: EvalLevel| m.at_level[lvl as usize] as f64 / m.runs.max(1) as f64 * 100.0;
+            print_or_exit(&format!(
+                "{:<13} {:>5.1}%  {:>6.1}%  {:>6.1}%  {:>6.1}%\n",
                 method.name(),
-                frac(EvalLevel::Eval2),
-                frac(EvalLevel::Eval1),
-                frac(EvalLevel::Eval0),
-                frac(EvalLevel::Failed)
-            );
+                pct(EvalLevel::Eval2),
+                pct(EvalLevel::Eval1),
+                pct(EvalLevel::Eval0),
+                pct(EvalLevel::Failed)
+            ));
         }
     }
 }

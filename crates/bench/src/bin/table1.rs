@@ -14,12 +14,14 @@
 use correctbench::{Config, Method};
 use correctbench_bench::experiment::{render_table1, run_plan, sweep_plan};
 use correctbench_bench::RunArgs;
-use correctbench_harness::cli::{write_artifacts_or_exit, write_stdout};
+use correctbench_harness::cli::{print_or_exit, write_artifacts_or_exit};
 use correctbench_harness::render_summary;
 use correctbench_llm::ModelKind;
 
 fn main() {
-    let args = RunArgs::parse(Some(48), 2);
+    // The one paper binary that writes artifacts, so the one that takes
+    // `--out`.
+    let args = RunArgs::parse_with(Some(48), 2, "[--out DIR]", |_, _| false);
     let problems = args.problem_set();
     eprintln!(
         "table1: {} problems x {} reps x 3 methods on {} threads (gpt-4o profile)",
@@ -43,10 +45,7 @@ fn main() {
         let paths = write_artifacts_or_exit(dir, &result, &summary);
         eprintln!("artifacts: {}", paths.outcomes.display());
     }
-    if let Err(e) = write_stdout(&format!("{}\n", render_table1(&result.outcomes))) {
-        eprintln!("error: cannot write the table to stdout: {e}");
-        std::process::exit(1);
-    }
+    print_or_exit(&format!("{}\n", render_table1(&result.outcomes)));
     eprintln!("elapsed: {:?}", result.wall);
     for (label, stats) in result.caches.layers() {
         if let Some(stats) = stats {

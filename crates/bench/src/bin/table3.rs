@@ -6,6 +6,7 @@
 use correctbench::{Config, Method};
 use correctbench_bench::experiment::{render_table3, run_sweep};
 use correctbench_bench::RunArgs;
+use correctbench_harness::cli::print_or_exit;
 use correctbench_llm::ModelKind;
 
 fn main() {
@@ -26,5 +27,5 @@ fn main() {
         args.seed,
         args.threads,
     );
-    println!("{}", render_table3(&records));
+    print_or_exit(&format!("{}\n", render_table3(&records)));
 }

@@ -1,12 +1,13 @@
 //! The experiment front end: builds declarative plans for the paper's
 //! (method × problem × repetition) sweeps, submits them to the parallel
-//! harness ([`correctbench_harness::Engine`]), and aggregates the
-//! outcomes into the paper's tables and figures.
+//! harness ([`correctbench_harness::Engine`]), and renders the paper's
+//! tables from [`correctbench_harness::summarize`] over each task
+//! group's outcomes.
 
 use correctbench::{Config, Method};
 use correctbench_autoeval::EvalLevel;
 use correctbench_dataset::{CircuitKind, Problem};
-use correctbench_harness::{Engine, RunPlan, RunResult, TaskOutcome};
+use correctbench_harness::{summarize, Engine, RunPlan, RunResult, TaskOutcome};
 use correctbench_llm::{ModelKind, SimulatedClientFactory};
 
 /// Builds the declarative plan of a sweep over problems × methods ×
@@ -110,81 +111,6 @@ impl Group {
     }
 }
 
-/// Aggregated statistics of one (group, method) cell.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CellStats {
-    /// Number of (task, rep) runs in the cell.
-    pub runs: usize,
-    /// Number of distinct tasks.
-    pub tasks: usize,
-    /// Repetitions.
-    pub reps: u64,
-    /// Runs reaching at least Eval0 / Eval1 / Eval2.
-    pub at_least: [usize; 3],
-    /// Mean input/output tokens per run.
-    pub mean_input_tokens: f64,
-    /// Mean output tokens per run.
-    pub mean_output_tokens: f64,
-}
-
-impl CellStats {
-    /// Pass ratio at a level (`0` ⇒ Eval0 …).
-    pub fn ratio(&self, level_idx: usize) -> f64 {
-        if self.runs == 0 {
-            0.0
-        } else {
-            self.at_least[level_idx] as f64 / self.runs as f64
-        }
-    }
-
-    /// Average number of passing tasks per repetition (the paper's
-    /// "#Tasks" columns).
-    pub fn avg_tasks(&self, level_idx: usize) -> f64 {
-        if self.reps == 0 {
-            0.0
-        } else {
-            self.at_least[level_idx] as f64 / self.reps as f64
-        }
-    }
-}
-
-/// Aggregates outcomes into a (group, method) cell.
-pub fn aggregate(records: &[TaskOutcome], group: Group, method: Method) -> CellStats {
-    let selected: Vec<&TaskOutcome> = records
-        .iter()
-        .filter(|r| r.method == method && group.contains(r.kind))
-        .collect();
-    let mut stats = CellStats {
-        runs: selected.len(),
-        ..CellStats::default()
-    };
-    let mut names = std::collections::HashSet::new();
-    let mut max_rep = 0;
-    let mut in_tok = 0u64;
-    let mut out_tok = 0u64;
-    for r in &selected {
-        names.insert(&r.problem);
-        max_rep = max_rep.max(r.rep + 1);
-        in_tok += r.tokens.input_tokens;
-        out_tok += r.tokens.output_tokens;
-        for (i, lvl) in [EvalLevel::Eval0, EvalLevel::Eval1, EvalLevel::Eval2]
-            .iter()
-            .enumerate()
-        {
-            if r.level >= *lvl {
-                stats.at_least[i] += 1;
-            }
-        }
-    }
-    stats.tasks = names.len();
-    stats.reps = max_rep;
-    if stats.runs > 0 {
-        stats.mean_input_tokens = in_tok as f64 / stats.runs as f64;
-        stats.mean_output_tokens = out_tok as f64 / stats.runs as f64;
-    }
-    stats
-}
-
 /// Renders Table I from a sweep's outcomes.
 pub fn render_table1(records: &[TaskOutcome]) -> String {
     let mut s = String::new();
@@ -196,7 +122,11 @@ pub fn render_table1(records: &[TaskOutcome]) -> String {
             let cells: Vec<String> = Method::ALL
                 .iter()
                 .map(|&m| {
-                    let c = aggregate(records, group, m);
+                    let c = summarize(
+                        records
+                            .iter()
+                            .filter(|r| r.method == m && group.contains(r.kind)),
+                    );
                     format!("{:6.2}% ({:6.1})", c.ratio(idx) * 100.0, c.avg_tasks(idx))
                 })
                 .collect();
@@ -217,16 +147,16 @@ pub fn render_table3(records: &[TaskOutcome]) -> String {
     s.push_str("TABLE III: CONTRIBUTIONS OF VALIDATOR AND CORRECTOR (avg Eval2-passed tasks per repetition)\n");
     s.push_str("Group  CorrectBench  AutoBench  Gain   Val.   Corr.\n");
     for group in Group::ALL {
-        let cb = aggregate(records, group, Method::CorrectBench);
-        let ab = aggregate(records, group, Method::AutoBench);
+        let runs = |m: Method| {
+            records
+                .iter()
+                .filter(move |r| r.method == m && group.contains(r.kind))
+        };
+        let cb = summarize(runs(Method::CorrectBench));
+        let ab = summarize(runs(Method::AutoBench));
         let reps = cb.reps.max(1) as f64;
-        let passed: Vec<&TaskOutcome> = records
-            .iter()
-            .filter(|r| {
-                r.method == Method::CorrectBench
-                    && group.contains(r.kind)
-                    && r.level >= EvalLevel::Eval2
-            })
+        let passed: Vec<&TaskOutcome> = runs(Method::CorrectBench)
+            .filter(|r| r.level >= EvalLevel::Eval2)
             .collect();
         let val = passed.iter().filter(|r| r.validator_intervened).count() as f64 / reps;
         let corr = passed.iter().filter(|r| r.final_from_corrector).count() as f64 / reps;
@@ -288,16 +218,21 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_counts() {
+    fn group_filters_feed_summarize() {
         let records = tiny_sweep();
-        let total = aggregate(&records, Group::Total, Method::CorrectBench);
-        assert_eq!(total.runs, 2);
-        assert_eq!(total.tasks, 2);
-        let cmb = aggregate(&records, Group::Cmb, Method::CorrectBench);
-        assert_eq!(cmb.runs, 1);
+        let cell = |group: Group| {
+            summarize(
+                records
+                    .iter()
+                    .filter(|r| r.method == Method::CorrectBench && group.contains(r.kind)),
+            )
+        };
+        let total = cell(Group::Total);
+        assert_eq!((total.runs, total.reps), (2, 1));
+        assert_eq!(cell(Group::Cmb).runs, 1);
         // at_least is monotone decreasing.
-        assert!(total.at_least[0] >= total.at_least[1]);
-        assert!(total.at_least[1] >= total.at_least[2]);
+        assert!(total.at_least(0) >= total.at_least(1));
+        assert!(total.at_least(1) >= total.at_least(2));
     }
 
     #[test]

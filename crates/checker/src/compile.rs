@@ -27,17 +27,19 @@
 //! which would need lowering or sizing code of its own: `parameter` and
 //! `localparam`, level-sensitive event lists, system functions (`$signed`,
 //! `$unsigned`, …), the reductions `~& ~| ~^`, the operators `~^`, `**`,
-//! `===`, `!==` and `<<<`, `casez` and `casex`, a bit select of a loop
-//! variable, and a clock named anything but `clk`. Two of them compiled
-//! to checkers that disagreed with the simulator (`**` with an exponent
-//! above 64, and `casez` on a selector with an `x` bit), so a golden that
-//! needs one adds its lowering together with a differential test against
-//! the simulator.
+//! `===`, `!==` and `<<<`, `casez` and `casex`, a bit or indexed part
+//! select of a loop variable, a read of a loop variable after its loop,
+//! and a clock named anything but `clk`. Four of them compiled to
+//! checkers that disagreed with the simulator (`**` with an exponent
+//! above 64, `casez` on a selector with an `x` bit, and the two loop
+//! variable reads, which saw the variable's value from before the loop),
+//! so a golden that needs one adds its lowering together with a
+//! differential test against the simulator.
 
 use crate::ir::*;
 use correctbench_verilog::ast::*;
 use correctbench_verilog::logic::LogicVec;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A compilation failure.
@@ -94,6 +96,10 @@ struct Compiler<'a> {
     /// The variables of the `for` loops being unrolled, each bound to its
     /// value in the current pass (a signed constant).
     loop_vars: HashMap<String, LogicVec>,
+    /// The variables of the loops already unrolled. The combinational
+    /// view never held their values, so a read of one outside its loop
+    /// would see a stale value where the simulator sees the loop's.
+    spent_loop_vars: HashSet<String>,
     /// Current combinational view of every signal.
     env: HashMap<String, NodeId>,
     /// The pending next value of every register a non-blocking assignment
@@ -127,6 +133,7 @@ impl<'a> Compiler<'a> {
             prog: CheckerProgram::default(),
             syms: HashMap::new(),
             loop_vars: HashMap::new(),
+            spent_loop_vars: HashSet::new(),
             env: HashMap::new(),
             nba: HashMap::new(),
             regs: HashMap::new(),
@@ -586,6 +593,11 @@ impl<'a> Compiler<'a> {
                 self.extend(s, ctx, false)
             }
             Expr::IndexedPart(name, idx, w) => {
+                if self.loop_vars.contains_key(name) {
+                    return Err(unsupported(format!(
+                        "an indexed part select of loop variable `{name}`"
+                    )));
+                }
                 let base = self.lookup_env(name)?;
                 let lsb = self.syms.get(name).map_or(0, |s| s.lsb);
                 let idx_node = self.compile_index(idx, lsb)?;
@@ -604,6 +616,11 @@ impl<'a> Compiler<'a> {
     }
 
     fn lookup_env(&self, name: &str) -> Result<NodeId, CompileError> {
+        if self.spent_loop_vars.contains(name) && !self.loop_vars.contains_key(name) {
+            return Err(unsupported(format!(
+                "a read of loop variable `{name}` after its loop"
+            )));
+        }
         self.env
             .get(name)
             .copied()
@@ -1097,6 +1114,7 @@ impl<'a> Compiler<'a> {
             }
         }
         self.loop_vars.remove(&var);
+        self.spent_loop_vars.insert(var);
         Ok(())
     }
 
@@ -1263,10 +1281,13 @@ mod tests {
     }
 
     /// Each construct outside the accepted subset is a `CompileError` that
-    /// names it, although the simulator runs it. Two of them once compiled
+    /// names it, although the simulator runs it. Four of them once compiled
     /// and disagreed with the simulator: at `a = 3` it reads `a ** 100` as
     /// 209 (3^100 mod 256), the checker read 1; at `s = 2'bx1` it takes
-    /// the `casez` default, the checker read `x`.
+    /// the `casez` default, the checker read `x`; at `a = 1` the read of
+    /// `i` after its loop adds the exit value 4, the checker added the
+    /// stale 9; and the indexed part select inside the loop sums
+    /// 0 + 1 + 2 + 3 = 6, the checker summed the stale 0 four times.
     #[test]
     fn unsupported_constructs_error() {
         let assign = |rhs: &str| {
@@ -1297,6 +1318,8 @@ mod tests {
             ("`casez`", comb("casez (s) 2'b1?: y = 8'd1; default: y = 8'd0; endcase")),
             ("`casex`", comb("casex (s) 2'b1x: y = 8'd1; default: y = 8'd0; endcase")),
             ("bit select of loop variable `i`", comb("y = 8'd0;\nfor (i = 0; i < 8; i = i + 1) y[i] = i[0];")),
+            ("indexed part select of loop variable `i`", comb("i = 0;\ny = 8'd0;\nfor (i = 0; i < 4; i = i + 1) y = y + i[0 +: 8];")),
+            ("read of loop variable `i` after its loop", comb("i = 9;\ny = a;\nfor (i = 0; i < 4; i = i + 1) y = y + 8'd1;\ny = y + i[7:0];")),
             ("`posedge clock`", clocked("posedge clock")),
             ("`posedge clk_i`", clocked("posedge clk_i")),
             ("`posedge rst`", clocked("posedge clk or posedge rst")),

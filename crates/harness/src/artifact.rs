@@ -23,12 +23,11 @@
 //!   both are `null` under `--no-obs`. Honest measurements are not
 //!   deterministic, so they live in this sidecar, never in
 //!   `outcomes.jsonl`.
-//! * `metrics.json` — the run-level aggregation: phase totals, counter
-//!   totals, cache-layer counters, and per-`(problem, method)` job
-//!   latency percentiles (p50/p90/p99/max/mean, from the deterministic-
-//!   structure log-bucketed [`correctbench_obs::Histogram`]). The
-//!   `correctbench-report` binary recomputes the same tables offline
-//!   from any `timings.jsonl`.
+//! * `metrics.json` — the run's one rollup: phase totals, counter
+//!   totals, cache-layer counters, the per-rule lint counts and
+//!   per-`(problem, method)` job latency (exact nearest-rank
+//!   p50/p90/p99, max and mean; [`crate::report::latency_rows`]).
+//!   `correctbench-report RUN_DIR` renders this file and reads no other.
 //! * `summary.txt` — the rendered [`crate::report`] tables.
 //!
 //! No external JSON dependency exists in this offline workspace, so the
@@ -340,8 +339,9 @@ fn store_json(stats: Option<correctbench_store::StoreStats>) -> String {
     }
 }
 
-/// Renders a job's phase breakdown as a JSON object of exclusive
-/// per-phase microseconds (`null` when observability was off).
+/// Renders a job's (or the run's total) phase breakdown as a JSON object
+/// of exclusive per-phase microseconds (`null` when observability was
+/// off).
 fn phases_json(obs: Option<&JobObs>) -> String {
     match obs {
         Some(obs) => {
@@ -355,8 +355,8 @@ fn phases_json(obs: Option<&JobObs>) -> String {
     }
 }
 
-/// Renders a job's counter totals as a JSON object (`null` when
-/// observability was off).
+/// Renders a job's (or the run's) counter totals as a JSON object
+/// (`null` when observability was off).
 fn counters_json(obs: Option<&JobObs>) -> String {
     match obs {
         Some(obs) => {
@@ -410,9 +410,8 @@ pub fn timings_jsonl(result: &RunResult) -> String {
 
 /// Renders the run-level `metrics.json` artifact: run metadata, phase
 /// and counter totals aggregated over every job's collector, the
-/// cache-layer counters, and per-`(problem, method)` job-latency
-/// percentiles in first-appearance order over the canonical job list
-/// (deterministic structure; measured values).
+/// cache-layer counters, the lint rollup and the latency rows of
+/// [`crate::report::latency_rows`].
 pub fn metrics_json(result: &RunResult) -> String {
     let mut totals = JobObs::default();
     let mut observed = 0usize;
@@ -434,16 +433,8 @@ pub fn metrics_json(result: &RunResult) -> String {
         "  \"peak_rss_bytes\": {},",
         optional_json(result.peak_rss_bytes)
     );
-    let phase_fields: Vec<String> = totals
-        .phases()
-        .map(|(name, ns)| format!("\"{name}\":{}", ns / 1_000))
-        .collect();
-    let _ = writeln!(s, "  \"phase_totals_us\": {{{}}},", phase_fields.join(","));
-    let counter_fields: Vec<String> = totals
-        .counter_values()
-        .map(|(name, n)| format!("\"{name}\":{n}"))
-        .collect();
-    let _ = writeln!(s, "  \"counter_totals\": {{{}}},", counter_fields.join(","));
+    let _ = writeln!(s, "  \"phase_totals_us\": {},", phases_json(Some(&totals)));
+    let _ = writeln!(s, "  \"counter_totals\": {},", counters_json(Some(&totals)));
     let _ = writeln!(
         s,
         "  \"caches\": {{\"sim_cache\":{},\"golden_cache\":{},\"outcome_store\":{}}},",
@@ -454,38 +445,33 @@ pub fn metrics_json(result: &RunResult) -> String {
     // Per-rule diagnostic totals over the deterministic lint findings,
     // every rule of the taxonomy present (zeros included) so consumers
     // never need to guess the rule set.
+    let lint = crate::report::lint_counts(&result.outcomes);
     let rule_fields: Vec<String> = correctbench_verilog::Rule::ALL
         .iter()
-        .map(|rule| {
-            let n: usize = result
-                .outcomes
-                .iter()
-                .map(|o| o.lint.iter().filter(|d| d.rule == *rule).count())
-                .sum();
-            format!("\"{}\":{n}", rule.name())
-        })
+        .zip(lint)
+        .map(|(rule, n)| format!("\"{}\":{n}", rule.name()))
         .collect();
-    let total: usize = result.outcomes.iter().map(|o| o.lint.len()).sum();
     let _ = writeln!(
         s,
-        "  \"lint\": {{\"diagnostics\":{total},\"rules\":{{{}}}}},",
+        "  \"lint\": {{\"diagnostics\":{},\"rules\":{{{}}}}},",
+        lint.iter().sum::<usize>(),
         rule_fields.join(",")
     );
     let _ = writeln!(s, "  \"latency\": [");
-    let groups = crate::report::latency_groups(&result.outcomes);
-    for (i, (problem, method, hist)) in groups.iter().enumerate() {
-        let comma = if i + 1 < groups.len() { "," } else { "" };
+    let rows = crate::report::latency_rows(&result.outcomes);
+    for (i, r) in rows.iter().enumerate() {
+        let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             s,
             "    {{\"problem\":\"{}\",\"method\":\"{}\",\"count\":{},\"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"max_us\":{},\"mean_us\":{}}}{comma}",
-            json_escape(problem),
-            method,
-            hist.count(),
-            hist.percentile(0.50) / 1_000,
-            hist.percentile(0.90) / 1_000,
-            hist.percentile(0.99) / 1_000,
-            hist.max() / 1_000,
-            (hist.mean() / 1_000.0).round() as u64,
+            json_escape(&r.problem),
+            r.method,
+            r.count,
+            r.p50_us,
+            r.p90_us,
+            r.p99_us,
+            r.max_us,
+            r.mean_us,
         );
     }
     let _ = writeln!(s, "  ]");

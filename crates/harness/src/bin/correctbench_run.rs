@@ -83,7 +83,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-const EXTRA_USAGE: &str = "[--methods cb,ab,base] [--model gpt-4o|claude-3.5-sonnet|gpt-4o-mini] \
+const EXTRA_USAGE: &str =
+    "[--out DIR] [--methods cb,ab,base] [--model gpt-4o|claude-3.5-sonnet|gpt-4o-mini] \
      [--resume DIR] [--sim-budget N] [--lint off|warn] \
      [--store DIR] [--store-readonly] [--faults SPEC] [--mutate-golden NAME] \
      [--no-cache] [--no-sim-cache] [--no-golden-cache] [--no-obs] [--progress] [--quiet]\n\

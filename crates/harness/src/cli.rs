@@ -2,8 +2,10 @@
 //!
 //! Every regeneration binary and `correctbench-run` takes the same core
 //! sweep flags; parsing them once here keeps the binaries from drifting
-//! apart. Binaries with extra flags extend the parser through
-//! [`RunArgs::parse_with`].
+//! apart. A binary that writes artifacts parses through
+//! [`RunArgs::parse_with`], which also takes `--out DIR` and the
+//! binary's own flags; the others parse through [`RunArgs::parse`],
+//! which refuses `--out` like any flag it does not know.
 
 use crate::plan::problem_subset;
 use correctbench_dataset::Problem;
@@ -25,9 +27,9 @@ pub struct RunArgs {
     pub out: Option<PathBuf>,
 }
 
-/// The usage line of the core flags (binaries append their own).
-pub const CORE_USAGE: &str =
-    "[--full] [--problems N] [--reps N] [--seed N] [--threads N] [--out DIR]";
+/// The usage line of the core flags (binaries append their own, and the
+/// artifact writers `--out DIR`).
+pub const CORE_USAGE: &str = "[--full] [--problems N] [--reps N] [--seed N] [--threads N]";
 
 /// The full usage line: core flags plus a binary's extra flags.
 pub fn usage_line(extra_usage: &str) -> String {
@@ -54,16 +56,22 @@ pub fn numeric_flag(flag: &str, it: &mut dyn Iterator<Item = String>, extra_usag
 }
 
 impl RunArgs {
-    /// Parses the core flags from `std::env::args`. Unknown flags abort
-    /// with a usage message.
+    /// Parses the core flags from `std::env::args` for a binary that
+    /// writes no artifacts. Unknown flags, `--out` among them, abort with
+    /// a usage message.
     pub fn parse(default_problems: Option<usize>, default_reps: u64) -> RunArgs {
-        Self::parse_with(default_problems, default_reps, "", |_, _| false)
+        let args = Self::parse_with(default_problems, default_reps, "", |_, _| false);
+        if args.out.is_some() {
+            usage("unknown flag `--out`", "")
+        }
+        args
     }
 
-    /// Like [`RunArgs::parse`], but `extra` sees every flag the core
+    /// Like [`RunArgs::parse`], for a binary that writes artifacts: it
+    /// also takes `--out DIR`, and `extra` sees every flag the core
     /// parser does not know (with the argument iterator, so it can
     /// consume values) and returns whether it handled it; `extra_usage`
-    /// documents those flags in the abort message.
+    /// documents `--out` and those flags in the abort message.
     pub fn parse_with(
         default_problems: Option<usize>,
         default_reps: u64,
@@ -131,6 +139,16 @@ pub fn write_stdout(text: &str) -> std::io::Result<()> {
     match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
         r => r,
+    }
+}
+
+/// Writes `text` through [`write_stdout`]: a closed stdout is skipped
+/// quietly, so the command still finishes its work and exits with the
+/// code it earned, and any other failure exits 1.
+pub fn print_or_exit(text: &str) {
+    if let Err(e) = write_stdout(text) {
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
     }
 }
 

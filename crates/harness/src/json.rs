@@ -2,7 +2,8 @@
 //!
 //! The workspace is offline and dependency-free, and [`crate::artifact`]
 //! hand-rolls its emission; this is the matching hand-rolled parser, so
-//! `correctbench-report` can re-aggregate any `timings.jsonl` and the
+//! `--resume` and the store can read outcomes, diagnostics and manifests
+//! back, `correctbench-report` can render a run's `metrics.json`, and the
 //! golden-shape tests can pin artifact schemas. Objects preserve key
 //! order (a `Vec` of pairs, not a map) — field ordering is part of the
 //! artifact contract.

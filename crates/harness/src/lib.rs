@@ -15,8 +15,9 @@
 //!   golden-artifact cache);
 //! * [`artifact`] — deterministic `outcomes.jsonl` and
 //!   `diagnostics.jsonl` plus the measured `timings.jsonl` sidecar and
-//!   the aggregated `metrics.json`;
-//! * [`report`] — aggregate summaries and latency percentile tables;
+//!   `metrics.json`, the run's one rollup;
+//! * [`report`] — the per-method reduction of outcomes, the rollup's
+//!   latency and lint rows, and the tables that render them;
 //! * [`storebridge`] — content fingerprints and the cell payload codec
 //!   connecting runs to the persistent on-disk outcome store
 //!   (`correctbench_store`), which replays content-identical cells
@@ -31,8 +32,8 @@
 //! is byte-identical either way.
 //!
 //! The `correctbench-run` binary drives all of it from the command
-//! line; `correctbench-report` re-aggregates any `timings.jsonl` into
-//! percentile tables offline.
+//! line; `correctbench-report RUN_DIR` renders a finished run's
+//! `metrics.json` with the tables `summary.txt` uses.
 //!
 //! # Examples
 //!
@@ -78,12 +79,12 @@ pub use artifact::{
 };
 pub use cache::{CacheStats, EvalContext, GoldenCache, SimCache, StackStats};
 pub use cli::RunArgs;
-pub use correctbench_obs::{Histogram, JobObs, ObsStack};
+pub use correctbench_obs::{JobObs, ObsStack};
 pub use correctbench_store::{CellKey, OutcomeStore, StoreStats};
 pub use correctbench_tbgen::AbortKind;
 pub use fault::{FaultKind, FaultPlan, FAULT_EXIT_CODE};
 pub use plan::{mix_seed, problem_subset, Job, LintMode, RunPlan, StoreConfig};
-pub use report::{latency_groups, render_latency_table, render_summary, summarize, MethodSummary};
+pub use report::{render_summary, summarize, MethodSummary};
 pub use scheduler::{parallel_map, Engine, OutcomeHook, RunResult};
 pub use storebridge::{cell_key, config_fingerprint, decode_cell, encode_cell, plan_fingerprint};
 pub use worker::{run_job_guarded, TaskOutcome};

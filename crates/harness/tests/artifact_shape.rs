@@ -1,14 +1,17 @@
 //! Golden-shape tests for the artifact schemas: the exact field set and
 //! ordering of `outcomes.jsonl`, `timings.jsonl` (v2) and `metrics.json`
-//! are a contract — downstream joins and the offline report CLI depend
-//! on them — so schema drift must show up as a reviewed diff here, not
-//! as an accident.
+//! are a contract — downstream joins and `correctbench-report`, which
+//! renders `metrics.json`, depend on them — so schema drift must show up
+//! as a reviewed diff here, not as an accident.
 
 use correctbench_harness::json::{parse, Value};
 use correctbench_harness::{
     metrics_json, outcomes_jsonl, timings_jsonl, Engine, RunPlan, RunResult,
 };
 use correctbench_llm::{ModelKind, SimulatedClientFactory};
+use correctbench_obs::{Counter, Phase};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
 fn smoke_result(engine: Engine) -> RunResult {
     let problems = ["and_8", "mux4_8"]
@@ -254,95 +257,182 @@ fn summary_contains_latency_percentile_table() {
     }
 }
 
-#[test]
-fn report_reads_sidecars_from_before_the_wasted_work_counters() {
-    // Counters are read by name, so a sidecar written before
-    // `sim_budget_trips`/`sim_trip_instrs`, `sim_skipped_instrs`,
-    // `render_bytes` or `parse_bytes` existed still reports, with the
-    // missing counters at zero.
-    let dir = std::env::temp_dir().join(format!("correctbench_old_sidecar_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("timings.jsonl");
-    std::fs::write(
-        &path,
-        "{\"run_wall_ms\":5,\"threads\":1,\"jobs\":1}\n\
-         {\"job\":0,\"problem\":\"and_8\",\"method\":\"Baseline\",\"rep\":0,\"seed\":1,\"wall_us\":1500,\
-         \"phases\":{\"parse\":1,\"elab\":1,\"compile\":1,\"simulate\":7,\"judge\":1,\"llm\":1,\"validate\":0,\"autoeval\":1,\"lint\":0},\
-         \"counters\":{\"sim_events\":12,\"sim_instrs\":345,\"nba_commits\":6,\"judge_commits\":3}}\n",
-    )
-    .expect("write sidecar");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_correctbench-report"))
-        .arg(&path)
-        .output()
-        .expect("run correctbench-report");
+/// A fresh directory under the system temp dir, unique to this test.
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("correctbench_{tag}_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    assert!(
-        out.status.success(),
-        "report refused an old sidecar: {out:?}"
-    );
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+/// Runs `correctbench-report DIR`.
+fn report(dir: &Path) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_correctbench-report"))
+        .arg(dir)
+        .output()
+        .expect("run correctbench-report")
+}
+
+/// Runs `correctbench-run` on a two-problem plan with `--out DIR`.
+fn run_plan(dir: &Path, extra: &[&str]) {
+    let out = Command::new(env!("CARGO_BIN_EXE_correctbench-run"))
+        .args([
+            "--problems",
+            "2",
+            "--reps",
+            "2",
+            "--threads",
+            "2",
+            "--quiet",
+        ])
+        .args(extra)
+        .arg("--out")
+        .arg(dir)
+        .output()
+        .expect("run correctbench-run");
+    assert!(out.status.success(), "{out:?}");
+}
+
+/// The value printed after `name` on the report line that starts with it.
+fn reported(text: &str, name: &str) -> Option<u64> {
+    text.lines().find_map(|l| {
+        let mut words = l.split_whitespace();
+        (words.next() == Some(name)).then(|| words.next()?.parse().ok())?
+    })
+}
+
+#[test]
+fn report_renders_the_summary_latency_table_and_the_metrics_totals() {
+    let dir = temp_dir("report_matches_run");
+    run_plan(&dir, &[]);
+    let out = report(&dir);
+    assert!(out.status.success(), "{out:?}");
     let text = String::from_utf8(out.stdout).expect("UTF-8 report");
-    let counter = |name: &str| {
-        text.lines()
-            .find_map(|l| {
-                let mut words = l.split_whitespace();
-                (words.next() == Some(name)).then(|| words.next().map(str::to_string))
-            })
-            .flatten()
+    let summary = std::fs::read_to_string(dir.join("summary.txt")).expect("summary.txt");
+    let metrics = parse(&std::fs::read_to_string(dir.join("metrics.json")).expect("metrics.json"))
+        .expect("metrics.json parses");
+    std::fs::remove_dir_all(&dir).ok();
+    // Two problems x three methods: a header line, a column line and six
+    // rows, byte for byte the table `summary.txt` ends with.
+    let table = |t: &str| {
+        let start = t.find("job latency percentiles").expect("latency table");
+        t[start..].lines().take(8).collect::<Vec<_>>().join("\n")
     };
-    assert_eq!(counter("sim_instrs").as_deref(), Some("345"), "{text}");
-    assert_eq!(counter("sim_budget_trips").as_deref(), Some("0"), "{text}");
-    assert_eq!(counter("sim_trip_instrs").as_deref(), Some("0"), "{text}");
-    // Nor did `sim_skipped_instrs`.
-    assert_eq!(
-        counter("sim_skipped_instrs").as_deref(),
-        Some("0"),
-        "{text}"
-    );
-    // Nor did `render_bytes`.
-    assert_eq!(counter("render_bytes").as_deref(), Some("0"), "{text}");
-    // Nor did `parse_bytes`.
-    assert_eq!(counter("parse_bytes").as_deref(), Some("0"), "{text}");
-    // The run line predates `peak_rss_bytes`: reported without it.
+    assert_eq!(table(&text), table(&summary), "{text}");
+    assert!(summary.ends_with(&format!("{}\n", table(&summary))));
+    for (object, names) in [
+        ("phase_totals_us", Phase::ALL.map(Phase::name).to_vec()),
+        ("counter_totals", Counter::ALL.map(Counter::name).to_vec()),
+    ] {
+        for name in names {
+            let want = metrics.get(object).and_then(|o| o.get(name));
+            let want = want.and_then(Value::as_u64);
+            assert_eq!(reported(&text, name), want, "{object}.{name}:\n{text}");
+        }
+    }
+}
+
+#[test]
+fn report_reads_a_metrics_json_without_the_newer_phases_and_counters() {
+    // Totals are read by name, so a rollup written before the `lint`
+    // phase or the wasted-work counters existed still reports, with the
+    // missing ones at zero.
+    let dir = temp_dir("old_metrics");
+    std::fs::write(
+        dir.join("metrics.json"),
+        r#"{"schema":"correctbench-metrics-v2","run_wall_ms":5,"threads":1,"jobs":1,"observed_jobs":1,
+            "phase_totals_us":{"parse":1,"simulate":7},
+            "counter_totals":{"sim_events":12,"sim_instrs":345},
+            "lint":{"diagnostics":0,"rules":{}},"latency":[]}"#,
+    )
+    .expect("write metrics.json");
+    let out = report(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).expect("UTF-8 report");
+    assert_eq!(reported(&text, "simulate"), Some(7), "{text}");
+    assert_eq!(reported(&text, "lint"), Some(0), "{text}");
+    assert_eq!(reported(&text, "sim_instrs"), Some(345), "{text}");
+    for counter in [
+        "sim_budget_trips",
+        "sim_trip_instrs",
+        "sim_skipped_instrs",
+        "render_bytes",
+        "parse_bytes",
+    ] {
+        assert_eq!(reported(&text, counter), Some(0), "{counter}:\n{text}");
+    }
+}
+
+#[test]
+fn report_prints_peak_rss_only_when_the_run_recorded_it() {
+    let dir = temp_dir("rss_metrics");
+    for (peak, run_line) in [
+        (
+            r#""peak_rss_bytes":20971520,"#,
+            "run: 0 jobs on 1 threads, wall 5 ms, peak RSS 20.0 MiB\n",
+        ),
+        (
+            r#""peak_rss_bytes":null,"#,
+            "run: 0 jobs on 1 threads, wall 5 ms\n",
+        ),
+        ("", "run: 0 jobs on 1 threads, wall 5 ms\n"),
+    ] {
+        std::fs::write(
+            dir.join("metrics.json"),
+            format!(r#"{{"run_wall_ms":5,"threads":1,"jobs":0,{peak}"observed_jobs":0}}"#),
+        )
+        .expect("write metrics.json");
+        let out = report(&dir);
+        assert!(out.status.success(), "{out:?}");
+        let text = String::from_utf8(out.stdout).expect("UTF-8 report");
+        assert!(text.starts_with(run_line), "{peak}:\n{text}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn report_without_metrics_json_exits_1_naming_the_path() {
+    let dir = temp_dir("no_metrics");
+    let out = report(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(
-        text.starts_with("run: 1 jobs on 1 threads, wall 5 ms\n"),
-        "{text}"
+        stderr.contains(&dir.join("metrics.json").display().to_string()),
+        "{stderr}"
     );
 }
 
 #[test]
-fn report_refuses_a_job_line_without_method_or_wall_us() {
-    // Job lines have carried `method` and `wall_us` since schema v2, so a
-    // line without either is damaged, not old: the report names it.
-    let dir = std::env::temp_dir().join(format!("correctbench_bad_job_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("timings.jsonl");
-    for (field, job) in [
-        (
-            "method",
-            "{\"job\":0,\"problem\":\"and_8\",\"rep\":0,\"seed\":1,\"wall_us\":1500}",
-        ),
-        (
-            "wall_us",
-            "{\"job\":0,\"problem\":\"and_8\",\"method\":\"Baseline\",\"rep\":0,\"seed\":1,\"wall_ms\":1}",
-        ),
-    ] {
-        std::fs::write(
-            &path,
-            format!("{{\"run_wall_ms\":5,\"threads\":1,\"jobs\":1}}\n{job}\n{job}\n"),
-        )
-        .expect("write sidecar");
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_correctbench-report"))
-            .arg(&path)
-            .output()
-            .expect("run correctbench-report");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{stderr}");
-        assert!(
-            stderr.contains(&format!(":2: job line without `{field}`")),
-            "{stderr}"
-        );
+fn report_renders_unobserved_and_store_replayed_runs() {
+    let no_obs = temp_dir("report_no_obs");
+    run_plan(&no_obs, &["--no-obs"]);
+    let out = report(&no_obs);
+    std::fs::remove_dir_all(&no_obs).ok();
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).expect("UTF-8 report");
+    assert!(text.contains("no observability data"), "{text}");
+
+    let store = temp_dir("report_store");
+    let cold = temp_dir("report_cold");
+    let warm = temp_dir("report_warm");
+    let store_flag = store.display().to_string();
+    run_plan(&cold, &["--store", &store_flag]);
+    run_plan(&warm, &["--store", &store_flag]);
+    let out = report(&warm);
+    for dir in [&store, &cold, &warm] {
+        std::fs::remove_dir_all(dir).ok();
     }
-    std::fs::remove_dir_all(&dir).ok();
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).expect("UTF-8 report");
+    // Every one of the 12 jobs replayed: observed, with no phase time.
+    assert!(
+        text.contains("phase totals (12/12 jobs observed)"),
+        "{text}"
+    );
+    assert_eq!(reported(&text, "store_hits"), Some(12), "{text}");
+    assert_eq!(reported(&text, "simulate"), Some(0), "{text}");
 }
 
 #[test]
@@ -361,25 +451,4 @@ fn run_reports_its_peak_rss() {
         .collect();
     let summary = correctbench_harness::render_summary(&RunPlan::new("shape", problems), &result);
     assert!(summary.contains("\npeak RSS: "), "{summary}");
-
-    // The offline report prints the run line's peak RSS when present.
-    let dir = std::env::temp_dir().join(format!("correctbench_rss_sidecar_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("timings.jsonl");
-    std::fs::write(
-        &path,
-        "{\"run_wall_ms\":5,\"threads\":1,\"jobs\":0,\"peak_rss_bytes\":20971520}\n",
-    )
-    .expect("write sidecar");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_correctbench-report"))
-        .arg(&path)
-        .output()
-        .expect("run correctbench-report");
-    std::fs::remove_dir_all(&dir).ok();
-    assert!(out.status.success(), "{out:?}");
-    let text = String::from_utf8(out.stdout).expect("UTF-8 report");
-    assert!(
-        text.starts_with("run: 0 jobs on 1 threads, wall 5 ms, peak RSS 20.0 MiB\n"),
-        "{text}"
-    );
 }

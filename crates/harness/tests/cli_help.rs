@@ -75,7 +75,7 @@ fn report_binary_documents_its_usage() {
     );
     let help = String::from_utf8(out.stdout).expect("help text is UTF-8");
     assert!(
-        help.contains("correctbench-report") && help.contains("TIMINGS.JSONL"),
+        help.contains("correctbench-report") && help.contains("RUN_DIR"),
         "report --help missing usage line:\n{help}"
     );
 }

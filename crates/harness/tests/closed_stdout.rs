@@ -49,7 +49,7 @@ fn a_closed_stdout_loses_no_artifact_and_panics_no_command() {
     }
     assert_quiet_success_with_closed_stdout(
         "correctbench-report",
-        Command::new(env!("CARGO_BIN_EXE_correctbench-report")).arg(dir.join("timings.jsonl")),
+        Command::new(env!("CARGO_BIN_EXE_correctbench-report")).arg(&dir),
     );
     std::fs::remove_dir_all(&dir).ok();
 }

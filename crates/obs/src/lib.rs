@@ -1,5 +1,5 @@
-//! Zero-dependency observability: phase-scoped spans, counter metrics,
-//! and deterministic log-bucketed latency histograms.
+//! Zero-dependency observability: phase-scoped spans and counter
+//! metrics, drained per job into a [`JobObs`].
 //!
 //! The engine's measurement substrate. A worker installs a thread-local
 //! `Collector` per job via [`ObsStack::install`], a guard that
@@ -403,135 +403,6 @@ pub fn take_job() -> Option<JobObs> {
     })
 }
 
-// ---- latency histogram ----
-
-/// Sub-buckets per octave: 16 gives a ≤6.25% relative quantization
-/// error, plenty for wall-time percentiles.
-const SUBS: usize = 16;
-/// Values below `SUBS` get exact unit buckets.
-const LINEAR: usize = SUBS;
-/// Octaves above the linear range (u64 value domain).
-const OCTAVES: usize = 60;
-/// Total bucket count.
-const BUCKETS: usize = LINEAR + OCTAVES * SUBS;
-
-/// A deterministic-structure log-bucketed histogram (HDR-style): fixed
-/// buckets — exact below 16, then 16 linear sub-buckets per power of
-/// two — so the bucket layout never depends on the data and merged or
-/// re-aggregated histograms quantize identically. Records `u64` values
-/// (the artifact convention is nanoseconds) and answers percentile
-/// queries with the upper bound of the containing bucket.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    counts: Vec<u64>,
-    total: u64,
-    max: u64,
-    sum: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram {
-            counts: vec![0; BUCKETS],
-            total: 0,
-            max: 0,
-            sum: 0,
-        }
-    }
-
-    fn bucket_of(v: u64) -> usize {
-        if v < LINEAR as u64 {
-            return v as usize;
-        }
-        // Octave = position of the highest set bit, counted from the
-        // linear range's top; sub-bucket = the next 4 bits below it.
-        let octave = 63 - v.leading_zeros() as usize; // >= 4
-        let sub = ((v >> (octave - 4)) & 0xf) as usize;
-        let idx = LINEAR + (octave - 4) * SUBS + sub;
-        idx.min(BUCKETS - 1)
-    }
-
-    /// The largest value mapping to bucket `i` (what percentile queries
-    /// report).
-    fn bucket_upper(i: usize) -> u64 {
-        if i < LINEAR {
-            return i as u64;
-        }
-        let octave = (i - LINEAR) / SUBS + 4;
-        let sub = ((i - LINEAR) % SUBS) as u64;
-        // Bucket covers [ (16+sub) << (octave-4), next ) — report the
-        // inclusive top.
-        ((SUBS as u64 + sub + 1) << (octave - 4)) - 1
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, v: u64) {
-        self.counts[Self::bucket_of(v)] += 1;
-        self.total += 1;
-        self.max = self.max.max(v);
-        self.sum = self.sum.saturating_add(v);
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Largest recorded value (exact, not quantized).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean of recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// The value at quantile `q` in `[0, 1]`: the smallest bucket upper
-    /// bound with at least `ceil(q * count)` recorded values at or
-    /// below it. 0 when empty; `q >= 1` reports the exact max.
-    pub fn percentile(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        if q >= 1.0 {
-            return self.max;
-        }
-        let rank = ((q * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, n) in self.counts.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                // Never report above the observed max (the top bucket's
-                // upper bound can overshoot it by the quantization step).
-                return Self::bucket_upper(i).min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Accumulates `other` into `self`.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.max = self.max.max(other.max);
-        self.sum = self.sum.saturating_add(other.sum);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -647,64 +518,6 @@ mod tests {
         }
         for (i, c) in Counter::ALL.iter().enumerate() {
             assert_eq!(*c as usize, i, "Counter::ALL order matches discriminants");
-        }
-    }
-
-    #[test]
-    fn histogram_buckets_are_monotone_and_cover_u64() {
-        let mut prev = 0;
-        for v in [0u64, 1, 15, 16, 17, 100, 1_000, 1_000_000, u64::MAX / 2] {
-            let b = Histogram::bucket_of(v);
-            assert!(b >= prev, "bucket index regressed at {v}");
-            prev = b;
-            assert!(
-                Histogram::bucket_upper(b) >= v || b == BUCKETS - 1,
-                "value {v} above its bucket's upper bound"
-            );
-        }
-        assert!(Histogram::bucket_of(u64::MAX) < BUCKETS);
-    }
-
-    #[test]
-    fn histogram_percentiles_are_close() {
-        let mut h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.record(v * 1000); // 1µs .. 1ms in ns
-        }
-        assert_eq!(h.count(), 1000);
-        let p50 = h.percentile(0.50) as f64;
-        let p99 = h.percentile(0.99) as f64;
-        assert!(
-            (p50 - 500_000.0).abs() / 500_000.0 < 0.0701,
-            "p50 off: {p50}"
-        );
-        assert!(
-            (p99 - 990_000.0).abs() / 990_000.0 < 0.0701,
-            "p99 off: {p99}"
-        );
-        assert_eq!(h.percentile(1.0), 1_000_000);
-        assert_eq!(h.max(), 1_000_000);
-        assert!((h.mean() - 500_500.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn histogram_merge_matches_combined_recording() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut all = Histogram::new();
-        for v in [5u64, 70, 900, 12_345, 1 << 40] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [17u64, 42, 99_999] {
-            b.record(v);
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert_eq!(a.max(), all.max());
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(a.percentile(q), all.percentile(q));
         }
     }
 
