@@ -9,39 +9,3 @@ pub mod experiment;
 pub mod valacc;
 
 pub use correctbench_harness::cli::RunArgs;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stratified_subset_keeps_ratio() {
-        let args = RunArgs {
-            problems: Some(30),
-            reps: 1,
-            seed: 1,
-            threads: 1,
-            out: None,
-        };
-        let set = args.problem_set();
-        assert_eq!(set.len(), 30);
-        let cmb = set.iter().filter(|p| p.kind.is_combinational()).count();
-        // 81/156 of 30 ≈ 16.
-        assert!((14..=18).contains(&cmb), "cmb count {cmb}");
-        // Names unique.
-        let names: std::collections::HashSet<_> = set.iter().map(|p| &p.name).collect();
-        assert_eq!(names.len(), 30);
-    }
-
-    #[test]
-    fn full_set_is_156() {
-        let args = RunArgs {
-            problems: None,
-            reps: 5,
-            seed: 1,
-            threads: 1,
-            out: None,
-        };
-        assert_eq!(args.problem_set().len(), 156);
-    }
-}

@@ -1,9 +1,17 @@
 //! The paper binaries refuse the arguments they would ignore: only
 //! `table1` writes artifacts, so only it takes `--out DIR`, and `fig4`
 //! takes one seed and nothing else. Each refusal is a usage error (exit
-//! 2) that names what was passed, before any work runs.
+//! 2) that names what was passed, before any work runs. Every usage
+//! line names the binary it documents.
 
+use std::path::Path;
 use std::process::Command;
+
+/// `usage: NAME `, where NAME is the file name of `bin`.
+fn usage_prefix(bin: &str) -> String {
+    let name = Path::new(bin).file_name().expect("binary file name");
+    format!("usage: {} ", name.to_string_lossy())
+}
 
 fn assert_usage_error(bin: &str, args: &[&str], named: &str) {
     let out = Command::new(bin).args(args).output().expect("run binary");
@@ -17,6 +25,10 @@ fn assert_usage_error(bin: &str, args: &[&str], named: &str) {
         stderr.contains(named),
         "{bin} {args:?}: stderr does not name {named}:\n{stderr}"
     );
+    assert!(
+        stderr.contains(&usage_prefix(bin)),
+        "{bin} {args:?}: the usage line does not name the binary:\n{stderr}"
+    );
 }
 
 fn help(bin: &str) -> String {
@@ -25,7 +37,12 @@ fn help(bin: &str) -> String {
         .output()
         .expect("run --help");
     assert!(out.status.success(), "{bin} --help: {:?}", out.status);
-    String::from_utf8(out.stdout).expect("UTF-8 help")
+    let help = String::from_utf8(out.stdout).expect("UTF-8 help");
+    assert!(
+        help.starts_with(&usage_prefix(bin)),
+        "{bin} --help does not name the binary:\n{help}"
+    );
+    help
 }
 
 /// `--out DIR` is refused, and `--help` does not offer it.

@@ -10,7 +10,7 @@
 use crate::plan::problem_subset;
 use correctbench_dataset::Problem;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The core command-line options of every sweep binary.
 #[derive(Clone, Debug)]
@@ -31,13 +31,17 @@ pub struct RunArgs {
 /// artifact writers `--out DIR`).
 pub const CORE_USAGE: &str = "[--full] [--problems N] [--reps N] [--seed N] [--threads N]";
 
-/// The full usage line: core flags plus a binary's extra flags.
+/// The full usage line: the command's name (the file name of
+/// `argv[0]`), the core flags and a binary's extra flags.
 pub fn usage_line(extra_usage: &str) -> String {
-    if extra_usage.is_empty() {
-        format!("usage: {CORE_USAGE}")
-    } else {
-        format!("usage: {CORE_USAGE} {extra_usage}")
+    let argv0 = std::env::args_os().next().unwrap_or_default();
+    let name = Path::new(&argv0).file_name().unwrap_or_default();
+    let mut line = format!("usage: {} {CORE_USAGE}", name.to_string_lossy());
+    if !extra_usage.is_empty() {
+        line.push(' ');
+        line.push_str(extra_usage);
     }
+    line
 }
 
 /// Aborts with a usage message. `extra_usage` is appended to the core
@@ -130,25 +134,34 @@ impl RunArgs {
     }
 }
 
+/// Writes `text` to stdout and flushes it, without panicking.
+fn write_all_stdout(text: &str) -> std::io::Result<()> {
+    let mut out = std::io::stdout().lock();
+    out.write_all(text.as_bytes()).and_then(|()| out.flush())
+}
+
 /// Writes `text` to stdout and flushes it, without panicking. A closed
 /// pipe (`BrokenPipe`) is not an error: whoever read the output stopped
 /// reading, and the work the text reports is done. Any other failure is
 /// returned.
 pub fn write_stdout(text: &str) -> std::io::Result<()> {
-    let mut out = std::io::stdout().lock();
-    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+    match write_all_stdout(text) {
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
         r => r,
     }
 }
 
-/// Writes `text` through [`write_stdout`]: a closed stdout is skipped
-/// quietly, so the command still finishes its work and exits with the
-/// code it earned, and any other failure exits 1.
+/// Writes the output of a command whose stdout is its product. At a
+/// closed stdout (`BrokenPipe`) the command exits 0 at once: nobody reads
+/// what the rest of its work would print. Any other failure exits 1.
 pub fn print_or_exit(text: &str) {
-    if let Err(e) = write_stdout(text) {
-        eprintln!("error: cannot write to stdout: {e}");
-        std::process::exit(1);
+    match write_all_stdout(text) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
     }
 }
 

@@ -267,6 +267,8 @@ mod tests {
         assert_eq!(set.len(), 30);
         let cmb = set.iter().filter(|p| p.kind.is_combinational()).count();
         assert!((14..=18).contains(&cmb), "cmb count {cmb}");
+        let names: std::collections::HashSet<_> = set.iter().map(|p| &p.name).collect();
+        assert_eq!(names.len(), 30, "a problem was picked twice");
         assert_eq!(problem_subset(None).len(), 156);
     }
 }

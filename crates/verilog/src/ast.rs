@@ -183,8 +183,6 @@ impl PortDecl {
 pub enum Item {
     /// `wire`/`reg`/`integer` declaration of one or more names.
     Net(NetDecl),
-    /// `parameter` / `localparam`.
-    Param(ParamDecl),
     /// `assign lhs = rhs;`
     Assign(AssignItem),
     /// `always @(...) stmt` (or bare `always stmt`).
@@ -208,17 +206,6 @@ pub struct NetDecl {
     pub names: Vec<(String, Option<Expr>)>,
 }
 
-/// A parameter declaration.
-#[derive(Clone, PartialEq, Hash, Debug)]
-pub struct ParamDecl {
-    /// `true` for `localparam`.
-    pub local: bool,
-    /// Name.
-    pub name: String,
-    /// Constant value expression.
-    pub value: Expr,
-}
-
 /// A continuous assignment.
 #[derive(Clone, PartialEq, Hash, Debug)]
 pub struct AssignItem {
@@ -238,33 +225,14 @@ pub struct AlwaysBlock {
     pub body: Stmt,
 }
 
-/// An event control `@(...)`.
+/// The event control of an `always` block.
 #[derive(Clone, PartialEq, Hash, Debug)]
 pub enum EventControl {
     /// `@(*)` / `@*` — sensitive to every signal read by the body.
     Star,
-    /// An explicit list, e.g. `@(posedge clk or negedge rst_n)`.
-    List(Vec<EventExpr>),
-}
-
-/// One entry of an event list.
-#[derive(Clone, PartialEq, Hash, Debug)]
-pub struct EventExpr {
-    /// Edge qualifier.
-    pub edge: Edge,
-    /// Watched signal name.
-    pub signal: String,
-}
-
-/// Edge qualifier of an event expression.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum Edge {
-    /// `posedge`
-    Pos,
-    /// `negedge`
-    Neg,
-    /// Level change (no qualifier).
-    Any,
+    /// `@(posedge clk or posedge rst)`: the rising edges of the named
+    /// signals.
+    Posedge(Vec<String>),
 }
 
 /// A module instantiation.
@@ -305,10 +273,8 @@ pub enum Stmt {
         /// Optional else-branch.
         else_stmt: Option<Box<Stmt>>,
     },
-    /// `case`/`casez`/`casex`.
+    /// `case` (exact four-state matching).
     Case {
-        /// Which case flavour.
-        kind: CaseKind,
         /// Selector expression.
         expr: Expr,
         /// Arms: labels (empty = `default`) and body.
@@ -325,34 +291,11 @@ pub enum Stmt {
         /// Body.
         body: Box<Stmt>,
     },
-    /// `while (cond) body`.
-    While {
-        /// Loop condition.
-        cond: Expr,
-        /// Body.
-        body: Box<Stmt>,
-    },
-    /// `repeat (n) body`.
-    Repeat {
-        /// Iteration count (evaluated once).
-        count: Expr,
-        /// Body.
-        body: Box<Stmt>,
-    },
-    /// `forever body`.
-    Forever(Box<Stmt>),
     /// `#n [stmt]` — delay, then optionally a statement.
     Delay {
         /// Ticks to wait.
         delay: u64,
         /// Statement to run after the delay, if inline.
-        stmt: Option<Box<Stmt>>,
-    },
-    /// `@(...) [stmt]` — wait for an event, then optionally a statement.
-    EventWait {
-        /// What to wait for.
-        event: EventControl,
-        /// Statement to run after the event, if inline.
         stmt: Option<Box<Stmt>>,
     },
     /// A system task call, e.g. `$display("x=%d", x);`.
@@ -364,17 +307,6 @@ pub enum Stmt {
     },
     /// Empty statement `;`.
     Empty,
-}
-
-/// Flavour of a case statement.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum CaseKind {
-    /// Exact (`===`) matching.
-    Case,
-    /// `z`/`?` bits are wildcards.
-    Casez,
-    /// `x` and `z` bits are wildcards.
-    Casex,
 }
 
 /// One arm of a case statement.
@@ -442,12 +374,6 @@ pub enum UnaryOp {
     RedOr,
     /// `^`
     RedXor,
-    /// `~&`
-    RedNand,
-    /// `~|`
-    RedNor,
-    /// `~^`
-    RedXnor,
 }
 
 /// Binary operators.
@@ -463,15 +389,13 @@ pub enum BinaryOp {
     Div,
     /// `%`
     Mod,
-    /// `**`
-    Pow,
     /// `&`
     And,
     /// `|`
     Or,
     /// `^`
     Xor,
-    /// `~^`
+    /// `~^` (or `^~`)
     Xnor,
     /// `&&`
     LogicAnd,
@@ -481,10 +405,6 @@ pub enum BinaryOp {
     Eq,
     /// `!=`
     Ne,
-    /// `===`
-    CaseEq,
-    /// `!==`
-    CaseNe,
     /// `<`
     Lt,
     /// `<=`
@@ -497,8 +417,6 @@ pub enum BinaryOp {
     Shl,
     /// `>>`
     Shr,
-    /// `<<<`
-    AShl,
     /// `>>>`
     AShr,
 }
@@ -507,16 +425,13 @@ impl BinaryOp {
     /// `true` for operators whose result is a single bit.
     pub fn is_comparison(self) -> bool {
         use BinaryOp::*;
-        matches!(
-            self,
-            Eq | Ne | CaseEq | CaseNe | Lt | Le | Gt | Ge | LogicAnd | LogicOr
-        )
+        matches!(self, Eq | Ne | Lt | Le | Gt | Ge | LogicAnd | LogicOr)
     }
 
     /// `true` for shift operators (context width comes from the left side).
     pub fn is_shift(self) -> bool {
         use BinaryOp::*;
-        matches!(self, Shl | Shr | AShl | AShr)
+        matches!(self, Shl | Shr | AShr)
     }
 }
 
@@ -530,7 +445,7 @@ pub enum Expr {
         /// Whether the literal was marked signed.
         signed: bool,
     },
-    /// A signal or parameter reference.
+    /// A signal reference.
     Ident(String),
     /// Unary operation.
     Unary(UnaryOp, Box<Expr>),
@@ -548,8 +463,6 @@ pub enum Expr {
     Part(String, i64, i64),
     /// Indexed part select `sig[base +: width]`.
     IndexedPart(String, Box<Expr>, usize),
-    /// `$signed(e)` / `$unsigned(e)` / `$time`.
-    SysFunc(String, Vec<Expr>),
 }
 
 impl Expr {
@@ -576,7 +489,7 @@ impl Expr {
                 a.collect_reads(out);
                 b.collect_reads(out);
             }
-            Expr::Concat(es) | Expr::SysFunc(_, es) => {
+            Expr::Concat(es) => {
                 for e in es {
                     e.collect_reads(out);
                 }
@@ -641,21 +554,7 @@ impl Stmt {
                 step.collect_reads(out);
                 body.collect_reads(out);
             }
-            Stmt::While { cond, body } => {
-                cond.collect_reads(out);
-                body.collect_reads(out);
-            }
-            Stmt::Repeat { count, body } => {
-                count.collect_reads(out);
-                body.collect_reads(out);
-            }
-            Stmt::Forever(body) => body.collect_reads(out),
             Stmt::Delay { stmt, .. } => {
-                if let Some(s) = stmt {
-                    s.collect_reads(out);
-                }
-            }
-            Stmt::EventWait { stmt, .. } => {
                 if let Some(s) = stmt {
                     s.collect_reads(out);
                 }

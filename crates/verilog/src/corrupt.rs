@@ -111,7 +111,6 @@ fn mangle_ident(src: &str, rng: &mut impl Rng) -> String {
         "begin",
         "end",
         "posedge",
-        "negedge",
         "case",
         "endcase",
         "default",

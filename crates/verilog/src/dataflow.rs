@@ -21,9 +21,9 @@ use std::collections::{BTreeMap, BTreeSet};
 pub enum DriverKind {
     /// A continuous `assign` item (or a net declaration initializer).
     Continuous,
-    /// A combinational always block (`@(*)` or a level-sensitive list).
+    /// A combinational always block (`@(*)`).
     AlwaysComb,
-    /// An edge-triggered always block.
+    /// An edge-triggered always block (`@(posedge ...)`).
     AlwaysSeq,
     /// An always block with no event control (testbench clock
     /// generators: `always #5 clk = ~clk;`).
@@ -77,7 +77,7 @@ pub struct SignalFacts {
     /// Every recorded driver, in item order.
     pub drivers: Vec<Driver>,
     /// `true` when any expression (RHS, condition, index, event, system
-    /// call argument, instance input) reads the signal.
+    /// task argument, instance input) reads the signal.
     pub read: bool,
     /// `true` when the signal is connected to an unresolvable instance:
     /// presence/absence rules must not judge it.
@@ -273,7 +273,6 @@ impl Analysis {
             Expr::Bit(_, _) => Some(1),
             Expr::Part(_, msb, lsb) => Some(msb.abs_diff(*lsb) as usize + 1),
             Expr::IndexedPart(_, _, w) => Some(*w),
-            Expr::SysFunc(_, _) => None,
         }
     }
 
@@ -316,11 +315,6 @@ impl Analysis {
                     }
                 }
             }
-            Item::Param(p) => {
-                let mut reads = Vec::new();
-                p.value.collect_reads(&mut reads);
-                self.mark_reads(&reads);
-            }
             Item::Assign(a) => {
                 let mut reads = Vec::new();
                 a.rhs.collect_reads(&mut reads);
@@ -350,11 +344,9 @@ impl Analysis {
 
     fn visit_always(&mut self, idx: usize, b: &AlwaysBlock) {
         let kind = classify_always(b);
-        // Event-list signals are reads (the clock, level-sensitive
-        // operands).
-        if let Some(EventControl::List(events)) = &b.event {
-            let names: Vec<String> = events.iter().map(|e| e.signal.clone()).collect();
-            self.mark_reads(&names);
+        // Event-list signals (the clock, the resets) are reads.
+        if let Some(EventControl::Posedge(signals)) = &b.event {
+            self.mark_reads(signals);
         }
         let mut reads = Vec::new();
         b.body.collect_reads(&mut reads);
@@ -510,16 +502,7 @@ pub fn classify_always(b: &AlwaysBlock) -> DriverKind {
     match &b.event {
         None => DriverKind::AlwaysTimed,
         Some(EventControl::Star) => DriverKind::AlwaysComb,
-        Some(EventControl::List(events)) => {
-            if events
-                .iter()
-                .any(|e| matches!(e.edge, Edge::Pos | Edge::Neg))
-            {
-                DriverKind::AlwaysSeq
-            } else {
-                DriverKind::AlwaysComb
-            }
-        }
+        Some(EventControl::Posedge(_)) => DriverKind::AlwaysSeq,
     }
 }
 
@@ -560,9 +543,7 @@ fn visit_assignments(s: &Stmt, f: &mut impl FnMut(&LValue, &Expr, bool)) {
             visit_assignments(step, f);
             visit_assignments(body, f);
         }
-        Stmt::While { body, .. } | Stmt::Repeat { body, .. } => visit_assignments(body, f),
-        Stmt::Forever(body) => visit_assignments(body, f),
-        Stmt::Delay { stmt, .. } | Stmt::EventWait { stmt, .. } => {
+        Stmt::Delay { stmt, .. } => {
             if let Some(st) = stmt {
                 visit_assignments(st, f);
             }
@@ -572,7 +553,7 @@ fn visit_assignments(s: &Stmt, f: &mut impl FnMut(&LValue, &Expr, bool)) {
 }
 
 /// The set of signals assigned on *every* execution path through `s`.
-/// Conservative: loops and defaultless case statements prove nothing.
+/// Conservative: a case statement without a default proves nothing.
 pub fn must_assigned(s: &Stmt) -> BTreeSet<String> {
     match s {
         Stmt::Block(stmts) => {
@@ -614,9 +595,7 @@ pub fn must_assigned(s: &Stmt) -> BTreeSet<String> {
             out.extend(must_assigned(step));
             out
         }
-        Stmt::Delay { stmt, .. } | Stmt::EventWait { stmt, .. } => {
-            stmt.as_deref().map(must_assigned).unwrap_or_default()
-        }
+        Stmt::Delay { stmt, .. } => stmt.as_deref().map(must_assigned).unwrap_or_default(),
         _ => BTreeSet::new(),
     }
 }
@@ -709,16 +688,7 @@ fn external_reads(s: &Stmt, assigned: &mut BTreeSet<String>, reads: &mut BTreeSe
             external_reads(body, assigned, reads);
             external_reads(step, assigned, reads);
         }
-        Stmt::While { cond, body } => {
-            note_expr(cond, assigned, reads);
-            external_reads(body, assigned, reads);
-        }
-        Stmt::Repeat { count, body } => {
-            note_expr(count, assigned, reads);
-            external_reads(body, assigned, reads);
-        }
-        Stmt::Forever(body) => external_reads(body, assigned, reads),
-        Stmt::Delay { stmt, .. } | Stmt::EventWait { stmt, .. } => {
+        Stmt::Delay { stmt, .. } => {
             if let Some(st) = stmt {
                 external_reads(st, assigned, reads);
             }
@@ -776,11 +746,7 @@ fn collect_reset_assigned(s: &Stmt, under_reset: bool, out: &mut Vec<String>) {
             collect_reset_assigned(step, under_reset, out);
             collect_reset_assigned(body, under_reset, out);
         }
-        Stmt::While { body, .. } | Stmt::Repeat { body, .. } => {
-            collect_reset_assigned(body, under_reset, out);
-        }
-        Stmt::Forever(body) => collect_reset_assigned(body, under_reset, out),
-        Stmt::Delay { stmt, .. } | Stmt::EventWait { stmt, .. } => {
+        Stmt::Delay { stmt, .. } => {
             if let Some(st) = stmt {
                 collect_reset_assigned(st, under_reset, out);
             }

@@ -12,12 +12,21 @@
 //! the larger of the two sides; shift amounts, concatenation parts,
 //! replication bodies and indices are self-determined.
 
-use crate::ast::{BinaryOp, CaseKind, Edge, UnaryOp};
+use crate::ast::{BinaryOp, UnaryOp};
 use crate::logic::{Bit, LogicVec};
 
 /// Index of a signal in the flattened design.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct SignalId(pub u32);
+
+/// What wakes a process waiting on a signal.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Edge {
+    /// An entry of a `posedge` event list: bit 0 rises.
+    Pos,
+    /// A signal that an `@(*)` body reads: any change.
+    Any,
+}
 
 /// What kind of storage a signal is.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -78,8 +87,6 @@ pub enum RExprKind {
     Part(SignalId, usize, usize),
     /// Indexed part select `sig[base +: w]`, base rebased at eval time.
     IndexedPart(SignalId, Box<RExpr>, usize),
-    /// `$time` (64-bit simulation time).
-    Time,
 }
 
 impl RExpr {
@@ -95,7 +102,7 @@ impl RExpr {
     /// Collects signals read by this expression.
     pub fn collect_sigs(&self, out: &mut Vec<SignalId>) {
         match &self.kind {
-            RExprKind::Lit(_) | RExprKind::Time => {}
+            RExprKind::Lit(_) => {}
             RExprKind::Sig(s) => out.push(*s),
             RExprKind::Unary(_, e) | RExprKind::Repl(_, e) => e.collect_sigs(out),
             RExprKind::Binary(_, a, b) => {
@@ -197,12 +204,11 @@ pub enum Instr {
         /// The counted-loop facts, when the loop has that shape.
         guard: Option<CountedGuard>,
     },
-    /// Multi-way branch for `case`/`casez`/`casex`.
+    /// Multi-way branch for `case`: the first arm with a label that
+    /// matches the selector exactly, `x` and `z` bits included.
     CaseJump {
         /// Selector.
         expr: RExpr,
-        /// Case flavour.
-        kind: CaseKind,
         /// `(labels, target)` per arm, tested in order.
         arms: Vec<(Vec<RExpr>, usize)>,
         /// Target when nothing matches.
@@ -227,7 +233,7 @@ pub enum Instr {
     Halt,
 }
 
-/// A counted zero-time loop, as laid out by the elaborator's `for`/`while`
+/// A counted zero-time loop, as laid out by the elaborator's `for`
 /// lowering:
 ///
 /// ```text
@@ -371,8 +377,13 @@ impl Design {
 pub trait SigRead {
     /// Current value of `id`.
     fn read(&self, id: SignalId) -> &LogicVec;
-    /// Current simulation time (for `$time`).
-    fn now(&self) -> u64;
+}
+
+/// A value table indexed by [`SignalId`], as the simulator keeps it.
+impl SigRead for Vec<LogicVec> {
+    fn read(&self, id: SignalId) -> &LogicVec {
+        &self[id.0 as usize]
+    }
 }
 
 /// Evaluates `e` in a context of `ctx` bits (callers pass
@@ -383,7 +394,6 @@ pub fn eval<S: SigRead>(e: &RExpr, ctx: usize, store: &S) -> LogicVec {
     match &e.kind {
         RExprKind::Lit(v) => v.resize(ctx, e.signed),
         RExprKind::Sig(s) => store.read(*s).resize(ctx, e.signed),
-        RExprKind::Time => LogicVec::from_u64(64, store.now()).resize(ctx.max(64), false),
         RExprKind::Unary(op, a) => eval_unary(*op, a, ctx, store),
         RExprKind::Binary(op, a, b) => eval_binary(*op, a, b, ctx, e.signed, store),
         RExprKind::Ternary(c, t, f) => {
@@ -466,15 +476,6 @@ fn eval_unary<S: SigRead>(op: UnaryOp, a: &RExpr, ctx: usize, store: &S) -> Logi
         UnaryOp::RedXor => {
             LogicVec::from_bit(eval(a, a.width, store).reduce_xor()).resize(ctx, false)
         }
-        UnaryOp::RedNand => {
-            LogicVec::from_bit(invert(eval(a, a.width, store).reduce_and())).resize(ctx, false)
-        }
-        UnaryOp::RedNor => {
-            LogicVec::from_bit(invert(eval(a, a.width, store).reduce_or())).resize(ctx, false)
-        }
-        UnaryOp::RedXnor => {
-            LogicVec::from_bit(invert(eval(a, a.width, store).reduce_xor())).resize(ctx, false)
-        }
     }
 }
 
@@ -515,30 +516,6 @@ fn eval_binary<S: SigRead>(
                 va.rem(&vb)
             }
         }
-        Pow => {
-            let base = eval(a, ctx, store);
-            let exp = eval(b, b.width, store);
-            match exp.to_u64() {
-                None => LogicVec::filled_x(ctx),
-                Some(mut e) => {
-                    if !base.is_fully_known() {
-                        return LogicVec::filled_x(ctx);
-                    }
-                    let mut acc = LogicVec::from_u64(ctx, 1);
-                    let mut sq = base;
-                    while e > 0 {
-                        if e & 1 == 1 {
-                            acc = acc.mul(&sq);
-                        }
-                        e >>= 1;
-                        if e > 0 {
-                            sq = sq.mul(&sq);
-                        }
-                    }
-                    acc
-                }
-            }
-        }
         And => eval(a, ctx, store).and(&eval(b, ctx, store)),
         Or => eval(a, ctx, store).or(&eval(b, ctx, store)),
         Xor => eval(a, ctx, store).xor(&eval(b, ctx, store)),
@@ -561,7 +538,7 @@ fn eval_binary<S: SigRead>(
             };
             LogicVec::from_bit(r).resize(ctx, false)
         }
-        Eq | Ne | CaseEq | CaseNe | Lt | Le | Gt | Ge => {
+        Eq | Ne | Lt | Le | Gt | Ge => {
             let w = a.width.max(b.width);
             let both_signed = a.signed && b.signed;
             let va = eval(a, w, store);
@@ -569,8 +546,6 @@ fn eval_binary<S: SigRead>(
             let r = match op {
                 Eq => va.eq_logic(&vb),
                 Ne => invert(va.eq_logic(&vb)),
-                CaseEq => va.eq_case(&vb),
-                CaseNe => invert(va.eq_case(&vb)),
                 Lt => va.lt(&vb, both_signed),
                 Ge => invert(va.lt(&vb, both_signed)),
                 Gt => vb.lt(&va, both_signed),
@@ -579,7 +554,7 @@ fn eval_binary<S: SigRead>(
             };
             LogicVec::from_bit(r).resize(ctx, false)
         }
-        Shl | AShl => {
+        Shl => {
             let amount = eval(b, b.width, store);
             eval(a, ctx, store).shl(&amount)
         }
@@ -623,19 +598,6 @@ pub(crate) fn signed_divmod(a: &LogicVec, b: &LogicVec, ctx: usize, want_div: bo
 mod tests {
     use super::*;
 
-    struct Store {
-        vals: Vec<LogicVec>,
-    }
-
-    impl SigRead for Store {
-        fn read(&self, id: SignalId) -> &LogicVec {
-            &self.vals[id.0 as usize]
-        }
-        fn now(&self) -> u64 {
-            42
-        }
-    }
-
     fn sig(id: u32, width: usize, signed: bool) -> RExpr {
         RExpr {
             width,
@@ -647,9 +609,7 @@ mod tests {
     #[test]
     fn context_widening_add() {
         // 4-bit a=15, b=1: (a+b) evaluated in 5-bit context keeps the carry.
-        let store = Store {
-            vals: vec![LogicVec::from_u64(4, 15), LogicVec::from_u64(4, 1)],
-        };
+        let store = vec![LogicVec::from_u64(4, 15), LogicVec::from_u64(4, 1)];
         let e = RExpr {
             width: 4,
             signed: false,
@@ -666,9 +626,7 @@ mod tests {
     #[test]
     fn signed_comparison_extends() {
         // 4-bit signed a = -2 (0b1110), 6-bit signed b = 1.
-        let store = Store {
-            vals: vec![LogicVec::from_u64(4, 0b1110), LogicVec::from_u64(6, 1)],
-        };
+        let store = vec![LogicVec::from_u64(4, 0b1110), LogicVec::from_u64(6, 1)];
         let e = RExpr {
             width: 1,
             signed: false,
@@ -683,13 +641,11 @@ mod tests {
 
     #[test]
     fn ternary_x_merge() {
-        let store = Store {
-            vals: vec![
-                LogicVec::filled_x(1),
-                LogicVec::from_u64(4, 0b1010),
-                LogicVec::from_u64(4, 0b1001),
-            ],
-        };
+        let store = vec![
+            LogicVec::filled_x(1),
+            LogicVec::from_u64(4, 0b1010),
+            LogicVec::from_u64(4, 0b1001),
+        ];
         let e = RExpr {
             width: 4,
             signed: false,
@@ -707,48 +663,19 @@ mod tests {
     }
 
     #[test]
-    fn time_expr() {
-        let store = Store { vals: vec![] };
-        let e = RExpr {
-            width: 64,
-            signed: false,
-            kind: RExprKind::Time,
-        };
-        assert_eq!(eval(&e, 64, &store).to_u64(), Some(42));
-    }
-
-    #[test]
-    fn pow_and_signed_div() {
-        let store = Store {
-            vals: vec![LogicVec::from_u64(8, 3), LogicVec::from_u64(8, 4)],
-        };
-        let e = RExpr {
-            width: 8,
-            signed: false,
-            kind: RExprKind::Binary(
-                BinaryOp::Pow,
-                Box::new(sig(0, 8, false)),
-                Box::new(sig(1, 8, false)),
-            ),
-        };
-        assert_eq!(eval(&e, 8, &store).to_u64(), Some(81));
-
-        let store2 = Store {
-            vals: vec![
-                LogicVec::from_u64(8, (-7i64 as u64) & 0xff),
-                LogicVec::from_u64(8, 2),
-            ],
-        };
-        let d = RExpr {
+    fn signed_div_and_mod() {
+        let store = vec![
+            LogicVec::from_u64(8, (-7i64 as u64) & 0xff),
+            LogicVec::from_u64(8, 2),
+        ];
+        let signed = |op| RExpr {
             width: 8,
             signed: true,
-            kind: RExprKind::Binary(
-                BinaryOp::Div,
-                Box::new(sig(0, 8, true)),
-                Box::new(sig(1, 8, true)),
-            ),
+            kind: RExprKind::Binary(op, Box::new(sig(0, 8, true)), Box::new(sig(1, 8, true))),
         };
-        // -7 / 2 truncates toward zero: -3.
-        assert_eq!(eval(&d, 8, &store2).to_i64(), Some(-3));
+        // -7 / 2 truncates toward zero: -3; the remainder takes the
+        // dividend's sign: -1.
+        assert_eq!(eval(&signed(BinaryOp::Div), 8, &store).to_i64(), Some(-3));
+        assert_eq!(eval(&signed(BinaryOp::Mod), 8, &store).to_i64(), Some(-1));
     }
 }

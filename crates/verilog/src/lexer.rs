@@ -79,8 +79,6 @@ keywords! {
     Reg => "reg",
     Integer => "integer",
     Signed => "signed",
-    Parameter => "parameter",
-    Localparam => "localparam",
     Assign => "assign",
     Always => "always",
     Initial => "initial",
@@ -89,16 +87,10 @@ keywords! {
     If => "if",
     Else => "else",
     Case => "case",
-    Casez => "casez",
-    Casex => "casex",
     Endcase => "endcase",
     Default => "default",
     For => "for",
-    While => "while",
-    Repeat => "repeat",
-    Forever => "forever",
     Posedge => "posedge",
-    Negedge => "negedge",
     Or => "or",
     Wait => "wait",
     Function => "function",
@@ -134,6 +126,8 @@ macro_rules! puncts {
     };
 }
 
+// `~&` and `~|` are tokens only so that the parser refuses them: lexed
+// as `~` and a reduction they would read as `~(&a)`.
 puncts! {
     LParen => "(",
     RParen => ")",
@@ -155,7 +149,6 @@ puncts! {
     Star => "*",
     Slash => "/",
     Percent => "%",
-    Power => "**",
     Amp => "&",
     AmpAmp => "&&",
     Pipe => "|",
@@ -168,14 +161,11 @@ puncts! {
     Bang => "!",
     EqEq => "==",
     BangEq => "!=",
-    EqEqEq => "===",
-    BangEqEq => "!==",
     Lt => "<",
     Gt => ">",
     GtEq => ">=",
     Shl => "<<",
     Shr => ">>",
-    AShl => "<<<",
     AShr => ">>>",
     PlusColon => "+:",
     MinusColon => "-:",
@@ -578,14 +568,7 @@ impl<'a> Lexer<'a> {
                     Minus
                 }
             }
-            b'*' => {
-                if self.peek() == Some(b'*') {
-                    self.bump();
-                    Power
-                } else {
-                    Star
-                }
-            }
+            b'*' => Star,
             b'/' => Slash,
             b'%' => Percent,
             b'&' => {
@@ -630,12 +613,7 @@ impl<'a> Lexer<'a> {
             b'!' => {
                 if self.peek() == Some(b'=') {
                     self.bump();
-                    if self.peek() == Some(b'=') {
-                        self.bump();
-                        BangEqEq
-                    } else {
-                        BangEq
-                    }
+                    BangEq
                 } else {
                     Bang
                 }
@@ -643,12 +621,7 @@ impl<'a> Lexer<'a> {
             b'=' => {
                 if self.peek() == Some(b'=') {
                     self.bump();
-                    if self.peek() == Some(b'=') {
-                        self.bump();
-                        EqEqEq
-                    } else {
-                        EqEq
-                    }
+                    EqEq
                 } else {
                     Assign
                 }
@@ -660,12 +633,7 @@ impl<'a> Lexer<'a> {
                 }
                 Some(b'<') => {
                     self.bump();
-                    if self.peek() == Some(b'<') {
-                        self.bump();
-                        AShl
-                    } else {
-                        Shl
-                    }
+                    Shl
                 }
                 _ => Lt,
             },
@@ -807,25 +775,20 @@ mod tests {
 
     #[test]
     fn operators_longest_match() {
-        let t = toks("<= << <<< >= >> >>> === !== == != ~^ ~& ~| && || ** +: -:");
+        let t = toks("<= << >= >> >>> == != ~^ ^~ && || +: -:");
         use Punct::*;
         let expect = [
             NonBlocking,
             Shl,
-            AShl,
             GtEq,
             Shr,
             AShr,
-            EqEqEq,
-            BangEqEq,
             EqEq,
             BangEq,
             TildeCaret,
-            TildeAmp,
-            TildePipe,
+            TildeCaret,
             AmpAmp,
             PipePipe,
-            Power,
             PlusColon,
             MinusColon,
         ];
@@ -856,9 +819,9 @@ mod tests {
 
     #[test]
     fn sysnames() {
-        let t = toks("$display $fdisplay $finish $time");
+        let t = toks("$display $fdisplay $finish");
         assert_eq!(t[0], Token::SysName("$display".into()));
-        assert_eq!(t[3], Token::SysName("$time".into()));
+        assert_eq!(t[2], Token::SysName("$finish".into()));
     }
 
     #[test]

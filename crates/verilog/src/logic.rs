@@ -14,8 +14,8 @@
 //! All operators follow the Verilog semantics used by the simulator and the
 //! checker IR interpreter: bitwise operators propagate `x` per the standard
 //! truth tables, arithmetic and relational operators produce an all-`x`
-//! result if any input bit is unknown, and `===`/`!==` compare the four-state
-//! encoding exactly.
+//! result if any input bit is unknown, and case equality (how a `case`
+//! label matches) compares the four-state encoding exactly.
 //!
 //! # Representation
 //!
@@ -1009,7 +1009,8 @@ impl LogicVec {
         }
     }
 
-    /// Case equality `===`: exact four-state comparison, always known.
+    /// Case equality: exact four-state comparison, always known (how a
+    /// `case` label matches its selector).
     pub fn eq_case(&self, other: &LogicVec) -> Bit {
         if self.width == other.width {
             return if self == other { Bit::One } else { Bit::Zero };
@@ -1022,43 +1023,6 @@ impl LogicVec {
         } else {
             Bit::Zero
         }
-    }
-
-    /// `casex` match: `x` *and* `z` bits in `pattern` (or in `self`) are
-    /// wildcards.
-    pub fn casex_match(&self, pattern: &LogicVec) -> bool {
-        let width = self.width.max(pattern.width);
-        let a = self.zero_extend(width);
-        let p = pattern.zero_extend(width);
-        for i in 0..width {
-            let pb = p.bit(i);
-            let ab = a.bit(i);
-            if !pb.is_known() || !ab.is_known() {
-                continue;
-            }
-            if pb != ab {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// `casez` match: `z` bits in `pattern` (or in `self`) are wildcards.
-    pub fn casez_match(&self, pattern: &LogicVec) -> bool {
-        let width = self.width.max(pattern.width);
-        let a = self.zero_extend(width);
-        let p = pattern.zero_extend(width);
-        for i in 0..width {
-            let pb = p.bit(i);
-            let ab = a.bit(i);
-            if pb == Bit::Z || ab == Bit::Z {
-                continue;
-            }
-            if pb != ab {
-                return false;
-            }
-        }
-        true
     }
 
     // ---- shifts ----
@@ -1439,17 +1403,6 @@ mod tests {
         let x = LogicVec::filled_x(8);
         assert_eq!(a.eq_logic(&x), Bit::X);
         assert_eq!(x.eq_case(&LogicVec::filled_x(8)), Bit::One);
-    }
-
-    #[test]
-    fn casez_wildcards() {
-        let v = LogicVec::from_u64(4, 0b1010);
-        let mut pat = LogicVec::from_u64(4, 0b1000);
-        pat.set_bit(0, Bit::Z);
-        pat.set_bit(1, Bit::Z);
-        assert!(v.casez_match(&pat));
-        let pat2 = LogicVec::from_u64(4, 0b0000);
-        assert!(!v.casez_match(&pat2));
     }
 
     #[test]

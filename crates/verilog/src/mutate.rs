@@ -162,13 +162,7 @@ impl SiteMut<'_> {
 fn site_weight(site: SiteRef<'_>, info: &ModuleInfo) -> usize {
     match site {
         SiteRef::Expr(e) => match e {
-            Expr::Binary(op, _, _) => {
-                if swap_candidates(*op).is_empty() {
-                    0
-                } else {
-                    1
-                }
-            }
+            Expr::Binary(..) => 1,
             Expr::Literal { value, .. } if value.is_fully_known() => 1,
             Expr::Unary(UnaryOp::Not | UnaryOp::LogicNot | UnaryOp::Neg, _) => 1,
             Expr::Ternary(_, _, _) => 1,
@@ -193,6 +187,7 @@ fn site_weight(site: SiteRef<'_>, info: &ModuleInfo) -> usize {
     }
 }
 
+/// The operators a binary operator site may be swapped to.
 fn swap_candidates(op: BinaryOp) -> Vec<BinaryOp> {
     use BinaryOp::*;
     match op {
@@ -216,8 +211,6 @@ fn swap_candidates(op: BinaryOp) -> Vec<BinaryOp> {
         Shl => vec![Shr],
         Shr => vec![Shl, AShr],
         AShr => vec![Shr],
-        AShl => vec![Shr],
-        Pow | CaseEq | CaseNe => vec![],
     }
 }
 
@@ -273,9 +266,6 @@ fn apply_expr(e: &mut Expr, info: &ModuleInfo, rng: &mut impl Rng) -> Option<Mut
     match e {
         Expr::Binary(op, _, _) => {
             let cands = swap_candidates(*op);
-            if cands.is_empty() {
-                return None;
-            }
             let new = cands[rng.gen_range(0..cands.len())];
             let desc = format!("binary op {op:?} -> {new:?}");
             *op = new;
@@ -339,7 +329,7 @@ fn walk_module<'a>(items: &'a [Item], f: &mut impl FnMut(SiteRef<'a>)) {
             Item::Assign(a) => walk_expr(&a.rhs, f),
             Item::Always(b) => walk_stmt(&b.body, f),
             Item::Initial(s) => walk_stmt(s, f),
-            Item::Net(_) | Item::Param(_) | Item::Instance(_) => {}
+            Item::Net(_) | Item::Instance(_) => {}
         }
     }
 }
@@ -384,16 +374,7 @@ fn walk_stmt<'a>(s: &'a Stmt, f: &mut impl FnMut(SiteRef<'a>)) {
             walk_stmt(step, f);
             walk_stmt(body, f);
         }
-        Stmt::While { cond, body } => {
-            walk_expr(cond, f);
-            walk_stmt(body, f);
-        }
-        Stmt::Repeat { count, body } => {
-            walk_expr(count, f);
-            walk_stmt(body, f);
-        }
-        Stmt::Forever(body) => walk_stmt(body, f),
-        Stmt::Delay { stmt, .. } | Stmt::EventWait { stmt, .. } => {
+        Stmt::Delay { stmt, .. } => {
             if let Some(st) = stmt {
                 walk_stmt(st, f);
             }
@@ -415,7 +396,7 @@ fn walk_expr<'a>(e: &'a Expr, f: &mut impl FnMut(SiteRef<'a>)) {
             walk_expr(a, f);
             walk_expr(b, f);
         }
-        Expr::Concat(es) | Expr::SysFunc(_, es) => {
+        Expr::Concat(es) => {
             for x in es {
                 walk_expr(x, f);
             }
@@ -432,7 +413,7 @@ fn walk_module_mut(items: &mut [Item], f: &mut impl FnMut(SiteMut<'_>)) {
             Item::Assign(a) => walk_expr_mut(&mut a.rhs, f),
             Item::Always(b) => walk_stmt_mut(&mut b.body, f),
             Item::Initial(s) => walk_stmt_mut(s, f),
-            Item::Net(_) | Item::Param(_) | Item::Instance(_) => {}
+            Item::Net(_) | Item::Instance(_) => {}
         }
     }
 }
@@ -479,16 +460,7 @@ fn walk_stmt_mut(s: &mut Stmt, f: &mut impl FnMut(SiteMut<'_>)) {
             walk_stmt_mut(step, f);
             walk_stmt_mut(body, f);
         }
-        Stmt::While { cond, body } => {
-            walk_expr_mut(cond, f);
-            walk_stmt_mut(body, f);
-        }
-        Stmt::Repeat { count, body } => {
-            walk_expr_mut(count, f);
-            walk_stmt_mut(body, f);
-        }
-        Stmt::Forever(body) => walk_stmt_mut(body, f),
-        Stmt::Delay { stmt, .. } | Stmt::EventWait { stmt, .. } => {
+        Stmt::Delay { stmt, .. } => {
             if let Some(st) = stmt {
                 walk_stmt_mut(st, f);
             }
@@ -510,7 +482,7 @@ fn walk_expr_mut(e: &mut Expr, f: &mut impl FnMut(SiteMut<'_>)) {
             walk_expr_mut(a, f);
             walk_expr_mut(b, f);
         }
-        Expr::Concat(es) | Expr::SysFunc(_, es) => {
+        Expr::Concat(es) => {
             for x in es {
                 walk_expr_mut(x, f);
             }
@@ -525,7 +497,7 @@ fn walk_expr_mut(e: &mut Expr, f: &mut impl FnMut(SiteMut<'_>)) {
 mod tests {
     use super::*;
     use crate::parser::parse;
-    use crate::pretty::print_module;
+    use crate::pretty::{print_expr, print_module};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -569,6 +541,32 @@ mod tests {
                 .unwrap_or_else(|e| panic!("seed {seed}: mutant no longer parses: {e}\n{printed}"));
             crate::elaborate::elaborate(&reparsed, "fsm")
                 .unwrap_or_else(|e| panic!("seed {seed}: mutant no longer elaborates: {e}"));
+        }
+    }
+
+    /// Every operator `swap_candidates` maps, and every operator it maps
+    /// to, prints as text that parses back to that operator.
+    #[test]
+    fn every_swap_candidate_prints_and_parses() {
+        use BinaryOp::*;
+        let ops = [
+            Add, Sub, Mul, Div, Mod, And, Or, Xor, Xnor, LogicAnd, LogicOr, Eq, Ne, Lt, Le, Gt, Ge,
+            Shl, Shr, AShr,
+        ];
+        let a = || Box::new(Expr::Ident("a".into()));
+        for op in ops {
+            for to in std::iter::once(op).chain(swap_candidates(op)) {
+                let e = Expr::Binary(to, a(), a());
+                let src = format!(
+                    "module m(input [3:0] a, output [3:0] y); assign y = {}; endmodule",
+                    print_expr(&e)
+                );
+                let f = parse(&src).unwrap_or_else(|err| panic!("{to:?}: {err}\n{src}"));
+                match &f.modules[0].items[0] {
+                    Item::Assign(it) => assert_eq!(it.rhs, e, "{src}"),
+                    other => panic!("expected assign, got {other:?}"),
+                }
+            }
         }
     }
 

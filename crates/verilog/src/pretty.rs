@@ -96,11 +96,6 @@ fn print_item(s: &mut String, item: &Item, level: usize) {
                 .collect();
             let _ = writeln!(s, "{kind}{signed}{range} {};", names.join(", "));
         }
-        Item::Param(p) => {
-            indent(s, level);
-            let kw = if p.local { "localparam" } else { "parameter" };
-            let _ = writeln!(s, "{kw} {} = {};", p.name, print_expr(&p.value));
-        }
         Item::Assign(a) => {
             indent(s, level);
             let _ = writeln!(
@@ -115,19 +110,8 @@ fn print_item(s: &mut String, item: &Item, level: usize) {
             match &blk.event {
                 None => s.push_str("always "),
                 Some(EventControl::Star) => s.push_str("always @(*) "),
-                Some(EventControl::List(list)) => {
-                    let entries: Vec<String> = list
-                        .iter()
-                        .map(|e| {
-                            let edge = match e.edge {
-                                Edge::Pos => "posedge ",
-                                Edge::Neg => "negedge ",
-                                Edge::Any => "",
-                            };
-                            format!("{edge}{}", e.signal)
-                        })
-                        .collect();
-                    let _ = write!(s, "always @({}) ", entries.join(" or "));
+                Some(EventControl::Posedge(signals)) => {
+                    let _ = write!(s, "always @(posedge {}) ", signals.join(" or posedge "));
                 }
             }
             print_stmt(s, &blk.body, level, false);
@@ -191,13 +175,8 @@ fn print_stmt(s: &mut String, stmt: &Stmt, level: usize, inline: bool) {
                 print_stmt(s, e, level, false);
             }
         }
-        Stmt::Case { kind, expr, arms } => {
-            let kw = match kind {
-                CaseKind::Case => "case",
-                CaseKind::Casez => "casez",
-                CaseKind::Casex => "casex",
-            };
-            let _ = writeln!(s, "{kw} ({})", print_expr(expr));
+        Stmt::Case { expr, arms } => {
+            let _ = writeln!(s, "case ({})", print_expr(expr));
             for arm in arms {
                 indent(s, level + 1);
                 if arm.labels.is_empty() {
@@ -226,18 +205,6 @@ fn print_stmt(s: &mut String, stmt: &Stmt, level: usize, inline: bool) {
             );
             print_stmt(s, body, level, false);
         }
-        Stmt::While { cond, body } => {
-            let _ = write!(s, "while ({}) ", print_expr(cond));
-            print_stmt(s, body, level, false);
-        }
-        Stmt::Repeat { count, body } => {
-            let _ = write!(s, "repeat ({}) ", print_expr(count));
-            print_stmt(s, body, level, false);
-        }
-        Stmt::Forever(body) => {
-            s.push_str("forever ");
-            print_stmt(s, body, level, false);
-        }
         Stmt::Delay { delay, stmt } => match stmt {
             None => {
                 let _ = writeln!(s, "#{delay};");
@@ -247,32 +214,6 @@ fn print_stmt(s: &mut String, stmt: &Stmt, level: usize, inline: bool) {
                 print_stmt(s, st, level, false);
             }
         },
-        Stmt::EventWait { event, stmt } => {
-            match event {
-                EventControl::Star => s.push_str("@(*)"),
-                EventControl::List(list) => {
-                    let entries: Vec<String> = list
-                        .iter()
-                        .map(|e| {
-                            let edge = match e.edge {
-                                Edge::Pos => "posedge ",
-                                Edge::Neg => "negedge ",
-                                Edge::Any => "",
-                            };
-                            format!("{edge}{}", e.signal)
-                        })
-                        .collect();
-                    let _ = write!(s, "@({})", entries.join(" or "));
-                }
-            }
-            match stmt {
-                None => s.push_str(";\n"),
-                Some(st) => {
-                    s.push(' ');
-                    print_stmt(s, st, level, false);
-                }
-            }
-        }
         Stmt::SysCall { name, args } => {
             let rendered: Vec<String> = args
                 .iter()
@@ -334,9 +275,6 @@ fn unary_str(op: UnaryOp) -> &'static str {
         UnaryOp::RedAnd => "&",
         UnaryOp::RedOr => "|",
         UnaryOp::RedXor => "^",
-        UnaryOp::RedNand => "~&",
-        UnaryOp::RedNor => "~|",
-        UnaryOp::RedXnor => "~^",
     }
 }
 
@@ -348,7 +286,6 @@ fn binary_str(op: BinaryOp) -> &'static str {
         Mul => "*",
         Div => "/",
         Mod => "%",
-        Pow => "**",
         And => "&",
         Or => "|",
         Xor => "^",
@@ -357,15 +294,12 @@ fn binary_str(op: BinaryOp) -> &'static str {
         LogicOr => "||",
         Eq => "==",
         Ne => "!=",
-        CaseEq => "===",
-        CaseNe => "!==",
         Lt => "<",
         Le => "<=",
         Gt => ">",
         Ge => ">=",
         Shl => "<<",
         Shr => ">>",
-        AShl => "<<<",
         AShr => ">>>",
     }
 }
@@ -396,14 +330,6 @@ pub fn print_expr(e: &Expr) -> String {
         Expr::Bit(n, i) => format!("{n}[{}]", print_expr(i)),
         Expr::Part(n, msb, lsb) => format!("{n}[{msb}:{lsb}]"),
         Expr::IndexedPart(n, b, w) => format!("{n}[{} +: {w}]", print_expr(b)),
-        Expr::SysFunc(name, args) => {
-            if args.is_empty() {
-                name.clone()
-            } else {
-                let inner: Vec<String> = args.iter().map(print_expr).collect();
-                format!("{name}({})", inner.join(", "))
-            }
-        }
     }
 }
 
@@ -437,14 +363,14 @@ mod tests {
     #[test]
     fn roundtrip_case_fsm() {
         roundtrip(
-            "module m(input clk, input x, output reg [1:0] s);\nlocalparam A = 2'd0;\nparameter B = 2'd1;\nalways @(posedge clk) begin\ncase (s)\nA: if (x) s <= B;\nB: s <= A;\ndefault: s <= A;\nendcase\nend\nendmodule",
+            "module m(input clk, input rst, input x, output reg [1:0] s);\nalways @(posedge clk or posedge rst) begin\nif (rst) s <= 2'd0;\nelse case (s)\n2'd0: if (x) s <= 2'd1;\n2'd1: s <= 2'd2;\ndefault: s <= 2'd0;\nendcase\nend\nendmodule",
         );
     }
 
     #[test]
     fn roundtrip_testbench() {
         roundtrip(
-            "module tb;\nreg clk = 0;\nalways #5 clk = ~clk;\nreg [3:0] a;\nwire [3:0] y;\ninteger f;\ninitial begin\na = 4'd0;\n#10 $fdisplay(f, \"a=%0d y=%0d\", a, y);\nrepeat (3) begin\na = a + 4'd1;\n#10 $fdisplay(f, \"a=%0d y=%0d\", a, y);\nend\n$finish;\nend\nendmodule",
+            "module tb;\nreg clk = 0;\nalways #5 clk = ~clk;\nreg [3:0] a;\nwire [3:0] y;\ninteger f;\ninv dut (.a(a), .y(y));\ninitial begin\nf = 1;\na = 4'd0;\n#10 $fdisplay(f, \"scenario: %0d, a = %0d, y = %0d\", 1, a, y);\na = a + 4'd1;\n#10 $fdisplay(f, \"scenario: %0d, a = %0d, y = %0d\", 2, a, y);\n#10;\n$finish;\nend\nendmodule",
         );
     }
 

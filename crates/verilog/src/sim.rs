@@ -36,7 +36,7 @@
 //! such a run with the same [`SimError::EventBudgetExhausted`] as soon as
 //! it is proven, at the loop's back-edge ([`Instr::LoopBack`], marked at
 //! elaboration). Within one process activation nothing else runs —
-//! continuous assigns, wake-ups and NBAs are only queued, `$time` stands
+//! continuous assigns, wake-ups and NBAs are only queued, time stands
 //! still — so the activation is a deterministic function of the pc and
 //! the values of the signals the process writes with blocking
 //! assignments ([`ProcessDef::written`]). Two checks run at back-edges
@@ -281,22 +281,7 @@ enum Watcher {
     /// Continuous assignment index (level-sensitive, permanent).
     Assign(usize),
     /// Process waiting on an edge (one-shot; re-armed by `WaitEvent`).
-    Process { idx: usize, edge: crate::ast::Edge },
-}
-
-/// Signal values and `$time`, as expression evaluation reads them.
-struct ValueStore<'a> {
-    values: &'a [LogicVec],
-    time: u64,
-}
-
-impl SigRead for ValueStore<'_> {
-    fn read(&self, id: SignalId) -> &LogicVec {
-        &self.values[id.0 as usize]
-    }
-    fn now(&self) -> u64 {
-        self.time
-    }
+    Process { idx: usize, edge: Edge },
 }
 
 /// An event-driven simulator over an elaborated design.
@@ -495,14 +480,6 @@ impl SimState {
         }
     }
 
-    /// The current signal values, for expression evaluation.
-    fn store(&self) -> ValueStore<'_> {
-        ValueStore {
-            values: &self.values,
-            time: self.time,
-        }
-    }
-
     fn run(&mut self, design: &Design) -> Result<(), SimError> {
         // Time zero: all continuous assignments evaluate once, every
         // process starts.
@@ -588,7 +565,7 @@ impl SimState {
         let a = &design.assigns[i];
         let lhs_width = a.lhs.width(design);
         let value =
-            eval(&a.rhs, lhs_width.max(a.rhs.width), &self.store()).resize(lhs_width, a.rhs.signed);
+            eval(&a.rhs, lhs_width.max(a.rhs.width), &self.values).resize(lhs_width, a.rhs.signed);
         self.write_lvalue(design, &a.lhs, value)
     }
 
@@ -612,20 +589,20 @@ impl SimState {
             match instr {
                 Instr::Assign(lhs, rhs) => {
                     let lhs_width = lhs.width(design);
-                    let v = eval(rhs, lhs_width.max(rhs.width), &self.store())
+                    let v = eval(rhs, lhs_width.max(rhs.width), &self.values)
                         .resize(lhs_width, rhs.signed);
                     self.write_lvalue(design, lhs, v)?;
                     self.procs[i].pc = pc + 1;
                 }
                 Instr::NbAssign(lhs, rhs) => {
                     let lhs_width = lhs.width(design);
-                    let v = eval(rhs, lhs_width.max(rhs.width), &self.store())
+                    let v = eval(rhs, lhs_width.max(rhs.width), &self.values)
                         .resize(lhs_width, rhs.signed);
                     self.schedule_nba(design, lhs, v)?;
                     self.procs[i].pc = pc + 1;
                 }
                 Instr::JumpIfFalse(cond, target) => {
-                    let t = eval(cond, cond.width, &self.store()).truthy();
+                    let t = eval(cond, cond.width, &self.values).truthy();
                     self.procs[i].pc = if t == Bit::One { pc + 1 } else { *target };
                 }
                 Instr::Jump(target) => {
@@ -648,18 +625,17 @@ impl SimState {
                 }
                 Instr::CaseJump {
                     expr,
-                    kind,
                     arms,
                     default,
                 } => {
-                    self.procs[i].pc = self.case_target(expr, *kind, arms, *default);
+                    self.procs[i].pc = self.case_target(expr, arms, *default);
                 }
                 Instr::Delay(d) => {
                     self.procs[i].pc = pc + 1;
                     self.procs[i].status = ProcStatus::Waiting;
                     self.seq += 1;
                     // A wake-up beyond `u64::MAX` waits there instead of
-                    // wrapping `$time` backwards: past `max_time`, where the
+                    // wrapping time backwards: past `max_time`, where the
                     // run ends.
                     self.timed.push(std::cmp::Reverse((
                         self.time.saturating_add(*d),
@@ -697,30 +673,18 @@ impl SimState {
         }
     }
 
-    /// The target of a `case` dispatch: the first arm with a matching
-    /// label, else `default`.
-    fn case_target(
-        &self,
-        expr: &RExpr,
-        kind: crate::ast::CaseKind,
-        arms: &[(Vec<RExpr>, usize)],
-        default: usize,
-    ) -> usize {
-        let store = self.store();
+    /// The target of a `case` dispatch: the first arm with a label that
+    /// matches exactly, else `default`.
+    fn case_target(&self, expr: &RExpr, arms: &[(Vec<RExpr>, usize)], default: usize) -> usize {
+        let store = &self.values;
         let sel_w = arms
             .iter()
             .flat_map(|(ls, _)| ls.iter().map(|l| l.width))
             .fold(expr.width, usize::max);
-        let sel = eval(expr, sel_w, &store);
+        let sel = eval(expr, sel_w, store);
         for (labels, t) in arms {
             for l in labels {
-                let lv = eval(l, sel_w, &store);
-                let hit = match kind {
-                    crate::ast::CaseKind::Case => sel.eq_case(&lv) == Bit::One,
-                    crate::ast::CaseKind::Casez => sel.casez_match(&lv),
-                    crate::ast::CaseKind::Casex => sel.casex_match(&lv),
-                };
-                if hit {
+                if sel.eq_case(&eval(l, sel_w, store)) == Bit::One {
                     return *t;
                 }
             }
@@ -907,7 +871,7 @@ impl SimState {
                     if pc != head && !reads_only_as_index(cond, var, indices) {
                         break None;
                     }
-                    let t = eval(cond, cond.width, &self.store()).truthy();
+                    let t = eval(cond, cond.width, &self.values).truthy();
                     if t == Bit::One {
                         pc + 1
                     } else {
@@ -927,7 +891,6 @@ impl SimState {
                 Instr::Jump(target) => *target,
                 Instr::CaseJump {
                     expr,
-                    kind,
                     arms,
                     default,
                 } => {
@@ -939,7 +902,7 @@ impl SimState {
                     {
                         break None;
                     }
-                    self.case_target(expr, *kind, arms, *default)
+                    self.case_target(expr, arms, *default)
                 }
                 _ => break None,
             };
@@ -1041,7 +1004,7 @@ impl SimState {
         let slot = var.0 as usize;
         let probe = LogicVec::from_u64(self.values[slot].width(), value);
         let actual = std::mem::replace(&mut self.values[slot], probe);
-        let out = eval(e, e.width, &self.store());
+        let out = eval(e, e.width, &self.values);
         self.values[slot] = actual;
         out
     }
@@ -1052,16 +1015,13 @@ impl SimState {
     fn print(&mut self, args: &[RSysArg], record: Option<usize>) {
         let capture = match record {
             Some(format) => {
-                let store = ValueStore {
-                    values: &self.values,
-                    time: self.time,
-                };
+                let store = &self.values;
                 let start = self.record_values.len();
                 // The elaborator marks a record display only when every
                 // argument after its format is an expression.
                 self.record_values
                     .extend(args[1..].iter().filter_map(|a| match a {
-                        RSysArg::Expr(e) => Some(eval(e, e.width, &store)),
+                        RSysArg::Expr(e) => Some(eval(e, e.width, store)),
                         RSysArg::Str(_) => None,
                     }));
                 Capture::Record { format, start }
@@ -1076,7 +1036,7 @@ impl SimState {
     }
 
     fn render(&self, args: &[RSysArg]) -> String {
-        let store = self.store();
+        let store = &self.values;
         let (fmt, rest): (&str, &[RSysArg]) = match args.first() {
             Some(RSysArg::Str(s)) => (s, &args[1..]),
             _ => {
@@ -1084,7 +1044,7 @@ impl SimState {
                 let mut parts = Vec::new();
                 for a in args {
                     if let RSysArg::Expr(e) = a {
-                        parts.push(eval(e, e.width, &store).to_decimal_string());
+                        parts.push(eval(e, e.width, store).to_decimal_string());
                     }
                 }
                 return parts.join(" ");
@@ -1093,7 +1053,7 @@ impl SimState {
         let values: Vec<LogicVec> = rest
             .iter()
             .filter_map(|a| match a {
-                RSysArg::Expr(e) => Some(eval(e, e.width, &store)),
+                RSysArg::Expr(e) => Some(eval(e, e.width, store)),
                 RSysArg::Str(_) => None,
             })
             .collect();
@@ -1118,7 +1078,7 @@ impl SimState {
                 Ok(())
             }
             RLValue::Bit(s, idx) => {
-                let i = eval(idx, idx.width, &self.store());
+                let i = eval(idx, idx.width, &self.values);
                 if let Some(i) = i.to_u64() {
                     let width = design.signal(*s).width;
                     if (i as usize) < width {
@@ -1128,7 +1088,7 @@ impl SimState {
                 Ok(())
             }
             RLValue::IndexedPart(s, base, w) => {
-                let b = eval(base, base.width, &self.store());
+                let b = eval(base, base.width, &self.values);
                 if let Some(lo) = b.to_u64() {
                     self.commit_bits(*s, lo as usize, &value.slice(0, *w));
                 }
@@ -1165,7 +1125,7 @@ impl SimState {
                 Ok(())
             }
             RLValue::Bit(s, idx) => {
-                let i = eval(idx, idx.width, &self.store());
+                let i = eval(idx, idx.width, &self.values);
                 if let Some(i) = i.to_u64() {
                     let width = design.signal(*s).width;
                     if (i as usize) < width {
@@ -1175,7 +1135,7 @@ impl SimState {
                 Ok(())
             }
             RLValue::IndexedPart(s, base, w) => {
-                let b = eval(base, base.width, &self.store());
+                let b = eval(base, base.width, &self.values);
                 if let Some(lo) = b.to_u64() {
                     self.nba.push((*s, lo as usize, value.slice(0, *w)));
                 }
@@ -1241,9 +1201,8 @@ impl SimState {
                 }
                 Watcher::Process { idx, edge } => {
                     let fire = match edge {
-                        crate::ast::Edge::Any => true,
-                        crate::ast::Edge::Pos => old_lsb != Bit::One && new_lsb == Bit::One,
-                        crate::ast::Edge::Neg => old_lsb != Bit::Zero && new_lsb == Bit::Zero,
+                        Edge::Any => true,
+                        Edge::Pos => old_lsb != Bit::One && new_lsb == Bit::One,
                     };
                     if fire && self.procs[idx].status == ProcStatus::Waiting {
                         self.procs[idx].status = ProcStatus::Ready;
@@ -1380,7 +1339,7 @@ fn reads_only_as_index<'d>(
     indices: &mut Vec<(&'d RExpr, SignalId)>,
 ) -> bool {
     match &e.kind {
-        RExprKind::Lit(_) | RExprKind::Time => true,
+        RExprKind::Lit(_) => true,
         RExprKind::Sig(s) | RExprKind::Part(s, ..) => *s != var,
         RExprKind::Bit(s, idx) | RExprKind::IndexedPart(s, idx, _) => {
             *s != var && index_reads(*s, idx, var, indices)
@@ -1524,21 +1483,21 @@ mod tests {
         // a and b start x; ~x = x, so this particular loop actually
         // settles. Make a real oscillator with known values instead.
         assert!(r.is_ok());
-        // A ring that escapes the x fixpoint via ===, then oscillates.
+        // A NAND ring: a known `en = 0` lifts `a` out of x, and `en = 1`
+        // at time 1 makes it oscillate.
         let r2 = run_source(
-            "module tb;\nwire a, b;\nassign a = (b === 1'bx) ? 1'b0 : ~b;\nassign b = a;\ninitial #1 $finish;\nendmodule",
+            "module tb;\nreg en;\nwire a;\nassign a = ~(a & en);\ninitial begin en = 0; #1 en = 1; end\ninitial #2 $finish;\nendmodule",
             "tb",
         );
         match r2 {
-            Err(crate::error::VerilogError::Sim(SimError::DeltaOverflow { .. })) => {}
-            other => panic!("expected delta overflow, got {other:?}"),
+            Err(crate::error::VerilogError::Sim(SimError::DeltaOverflow { time: 1 })) => {}
+            other => panic!("expected delta overflow at time 1, got {other:?}"),
         }
     }
 
     #[test]
     fn zero_delay_runaway_caught_with_detection_on_and_off() {
-        let src =
-            "module tb;\nreg x;\ninitial begin x = 0; forever begin #0; x = ~x; end end\nendmodule";
+        let src = "module tb;\nreg x;\ninitial x = 0;\nalways #0 x = ~x;\nendmodule";
         // #0 delays still advance the queue at the same time; the step
         // budget eventually trips.
         let design = design_of(src);
@@ -1977,7 +1936,7 @@ mod tests {
         // `5 + (2^64 - 1)` would wrap to 4 and run time backwards; the
         // wake-up lands past `max_time` instead, where the run ends.
         let out = run(
-            "module tb;\nreg a;\ninitial begin\na = 0;\n#5 a = 1;\n#18446744073709551615 a = 0;\n$display(\"t=%0d\", $time);\n$finish;\nend\nendmodule",
+            "module tb;\nreg a;\ninitial begin\na = 0;\n#5 a = 1;\n#18446744073709551615 a = 0;\n$display(\"t=%0t\");\n$finish;\nend\nendmodule",
             "tb",
         );
         assert!(out.lines().is_empty(), "{:?}", out.lines());
@@ -2001,15 +1960,6 @@ mod tests {
             "tb",
         );
         assert_eq!(out.lines(), vec!["1", "2", "15"]);
-    }
-
-    #[test]
-    fn event_wait_in_initial() {
-        let out = run(
-            "module tb;\nreg clk = 0;\nalways #5 clk = ~clk;\ninitial begin\n@(posedge clk);\n$display(\"t=%0d\", $time);\n@(posedge clk);\n$display(\"t=%0d\", $time);\n$finish;\nend\nendmodule",
-            "tb",
-        );
-        assert_eq!(out.lines(), vec!["t=5", "t=15"]);
     }
 
     #[test]

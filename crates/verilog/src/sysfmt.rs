@@ -62,7 +62,8 @@ pub fn format_display(fmt: &str, args: &[LogicVec], time: u64) -> String {
                 Some(v) => out.push_str(&v.to_hex_string()),
             },
             't' | 'T' => {
-                // Time directives consume an argument (typically $time).
+                // A time directive prints its argument, or with none left
+                // the simulation time.
                 match args_iter.next() {
                     None => out.push_str(&time.to_string()),
                     Some(v) => out.push_str(&v.to_decimal_string()),

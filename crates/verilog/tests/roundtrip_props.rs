@@ -47,18 +47,28 @@ proptest! {
         prop_assert_eq!(printed, reprinted);
     }
 
-    #[test]
-    fn mutants_still_elaborate(problem_idx in 0usize..156, seed: u64) {
-        let problems = correctbench_dataset::all_problems();
-        let p = &problems[problem_idx];
-        let mut file = parse(&p.golden_rtl).expect("golden parses");
-        let mut rng = StdRng::seed_from_u64(seed);
-        if let Some(m) = file.module_mut(&p.name) {
-            mutate_module(m, &mut rng, 2);
+}
+
+/// Every golden, mutated at 32 seeds once with one mutation and once with
+/// two: each mutant prints, reparses and elaborates.
+#[test]
+fn mutants_still_elaborate() {
+    for p in correctbench_dataset::all_problems() {
+        let golden = parse(&p.golden_rtl).expect("golden parses");
+        for seed in 0..32u64 {
+            for n in [1, 2] {
+                let mut file = golden.clone();
+                let mut rng = StdRng::seed_from_u64(seed);
+                if let Some(m) = file.module_mut(&p.name) {
+                    mutate_module(m, &mut rng, n);
+                }
+                let printed = print_file(&file);
+                let at = format!("{} seed {seed}, {n} mutations", p.name);
+                let reparsed = parse(&printed)
+                    .unwrap_or_else(|e| panic!("{at}: mutant does not reparse: {e}\n{printed}"));
+                correctbench_verilog::elaborate(&reparsed, &p.name)
+                    .unwrap_or_else(|e| panic!("{at}: mutant does not elaborate: {e}\n{printed}"));
+            }
         }
-        let printed = print_file(&file);
-        let reparsed = parse(&printed).expect("mutant parses");
-        correctbench_verilog::elaborate(&reparsed, &p.name)
-            .unwrap_or_else(|e| panic!("mutant does not elaborate: {e}\n{printed}"));
     }
 }

@@ -27,13 +27,14 @@ module tb;
     reg rst;
     wire [3:0] g;
     gray_counter dut (.clk(clk), .rst(rst), .g(g));
+    integer i;
     always #5 clk = ~clk;
     initial begin
         rst = 1;
         #10 rst = 0;
-        repeat (8) begin
-            #10 $display("t=%0t gray=%b", $time, g);
-        end
+        // `%0t` with no argument left prints the simulation time.
+        for (i = 0; i < 8; i = i + 1)
+            #10 $display("gray=%b t=%0t", g);
         $finish;
     end
 endmodule
@@ -53,7 +54,10 @@ fn main() {
     // Successive Gray codes differ in exactly one bit.
     let codes: Vec<u32> = lines
         .iter()
-        .map(|l| u32::from_str_radix(l.rsplit('=').next().expect("value"), 2).expect("binary"))
+        .map(|l| {
+            let bits = l.strip_prefix("gray=").and_then(|r| r.split(' ').next());
+            u32::from_str_radix(bits.expect("gray field"), 2).expect("binary")
+        })
         .collect();
     for w in codes.windows(2) {
         assert_eq!((w[0] ^ w[1]).count_ones(), 1, "gray property violated");
