@@ -1,37 +1,60 @@
 //! Tokenizer for the supported Verilog subset.
+//!
+//! [`lex`] tokenizes the whole file before the parser starts, so a
+//! malformed literal anywhere outranks an earlier syntax error. A
+//! [`Token`] is a `Copy` [`Kind`] plus the slice of the source it spans,
+//! and a [`SpannedToken`] adds the token's `u32` byte offset: 32 bytes in
+//! all, with no allocation. Identifiers and system names borrow their
+//! text until the parser copies it, once, into the AST. A string
+//! literal's text is its raw body, which the parser unescapes. Number
+//! literals are decoded and checked here, digit group by digit group
+//! straight into the planes of a [`LogicVec`], and kept in
+//! [`Lexed::numbers`]; their token holds the index.
+//!
+//! No line or column is tracked while lexing: [`span_at`] computes them
+//! from a byte offset when an error is built.
 
 use crate::error::{ParseError, Span};
-use crate::logic::{Bit, LogicVec};
+use crate::logic::LogicVec;
 use std::fmt;
 
-/// A lexical token.
-#[derive(Clone, PartialEq, Debug)]
-pub enum Token {
-    /// Identifier or escaped identifier.
-    Ident(String),
+/// What a token is. Its text is [`Token::text`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Kind {
+    /// Identifier; the text of an escaped one omits the backslash.
+    Ident,
     /// A language keyword (`module`, `always`, ...).
     Keyword(Keyword),
-    /// A sized or unsized number literal, e.g. `4'b1010`, `10`, `8'hFF`.
-    Number(NumberLit),
-    /// A string literal (quotes stripped, escapes resolved).
-    Str(String),
+    /// A number literal, e.g. `4'b1010`, `10`, `8'hFF`: its value is
+    /// entry `i` of [`Lexed::numbers`].
+    Number(u32),
+    /// A string literal; the text is the raw body between the quotes.
+    Str,
     /// A system task or function name including the `$`, e.g. `$display`.
-    SysName(String),
+    SysName,
     /// Punctuation and operators.
     Punct(Punct),
 }
 
-impl fmt::Display for Token {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Token::Ident(s) => write!(f, "{s}"),
-            Token::Keyword(k) => write!(f, "{k}"),
-            Token::Number(n) => write!(f, "{n}"),
-            Token::Str(s) => write!(f, "\"{s}\""),
-            Token::SysName(s) => write!(f, "{s}"),
-            Token::Punct(p) => write!(f, "{p}"),
-        }
+impl From<Keyword> for Kind {
+    fn from(k: Keyword) -> Kind {
+        Kind::Keyword(k)
     }
+}
+
+impl From<Punct> for Kind {
+    fn from(p: Punct) -> Kind {
+        Kind::Punct(p)
+    }
+}
+
+/// A lexical token: its kind and the source text it covers.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Token<'a> {
+    /// The kind.
+    pub kind: Kind,
+    /// The text (see [`Kind`] for what it covers).
+    pub text: &'a str,
 }
 
 macro_rules! keywords {
@@ -171,13 +194,14 @@ puncts! {
     MinusColon => "-:",
 }
 
-/// A token together with its source span.
-#[derive(Clone, Debug)]
-pub struct SpannedToken {
+/// A token and the byte offset where it starts.
+#[derive(Clone, Copy, Debug)]
+pub struct SpannedToken<'a> {
     /// The token.
-    pub token: Token,
-    /// Where it came from.
-    pub span: Span,
+    pub token: Token<'a>,
+    /// Byte offset of its first character; [`span_at`] turns it into a
+    /// line and column.
+    pub offset: u32,
 }
 
 /// A number literal: optional size, base, and four-state digits.
@@ -200,11 +224,26 @@ impl fmt::Display for NumberLit {
     }
 }
 
-struct Lexer<'a> {
-    src: &'a [u8],
-    pos: usize,
-    line: u32,
-    col: u32,
+/// A lexed file: its tokens, and the values of its number literals.
+#[derive(Debug)]
+pub struct Lexed<'a> {
+    /// Tokens in source order.
+    pub tokens: Vec<SpannedToken<'a>>,
+    /// Number literal values, indexed by [`Kind::Number`].
+    pub numbers: Vec<NumberLit>,
+}
+
+/// The 1-based line and column (in bytes) of byte `offset` of `src`.
+pub fn span_at(src: &str, offset: usize) -> Span {
+    let before = &src.as_bytes()[..offset.min(src.len())];
+    let line_start = before
+        .iter()
+        .rposition(|&c| c == b'\n')
+        .map_or(0, |i| i + 1);
+    Span {
+        line: 1 + before.iter().filter(|&&c| c == b'\n').count() as u32,
+        col: 1 + (before.len() - line_start) as u32,
+    }
 }
 
 /// Tokenizes `src`.
@@ -213,564 +252,378 @@ struct Lexer<'a> {
 ///
 /// Returns [`ParseError`] on malformed literals, unterminated strings or
 /// comments, and characters outside the supported grammar.
-pub fn lex(src: &str) -> Result<Vec<SpannedToken>, ParseError> {
-    let mut lx = Lexer {
-        src: src.as_bytes(),
-        pos: 0,
-        line: 1,
-        col: 1,
-    };
-    let mut out = Vec::new();
-    while let Some(tok) = lx.next_token()? {
-        out.push(tok);
+pub fn lex(src: &str) -> Result<Lexed<'_>, ParseError> {
+    if u32::try_from(src.len()).is_err() {
+        return Err(ParseError::new(Span::default(), "source exceeds 4 GiB"));
     }
-    Ok(out)
+    let mut lx = Lexer {
+        src,
+        pos: 0,
+        numbers: Vec::new(),
+    };
+    let mut tokens = Vec::with_capacity(src.len() / 4);
+    while let Some(tok) = lx.next_token()? {
+        tokens.push(tok);
+    }
+    Ok(Lexed {
+        tokens,
+        numbers: lx.numbers,
+    })
+}
+
+struct Lexer<'a> {
+    src: &'a str,
+    pos: usize,
+    numbers: Vec<NumberLit>,
+}
+
+fn is_ident_char(c: u8) -> bool {
+    c.is_ascii_alphanumeric() || c == b'_' || c == b'$'
 }
 
 impl<'a> Lexer<'a> {
-    fn span(&self) -> Span {
-        Span {
-            line: self.line,
-            col: self.col,
+    fn err(&self, at: usize, msg: &str) -> ParseError {
+        ParseError::new(span_at(self.src, at), msg)
+    }
+
+    fn at(&self, i: usize) -> Option<u8> {
+        self.src.as_bytes().get(self.pos + i).copied()
+    }
+
+    /// Consumes the bytes that satisfy `f` and returns them.
+    fn eat_while(&mut self, f: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        while self.at(0).is_some_and(&f) {
+            self.pos += 1;
         }
+        &self.src[start..self.pos]
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
-
-    fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let c = self.peek()?;
-        self.pos += 1;
-        if c == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(c)
+    /// Skips to the end of the line, leaving the newline.
+    fn skip_line(&mut self) {
+        self.pos = self.src[self.pos..]
+            .find('\n')
+            .map_or(self.src.len(), |i| self.pos + i);
     }
 
     fn skip_trivia(&mut self) -> Result<(), ParseError> {
         loop {
-            match self.peek() {
-                Some(c) if c.is_ascii_whitespace() => {
-                    self.bump();
-                }
-                Some(b'/') if self.peek2() == Some(b'/') => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
-                Some(b'/') if self.peek2() == Some(b'*') => {
-                    let start = self.span();
-                    self.bump();
-                    self.bump();
-                    loop {
-                        match self.peek() {
-                            None => {
-                                return Err(ParseError::new(start, "unterminated block comment"))
-                            }
-                            Some(b'*') if self.peek2() == Some(b'/') => {
-                                self.bump();
-                                self.bump();
-                                break;
-                            }
-                            _ => {
-                                self.bump();
-                            }
-                        }
-                    }
-                }
-                Some(b'`') => {
-                    // Compiler directives (`timescale etc.) are skipped to
-                    // end of line.
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
+            match (self.at(0), self.at(1)) {
+                (Some(c), _) if c.is_ascii_whitespace() => self.pos += 1,
+                // Compiler directives (`timescale etc.) are skipped to end
+                // of line.
+                (Some(b'/'), Some(b'/')) | (Some(b'`'), _) => self.skip_line(),
+                (Some(b'/'), Some(b'*')) => match self.src[self.pos + 2..].find("*/") {
+                    Some(i) => self.pos += i + 4,
+                    None => return Err(self.err(self.pos, "unterminated block comment")),
+                },
                 _ => return Ok(()),
             }
         }
     }
 
-    fn next_token(&mut self) -> Result<Option<SpannedToken>, ParseError> {
+    fn next_token(&mut self) -> Result<Option<SpannedToken<'a>>, ParseError> {
         self.skip_trivia()?;
-        let span = self.span();
-        let Some(c) = self.peek() else {
+        let start = self.pos;
+        let Some(c) = self.at(0) else {
             return Ok(None);
         };
-        let token = match c {
-            b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.ident_or_keyword(),
-            b'0'..=b'9' => self.number(span)?,
-            b'\'' => self.based_number(span, None)?,
-            b'"' => self.string(span)?,
-            b'$' => self.sysname(),
-            b'\\' => self.escaped_ident(span)?,
-            _ => self.punct(span)?,
+        let kind = match c {
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                Keyword::from_str(self.eat_while(is_ident_char)).map_or(Kind::Ident, Kind::Keyword)
+            }
+            b'0'..=b'9' => self.number(start)?,
+            b'\'' => self.based_number(start, None)?,
+            b'"' => self.string(start)?,
+            b'$' => {
+                self.pos += 1;
+                self.eat_while(|c| c.is_ascii_alphanumeric() || c == b'_');
+                Kind::SysName
+            }
+            b'\\' => {
+                self.pos += 1;
+                if self.eat_while(|c| !c.is_ascii_whitespace()).is_empty() {
+                    return Err(self.err(start, "empty escaped identifier"));
+                }
+                Kind::Ident
+            }
+            _ => Kind::Punct(self.punct(start)?),
         };
-        Ok(Some(SpannedToken { token, span }))
-    }
-
-    fn ident_or_keyword(&mut self) -> Token {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == b'_' || c == b'$' {
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.src[start..self.pos])
-            .expect("identifier bytes are ascii")
-            .to_string();
-        match Keyword::from_str(&text) {
-            Some(k) => Token::Keyword(k),
-            None => Token::Ident(text),
-        }
-    }
-
-    fn escaped_ident(&mut self, span: Span) -> Result<Token, ParseError> {
-        self.bump(); // backslash
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_whitespace() {
-                break;
-            }
-            self.bump();
-        }
-        if start == self.pos {
-            return Err(ParseError::new(span, "empty escaped identifier"));
-        }
-        let text = std::str::from_utf8(&self.src[start..self.pos])
-            .map_err(|_| ParseError::new(span, "non-ascii escaped identifier"))?
-            .to_string();
-        Ok(Token::Ident(text))
-    }
-
-    fn sysname(&mut self) -> Token {
-        let start = self.pos;
-        self.bump(); // $
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == b'_' {
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        Token::SysName(
-            std::str::from_utf8(&self.src[start..self.pos])
-                .expect("sysname bytes are ascii")
-                .to_string(),
-        )
-    }
-
-    fn string(&mut self, span: Span) -> Result<Token, ParseError> {
-        self.bump(); // opening quote
-        let mut s = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(ParseError::new(span, "unterminated string literal")),
-                Some(b'"') => break,
-                Some(b'\\') => match self.bump() {
-                    Some(b'n') => s.push('\n'),
-                    Some(b't') => s.push('\t'),
-                    Some(b'\\') => s.push('\\'),
-                    Some(b'"') => s.push('"'),
-                    Some(c) => s.push(c as char),
-                    None => return Err(ParseError::new(span, "unterminated string escape")),
-                },
-                Some(c) => s.push(c as char),
-            }
-        }
-        Ok(Token::Str(s))
-    }
-
-    fn number(&mut self, span: Span) -> Result<Token, ParseError> {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() || c == b'_' {
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        let digits: String = std::str::from_utf8(&self.src[start..self.pos])
-            .expect("digits are ascii")
-            .chars()
-            .filter(|&c| c != '_')
-            .collect();
-        // A size prefix?
-        let mut save = *self;
-        self.skip_trivia()?;
-        if self.peek() == Some(b'\'') {
-            let size: usize = digits
-                .parse()
-                .map_err(|_| ParseError::new(span, "number size out of range"))?;
-            if size == 0 || size > 1_000_000 {
-                return Err(ParseError::new(span, "unreasonable literal size"));
-            }
-            return self.based_number(span, Some(size));
-        }
-        std::mem::swap(self, &mut save);
-        let v: u128 = digits
-            .parse()
-            .map_err(|_| ParseError::new(span, "decimal literal out of range"))?;
-        // Unsized decimal literals are signed per IEEE 1364 (this is what
-        // makes `for (i = 6; i >= 0; ...)` terminate).
-        Ok(Token::Number(NumberLit {
-            size: None,
-            signed: true,
-            value: LogicVec::from_u128(32.max(128 - v.leading_zeros() as usize), v),
+        let text = match kind {
+            Kind::Str => &self.src[start + 1..self.pos - 1],
+            Kind::Ident if c == b'\\' => &self.src[start + 1..self.pos],
+            _ => &self.src[start..self.pos],
+        };
+        Ok(Some(SpannedToken {
+            token: Token { kind, text },
+            offset: start as u32,
         }))
     }
 
-    fn based_number(&mut self, span: Span, size: Option<usize>) -> Result<Token, ParseError> {
-        self.bump(); // the quote
-        let mut signed = false;
-        let mut base = match self.bump() {
-            Some(c) => c.to_ascii_lowercase(),
-            None => return Err(ParseError::new(span, "truncated based literal")),
-        };
-        if base == b's' {
-            signed = true;
-            base = match self.bump() {
-                Some(c) => c.to_ascii_lowercase(),
-                None => return Err(ParseError::new(span, "truncated based literal")),
-            };
+    fn string(&mut self, start: usize) -> Result<Kind, ParseError> {
+        self.pos += 1; // opening quote
+        loop {
+            match self.at(0) {
+                None => return Err(self.err(start, "unterminated string literal")),
+                Some(b'"') => break,
+                Some(b'\\') if self.at(1).is_none() => {
+                    return Err(self.err(start, "unterminated string escape"))
+                }
+                Some(b'\\') => self.pos += 2,
+                Some(_) => self.pos += 1,
+            }
+        }
+        self.pos += 1;
+        Ok(Kind::Str)
+    }
+
+    fn number(&mut self, start: usize) -> Result<Kind, ParseError> {
+        let digits = self.eat_while(|c| c.is_ascii_digit() || c == b'_');
+        // A size prefix?
+        let end = self.pos;
+        self.skip_trivia()?;
+        if self.at(0) == Some(b'\'') {
+            let size = decimal(digits)
+                .and_then(|v| usize::try_from(v).ok())
+                .ok_or_else(|| self.err(start, "number size out of range"))?;
+            if size == 0 || size > 1_000_000 {
+                return Err(self.err(start, "unreasonable literal size"));
+            }
+            return self.based_number(start, Some(size));
+        }
+        self.pos = end;
+        let v = decimal(digits).ok_or_else(|| self.err(start, "decimal literal out of range"))?;
+        // Unsized decimal literals are signed per IEEE 1364 (this is what
+        // makes `for (i = 6; i >= 0; ...)` terminate).
+        let width = 32.max(128 - v.leading_zeros() as usize);
+        Ok(self.literal(None, true, LogicVec::from_u128(width, v)))
+    }
+
+    fn based_number(&mut self, start: usize, size: Option<usize>) -> Result<Kind, ParseError> {
+        self.pos += 1; // the quote
+        let mut base = self.at(0).map(|c| c.to_ascii_lowercase());
+        let signed = base == Some(b's');
+        if signed {
+            self.pos += 1;
+            base = self.at(0).map(|c| c.to_ascii_lowercase());
         }
         let radix_bits = match base {
-            b'b' => 1,
-            b'o' => 3,
-            b'h' => 4,
-            b'd' => 0,
-            _ => return Err(ParseError::new(span, "unknown number base")),
+            None => return Err(self.err(start, "truncated based literal")),
+            Some(b'b') => 1,
+            Some(b'o') => 3,
+            Some(b'h') => 4,
+            Some(b'd') => 0,
+            Some(_) => return Err(self.err(start, "unknown number base")),
         };
+        self.pos += 1;
         self.skip_trivia()?;
-        let dstart = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == b'_' || c == b'?' {
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        let digits: Vec<char> = std::str::from_utf8(&self.src[dstart..self.pos])
-            .expect("digits are ascii")
-            .chars()
-            .filter(|&c| c != '_')
-            .collect();
-        if digits.is_empty() {
-            return Err(ParseError::new(span, "based literal with no digits"));
+        let digits = self.eat_while(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'?');
+        if digits.bytes().all(|c| c == b'_') {
+            return Err(self.err(start, "based literal with no digits"));
         }
         let value = if radix_bits == 0 {
-            let text: String = digits.iter().collect();
-            let v: u128 = text
-                .parse()
-                .map_err(|_| ParseError::new(span, "bad decimal digits in based literal"))?;
-            let w = size.unwrap_or(32);
-            LogicVec::from_u128(w, v)
+            let v = decimal(digits)
+                .ok_or_else(|| self.err(start, "bad decimal digits in based literal"))?;
+            LogicVec::from_u128(size.unwrap_or(32), v)
         } else {
-            let mut bits: Vec<Bit> = Vec::new();
-            for ch in &digits {
-                match ch.to_ascii_lowercase() {
-                    'x' => bits.extend(std::iter::repeat_n(Bit::X, radix_bits)),
-                    'z' | '?' => bits.extend(std::iter::repeat_n(Bit::Z, radix_bits)),
-                    c => {
-                        let d = c
-                            .to_digit(16)
-                            .ok_or_else(|| ParseError::new(span, "bad digit in literal"))?;
-                        if d >= (1 << radix_bits) {
-                            return Err(ParseError::new(span, "digit too large for base"));
-                        }
-                        for i in (0..radix_bits).rev() {
-                            bits.push(if (d >> i) & 1 == 1 {
-                                Bit::One
-                            } else {
-                                Bit::Zero
-                            });
-                        }
-                    }
-                }
-            }
-            let natural = LogicVec::from_bits_msb_first(&bits);
-            match size {
-                Some(s) => {
-                    // Verilog pads with the leading digit when it is x/z,
-                    // else zero-pads; truncates from the left when too long.
-                    if s >= natural.width() {
-                        let pad = match bits.first() {
-                            Some(Bit::X) => Bit::X,
-                            Some(Bit::Z) => Bit::Z,
-                            _ => Bit::Zero,
-                        };
-                        let mut v = natural.zero_extend(s);
-                        if pad != Bit::Zero {
-                            for i in natural.width()..s {
-                                v.set_bit(i, pad);
-                            }
-                        }
-                        v
-                    } else {
-                        natural.slice(0, s)
-                    }
-                }
-                None => natural.zero_extend(32.max(natural.width())),
-            }
+            planes(digits, radix_bits, size).map_err(|msg| self.err(start, msg))?
         };
-        Ok(Token::Number(NumberLit {
+        Ok(self.literal(size, signed, value))
+    }
+
+    fn literal(&mut self, size: Option<usize>, signed: bool, value: LogicVec) -> Kind {
+        self.numbers.push(NumberLit {
             size,
             signed,
             value,
-        }))
+        });
+        Kind::Number(self.numbers.len() as u32 - 1)
     }
 
-    fn punct(&mut self, span: Span) -> Result<Token, ParseError> {
+    fn punct(&mut self, start: usize) -> Result<Punct, ParseError> {
         use Punct::*;
-        let c = self.bump().expect("peeked");
-        let p = match c {
-            b'(' => LParen,
-            b')' => RParen,
-            b'[' => LBracket,
-            b']' => RBracket,
-            b'{' => LBrace,
-            b'}' => RBrace,
-            b';' => Semi,
-            b',' => Comma,
-            b'.' => Dot,
-            b'@' => At,
-            b'#' => Hash,
-            b'?' => Question,
-            b':' => Colon,
-            b'+' => {
-                if self.peek() == Some(b':') {
-                    self.bump();
-                    PlusColon
-                } else {
-                    Plus
-                }
-            }
-            b'-' => {
-                if self.peek() == Some(b':') {
-                    self.bump();
-                    MinusColon
-                } else {
-                    Minus
-                }
-            }
-            b'*' => Star,
-            b'/' => Slash,
-            b'%' => Percent,
-            b'&' => {
-                if self.peek() == Some(b'&') {
-                    self.bump();
-                    AmpAmp
-                } else {
-                    Amp
-                }
-            }
-            b'|' => {
-                if self.peek() == Some(b'|') {
-                    self.bump();
-                    PipePipe
-                } else {
-                    Pipe
-                }
-            }
-            b'^' => {
-                if self.peek() == Some(b'~') {
-                    self.bump();
-                    TildeCaret
-                } else {
-                    Caret
-                }
-            }
-            b'~' => match self.peek() {
-                Some(b'^') => {
-                    self.bump();
-                    TildeCaret
-                }
-                Some(b'&') => {
-                    self.bump();
-                    TildeAmp
-                }
-                Some(b'|') => {
-                    self.bump();
-                    TildePipe
-                }
-                _ => Tilde,
-            },
-            b'!' => {
-                if self.peek() == Some(b'=') {
-                    self.bump();
-                    BangEq
-                } else {
-                    Bang
-                }
-            }
-            b'=' => {
-                if self.peek() == Some(b'=') {
-                    self.bump();
-                    EqEq
-                } else {
-                    Assign
-                }
-            }
-            b'<' => match self.peek() {
-                Some(b'=') => {
-                    self.bump();
-                    NonBlocking
-                }
-                Some(b'<') => {
-                    self.bump();
-                    Shl
-                }
-                _ => Lt,
-            },
-            b'>' => match (self.peek(), self.peek2()) {
-                (Some(b'='), _) => {
-                    self.bump();
-                    GtEq
-                }
-                (Some(b'>'), Some(b'>')) => {
-                    self.bump();
-                    self.bump();
-                    AShr
-                }
-                (Some(b'>'), _) => {
-                    self.bump();
-                    Shr
-                }
-                _ => Gt,
-            },
-            other => {
-                return Err(ParseError::new(
-                    span,
-                    format!("unexpected character {:?}", other as char),
-                ))
+        let (p, len) = match (self.at(0).expect("peeked"), self.at(1), self.at(2)) {
+            (b'>', Some(b'>'), Some(b'>')) => (AShr, 3),
+            (b'>', Some(b'>'), _) => (Shr, 2),
+            (b'>', Some(b'='), _) => (GtEq, 2),
+            (b'<', Some(b'<'), _) => (Shl, 2),
+            (b'<', Some(b'='), _) => (NonBlocking, 2),
+            (b'+', Some(b':'), _) => (PlusColon, 2),
+            (b'-', Some(b':'), _) => (MinusColon, 2),
+            (b'&', Some(b'&'), _) => (AmpAmp, 2),
+            (b'|', Some(b'|'), _) => (PipePipe, 2),
+            (b'^', Some(b'~'), _) | (b'~', Some(b'^'), _) => (TildeCaret, 2),
+            (b'~', Some(b'&'), _) => (TildeAmp, 2),
+            (b'~', Some(b'|'), _) => (TildePipe, 2),
+            (b'!', Some(b'='), _) => (BangEq, 2),
+            (b'=', Some(b'='), _) => (EqEq, 2),
+            (b'(', ..) => (LParen, 1),
+            (b')', ..) => (RParen, 1),
+            (b'[', ..) => (LBracket, 1),
+            (b']', ..) => (RBracket, 1),
+            (b'{', ..) => (LBrace, 1),
+            (b'}', ..) => (RBrace, 1),
+            (b';', ..) => (Semi, 1),
+            (b',', ..) => (Comma, 1),
+            (b'.', ..) => (Dot, 1),
+            (b'@', ..) => (At, 1),
+            (b'#', ..) => (Hash, 1),
+            (b'?', ..) => (Question, 1),
+            (b':', ..) => (Colon, 1),
+            (b'+', ..) => (Plus, 1),
+            (b'-', ..) => (Minus, 1),
+            (b'*', ..) => (Star, 1),
+            (b'/', ..) => (Slash, 1),
+            (b'%', ..) => (Percent, 1),
+            (b'&', ..) => (Amp, 1),
+            (b'|', ..) => (Pipe, 1),
+            (b'^', ..) => (Caret, 1),
+            (b'~', ..) => (Tilde, 1),
+            (b'!', ..) => (Bang, 1),
+            (b'=', ..) => (Assign, 1),
+            (b'<', ..) => (Lt, 1),
+            (b'>', ..) => (Gt, 1),
+            _ => {
+                let c = self.src[start..].chars().next().expect("peeked");
+                return Err(self.err(start, &format!("unexpected character {c:?}")));
             }
         };
-        Ok(Token::Punct(p))
+        self.pos += len;
+        Ok(p)
     }
 }
 
-impl Clone for Lexer<'_> {
-    fn clone(&self) -> Self {
-        *self
-    }
+/// The value of decimal digits with `_` separators, or `None` when one
+/// is not a digit or the value leaves `u128`.
+fn decimal(digits: &str) -> Option<u128> {
+    digits
+        .bytes()
+        .filter(|&c| c != b'_')
+        .try_fold(0u128, |v, c| {
+            let d = (c as char).to_digit(10)?;
+            v.checked_mul(10)?.checked_add(u128::from(d))
+        })
 }
-impl Copy for Lexer<'_> {}
+
+/// Decodes binary, octal or hex digits (`radix_bits` bits each, `_`
+/// skipped) into a value `size` bits wide, or for an unsized literal as
+/// wide as its digits and at least 32. Digits are shifted into a pair of
+/// plane words, which are written out whenever the next digit would not
+/// fit. A sized value keeps the low bits of its digits and, when its
+/// leading digit is `x` or `z`/`?`, pads with that; otherwise with zeros.
+fn planes(digits: &str, radix_bits: usize, size: Option<usize>) -> Result<LogicVec, &'static str> {
+    let digits = digits
+        .bytes()
+        .filter(|&c| c != b'_')
+        .map(|c| c.to_ascii_lowercase());
+    let natural = digits.clone().count() * radix_bits;
+    let mut value = match (size, digits.clone().next()) {
+        (Some(w), Some(b'x')) => LogicVec::filled_x(w),
+        (Some(w), Some(b'z' | b'?')) => LogicVec::filled_z(w),
+        (w, _) => LogicVec::zeros(w.unwrap_or(natural.max(32))),
+    };
+    let ones = (1u64 << radix_bits) - 1;
+    let (mut lo, mut n, mut val, mut unk) = (natural, 0, 0u64, 0u64);
+    for c in digits {
+        let (v, u) = match c {
+            b'x' => (0, ones),
+            b'z' | b'?' => (ones, ones),
+            _ => match (c as char).to_digit(16).map(u64::from) {
+                None => return Err("bad digit in literal"),
+                Some(d) if d > ones => return Err("digit too large for base"),
+                Some(d) => (d, 0),
+            },
+        };
+        if n + radix_bits > 64 {
+            value.set_planes(lo, n, val, unk);
+            (n, val, unk) = (0, 0, 0);
+        }
+        (val, unk) = ((val << radix_bits) | v, (unk << radix_bits) | u);
+        n += radix_bits;
+        lo -= radix_bits;
+    }
+    value.set_planes(lo, n, val, unk);
+    Ok(value)
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logic::Bit;
 
-    fn toks(src: &str) -> Vec<Token> {
+    fn toks(src: &str) -> Vec<Token<'_>> {
         lex(src)
             .expect("lex ok")
+            .tokens
             .into_iter()
             .map(|t| t.token)
             .collect()
     }
 
+    fn tok(kind: Kind, text: &str) -> Token<'_> {
+        Token { kind, text }
+    }
+
+    /// The number literals of `src`, in order.
+    fn numbers(src: &str) -> Vec<NumberLit> {
+        lex(src).expect("lex ok").numbers
+    }
+
+    #[test]
+    fn a_token_is_24_bytes_and_with_its_offset_32() {
+        assert_eq!(std::mem::size_of::<Token>(), 24);
+        assert_eq!(std::mem::size_of::<SpannedToken>(), 32);
+    }
+
     #[test]
     fn keywords_and_idents() {
         let t = toks("module foo_1 endmodule always_ff");
-        assert_eq!(t[0], Token::Keyword(Keyword::Module));
-        assert_eq!(t[1], Token::Ident("foo_1".into()));
-        assert_eq!(t[2], Token::Keyword(Keyword::Endmodule));
-        assert_eq!(t[3], Token::Ident("always_ff".into()));
+        assert_eq!(t[0], tok(Kind::Keyword(Keyword::Module), "module"));
+        assert_eq!(t[1], tok(Kind::Ident, "foo_1"));
+        assert_eq!(t[2], tok(Kind::Keyword(Keyword::Endmodule), "endmodule"));
+        assert_eq!(t[3], tok(Kind::Ident, "always_ff"));
     }
 
     #[test]
     fn numbers_sized() {
-        let t = toks("4'b1010 8'hFF 3'd5 12'o777 16'h_ab_cd");
-        match &t[0] {
-            Token::Number(n) => {
-                assert_eq!(n.size, Some(4));
-                assert_eq!(n.value.to_u64(), Some(0b1010));
-            }
-            other => panic!("expected number, got {other:?}"),
-        }
-        match &t[1] {
-            Token::Number(n) => assert_eq!(n.value.to_u64(), Some(0xff)),
-            other => panic!("expected number, got {other:?}"),
-        }
-        match &t[2] {
-            Token::Number(n) => {
-                assert_eq!(n.size, Some(3));
-                assert_eq!(n.value.to_u64(), Some(5));
-            }
-            other => panic!("expected number, got {other:?}"),
-        }
-        match &t[3] {
-            Token::Number(n) => assert_eq!(n.value.to_u64(), Some(0o777)),
-            other => panic!("expected number, got {other:?}"),
-        }
-        match &t[4] {
-            Token::Number(n) => assert_eq!(n.value.to_u64(), Some(0xabcd)),
-            other => panic!("expected number, got {other:?}"),
-        }
+        let n = numbers("4'b1010 8'hFF 3'd5 12'o777 16'h_ab_cd");
+        assert_eq!(n[0].size, Some(4));
+        assert_eq!(n[0].value.to_u64(), Some(0b1010));
+        assert_eq!(n[1].value.to_u64(), Some(0xff));
+        assert_eq!(n[2].size, Some(3));
+        assert_eq!(n[2].value.to_u64(), Some(5));
+        assert_eq!(n[3].value.to_u64(), Some(0o777));
+        assert_eq!(n[4].value.to_u64(), Some(0xabcd));
+        let kinds: Vec<Kind> = toks("4'b1010 8'hFF").iter().map(|t| t.kind).collect();
+        assert_eq!(kinds, [Kind::Number(0), Kind::Number(1)]);
     }
 
     #[test]
     fn numbers_with_x_and_z() {
-        let t = toks("4'b10xz 8'hxz 4'b? 1'bx");
-        match &t[0] {
-            Token::Number(n) => {
-                use crate::logic::Bit;
-                assert_eq!(n.value.bit(3), Bit::One);
-                assert_eq!(n.value.bit(2), Bit::Zero);
-                assert_eq!(n.value.bit(1), Bit::X);
-                assert_eq!(n.value.bit(0), Bit::Z);
-            }
-            other => panic!("expected number, got {other:?}"),
-        }
-        match &t[2] {
-            Token::Number(n) => {
-                use crate::logic::Bit;
-                // '?' pads with z
-                for i in 0..4 {
-                    assert_eq!(n.value.bit(i), Bit::Z);
-                }
-            }
-            other => panic!("expected number, got {other:?}"),
+        let n = numbers("4'b10xz 8'hxz 4'b? 1'bx");
+        assert_eq!(n[0].value.bit(3), Bit::One);
+        assert_eq!(n[0].value.bit(2), Bit::Zero);
+        assert_eq!(n[0].value.bit(1), Bit::X);
+        assert_eq!(n[0].value.bit(0), Bit::Z);
+        // '?' pads with z
+        for i in 0..4 {
+            assert_eq!(n[2].value.bit(i), Bit::Z);
         }
     }
 
     #[test]
     fn bare_decimal_is_32_bits() {
-        let t = toks("42");
-        match &t[0] {
-            Token::Number(n) => {
-                assert_eq!(n.size, None);
-                assert_eq!(n.value.width(), 32);
-                assert_eq!(n.value.to_u64(), Some(42));
-            }
-            other => panic!("expected number, got {other:?}"),
-        }
+        let n = numbers("42");
+        assert_eq!(n[0].size, None);
+        assert_eq!(n[0].value.width(), 32);
+        assert_eq!(n[0].value.to_u64(), Some(42));
     }
 
     #[test]
     fn size_with_space() {
-        let t = toks("8 'hA5");
-        match &t[0] {
-            Token::Number(n) => {
-                assert_eq!(n.size, Some(8));
-                assert_eq!(n.value.to_u64(), Some(0xa5));
-            }
-            other => panic!("expected number, got {other:?}"),
-        }
+        let n = numbers("8 'hA5");
+        assert_eq!(n[0].size, Some(8));
+        assert_eq!(n[0].value.to_u64(), Some(0xa5));
     }
 
     #[test]
@@ -793,7 +646,7 @@ mod tests {
             MinusColon,
         ];
         for (i, p) in expect.iter().enumerate() {
-            assert_eq!(t[i], Token::Punct(*p), "operator {i}");
+            assert_eq!(t[i].kind, Kind::Punct(*p), "operator {i}");
         }
     }
 
@@ -803,9 +656,9 @@ mod tests {
         assert_eq!(
             t,
             vec![
-                Token::Ident("a".into()),
-                Token::Ident("b".into()),
-                Token::Ident("c".into())
+                tok(Kind::Ident, "a"),
+                tok(Kind::Ident, "b"),
+                tok(Kind::Ident, "c")
             ]
         );
     }
@@ -813,15 +666,15 @@ mod tests {
     #[test]
     fn strings_with_escapes() {
         let t = toks(r#""hello\nworld" "a\"b""#);
-        assert_eq!(t[0], Token::Str("hello\nworld".into()));
-        assert_eq!(t[1], Token::Str("a\"b".into()));
+        assert_eq!(t[0], tok(Kind::Str, r"hello\nworld"));
+        assert_eq!(t[1], tok(Kind::Str, r#"a\"b"#));
     }
 
     #[test]
     fn sysnames() {
         let t = toks("$display $fdisplay $finish");
-        assert_eq!(t[0], Token::SysName("$display".into()));
-        assert_eq!(t[2], Token::SysName("$finish".into()));
+        assert_eq!(t[0], tok(Kind::SysName, "$display"));
+        assert_eq!(t[2], tok(Kind::SysName, "$finish"));
     }
 
     #[test]
@@ -832,19 +685,11 @@ mod tests {
 
     #[test]
     fn signed_literal() {
-        let t = toks("8'sb1010");
-        match &t[0] {
-            Token::Number(n) => assert!(n.signed),
-            other => panic!("expected number, got {other:?}"),
-        }
+        assert!(numbers("8'sb1010")[0].signed);
     }
 
     #[test]
     fn x_pad_to_size() {
-        let t = toks("8'bx");
-        match &t[0] {
-            Token::Number(n) => assert!(n.value.is_fully_unknown()),
-            other => panic!("expected number, got {other:?}"),
-        }
+        assert!(numbers("8'bx")[0].value.is_fully_unknown());
     }
 }

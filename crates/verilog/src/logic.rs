@@ -282,17 +282,6 @@ impl LogicVec {
         }
     }
 
-    /// Builds a vector from bits listed most-significant first, as they
-    /// appear in a Verilog binary literal.
-    pub fn from_bits_msb_first(bits: &[Bit]) -> Self {
-        assert!(!bits.is_empty(), "bit list must be non-empty");
-        let mut v = LogicVec::zeros(bits.len());
-        for (i, b) in bits.iter().rev().enumerate() {
-            v.set_bit(i, *b);
-        }
-        v
-    }
-
     /// The two plane word slices `(val, unk)`.
     #[inline]
     fn planes(&self) -> (&[u64], &[u64]) {
@@ -613,6 +602,17 @@ impl LogicVec {
             done += take;
         }
         changed
+    }
+
+    /// Overwrites bits `lo .. lo + n` (`n` ≤ 64) with the low `n` bits of
+    /// the plane words `val` and `unk`, dropping those at or above the
+    /// width. The lexer builds number literals with it, a digit group at a
+    /// time.
+    pub(crate) fn set_planes(&mut self, lo: usize, n: usize, val: u64, unk: u64) {
+        let n = n.min(self.width.saturating_sub(lo));
+        let (dv, du) = self.planes_mut();
+        copy_words_range(dv, lo, &[val], 0, n);
+        copy_words_range(du, lo, &[unk], 0, n);
     }
 
     /// Concatenation `{self, low}` — `self` becomes the high part.
@@ -1543,13 +1543,20 @@ mod tests {
     }
 
     #[test]
-    fn from_bits_msb_first_order() {
-        let v = LogicVec::from_bits_msb_first(&[Bit::One, Bit::Zero, Bit::X, Bit::One]);
-        assert_eq!(v.width(), 4);
-        assert_eq!(v.bit(3), Bit::One);
-        assert_eq!(v.bit(2), Bit::Zero);
-        assert_eq!(v.bit(1), Bit::X);
-        assert_eq!(v.bit(0), Bit::One);
+    fn set_planes_crosses_words_and_clips_to_the_width() {
+        let mut v = LogicVec::zeros(70);
+        // 1, 0, x, z from bit 63 upwards: the group straddles both words.
+        v.set_planes(62, 4, 0b1001, 0b1100);
+        assert_eq!(
+            [v.bit(62), v.bit(63), v.bit(64), v.bit(65)],
+            [Bit::One, Bit::Zero, Bit::X, Bit::Z]
+        );
+        assert_eq!(v.bit(61), Bit::Zero);
+        // Bits at or above the width are dropped.
+        let mut narrow = LogicVec::filled_x(4);
+        narrow.set_planes(2, 8, 0xff, 0);
+        narrow.set_planes(9, 4, 0xf, 0xf);
+        assert_eq!(narrow.to_binary_string(), "11xx");
     }
 
     // ---- representation invariant ----

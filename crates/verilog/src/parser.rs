@@ -21,10 +21,29 @@
 //! system functions (`$signed`, `$time`, ...), the operators `**`, `===`,
 //! `!==` and `<<<`, the reductions `~& ~| ~^`, `generate`, functions,
 //! tasks and ascending ranges in declarations.
+//!
+//! The parser walks the tokens [`lex`] made of the whole file. A token is
+//! a `Copy` kind and a slice of the source, so consuming one copies 24
+//! bytes; an identifier is copied into the AST, and a string literal
+//! unescaped, only as it is consumed. Binary operators are parsed by one
+//! precedence-climbing loop over ten levels. An error's line and column
+//! are computed from its token's byte offset ([`span_at`]) when the error
+//! is built.
+//!
+//! Nesting is bounded: past [`MAX_DEPTH`] levels of expressions,
+//! statements and lvalue concatenations the parse fails. Each binary
+//! operator that deepens its left operand counts as a level too, so the
+//! bound holds for the AST's depth. Every pass over the AST recurses, and
+//! jobs run on threads with 2 MiB stacks: without the bound one deeply
+//! nested text would overflow a stack and abort the whole run.
 
 use crate::ast::*;
 use crate::error::{ParseError, Span};
-use crate::lexer::{lex, Keyword, NumberLit, Punct, SpannedToken, Token};
+use crate::lexer::{lex, span_at, Keyword, Kind, Lexed, NumberLit, Punct, SpannedToken, Token};
+use std::fmt;
+
+/// The deepest nesting [`parse`] accepts (see the module docs).
+pub const MAX_DEPTH: usize = 256;
 
 /// Parses a complete source file.
 ///
@@ -46,8 +65,14 @@ use crate::lexer::{lex, Keyword, NumberLit, Punct, SpannedToken, Token};
 pub fn parse(src: &str) -> Result<SourceFile, ParseError> {
     let _span = correctbench_obs::span(correctbench_obs::Phase::Parse);
     correctbench_obs::add(correctbench_obs::Counter::ParseBytes, src.len() as u64);
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let Lexed { tokens, numbers } = lex(src)?;
+    let mut p = Parser {
+        src,
+        tokens,
+        numbers,
+        pos: 0,
+        depth: 0,
+    };
     let mut modules = Vec::new();
     while !p.at_end() {
         modules.push(p.module()?);
@@ -55,12 +80,77 @@ pub fn parse(src: &str) -> Result<SourceFile, ParseError> {
     Ok(SourceFile::new(modules))
 }
 
-struct Parser {
-    tokens: Vec<SpannedToken>,
+struct Parser<'a> {
+    src: &'a str,
+    tokens: Vec<SpannedToken<'a>>,
+    numbers: Vec<NumberLit>,
     pos: usize,
+    depth: usize,
 }
 
-impl Parser {
+/// The binary operator a token spells and its precedence level, from 0
+/// (`||`, loosest) to 9 (`* / %`, tightest). Every level is
+/// left-associative.
+fn binop(kind: Option<Kind>) -> Option<(BinaryOp, u8)> {
+    use BinaryOp::*;
+    use Punct as P;
+    let Some(Kind::Punct(p)) = kind else {
+        return None;
+    };
+    Some(match p {
+        P::PipePipe => (LogicOr, 0),
+        P::AmpAmp => (LogicAnd, 1),
+        P::Pipe => (Or, 2),
+        P::Caret => (Xor, 3),
+        P::TildeCaret => (Xnor, 3),
+        P::Amp => (And, 4),
+        P::EqEq => (Eq, 5),
+        P::BangEq => (Ne, 5),
+        P::Lt => (Lt, 6),
+        P::NonBlocking => (Le, 6), // `<=` in expression position
+        P::Gt => (Gt, 6),
+        P::GtEq => (Ge, 6),
+        P::Shl => (Shl, 7),
+        P::Shr => (Shr, 7),
+        P::AShr => (AShr, 7),
+        P::Plus => (Add, 8),
+        P::Minus => (Sub, 8),
+        P::Star => (Mul, 9),
+        P::Slash => (Div, 9),
+        P::Percent => (Mod, 9),
+        _ => return None,
+    })
+}
+
+/// A string literal's raw body with its escapes resolved: `\n` and `\t`,
+/// and any other character after a backslash as itself.
+fn unescape(raw: &str) -> String {
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        out.push(match c {
+            '\\' => match chars.next() {
+                Some('n') => '\n',
+                Some('t') => '\t',
+                Some(e) => e,
+                None => break,
+            },
+            c => c,
+        });
+    }
+    out
+}
+
+type Parsed<T> = Result<T, ParseError>;
+
+/// A select after a name: `[i]`, `[msb:lsb]` or `[base +: width]`.
+enum Select {
+    Bit(Box<Expr>),
+    Part(i64, i64),
+    IndexedPart(Box<Expr>, usize),
+}
+
+impl<'a> Parser<'a> {
     fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
@@ -68,31 +158,39 @@ impl Parser {
     fn span(&self) -> Span {
         self.tokens
             .get(self.pos.min(self.tokens.len().saturating_sub(1)))
-            .map_or_else(Span::default, |t| t.span)
+            .map_or_else(Span::default, |t| span_at(self.src, t.offset as usize))
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|t| &t.token)
+    fn peek(&self) -> Option<Kind> {
+        self.tokens.get(self.pos).map(|t| t.token.kind)
     }
 
-    fn peek_at(&self, n: usize) -> Option<&Token> {
-        self.tokens.get(self.pos + n).map(|t| &t.token)
-    }
-
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|t| t.token.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+    /// Consumes the token at the cursor, which the caller has peeked.
+    fn bump(&mut self) -> Token<'a> {
+        self.pos += 1;
+        self.tokens[self.pos - 1].token
     }
 
     fn err(&self, msg: impl Into<String>) -> ParseError {
         ParseError::new(self.span(), msg)
     }
 
-    fn eat_punct(&mut self, p: Punct) -> bool {
-        if self.peek() == Some(&Token::Punct(p)) {
+    /// How an error names the token at the cursor.
+    fn found(&self) -> String {
+        let Some(t) = self.tokens.get(self.pos).map(|t| t.token) else {
+            return "end of input".to_string();
+        };
+        match t.kind {
+            Kind::Ident | Kind::SysName => format!("`{}`", t.text),
+            Kind::Keyword(k) => format!("`{k}`"),
+            Kind::Number(i) => format!("`{}`", self.numbers[i as usize]),
+            Kind::Str => format!("`\"{}\"`", unescape(t.text)),
+            Kind::Punct(p) => format!("`{p}`"),
+        }
+    }
+
+    fn eat(&mut self, kind: impl Into<Kind>) -> bool {
+        if self.peek() == Some(kind.into()) {
             self.pos += 1;
             true
         } else {
@@ -100,79 +198,62 @@ impl Parser {
         }
     }
 
-    fn expect_punct(&mut self, p: Punct) -> Result<(), ParseError> {
-        if self.eat_punct(p) {
-            Ok(())
-        } else {
-            Err(self.err(format!(
-                "expected `{p}`, found {}",
-                self.peek()
-                    .map_or("end of input".to_string(), |t| format!("`{t}`"))
-            )))
+    fn expect<K: Into<Kind> + fmt::Display + Copy>(&mut self, kind: K) -> Parsed<()> {
+        if self.eat(kind) {
+            return Ok(());
         }
+        Err(self.err(format!("expected `{kind}`, found {}", self.found())))
     }
 
-    fn eat_keyword(&mut self, k: Keyword) -> bool {
-        if self.peek() == Some(&Token::Keyword(k)) {
-            self.pos += 1;
-            true
-        } else {
-            false
+    fn ident(&mut self) -> Parsed<String> {
+        if self.peek() != Some(Kind::Ident) {
+            return Err(self.err(format!("expected identifier, found {}", self.found())));
         }
+        Ok(self.bump().text.to_string())
     }
 
-    fn expect_keyword(&mut self, k: Keyword) -> Result<(), ParseError> {
-        if self.eat_keyword(k) {
-            Ok(())
-        } else {
-            Err(self.err(format!(
-                "expected `{k}`, found {}",
-                self.peek()
-                    .map_or("end of input".to_string(), |t| format!("`{t}`"))
-            )))
-        }
+    /// The number literal at the cursor, consumed.
+    fn number(&mut self) -> Parsed<&NumberLit> {
+        let Some(Kind::Number(i)) = self.peek() else {
+            return Err(self.err(format!("expected number, found {}", self.found())));
+        };
+        self.pos += 1;
+        Ok(&self.numbers[i as usize])
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek() {
-            Some(Token::Ident(_)) => {
-                let Some(Token::Ident(s)) = self.bump() else {
-                    unreachable!()
-                };
-                Ok(s)
-            }
-            other => Err(self.err(format!(
-                "expected identifier, found {}",
-                other.map_or("end of input".to_string(), |t| format!("`{t}`"))
-            ))),
+    /// Counts one more level of nesting, failing past [`MAX_DEPTH`].
+    fn enter(&mut self) -> Parsed<()> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
         }
+        Ok(())
     }
 
-    fn expect_number(&mut self) -> Result<NumberLit, ParseError> {
-        match self.peek() {
-            Some(Token::Number(_)) => {
-                let Some(Token::Number(n)) = self.bump() else {
-                    unreachable!()
-                };
-                Ok(n)
-            }
-            other => Err(self.err(format!(
-                "expected number, found {}",
-                other.map_or("end of input".to_string(), |t| format!("`{t}`"))
-            ))),
-        }
+    /// Runs `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Parsed<T>) -> Parsed<T> {
+        self.enter()?;
+        let parsed = f(self);
+        self.depth -= 1;
+        parsed
     }
 
-    fn const_int(&mut self) -> Result<i64, ParseError> {
+    /// One or more `f`s separated by commas.
+    fn comma_list<T>(&mut self, mut f: impl FnMut(&mut Self) -> Parsed<T>) -> Parsed<Vec<T>> {
+        let mut items = vec![f(self)?];
+        while self.eat(Punct::Comma) {
+            items.push(f(self)?);
+        }
+        Ok(items)
+    }
+
+    fn const_int(&mut self) -> Parsed<i64> {
         // Constant integer with optional leading minus (for ranges).
         // Bounds are clamped to ±2^31 so downstream width arithmetic
         // (`msb - lsb`, `lsb` rebasing) can never overflow an i64.
-        let neg = self.eat_punct(Punct::Minus);
-        let n = self.expect_number()?;
-        let v = n
-            .value
-            .to_u64()
-            .ok_or_else(|| self.err("range bound must be a known constant"))?;
+        let neg = self.eat(Punct::Minus);
+        let v = self.number()?.value.to_u64();
+        let v = v.ok_or_else(|| self.err("range bound must be a known constant"))?;
         if v > 1 << 31 {
             return Err(self.err("range bound out of range"));
         }
@@ -182,7 +263,7 @@ impl Parser {
 
     /// A part select's folded `msb`, held to [`Parser::const_int`]'s
     /// ±2^31 bound for the same reason.
-    fn part_msb(&self, first: &Expr) -> Result<i64, ParseError> {
+    fn part_msb(&self, first: &Expr) -> Parsed<i64> {
         let msb = const_expr_i64(first)
             .ok_or_else(|| self.err("part select bounds must be constants"))?;
         if msb.unsigned_abs() > 1 << 31 {
@@ -193,27 +274,18 @@ impl Parser {
 
     // ---- modules ----
 
-    fn module(&mut self) -> Result<Module, ParseError> {
-        self.expect_keyword(Keyword::Module)?;
-        let name = self.expect_ident()?;
+    fn module(&mut self) -> Parsed<Module> {
+        self.expect(Keyword::Module)?;
+        let name = self.ident()?;
         let mut port_order = Vec::new();
         let mut ports: Vec<PortDecl> = Vec::new();
-        if self.eat_punct(Punct::LParen) && !self.eat_punct(Punct::RParen) {
-            loop {
-                self.port_entry(&mut port_order, &mut ports)?;
-                if self.eat_punct(Punct::Comma) {
-                    continue;
-                }
-                self.expect_punct(Punct::RParen)?;
-                break;
-            }
+        if self.eat(Punct::LParen) && !self.eat(Punct::RParen) {
+            self.comma_list(|p| p.port_entry(&mut port_order, &mut ports))?;
+            self.expect(Punct::RParen)?;
         }
-        self.expect_punct(Punct::Semi)?;
+        self.expect(Punct::Semi)?;
         let mut items = Vec::new();
-        loop {
-            if self.eat_keyword(Keyword::Endmodule) {
-                break;
-            }
+        while !self.eat(Keyword::Endmodule) {
             if self.at_end() {
                 return Err(self.err("missing `endmodule`"));
             }
@@ -230,74 +302,60 @@ impl Parser {
     /// One entry of a module header: either a bare name (non-ANSI) or an
     /// ANSI declaration. ANSI declarations without a direction keyword
     /// reuse the previous entry's direction/type (`input a, b`).
-    fn port_entry(
-        &mut self,
-        order: &mut Vec<String>,
-        ports: &mut Vec<PortDecl>,
-    ) -> Result<(), ParseError> {
-        let dir = if self.eat_keyword(Keyword::Input) {
-            Some(Direction::Input)
-        } else if self.eat_keyword(Keyword::Output) {
-            Some(Direction::Output)
-        } else if self.peek() == Some(&Token::Keyword(Keyword::Inout)) {
+    fn port_entry(&mut self, order: &mut Vec<String>, ports: &mut Vec<PortDecl>) -> Parsed<()> {
+        let dir = if self.eat(Keyword::Input) {
+            Direction::Input
+        } else if self.eat(Keyword::Output) {
+            Direction::Output
+        } else if self.peek() == Some(Kind::Keyword(Keyword::Inout)) {
             return Err(self.err("inout ports are not supported"));
         } else {
-            None
+            // Non-ANSI: just a name; the declaration appears in the body.
+            order.push(self.ident()?);
+            return Ok(());
         };
-        match dir {
-            None => {
-                // Non-ANSI: just a name; the declaration appears in the body.
-                let name = self.expect_ident()?;
-                order.push(name);
-                Ok(())
+        let (net, signed, range) = self.port_type()?;
+        loop {
+            let name = self.ident()?;
+            order.push(name.clone());
+            ports.push(PortDecl {
+                name,
+                dir,
+                net,
+                signed,
+                range,
+            });
+            // Additional names share the declaration until the next
+            // direction keyword.
+            let next = self.tokens.get(self.pos + 1).map(|t| t.token.kind);
+            if self.peek() != Some(Kind::Punct(Punct::Comma)) || next != Some(Kind::Ident) {
+                return Ok(());
             }
-            Some(dir) => {
-                let net = if self.eat_keyword(Keyword::Reg) {
-                    NetKind::Reg
-                } else {
-                    self.eat_keyword(Keyword::Wire);
-                    NetKind::Wire
-                };
-                let signed = self.eat_keyword(Keyword::Signed);
-                let range = self.opt_range()?;
-                let name = self.expect_ident()?;
-                order.push(name.clone());
-                ports.push(PortDecl {
-                    name,
-                    dir,
-                    net,
-                    signed,
-                    range,
-                });
-                // Additional names share the declaration until the next
-                // direction keyword.
-                while self.peek() == Some(&Token::Punct(Punct::Comma))
-                    && matches!(self.peek_at(1), Some(Token::Ident(_)))
-                {
-                    self.bump(); // comma
-                    let name = self.expect_ident()?;
-                    order.push(name.clone());
-                    ports.push(PortDecl {
-                        name,
-                        dir,
-                        net,
-                        signed,
-                        range,
-                    });
-                }
-                Ok(())
-            }
+            self.pos += 1; // comma
         }
     }
 
-    fn opt_range(&mut self) -> Result<Option<Range>, ParseError> {
-        if !self.eat_punct(Punct::LBracket) {
+    /// What follows a port's direction: `reg` or `wire`, `signed`, and a
+    /// range.
+    fn port_type(&mut self) -> Parsed<(NetKind, bool, Option<Range>)> {
+        let net = if self.eat(Keyword::Reg) {
+            NetKind::Reg
+        } else {
+            self.eat(Keyword::Wire);
+            NetKind::Wire
+        };
+        let signed = self.eat(Keyword::Signed);
+        Ok((net, signed, self.opt_range()?))
+    }
+
+    fn opt_range(&mut self) -> Parsed<Option<Range>> {
+        if !self.eat(Punct::LBracket) {
             return Ok(None);
         }
         let msb = self.const_int()?;
-        self.expect_punct(Punct::Colon)?;
+        self.expect(Punct::Colon)?;
         let lsb = self.const_int()?;
-        self.expect_punct(Punct::RBracket)?;
+        self.expect(Punct::RBracket)?;
         if msb < lsb {
             return Err(self.err("ascending ranges are not supported"));
         }
@@ -309,108 +367,85 @@ impl Parser {
         items: &mut Vec<Item>,
         ports: &mut Vec<PortDecl>,
         port_order: &[String],
-    ) -> Result<(), ParseError> {
+    ) -> Parsed<()> {
+        use Keyword as K;
         match self.peek() {
-            Some(Token::Keyword(Keyword::Input)) | Some(Token::Keyword(Keyword::Output)) => {
-                self.non_ansi_port_decl(ports, port_order)
+            Some(Kind::Keyword(K::Input | K::Output)) => {
+                return self.non_ansi_port_decl(ports, port_order)
             }
-            Some(Token::Keyword(Keyword::Wire)) => {
-                self.bump();
-                let d = self.net_decl(NetKind::Wire)?;
-                items.push(Item::Net(d));
-                Ok(())
+            Some(Kind::Keyword(k @ (K::Wire | K::Reg | K::Integer))) => {
+                self.pos += 1;
+                let kind = match k {
+                    K::Wire => NetKind::Wire,
+                    K::Reg => NetKind::Reg,
+                    _ => NetKind::Integer,
+                };
+                items.push(Item::Net(self.net_decl(kind)?));
             }
-            Some(Token::Keyword(Keyword::Reg)) => {
-                self.bump();
-                let d = self.net_decl(NetKind::Reg)?;
-                items.push(Item::Net(d));
-                Ok(())
+            Some(Kind::Keyword(K::Assign)) => {
+                self.pos += 1;
+                let assigns = self.comma_list(|p| {
+                    let lhs = p.lvalue()?;
+                    p.expect(Punct::Assign)?;
+                    Ok(Item::Assign(AssignItem {
+                        lhs,
+                        rhs: p.expr()?,
+                    }))
+                })?;
+                items.extend(assigns);
+                self.expect(Punct::Semi)?;
             }
-            Some(Token::Keyword(Keyword::Integer)) => {
-                self.bump();
-                let d = self.net_decl(NetKind::Integer)?;
-                items.push(Item::Net(d));
-                Ok(())
-            }
-            Some(Token::Keyword(Keyword::Assign)) => {
-                self.bump();
-                loop {
-                    let lhs = self.lvalue()?;
-                    self.expect_punct(Punct::Assign)?;
-                    let rhs = self.expr()?;
-                    items.push(Item::Assign(AssignItem { lhs, rhs }));
-                    if !self.eat_punct(Punct::Comma) {
-                        break;
-                    }
-                }
-                self.expect_punct(Punct::Semi)?;
-                Ok(())
-            }
-            Some(Token::Keyword(Keyword::Always)) => {
-                self.bump();
-                let event = if self.eat_punct(Punct::At) {
+            Some(Kind::Keyword(K::Always)) => {
+                self.pos += 1;
+                let event = if self.eat(Punct::At) {
                     Some(self.event_control()?)
                 } else {
                     None
                 };
                 let body = self.stmt()?;
                 items.push(Item::Always(AlwaysBlock { event, body }));
-                Ok(())
             }
-            Some(Token::Keyword(Keyword::Initial)) => {
-                self.bump();
-                let body = self.stmt()?;
-                items.push(Item::Initial(body));
-                Ok(())
+            Some(Kind::Keyword(K::Initial)) => {
+                self.pos += 1;
+                items.push(Item::Initial(self.stmt()?));
             }
-            Some(Token::Ident(_)) => {
+            Some(Kind::Ident) => {
                 // Module instantiation: `mod inst ( ... );`
-                let module = self.expect_ident()?;
-                let name = self.expect_ident()?;
-                self.expect_punct(Punct::LParen)?;
+                let module = self.ident()?;
+                let name = self.ident()?;
+                self.expect(Punct::LParen)?;
                 let conns = self.connections()?;
-                self.expect_punct(Punct::RParen)?;
-                self.expect_punct(Punct::Semi)?;
+                self.expect(Punct::RParen)?;
+                self.expect(Punct::Semi)?;
                 items.push(Item::Instance(Instance {
                     module,
                     name,
                     conns,
                 }));
-                Ok(())
             }
-            Some(Token::Keyword(k @ (Keyword::Function | Keyword::Generate | Keyword::Genvar))) => {
-                Err(self.err(format!("`{k}` is not supported")))
+            Some(Kind::Keyword(k @ (K::Function | K::Generate | K::Genvar))) => {
+                return Err(self.err(format!("`{k}` is not supported")));
             }
-            other => Err(self.err(format!(
-                "unexpected token in module body: {}",
-                other.map_or("end of input".to_string(), |t| format!("`{t}`"))
-            ))),
+            _ => {
+                let msg = format!("unexpected token in module body: {}", self.found());
+                return Err(self.err(msg));
+            }
         }
+        Ok(())
     }
 
-    fn non_ansi_port_decl(
-        &mut self,
-        ports: &mut Vec<PortDecl>,
-        port_order: &[String],
-    ) -> Result<(), ParseError> {
-        let dir = if self.eat_keyword(Keyword::Input) {
+    fn non_ansi_port_decl(&mut self, ports: &mut Vec<PortDecl>, order: &[String]) -> Parsed<()> {
+        let dir = if self.eat(Keyword::Input) {
             Direction::Input
         } else {
-            self.expect_keyword(Keyword::Output)?;
+            self.expect(Keyword::Output)?;
             Direction::Output
         };
-        let net = if self.eat_keyword(Keyword::Reg) {
-            NetKind::Reg
-        } else {
-            self.eat_keyword(Keyword::Wire);
-            NetKind::Wire
-        };
-        let signed = self.eat_keyword(Keyword::Signed);
-        let range = self.opt_range()?;
-        loop {
-            let name = self.expect_ident()?;
-            if !port_order.iter().any(|p| p == &name) {
-                return Err(self.err(format!("`{name}` is not listed in the module header")));
+        let (net, signed, range) = self.port_type()?;
+        self.comma_list(|p| {
+            let name = p.ident()?;
+            if !order.contains(&name) {
+                return Err(p.err(format!("`{name}` is not listed in the module header")));
             }
             ports.push(PortDecl {
                 name,
@@ -419,35 +454,28 @@ impl Parser {
                 signed,
                 range,
             });
-            if !self.eat_punct(Punct::Comma) {
-                break;
-            }
-        }
-        self.expect_punct(Punct::Semi)?;
-        Ok(())
+            Ok(())
+        })?;
+        self.expect(Punct::Semi)
     }
 
-    fn net_decl(&mut self, kind: NetKind) -> Result<NetDecl, ParseError> {
-        let signed = self.eat_keyword(Keyword::Signed);
+    fn net_decl(&mut self, kind: NetKind) -> Parsed<NetDecl> {
+        let signed = self.eat(Keyword::Signed);
         let range = if kind == NetKind::Integer {
             Some(Range { msb: 31, lsb: 0 })
         } else {
             self.opt_range()?
         };
-        let mut names = Vec::new();
-        loop {
-            let name = self.expect_ident()?;
-            let init = if self.eat_punct(Punct::Assign) {
-                Some(self.expr()?)
+        let names = self.comma_list(|p| {
+            let name = p.ident()?;
+            let init = if p.eat(Punct::Assign) {
+                Some(p.expr()?)
             } else {
                 None
             };
-            names.push((name, init));
-            if !self.eat_punct(Punct::Comma) {
-                break;
-            }
-        }
-        self.expect_punct(Punct::Semi)?;
+            Ok((name, init))
+        })?;
+        self.expect(Punct::Semi)?;
         Ok(NetDecl {
             kind,
             signed: signed || kind == NetKind::Integer,
@@ -456,74 +484,62 @@ impl Parser {
         })
     }
 
-    fn connections(&mut self) -> Result<Connections, ParseError> {
-        if self.peek() == Some(&Token::Punct(Punct::RParen)) {
-            return Ok(Connections::Ordered(Vec::new()));
-        }
-        if self.peek() == Some(&Token::Punct(Punct::Dot)) {
-            let mut named = Vec::new();
-            loop {
-                self.expect_punct(Punct::Dot)?;
-                let port = self.expect_ident()?;
-                self.expect_punct(Punct::LParen)?;
-                let expr = if self.peek() == Some(&Token::Punct(Punct::RParen)) {
+    fn connections(&mut self) -> Parsed<Connections> {
+        match self.peek() {
+            Some(Kind::Punct(Punct::RParen)) => Ok(Connections::Ordered(Vec::new())),
+            Some(Kind::Punct(Punct::Dot)) => Ok(Connections::Named(self.comma_list(|p| {
+                p.expect(Punct::Dot)?;
+                let port = p.ident()?;
+                p.expect(Punct::LParen)?;
+                let expr = if p.peek() == Some(Kind::Punct(Punct::RParen)) {
                     None
                 } else {
-                    Some(self.expr()?)
+                    Some(p.expr()?)
                 };
-                self.expect_punct(Punct::RParen)?;
-                named.push((port, expr));
-                if !self.eat_punct(Punct::Comma) {
-                    break;
-                }
-            }
-            Ok(Connections::Named(named))
-        } else {
-            let mut ordered = Vec::new();
-            loop {
-                ordered.push(self.expr()?);
-                if !self.eat_punct(Punct::Comma) {
-                    break;
-                }
-            }
-            Ok(Connections::Ordered(ordered))
+                p.expect(Punct::RParen)?;
+                Ok((port, expr))
+            })?)),
+            _ => Ok(Connections::Ordered(self.comma_list(Self::expr)?)),
         }
     }
 
     // ---- statements ----
 
-    fn event_control(&mut self) -> Result<EventControl, ParseError> {
-        if self.eat_punct(Punct::Star) {
+    fn event_control(&mut self) -> Parsed<EventControl> {
+        if self.eat(Punct::Star) {
             return Ok(EventControl::Star);
         }
-        self.expect_punct(Punct::LParen)?;
-        if self.eat_punct(Punct::Star) {
-            self.expect_punct(Punct::RParen)?;
+        self.expect(Punct::LParen)?;
+        if self.eat(Punct::Star) {
+            self.expect(Punct::RParen)?;
             return Ok(EventControl::Star);
         }
         let mut signals = Vec::new();
         loop {
-            self.expect_keyword(Keyword::Posedge)?;
-            signals.push(self.expect_ident()?);
-            if self.eat_keyword(Keyword::Or) || self.eat_punct(Punct::Comma) {
-                continue;
+            self.expect(Keyword::Posedge)?;
+            signals.push(self.ident()?);
+            if !(self.eat(Keyword::Or) || self.eat(Punct::Comma)) {
+                break;
             }
-            self.expect_punct(Punct::RParen)?;
-            break;
         }
+        self.expect(Punct::RParen)?;
         Ok(EventControl::Posedge(signals))
     }
 
-    fn stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn stmt(&mut self) -> Parsed<Stmt> {
+        self.nested(Self::stmt_body)
+    }
+
+    fn stmt_body(&mut self) -> Parsed<Stmt> {
         match self.peek() {
-            Some(Token::Keyword(Keyword::Begin)) => {
-                self.bump();
+            Some(Kind::Keyword(Keyword::Begin)) => {
+                self.pos += 1;
                 // optional block label `: name`
-                if self.eat_punct(Punct::Colon) {
-                    self.expect_ident()?;
+                if self.eat(Punct::Colon) {
+                    self.ident()?;
                 }
                 let mut stmts = Vec::new();
-                while !self.eat_keyword(Keyword::End) {
+                while !self.eat(Keyword::End) {
                     if self.at_end() {
                         return Err(self.err("missing `end`"));
                     }
@@ -531,13 +547,13 @@ impl Parser {
                 }
                 Ok(Stmt::Block(stmts))
             }
-            Some(Token::Keyword(Keyword::If)) => {
-                self.bump();
-                self.expect_punct(Punct::LParen)?;
+            Some(Kind::Keyword(Keyword::If)) => {
+                self.pos += 1;
+                self.expect(Punct::LParen)?;
                 let cond = self.expr()?;
-                self.expect_punct(Punct::RParen)?;
+                self.expect(Punct::RParen)?;
                 let then_stmt = Box::new(self.stmt()?);
-                let else_stmt = if self.eat_keyword(Keyword::Else) {
+                let else_stmt = if self.eat(Keyword::Else) {
                     Some(Box::new(self.stmt()?))
                 } else {
                     None
@@ -548,25 +564,22 @@ impl Parser {
                     else_stmt,
                 })
             }
-            Some(Token::Keyword(Keyword::Case)) => {
-                self.bump();
-                self.expect_punct(Punct::LParen)?;
+            Some(Kind::Keyword(Keyword::Case)) => {
+                self.pos += 1;
+                self.expect(Punct::LParen)?;
                 let expr = self.expr()?;
-                self.expect_punct(Punct::RParen)?;
+                self.expect(Punct::RParen)?;
                 let mut arms = Vec::new();
-                while !self.eat_keyword(Keyword::Endcase) {
+                while !self.eat(Keyword::Endcase) {
                     if self.at_end() {
                         return Err(self.err("missing `endcase`"));
                     }
-                    let labels = if self.eat_keyword(Keyword::Default) {
-                        self.eat_punct(Punct::Colon);
+                    let labels = if self.eat(Keyword::Default) {
+                        self.eat(Punct::Colon);
                         Vec::new()
                     } else {
-                        let mut labels = vec![self.expr()?];
-                        while self.eat_punct(Punct::Comma) {
-                            labels.push(self.expr()?);
-                        }
-                        self.expect_punct(Punct::Colon)?;
+                        let labels = self.comma_list(Self::expr)?;
+                        self.expect(Punct::Colon)?;
                         labels
                     };
                     let body = self.stmt()?;
@@ -574,15 +587,15 @@ impl Parser {
                 }
                 Ok(Stmt::Case { expr, arms })
             }
-            Some(Token::Keyword(Keyword::For)) => {
-                self.bump();
-                self.expect_punct(Punct::LParen)?;
+            Some(Kind::Keyword(Keyword::For)) => {
+                self.pos += 1;
+                self.expect(Punct::LParen)?;
                 let init = Box::new(self.simple_assign_stmt()?);
-                self.expect_punct(Punct::Semi)?;
+                self.expect(Punct::Semi)?;
                 let cond = self.expr()?;
-                self.expect_punct(Punct::Semi)?;
+                self.expect(Punct::Semi)?;
                 let step = Box::new(self.simple_assign_stmt()?);
-                self.expect_punct(Punct::RParen)?;
+                self.expect(Punct::RParen)?;
                 let body = Box::new(self.stmt()?);
                 Ok(Stmt::For {
                     init,
@@ -591,278 +604,200 @@ impl Parser {
                     body,
                 })
             }
-            Some(Token::Punct(Punct::Hash)) => {
-                self.bump();
-                let n = self.expect_number()?;
-                let delay = n
-                    .value
-                    .to_u64()
-                    .ok_or_else(|| self.err("delay must be a known constant"))?;
-                let stmt = if self.eat_punct(Punct::Semi) {
+            Some(Kind::Punct(Punct::Hash)) => {
+                self.pos += 1;
+                let delay = self.number()?.value.to_u64();
+                let delay = delay.ok_or_else(|| self.err("delay must be a known constant"))?;
+                let stmt = if self.eat(Punct::Semi) {
                     None
                 } else {
                     Some(Box::new(self.stmt()?))
                 };
                 Ok(Stmt::Delay { delay, stmt })
             }
-            Some(Token::SysName(_)) => {
-                let Some(Token::SysName(name)) = self.bump() else {
-                    unreachable!()
-                };
+            Some(Kind::SysName) => {
+                let name = self.bump().text.to_string();
                 let mut args = Vec::new();
-                if self.eat_punct(Punct::LParen) && !self.eat_punct(Punct::RParen) {
-                    loop {
-                        match self.peek() {
-                            Some(Token::Str(_)) => {
-                                let Some(Token::Str(s)) = self.bump() else {
-                                    unreachable!()
-                                };
-                                args.push(SysArg::Str(s));
-                            }
-                            _ => args.push(SysArg::Expr(self.expr()?)),
-                        }
-                        if self.eat_punct(Punct::Comma) {
-                            continue;
-                        }
-                        self.expect_punct(Punct::RParen)?;
-                        break;
-                    }
+                if self.eat(Punct::LParen) && !self.eat(Punct::RParen) {
+                    args = self.comma_list(|p| match p.peek() {
+                        Some(Kind::Str) => Ok(SysArg::Str(unescape(p.bump().text))),
+                        _ => Ok(SysArg::Expr(p.expr()?)),
+                    })?;
+                    self.expect(Punct::RParen)?;
                 }
-                self.expect_punct(Punct::Semi)?;
+                self.expect(Punct::Semi)?;
                 Ok(Stmt::SysCall { name, args })
             }
-            Some(Token::Punct(Punct::Semi)) => {
-                self.bump();
+            Some(Kind::Punct(Punct::Semi)) => {
+                self.pos += 1;
                 Ok(Stmt::Empty)
             }
             _ => {
                 let s = self.simple_assign_stmt()?;
-                self.expect_punct(Punct::Semi)?;
+                self.expect(Punct::Semi)?;
                 Ok(s)
             }
         }
     }
 
     /// An assignment without the trailing semicolon (used by `for` headers).
-    fn simple_assign_stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn simple_assign_stmt(&mut self) -> Parsed<Stmt> {
         let lhs = self.lvalue()?;
-        if self.eat_punct(Punct::Assign) {
-            let rhs = self.expr()?;
-            Ok(Stmt::Blocking(lhs, rhs))
-        } else if self.eat_punct(Punct::NonBlocking) {
-            let rhs = self.expr()?;
-            Ok(Stmt::NonBlocking(lhs, rhs))
+        if self.eat(Punct::Assign) {
+            Ok(Stmt::Blocking(lhs, self.expr()?))
+        } else if self.eat(Punct::NonBlocking) {
+            Ok(Stmt::NonBlocking(lhs, self.expr()?))
         } else {
             Err(self.err("expected `=` or `<=` in assignment"))
         }
     }
 
-    fn lvalue(&mut self) -> Result<LValue, ParseError> {
-        if self.eat_punct(Punct::LBrace) {
-            let mut parts = Vec::new();
-            loop {
-                parts.push(self.lvalue()?);
-                if !self.eat_punct(Punct::Comma) {
-                    break;
-                }
-            }
-            self.expect_punct(Punct::RBrace)?;
-            return Ok(LValue::Concat(parts));
+    fn lvalue(&mut self) -> Parsed<LValue> {
+        if self.eat(Punct::LBrace) {
+            return self.nested(|p| {
+                let parts = p.comma_list(Self::lvalue)?;
+                p.expect(Punct::RBrace)?;
+                Ok(LValue::Concat(parts))
+            });
         }
-        let name = self.expect_ident()?;
-        if self.eat_punct(Punct::LBracket) {
-            let first = self.expr()?;
-            if self.eat_punct(Punct::Colon) {
-                let msb = self.part_msb(&first)?;
-                let lsb = self.const_int()?;
-                self.expect_punct(Punct::RBracket)?;
-                Ok(LValue::Part(name, msb, lsb))
-            } else if self.eat_punct(Punct::PlusColon) {
-                let w = self.const_int()?;
-                if w <= 0 {
-                    return Err(self.err("indexed part width must be positive"));
-                }
-                self.expect_punct(Punct::RBracket)?;
-                Ok(LValue::IndexedPart(name, Box::new(first), w as usize))
-            } else {
-                self.expect_punct(Punct::RBracket)?;
-                Ok(LValue::Bit(name, Box::new(first)))
+        let name = self.ident()?;
+        Ok(match self.select()? {
+            None => LValue::Ident(name),
+            Some(Select::Bit(i)) => LValue::Bit(name, i),
+            Some(Select::Part(msb, lsb)) => LValue::Part(name, msb, lsb),
+            Some(Select::IndexedPart(base, w)) => LValue::IndexedPart(name, base, w),
+        })
+    }
+
+    fn select(&mut self) -> Parsed<Option<Select>> {
+        if !self.eat(Punct::LBracket) {
+            return Ok(None);
+        }
+        let first = self.expr()?;
+        let select = if self.eat(Punct::Colon) {
+            let msb = self.part_msb(&first)?;
+            Select::Part(msb, self.const_int()?)
+        } else if self.eat(Punct::PlusColon) {
+            let w = self.const_int()?;
+            if w <= 0 {
+                return Err(self.err("indexed part width must be positive"));
             }
+            Select::IndexedPart(Box::new(first), w as usize)
         } else {
-            Ok(LValue::Ident(name))
-        }
+            Select::Bit(Box::new(first))
+        };
+        self.expect(Punct::RBracket)?;
+        Ok(Some(select))
     }
 
-    // ---- expressions (precedence climbing) ----
+    // ---- expressions ----
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.ternary()
-    }
-
-    fn ternary(&mut self) -> Result<Expr, ParseError> {
-        let cond = self.binary(0)?;
-        if self.eat_punct(Punct::Question) {
-            let t = self.ternary()?;
-            self.expect_punct(Punct::Colon)?;
-            let f = self.ternary()?;
+    fn expr(&mut self) -> Parsed<Expr> {
+        self.nested(|p| {
+            let cond = p.binary(0)?;
+            if !p.eat(Punct::Question) {
+                return Ok(cond);
+            }
+            let t = p.expr()?;
+            p.expect(Punct::Colon)?;
+            let f = p.expr()?;
             Ok(Expr::Ternary(Box::new(cond), Box::new(t), Box::new(f)))
-        } else {
-            Ok(cond)
-        }
+        })
     }
 
-    fn binop_at(&self, level: u8) -> Option<BinaryOp> {
-        use BinaryOp::*;
-        use Punct as P;
-        let p = match self.peek() {
-            Some(Token::Punct(p)) => *p,
-            _ => return None,
-        };
-        let (op, lv) = match p {
-            P::PipePipe => (LogicOr, 0),
-            P::AmpAmp => (LogicAnd, 1),
-            P::Pipe => (Or, 2),
-            P::Caret => (Xor, 3),
-            P::TildeCaret => (Xnor, 3),
-            P::Amp => (And, 4),
-            P::EqEq => (Eq, 5),
-            P::BangEq => (Ne, 5),
-            P::Lt => (Lt, 6),
-            P::NonBlocking => (Le, 6), // `<=` in expression position
-            P::Gt => (Gt, 6),
-            P::GtEq => (Ge, 6),
-            P::Shl => (Shl, 7),
-            P::Shr => (Shr, 7),
-            P::AShr => (AShr, 7),
-            P::Plus => (Add, 8),
-            P::Minus => (Sub, 8),
-            P::Star => (Mul, 9),
-            P::Slash => (Div, 9),
-            P::Percent => (Mod, 9),
-            _ => return None,
-        };
-        if lv == level {
-            Some(op)
-        } else {
-            None
-        }
-    }
-
-    fn binary(&mut self, level: u8) -> Result<Expr, ParseError> {
-        if level > 9 {
-            return self.unary();
-        }
-        let mut lhs = self.binary(level + 1)?;
-        while let Some(op) = self.binop_at(level) {
-            self.bump();
+    /// Precedence climbing: an operand, then each operator of level `min`
+    /// or tighter with its right operand, which takes only tighter
+    /// operators. Each operator folded in nests the left operand one
+    /// level deeper, and counts so until the loop ends.
+    fn binary(&mut self, min: u8) -> Parsed<Expr> {
+        let depth = self.depth;
+        let mut lhs = self.unary()?;
+        while let Some((op, level)) = binop(self.peek()).filter(|&(_, level)| level >= min) {
+            self.enter()?;
+            self.pos += 1;
             let rhs = self.binary(level + 1)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseError> {
+    fn unary(&mut self) -> Parsed<Expr> {
         use Punct as P;
         let op = match self.peek() {
-            Some(Token::Punct(P::Plus)) => Some(UnaryOp::Plus),
-            Some(Token::Punct(P::Minus)) => Some(UnaryOp::Neg),
-            Some(Token::Punct(P::Tilde)) => Some(UnaryOp::Not),
-            Some(Token::Punct(P::Bang)) => Some(UnaryOp::LogicNot),
-            Some(Token::Punct(P::Amp)) => Some(UnaryOp::RedAnd),
-            Some(Token::Punct(P::Pipe)) => Some(UnaryOp::RedOr),
-            Some(Token::Punct(P::Caret)) => Some(UnaryOp::RedXor),
-            _ => None,
+            Some(Kind::Punct(P::Plus)) => UnaryOp::Plus,
+            Some(Kind::Punct(P::Minus)) => UnaryOp::Neg,
+            Some(Kind::Punct(P::Tilde)) => UnaryOp::Not,
+            Some(Kind::Punct(P::Bang)) => UnaryOp::LogicNot,
+            Some(Kind::Punct(P::Amp)) => UnaryOp::RedAnd,
+            Some(Kind::Punct(P::Pipe)) => UnaryOp::RedOr,
+            Some(Kind::Punct(P::Caret)) => UnaryOp::RedXor,
+            _ => return self.primary(),
         };
-        if let Some(op) = op {
-            self.bump();
-            let e = self.unary()?;
-            return Ok(Expr::Unary(op, Box::new(e)));
-        }
-        self.primary()
+        self.pos += 1;
+        let operand = self.nested(Self::unary)?;
+        Ok(Expr::Unary(op, Box::new(operand)))
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
+    fn primary(&mut self) -> Parsed<Expr> {
         match self.peek() {
-            Some(Token::Number(_)) => {
-                let Some(Token::Number(n)) = self.bump() else {
-                    unreachable!()
-                };
+            Some(Kind::Number(i)) => {
+                self.pos += 1;
+                let n = &self.numbers[i as usize];
                 Ok(Expr::Literal {
-                    value: n.value,
+                    value: n.value.clone(),
                     signed: n.signed,
                 })
             }
-            Some(Token::Punct(Punct::LParen)) => {
-                self.bump();
+            Some(Kind::Punct(Punct::LParen)) => {
+                self.pos += 1;
                 let e = self.expr()?;
-                self.expect_punct(Punct::RParen)?;
+                self.expect(Punct::RParen)?;
                 Ok(e)
             }
-            Some(Token::Punct(Punct::LBrace)) => {
-                self.bump();
+            Some(Kind::Punct(Punct::LBrace)) => {
+                self.pos += 1;
                 let first = self.expr()?;
-                if self.peek() == Some(&Token::Punct(Punct::LBrace)) {
+                if self.peek() == Some(Kind::Punct(Punct::LBrace)) {
                     // replication `{n{e}}`
-                    let n = const_expr_i64(&first)
-                        .ok_or_else(|| self.err("replication count must be constant"))?;
+                    let n = const_expr_i64(&first);
+                    let n = n.ok_or_else(|| self.err("replication count must be constant"))?;
                     if n <= 0 || n > 4096 {
                         return Err(self.err("replication count out of range"));
                     }
-                    self.bump(); // inner `{`
-                    let inner = self.expr()?;
-                    let mut inner_parts = vec![inner];
-                    while self.eat_punct(Punct::Comma) {
-                        inner_parts.push(self.expr()?);
-                    }
-                    self.expect_punct(Punct::RBrace)?;
-                    self.expect_punct(Punct::RBrace)?;
-                    let body = if inner_parts.len() == 1 {
-                        inner_parts.pop().expect("one element")
-                    } else {
-                        Expr::Concat(inner_parts)
-                    };
+                    self.pos += 1; // inner `{`
+                    let body = concat(self.comma_list(Self::expr)?);
+                    self.expect(Punct::RBrace)?;
+                    self.expect(Punct::RBrace)?;
                     return Ok(Expr::Repl(n as usize, Box::new(body)));
                 }
                 let mut parts = vec![first];
-                while self.eat_punct(Punct::Comma) {
+                while self.eat(Punct::Comma) {
                     parts.push(self.expr()?);
                 }
-                self.expect_punct(Punct::RBrace)?;
-                if parts.len() == 1 {
-                    Ok(parts.pop().expect("one element"))
-                } else {
-                    Ok(Expr::Concat(parts))
-                }
+                self.expect(Punct::RBrace)?;
+                Ok(concat(parts))
             }
-            Some(Token::Ident(_)) => {
-                let name = self.expect_ident()?;
-                if self.eat_punct(Punct::LBracket) {
-                    let first = self.expr()?;
-                    if self.eat_punct(Punct::Colon) {
-                        let msb = self.part_msb(&first)?;
-                        let lsb = self.const_int()?;
-                        self.expect_punct(Punct::RBracket)?;
-                        Ok(Expr::Part(name, msb, lsb))
-                    } else if self.eat_punct(Punct::PlusColon) {
-                        let w = self.const_int()?;
-                        if w <= 0 {
-                            return Err(self.err("indexed part width must be positive"));
-                        }
-                        self.expect_punct(Punct::RBracket)?;
-                        Ok(Expr::IndexedPart(name, Box::new(first), w as usize))
-                    } else {
-                        self.expect_punct(Punct::RBracket)?;
-                        Ok(Expr::Bit(name, Box::new(first)))
-                    }
-                } else {
-                    Ok(Expr::Ident(name))
-                }
+            Some(Kind::Ident) => {
+                let name = self.ident()?;
+                Ok(match self.select()? {
+                    None => Expr::Ident(name),
+                    Some(Select::Bit(i)) => Expr::Bit(name, i),
+                    Some(Select::Part(msb, lsb)) => Expr::Part(name, msb, lsb),
+                    Some(Select::IndexedPart(base, w)) => Expr::IndexedPart(name, base, w),
+                })
             }
-            other => Err(self.err(format!(
-                "expected expression, found {}",
-                other.map_or("end of input".to_string(), |t| format!("`{t}`"))
-            ))),
+            _ => Err(self.err(format!("expected expression, found {}", self.found()))),
         }
+    }
+}
+
+/// The parts of a concatenation, or its one part alone.
+fn concat(mut parts: Vec<Expr>) -> Expr {
+    if parts.len() == 1 {
+        parts.pop().expect("one part")
+    } else {
+        Expr::Concat(parts)
     }
 }
 
