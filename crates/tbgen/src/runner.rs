@@ -1,14 +1,15 @@
 //! What a testbench run produces and the pieces every run shares: the
 //! verdict types, [`elaborate_pair`] (the design a run executes),
 //! [`limits_for`] (its simulation bounds), the simulation half of every
-//! run (`simulate_records`: elaborate the pair, run one fresh
-//! [`Simulator`], capture what its displays print), the interpreted
-//! checker judge [`judge_records`], and [`reference_run`], the uncached,
-//! unbudgeted run that [`crate::EvalSession`] (the way jobs execute: the
+//! run (`simulate`: run one fresh [`Simulator`] over the design, capture
+//! what its displays print), the interpreted checker judge
+//! [`judge_records`], and [`reference_run`], the uncached, unbudgeted
+//! run that [`crate::EvalSession`] (the way jobs execute: the
 //! validator's RS-matrix rows, Eval1/Eval2) is tested against. The
-//! session judges a run's records from their values; the reference
-//! renders them to text and parses them back, as the paper's Python
-//! checker reads the Verilog driver's output.
+//! session links each DUT into its driver's testbench template and
+//! judges a run's records from their values; the reference elaborates
+//! the pair, renders the records to text and parses them back, as the
+//! paper's Python checker reads the Verilog driver's output.
 
 use crate::record::{parse_records, FieldValue, Record};
 use crate::scenarios::ScenarioSet;
@@ -90,26 +91,23 @@ impl From<CheckerRunError> for TbError {
     }
 }
 
-/// Simulates `driver` against `dut` under `limits` and returns what its
-/// displays printed: the simulation half of every run,
+/// Simulates a testbench run's `design` under `limits` and returns what
+/// its displays printed: the simulation half of every run,
 /// [`crate::EvalSession`]'s and [`reference_run`]'s alike. Every call
-/// elaborates the pair and runs one fresh [`Simulator`], which captures
-/// each record display as values and renders every other display. The
-/// session judges the typed view ([`SimOutput::printed`]);
-/// [`reference_run`] parses the text view ([`SimOutput::lines`]).
-/// `binding` says whether a job budget lowered `limits.max_steps`
-/// ([`classify_sim_err`]).
+/// runs one fresh [`Simulator`], which captures each record display as
+/// values and renders every other display. The session judges the typed
+/// view ([`SimOutput::printed`]); [`reference_run`] parses the text view
+/// ([`SimOutput::lines`]). `binding` says whether a job budget lowered
+/// `limits.max_steps` ([`classify_sim_err`]).
 ///
 /// # Errors
 ///
-/// Elaboration or simulation failure of the combined design.
-pub(crate) fn simulate_records(
-    dut: &SourceFile,
-    driver: &SourceFile,
+/// Simulation failure.
+pub(crate) fn simulate(
+    design: Design,
     limits: SimLimits,
     binding: bool,
 ) -> Result<SimOutput, TbError> {
-    let design = elaborate_pair(dut, driver)?;
     Ok(Simulator::with_limits(design, limits)
         .run()
         .map_err(|e| classify_sim_err(e, binding))?)
@@ -129,9 +127,11 @@ pub(crate) fn classify_sim_err(err: SimError, binding: bool) -> VerilogError {
 }
 
 /// Elaborates a DUT and a driver as one file under
-/// [`crate::driver::TB_MODULE`], without joining their ASTs — the single
-/// definition of "the design a testbench run executes", shared by the
-/// runner, the benches and the differential tests.
+/// [`crate::driver::TB_MODULE`], without joining their ASTs: the single
+/// definition of "the design a testbench run executes". [`reference_run`]
+/// and the differential tests run it; [`crate::EvalSession`] links the
+/// same design from its driver's testbench template, and takes this path
+/// for a driver that has none.
 ///
 /// # Errors
 ///
@@ -157,12 +157,12 @@ pub fn limits_for(scenarios: &ScenarioSet) -> SimLimits {
     }
 }
 
-/// The executable reference for one testbench run: the session's
-/// simulation half under [`limits_for`] (a fresh [`elaborate_pair`], a
-/// fresh [`Simulator`]), its text view parsed ([`parse_records`]) and
-/// the checker interpreter ([`judge_records`]), with no session, no
-/// cache and no budget. Jobs
-/// run through [`crate::EvalSession`]; the session tests and the golden
+/// The executable reference for one testbench run: a fresh
+/// [`elaborate_pair`], the session's simulation half under
+/// [`limits_for`] (a fresh [`Simulator`]), its text view parsed
+/// ([`parse_records`]) and the checker interpreter ([`judge_records`]),
+/// with no session, no template, no cache and no budget. Jobs run
+/// through [`crate::EvalSession`]; the session tests and the golden
 /// keystone test compare against this.
 ///
 /// # Errors
@@ -176,7 +176,7 @@ pub fn reference_run(
     problem: &Problem,
     scenarios: &ScenarioSet,
 ) -> Result<TbRun, TbError> {
-    let out = simulate_records(dut, driver, limits_for(scenarios), false)?;
+    let out = simulate(elaborate_pair(dut, driver)?, limits_for(scenarios), false)?;
     let records = parse_records(&out.lines());
     let results = judge_records(&records, checker, problem, scenarios.len())?;
     Ok(TbRun { results })

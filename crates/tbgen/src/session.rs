@@ -11,7 +11,10 @@
 //!   positionally ever after;
 //! * the **record bindings** — each checker input and output given a
 //!   slot once, with its port width;
-//! * the **judging buffers** (per-scenario flags, positional inputs).
+//! * the **judging buffers** (per-scenario flags, positional inputs);
+//! * the **testbench template** of the last driver that missed the cache
+//!   ([`TbTemplate`]): the driver's `tb` module elaborated once, with its
+//!   instance of the DUT module left as a hole.
 //!
 //! A session takes the [`SimCache`] and the simulation budget of the
 //! [`EvalContext`] it is built with: [`EvalSession::run`] consults the
@@ -19,10 +22,18 @@
 //! holds the pair's fingerprints, two fixed for the session (the
 //! checker's and the module interface's) and the two counts of the
 //! scenario schedule a run reads; the stimuli themselves are in the
-//! driver. A miss clamps the
-//! run's limits to the budget, elaborates the pair and runs one fresh
-//! [`Simulator`] — the simulation half [`crate::reference_run`] runs too
-//! — and judges the records with the session's checker.
+//! driver. A miss clamps the run's limits to the budget, elaborates the
+//! DUT alone and links it into the driver's template
+//! ([`TbTemplate::link`], the design [`elaborate_pair`] gives), runs one
+//! fresh [`Simulator`] — the simulation half [`crate::reference_run`]
+//! runs too — and judges the records with the session's checker.
+//!
+//! The template is keyed by the driver's fingerprint and built at that
+//! driver's first miss, so a sweep of one driver over many DUTs (an RS
+//! matrix, an Eval2 mutant set) elaborates the driver once. A driver
+//! without a template takes [`elaborate_pair`]: one whose `tb` has any
+//! instance but exactly one of the DUT module, that defines the DUT
+//! module itself, or whose `tb` fails to elaborate.
 //!
 //! The judge reads the run's typed view ([`SimOutput::printed`]), not its
 //! text. Each record format's field names are resolved to binding slots
@@ -36,19 +47,21 @@
 //! and `tests/typed_records.rs` pin run by run.
 //!
 //! [`Simulator`]: correctbench_verilog::Simulator
+//! [`TbTemplate`]: correctbench_verilog::TbTemplate
+//! [`TbTemplate::link`]: correctbench_verilog::TbTemplate::link
 //! [`Record::field`]: crate::Record::field
 //! [`typed_records`]: crate::typed_records
 
 use crate::cache::{CacheKey, SimCache};
 use crate::context::EvalContext;
 use crate::record::{parse_record, read_values, FieldValue, RecordBinding};
-use crate::runner::{limits_for, simulate_records, ScenarioResult, TbError, TbRun};
+use crate::runner::{elaborate_pair, limits_for, simulate, ScenarioResult, TbError, TbRun};
 use crate::scenarios::ScenarioSet;
 use correctbench_checker::{CheckerProgram, JudgeSession};
 use correctbench_dataset::Problem;
 use correctbench_verilog::ast::SourceFile;
 use correctbench_verilog::hash::{fingerprint, Fingerprint};
-use correctbench_verilog::{LogicVec, Printed, SimLimits, SimOutput};
+use correctbench_verilog::{Design, LogicVec, Printed, SimLimits, SimOutput, TbTemplate};
 use std::sync::Arc;
 
 /// A reusable evaluation session for one `(problem, checker)` pair.
@@ -91,6 +104,12 @@ pub struct EvalSession {
     /// The current record display's field values.
     fields: Vec<FieldValue>,
     verdicts: Verdicts,
+    /// The DUT module's name: the hole of every driver's template.
+    dut_module: String,
+    /// The testbench template of the last driver that missed the cache,
+    /// keyed by the driver's fingerprint; `None` beside the key when the
+    /// driver has none.
+    template: Option<(Fingerprint, Option<TbTemplate>)>,
 }
 
 /// The judging checker and the verdicts of the stream it is judging.
@@ -148,6 +167,8 @@ impl EvalSession {
                 seen: Vec::new(),
                 failed: Vec::new(),
             },
+            dut_module: problem.name.clone(),
+            template: None,
         })
     }
 
@@ -196,8 +217,9 @@ impl EvalSession {
             .collect()
     }
 
-    /// The uncached run: clamp the limits to the budget, simulate
-    /// ([`simulate_records`]) and judge ([`JudgeSession`]).
+    /// The uncached run: clamp the limits to the budget, elaborate
+    /// ([`EvalSession::elaborate`]), simulate ([`simulate`]) and judge
+    /// ([`JudgeSession`]).
     fn run_once(
         &mut self,
         dut: &SourceFile,
@@ -205,9 +227,26 @@ impl EvalSession {
         scenarios: &ScenarioSet,
     ) -> Result<TbRun, TbError> {
         let (limits, binding) = clamp(self.sim_budget, limits_for(scenarios));
-        let out = simulate_records(dut, driver, limits, binding)?;
+        let out = simulate(self.elaborate(dut, driver)?, limits, binding)?;
         let results = self.judge(&out, scenarios.len())?;
         Ok(TbRun { results })
+    }
+
+    /// The pair's design, as [`elaborate_pair`] gives it: `dut` linked
+    /// into `driver`'s template, which is built first when the session
+    /// holds another driver's.
+    fn elaborate(&mut self, dut: &SourceFile, driver: &SourceFile) -> Result<Design, TbError> {
+        let key = driver.fingerprint();
+        if self.template.as_ref().map(|(k, _)| *k) != Some(key) {
+            let template = TbTemplate::new(driver, crate::driver::TB_MODULE, &self.dut_module);
+            self.template = Some((key, template));
+        }
+        match &self.template {
+            Some((_, Some(template))) => template
+                .link(dut, driver)
+                .map_err(|e| TbError::Verilog(e.into())),
+            _ => elaborate_pair(dut, driver),
+        }
     }
 
     /// Judges a run's typed view with the [`JudgeSession`] — the session
@@ -434,6 +473,56 @@ mod tests {
         }
     }
 
+    /// One session runs drivers A, B, A again and a driver that
+    /// redefines the DUT module, each against the golden DUT and a
+    /// mutant, with no cache and then through one. Every run must equal
+    /// [`reference_run`], so a DUT linked into another driver's template
+    /// shows. A's second visit runs a mutant it did not run before, so
+    /// the cached pass misses there while the session holds B's
+    /// template.
+    #[test]
+    fn session_links_each_driver_into_its_own_template() {
+        for name in ["counter_8", "alu_8"] {
+            let SweepInputs {
+                problem: p,
+                scenarios: a_scen,
+                driver: a,
+                checker,
+                duts,
+            } = sweep_inputs(name);
+            let b_scen = generate_scenarios(&p, 34);
+            let b = parse(&generate_driver(&p, &b_scen)).expect("driver B");
+            let redefining = format!(
+                "{}\nmodule {};\nendmodule\n",
+                generate_driver(&p, &a_scen),
+                p.name
+            );
+            let redefining = parse(&redefining).expect("redefining driver");
+            let (golden, m1, m2) = (&duts[0].1, &duts[2].1, &duts[4].1);
+            let visits = [
+                ("A", &a, &a_scen, [golden, m1]),
+                ("B", &b, &b_scen, [golden, m1]),
+                ("A again", &a, &a_scen, [m2, golden]),
+                ("redefining", &redefining, &a_scen, [golden, m1]),
+            ];
+            for (pass, ctx) in [
+                ("uncached", EvalContext::default()),
+                ("cached", EvalContext::cached()),
+            ] {
+                let mut session = EvalSession::new(&p, &checker, &ctx).expect("session");
+                for (driver_name, driver, scen, visit_duts) in &visits {
+                    for dut in visit_duts {
+                        assert_eq!(
+                            session.run(dut, driver, scen),
+                            reference_run(dut, driver, &checker, &p, scen),
+                            "{name}: driver {driver_name} ({pass} pass)"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// Drivers whose records take the unusual routes through the judge:
     /// a record display that repeats a field with a wrong value last,
     /// and record lines printed as text (a trailing space keeps the
@@ -484,7 +573,8 @@ mod tests {
             ("interleaved text", interleaved, displays / 2),
         ] {
             let driver = parse(&text).expect("driver parses");
-            let out = simulate_records(&golden, &driver, limits_for(&scen), false).expect("runs");
+            let design = elaborate_pair(&golden, &driver).expect("elaborates");
+            let out = simulate(design, limits_for(&scen), false).expect("runs");
             let records = out
                 .printed()
                 .filter(|p| matches!(p, Printed::Record { .. }))

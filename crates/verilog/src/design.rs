@@ -14,6 +14,7 @@
 
 use crate::ast::{BinaryOp, UnaryOp};
 use crate::logic::{Bit, LogicVec};
+use std::sync::Arc;
 
 /// Index of a signal in the flattened design.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -309,24 +310,12 @@ fn is_identifier(name: &str) -> bool {
         && bytes.all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'$')
 }
 
-/// Kind of process.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ProcessKind {
-    /// Runs once from time zero.
-    Initial,
-    /// Loops forever (compiled with a trailing jump to the top).
-    Always,
-}
-
 /// An elaborated process.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ProcessDef {
-    /// Initial or always.
-    pub kind: ProcessKind,
-    /// Instruction body.
-    pub code: Vec<Instr>,
-    /// Debug name (`initial#0`, `always#2`).
-    pub name: String,
+    /// Instruction body. The simulator only reads it, so the designs
+    /// that link one testbench template share its processes' bodies.
+    pub code: Arc<[Instr]>,
     /// Signals the process writes with blocking assignments: together
     /// with the pc, the state of an activation that the runaway detector
     /// compares. Left empty for processes without an [`Instr::LoopBack`].

@@ -10,6 +10,11 @@
 //! runaway detector works from, and each display whose literal format is
 //! the record grammar ([`RecordFormat`]), which the simulator captures as
 //! values instead of text.
+//!
+//! A testbench runs many DUTs, so its module can be elaborated once with
+//! its DUT instance left as a hole ([`TbTemplate`]); each DUT is then
+//! elaborated alone and linked in, and the result is the design that
+//! elaborating the pair ([`elaborate_files`]) gives.
 
 use crate::ast::*;
 use crate::design::*;
@@ -39,12 +44,7 @@ pub fn elaborate(file: &SourceFile, top: &str) -> Result<Design, ElabError> {
 /// As [`elaborate`].
 pub fn elaborate_files(files: &[&SourceFile], top: &str) -> Result<Design, ElabError> {
     let _span = correctbench_obs::span(correctbench_obs::Phase::Elab);
-    let mut seen = HashSet::new();
-    for m in files.iter().flat_map(|f| &f.modules) {
-        if !seen.insert(m.name.as_str()) {
-            return Err(ElabError::new(format!("duplicate module `{}`", m.name)));
-        }
-    }
+    check_duplicates(files)?;
     let mut design = Design::default();
     let mut el = Elaborator {
         files,
@@ -55,6 +55,141 @@ pub fn elaborate_files(files: &[&SourceFile], top: &str) -> Result<Design, ElabE
         .ok_or_else(|| ElabError::new(format!("top module `{top}` not found")))?;
     el.instantiate(module, "", 0)?;
     Ok(design)
+}
+
+/// Fails on the first module that `files` define twice, in file order.
+fn check_duplicates(files: &[&SourceFile]) -> Result<(), ElabError> {
+    let mut seen = HashSet::new();
+    for m in files.iter().flat_map(|f| &f.modules) {
+        if !seen.insert(m.name.as_str()) {
+            return Err(ElabError::new(format!("duplicate module `{}`", m.name)));
+        }
+    }
+    Ok(())
+}
+
+/// A testbench module elaborated once, with its one instance of the DUT
+/// module left as a hole: what [`TbTemplate::link`] elaborates each DUT
+/// into.
+///
+/// The elaborator declares a module's signals before its behaviour pass,
+/// and an instance adds its signals, assigns, processes and record
+/// formats at its place in that pass. So in the pair's design the
+/// testbench's signals come first, and its assigns, processes and record
+/// formats split at the instance item (the splice points) into a head
+/// before the DUT's and a tail after them. Nothing of the testbench
+/// reads the DUT's part, except a record format that the DUT interns
+/// first: that moves the index of every record format after it.
+pub struct TbTemplate {
+    /// The testbench module's name.
+    top: String,
+    /// The testbench's part of the design: all its signals, and the
+    /// assigns, processes and record formats of its other items.
+    design: Design,
+    /// The testbench's names, which the hole's connections read.
+    scope: Scope,
+    /// The hole: the testbench's instance of the DUT module.
+    instance: Instance,
+    /// The splice points: how many assigns, processes and record
+    /// formats `design` had at the instance item.
+    assigns: usize,
+    /// See `assigns`.
+    processes: usize,
+    /// See `assigns`.
+    records: usize,
+}
+
+impl TbTemplate {
+    /// Elaborates module `top` of `driver`, leaving its instance of
+    /// `dut_module` as a hole. `None` unless that is `top`'s only
+    /// instance, `driver` does not define `dut_module` itself, and the
+    /// rest of `top` elaborates.
+    pub fn new(driver: &SourceFile, top: &str, dut_module: &str) -> Option<TbTemplate> {
+        let _span = correctbench_obs::span(correctbench_obs::Phase::Elab);
+        let module = driver.module(top)?;
+        let mut instances = module
+            .items
+            .iter()
+            .enumerate()
+            .filter_map(|(k, item)| match item {
+                Item::Instance(inst) => Some((k, inst)),
+                _ => None,
+            });
+        let (hole, instance) = instances.next()?;
+        if instances.next().is_some()
+            || instance.module != dut_module
+            || driver.module(dut_module).is_some()
+        {
+            return None;
+        }
+        let mut design = Design::default();
+        let files = [driver];
+        let mut el = Elaborator {
+            files: &files,
+            design: &mut design,
+        };
+        let scope = el.declare(module, "").ok()?;
+        for item in &module.items[..hole] {
+            el.item(&scope, "", item, 0).ok()?;
+        }
+        let (assigns, processes, records) = (
+            el.design.assigns.len(),
+            el.design.processes.len(),
+            el.design.records.len(),
+        );
+        for item in &module.items[hole + 1..] {
+            el.item(&scope, "", item, 0).ok()?;
+        }
+        Some(TbTemplate {
+            top: top.to_string(),
+            design,
+            scope,
+            instance: instance.clone(),
+            assigns,
+            processes,
+            records,
+        })
+    }
+
+    /// Elaborates `dut` into the hole. `driver` is the file the template
+    /// was built from, and the result is exactly
+    /// `elaborate_files(&[dut, driver], top)`: the duplicate-module check
+    /// and module lookup span both files, and a DUT that interns a
+    /// record format is elaborated with the driver in full.
+    ///
+    /// # Errors
+    ///
+    /// As [`elaborate_files`].
+    pub fn link(&self, dut: &SourceFile, driver: &SourceFile) -> Result<Design, ElabError> {
+        let _span = correctbench_obs::span(correctbench_obs::Phase::Elab);
+        let files = [dut, driver];
+        check_duplicates(&files)?;
+        let tb = &self.design;
+        let mut design = Design {
+            signals: tb.signals.clone(),
+            assigns: tb.assigns[..self.assigns].to_vec(),
+            processes: tb.processes[..self.processes].to_vec(),
+            records: tb.records[..self.records].to_vec(),
+        };
+        Elaborator {
+            files: &files,
+            design: &mut design,
+        }
+        .bind_instance(&self.scope, "", &self.instance, 0)?;
+        if design.records.len() > self.records {
+            return elaborate_files(&files, &self.top);
+        }
+        design
+            .assigns
+            .extend_from_slice(&tb.assigns[self.assigns..]);
+        design
+            .processes
+            .extend_from_slice(&tb.processes[self.processes..]);
+        design
+            .records
+            .extend_from_slice(&tb.records[self.records..]);
+        Ok(design)
+    }
 }
 
 /// A module instance's names.
@@ -102,12 +237,10 @@ impl<'a> Elaborator<'a> {
 
     /// Appends a process, marking its zero-time loops for the
     /// simulator's runaway detector.
-    fn push_process(&mut self, kind: ProcessKind, mut code: Vec<Instr>, name: String) {
+    fn push_process(&mut self, mut code: Vec<Instr>) {
         let written = mark_zero_time_loops(self.design, &mut code);
         self.design.processes.push(ProcessDef {
-            kind,
-            code,
-            name,
+            code: code.into(),
             written,
         });
     }
@@ -175,6 +308,18 @@ impl<'a> Elaborator<'a> {
                 module.name
             )));
         }
+        let scope = self.declare(module, prefix)?;
+        // The behaviour pass: everything that references the names, so an
+        // assign, process or instance may use a name declared after it.
+        for item in &module.items {
+            self.item(&scope, prefix, item, depth)?;
+        }
+        Ok(scope)
+    }
+
+    /// The declaration pass over `module`: its ports and nets, and the
+    /// process of its declaration initialisers.
+    fn declare(&mut self, module: &Module, prefix: &str) -> Result<Scope, ElabError> {
         let mut scope = Scope {
             names: HashMap::new(),
         };
@@ -201,9 +346,6 @@ impl<'a> Elaborator<'a> {
                 kind,
             )?;
         }
-        // Two passes over items: declarations first, then everything that
-        // references them, so an assign, process or instance may use a
-        // name declared after it.
         let mut initial_inits: Vec<(RLValue, RExpr)> = Vec::new();
         for item in &module.items {
             let Item::Net(decl) = item else {
@@ -261,93 +403,97 @@ impl<'a> Elaborator<'a> {
                 code.push(Instr::Assign(lhs, rhs));
             }
             code.push(Instr::Halt);
-            self.push_process(ProcessKind::Initial, code, format!("{prefix}$decl_init"));
+            self.push_process(code);
         }
+        Ok(scope)
+    }
 
-        // Second pass: behaviour.
-        for item in &module.items {
-            match item {
-                Item::Net(_) => {}
-                Item::Assign(a) => {
-                    let lhs = self.resolve_lvalue(&scope, &a.lhs, SignalKind::Wire)?;
-                    let rhs = self.resolve_expr(&scope, &a.rhs)?;
-                    let mut reads = Vec::new();
-                    rhs.collect_sigs(&mut reads);
-                    collect_lvalue_index_reads(&lhs, &mut reads);
-                    reads.sort();
-                    reads.dedup();
-                    self.design.assigns.push(RAssign { lhs, rhs, reads });
-                }
-                Item::Always(blk) => {
-                    let idx = self.design.processes.len();
-                    let mut comp = BodyCompiler {
-                        el: self,
-                        scope: &scope,
-                        code: Vec::new(),
-                        write_kind: SignalKind::Reg,
-                    };
-                    match &blk.event {
-                        Some(EventControl::Posedge(signals)) => {
-                            let edges = signals
-                                .iter()
-                                .map(|s| Ok((Edge::Pos, scope.sig(s)?)))
-                                .collect::<Result<_, ElabError>>()?;
-                            comp.code.push(Instr::WaitEvent(edges));
-                            comp.stmt(&blk.body)?;
-                            let top = 0;
-                            comp.code.push(Instr::Jump(top));
-                        }
-                        Some(EventControl::Star) => {
-                            let mut reads = Vec::new();
-                            blk.body.collect_reads(&mut reads);
-                            let mut edges = Vec::new();
-                            for name in reads {
-                                if let Some(&s) = scope.names.get(&name) {
-                                    edges.push((Edge::Any, s));
-                                }
-                            }
-                            edges.sort_by_key(|(_, s)| *s);
-                            edges.dedup_by_key(|(_, s)| *s);
-                            // Run the body once at time zero, then wait.
-                            comp.stmt(&blk.body)?;
-                            let wait_pc = comp.code.len();
-                            comp.code.push(Instr::WaitEvent(edges));
-                            comp.stmt(&blk.body)?;
-                            comp.code.push(Instr::Jump(wait_pc));
-                        }
-                        None => {
-                            comp.stmt(&blk.body)?;
-                            if !comp.code.iter().any(|i| matches!(i, Instr::Delay(_))) {
-                                return Err(ElabError::new(
-                                    "always block has no event control or delay",
-                                ));
-                            }
-                            comp.code.push(Instr::Jump(0));
-                        }
+    /// Elaborates one item of a module instance in the behaviour pass.
+    fn item(
+        &mut self,
+        scope: &Scope,
+        prefix: &str,
+        item: &Item,
+        depth: usize,
+    ) -> Result<(), ElabError> {
+        match item {
+            Item::Net(_) => {}
+            Item::Assign(a) => {
+                let lhs = self.resolve_lvalue(scope, &a.lhs, SignalKind::Wire)?;
+                let rhs = self.resolve_expr(scope, &a.rhs)?;
+                let mut reads = Vec::new();
+                rhs.collect_sigs(&mut reads);
+                collect_lvalue_index_reads(&lhs, &mut reads);
+                reads.sort();
+                reads.dedup();
+                self.design.assigns.push(RAssign { lhs, rhs, reads });
+            }
+            Item::Always(blk) => {
+                let mut comp = BodyCompiler {
+                    el: self,
+                    scope,
+                    code: Vec::new(),
+                    write_kind: SignalKind::Reg,
+                };
+                match &blk.event {
+                    Some(EventControl::Posedge(signals)) => {
+                        let edges = signals
+                            .iter()
+                            .map(|s| Ok((Edge::Pos, scope.sig(s)?)))
+                            .collect::<Result<_, ElabError>>()?;
+                        comp.code.push(Instr::WaitEvent(edges));
+                        comp.stmt(&blk.body)?;
+                        let top = 0;
+                        comp.code.push(Instr::Jump(top));
                     }
-                    let code = comp.code;
-                    self.push_process(ProcessKind::Always, code, format!("{prefix}always#{idx}"));
+                    Some(EventControl::Star) => {
+                        let mut reads = Vec::new();
+                        blk.body.collect_reads(&mut reads);
+                        let mut edges = Vec::new();
+                        for name in reads {
+                            if let Some(&s) = scope.names.get(&name) {
+                                edges.push((Edge::Any, s));
+                            }
+                        }
+                        edges.sort_by_key(|(_, s)| *s);
+                        edges.dedup_by_key(|(_, s)| *s);
+                        // Run the body once at time zero, then wait.
+                        comp.stmt(&blk.body)?;
+                        let wait_pc = comp.code.len();
+                        comp.code.push(Instr::WaitEvent(edges));
+                        comp.stmt(&blk.body)?;
+                        comp.code.push(Instr::Jump(wait_pc));
+                    }
+                    None => {
+                        comp.stmt(&blk.body)?;
+                        if !comp.code.iter().any(|i| matches!(i, Instr::Delay(_))) {
+                            return Err(ElabError::new(
+                                "always block has no event control or delay",
+                            ));
+                        }
+                        comp.code.push(Instr::Jump(0));
+                    }
                 }
-                Item::Initial(body) => {
-                    let idx = self.design.processes.len();
-                    let mut comp = BodyCompiler {
-                        el: self,
-                        scope: &scope,
-                        code: Vec::new(),
-                        write_kind: SignalKind::Reg,
-                    };
-                    comp.stmt(body)?;
-                    comp.code.push(Instr::Halt);
-                    let code = comp.code;
-                    self.push_process(ProcessKind::Initial, code, format!("{prefix}initial#{idx}"));
-                }
-                Item::Instance(inst) => {
-                    self.bind_instance(&scope, prefix, inst, depth)?;
-                }
+                let code = comp.code;
+                self.push_process(code);
+            }
+            Item::Initial(body) => {
+                let mut comp = BodyCompiler {
+                    el: self,
+                    scope,
+                    code: Vec::new(),
+                    write_kind: SignalKind::Reg,
+                };
+                comp.stmt(body)?;
+                comp.code.push(Instr::Halt);
+                let code = comp.code;
+                self.push_process(code);
+            }
+            Item::Instance(inst) => {
+                self.bind_instance(scope, prefix, inst, depth)?;
             }
         }
-
-        Ok(scope)
+        Ok(())
     }
 
     fn bind_instance(
@@ -1011,7 +1157,7 @@ mod tests {
         );
         d.processes
             .iter()
-            .flat_map(|p| &p.code)
+            .flat_map(|p| p.code.iter())
             .filter_map(|i| match i {
                 Instr::SysCall { record, .. } => Some(record.map(|r| d.records[r].names.clone())),
                 _ => None,

@@ -8,7 +8,9 @@
 //!   widths ≤ 64, with in-place mutating ops);
 //! * [`lexer`] / [`parser`] / [`ast`] — the front end;
 //! * [`elaborate`](mod@elaborate) — hierarchy flattening into a [`Design`], with each
-//!   process's zero-time loops marked for the runaway detector;
+//!   process's zero-time loops marked for the runaway detector, and the
+//!   testbench template ([`TbTemplate`]) that elaborates a testbench once
+//!   and links each DUT into it;
 //! * [`sim`] — the event-driven simulator, which walks the elaborated
 //!   design directly, with `$display` capture (record displays as values,
 //!   other displays as text) and runaway-loop detection;
@@ -63,7 +65,7 @@ pub mod sim;
 pub mod sysfmt;
 
 pub use design::{Design, RecordFormat, SignalId};
-pub use elaborate::{elaborate, elaborate_files};
+pub use elaborate::{elaborate, elaborate_files, TbTemplate};
 pub use error::{ElabError, ParseError, SimError, VerilogError};
 pub use hash::{fingerprint, fnv1a64, structural_hash, Fingerprint};
 pub use lint::{lint_file, lint_files, Diagnostic, LintReport, Rule, Severity};

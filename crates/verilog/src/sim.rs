@@ -1584,7 +1584,7 @@ mod tests {
         design
             .processes
             .iter()
-            .flat_map(|p| &p.code)
+            .flat_map(|p| p.code.iter())
             .filter_map(|i| match i {
                 Instr::LoopBack { guard, .. } => Some(guard.is_some()),
                 _ => None,
